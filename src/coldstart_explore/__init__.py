@@ -49,8 +49,10 @@ from .model import (
     invert_cap,
     load_model,
     monotone_curve,
+    monotone_curves,
     predict,
     predict_curve,
+    predict_curves,
     save_model,
     train,
 )

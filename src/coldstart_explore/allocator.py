@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,9 +30,19 @@ from .core import (
     PlanEntry,
     Region,
     cost_of,
-    item_feature_vector,
+    feature_matrix,
+    validate_config,
 )
-from .model import DiscoverabilityModel, invert_cap, monotone_curve, predict_curve
+from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_curves
+
+#: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
+#: temporaries of the curve and isotonic steps small, so peak memory does not
+#: grow with the corpus.
+SCORE_BLOCK_ROWS = 4096
+
+# Region codes of the array code: a code indexes _REGIONS.
+_REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW)
+_HIGH, _MODERATE, _LOW = range(3)
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,15 @@ def classify_region(
     if p < config.cf_low:
         return Region.LOW, p
     return Region.MODERATE, p
+
+
+def _classify(p_at_maxcap: np.ndarray, config: AllocationConfig) -> np.ndarray:
+    """Region code of every item from its curve value at MaxCap; as classify_region."""
+    return np.where(
+        p_at_maxcap > config.cf_high,
+        _HIGH,
+        np.where(p_at_maxcap < config.cf_low, _LOW, _MODERATE),
+    )
 
 
 def requested_traffic(
@@ -171,26 +190,24 @@ def adapt_low_fraction(
 
 def _repair_cost(
     granted: dict[str, int],
-    assignments: dict[str, RegionAssignment],
+    regions: dict[str, Region],
     low_rates: dict[str, float],
     config: AllocationConfig,
 ) -> None:
     """Drop funded items in place until the cost constraint holds.
 
-    Drop order reflects expected gain per impression: Low items first (worst
-    feedback first), then Moderate by descending request, then High by
-    descending request as a last resort so the constraint always holds.
+    `regions` holds each item's region before funding, `low_rates` the
+    feedback rate of each Low item. Drop order reflects expected gain per
+    impression: Low items first (worst feedback first), then Moderate by
+    descending request, then High by descending request as a last resort so
+    the constraint always holds.
     """
     total_cost = sum(cost_of(g, config) for g in granted.values())
     if total_cost <= config.max_cost:
         return
 
     def funded(region: Region) -> list[str]:
-        return [
-            i
-            for i, g in granted.items()
-            if g > 0 and assignments[i].region is region
-        ]
+        return [i for i, g in granted.items() if g > 0 and regions[i] is region]
 
     drop_order = (
         sorted(funded(Region.LOW), key=lambda i: (low_rates[i], i))
@@ -202,6 +219,32 @@ def _repair_cost(
             break
         total_cost -= cost_of(granted[item_id], config)
         granted[item_id] = 0
+
+
+def _score(
+    features: np.ndarray,
+    model: DiscoverabilityModel,
+    config: AllocationConfig,
+    schema: BucketSchema,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Curve value at MaxCap and the cf_high cap of every row, scored in blocks.
+
+    The cap is the first bucket whose smoothed probability reaches cf_high,
+    clamped into [min_cap, max_cap] as invert_cap does; it is meaningful only
+    for High rows, whose curves end above cf_high.
+    """
+    n = len(features)
+    p_at_maxcap = np.empty(n)
+    first_bucket = np.empty(n, dtype=np.intp)
+    for start in range(0, n, SCORE_BLOCK_ROWS):
+        rows = slice(start, start + SCORE_BLOCK_ROWS)
+        curves = monotone_curves(predict_curves(model, features[rows]))
+        p_at_maxcap[rows] = curves[:, -1]
+        first_bucket[rows] = np.argmax(curves >= config.cf_high, axis=1)
+    caps = np.clip(
+        np.asarray(schema.representative)[first_bucket], config.min_cap, config.max_cap
+    )
+    return p_at_maxcap, caps
 
 
 def allocate(
@@ -218,29 +261,26 @@ def allocate(
     traffic; whatever the pool does not spend spills into the Low pool, which
     is then divided by allocate_low. Finally the cost constraint is enforced
     by dropping items (see _repair_cost). Deterministic: ties break on item id.
+
+    Scoring, region classification and greedy funding work on arrays over the
+    whole corpus; predict_curve, monotone_curve, classify_region and
+    requested_traffic are their per-item counterparts.
     """
+    validate_config(config, schema)
     if model.schema != schema:
         raise ConfigError("model was trained against a different bucket schema")
     records = sorted(corpus, key=lambda r: r.id)
-    if len({r.id for r in records}) != len(records):
+    ids = [r.id for r in records]
+    if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in corpus")
+    features = feature_matrix(records)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
 
-    assignments: dict[str, RegionAssignment] = {}
-    requested: dict[str, int] = {}
-    low_rates: dict[str, float] = {}
-    low_items: list[tuple[str, EngagementStats]] = []
-    for rec in records:
-        curve = monotone_curve(predict_curve(model, item_feature_vector(rec)))
-        region, p = classify_region(curve, config)
-        assignment = RegionAssignment(item_id=rec.id, region=region, p_at_maxcap=p)
-        if region is Region.LOW:
-            low_items.append((rec.id, rec.engagement))
-            low_rates[rec.id] = rec.engagement.positive_rate
-        else:
-            req = requested_traffic(assignment, curve, config, schema)
-            assignment = replace(assignment, requested=req)
-            requested[rec.id] = req
-        assignments[rec.id] = assignment
+    p_at_maxcap, caps = _score(features, model, config, schema)
+    region = _classify(p_at_maxcap, config)
+    requested = np.where(region == _HIGH, caps, config.max_cap)
 
     low_pool = round(config.low_region_fraction * config.total_budget)
     if growth is not None:
@@ -248,38 +288,49 @@ def allocate(
         low_pool = round(adapted * config.total_budget)
     hm_budget = config.total_budget - low_pool
 
-    granted: dict[str, int] = {rec.id: 0 for rec in records}
-    remaining = hm_budget
-    for item_id in sorted(requested, key=lambda i: (requested[i], i)):
-        if requested[item_id] > remaining:
-            break
-        granted[item_id] = requested[item_id]
-        remaining -= requested[item_id]
+    # Greedy funding: High and Moderate items by (requested, id), each funded
+    # in full until the first one that does not fit in what is left.
+    candidates = np.flatnonzero(region != _LOW)
+    order = candidates[np.argsort(requested[candidates], kind="stable")]
+    spent = np.cumsum(requested[order])
+    n_funded = int(np.searchsorted(spent, hm_budget, side="right"))
+    granted = np.zeros(len(records), dtype=np.int64)
+    granted[order[:n_funded]] = requested[order[:n_funded]]
+    remaining = hm_budget - (int(spent[n_funded - 1]) if n_funded else 0)
 
     # Unspent High/Moderate budget spills into the Low pool.
-    for item_id, grant in allocate_low(low_items, low_pool + remaining, config):
-        granted[item_id] = grant
+    low = np.flatnonzero(region == _LOW)
+    low_items = [(ids[i], records[i].engagement) for i in low]
+    low_grants = allocate_low(low_items, low_pool + remaining, config)
+    granted[low] = [grant for _, grant in low_grants]
 
-    _repair_cost(granted, assignments, low_rates, config)
+    grants = dict(zip(ids, granted.tolist()))
+    _repair_cost(
+        grants,
+        dict(zip(ids, (_REGIONS[code] for code in region.tolist()))),
+        {item_id: stats.positive_rate for item_id, stats in low_items},
+        config,
+    )
 
-    entries = []
-    for rec in records:
-        assignment = assignments[rec.id]
-        grant = granted[rec.id]
-        entries.append(
-            PlanEntry(
-                item_id=rec.id,
-                region=assignment.region if grant > 0 else Region.UNFUNDED,
-                granted=grant,
-                requested=assignment.requested,
-                p_at_maxcap=assignment.p_at_maxcap,
-            )
+    entries = tuple(
+        PlanEntry(
+            item_id=item_id,
+            region=_REGIONS[code] if grant > 0 else Region.UNFUNDED,
+            granted=grant,
+            requested=None if code == _LOW else req,
+            p_at_maxcap=p,
         )
+        for item_id, code, grant, req, p in zip(
+            ids,
+            region.tolist(),
+            grants.values(),
+            requested.tolist(),
+            p_at_maxcap.tolist(),
+        )
+    )
     total = sum(e.granted for e in entries)
     total_cost = sum(cost_of(e.granted, config) for e in entries)
-    return AllocationPlan(
-        entries=tuple(entries), total_allocated=total, total_cost=total_cost
-    )
+    return AllocationPlan(entries=entries, total_allocated=total, total_cost=total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +369,14 @@ def plan_summary(
             plan.total_allocated / config.total_budget if config.total_budget else 0.0
         ),
         "cost_utilization": plan.total_cost / config.max_cost,
+    }
+    # Regions before funding, so Low items deferred below min_cap stay visible.
+    scored = np.array(
+        [e.p_at_maxcap for e in plan.entries if e.p_at_maxcap is not None], dtype=float
+    )
+    codes = _classify(scored, config)
+    summary["classified_counts"] = {
+        r.value: int(np.count_nonzero(codes == code)) for code, r in enumerate(_REGIONS)
     }
     if adapted_low_fraction is not None:
         summary["adapted_low_fraction"] = adapted_low_fraction

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -258,8 +258,12 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
         raise DataError("plan exceeds cost budget")
 
 
+def _engagement_block(stats: EngagementStats) -> tuple[float, float]:
+    return stats.positive_rate, math.log1p(stats.impressions)
+
+
 def engagement_features(stats: EngagementStats) -> np.ndarray:
-    return np.array([stats.positive_rate, math.log1p(stats.impressions)])
+    return np.array(_engagement_block(stats))
 
 
 def item_feature_vector(record: ItemRecord) -> np.ndarray:
@@ -267,9 +271,30 @@ def item_feature_vector(record: ItemRecord) -> np.ndarray:
     return np.concatenate([record.features, engagement_features(record.engagement)])
 
 
+def feature_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
+    """Model inputs for many items, one row each: row i is item_feature_vector(records[i])."""
+    shapes = {rec.features.shape for rec in records}
+    if len(shapes) > 1:
+        raise DataError(f"feature dimension mismatch across items: {sorted(shapes)}")
+    if not records:
+        return np.empty((0, ENGAGEMENT_FEATURE_COUNT))
+    static = np.array([rec.features for rec in records])
+    engagement = np.array([_engagement_block(rec.engagement) for rec in records])
+    return np.hstack([static, engagement])
+
+
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"{token} is not a finite number")
+
+
+def loads_finite(text: str):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens it accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
 
 def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
     """Write items as JSON lines: id, features, impressions, positive_events."""
@@ -296,7 +321,7 @@ def load_corpus(path: str | Path) -> list[ItemRecord]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = loads_finite(line)
                 stats = EngagementStats(
                     impressions=int(row["impressions"]),
                     positive_events=int(row["positive_events"]),

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AllocationConfig, BucketSchema, ConfigError, DataError
+from .core import AllocationConfig, BucketSchema, ConfigError, DataError, loads_finite
 
 # Probabilities are kept strictly inside (0, 1) so log-loss and downstream
 # thresholding never see exact 0 or 1.
@@ -81,6 +81,9 @@ class DiscoverabilityModel:
         w = np.asarray(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        # A NaN weight makes every curve NaN, which no region threshold rejects.
+        if not (np.isfinite(w).all() and np.isfinite(self.bias)):
+            raise DataError("model weights and bias must be finite")
 
     @property
     def feature_dim(self) -> int:
@@ -179,6 +182,24 @@ def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarr
     return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
 
 
+def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
+    """P(discoverable) at every bucket for many items: row i is predict_curve of row i.
+
+    One matrix-vector product scores the static features of every row, so a
+    row can differ from predict_curve in the last bit of its dot product
+    (summation order); everything after the dot product is the same arithmetic.
+    """
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.feature_dim:
+        raise DataError(
+            f"feature dimension mismatch: got {X.shape}, model expects "
+            f"(n, {model.feature_dim})"
+        )
+    base = X @ model.weights[: model.feature_dim] + model.bias
+    logits = base[:, None] + model.weights[model.feature_dim :]
+    return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
+
+
 def gradient(
     model: DiscoverabilityModel, example: TrainingExample
 ) -> tuple[np.ndarray, float]:
@@ -227,6 +248,46 @@ def monotone_curve(curve: np.ndarray) -> np.ndarray:
         out[pos : pos + count] = total / count
         pos += count
     return out
+
+
+def monotone_curves(curves: np.ndarray) -> np.ndarray:
+    """monotone_curve applied to every row of a matrix, bit for bit.
+
+    Pool adjacent violators runs on all rows at once: each row keeps its own
+    stack of blocks (total, count), and every row goes through the same pushes,
+    merges and divisions, in the same order, as monotone_curve does for it.
+    """
+    values = np.asarray(curves, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise DataError("curves must be a matrix with at least one bucket")
+    if np.any(values < 0.0) or np.any(values > 1.0):
+        raise DataError("curve values must lie in [0, 1]")
+    n, k = values.shape
+    rows = np.arange(n)
+    totals = np.zeros((n, k))
+    counts = np.zeros((n, k), dtype=np.int64)
+    depth = np.zeros(n, dtype=np.intp)  # blocks on each row's stack
+    for j in range(k):
+        totals[rows, depth] = values[:, j]
+        counts[rows, depth] = 1
+        depth += 1
+        # Merge backwards while the last two block means decrease.
+        active = rows[depth > 1]
+        while active.size:
+            top = depth[active] - 1
+            merge = (
+                totals[active, top - 1] / counts[active, top - 1]
+                > totals[active, top] / counts[active, top]
+            )
+            active, top = active[merge], top[merge]
+            totals[active, top - 1] += totals[active, top]
+            counts[active, top - 1] += counts[active, top]
+            counts[active, top] = 0
+            depth[active] -= 1
+            active = active[depth[active] > 1]
+    # Blocks in row-major order cover each row's k positions left to right.
+    used = counts > 0
+    return np.repeat(totals[used] / counts[used], counts[used]).reshape(n, k)
 
 
 def invert_cap(
@@ -333,7 +394,7 @@ def load_examples(path: str | Path) -> list[TrainingExample]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = loads_finite(line)
                 examples.append(
                     TrainingExample(
                         features=np.asarray(row["features"], dtype=float),

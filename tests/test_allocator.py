@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coldstart_explore import allocator
 from coldstart_explore.allocator import (
     GrowthStats,
     RegionAssignment,
@@ -10,6 +11,7 @@ from coldstart_explore.allocator import (
     allocate,
     allocate_low,
     classify_region,
+    plan_summary,
     requested_traffic,
 )
 from coldstart_explore.core import (
@@ -20,10 +22,14 @@ from coldstart_explore.core import (
     EngagementStats,
     ItemRecord,
     Region,
+    cost_of,
     geometric_schema,
+    item_feature_vector,
     verify_plan,
 )
+from coldstart_explore.model import monotone_curve, predict_curve
 from conftest import make_model, make_record
+from test_acceptance import random_valid_instance
 
 SCHEMA = geometric_schema()
 SCHEMA3 = BucketSchema(edges=(0, 150, 450), representative=(100, 400, 1600))
@@ -443,3 +449,150 @@ class TestAllocate:
         plan = allocate(records, model, config, SCHEMA)
         assert plan.total_allocated == 0
         assert all(e.region is Region.UNFUNDED for e in plan.entries)
+
+
+def scalar_reference_plan(records, model, config, schema, growth=None):
+    """The allocator written item by item with the per-item helpers.
+
+    predict_curve -> monotone_curve -> classify_region -> requested_traffic,
+    then greedy funding by (requested, id), the Low water-fill and the cost
+    repair drop order. Returns {item_id: (region, granted, requested, p)}.
+    """
+    records = sorted(records, key=lambda r: r.id)
+    region, requested, p_at_maxcap, low_items = {}, {}, {}, []
+    for rec in records:
+        curve = monotone_curve(predict_curve(model, item_feature_vector(rec)))
+        region[rec.id], p_at_maxcap[rec.id] = classify_region(curve, config)
+        if region[rec.id] is Region.LOW:
+            low_items.append((rec.id, rec.engagement))
+        else:
+            assignment = RegionAssignment(rec.id, region[rec.id], p_at_maxcap[rec.id])
+            requested[rec.id] = requested_traffic(assignment, curve, config, schema)
+    fraction = config.low_region_fraction
+    if growth is not None:
+        fraction = adapt_low_fraction(fraction, growth)
+    low_pool = round(fraction * config.total_budget)
+    remaining = config.total_budget - low_pool
+    granted = {rec.id: 0 for rec in records}
+    for item_id in sorted(requested, key=lambda i: (requested[i], i)):
+        if requested[item_id] > remaining:
+            break
+        granted[item_id] = requested[item_id]
+        remaining -= requested[item_id]
+    granted.update(allocate_low(low_items, low_pool + remaining, config))
+    rates = {item_id: stats.positive_rate for item_id, stats in low_items}
+    drop_order = []
+    for r, key in (
+        (Region.LOW, lambda i: (rates[i], i)),
+        (Region.MODERATE, lambda i: (-granted[i], i)),
+        (Region.HIGH, lambda i: (-granted[i], i)),
+    ):
+        drop_order += sorted((i for i in granted if granted[i] and region[i] is r), key=key)
+    cost = sum(cost_of(g, config) for g in granted.values())
+    for item_id in drop_order:
+        if cost <= config.max_cost:
+            break
+        cost -= cost_of(granted[item_id], config)
+        granted[item_id] = 0
+    return {
+        i: (
+            region[i] if granted[i] else Region.UNFUNDED,
+            granted[i],
+            requested.get(i),
+            p_at_maxcap[i],
+        )
+        for i in granted
+    }
+
+
+def assert_matches_scalar_reference(records, model, config, schema, growth=None):
+    plan = allocate(records, model, config, schema, growth)
+    verify_plan(plan, config)
+    expected = scalar_reference_plan(records, model, config, schema, growth)
+    assert [e.item_id for e in plan.entries] == sorted(expected)
+    for e in plan.entries:
+        region, granted, requested, p = expected[e.item_id]
+        assert (e.region, e.granted, e.requested) == (region, granted, requested)
+        # The batched dot product may round its last bit differently.
+        assert abs(e.p_at_maxcap - p) <= 1e-15
+    assert plan.total_allocated == sum(v[1] for v in expected.values())
+    return plan
+
+
+class TestBatchMatchesScalarReference:
+    def test_random_valid_instances(self):
+        rng = np.random.default_rng(505)
+        for _ in range(300):
+            schema, config, model, records, growth = random_valid_instance(rng)
+            assert_matches_scalar_reference(records, model, config, schema, growth)
+
+    def test_random_valid_instances_across_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(allocator, "SCORE_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(506)
+        for _ in range(100):
+            schema, config, model, records, growth = random_valid_instance(rng)
+            assert_matches_scalar_reference(records, model, config, schema, growth)
+
+    def test_corpus_larger_than_one_block(self):
+        rng = np.random.default_rng(507)
+        n = allocator.SCORE_BLOCK_ROWS + 904
+        model = make_model(
+            SCHEMA, rng.normal(0, 1, size=5), np.linspace(-2.0, 1.5, SCHEMA.n_buckets), 0.2
+        )
+        records = []
+        for k in range(n):
+            impressions = int(rng.integers(0, 400))
+            records.append(
+                ItemRecord(
+                    id=f"i{k:05d}",
+                    features=rng.normal(size=3),
+                    engagement=EngagementStats(
+                        impressions, int(rng.integers(0, impressions + 1))
+                    ),
+                )
+            )
+        # The cost ceiling sits at 0.8 of the traffic budget's cost, so cost
+        # repair drops items; all three regions keep some funded items.
+        config = cfg(
+            total_budget=300 * n,
+            max_cost=0.8 * 0.01 * 300 * n,
+            cf_high=0.95,
+            cf_low=0.2,
+            low_region_fraction=0.3,
+            unit_cost=0.01,
+        )
+        plan = assert_matches_scalar_reference(records, model, config, SCHEMA)
+        funded = {e.region for e in plan.entries if e.granted > 0}
+        assert funded == {Region.HIGH, Region.MODERATE, Region.LOW}
+        assert plan.total_allocated < 0.81 * config.total_budget
+
+
+class TestAllocateRejectsBadInput:
+    def test_non_finite_feature_names_the_item(self):
+        model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        for bad in (np.nan, np.inf):
+            records = [make_record("a", [1.0]), make_record("b", [bad])]
+            with pytest.raises(DataError, match="non-finite feature for item b"):
+                allocate(records, model, cfg(), SCHEMA)
+
+    def test_invalid_config_rejected(self):
+        model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        with pytest.raises(ConfigError, match="cf ordering"):
+            allocate([make_record("a", [1.0])], model, cfg(cf_low=0.9, cf_high=0.1), SCHEMA)
+
+    def test_feature_dimension_mismatch_rejected(self):
+        model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        with pytest.raises(DataError, match="dimension"):
+            allocate([make_record("a", [1.0, 2.0])], model, cfg(), SCHEMA)
+
+
+class TestPlanSummary:
+    def test_classified_counts_show_deferred_low_items(self):
+        # The Low item's share (500) falls below min_cap (1000), so it is
+        # deferred: Unfunded in the plan, still Low before funding.
+        model = make_model(SCHEMA, [4.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        records = [make_record("mod0", [0.2]), make_record("low0", [-1.0])]
+        config = cfg(total_budget=2100, min_cap=1000, low_region_fraction=0.0)
+        summary = plan_summary(allocate(records, model, config, SCHEMA), config)
+        assert summary["region_counts"] == {"Moderate": 1, "Unfunded": 1}
+        assert summary["classified_counts"] == {"High": 0, "Low": 1, "Moderate": 1}

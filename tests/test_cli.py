@@ -124,6 +124,28 @@ class TestAllocate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["region_counts"]["High"] == 1
 
+    def test_summary_counts_regions_before_funding(self, tmp_path, corpus_file,
+                                                   flat_model_file):
+        # The High item takes the whole 300-impression High/Moderate pool. The
+        # Low item's share, the 100-impression Low pool, is under min_cap 300,
+        # so it is deferred and shows as Unfunded.
+        out = tmp_path / "classified"
+        assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),
+                   "--out-dir", str(out), "--budget", "400", "--low-fraction", "0.25",
+                   "--cf-high", "0.9", "--cf-low", "0.2", "--min-cap", "300") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["region_counts"] == {"High": 1, "Unfunded": 2}
+        assert summary["classified_counts"] == {"High": 1, "Low": 1, "Moderate": 1}
+
+    def test_non_finite_corpus_feature_exits_3(self, tmp_path, flat_model_file, capsys):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [NaN], "impressions": 0, "positive_events": 0}\n'
+        )
+        assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
+                   "--out-dir", str(tmp_path / "n")) == 3
+        assert "nan.jsonl:1" in capsys.readouterr().err
+
     def test_zero_budget_unfunds_everything(self, tmp_path, corpus_file, flat_model_file):
         out = tmp_path / "zero"
         assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),

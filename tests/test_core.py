@@ -18,6 +18,7 @@ from coldstart_explore.core import (
     config_from_dict,
     config_to_dict,
     cost_of,
+    feature_matrix,
     geometric_schema,
     item_feature_vector,
     load_corpus,
@@ -184,6 +185,32 @@ class TestItemFeatures:
         rec = ItemRecord(id="a", features=np.array([1.0]))
         assert np.all(item_feature_vector(rec)[1:] == 0.0)
 
+    def test_feature_matrix_rows_equal_item_feature_vector(self):
+        rng = np.random.default_rng(3)
+        records = [
+            ItemRecord(
+                id=f"i{k}",
+                features=rng.normal(size=3),
+                engagement=EngagementStats(k * 7, k),
+            )
+            for k in range(50)
+        ]
+        X = feature_matrix(records)
+        assert X.shape == (50, 5)
+        for rec, row in zip(records, X):
+            assert np.array_equal(row, item_feature_vector(rec))
+
+    def test_feature_matrix_rejects_mixed_dimensions(self):
+        records = [
+            ItemRecord(id="a", features=np.array([1.0])),
+            ItemRecord(id="b", features=np.array([1.0, 2.0])),
+        ]
+        with pytest.raises(DataError, match="dimension"):
+            feature_matrix(records)
+
+    def test_feature_matrix_of_no_items(self):
+        assert feature_matrix([]).shape == (0, 2)
+
     def test_features_are_read_only(self):
         rec = ItemRecord(id="a", features=np.array([1.0]))
         with pytest.raises(ValueError):
@@ -266,6 +293,17 @@ class TestCorpusFile:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "features": [1.0]}\n')
         with pytest.raises(DataError, match="corpus"):
+            load_corpus(path)
+
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, token):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0], "impressions": 0, "positive_events": 0}\n'
+            f'{{"id": "b", "features": [{token}], "impressions": 0, "positive_events": 0}}\n'
+        )
+        with pytest.raises(DataError, match=rf"corpus\.jsonl:2: .*{token}"):
             load_corpus(path)
 
 

@@ -19,9 +19,12 @@ from coldstart_explore.model import (
     invert_cap,
     load_examples,
     load_model,
+    model_to_dict,
     monotone_curve,
+    monotone_curves,
     predict,
     predict_curve,
+    predict_curves,
     save_examples,
     save_model,
     train,
@@ -170,6 +173,29 @@ class TestPredictCurve:
             assert curve[k] == pytest.approx(predict(model, x, k), abs=1e-12)
 
 
+class TestPredictCurves:
+    def test_rows_match_predict_curve(self):
+        rng = np.random.default_rng(5)
+        model = make_model(SCHEMA, rng.normal(size=4), rng.normal(size=SCHEMA.n_buckets), 0.3)
+        X = rng.normal(size=(200, 4))
+        batch = predict_curves(model, X)
+        assert batch.shape == (200, SCHEMA.n_buckets)
+        # Only the dot product's summation order differs from the scalar path.
+        for x, row in zip(X, batch):
+            assert np.max(np.abs(row - predict_curve(model, x))) <= 1e-15
+
+    def test_dimension_mismatch(self):
+        model = make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets))
+        with pytest.raises(DataError, match="dimension"):
+            predict_curves(model, np.zeros((3, 2)))
+        with pytest.raises(DataError, match="dimension"):
+            predict_curves(model, np.zeros(1))
+
+    def test_no_rows(self):
+        model = make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets))
+        assert predict_curves(model, np.zeros((0, 1))).shape == (0, SCHEMA.n_buckets)
+
+
 class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
         # A huge logit saturates the sigmoid to exactly 1.0 in floats.
@@ -260,6 +286,56 @@ class TestMonotoneCurve:
             monotone_curve([0.5, 1.5])
 
 
+def assert_rows_bit_identical(curves):
+    batch = monotone_curves(curves)
+    scalar = np.array([monotone_curve(row) for row in curves]).reshape(batch.shape)
+    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+class TestMonotoneCurves:
+    def test_random_rows_bit_identical_to_monotone_curve(self):
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3, 6, 7):
+            assert_rows_bit_identical(rng.uniform(size=(2000, k)))
+
+    def test_ties_flat_and_monotone_rows(self):
+        rng = np.random.default_rng(18)
+        curves = np.round(rng.uniform(size=(600, 6)), 1)  # many ties
+        curves[::5] = 0.5  # flat
+        curves[1::5] = np.sort(curves[1::5], axis=1)  # already monotone
+        curves[2::5] = np.sort(curves[2::5], axis=1)[:, ::-1]  # fully decreasing
+        curves[3] = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+        curves[4] = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+        assert_rows_bit_identical(curves)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda k: st.lists(
+                st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    def test_property_bit_identical(self, rows):
+        assert_rows_bit_identical(np.array(rows))
+
+    def test_known_pooling(self):
+        out = monotone_curves([[0.2, 0.6, 0.5, 0.9], [0.1, 0.4, 0.7, 0.9]])
+        assert np.allclose(out, [[0.2, 0.55, 0.55, 0.9], [0.1, 0.4, 0.7, 0.9]])
+
+    def test_no_rows(self):
+        assert monotone_curves(np.empty((0, 6))).shape == (0, 6)
+
+    def test_rejects_out_of_range_and_bad_shape(self):
+        with pytest.raises(DataError):
+            monotone_curves([[0.5, 1.5]])
+        with pytest.raises(DataError):
+            monotone_curves([0.5, 0.7])
+        with pytest.raises(DataError):
+            monotone_curves(np.empty((3, 0)))
+
+
 class TestInvertCap:
     CONFIG = AllocationConfig(
         total_budget=10_000,
@@ -335,6 +411,24 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"weights": [1.0]}))
         with pytest.raises(DataError, match="model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_examples_non_finite_rejected_with_line(self, tmp_path, token):
+        path = tmp_path / "train.jsonl"
+        path.write_text(
+            '{"features": [1.0], "bucket": 0, "label": 1}\n'
+            f'{{"features": [{token}], "bucket": 0, "label": 0}}\n'
+        )
+        with pytest.raises(DataError, match=rf"train\.jsonl:2: .*{token}"):
+            load_examples(path)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        payload["weights"][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="finite"):
             load_model(path)
 
     def test_examples_round_trip(self, tmp_path):
