@@ -22,6 +22,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import allocator, core, metrics, model, simulator
 from .core import ConfigError, DataError
 
@@ -131,10 +133,10 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     _, schema = _load_alloc_config(args)
-    examples = model.load_examples(args.train_set)
     params = model.Hyperparams(
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
-    )
+    ).validate()
+    examples = model.load_examples(args.train_set)
     fitted = model.train(examples, schema, params)
     model_path = out / "model.json"
     model.save_model(fitted, model_path)
@@ -209,7 +211,7 @@ def cmd_experiment(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     params = model.Hyperparams(
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
-    )
+    ).validate()
     outputs = []
     totals: dict[str, list[int]] = {s: [] for s in strategies}
     for seed in sorted(seeds):
@@ -286,13 +288,21 @@ def cmd_eval(args) -> int:
     examples = model.load_examples(args.examples)
     if not examples:
         raise DataError("no examples to evaluate")
+    # Score every example in one batch: row i's curve, at row i's bucket. The
+    # dot product runs as one matrix-vector product, so a score can differ
+    # from predict() in its last bit (summation order).
+    try:
+        features = np.array([ex.features for ex in examples], dtype=float)
+    except ValueError as exc:
+        raise DataError(f"examples differ in feature dimension: {exc}") from exc
+    buckets = np.array([ex.bucket for ex in examples])
+    if buckets.max() >= fitted.schema.n_buckets:
+        raise DataError(f"invalid bucket index {buckets.max()}")
+    curves = model.predict_curves(fitted, features)
+    scores = curves[np.arange(len(examples)), buckets]
     scored = [
-        metrics.ScoredLabel(
-            score=model.predict(fitted, ex.features, ex.bucket),
-            label=ex.label,
-            bucket=ex.bucket,
-        )
-        for ex in examples
+        metrics.ScoredLabel(score=score, label=ex.label, bucket=ex.bucket)
+        for score, ex in zip(scores.tolist(), examples)
     ]
     report = metrics.metrics_report(scored, threshold=args.threshold)
     metrics_path = out / "metrics.json"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -291,52 +291,73 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"{token} is not a finite number")
 
 
-def loads_finite(text: str):
-    """json.loads that refuses the NaN, Infinity and -Infinity tokens it accepts by default."""
-    return json.loads(text, parse_constant=_reject_constant)
+# One decoder and one encoder for every JSON-lines file. The decoder refuses
+# the NaN, Infinity and -Infinity tokens json accepts by default; the encoder
+# writes what json.dumps(row, sort_keys=True) writes, and refuses non-finite
+# floats, so no file is written that the decoder would reject.
+_FINITE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+T = TypeVar("T")
 
 
-def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
-    """Write items as JSON lines: id, features, impressions, positive_events."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "features": [float(v) for v in rec.features],
-                        "impressions": rec.engagement.impressions,
-                        "positive_events": rec.engagement.positive_events,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
+    """parse() of every non-blank line of a JSON-lines file, in file order.
 
-
-def load_corpus(path: str | Path) -> list[ItemRecord]:
-    records = []
+    A line that is not finite JSON, or that parse() refuses with KeyError,
+    TypeError or ValueError, raises DataError naming `path:line` and `what`.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = loads_finite(line)
-                stats = EngagementStats(
-                    impressions=int(row["impressions"]),
-                    positive_events=int(row["positive_events"]),
-                )
-                records.append(
-                    ItemRecord(
-                        id=str(row["id"]),
-                        features=np.asarray(row["features"], dtype=float),
-                        engagement=stats,
-                        impressions_received=int(row["impressions"]),
-                    )
-                )
+                rows.append(parse(_FINITE_DECODER.decode(line)))
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-    return records
+                raise DataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+    return rows
+
+
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(_JSONL_ENCODER.encode(row))
+            fh.write("\n")
+
+
+def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
+    """Write items as JSON lines: id, features, impressions, positive_events."""
+    write_jsonl(
+        (
+            {
+                "id": rec.id,
+                "features": [float(v) for v in rec.features],
+                "impressions": rec.engagement.impressions,
+                "positive_events": rec.engagement.positive_events,
+            }
+            for rec in records
+        ),
+        path,
+    )
+
+
+def _corpus_record(row: dict) -> ItemRecord:
+    stats = EngagementStats(
+        impressions=int(row["impressions"]),
+        positive_events=int(row["positive_events"]),
+    )
+    return ItemRecord(
+        id=str(row["id"]),
+        features=np.asarray(row["features"], dtype=float),
+        engagement=stats,
+        impressions_received=int(row["impressions"]),
+    )
+
+
+def load_corpus(path: str | Path) -> list[ItemRecord]:
+    return read_jsonl(path, _corpus_record, "corpus record")
 
 
 def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:

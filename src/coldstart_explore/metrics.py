@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     AllocationConfig,
     AllocationPlan,
+    ConfigError,
     DataError,
     ItemRecord,
     PlanEntry,
@@ -55,27 +56,60 @@ class MetricsReport:
     pr_curve: tuple[tuple[float, float], ...]  # (recall, precision) points
 
 
-def auc(scored: Sequence[ScoredLabel]) -> float:
-    """Probability that a random positive outscores a random negative, ties half."""
-    labels = np.array([s.label for s in scored])
-    scores = np.array([s.score for s in scored])
+def _arrays(scored: Sequence[ScoredLabel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, labels, buckets) of the scored labels, in input order."""
+    n = len(scored)
+    return (
+        np.fromiter((s.score for s in scored), dtype=float, count=n),
+        np.fromiter((s.label for s in scored), dtype=np.int64, count=n),
+        np.fromiter((s.bucket for s in scored), dtype=np.int64, count=n),
+    )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise ConfigError("threshold must be a finite number in [0, 1]")
+
+
+def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative label")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # Tied scores share the average of their 1-based ranks: the group at sorted
+    # positions first .. end - 1 (0-based) ranks 0.5 * (first + end - 1) + 1.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    first = end - counts
+    ranks = (0.5 * (first + end - 1) + 1.0)[group]
     rank_sum = float(ranks[labels == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def auc(scored: Sequence[ScoredLabel]) -> float:
+    """Probability that a random positive outscores a random negative, ties half."""
+    scores, labels, _ = _arrays(scored)
+    return _auc(scores, labels)
+
+
+def _pr_metrics(
+    scores: np.ndarray, labels: np.ndarray, threshold: float
+) -> tuple[float, float, float, float]:
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        raise DataError("recall undefined: no positive labels")
+    predicted = scores >= threshold
+    positive = labels == 1
+    tp = int(np.count_nonzero(predicted & positive))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = n_pos - tp
+    tn = len(labels) - tp - fp - fn
+    accuracy = (tp + tn) / len(labels)
+    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    recall = tp / n_pos
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return accuracy, precision, recall, f1
 
 
 def pr_metrics(
@@ -86,57 +120,39 @@ def pr_metrics(
     Precision is 1.0 when nothing is predicted positive. Recall is undefined
     without positive labels, which is an error here.
     """
+    _check_threshold(threshold)
     if not scored:
         raise DataError("empty input")
-    n_pos = sum(s.label for s in scored)
+    scores, labels, _ = _arrays(scored)
+    return _pr_metrics(scores, labels, threshold)
+
+
+def _pr_curve_and_auc(
+    scores: np.ndarray, labels: np.ndarray
+) -> tuple[list[tuple[float, float]], float]:
+    n_pos = int(labels.sum())
     if n_pos == 0:
-        raise DataError("recall undefined: no positive labels")
-    tp = fp = tn = fn = 0
-    for s in scored:
-        predicted = s.score >= threshold
-        if predicted and s.label == 1:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif s.label == 1:
-            fn += 1
-        else:
-            tn += 1
-    accuracy = (tp + tn) / len(scored)
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+        raise DataError("PR curve needs at least one positive label")
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    # One point per distinct score, taken after the last item of its tie group.
+    last = np.append(ordered[1:] != ordered[:-1], True)
+    tp = np.cumsum(labels[order])[last]
+    seen = np.flatnonzero(last) + 1
+    precision = tp / seen
     recall = tp / n_pos
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return accuracy, precision, recall, f1
+    # cumsum adds the terms one after another, as a running sum would;
+    # np.sum adds pairwise and can differ in the last bit.
+    ap = float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+    return list(zip(recall.tolist(), precision.tolist())), ap
 
 
 def pr_curve_and_auc(
     scored: Sequence[ScoredLabel],
 ) -> tuple[list[tuple[float, float]], float]:
     """Precision/recall at every distinct score threshold plus average precision."""
-    n_pos = sum(s.label for s in scored)
-    if n_pos == 0:
-        raise DataError("PR curve needs at least one positive label")
-    ordered = sorted(scored, key=lambda s: -s.score)
-    points: list[tuple[float, float]] = []
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1].score == ordered[i].score:
-            j += 1
-        for k in range(i, j + 1):
-            tp += ordered[k].label
-            seen += 1
-        precision = tp / seen
-        recall = tp / n_pos
-        points.append((recall, precision))
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return points, ap
+    scores, labels, _ = _arrays(scored)
+    return _pr_curve_and_auc(scores, labels)
 
 
 def metrics_report(
@@ -147,15 +163,16 @@ def metrics_report(
     Buckets with no positive labels are omitted from the per-bucket table
     because recall is undefined there.
     """
-    overall_auc = auc(scored)
-    curve, ap = pr_curve_and_auc(scored)
-    buckets = sorted({s.bucket for s in scored})
+    _check_threshold(threshold)
+    scores, labels, buckets = _arrays(scored)
+    overall_auc = _auc(scores, labels)
+    curve, ap = _pr_curve_and_auc(scores, labels)
     per_bucket = []
-    for b in buckets:
-        subset = [s for s in scored if s.bucket == b]
-        if sum(s.label for s in subset) == 0:
+    for b in np.unique(buckets).tolist():
+        mine = buckets == b
+        if not labels[mine].any():
             continue
-        accuracy, precision, recall, f1 = pr_metrics(subset, threshold)
+        accuracy, precision, recall, f1 = _pr_metrics(scores[mine], labels[mine], threshold)
         per_bucket.append(
             BucketMetrics(
                 bucket=b, accuracy=accuracy, precision=precision, recall=recall, f1=f1

@@ -12,13 +12,21 @@ before they are inverted into per-item traffic caps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import AllocationConfig, BucketSchema, ConfigError, DataError, loads_finite
+from .core import (
+    AllocationConfig,
+    BucketSchema,
+    ConfigError,
+    DataError,
+    read_jsonl,
+    write_jsonl,
+)
 
 # Probabilities are kept strictly inside (0, 1) so log-loss and downstream
 # thresholding never see exact 0 or 1.
@@ -26,14 +34,27 @@ _P_FLOOR = 1e-12
 _P_CEIL = 1.0 - 1e-12
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Logistic function without overflow at any |z|.
+
+    With e = exp(-|z|) it is 1 / (1 + e) where z >= 0 and e / (1 + e) where
+    z < 0, as e is exactly exp(z) there. The result goes to `out`, which may
+    be z itself; `work` (neither z nor out) receives e. Each is allocated when
+    not given, so a caller that passes both allocates nothing per call but the
+    sign mask.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    nonneg = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if work is None else work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.empty_like(z) if out is None else out
+    np.copyto(p, e)
+    np.copyto(p, 1.0, where=nonneg)
+    e += 1.0
+    return np.divide(p, e, out=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +88,15 @@ class Hyperparams:
     epochs: int = 1000
     seed: int = 0
 
+    def validate(self) -> "Hyperparams":
+        # Zero epochs or a zero rate would return the random initial weights
+        # as a trained model; a NaN rate would only fail after every epoch.
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning rate must be finite and positive")
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class DiscoverabilityModel:
@@ -98,14 +128,16 @@ def _design_matrix(
         raise DataError(f"feature dimension mismatch across examples: {sorted(dims)}")
     feature_dim = dims.pop()
     n_buckets = schema.n_buckets
-    X = np.zeros((len(examples), feature_dim + n_buckets))
-    y = np.zeros(len(examples))
-    for i, ex in enumerate(examples):
-        if ex.bucket >= n_buckets:
-            raise DataError(f"bucket {ex.bucket} out of range for {n_buckets} buckets")
-        X[i, :feature_dim] = ex.features
-        X[i, feature_dim + ex.bucket] = 1.0
-        y[i] = ex.label
+    n = len(examples)
+    buckets = np.fromiter((ex.bucket for ex in examples), dtype=np.intp, count=n)
+    out_of_range = np.flatnonzero(buckets >= n_buckets)
+    if out_of_range.size:
+        bucket = buckets[out_of_range[0]]
+        raise DataError(f"bucket {bucket} out of range for {n_buckets} buckets")
+    X = np.zeros((n, feature_dim + n_buckets))
+    np.stack([ex.features for ex in examples], out=X[:, :feature_dim])
+    X[np.arange(n), feature_dim + buckets] = 1.0
+    y = np.fromiter((ex.label for ex in examples), dtype=float, count=n)
     return X, y
 
 
@@ -126,6 +158,7 @@ def train(
     inconsistent feature dimensions, or a single-class label set (for which the
     cross-entropy minimizer pushes weights to infinity).
     """
+    params.validate()
     if len(examples) == 0:
         raise DataError("empty training set")
     X, y = _design_matrix(examples, schema)
@@ -136,11 +169,23 @@ def train(
     w = rng.normal(0.0, 0.01, size=X.shape[1])
     b = 0.0
     n = len(y)
+    lr = params.learning_rate
     first_loss = _mean_log_loss(X, y, w, b)
+    # Each epoch reuses these buffers. The arithmetic and its order are those
+    # of residual = sigmoid(X @ w + b) - y; w -= lr * (X.T @ residual) / n.
+    residual = np.empty(n)
+    work = np.empty(n)
+    step = np.empty_like(w)
     for _ in range(params.epochs):
-        residual = _sigmoid(X @ w + b) - y
-        w -= params.learning_rate * (X.T @ residual) / n
-        b -= params.learning_rate * float(residual.mean())
+        np.matmul(X, w, out=residual)
+        residual += b
+        _sigmoid(residual, out=residual, work=work)
+        residual -= y
+        np.matmul(X.T, residual, out=step)
+        step *= lr
+        step /= n
+        w -= step
+        b -= lr * float(residual.mean())
     final_loss = _mean_log_loss(X, y, w, b)
     if not np.isfinite(final_loss):
         raise DataError("training diverged: non-finite loss")
@@ -372,36 +417,26 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
 
 
 def save_examples(examples: Sequence[TrainingExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "features": [float(v) for v in ex.features],
-                        "bucket": ex.bucket,
-                        "label": ex.label,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        (
+            {
+                "features": [float(v) for v in ex.features],
+                "bucket": ex.bucket,
+                "label": ex.label,
+            }
+            for ex in examples
+        ),
+        path,
+    )
+
+
+def _training_example(row: dict) -> TrainingExample:
+    return TrainingExample(
+        features=np.asarray(row["features"], dtype=float),
+        bucket=int(row["bucket"]),
+        label=int(row["label"]),
+    )
 
 
 def load_examples(path: str | Path) -> list[TrainingExample]:
-    examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = loads_finite(line)
-                examples.append(
-                    TrainingExample(
-                        features=np.asarray(row["features"], dtype=float),
-                        bucket=int(row["bucket"]),
-                        label=int(row["label"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad training example: {exc}") from exc
-    return examples
+    return read_jsonl(path, _training_example, "training example")

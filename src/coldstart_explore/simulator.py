@@ -36,7 +36,9 @@ from .core import (
     ItemRecord,
     bucket_of,
     engagement_features,
+    read_jsonl,
     validate_config,
+    write_jsonl,
 )
 from .metrics import oracle_allocate, uniform_allocate
 from .model import Hyperparams, TrainingExample, train
@@ -274,6 +276,7 @@ def run_experiment(
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     sim_config.validate()
     validate_config(alloc_config, schema)
+    params.validate()
 
     pool_latents: dict[str, LatentItem] = {}
     pool_records: dict[str, ItemRecord] = {}
@@ -367,46 +370,34 @@ def run_experiment(
 
 def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
     """Ground-truth file; kept separate so allocation code never reads it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for lat in latents:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": lat.id,
-                        "quality": lat.quality,
-                        "threshold": (
-                            None if math.isinf(lat.true_threshold) else lat.true_threshold
-                        ),
-                        "engagement_prob": lat.engagement_prob,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        (
+            {
+                "id": lat.id,
+                "quality": lat.quality,
+                "threshold": (
+                    None if math.isinf(lat.true_threshold) else lat.true_threshold
+                ),
+                "engagement_prob": lat.engagement_prob,
+            }
+            for lat in latents
+        ),
+        path,
+    )
+
+
+def _latent_item(row: dict) -> LatentItem:
+    threshold = row["threshold"]
+    return LatentItem(
+        id=str(row["id"]),
+        quality=float(row["quality"]),
+        true_threshold=math.inf if threshold is None else float(threshold),
+        engagement_prob=float(row["engagement_prob"]),
+    )
 
 
 def load_latents(path: str | Path) -> list[LatentItem]:
-    latents = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                threshold = row["threshold"]
-                latents.append(
-                    LatentItem(
-                        id=str(row["id"]),
-                        quality=float(row["quality"]),
-                        true_threshold=(
-                            math.inf if threshold is None else float(threshold)
-                        ),
-                        engagement_prob=float(row["engagement_prob"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad latent record: {exc}") from exc
-    return latents
+    return read_jsonl(path, _latent_item, "latent record")
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

@@ -5,15 +5,18 @@ import pytest
 
 from coldstart_explore.cli import main
 from coldstart_explore.core import geometric_schema, save_corpus
+from coldstart_explore import metrics
 from coldstart_explore.model import (
     Hyperparams,
+    load_examples,
     load_model,
+    predict,
     save_examples,
     save_model,
     train,
 )
 from conftest import make_record
-from test_model import separable_examples
+from test_model import separable_examples, simulated_examples
 
 
 def run(*argv) -> int:
@@ -84,6 +87,18 @@ class TestTrain:
         path.write_text('{"features": [1.0], "bucket": 0, "label": 1}\n' * 4)
         assert run("train", "--train-set", str(path), "--out-dir", str(tmp_path / "o")) == 3
         assert "single-class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--epochs", "0"), ("--epochs", "-3"), ("--learning-rate", "0"),
+         ("--learning-rate", "nan"), ("--learning-rate", "inf")],
+    )
+    def test_bad_training_settings_exit_2(self, tmp_path, examples_file, flags, capsys):
+        out = tmp_path / "o"
+        assert run("train", "--train-set", str(examples_file), "--out-dir", str(out),
+                   *flags) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
     def test_same_seed_gives_identical_model_files(self, tmp_path, examples_file):
         outs = [tmp_path / f"m{k}" for k in range(2)]
@@ -254,6 +269,11 @@ class TestExperiment:
         assert run("experiment", "--strategies", "magic",
                    "--out-dir", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("flags", [("--epochs", "0"), ("--learning-rate", "nan")])
+    def test_bad_training_settings_exit_2(self, tmp_path, flags):
+        assert run("experiment", "--items", "20", "--rounds", "2",
+                   "--out-dir", str(tmp_path / "x"), *flags) == 2
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         outs = [tmp_path / f"e{k}" for k in range(2)]
         for out in outs:
@@ -283,3 +303,53 @@ class TestEval:
                        "--examples", str(examples_file), "--out-dir", str(out)) == 0
         for name in ("metrics.json", "pr_curve.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+    def test_bad_threshold_exits_2(self, tmp_path, trained_model_file, examples_file,
+                                   threshold, capsys):
+        assert run("eval", "--model", str(trained_model_file), "--examples",
+                   str(examples_file), "--threshold", threshold,
+                   "--out-dir", str(tmp_path / "v")) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1}', "dimension"),
+            ('{"features": [1.0, 2.0, 3.0, 4.0], "bucket": 6, "label": 1}', "bucket"),
+        ],
+        ids=["ragged", "bucket-out-of-range"],
+    )
+    def test_bad_example_file_exits_3(self, tmp_path, trained_model_file, examples_file,
+                                      line, message, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(examples_file.read_text() + line + "\n")
+        assert run("eval", "--model", str(trained_model_file), "--examples", str(path),
+                   "--out-dir", str(tmp_path / "v")) == 3
+        assert message in capsys.readouterr().err
+
+    def test_batched_scores_match_predict(self, tmp_path, monkeypatch):
+        examples = simulated_examples(items=1500, seed=12)
+        model_path = tmp_path / "model.json"
+        examples_path = tmp_path / "examples.jsonl"
+        save_model(train(examples, geometric_schema(), Hyperparams(epochs=100)), model_path)
+        save_examples(examples, examples_path)
+        captured = []
+        report = metrics.metrics_report
+
+        def capture(scored, threshold=0.5):
+            captured.extend(scored)
+            return report(scored, threshold)
+
+        monkeypatch.setattr(metrics, "metrics_report", capture)
+        assert run("eval", "--model", str(model_path), "--examples", str(examples_path),
+                   "--out-dir", str(tmp_path / "v")) == 0
+        fitted = load_model(model_path)
+        loaded = load_examples(examples_path)
+        batched = np.array([s.score for s in captured])
+        scalar = np.array([predict(fitted, ex.features, ex.bucket) for ex in loaded])
+        assert [(s.label, s.bucket) for s in captured] == [(ex.label, ex.bucket) for ex in loaded]
+        assert np.max(np.abs(batched - scalar)) <= 1e-15
+        order = np.argsort(scalar, kind="stable")
+        assert np.array_equal(np.argsort(batched, kind="stable"), order)
+        assert np.array_equal(np.diff(batched[order]) == 0, np.diff(scalar[order]) == 0)

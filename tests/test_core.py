@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from coldstart_explore.core import (
     geometric_schema,
     item_feature_vector,
     load_corpus,
+    read_jsonl,
     save_corpus,
     validate_config,
     verify_plan,
+    write_jsonl,
 )
 
 FOUR_BUCKETS = BucketSchema(edges=(0, 100, 200, 400), representative=(99, 199, 399, 1600))
@@ -305,6 +308,36 @@ class TestCorpusFile:
         )
         with pytest.raises(DataError, match=rf"corpus\.jsonl:2: .*{token}"):
             load_corpus(path)
+
+
+class TestJsonLines:
+    ROWS = [{"b": 1.5, "a": [0.1, -2.0]}, {"id": "x", "n": None, "k": 3}]
+
+    def test_writes_what_json_dumps_writes(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(iter(self.ROWS), path)
+        expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.ROWS)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(self.ROWS, path)
+        path.write_text(path.read_text() + "\n  \n")
+        assert read_jsonl(path, dict, "row") == self.ROWS
+
+    def test_parse_errors_name_path_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"k": 1}\n\n{"k": \n')
+        with pytest.raises(DataError, match=r"rows\.jsonl:3: bad row"):
+            read_jsonl(path, dict, "row")
+        path.write_text('{"k": 1}\n{"j": 2}\n')
+        with pytest.raises(DataError, match=r"rows\.jsonl:2: bad row: 'k'"):
+            read_jsonl(path, lambda row: row["k"], "row")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_not_written(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_jsonl([{"x": value}], tmp_path / "rows.jsonl")
 
 
 class TestConfigDict:

@@ -5,6 +5,7 @@ import pytest
 
 from coldstart_explore.core import (
     AllocationConfig,
+    ConfigError,
     DataError,
     Region,
     verify_plan,
@@ -78,6 +79,71 @@ def random_instance(rng, n, tie_prone=False):
     return [ScoredLabel(score=float(s), label=int(l)) for s, l in zip(scores, labels)]
 
 
+def reference_auc(items):
+    """Average ranks from the tie-group loop that auc replaced."""
+    labels = np.array([s.label for s in items])
+    scores = np.array([s.score for s in items])
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def reference_pr_metrics(items, threshold):
+    """The per-item confusion tally that pr_metrics replaced."""
+    n_pos = sum(s.label for s in items)
+    tp = fp = tn = fn = 0
+    for s in items:
+        predicted = s.score >= threshold
+        if predicted and s.label == 1:
+            tp += 1
+        elif predicted:
+            fp += 1
+        elif s.label == 1:
+            fn += 1
+        else:
+            tn += 1
+    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    recall = tp / n_pos
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return (tp + tn) / len(items), precision, recall, f1
+
+
+def reference_pr_curve_and_auc(items):
+    """The tie-group loop that pr_curve_and_auc replaced."""
+    n_pos = sum(s.label for s in items)
+    ordered = sorted(items, key=lambda s: -s.score)
+    points = []
+    ap = 0.0
+    tp = seen = 0
+    prev_recall = 0.0
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j + 1 < len(ordered) and ordered[j + 1].score == ordered[i].score:
+            j += 1
+        for k in range(i, j + 1):
+            tp += ordered[k].label
+            seen += 1
+        precision = tp / seen
+        recall = tp / n_pos
+        points.append((recall, precision))
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return points, ap
+
+
 class TestAuc:
     def test_perfect_ranking(self):
         assert auc(scored([(0.9, 1), (0.8, 0)])) == 1.0
@@ -90,6 +156,13 @@ class TestAuc:
         for k in range(30):
             items = random_instance(rng, 20, tie_prone=k % 2 == 0)
             assert auc(items) == pytest.approx(auc_pairwise_oracle(items), abs=1e-12)
+
+    @pytest.mark.parametrize("tie_prone", [False, True])
+    def test_bit_identical_to_tie_loop(self, tie_prone):
+        rng = np.random.default_rng(21)
+        for n in (2, 7, 300, 2000):
+            items = random_instance(rng, n, tie_prone)
+            assert auc(items) == reference_auc(items)
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
@@ -135,6 +208,21 @@ class TestPrMetrics:
                     2 * precision * recall / (precision + recall)
                 )
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 1.0])
+    def test_equal_to_per_item_tally(self, threshold):
+        rng = np.random.default_rng(22)
+        for tie_prone in (False, True):
+            items = random_instance(rng, 500, tie_prone)
+            assert pr_metrics(items, threshold) == reference_pr_metrics(items, threshold)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_bad_threshold_is_config_error(self, threshold):
+        items = scored([(0.9, 1), (0.1, 0)])
+        with pytest.raises(ConfigError, match="threshold"):
+            pr_metrics(items, threshold)
+        with pytest.raises(ConfigError, match="threshold"):
+            metrics_report(items, threshold)
+
     def test_no_positive_labels_is_an_error(self):
         with pytest.raises(DataError, match="recall"):
             pr_metrics(scored([(0.9, 0), (0.1, 0)]))
@@ -157,6 +245,17 @@ class TestPrCurve:
             items = random_instance(rng, 20, tie_prone=k % 2 == 0)
             _, ap = pr_curve_and_auc(items)
             assert ap == pytest.approx(average_precision_oracle(items), abs=1e-12)
+
+    @pytest.mark.parametrize("tie_prone", [False, True])
+    def test_bit_identical_to_tie_loop(self, tie_prone):
+        rng = np.random.default_rng(23)
+        for n in (2, 5, 300, 2000):
+            items = random_instance(rng, n, tie_prone)
+            points, ap = pr_curve_and_auc(items)
+            ref_points, ref_ap = reference_pr_curve_and_auc(items)
+            assert points == ref_points
+            assert ap == ref_ap
+            assert all(type(v) is float for point in points for v in point)
 
     def test_recall_non_decreasing(self):
         rng = np.random.default_rng(6)
@@ -198,6 +297,28 @@ class TestMetricsReport:
             confusion([s for s in items if s.bucket == b]) for b in range(4)
         )
         assert np.array_equal(micro, confusion(items))
+
+    @pytest.mark.parametrize("tie_prone", [False, True])
+    def test_per_bucket_rows_equal_per_item_tally(self, tie_prone):
+        rng = np.random.default_rng(24)
+        base = random_instance(rng, 900, tie_prone)
+        buckets = rng.integers(0, 6, size=len(base))
+        items = [ScoredLabel(s.score, s.label, int(b)) for s, b in zip(base, buckets)]
+        # A bucket with no positive label is left out of the table.
+        items += [ScoredLabel(0.7, 0, 9), ScoredLabel(0.2, 0, 9)]
+        report = metrics_report(items, threshold=0.5)
+        expected = []
+        for b in sorted({s.bucket for s in items}):
+            subset = [s for s in items if s.bucket == b]
+            if sum(s.label for s in subset):
+                expected.append((b, *reference_pr_metrics(subset, 0.5)))
+        rows = [(m.bucket, m.accuracy, m.precision, m.recall, m.f1) for m in report.per_bucket]
+        assert rows == expected
+        assert all(type(m.bucket) is int for m in report.per_bucket)
+        points, ap = reference_pr_curve_and_auc(items)
+        assert report.pr_curve == tuple(points)
+        assert report.pr_auc == ap
+        assert report.auc == reference_auc(items)
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(8)

@@ -12,9 +12,12 @@ from coldstart_explore.core import (
     DataError,
     geometric_schema,
 )
+from coldstart_explore.metrics import uniform_allocate
 from coldstart_explore.model import (
     Hyperparams,
     TrainingExample,
+    _design_matrix,
+    _sigmoid,
     gradient,
     invert_cap,
     load_examples,
@@ -28,6 +31,12 @@ from coldstart_explore.model import (
     save_examples,
     save_model,
     train,
+)
+from coldstart_explore.simulator import (
+    SimConfig,
+    build_training_set,
+    generate_corpus,
+    serve_round,
 )
 from conftest import make_model
 
@@ -51,6 +60,56 @@ def separable_examples(n=200, dim=4, seed=7):
             )
         )
     return examples
+
+
+def reference_sigmoid(z):
+    """The masked sigmoid that _sigmoid replaced."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_design_matrix(examples, schema):
+    """The row-by-row design matrix that _design_matrix replaced."""
+    feature_dim = len(examples[0].features)
+    X = np.zeros((len(examples), feature_dim + schema.n_buckets))
+    y = np.zeros(len(examples))
+    for i, ex in enumerate(examples):
+        X[i, :feature_dim] = ex.features
+        X[i, feature_dim + ex.bucket] = 1.0
+        y[i] = ex.label
+    return X, y
+
+
+def reference_train(examples, schema, params):
+    """The epoch loop that allocated its temporaries: (weights, bias, final_loss)."""
+    X, y = reference_design_matrix(examples, schema)
+    rng = np.random.default_rng(params.seed)
+    w = rng.normal(0.0, 0.01, size=X.shape[1])
+    b = 0.0
+    n = len(y)
+    for _ in range(params.epochs):
+        residual = reference_sigmoid(X @ w + b) - y
+        w -= params.learning_rate * (X.T @ residual) / n
+        b -= params.learning_rate * float(residual.mean())
+    z = X @ w + b
+    return w, b, float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def simulated_examples(items=600, seed=11):
+    """Outcomes of one uniformly served simulator round."""
+    sim = SimConfig(seed=seed, items_per_round=items)
+    latents, records = generate_corpus(sim, 0)
+    config = AllocationConfig(
+        total_budget=200 * items, max_cost=1e9, min_cap=100, max_cap=1600,
+        cf_high=0.6, cf_low=0.2, low_region_fraction=0.1,
+    )
+    observations = serve_round(latents, uniform_allocate(records, config), sim, 0)
+    return build_training_set(observations, records, SCHEMA)
 
 
 class TestTrain:
@@ -118,6 +177,67 @@ class TestTrain:
         long = train(examples, SCHEMA, Hyperparams(epochs=500, seed=0))
         assert long.meta.final_loss <= short.meta.final_loss
         assert np.isfinite(long.meta.final_loss)
+
+    @pytest.mark.parametrize(
+        "examples, params",
+        [
+            (separable_examples(), Hyperparams(learning_rate=0.1, epochs=300, seed=0)),
+            (simulated_examples(), Hyperparams(epochs=200, seed=4)),
+        ],
+        ids=["separable", "simulated"],
+    )
+    def test_bit_identical_to_reference_loop(self, examples, params):
+        model = train(examples, SCHEMA, params)
+        w, b, final_loss = reference_train(examples, SCHEMA, params)
+        assert np.array_equal(model.weights, w)
+        assert model.bias == b
+        assert model.meta.final_loss == final_loss
+
+    def test_design_matrix_equals_reference(self):
+        examples = simulated_examples(items=200)
+        X, y = _design_matrix(examples, SCHEMA)
+        X_ref, y_ref = reference_design_matrix(examples, SCHEMA)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(y, y_ref)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            Hyperparams(epochs=0),
+            Hyperparams(epochs=-3),
+            Hyperparams(learning_rate=0.0),
+            Hyperparams(learning_rate=-0.1),
+            Hyperparams(learning_rate=float("nan")),
+            Hyperparams(learning_rate=float("inf")),
+        ],
+    )
+    def test_bad_hyperparams_refused(self, params):
+        with pytest.raises(ConfigError):
+            train(separable_examples(n=20), SCHEMA, params)
+
+
+class TestSigmoid:
+    Z = np.concatenate(
+        [
+            np.linspace(-800.0, 800.0, 4001),
+            np.random.default_rng(3).normal(0.0, 4.0, size=2000),
+            [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0, np.inf, -np.inf],
+        ]
+    )
+
+    def test_bit_identical_to_masked_sigmoid(self):
+        assert np.array_equal(_sigmoid(self.Z), reference_sigmoid(self.Z))
+
+    def test_writes_into_caller_buffers(self):
+        z = self.Z.copy()
+        work = np.empty_like(z)
+        result = _sigmoid(z, out=z, work=work)
+        assert result is z
+        assert np.array_equal(z, reference_sigmoid(self.Z))
+
+    def test_scalar_and_nan(self):
+        assert float(_sigmoid(np.array(0.0))) == 0.5
+        assert np.isnan(_sigmoid(np.array([np.nan]))[0])
 
 
 class TestPredict:

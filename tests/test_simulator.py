@@ -268,6 +268,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="strategy"):
             run_experiment(SimConfig(), cfg(), SCHEMA, Hyperparams(), "magic")
 
+    @pytest.mark.parametrize(
+        "params",
+        [Hyperparams(epochs=0), Hyperparams(learning_rate=0.0), Hyperparams(learning_rate=math.nan)],
+    )
+    def test_bad_hyperparams_refused_before_any_round(self, params):
+        with pytest.raises(ConfigError, match="epochs|learning rate"):
+            run_experiment(SimConfig(items_per_round=10), cfg(), SCHEMA, params, "uniform")
+
     def test_discovered_items_leave_candidate_pool(self):
         config = SimConfig(seed=4, items_per_round=100, rounds=2)
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "uniform")
@@ -309,3 +317,18 @@ class TestLatentFile:
         save_latents(latents, path)
         loaded = load_latents(path)
         assert loaded == latents
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, token):
+        path = tmp_path / "latents.jsonl"
+        path.write_text(
+            '{"engagement_prob": 0.1, "id": "a", "quality": 0.5, "threshold": 10.0}\n'
+            f'{{"engagement_prob": 0.1, "id": "b", "quality": {token}, "threshold": 10.0}}\n'
+        )
+        with pytest.raises(DataError, match=rf"latents\.jsonl:2: .*{token}"):
+            load_latents(path)
+
+    def test_non_finite_quality_not_written(self, tmp_path):
+        bad = LatentItem(id="a", quality=math.nan, true_threshold=5.0, engagement_prob=0.1)
+        with pytest.raises(ValueError):
+            save_latents([bad], tmp_path / "latents.jsonl")
