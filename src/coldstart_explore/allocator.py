@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -40,9 +40,10 @@ from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_cu
 #: grow with the corpus.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes of the array code: a code indexes _REGIONS.
-_REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW)
-_HIGH, _MODERATE, _LOW = range(3)
+# Region codes of the array code: a code indexes _REGIONS. Unfunded is not a
+# region an item is classified into; it marks plan entries granted nothing.
+_REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW, Region.UNFUNDED)
+_HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
 
 
 @dataclass(frozen=True)
@@ -112,25 +113,30 @@ def requested_traffic(
     raise DataError("requested_traffic is undefined for the Low region")
 
 
-def _water_fill(weights: Sequence[float], budget: int, cap: int) -> list[float]:
-    """Proportional split under a per-item cap, redistributing capped overflow."""
-    grants = [0.0] * len(weights)
-    active = list(range(len(weights)))
+def _water_fill(weights: np.ndarray, budget: int, cap: int) -> np.ndarray:
+    """Proportional split under a per-item cap, redistributing capped overflow.
+
+    Each pass gives the active items remaining * weight / total_weight; the
+    items whose share reaches the cap get the cap and leave. total_weight is
+    built-in sum() over the active weights in index order, as a per-item loop
+    sums them. remaining stays a whole number of impressions, so taking off
+    the caps of a pass at once is exact.
+    """
+    grants = np.zeros(len(weights))
+    active = np.arange(len(weights))
     remaining = float(budget)
-    while active and remaining > 0:
-        total_weight = sum(weights[i] for i in active)
+    while len(active) and remaining > 0:
+        total_weight = sum(weights[active].tolist())
         if total_weight <= 0:
             break
-        over = [i for i in active if remaining * weights[i] / total_weight >= cap]
-        if not over:
-            for i in active:
-                grants[i] = remaining * weights[i] / total_weight
+        shares = remaining * weights[active] / total_weight
+        over = shares >= cap
+        if not over.any():
+            grants[active] = shares
             break
-        for i in over:
-            grants[i] = float(cap)
-            remaining -= cap
-        over_set = set(over)
-        active = [i for i in active if i not in over_set]
+        grants[active[over]] = cap
+        remaining -= cap * int(np.count_nonzero(over))
+        active = active[~over]
     return grants
 
 
@@ -153,21 +159,17 @@ def allocate_low(
     if not items:
         return []
     if feedback is None:
-        feedback = lambda stats: stats.positive_rate
-    floor_weight = 1.0 / len(items)
-    raw = [feedback(stats) for _, stats in items]
-    if any(value < 0 for value in raw):
+        feedback = attrgetter("positive_rate")
+    ids = [item_id for item_id, _ in items]
+    raw = np.fromiter((feedback(stats) for _, stats in items), float, len(items))
+    if (raw < 0).any():
         raise DataError("feedback values must be non-negative")
-    weights = [value if value > 0 else floor_weight for value in raw]
+    weights = np.where(raw > 0, raw, 1.0 / len(items))
     shares = _water_fill(weights, low_budget, config.max_cap)
-    grants = []
-    for (item_id, _), share in zip(items, shares):
-        # Snap shares sitting a float ulp below an integer before flooring.
-        granted = int(math.floor(share + 1e-9))
-        if granted < config.min_cap:
-            granted = 0
-        grants.append((item_id, granted))
-    return grants
+    # Snap shares sitting a float ulp below an integer before flooring.
+    granted = np.floor(shares + 1e-9).astype(np.int64)
+    granted[granted < config.min_cap] = 0
+    return list(zip(ids, granted.tolist()))
 
 
 def adapt_low_fraction(
@@ -203,8 +205,6 @@ def _repair_cost(
     the constraint always holds.
     """
     total_cost = sum(cost_of(g, config) for g in granted.values())
-    if total_cost <= config.max_cost:
-        return
 
     def funded(region: Region) -> list[str]:
         return [i for i, g in granted.items() if g > 0 and regions[i] is region]
@@ -219,6 +219,18 @@ def _repair_cost(
             break
         total_cost -= cost_of(granted[item_id], config)
         granted[item_id] = 0
+
+
+def _costs(granted: np.ndarray, config: AllocationConfig) -> list[float]:
+    """cost_of of every grant, as a list for built-in sum().
+
+    Totals are built-in sum() over this list, in id order, as the per-item
+    sum(cost_of(...)) adds them: from Python 3.12 on, sum() of floats is
+    compensated, so np.sum would not match it.
+    """
+    if config.cost_fn is None:
+        return (config.unit_cost * granted).tolist()
+    return [cost_of(g, config) for g in granted.tolist()]
 
 
 def _score(
@@ -262,14 +274,16 @@ def allocate(
     is then divided by allocate_low. Finally the cost constraint is enforced
     by dropping items (see _repair_cost). Deterministic: ties break on item id.
 
-    Scoring, region classification and greedy funding work on arrays over the
-    whole corpus; predict_curve, monotone_curve, classify_region and
-    requested_traffic are their per-item counterparts.
+    Scoring, region classification, greedy funding, the Low water-fill and
+    the cost totals work on arrays over the whole corpus; predict_curve,
+    monotone_curve, classify_region and requested_traffic are their per-item
+    counterparts. The id-keyed dicts of _repair_cost are built only when the
+    cost ceiling binds.
     """
     validate_config(config, schema)
     if model.schema != schema:
         raise ConfigError("model was trained against a different bucket schema")
-    records = sorted(corpus, key=lambda r: r.id)
+    records = sorted(corpus, key=attrgetter("id"))
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in corpus")
@@ -300,37 +314,38 @@ def allocate(
 
     # Unspent High/Moderate budget spills into the Low pool.
     low = np.flatnonzero(region == _LOW)
-    low_items = [(ids[i], records[i].engagement) for i in low]
+    low_items = [(ids[i], records[i].engagement) for i in low.tolist()]
     low_grants = allocate_low(low_items, low_pool + remaining, config)
     granted[low] = [grant for _, grant in low_grants]
 
-    grants = dict(zip(ids, granted.tolist()))
-    _repair_cost(
-        grants,
-        dict(zip(ids, (_REGIONS[code] for code in region.tolist()))),
-        {item_id: stats.positive_rate for item_id, stats in low_items},
-        config,
-    )
-
-    entries = tuple(
-        PlanEntry(
-            item_id=item_id,
-            region=_REGIONS[code] if grant > 0 else Region.UNFUNDED,
-            granted=grant,
-            requested=None if code == _LOW else req,
-            p_at_maxcap=p,
+    total_cost = sum(_costs(granted, config))
+    if not total_cost <= config.max_cost:
+        grants = dict(zip(ids, granted.tolist()))
+        _repair_cost(
+            grants,
+            dict(zip(ids, map(_REGIONS.__getitem__, region.tolist()))),
+            {item_id: stats.positive_rate for item_id, stats in low_items},
+            config,
         )
-        for item_id, code, grant, req, p in zip(
+        granted = np.fromiter(grants.values(), np.int64, len(ids))
+        total_cost = sum(_costs(granted, config))
+
+    entry_region = np.where(granted > 0, region, _UNFUNDED)
+    entry_requested = requested.astype(object)
+    entry_requested[low] = None
+    entries = tuple(
+        map(
+            PlanEntry,
             ids,
-            region.tolist(),
-            grants.values(),
-            requested.tolist(),
+            map(_REGIONS.__getitem__, entry_region.tolist()),
+            granted.tolist(),
+            entry_requested.tolist(),
             p_at_maxcap.tolist(),
         )
     )
-    total = sum(e.granted for e in entries)
-    total_cost = sum(cost_of(e.granted, config) for e in entries)
-    return AllocationPlan(entries=entries, total_allocated=total, total_cost=total_cost)
+    return AllocationPlan(
+        entries=entries, total_allocated=int(granted.sum()), total_cost=total_cost
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +391,8 @@ def plan_summary(
     )
     codes = _classify(scored, config)
     summary["classified_counts"] = {
-        r.value: int(np.count_nonzero(codes == code)) for code, r in enumerate(_REGIONS)
+        _REGIONS[code].value: int(np.count_nonzero(codes == code))
+        for code in (_HIGH, _MODERATE, _LOW)
     }
     if adapted_low_fraction is not None:
         summary["adapted_low_fraction"] = adapted_low_fraction

@@ -1,7 +1,7 @@
 """Shared domain types: items, engagement, traffic buckets, allocation config and plans.
 
-Everything here is an immutable value object; the simulator updates items by
-copy-and-replace only.
+Everything here is an immutable value object; the simulator updates an item
+by building a new one.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Input data is malformed or inconsistent."""
-
-
-#: Engagement-derived feature block appended to static item features:
-#: [positive_rate, log1p(impressions)].
-ENGAGEMENT_FEATURE_COUNT = 2
 
 
 class Region(str, Enum):
@@ -258,12 +253,23 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
         raise DataError("plan exceeds cost budget")
 
 
-def _engagement_block(stats: EngagementStats) -> tuple[float, float]:
-    return stats.positive_rate, math.log1p(stats.impressions)
-
-
 def engagement_features(stats: EngagementStats) -> np.ndarray:
-    return np.array(_engagement_block(stats))
+    """The engagement block of one item: [positive_rate, log1p(impressions)]."""
+    return np.array([stats.positive_rate, math.log1p(stats.impressions)])
+
+
+def engagement_block(impressions: np.ndarray, positive_events: np.ndarray) -> np.ndarray:
+    """The engagement block of many items from their integer count columns.
+
+    Row k equals engagement_features(EngagementStats(impressions[k],
+    positive_events[k])): the float64 quotient of two integers is the same
+    correctly rounded value as Python's, and log1p is math.log1p, whose last
+    bit np.log1p need not match.
+    """
+    rate = np.zeros(len(impressions))
+    np.divide(positive_events, impressions, out=rate, where=impressions > 0)
+    log_impressions = np.fromiter(map(math.log1p, impressions), float, len(impressions))
+    return np.column_stack([rate, log_impressions])
 
 
 def item_feature_vector(record: ItemRecord) -> np.ndarray:
@@ -271,16 +277,23 @@ def item_feature_vector(record: ItemRecord) -> np.ndarray:
     return np.concatenate([record.features, engagement_features(record.engagement)])
 
 
-def feature_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
-    """Model inputs for many items, one row each: row i is item_feature_vector(records[i])."""
+def static_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
+    """The static features of many items, one row each."""
     shapes = {rec.features.shape for rec in records}
     if len(shapes) > 1:
         raise DataError(f"feature dimension mismatch across items: {sorted(shapes)}")
     if not records:
-        return np.empty((0, ENGAGEMENT_FEATURE_COUNT))
-    static = np.array([rec.features for rec in records])
-    engagement = np.array([_engagement_block(rec.engagement) for rec in records])
-    return np.hstack([static, engagement])
+        return np.empty((0, 0))
+    return np.array([rec.features for rec in records])
+
+
+def feature_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
+    """Model inputs for many items, one row each: row i is item_feature_vector(records[i])."""
+    n = len(records)
+    engagement = [rec.engagement for rec in records]
+    impressions = np.fromiter((s.impressions for s in engagement), np.int64, n)
+    positives = np.fromiter((s.positive_events for s in engagement), np.int64, n)
+    return np.hstack([static_matrix(records), engagement_block(impressions, positives)])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,13 @@ def load_corpus(path: str | Path) -> list[ItemRecord]:
 
 
 def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
-    """Flat key-value snapshot of a config plus its schema."""
+    """Flat key-value snapshot of a config plus its schema.
+
+    A cost function has no snapshot: a config with cost_fn set raises
+    ConfigError rather than being written down as linear cost.
+    """
+    if config.cost_fn is not None:
+        raise ConfigError("a config with a cost function has no key-value snapshot")
     return {
         "total_budget": config.total_budget,
         "max_cost": config.max_cost,

@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -34,9 +36,9 @@ from .core import (
     DataError,
     EngagementStats,
     ItemRecord,
-    bucket_of,
-    engagement_features,
+    engagement_block,
     read_jsonl,
+    static_matrix,
     validate_config,
     write_jsonl,
 )
@@ -82,6 +84,16 @@ class SimConfig:
             raise ConfigError("rounds must be at least 1")
         if self.feature_dim <= 0:
             raise ConfigError("feature_dim must be positive")
+        for name in (
+            "feature_noise",
+            "threshold_mu",
+            "threshold_kappa",
+            "threshold_noise",
+            "engagement_a",
+            "engagement_b",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if self.feature_noise < 0 or self.threshold_noise < 0:
             raise ConfigError("noise scales must be non-negative")
         if self.max_threshold < 1:
@@ -126,33 +138,30 @@ def generate_corpus(
     log_noise = rng.normal(0.0, config.threshold_noise, size=n)
     feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
 
-    latents = []
-    records = []
-    for i in range(n):
-        item_id = f"r{round_index:02d}-{i:05d}"
-        q = float(quality[i])
-        if archetype[i] == 0:
-            theta = 0.0
-        elif archetype[i] == 2:
-            theta = math.inf
-        else:
-            raw = math.exp(
-                config.threshold_mu - config.threshold_kappa * q + float(log_noise[i])
-            )
-            theta = float(min(max(round(raw), 1), config.max_threshold))
-        engagement_prob = 1.0 / (
-            1.0 + math.exp(-(config.engagement_a * q + config.engagement_b))
-        )
-        latents.append(
-            LatentItem(
-                id=item_id,
-                quality=q,
-                true_threshold=theta,
-                engagement_prob=engagement_prob,
-            )
-        )
-        features = projection * q + config.feature_noise * feature_noise[i]
-        records.append(ItemRecord(id=item_id, features=features))
+    # Columns first, objects last. math.exp is mapped over the columns: np.exp
+    # can differ from it in the last bit, which would change latents.jsonl.
+    template = f"r{round_index:02d}-%05d"
+    ids = [template % i for i in range(n)]
+    theta = np.where(archetype == 0, 0.0, math.inf)
+    finite = archetype == 1
+    log_theta = (
+        config.threshold_mu - config.threshold_kappa * quality[finite] + log_noise[finite]
+    )
+    raw = np.fromiter(map(math.exp, log_theta), float, len(log_theta))
+    theta[finite] = np.clip(np.round(raw), 1, config.max_threshold)
+    logit = config.engagement_a * quality + config.engagement_b
+    exp_neg_logit = np.fromiter(map(math.exp, -logit), float, n)
+    engagement_prob = 1.0 / (1.0 + exp_neg_logit)
+    # In place, so the only (n, feature_dim) arrays are the noise and one product.
+    features = np.multiply(config.feature_noise, feature_noise, out=feature_noise)
+    features += np.multiply.outer(quality, projection)
+    features.setflags(write=False)
+
+    latents = list(
+        map(LatentItem, ids, quality.tolist(), theta.tolist(), engagement_prob.tolist())
+    )
+    # Each record's features are a read-only row of the one matrix.
+    records = list(map(ItemRecord, ids, features))
     return latents, records
 
 
@@ -165,29 +174,54 @@ def serve_round(
     """Serve granted impressions and report engagement plus the discovery outcome.
 
     Only funded entries produce observations: an item nobody explored yields
-    no label. Positive events are Binomial(granted, engagement_prob); the item
-    is discovered exactly when the traffic it received reaches its threshold.
+    no label. Positive events are Binomial(granted, engagement_prob), drawn in
+    item id order. Discovery is decided per round: the item is discovered
+    exactly when this round's grant reaches its threshold. Traffic from
+    earlier rounds does not count towards it, unlike engagement, which
+    accumulates.
     """
     by_id = {lat.id: lat for lat in latents}
-    rng = np.random.default_rng([config.seed, round_index, _SERVE_STREAM])
-    observations = []
-    for entry in sorted(plan.entries, key=lambda e: e.item_id):
+    entries = sorted(plan.entries, key=attrgetter("item_id"))
+    for entry in entries:
         if entry.item_id not in by_id:
             raise DataError(f"plan references unknown item {entry.item_id}")
-        if entry.granted == 0:
-            continue
-        lat = by_id[entry.item_id]
-        positives = int(rng.binomial(entry.granted, lat.engagement_prob))
-        observations.append(
-            Observation(
-                round=round_index,
-                item_id=entry.item_id,
-                served=entry.granted,
-                positive_events=positives,
-                discovered=entry.granted >= lat.true_threshold,
-            )
-        )
-    return observations
+    entries = [entry for entry in entries if entry.granted != 0]
+    n = len(entries)
+    served = np.fromiter((e.granted for e in entries), np.int64, n)
+    probs = np.fromiter((by_id[e.item_id].engagement_prob for e in entries), float, n)
+    thresholds = np.fromiter((by_id[e.item_id].true_threshold for e in entries), float, n)
+    # One draw over the funded entries in id order takes what one draw per
+    # entry in that order takes.
+    rng = np.random.default_rng([config.seed, round_index, _SERVE_STREAM])
+    positives = rng.binomial(served, probs)
+    return [
+        Observation(round_index, entry.item_id, entry.granted, int(positive), bool(found))
+        for entry, positive, found in zip(entries, positives, served >= thresholds)
+    ]
+
+
+def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -> np.ndarray:
+    """Index into records of every event's item, checking each event in order."""
+    row_of = {rec.id: k for k, rec in enumerate(records)}
+    for obs in events:
+        if obs.item_id not in row_of:
+            raise DataError(f"observation references unknown item {obs.item_id}")
+        if obs.discovered is None:
+            raise DataError(f"unresolved observation for item {obs.item_id}")
+    return np.fromiter((row_of[o.item_id] for o in events), np.int64, len(events))
+
+
+def _counts_before(groups: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row k: the sum of counts over the rows before k that share its group."""
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    group_start = np.ones(len(groups), dtype=bool)
+    group_start[1:] = sorted_groups[1:] != sorted_groups[:-1]
+    first = np.maximum.accumulate(np.where(group_start, np.arange(len(groups)), 0))
+    before = np.cumsum(counts[order], axis=0) - counts[order]
+    result = np.empty_like(counts)
+    result[order] = before - before[first]
+    return result
 
 
 def build_training_set(
@@ -201,30 +235,39 @@ def build_training_set(
     stood when the round was served, reconstructed by replaying observations
     in round order. The bucket is the served traffic's bucket and the label is
     the observed discovery outcome.
+
+    The replay runs on columns: the events in (round, item id) order, each
+    item's running counts an exclusive cumulative sum over its own events.
     """
-    static = {rec.id: rec.features for rec in records}
-    running: dict[str, tuple[int, int]] = {}
-    examples = []
-    for obs in sorted(observations, key=lambda o: (o.round, o.item_id)):
-        if obs.item_id not in static:
-            raise DataError(f"observation references unknown item {obs.item_id}")
-        if obs.discovered is None:
-            raise DataError(f"unresolved observation for item {obs.item_id}")
-        impressions, positives = running.get(obs.item_id, (0, 0))
-        stats = EngagementStats(impressions=impressions, positive_events=positives)
-        features = np.concatenate([static[obs.item_id], engagement_features(stats)])
-        examples.append(
-            TrainingExample(
-                features=features,
-                bucket=bucket_of(obs.served, schema),
-                label=int(obs.discovered),
-            )
+    events = sorted(observations, key=attrgetter("round", "item_id"))
+    rows = _record_rows(events, records)
+    n = len(events)
+    served = np.fromiter((o.served for o in events), np.int64, n)
+    positive_events = np.fromiter((o.positive_events for o in events), np.int64, n)
+    if (served < 0).any():
+        raise DataError("traffic must be non-negative")
+    # The item's engagement as it stood before each event.
+    impressions, positives = _counts_before(
+        rows, np.column_stack([served, positive_events])
+    ).T
+    if (positives < 0).any():
+        raise DataError("engagement counts must be non-negative")
+    if (positives > impressions).any():
+        raise DataError("positive_events cannot exceed impressions")
+
+    static = static_matrix([records[k] for k in rows])
+    features = np.hstack([static, engagement_block(impressions, positives)])
+    features.setflags(write=False)
+    edges = np.asarray(schema.edges)
+    buckets = np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1)
+    return list(
+        map(
+            TrainingExample,
+            features,
+            buckets.tolist(),
+            [int(o.discovered) for o in events],
         )
-        running[obs.item_id] = (
-            impressions + obs.served,
-            positives + obs.positive_events,
-        )
-    return examples
+    )
 
 
 @dataclass(frozen=True)
@@ -293,12 +336,11 @@ def run_experiment(
         candidates = [
             rec for rec in pool_records.values() if rec.discovered is not True
         ]
-        candidates.sort(key=lambda r: r.id)
+        candidates.sort(key=attrgetter("id"))
+        candidate_latents = [pool_latents[rec.id] for rec in candidates]
 
         if strategy == "oracle":
-            plan = oracle_allocate(
-                [pool_latents[rec.id] for rec in candidates], alloc_config
-            )
+            plan = oracle_allocate(candidate_latents, alloc_config)
         elif strategy == "model" and round_index > 0:
             examples = build_training_set(
                 all_observations, list(pool_records.values()), schema
@@ -308,20 +350,18 @@ def run_experiment(
         else:
             plan = uniform_allocate(candidates, alloc_config)
 
-        observations = serve_round(
-            [pool_latents[rec.id] for rec in candidates],
-            plan,
-            sim_config,
-            round_index,
-        )
+        observations = serve_round(candidate_latents, plan, sim_config, round_index)
         all_observations.extend(observations)
 
-        regions = {e.item_id: e.region.value for e in plan.entries}
+        counts = Counter(map(attrgetter("region"), plan.entries))
+        regions = {e.item_id: e.region.value for e in plan.entries if e.granted}
+        discovered = 0
         for obs in observations:
             rec = pool_records[obs.item_id]
             stats = rec.engagement
-            pool_records[obs.item_id] = replace(
-                rec,
+            pool_records[obs.item_id] = ItemRecord(
+                id=rec.id,
+                features=rec.features,
                 engagement=EngagementStats(
                     impressions=stats.impressions + obs.served,
                     positive_events=stats.positive_events + obs.positive_events,
@@ -339,19 +379,17 @@ def run_experiment(
                     discovered=obs.discovered,
                 )
             )
+            discovered += obs.discovered
 
-        counts: dict[str, int] = {}
-        for entry in plan.entries:
-            counts[entry.region.value] = counts.get(entry.region.value, 0) + 1
         round_metrics.append(
             RoundMetrics(
                 round=round_index,
                 candidates=len(candidates),
-                funded=sum(1 for e in plan.entries if e.granted > 0),
-                discovered=sum(1 for o in observations if o.discovered),
+                funded=len(observations),
+                discovered=discovered,
                 total_allocated=plan.total_allocated,
                 total_cost=plan.total_cost,
-                region_counts=dict(sorted(counts.items())),
+                region_counts=dict(sorted((r.value, c) for r, c in counts.items())),
             )
         )
 

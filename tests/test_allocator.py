@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldstart_explore import allocator
 from coldstart_explore.allocator import (
@@ -596,3 +597,211 @@ class TestPlanSummary:
         summary = plan_summary(allocate(records, model, config, SCHEMA), config)
         assert summary["region_counts"] == {"Moderate": 1, "Unfunded": 1}
         assert summary["classified_counts"] == {"High": 0, "Low": 1, "Moderate": 1}
+
+
+def water_fill_list_reference(weights, budget, cap):
+    """The water-fill written over Python lists, one item at a time."""
+    shares = [0.0] * len(weights)
+    active = list(range(len(weights)))
+    remaining = float(budget)
+    while active and remaining > 0:
+        total_weight = sum(weights[i] for i in active)
+        if total_weight <= 0:
+            break
+        over = [i for i in active if remaining * weights[i] / total_weight >= cap]
+        if not over:
+            for i in active:
+                shares[i] = remaining * weights[i] / total_weight
+            break
+        for i in over:
+            shares[i] = float(cap)
+            remaining -= cap
+        over_set = set(over)
+        active = [i for i in active if i not in over_set]
+    return shares
+
+
+def allocate_low_reference(items, low_budget, config, feedback=None):
+    """allocate_low over Python lists."""
+    if not items:
+        return []
+    if feedback is None:
+        feedback = lambda stats: stats.positive_rate
+    floor_weight = 1.0 / len(items)
+    raw = [feedback(stats) for _, stats in items]
+    weights = [value if value > 0 else floor_weight for value in raw]
+    shares = water_fill_list_reference(weights, low_budget, config.max_cap)
+    grants = []
+    for (item_id, _), share in zip(items, shares):
+        granted = int(math.floor(share + 1e-9))
+        grants.append((item_id, granted if granted >= config.min_cap else 0))
+    return grants
+
+
+def random_low_items(rng, n):
+    items = []
+    for k in range(n):
+        impressions = int(rng.integers(0, 3)) * int(rng.integers(0, 500))
+        positives = int(rng.integers(0, impressions + 1))
+        items.append((f"i{k:03d}", EngagementStats(impressions, positives)))
+    return items
+
+
+class TestAllocateLowMatchesListReference:
+    def test_water_fill_shares_bit_identical(self):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            weights = rng.uniform(size=n) * (rng.uniform(size=n) < 0.8)
+            weights[rng.uniform(size=n) < 0.1] = 1.0 / n
+            cap = int(rng.integers(1, 2000))
+            budget = int(rng.integers(0, cap * (n + 2)))
+            got = allocator._water_fill(weights, budget, cap)
+            assert got.tolist() == water_fill_list_reference(weights.tolist(), budget, cap)
+
+    def test_random_items_budgets_and_caps(self):
+        rng = np.random.default_rng(61)
+        for _ in range(400):
+            items = random_low_items(rng, int(rng.integers(1, 60)))
+            max_cap = int(rng.integers(50, 2000))
+            config = cfg(max_cap=max_cap, min_cap=int(rng.integers(1, max_cap + 1)))
+            # up to a budget that caps every item, so overflow passes repeat
+            budget = int(rng.integers(0, max_cap * (len(items) + 2)))
+            got = allocate_low(items, budget, config)
+            assert got == allocate_low_reference(items, budget, config)
+            assert all(type(g) is int for _, g in got)
+
+    def test_custom_feedback(self):
+        rng = np.random.default_rng(62)
+        for feedback in (
+            lambda stats: stats.positive_events,  # integers
+            lambda stats: float(stats.impressions) ** 0.5,
+            lambda stats: math.nan,  # neither negative nor positive: floor weight
+        ):
+            for _ in range(50):
+                items = random_low_items(rng, int(rng.integers(1, 30)))
+                budget = int(rng.integers(0, 20_000))
+                config = cfg(max_cap=800, min_cap=40)
+                assert allocate_low(items, budget, config, feedback) == (
+                    allocate_low_reference(items, budget, config, feedback)
+                )
+
+    @given(
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30),
+        st.integers(0, 100_000),
+        st.integers(1, 3000),
+    )
+    @settings(deadline=None)
+    def test_property_any_weights(self, weights, budget, max_cap):
+        items = [(f"i{k:02d}", EngagementStats(k, 0)) for k in range(len(weights))]
+        config = cfg(max_cap=max_cap, min_cap=1)
+        signal = lambda stats: weights[stats.impressions]
+        assert allocate_low(items, budget, config, signal) == (
+            allocate_low_reference(items, budget, config, signal)
+        )
+
+
+def non_linear_cost_instance(rng, exponent, cost_fraction):
+    """Corpus, model and config under cost u * x**exponent.
+
+    The cost ceiling is cost_fraction of what every item at MaxCap would cost,
+    so a small fraction makes cost repair drop items.
+    """
+    unit_cost = float(rng.uniform(0.001, 0.05))
+    cost_fn = lambda x, u=unit_cost, e=exponent: u * float(x) ** e
+    static_dim = int(rng.integers(1, 4))
+    model = make_model(
+        SCHEMA,
+        rng.normal(0, 2, size=static_dim + 2),
+        np.sort(rng.normal(0, 2, size=SCHEMA.n_buckets)),
+        float(rng.normal()),
+    )
+    records = []
+    for k in range(int(rng.integers(1, 40))):
+        impressions = int(rng.integers(0, 400))
+        records.append(
+            ItemRecord(
+                id=f"i{k:03d}",
+                features=rng.normal(size=static_dim),
+                engagement=EngagementStats(
+                    impressions, int(rng.integers(0, impressions + 1))
+                ),
+            )
+        )
+    config = cfg(
+        total_budget=int(rng.integers(0, 1600 * len(records) + 1)),
+        max_cost=cost_fraction * len(records) * cost_fn(1600) + 1e-6,
+        cf_high=float(rng.uniform(0.5, 0.95)),
+        cf_low=float(rng.uniform(0.05, 0.45)),
+        low_region_fraction=float(rng.uniform(0.0, 1.0)),
+        unit_cost=unit_cost,
+        cost_fn=cost_fn,
+    )
+    return records, model, config
+
+
+COST_EXPONENTS = {"convex": (1.2, 2.0), "concave": (0.5, 0.9)}
+
+
+def assert_non_linear_cost_plan(records, model, config):
+    plan = assert_matches_scalar_reference(records, model, config, SCHEMA)
+    assert plan.total_cost == sum(cost_of(e.granted, config) for e in plan.entries)
+    assert plan.total_cost <= config.max_cost
+    return plan
+
+
+class TestAllocateWithNonLinearCost:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(sorted(COST_EXPONENTS)),
+        st.floats(0.0, 1.0),
+        st.floats(0.02, 1.2),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_property_matches_per_item_reference(self, seed, shape, position, cost_fraction):
+        lo, hi = COST_EXPONENTS[shape]
+        records, model, config = non_linear_cost_instance(
+            np.random.default_rng(seed), lo + position * (hi - lo), cost_fraction
+        )
+        assert_non_linear_cost_plan(records, model, config)
+
+    @pytest.mark.parametrize("shape", sorted(COST_EXPONENTS))
+    def test_sweep_binds_the_ceiling(self, shape, monkeypatch):
+        repairs = []
+        repair = allocator._repair_cost
+        monkeypatch.setattr(
+            allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+        )
+        rng = np.random.default_rng(71 if shape == "convex" else 72)
+        lo, hi = COST_EXPONENTS[shape]
+        for _ in range(150):
+            records, model, config = non_linear_cost_instance(
+                rng, float(rng.uniform(lo, hi)), float(rng.uniform(0.02, 1.2))
+            )
+            assert_non_linear_cost_plan(records, model, config)
+        assert len(repairs) >= 30  # the ceiling bound in a good share of them
+
+
+class TestAllocateTotals:
+    def test_totals_are_sums_of_the_entries(self, monkeypatch):
+        repairs = []
+        repair = allocator._repair_cost
+        monkeypatch.setattr(
+            allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+        )
+        rng = np.random.default_rng(81)
+        for _ in range(300):
+            schema, config, model, records, growth = random_valid_instance(rng)
+            plan = allocate(records, model, config, schema, growth)
+            assert plan.total_allocated == sum(e.granted for e in plan.entries)
+            assert plan.total_cost == sum(cost_of(e.granted, config) for e in plan.entries)
+        assert 0 < len(repairs) < 300  # with and without the ceiling binding
+
+    def test_repair_skipped_when_the_ceiling_holds(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cost repair called under the ceiling")
+
+        monkeypatch.setattr(allocator, "_repair_cost", refuse)
+        model, records = high_corpus_model([0, 1, 2])
+        plan = allocate(records, model, cfg(total_budget=1000, cf_high=0.9, cf_low=0.01), SCHEMA)
+        assert plan.total_cost == pytest.approx(6.98)

@@ -65,6 +65,14 @@ class TestSimulate:
     def test_zero_items_is_config_error(self, tmp_path):
         assert run("simulate", "--items", "0", "--out-dir", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_noise_exits_2(self, tmp_path, value, capsys):
+        out = tmp_path / "x"
+        assert run("simulate", "--items", "5", f"--feature-noise={value}",
+                   "--out-dir", str(out)) == 2
+        assert "feature_noise must be a finite number" in capsys.readouterr().err
+        assert not (out / "corpus.jsonl").exists()
+
 
 class TestTrain:
     def test_trains_and_reports_accuracy(self, tmp_path, examples_file, capsys):

@@ -19,6 +19,8 @@ from coldstart_explore.core import (
     config_from_dict,
     config_to_dict,
     cost_of,
+    engagement_block,
+    engagement_features,
     feature_matrix,
     geometric_schema,
     item_feature_vector,
@@ -214,6 +216,33 @@ class TestItemFeatures:
     def test_feature_matrix_of_no_items(self):
         assert feature_matrix([]).shape == (0, 2)
 
+    def test_engagement_block_rows_equal_engagement_features(self):
+        rng = np.random.default_rng(4)
+        impressions = np.concatenate(
+            [[0, 0, 1, 7], rng.integers(0, 2000, size=3000), rng.integers(0, 10**12, size=1000)]
+        )
+        positives = (impressions * rng.uniform(size=len(impressions))).astype(np.int64)
+        block = engagement_block(impressions, positives)
+        assert block.shape == (len(impressions), 2)
+        for imp, pos, row in zip(impressions.tolist(), positives.tolist(), block):
+            expected = engagement_features(EngagementStats(imp, pos))
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+    def test_feature_matrix_rows_bit_identical_at_large_counts(self):
+        rng = np.random.default_rng(5)
+        records = []
+        for k in range(500):
+            impressions = int(rng.integers(0, 10**9))
+            records.append(
+                ItemRecord(
+                    id=f"i{k}",
+                    features=rng.normal(size=4),
+                    engagement=EngagementStats(impressions, int(rng.integers(0, impressions + 1))),
+                )
+            )
+        for rec, row in zip(records, feature_matrix(records)):
+            assert np.array_equal(row.view(np.int64), item_feature_vector(rec).view(np.int64))
+
     def test_features_are_read_only(self):
         rec = ItemRecord(id="a", features=np.array([1.0]))
         with pytest.raises(ValueError):
@@ -347,6 +376,11 @@ class TestConfigDict:
         config2, schema2 = config_from_dict(config_to_dict(config, schema))
         assert config2 == config
         assert schema2 == schema
+
+    def test_cost_function_has_no_snapshot(self):
+        config = cfg(cost_fn=lambda x: 0.001 * x * x)
+        with pytest.raises(ConfigError, match="cost function"):
+            config_to_dict(config, geometric_schema())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

@@ -1,22 +1,33 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coldstart_explore import simulator
 from coldstart_explore.core import (
     AllocationConfig,
     AllocationPlan,
     ConfigError,
     DataError,
+    EngagementStats,
+    ItemRecord,
     PlanEntry,
     Region,
     bucket_of,
+    engagement_features,
     geometric_schema,
+    validate_config,
 )
-from coldstart_explore.model import Hyperparams
+from coldstart_explore.metrics import oracle_allocate, uniform_allocate
+from coldstart_explore.model import Hyperparams, TrainingExample, train
 from coldstart_explore.simulator import (
+    STRATEGIES,
+    ExperimentReport,
+    ItemRoundRow,
     LatentItem,
     Observation,
+    RoundMetrics,
     SimConfig,
     build_training_set,
     generate_corpus,
@@ -332,3 +343,332 @@ class TestLatentFile:
         bad = LatentItem(id="a", quality=math.nan, true_threshold=5.0, engagement_prob=0.1)
         with pytest.raises(ValueError):
             save_latents([bad], tmp_path / "latents.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# The per-item loops the array code replaced, kept as bit-exact oracles.
+# ---------------------------------------------------------------------------
+
+def generate_corpus_reference(config, round_index):
+    """generate_corpus written item by item."""
+    config.validate()
+    projection = simulator._feature_projection(config)
+    rng = np.random.default_rng([config.seed, round_index])
+    n = config.items_per_round
+    quality = rng.normal(0.0, 1.0, size=n)
+    archetype = rng.choice(3, size=n, p=list(config.archetype_mix))
+    log_noise = rng.normal(0.0, config.threshold_noise, size=n)
+    feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
+    latents, records = [], []
+    for i in range(n):
+        item_id = f"r{round_index:02d}-{i:05d}"
+        q = float(quality[i])
+        if archetype[i] == 0:
+            theta = 0.0
+        elif archetype[i] == 2:
+            theta = math.inf
+        else:
+            raw = math.exp(
+                config.threshold_mu - config.threshold_kappa * q + float(log_noise[i])
+            )
+            theta = float(min(max(round(raw), 1), config.max_threshold))
+        engagement_prob = 1.0 / (
+            1.0 + math.exp(-(config.engagement_a * q + config.engagement_b))
+        )
+        latents.append(LatentItem(item_id, q, theta, engagement_prob))
+        features = projection * q + config.feature_noise * feature_noise[i]
+        records.append(ItemRecord(id=item_id, features=features))
+    return latents, records
+
+
+def serve_round_reference(latents, plan, config, round_index=0):
+    """serve_round with one binomial draw per funded entry."""
+    by_id = {lat.id: lat for lat in latents}
+    rng = np.random.default_rng([config.seed, round_index, simulator._SERVE_STREAM])
+    observations = []
+    for entry in sorted(plan.entries, key=lambda e: e.item_id):
+        if entry.item_id not in by_id:
+            raise DataError(f"plan references unknown item {entry.item_id}")
+        if entry.granted == 0:
+            continue
+        lat = by_id[entry.item_id]
+        positives = int(rng.binomial(entry.granted, lat.engagement_prob))
+        observations.append(
+            Observation(
+                round=round_index,
+                item_id=entry.item_id,
+                served=entry.granted,
+                positive_events=positives,
+                discovered=entry.granted >= lat.true_threshold,
+            )
+        )
+    return observations
+
+
+def build_training_set_reference(observations, records, schema):
+    """build_training_set replaying each item's engagement in a dict."""
+    static = {rec.id: rec.features for rec in records}
+    running = {}
+    examples = []
+    for obs in sorted(observations, key=lambda o: (o.round, o.item_id)):
+        if obs.item_id not in static:
+            raise DataError(f"observation references unknown item {obs.item_id}")
+        if obs.discovered is None:
+            raise DataError(f"unresolved observation for item {obs.item_id}")
+        impressions, positives = running.get(obs.item_id, (0, 0))
+        stats = EngagementStats(impressions=impressions, positive_events=positives)
+        features = np.concatenate([static[obs.item_id], engagement_features(stats)])
+        examples.append(
+            TrainingExample(
+                features=features,
+                bucket=bucket_of(obs.served, schema),
+                label=int(obs.discovered),
+            )
+        )
+        running[obs.item_id] = (
+            impressions + obs.served,
+            positives + obs.positive_events,
+        )
+    return examples
+
+
+def run_experiment_reference(sim_config, alloc_config, schema, params, strategy):
+    """run_experiment updating the pool with dataclasses.replace."""
+    sim_config.validate()
+    validate_config(alloc_config, schema)
+    pool_latents, pool_records = {}, {}
+    all_observations, round_metrics, item_rows = [], [], []
+    for round_index in range(sim_config.rounds):
+        latents, records = generate_corpus(sim_config, round_index)
+        for lat, rec in zip(latents, records):
+            pool_latents[lat.id] = lat
+            pool_records[rec.id] = rec
+        candidates = [rec for rec in pool_records.values() if rec.discovered is not True]
+        candidates.sort(key=lambda r: r.id)
+        if strategy == "oracle":
+            plan = oracle_allocate([pool_latents[r.id] for r in candidates], alloc_config)
+        elif strategy == "model" and round_index > 0:
+            examples = build_training_set(
+                all_observations, list(pool_records.values()), schema
+            )
+            model = train(examples, schema, params)
+            plan = simulator.allocate(candidates, model, alloc_config, schema)
+        else:
+            plan = uniform_allocate(candidates, alloc_config)
+        observations = serve_round(
+            [pool_latents[r.id] for r in candidates], plan, sim_config, round_index
+        )
+        all_observations.extend(observations)
+        regions = {e.item_id: e.region.value for e in plan.entries}
+        for obs in observations:
+            rec = pool_records[obs.item_id]
+            stats = rec.engagement
+            pool_records[obs.item_id] = replace(
+                rec,
+                engagement=EngagementStats(
+                    impressions=stats.impressions + obs.served,
+                    positive_events=stats.positive_events + obs.positive_events,
+                ),
+                impressions_received=rec.impressions_received + obs.served,
+                discovered=True if obs.discovered else rec.discovered,
+            )
+            item_rows.append(
+                ItemRoundRow(
+                    round=round_index,
+                    item_id=obs.item_id,
+                    region=regions[obs.item_id],
+                    granted=obs.served,
+                    positive_events=obs.positive_events,
+                    discovered=obs.discovered,
+                )
+            )
+        counts = {}
+        for entry in plan.entries:
+            counts[entry.region.value] = counts.get(entry.region.value, 0) + 1
+        round_metrics.append(
+            RoundMetrics(
+                round=round_index,
+                candidates=len(candidates),
+                funded=sum(1 for e in plan.entries if e.granted > 0),
+                discovered=sum(1 for o in observations if o.discovered),
+                total_allocated=plan.total_allocated,
+                total_cost=plan.total_cost,
+                region_counts=dict(sorted(counts.items())),
+            )
+        )
+    return ExperimentReport(
+        strategy=strategy,
+        seed=sim_config.seed,
+        rounds=tuple(round_metrics),
+        total_discovered=sum(m.discovered for m in round_metrics),
+        item_rows=tuple(item_rows),
+    )
+
+
+def assert_examples_bit_identical(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.bucket, a.label) == (b.bucket, b.label)
+        assert a.features.shape == b.features.shape
+        assert np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+
+
+class TestArrayLoopsMatchPerItemReference:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(seed=0, items_per_round=3000),
+            SimConfig(seed=9, items_per_round=500, feature_dim=3, feature_noise=0.0),
+            # thresholds clipped at both ends, and halves rounded to even
+            SimConfig(seed=4, items_per_round=800, threshold_mu=9.0, threshold_kappa=4.0,
+                      max_threshold=900, archetype_mix=(0.0, 1.0, 0.0)),
+            SimConfig(seed=5, items_per_round=400, threshold_mu=0.5, threshold_noise=0.0,
+                      engagement_a=3.0, engagement_b=1.5),
+        ],
+    )
+    def test_generate_corpus(self, config):
+        for round_index in (0, 3):
+            latents, records = generate_corpus(config, round_index)
+            ref_latents, ref_records = generate_corpus_reference(config, round_index)
+            assert latents == ref_latents
+            assert [r.id for r in records] == [r.id for r in ref_records]
+            for rec, ref in zip(records, ref_records):
+                assert np.array_equal(rec.features.view(np.int64), ref.features.view(np.int64))
+                assert not rec.features.flags.writeable
+                assert rec.engagement == EngagementStats() and rec.discovered is None
+
+    def test_serve_round(self):
+        rng = np.random.default_rng(31)
+        for seed in range(5):
+            config = SimConfig(seed=seed, items_per_round=300)
+            latents, _ = generate_corpus(config, 1)
+            grants = rng.integers(0, 1800, size=len(latents))
+            grants[rng.uniform(size=len(grants)) < 0.3] = 0
+            order = rng.permutation(len(latents))  # entries need not be sorted
+            plan = plan_for([latents[k] for k in order], [int(grants[k]) for k in order])
+            got = serve_round(latents, plan, config, 2)
+            assert got == serve_round_reference(latents, plan, config, 2)
+            assert all(type(o.positive_events) is int for o in got)
+            assert all(type(o.discovered) is bool for o in got)
+
+    def test_serve_round_of_nothing_funded(self):
+        config = SimConfig(seed=1, items_per_round=20)
+        latents, _ = generate_corpus(config, 0)
+        plan = plan_for(latents, [0] * len(latents))
+        assert serve_round(latents, plan, config, 0) == []
+
+    def test_build_training_set_on_served_rounds(self):
+        config = SimConfig(seed=3, items_per_round=400, rounds=3)
+        observations, records = [], []
+        for round_index in range(3):
+            latents, fresh = generate_corpus(config, round_index)
+            records += fresh
+            served = list(latents)
+            if round_index:
+                # earlier rounds' items come back, so engagement accumulates
+                served += generate_corpus(config, round_index - 1)[0][::3]
+            plan = plan_for(served, [100 + 37 * (k % 40) for k in range(len(served))])
+            observations += serve_round(served, plan, config, round_index)
+        rng = np.random.default_rng(0)
+        observations = [observations[k] for k in rng.permutation(len(observations))]
+        assert_examples_bit_identical(
+            build_training_set(observations, records, SCHEMA),
+            build_training_set_reference(observations, records, SCHEMA),
+        )
+
+    def test_build_training_set_on_random_observations(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            n_items = int(rng.integers(1, 12))
+            dim = int(rng.integers(0, 4))
+            records = [
+                make_record(f"i{k:02d}", rng.normal(size=dim)) for k in range(n_items)
+            ]
+            observations = []
+            for _ in range(int(rng.integers(0, 40))):
+                served = int(rng.integers(0, 5000))
+                observations.append(
+                    Observation(
+                        round=int(rng.integers(0, 4)),  # same item twice a round too
+                        item_id=f"i{int(rng.integers(0, n_items)):02d}",
+                        served=served,
+                        positive_events=int(rng.integers(0, served + 1)),
+                        discovered=bool(rng.integers(0, 2)),
+                    )
+                )
+            assert_examples_bit_identical(
+                build_training_set(observations, records, SCHEMA),
+                build_training_set_reference(observations, records, SCHEMA),
+            )
+
+    def test_build_training_set_of_no_observations(self):
+        assert build_training_set([], [make_record("a", [1.0])], SCHEMA) == []
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_experiment(self, strategy):
+        config = SimConfig(seed=6, items_per_round=300, rounds=3)
+        params = Hyperparams(epochs=100)
+        got = run_experiment(config, cfg(), SCHEMA, params, strategy)
+        expected = run_experiment_reference(config, cfg(), SCHEMA, params, strategy)
+        assert got == expected
+
+
+class TestBuildTrainingSetRejectsBadCounts:
+    def test_negative_served_rejected(self):
+        obs = [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
+        with pytest.raises(DataError, match="non-negative"):
+            build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+
+    def test_more_positives_than_impressions_rejected(self):
+        # the engagement replayed into the second event is inconsistent
+        obs = [
+            Observation(round=0, item_id="a", served=10, positive_events=11, discovered=False),
+            Observation(round=1, item_id="a", served=10, positive_events=0, discovered=False),
+        ]
+        with pytest.raises(DataError, match="cannot exceed"):
+            build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+
+    def test_mixed_feature_dimensions_rejected(self):
+        records = [make_record("a", [1.0]), make_record("b", [1.0, 2.0])]
+        obs = [
+            Observation(round=0, item_id=i, served=100, positive_events=0, discovered=False)
+            for i in ("a", "b")
+        ]
+        with pytest.raises(DataError, match="dimension"):
+            build_training_set(obs, records, SCHEMA)
+
+
+class TestDiscoveryIsPerRound:
+    def test_traffic_does_not_accumulate_across_rounds(self):
+        # 100 impressions in each of two rounds against a threshold of 150:
+        # each round's grant alone falls short, so neither round discovers it.
+        lat = LatentItem(id="a", quality=0.0, true_threshold=150.0, engagement_prob=0.1)
+        config = SimConfig(seed=0)
+        outcomes = [
+            serve_round([lat], plan_for([lat], [100]), config, round_index)[0]
+            for round_index in (0, 1)
+        ]
+        assert [o.served for o in outcomes] == [100, 100]
+        assert [o.discovered for o in outcomes] == [False, False]
+        assert serve_round([lat], plan_for([lat], [150]), config, 2)[0].discovered
+
+
+class TestSimConfigRejectsNonFinite:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "feature_noise",
+            "threshold_mu",
+            "threshold_kappa",
+            "threshold_noise",
+            "engagement_a",
+            "engagement_b",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        config = replace(SimConfig(items_per_round=10), **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            config.validate()
+        with pytest.raises(ConfigError, match=field):
+            generate_corpus(config, 0)
