@@ -8,7 +8,6 @@ the loop for end-to-end evaluation.
 
 from .allocator import (
     GrowthStats,
-    RegionAssignment,
     adapt_low_fraction,
     allocate,
     allocate_low,

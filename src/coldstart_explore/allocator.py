@@ -9,8 +9,7 @@ so the count of funded items is maximized within the budget.
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -32,6 +31,7 @@ from .core import (
     cost_of,
     feature_matrix,
     validate_config,
+    write_csv,
 )
 from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_curves
 
@@ -54,16 +54,9 @@ class GrowthStats:
     traffic_growth: float
 
     def __post_init__(self) -> None:
-        if self.item_growth <= 0 or self.traffic_growth <= 0:
-            raise ConfigError("growth ratios must be positive")
-
-
-@dataclass(frozen=True)
-class RegionAssignment:
-    item_id: str
-    region: Region
-    p_at_maxcap: float
-    requested: int | None = None
+        for ratio in (self.item_growth, self.traffic_growth):
+            if not (math.isfinite(ratio) and ratio > 0):
+                raise ConfigError("growth ratios must be finite and positive")
 
 
 def classify_region(
@@ -92,7 +85,7 @@ def _classify(p_at_maxcap: np.ndarray, config: AllocationConfig) -> np.ndarray:
 
 
 def requested_traffic(
-    assignment: RegionAssignment,
+    region: Region,
     curve: np.ndarray,
     config: AllocationConfig,
     schema: BucketSchema,
@@ -102,13 +95,13 @@ def requested_traffic(
     High items invert their curve at cf_high; moderate items request the full
     cap. Low items are funded collectively by allocate_low, never here.
     """
-    if assignment.region is Region.HIGH:
+    if region is Region.HIGH:
         cap = invert_cap(curve, config.cf_high, config, schema)
         if cap is None:
             # Unreachable for a monotone curve: High means curve[-1] > cf_high.
-            raise DataError(f"High item {assignment.item_id} has no qualifying bucket")
+            raise DataError("High item has no qualifying bucket")
         return cap
-    if assignment.region is Region.MODERATE:
+    if region is Region.MODERATE:
         return config.max_cap
     raise DataError("requested_traffic is undefined for the Low region")
 
@@ -353,19 +346,14 @@ def allocate(
 # ---------------------------------------------------------------------------
 
 def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "region", "granted", "requested", "p_at_maxcap"])
-        for e in plan.entries:
-            writer.writerow(
-                [
-                    e.item_id,
-                    e.region.value,
-                    e.granted,
-                    "" if e.requested is None else e.requested,
-                    "" if e.p_at_maxcap is None else repr(e.p_at_maxcap),
-                ]
-            )
+    write_csv(
+        ["item_id", "region", "granted", "requested", "p_at_maxcap"],
+        (
+            [e.item_id, e.region.value, e.granted, e.requested, e.p_at_maxcap]
+            for e in plan.entries
+        ),
+        path,
+    )
 
 
 def plan_summary(
@@ -397,15 +385,3 @@ def plan_summary(
     if adapted_low_fraction is not None:
         summary["adapted_low_fraction"] = adapted_low_fraction
     return summary
-
-
-def write_plan_summary(
-    plan: AllocationPlan,
-    config: AllocationConfig,
-    path: str | Path,
-    adapted_low_fraction: float | None = None,
-) -> None:
-    summary = plan_summary(plan, config, adapted_low_fraction)
-    Path(path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

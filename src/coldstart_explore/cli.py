@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -49,15 +48,16 @@ def _write_manifest(
         "outputs": {str(p): _sha256(p) for p in sorted(outputs)},
         "duration_seconds": time.monotonic() - started,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    core.write_json(manifest, out_dir / "manifest.json")
 
 
 def _load_alloc_config(args) -> tuple[core.AllocationConfig, core.BucketSchema]:
     raw: dict = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            raw = core.read_json(args.config)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
     # CLI flags override file values which override built-in defaults.
@@ -176,7 +176,7 @@ def cmd_allocate(args) -> int:
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"
     allocator.write_plan_csv(plan, plan_path)
-    allocator.write_plan_summary(plan, config, summary_path, adapted)
+    core.write_json(allocator.plan_summary(plan, config, adapted), summary_path)
     _write_manifest(
         out,
         "allocate",
@@ -194,10 +194,17 @@ def cmd_allocate(args) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in text.split(",") if s]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds {text!r}: {exc}") from exc
+    if not seeds:
+        raise ConfigError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
 def cmd_experiment(args) -> int:
@@ -226,7 +233,7 @@ def cmd_experiment(args) -> int:
             report = simulator.run_experiment(sim_cfg, config, schema, params, strategy)
             json_path = out / f"report_{strategy}_seed{seed}.json"
             csv_path = out / f"report_{strategy}_seed{seed}.csv"
-            simulator.write_report_json(report, json_path)
+            core.write_json(simulator.report_to_dict(report), json_path)
             simulator.write_report_csv(report, csv_path)
             outputs.extend([json_path, csv_path])
             totals[strategy].append(report.total_discovered)
@@ -252,9 +259,7 @@ def cmd_experiment(args) -> int:
             (mean_m - mean_u) / mean_u if mean_u else 0.0
         )
     comparison_path = out / "comparison.json"
-    comparison_path.write_text(
-        json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    core.write_json(comparison, comparison_path)
     outputs.append(comparison_path)
     _write_manifest(
         out,
@@ -307,7 +312,7 @@ def cmd_eval(args) -> int:
     report = metrics.metrics_report(scored, threshold=args.threshold)
     metrics_path = out / "metrics.json"
     curve_path = out / "pr_curve.csv"
-    metrics.write_metrics_json(report, metrics_path)
+    core.write_json(metrics.report_to_dict(report), metrics_path)
     metrics.write_pr_curve_csv(report, curve_path)
     _write_manifest(
         out,

@@ -7,6 +7,7 @@ by building a new one.
 from __future__ import annotations
 
 import bisect
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -211,12 +212,12 @@ def validate_config(config: AllocationConfig, schema: BucketSchema) -> Allocatio
     # total_budget 0 is allowed as a degenerate dry run yielding an empty plan.
     if config.total_budget < 0:
         raise ConfigError("total budget must be non-negative")
-    if config.max_cost <= 0:
-        raise ConfigError("max cost must be positive")
+    if not (math.isfinite(config.max_cost) and config.max_cost > 0):
+        raise ConfigError("max cost must be finite and positive")
     if not 0.0 <= config.low_region_fraction <= 1.0:
         raise ConfigError("low region fraction must lie in [0, 1]")
-    if config.unit_cost < 0:
-        raise ConfigError("unit cost must be non-negative")
+    if not (math.isfinite(config.unit_cost) and config.unit_cost >= 0):
+        raise ConfigError("unit cost must be finite and non-negative")
     if config.cost_fn is not None and config.cost_fn(0) != 0:
         raise ConfigError("cost function must be zero at zero traffic")
     return config
@@ -304,14 +305,36 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"{token} is not a finite number")
 
 
-# One decoder and one encoder for every JSON-lines file. The decoder refuses
-# the NaN, Infinity and -Infinity tokens json accepts by default; the encoder
-# writes what json.dumps(row, sort_keys=True) writes, and refuses non-finite
-# floats, so no file is written that the decoder would reject.
+# One decoder for every JSON file, and one encoder for each of its two layouts:
+# a JSON-lines row and an indented document. The decoder refuses the NaN,
+# Infinity and -Infinity tokens json accepts by default; the encoders refuse
+# non-finite floats, so no file is written that the decoder would reject.
 _FINITE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 T = TypeVar("T")
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON document in a file; DataError naming `path` if it is not finite JSON."""
+    try:
+        return _FINITE_DECODER.decode(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad JSON document: {exc}") from exc
+
+
+def write_json(document: object, path: str | Path) -> None:
+    """What json.dumps(document, indent=2, sort_keys=True) writes, plus a newline."""
+    Path(path).write_text(_JSON_ENCODER.encode(document) + "\n", encoding="utf-8")
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:
+    """A header line, then one line per row; None is an empty field, a float its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
@@ -396,26 +419,32 @@ def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
 
 
 def config_from_dict(raw: dict) -> tuple[AllocationConfig, BucketSchema]:
-    """Build (config, schema) from a flat dict; missing keys fall back to defaults."""
+    """(config, schema) from a flat dict; missing keys fall back to defaults.
+
+    A value of the wrong type raises ConfigError.
+    """
     base = config_to_dict(DEFAULT_ALLOCATION, DEFAULT_SCHEMA)
     unknown = set(raw) - set(base)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base.update(raw)
-    edges = tuple(int(e) for e in base["bucket_edges"])
-    reps = base["bucket_representatives"]
-    if "bucket_edges" in raw and "bucket_representatives" not in raw:
-        # Edges changed without explicit representatives: re-derive them.
-        reps = [edges[k + 1] - 1 for k in range(len(edges) - 1)] + [int(base["max_cap"])]
-    schema = BucketSchema(edges=edges, representative=tuple(int(r) for r in reps))
-    config = AllocationConfig(
-        total_budget=int(base["total_budget"]),
-        max_cost=float(base["max_cost"]),
-        min_cap=int(base["min_cap"]),
-        max_cap=int(base["max_cap"]),
-        cf_high=float(base["cf_high"]),
-        cf_low=float(base["cf_low"]),
-        low_region_fraction=float(base["low_region_fraction"]),
-        unit_cost=float(base["unit_cost"]),
-    )
+    try:
+        edges = tuple(int(e) for e in base["bucket_edges"])
+        reps = base["bucket_representatives"]
+        if "bucket_edges" in raw and "bucket_representatives" not in raw:
+            # Edges changed without explicit representatives: re-derive them.
+            reps = [edges[k + 1] - 1 for k in range(len(edges) - 1)] + [base["max_cap"]]
+        schema = BucketSchema(edges=edges, representative=tuple(int(r) for r in reps))
+        config = AllocationConfig(
+            total_budget=int(base["total_budget"]),
+            max_cost=float(base["max_cost"]),
+            min_cap=int(base["min_cap"]),
+            max_cap=int(base["max_cap"]),
+            cf_high=float(base["cf_high"]),
+            cf_low=float(base["cf_low"]),
+            low_region_fraction=float(base["low_region_fraction"]),
+            unit_cost=float(base["unit_cost"]),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
     return config, schema

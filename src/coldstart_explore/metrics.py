@@ -6,8 +6,6 @@ precision with step interpolation, computed at every distinct score threshold.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,6 +21,7 @@ from .core import (
     PlanEntry,
     Region,
     cost_of,
+    write_csv,
 )
 
 
@@ -205,18 +204,7 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def write_pr_curve_csv(report: MetricsReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recall", "precision"])
-        for recall, precision in report.pr_curve:
-            writer.writerow([repr(recall), repr(precision)])
-
-
-def write_metrics_json(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_csv(["recall", "precision"], report.pr_curve, path)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ before they are inverted into per-item traffic caps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,9 @@ from .core import (
     BucketSchema,
     ConfigError,
     DataError,
+    read_json,
     read_jsonl,
+    write_json,
     write_jsonl,
 )
 
@@ -406,14 +407,11 @@ def model_from_dict(raw: dict) -> DiscoverabilityModel:
 
 
 def save_model(model: DiscoverabilityModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> DiscoverabilityModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(read_json(path))
 
 
 def save_examples(examples: Sequence[TrainingExample], path: str | Path) -> None:

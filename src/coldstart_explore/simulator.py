@@ -16,8 +16,6 @@ allocate, serve, and record.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -40,6 +38,7 @@ from .core import (
     read_jsonl,
     static_matrix,
     validate_config,
+    write_csv,
     write_jsonl,
 )
 from .metrics import oracle_allocate, uniform_allocate
@@ -144,17 +143,23 @@ def generate_corpus(
     ids = [template % i for i in range(n)]
     theta = np.where(archetype == 0, 0.0, math.inf)
     finite = archetype == 1
-    log_theta = (
-        config.threshold_mu - config.threshold_kappa * quality[finite] + log_noise[finite]
-    )
-    raw = np.fromiter(map(math.exp, log_theta), float, len(log_theta))
-    theta[finite] = np.clip(np.round(raw), 1, config.max_threshold)
-    logit = config.engagement_a * quality + config.engagement_b
-    exp_neg_logit = np.fromiter(map(math.exp, -logit), float, n)
-    engagement_prob = 1.0 / (1.0 + exp_neg_logit)
-    # In place, so the only (n, feature_dim) arrays are the noise and one product.
-    features = np.multiply(config.feature_noise, feature_noise, out=feature_noise)
-    features += np.multiply.outer(quality, projection)
+    # A finite config can still overflow a column: math.exp raises
+    # OverflowError, and numpy raises FloatingPointError under errstate.
+    try:
+        with np.errstate(over="raise"):
+            log_theta = (
+                config.threshold_mu - config.threshold_kappa * quality[finite] + log_noise[finite]
+            )
+            raw = np.fromiter(map(math.exp, log_theta), float, len(log_theta))
+            theta[finite] = np.clip(np.round(raw), 1, config.max_threshold)
+            logit = config.engagement_a * quality + config.engagement_b
+            exp_neg_logit = np.fromiter(map(math.exp, -logit), float, n)
+            engagement_prob = 1.0 / (1.0 + exp_neg_logit)
+            # In place, so the only (n, feature_dim) arrays are the noise and one product.
+            features = np.multiply(config.feature_noise, feature_noise, out=feature_noise)
+            features += np.multiply.outer(quality, projection)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"config pushes a value out of float range: {exc}") from exc
     features.setflags(write=False)
 
     latents = list(
@@ -458,27 +463,19 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def write_report_json(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["round", "item_id", "region", "granted", "positive_events", "discovered"]
-        )
-        for row in report.item_rows:
-            writer.writerow(
-                [
-                    row.round,
-                    row.item_id,
-                    row.region,
-                    row.granted,
-                    row.positive_events,
-                    int(row.discovered),
-                ]
-            )
+    write_csv(
+        ["round", "item_id", "region", "granted", "positive_events", "discovered"],
+        (
+            [
+                row.round,
+                row.item_id,
+                row.region,
+                row.granted,
+                row.positive_events,
+                int(row.discovered),
+            ]
+            for row in report.item_rows
+        ),
+        path,
+    )

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from coldstart_explore import allocator
 from coldstart_explore.allocator import (
     GrowthStats,
-    RegionAssignment,
     adapt_low_fraction,
     allocate,
     allocate_low,
@@ -84,26 +83,20 @@ class TestClassifyRegion:
 
 class TestRequestedTraffic:
     def test_high_inverts_curve(self):
-        assignment = RegionAssignment("a", Region.HIGH, 0.97)
-        req = requested_traffic(
-            assignment, np.array([0.5, 0.92, 0.97]), cfg(), SCHEMA3
-        )
+        req = requested_traffic(Region.HIGH, np.array([0.5, 0.92, 0.97]), cfg(), SCHEMA3)
         assert req == 400
 
     def test_moderate_requests_max_cap(self):
-        assignment = RegionAssignment("a", Region.MODERATE, 0.5)
-        req = requested_traffic(assignment, np.array([0.2, 0.3, 0.5]), cfg(), SCHEMA3)
+        req = requested_traffic(Region.MODERATE, np.array([0.2, 0.3, 0.5]), cfg(), SCHEMA3)
         assert req == 1600
 
     def test_high_with_saturated_curve_requests_min_cap(self):
-        assignment = RegionAssignment("a", Region.HIGH, 1.0)
-        req = requested_traffic(assignment, np.ones(3), cfg(), SCHEMA3)
+        req = requested_traffic(Region.HIGH, np.ones(3), cfg(), SCHEMA3)
         assert req == 100
 
     def test_low_region_rejected(self):
-        assignment = RegionAssignment("a", Region.LOW, 0.1)
         with pytest.raises(DataError, match="Low"):
-            requested_traffic(assignment, np.full(3, 0.1), cfg(), SCHEMA3)
+            requested_traffic(Region.LOW, np.full(3, 0.1), cfg(), SCHEMA3)
 
 
 def water_fill_reference(weights, budget, cap):
@@ -249,6 +242,12 @@ class TestAdaptLowFraction:
     def test_non_positive_growth_rejected(self):
         with pytest.raises(ConfigError):
             GrowthStats(item_growth=0.0, traffic_growth=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_growth_rejected(self, value):
+        for ratios in ((value, 1.0), (1.0, value)):
+            with pytest.raises(ConfigError, match="finite"):
+                GrowthStats(*ratios)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
@@ -467,8 +466,7 @@ def scalar_reference_plan(records, model, config, schema, growth=None):
         if region[rec.id] is Region.LOW:
             low_items.append((rec.id, rec.engagement))
         else:
-            assignment = RegionAssignment(rec.id, region[rec.id], p_at_maxcap[rec.id])
-            requested[rec.id] = requested_traffic(assignment, curve, config, schema)
+            requested[rec.id] = requested_traffic(region[rec.id], curve, config, schema)
     fraction = config.low_region_fraction
     if growth is not None:
         fraction = adapt_low_fraction(fraction, growth)

@@ -1,11 +1,20 @@
+import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coldstart_explore.cli import main
-from coldstart_explore.core import geometric_schema, save_corpus
-from coldstart_explore import metrics
+from coldstart_explore.core import (
+    DEFAULT_ALLOCATION,
+    geometric_schema,
+    load_corpus,
+    read_json,
+    save_corpus,
+)
+from coldstart_explore import metrics, simulator
 from coldstart_explore.model import (
     Hyperparams,
     load_examples,
@@ -61,6 +70,13 @@ class TestSimulate:
             assert run("simulate", "--items", "25", "--seed", "3", "--out-dir", str(out)) == 0
         assert (outs[0] / "corpus.jsonl").read_bytes() == (outs[1] / "corpus.jsonl").read_bytes()
         assert (outs[0] / "latents.jsonl").read_bytes() == (outs[1] / "latents.jsonl").read_bytes()
+
+    def test_feature_noise_out_of_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("simulate", "--items", "5", "--feature-noise", "1e308",
+                   "--out-dir", str(out)) == 2
+        assert "out of float range" in capsys.readouterr().err
+        assert not (out / "corpus.jsonl").exists()
 
     def test_zero_items_is_config_error(self, tmp_path):
         assert run("simulate", "--items", "0", "--out-dir", str(tmp_path / "x")) == 2
@@ -210,6 +226,46 @@ class TestAllocate:
         assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),
                    "--config", str(config_path), "--out-dir", str(tmp_path / "u")) == 2
 
+    @pytest.mark.parametrize(
+        "text", ['{"total_budget": ', '{"max_cost": NaN}', '{"cf_low": -Infinity}',
+                 '{"total_budget": "abc"}', '{"bucket_edges": 5}'],
+        ids=["malformed", "nan", "infinity", "string-budget", "scalar-edges"],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, corpus_file, flat_model_file, text,
+                                     capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        out = tmp_path / "c"
+        assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),
+                   "--config", str(config_path), "--out-dir", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "plan.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--max-cost", "nan"), ("--max-cost", "inf"), ("--unit-cost", "nan"),
+         ("--unit-cost", "inf"), ("--item-growth", "nan", "--traffic-growth", "1"),
+         ("--item-growth", "1", "--traffic-growth", "inf")],
+    )
+    def test_non_finite_allocation_flag_exits_2(self, tmp_path, corpus_file,
+                                                flat_model_file, flags, capsys):
+        out = tmp_path / "f"
+        assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),
+                   "--out-dir", str(out), *flags) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "plan.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"weights": [', '{"weights": [NaN], "bias": 0.0}'],
+        ids=["malformed", "nan"],
+    )
+    def test_bad_model_file_exits_3(self, tmp_path, corpus_file, text, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        assert run("allocate", "--corpus", str(corpus_file), "--model", str(model_path),
+                   "--out-dir", str(tmp_path / "m")) == 3
+        assert "model.json: bad JSON document" in capsys.readouterr().err
+
     def test_missing_model_file_exits_3(self, tmp_path, corpus_file):
         assert run("allocate", "--corpus", str(corpus_file),
                    "--model", str(tmp_path / "nope.json"),
@@ -272,6 +328,14 @@ class TestExperiment:
             for seed in (0, 1):
                 assert (out / f"report_{strategy}_seed{seed}.json").exists()
                 assert (out / f"report_{strategy}_seed{seed}.csv").exists()
+
+    @pytest.mark.parametrize("seeds", ["5:3", ",", "abc", "1:x"])
+    def test_bad_seeds_exit_2(self, tmp_path, seeds, capsys):
+        out = tmp_path / "x"
+        assert run("experiment", "--items", "20", "--rounds", "2", "--seeds", seeds,
+                   "--out-dir", str(out)) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (out / "comparison.json").exists()
 
     def test_unknown_strategy_exits_2(self, tmp_path):
         assert run("experiment", "--strategies", "magic",
@@ -361,3 +425,61 @@ class TestEval:
         order = np.argsort(scalar, kind="stable")
         assert np.array_equal(np.argsort(batched, kind="stable"), order)
         assert np.array_equal(np.diff(batched[order]) == 0, np.diff(scalar[order]) == 0)
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_every_command_once_outputs_read_back(tmp_path):
+    """simulate, train, allocate, eval and experiment, each run once.
+
+    Every JSON output is read back with core.read_json and every CSV output
+    with csv; each manifest's digests match the files it names.
+    """
+    sim, trained, plan, scored, exp = (tmp_path / d for d in ("s", "t", "a", "e", "x"))
+    assert run("simulate", "--items", "200", "--rounds", "1", "--out-dir", str(sim)) == 0
+    # A training set from one uniform round served over the simulated files.
+    records = load_corpus(sim / "corpus.jsonl")
+    observations = simulator.serve_round(
+        simulator.load_latents(sim / "latents.jsonl"),
+        metrics.uniform_allocate(records, DEFAULT_ALLOCATION),
+        simulator.SimConfig(items_per_round=200),
+    )
+    train_path = tmp_path / "train.jsonl"
+    save_examples(
+        simulator.build_training_set(observations, records, geometric_schema()), train_path
+    )
+    assert run("train", "--train-set", str(train_path), "--epochs", "50",
+               "--out-dir", str(trained)) == 0
+    model_path = trained / "model.json"
+    assert run("allocate", "--corpus", str(sim / "corpus.jsonl"), "--model", str(model_path),
+               "--budget", "20000", "--out-dir", str(plan)) == 0
+    assert run("eval", "--model", str(model_path), "--examples", str(train_path),
+               "--out-dir", str(scored)) == 0
+    assert run("experiment", "--items", "60", "--rounds", "2", "--seeds", "0:2",
+               "--epochs", "50", "--budget", "6000", "--out-dir", str(exp)) == 0
+
+    for out in (sim, trained, plan, scored, exp):
+        manifest = read_json(out / "manifest.json")
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
+
+    assert read_json(model_path)["training_meta"]["epochs"] == 50
+    rows = read_csv(plan / "plan.csv")
+    summary = read_json(plan / "summary.json")
+    assert len(rows) == summary["items"] == 200
+    assert sum(int(r["granted"]) for r in rows) == summary["total_allocated"]
+    assert all((r["requested"] == "") == (r["region"] == "Low") for r in rows
+               if r["region"] != "Unfunded")
+    report = read_json(scored / "metrics.json")
+    curve = read_csv(scored / "pr_curve.csv")
+    assert [[float(c["recall"]), float(c["precision"])] for c in curve] == report["pr_curve"]
+    comparison = read_json(exp / "comparison.json")
+    for strategy in ("uniform", "model", "oracle"):
+        for k, seed in enumerate((0, 1)):
+            report = read_json(exp / f"report_{strategy}_seed{seed}.json")
+            item_rows = read_csv(exp / f"report_{strategy}_seed{seed}.csv")
+            assert report["total_discovered"] == comparison["total_discovered"][strategy][k]
+            assert sum(int(r["discovered"]) for r in item_rows) == report["total_discovered"]

@@ -25,10 +25,13 @@ from coldstart_explore.core import (
     geometric_schema,
     item_feature_vector,
     load_corpus,
+    read_json,
     read_jsonl,
     save_corpus,
     validate_config,
     verify_plan,
+    write_csv,
+    write_json,
     write_jsonl,
 )
 
@@ -156,6 +159,12 @@ class TestValidateConfig:
     def test_cost_fn_must_vanish_at_zero(self):
         with pytest.raises(ConfigError, match="zero at zero"):
             validate_config(cfg(cost_fn=lambda x: x + 1.0), geometric_schema())
+
+    @pytest.mark.parametrize("field, name", [("max_cost", "max cost"), ("unit_cost", "unit cost")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_settings_rejected(self, field, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            validate_config(cfg(**{field: value}), geometric_schema())
 
 
 class TestEngagementStats:
@@ -369,6 +378,50 @@ class TestJsonLines:
             write_jsonl([{"x": value}], tmp_path / "rows.jsonl")
 
 
+class TestJsonDocuments:
+    DOCUMENT = {"z": [1, 2.5, None], "a": {"y": "text", "b": -0.1}, "n": 3}
+
+    def test_writes_what_json_dumps_writes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(self.DOCUMENT, path)
+        expected = json.dumps(self.DOCUMENT, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(self.DOCUMENT, path)
+        assert read_json(path) == self.DOCUMENT
+
+    def test_malformed_document_names_path(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"k": 1,\n')
+        with pytest.raises(DataError, match=r"doc\.json: bad JSON document"):
+            read_json(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"k": [1.0, {token}]}}\n')
+        with pytest.raises(DataError, match=rf"doc\.json: .*{token}"):
+            read_json(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_not_written(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            write_json({"x": [1.0, value]}, path)
+        assert not path.exists()
+
+
+class TestCsvTable:
+    def test_none_empty_float_repr_bare_newline(self, tmp_path):
+        path = tmp_path / "table.csv"
+        floats = [0.1, 1 / 3, 1e-17, 2.0]
+        write_csv(["id", "n", "x"], [["a", None, f] for f in floats] + [["b", 7, None]], path)
+        lines = [f"a,,{f!r}\n" for f in floats] + ["b,7,\n"]
+        assert path.read_bytes() == ("id,n,x\n" + "".join(lines)).encode()
+
+
 class TestConfigDict:
     def test_round_trip(self):
         config = cfg(total_budget=5000, cf_high=0.8)
@@ -385,6 +438,21 @@ class TestConfigDict:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"budget_typo": 1})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"total_budget": "abc"},
+            {"max_cost": None},
+            {"min_cap": math.inf},
+            {"cf_high": [0.5]},
+            {"bucket_edges": 5},
+            {"bucket_representatives": ["x", 1, 2, 3, 4, 5]},
+        ],
+    )
+    def test_wrong_value_type_is_config_error(self, raw):
+        with pytest.raises(ConfigError, match="bad config value"):
+            config_from_dict(raw)
 
     def test_new_edges_rederive_representatives(self):
         config, schema = config_from_dict(

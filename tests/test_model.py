@@ -543,6 +543,16 @@ class TestSerialization:
         with pytest.raises(DataError, match=rf"train\.jsonl:2: .*{token}"):
             load_examples(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_final_loss_rejected(self, tmp_path, token):
+        path = tmp_path / "model.json"
+        save_model(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)), path)
+        text = path.read_text()
+        loss = json.loads(text)["training_meta"]["final_loss"]
+        path.write_text(text.replace(f'"final_loss": {loss!r}', f'"final_loss": {token}'))
+        with pytest.raises(DataError, match=rf"model\.json: .*{token}"):
+            load_model(path)
+
     def test_non_finite_weights_rejected(self, tmp_path):
         payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
         payload["weights"][0] = float("nan")

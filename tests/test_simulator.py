@@ -672,3 +672,19 @@ class TestSimConfigRejectsNonFinite:
             config.validate()
         with pytest.raises(ConfigError, match=field):
             generate_corpus(config, 0)
+
+
+class TestGenerateCorpusRejectsOverflow:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"threshold_mu": 800.0},
+            {"engagement_a": 1000.0},
+            {"engagement_b": -800.0},
+            {"feature_noise": 1e308},
+        ],
+    )
+    def test_value_out_of_float_range_is_config_error(self, overrides):
+        config = SimConfig(items_per_round=10, **overrides)
+        with pytest.raises(ConfigError, match="out of float range"):
+            generate_corpus(config, 0)
