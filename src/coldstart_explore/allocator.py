@@ -30,6 +30,7 @@ from .core import (
     Region,
     cost_of,
     feature_matrix,
+    sum_costs,
     validate_config,
     write_csv,
 )
@@ -214,18 +215,6 @@ def _repair_cost(
         granted[item_id] = 0
 
 
-def _costs(granted: np.ndarray, config: AllocationConfig) -> list[float]:
-    """cost_of of every grant, as a list for built-in sum().
-
-    Totals are built-in sum() over this list, in id order, as the per-item
-    sum(cost_of(...)) adds them: from Python 3.12 on, sum() of floats is
-    compensated, so np.sum would not match it.
-    """
-    if config.cost_fn is None:
-        return (config.unit_cost * granted).tolist()
-    return [cost_of(g, config) for g in granted.tolist()]
-
-
 def _score(
     features: np.ndarray,
     model: DiscoverabilityModel,
@@ -311,7 +300,7 @@ def allocate(
     low_grants = allocate_low(low_items, low_pool + remaining, config)
     granted[low] = [grant for _, grant in low_grants]
 
-    total_cost = sum(_costs(granted, config))
+    total_cost = sum_costs(granted, config)
     if not total_cost <= config.max_cost:
         grants = dict(zip(ids, granted.tolist()))
         _repair_cost(
@@ -321,7 +310,7 @@ def allocate(
             config,
         )
         granted = np.fromiter(grants.values(), np.int64, len(ids))
-        total_cost = sum(_costs(granted, config))
+        total_cost = sum_costs(granted, config)
 
     entry_region = np.where(granted > 0, region, _UNFUNDED)
     entry_requested = requested.astype(object)

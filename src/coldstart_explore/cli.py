@@ -204,14 +204,26 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds {text!r}: {exc}") from exc
     if not seeds:
         raise ConfigError(f"--seeds {text!r} names no seed")
-    return seeds
+    return _refuse_repeats("--seeds", seeds)
+
+
+def _refuse_repeats(flag: str, values: list) -> list:
+    """The values unchanged; ConfigError naming the first one given twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{flag} repeats {value!r}")
+        seen.add(value)
+    return values
 
 
 def cmd_experiment(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     config, schema = _load_alloc_config(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    strategies = _refuse_repeats(
+        "--strategies", [s.strip() for s in args.strategies.split(",") if s.strip()]
+    )
     for strategy in strategies:
         if strategy not in simulator.STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
@@ -300,6 +312,7 @@ def cmd_eval(args) -> int:
         features = np.array([ex.features for ex in examples], dtype=float)
     except ValueError as exc:
         raise DataError(f"examples differ in feature dimension: {exc}") from exc
+    model.check_finite_rows(features, "example")
     buckets = np.array([ex.bucket for ex in examples])
     if buckets.max() >= fitted.schema.n_buckets:
         raise DataError(f"invalid bucket index {buckets.max()}")

@@ -183,6 +183,18 @@ def cost_of(traffic: int, config: AllocationConfig) -> float:
     return config.unit_cost * traffic
 
 
+def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
+    """Total cost_of of an array of grants: built-in sum() in array order.
+
+    Callers pass the grants in id order, the order a per-item
+    sum(cost_of(...)) over the plan entries adds them. From Python 3.12 on,
+    sum() of floats is compensated, so np.sum would not match it.
+    """
+    if config.cost_fn is None:
+        return sum((config.unit_cost * granted).tolist())
+    return sum([cost_of(g, config) for g in granted.tolist()])
+
+
 def validate_config(config: AllocationConfig, schema: BucketSchema) -> AllocationConfig:
     """Check every config and schema invariant; raise ConfigError naming the first violation."""
     if schema.n_buckets < 3:
@@ -341,7 +353,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
     """parse() of every non-blank line of a JSON-lines file, in file order.
 
     A line that is not finite JSON, or that parse() refuses with KeyError,
-    TypeError or ValueError, raises DataError naming `path:line` and `what`.
+    TypeError, ValueError or OverflowError (int() of a 1e400 literal, which
+    decodes to inf), raises DataError naming `path:line` and `what`.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -350,7 +363,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
                 continue
             try:
                 rows.append(parse(_FINITE_DECODER.decode(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return rows
 
@@ -369,7 +382,7 @@ def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
         (
             {
                 "id": rec.id,
-                "features": [float(v) for v in rec.features],
+                "features": rec.features.tolist(),
                 "impressions": rec.engagement.impressions,
                 "positive_events": rec.engagement.positive_events,
             }

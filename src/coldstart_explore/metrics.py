@@ -7,6 +7,8 @@ precision with step interpolation, computed at every distinct score threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,8 +23,12 @@ from .core import (
     PlanEntry,
     Region,
     cost_of,
+    sum_costs,
     write_csv,
 )
+
+# Region of an oracle plan entry, indexed by whether it is funded.
+_ORACLE_REGION = (Region.UNFUNDED, Region.ORACLE)
 
 
 @dataclass(frozen=True)
@@ -218,37 +224,42 @@ def uniform_allocate(
 
     Each item gets X = clamp(T // N, min_cap, max_cap), granted in id order
     for as long as both the traffic budget and the cost ceiling allow; the
-    rest stay unfunded.
+    rest stay unfunded. So the funded items are a prefix of the id order.
+    Duplicate ids are refused.
     """
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
-    records = sorted(corpus, key=lambda r: r.id)
-    share = config.total_budget // len(records)
+    ids = sorted(map(attrgetter("id"), corpus))
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate item ids in corpus")
+    share = config.total_budget // len(ids)
     x_uniform = max(min(share, config.max_cap), config.min_cap)
-    entries = []
+    unit = cost_of(x_uniform, config)
+    # The first test that fails fails for every later item too, as nothing is
+    # spent on it. cost_left takes the unit off one step at a time, as a
+    # per-item loop does, so the ceiling test rounds the same way.
+    funded = 0
     remaining = config.total_budget
     cost_left = config.max_cost
-    unit = cost_of(x_uniform, config)
-    for rec in records:
-        if x_uniform <= remaining and unit <= cost_left + 1e-12:
-            entries.append(
-                PlanEntry(
-                    item_id=rec.id,
-                    region=Region.UNIFORM,
-                    granted=x_uniform,
-                    requested=x_uniform,
-                )
-            )
-            remaining -= x_uniform
-            cost_left -= unit
-        else:
-            entries.append(
-                PlanEntry(item_id=rec.id, region=Region.UNFUNDED, granted=0)
-            )
-    total = sum(e.granted for e in entries)
-    total_cost = sum(cost_of(e.granted, config) for e in entries)
+    while funded < len(ids) and x_uniform <= remaining and unit <= cost_left + 1e-12:
+        remaining -= x_uniform
+        cost_left -= unit
+        funded += 1
+    entries = (
+        *map(
+            PlanEntry,
+            ids[:funded],
+            repeat(Region.UNIFORM),
+            repeat(x_uniform),
+            repeat(x_uniform),
+        ),
+        *map(PlanEntry, ids[funded:], repeat(Region.UNFUNDED), repeat(0)),
+    )
+    granted = np.repeat([x_uniform, 0], [funded, len(ids) - funded])
     return AllocationPlan(
-        entries=tuple(entries), total_allocated=total, total_cost=total_cost
+        entries=entries,
+        total_allocated=funded * x_uniform,
+        total_cost=sum_costs(granted, config),
     )
 
 
@@ -258,33 +269,62 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
     `latents` supplies objects with `id` and `true_threshold` attributes (the
     simulator's ground truth). Items whose threshold exceeds max_cap can never
     be discovered within the cap and are excluded; others are funded at
-    clamp(threshold, min_cap, max_cap), ascending, until traffic or cost binds.
+    clamp(threshold, min_cap, max_cap), in ascending (threshold, id) order,
+    each one that still fits the traffic budget and the cost ceiling.
+    Duplicate ids and NaN thresholds are refused.
     """
-    items = sorted(latents, key=lambda it: (it.true_threshold, it.id))
-    granted: dict[str, int] = {}
+    items = list(latents)
+    ids = list(map(attrgetter("id"), items))
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate item ids in latents")
+    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
+    nan = np.flatnonzero(np.isnan(thresholds))
+    if nan.size:
+        raise DataError(f"NaN threshold for item {ids[nan[0]]}")
+    # Rank the ids in Python's str order: a numpy <U array would drop
+    # trailing NULs and so could order ids differently.
+    id_order = sorted(range(len(ids)), key=ids.__getitem__)
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[id_order] = np.arange(len(ids))
+    order = np.lexsort((id_rank, thresholds))
+    eligible = order[thresholds[order] <= config.max_cap]
+    # int() of clamp(threshold, min_cap, max_cap): astype truncates towards
+    # zero, as int() does.
+    needed = np.clip(
+        thresholds[eligible], config.min_cap, config.max_cap
+    ).astype(np.int64)
+
+    granted = np.zeros(len(items), dtype=np.int64)
     remaining = config.total_budget
     cost_left = config.max_cost
-    for it in items:
-        granted[it.id] = 0
-        if it.true_threshold > config.max_cap:
+    for i, need in zip(eligible.tolist(), needed.tolist()):
+        # needed ascends and remaining never grows, so nothing later fits.
+        if need > remaining:
+            break
+        cost = cost_of(need, config)
+        # No break here: a cost_fn that breaks the non-decreasing contract
+        # can make a later, larger grant cheaper.
+        if cost > cost_left + 1e-12:
             continue
-        needed = int(min(max(it.true_threshold, config.min_cap), config.max_cap))
-        if needed > remaining or cost_of(needed, config) > cost_left + 1e-12:
-            continue
-        granted[it.id] = needed
-        remaining -= needed
-        cost_left -= cost_of(needed, config)
+        granted[i] = need
+        remaining -= need
+        cost_left -= cost
+
+    granted = granted[id_order]
+    funded = granted > 0
+    requested = granted.astype(object)
+    requested[~funded] = None
     entries = tuple(
-        PlanEntry(
-            item_id=it.id,
-            region=Region.ORACLE if granted[it.id] > 0 else Region.UNFUNDED,
-            granted=granted[it.id],
-            requested=granted[it.id] if granted[it.id] > 0 else None,
+        map(
+            PlanEntry,
+            map(ids.__getitem__, id_order),
+            map(_ORACLE_REGION.__getitem__, funded.tolist()),
+            granted.tolist(),
+            requested.tolist(),
         )
-        for it in sorted(items, key=lambda it: it.id)
     )
-    total = sum(e.granted for e in entries)
-    total_cost = sum(cost_of(e.granted, config) for e in entries)
     return AllocationPlan(
-        entries=entries, total_allocated=total, total_cost=total_cost
+        entries=entries,
+        total_allocated=int(granted.sum()),
+        total_cost=sum_costs(granted, config),
     )

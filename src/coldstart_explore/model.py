@@ -142,6 +142,14 @@ def _design_matrix(
     return X, y
 
 
+def check_finite_rows(X: np.ndarray, what: str) -> None:
+    """DataError naming the first row of X that holds a NaN or inf."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataError(f"non-finite feature in {what} {row} (counting from 0)")
+
+
 def _mean_log_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
     z = X @ w + b
     # log(1 + e^z) - y*z, computed without overflow
@@ -163,6 +171,7 @@ def train(
     if len(examples) == 0:
         raise DataError("empty training set")
     X, y = _design_matrix(examples, schema)
+    check_finite_rows(X, "training example")
     if y.min() == y.max():
         raise DataError("single-class training set")
 
@@ -371,7 +380,7 @@ def invert_cap(
 
 def model_to_dict(model: DiscoverabilityModel) -> dict:
     return {
-        "weights": [float(v) for v in model.weights],
+        "weights": model.weights.tolist(),
         "bias": float(model.bias),
         "schema": {
             "edges": list(model.schema.edges),
@@ -396,13 +405,17 @@ def model_from_dict(raw: dict) -> DiscoverabilityModel:
             final_loss=float(raw["training_meta"]["final_loss"]),
             seed=int(raw["training_meta"]["seed"]),
         )
+        # The decoder reads an overflowing literal such as 1e400 as inf,
+        # which no writer writes: train refuses a non-finite loss.
+        if not math.isfinite(meta.final_loss):
+            raise ValueError("final_loss must be finite")
         return DiscoverabilityModel(
             weights=np.asarray(raw["weights"], dtype=float),
             bias=float(raw["bias"]),
             schema=schema,
             meta=meta,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad model payload: {exc}") from exc
 
 
@@ -418,7 +431,7 @@ def save_examples(examples: Sequence[TrainingExample], path: str | Path) -> None
     write_jsonl(
         (
             {
-                "features": [float(v) for v in ex.features],
+                "features": ex.features.tolist(),
                 "bucket": ex.bucket,
                 "label": ex.label,
             }

@@ -429,13 +429,22 @@ def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
     )
 
 
+def _finite(row: dict, key: str) -> float:
+    value = float(row[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} {row[key]!r} is not finite")
+    return value
+
+
 def _latent_item(row: dict) -> LatentItem:
+    # The decoder reads an overflowing literal such as 1e400 as inf, which no
+    # writer writes: save_latents writes an infinite threshold as null.
     threshold = row["threshold"]
     return LatentItem(
         id=str(row["id"]),
-        quality=float(row["quality"]),
-        true_threshold=math.inf if threshold is None else float(threshold),
-        engagement_prob=float(row["engagement_prob"]),
+        quality=_finite(row, "quality"),
+        true_threshold=math.inf if threshold is None else _finite(row, "threshold"),
+        engagement_prob=_finite(row, "engagement_prob"),
     )
 
 

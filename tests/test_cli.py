@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestTrain:
         path.write_text('{"features": [1.0], "bucket": 0, "label": 1}\n' * 4)
         assert run("train", "--train-set", str(path), "--out-dir", str(tmp_path / "o")) == 3
         assert "single-class" in capsys.readouterr().err
+
+    def test_overflowing_feature_exits_3(self, tmp_path, examples_file, capsys):
+        path = tmp_path / "bad.jsonl"
+        line = '{"features": [1.0, 1e400, 3.0, 4.0], "bucket": 0, "label": 1}\n'
+        path.write_text(examples_file.read_text() + line)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--train-set", str(path),
+                       "--out-dir", str(tmp_path / "o")) == 3
+        assert "non-finite feature in training example 120" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -337,6 +348,19 @@ class TestExperiment:
         assert "--seeds" in capsys.readouterr().err
         assert not (out / "comparison.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seeds", "1,1", "--seeds repeats 1"),
+         ("--strategies", "uniform,oracle,uniform", "--strategies repeats 'uniform'")],
+    )
+    def test_repeated_seed_or_strategy_exits_2(self, tmp_path, flag, value, message,
+                                               capsys):
+        out = tmp_path / "x"
+        assert run("experiment", "--items", "20", "--rounds", "2", flag, value,
+                   "--out-dir", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "comparison.json").exists()
+
     def test_unknown_strategy_exits_2(self, tmp_path):
         assert run("experiment", "--strategies", "magic",
                    "--out-dir", str(tmp_path / "x")) == 2
@@ -389,8 +413,10 @@ class TestEval:
         [
             ('{"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1}', "dimension"),
             ('{"features": [1.0, 2.0, 3.0, 4.0], "bucket": 6, "label": 1}', "bucket"),
+            ('{"features": [1.0, 1e400, 3.0, 4.0], "bucket": 0, "label": 1}',
+             "non-finite feature in example 120"),
         ],
-        ids=["ragged", "bucket-out-of-range"],
+        ids=["ragged", "bucket-out-of-range", "overflowing-feature"],
     )
     def test_bad_example_file_exits_3(self, tmp_path, trained_model_file, examples_file,
                                       line, message, capsys):

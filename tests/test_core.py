@@ -371,6 +371,10 @@ class TestJsonLines:
         path.write_text('{"k": 1}\n{"j": 2}\n')
         with pytest.raises(DataError, match=r"rows\.jsonl:2: bad row: 'k'"):
             read_jsonl(path, lambda row: row["k"], "row")
+        # 1e400 decodes to inf, and int() of inf raises OverflowError.
+        path.write_text('{"k": 1e400}\n')
+        with pytest.raises(DataError, match=r"rows\.jsonl:1: bad row: .*infinity"):
+            read_jsonl(path, lambda row: int(row["k"]), "row")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_not_written(self, tmp_path, value):

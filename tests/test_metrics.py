@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from coldstart_explore import simulator
 from coldstart_explore.core import (
+    DEFAULT_ALLOCATION,
+    DEFAULT_SCHEMA,
     AllocationConfig,
+    AllocationPlan,
     ConfigError,
     DataError,
+    PlanEntry,
     Region,
+    cost_of,
     verify_plan,
 )
 from coldstart_explore.metrics import (
@@ -19,7 +26,7 @@ from coldstart_explore.metrics import (
     pr_metrics,
     uniform_allocate,
 )
-from coldstart_explore.simulator import LatentItem
+from coldstart_explore.simulator import LatentItem, SimConfig, run_experiment
 from conftest import make_record
 
 
@@ -356,6 +363,17 @@ class TestOracleAllocate:
         plan = oracle_allocate([latent("a", 1601.0)], cfg(total_budget=10_000))
         assert plan.total_allocated == 0
 
+    def test_duplicate_ids_rejected(self):
+        # Funding both "a" entries at 120 would report 240 allocated where
+        # the walk spent 220, and leave "b" unfunded.
+        latents = [latent("a", 100.0), latent("b", 150.0), latent("a", 120.0)]
+        with pytest.raises(DataError, match="duplicate"):
+            oracle_allocate(latents, cfg(total_budget=300))
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DataError, match="NaN threshold for item b"):
+            oracle_allocate([latent("a", 10.0), latent("b", math.nan)], cfg())
+
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -435,3 +453,176 @@ class TestUniformAllocate:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             uniform_allocate([], cfg())
+
+    def test_duplicate_ids_rejected(self):
+        records = [make_record(k, [0.0]) for k in ("a", "b", "a")]
+        with pytest.raises(DataError, match="duplicate"):
+            uniform_allocate(records, cfg())
+
+
+def reference_uniform_allocate(corpus, config):
+    """The per-item loop that uniform_allocate replaced."""
+    if not corpus:
+        raise DataError("uniform allocation needs a non-empty corpus")
+    records = sorted(corpus, key=lambda r: r.id)
+    share = config.total_budget // len(records)
+    x_uniform = max(min(share, config.max_cap), config.min_cap)
+    entries = []
+    remaining = config.total_budget
+    cost_left = config.max_cost
+    unit = cost_of(x_uniform, config)
+    for rec in records:
+        if x_uniform <= remaining and unit <= cost_left + 1e-12:
+            entries.append(
+                PlanEntry(
+                    item_id=rec.id,
+                    region=Region.UNIFORM,
+                    granted=x_uniform,
+                    requested=x_uniform,
+                )
+            )
+            remaining -= x_uniform
+            cost_left -= unit
+        else:
+            entries.append(
+                PlanEntry(item_id=rec.id, region=Region.UNFUNDED, granted=0)
+            )
+    total = sum(e.granted for e in entries)
+    total_cost = sum(cost_of(e.granted, config) for e in entries)
+    return AllocationPlan(
+        entries=tuple(entries), total_allocated=total, total_cost=total_cost
+    )
+
+
+def reference_oracle_allocate(latents, config):
+    """The per-item loop that oracle_allocate replaced."""
+    items = sorted(latents, key=lambda it: (it.true_threshold, it.id))
+    granted = {}
+    remaining = config.total_budget
+    cost_left = config.max_cost
+    for it in items:
+        granted[it.id] = 0
+        if it.true_threshold > config.max_cap:
+            continue
+        needed = int(min(max(it.true_threshold, config.min_cap), config.max_cap))
+        if needed > remaining or cost_of(needed, config) > cost_left + 1e-12:
+            continue
+        granted[it.id] = needed
+        remaining -= needed
+        cost_left -= cost_of(needed, config)
+    entries = tuple(
+        PlanEntry(
+            item_id=it.id,
+            region=Region.ORACLE if granted[it.id] > 0 else Region.UNFUNDED,
+            granted=granted[it.id],
+            requested=granted[it.id] if granted[it.id] > 0 else None,
+        )
+        for it in sorted(items, key=lambda it: it.id)
+    )
+    total = sum(e.granted for e in entries)
+    total_cost = sum(cost_of(e.granted, config) for e in entries)
+    return AllocationPlan(
+        entries=entries, total_allocated=total, total_cost=total_cost
+    )
+
+
+def assert_same_plan(got, expected):
+    assert got == expected
+    assert repr(got.total_cost) == repr(expected.total_cost)
+
+
+COST_FNS = {
+    "linear": None,
+    "convex": lambda t: 1e-5 * t * t,
+    "concave": lambda t: 0.3 * math.sqrt(t),
+    # Breaks the non-decreasing contract: odd traffic costs four times more.
+    "non-monotone": lambda t: 0.02 * t if t % 2 else 0.005 * t,
+}
+
+# Ids in any order, with characters a numpy <U array would mishandle (a
+# trailing NUL) and characters outside ASCII.
+item_ids = st.text(alphabet=st.sampled_from("ab\x00\xe9\U0001f600"), max_size=4)
+thresholds = st.one_of(
+    st.sampled_from([0.0, 99.0, 100.0, 150.0, 1600.0, 1601.0, math.inf, -math.inf]),
+    st.floats(-50.0, 2000.0),
+    st.integers(0, 2000).map(float),
+)
+
+
+@st.composite
+def baseline_configs(draw):
+    # Caps often equal a threshold the thresholds strategy favours.
+    min_cap = draw(st.one_of(st.sampled_from([1, 100, 150]), st.integers(1, 300)))
+    max_cap = draw(
+        st.one_of(
+            st.sampled_from([min_cap, 150, 1600]), st.integers(min_cap, min_cap + 1600)
+        ).filter(lambda cap: cap >= min_cap)
+    )
+    return cfg(
+        # From below min_cap (nothing fits) to past every grant.
+        total_budget=draw(st.integers(0, 6000)),
+        # The linear cost of the budget reaches 60, so the ceiling can bind.
+        max_cost=draw(st.floats(0.5, 80.0)),
+        min_cap=min_cap,
+        max_cap=max_cap,
+        cost_fn=COST_FNS[draw(st.sampled_from(sorted(COST_FNS)))],
+    )
+
+
+# 3.3 less two grants of cost 0.01 * 110 leaves 1.0999999999999996: the third
+# grant fits only within the 1e-12 the ceiling test allows.
+CEILING_BY_ROUNDING = cfg(total_budget=1100, max_cost=3.3)
+
+
+class TestBaselinesMatchPerItemReference:
+    @given(st.lists(item_ids, min_size=1, max_size=40, unique=True), baseline_configs())
+    @example(ids=list("abcdefghij"), config=CEILING_BY_ROUNDING)
+    @settings(deadline=None, max_examples=300)
+    def test_uniform(self, ids, config):
+        records = [make_record(i, [0.0]) for i in ids]
+        assert_same_plan(
+            uniform_allocate(records, config), reference_uniform_allocate(records, config)
+        )
+
+    @given(
+        st.lists(st.tuples(item_ids, thresholds), max_size=40, unique_by=lambda p: p[0]),
+        baseline_configs(),
+    )
+    @example(pairs=[(k, 110.0) for k in "abcd"], config=CEILING_BY_ROUNDING)
+    @example(pairs=[("a", 1600.0)], config=cfg(total_budget=2000))
+    # "a" costs 2.02 and does not fit; the larger "b" costs 0.51 and does.
+    @example(
+        pairs=[("a", 101.0), ("b", 102.0)],
+        config=cfg(max_cost=1.0, cost_fn=COST_FNS["non-monotone"]),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_oracle(self, pairs, config):
+        latents = [latent(i, theta) for i, theta in pairs]
+        assert_same_plan(
+            oracle_allocate(latents, config), reference_oracle_allocate(latents, config)
+        )
+
+    def test_oracle_accepts_a_one_pass_iterable(self):
+        latents = [latent("b", 150.0), latent("a", 100.0)]
+        assert_same_plan(
+            oracle_allocate(iter(latents), cfg()), reference_oracle_allocate(latents, cfg())
+        )
+
+    @pytest.mark.parametrize("strategy", ["uniform", "oracle"])
+    def test_run_experiment_reports(self, strategy, monkeypatch):
+        got = [
+            run_experiment(SimConfig(seed=seed), DEFAULT_ALLOCATION, DEFAULT_SCHEMA,
+                           strategy=strategy)
+            for seed in range(5)
+        ]
+        monkeypatch.setattr(simulator, "uniform_allocate", reference_uniform_allocate)
+        monkeypatch.setattr(simulator, "oracle_allocate", reference_oracle_allocate)
+        expected = [
+            run_experiment(SimConfig(seed=seed), DEFAULT_ALLOCATION, DEFAULT_SCHEMA,
+                           strategy=strategy)
+            for seed in range(5)
+        ]
+        assert got == expected
+        assert [repr(m.total_cost) for r in got for m in r.rounds] == [
+            repr(m.total_cost) for r in expected for m in r.rounds
+        ]

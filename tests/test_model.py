@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def simulated_examples(items=600, seed=11):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_names_the_example(self, value):
+        examples = separable_examples(n=40)
+        features = examples[7].features.copy()
+        features[1] = value
+        examples[7] = TrainingExample(features, examples[7].bucket, examples[7].label)
+        # Refused before the first epoch, so numpy never warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"training example 7 \(counting from 0\)"):
+                train(examples, SCHEMA, Hyperparams(epochs=5))
+
     def test_separable_set_reaches_high_accuracy(self):
         examples = separable_examples()
         model = train(examples, SCHEMA, Hyperparams(learning_rate=0.1, epochs=2000, seed=0))
@@ -551,6 +564,16 @@ class TestSerialization:
         loss = json.loads(text)["training_meta"]["final_loss"]
         path.write_text(text.replace(f'"final_loss": {loss!r}', f'"final_loss": {token}'))
         with pytest.raises(DataError, match=rf"model\.json: .*{token}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["final_loss", "epochs"])
+    def test_overflowing_training_meta_rejected(self, tmp_path, key):
+        # json decodes 1e400 to inf, a value no writer writes.
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        payload["training_meta"][key] = 12345.5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload).replace("12345.5", "1e400"))
+        with pytest.raises(DataError, match="bad model payload"):
             load_model(path)
 
     def test_non_finite_weights_rejected(self, tmp_path):

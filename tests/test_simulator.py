@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -337,6 +338,20 @@ class TestLatentFile:
             f'{{"engagement_prob": 0.1, "id": "b", "quality": {token}, "threshold": 10.0}}\n'
         )
         with pytest.raises(DataError, match=rf"latents\.jsonl:2: .*{token}"):
+            load_latents(path)
+
+    @pytest.mark.parametrize("key", ["quality", "threshold", "engagement_prob"])
+    def test_overflowing_literal_rejected_with_line(self, tmp_path, key):
+        # json decodes 1e400 to inf; save_latents writes an infinite
+        # threshold as null and never writes a non-finite number.
+        row = {"engagement_prob": 0.1, "id": "b", "quality": 0.5, "threshold": 10.0}
+        row[key] = 12345.5
+        path = tmp_path / "latents.jsonl"
+        path.write_text(
+            '{"engagement_prob": 0.1, "id": "a", "quality": 0.5, "threshold": null}\n'
+            + json.dumps(row).replace("12345.5", "1e400") + "\n"
+        )
+        with pytest.raises(DataError, match=rf"latents\.jsonl:2: .*{key} inf is not finite"):
             load_latents(path)
 
     def test_non_finite_quality_not_written(self, tmp_path):
