@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_cu
 
 #: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
 #: temporaries of the curve and isotonic steps small, so peak memory does not
-#: grow with the corpus.
+#: grow with the corpus. Scoring the 10k-item benchmark loop in one pass raised
+#: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
 SCORE_BLOCK_ROWS = 4096
 
 # Region codes of the array code: a code indexes _REGIONS. Unfunded is not a
@@ -138,27 +139,21 @@ def allocate_low(
     items: Sequence[tuple[str, EngagementStats]],
     low_budget: int,
     config: AllocationConfig,
-    feedback: Callable[[EngagementStats], float] | None = None,
 ) -> list[tuple[str, int]]:
-    """Split the low-region budget across items in proportion to their feedback.
+    """Split the low-region budget across items in proportion to their positive rate.
 
-    The feedback signal defaults to the positive-event rate but is pluggable.
-    Items with no feedback yet get a small floor weight (1/n) so new items are
-    not starved. Shares are capped at max_cap with overflow redistributed; a
-    share that lands below min_cap is deferred to a later round (granted 0)
-    rather than served under the floor.
+    Items with no positive feedback yet get a small floor weight (1/n) so new
+    items are not starved. Shares are capped at max_cap with overflow
+    redistributed; a share that lands below min_cap is deferred to a later
+    round (granted 0) rather than served under the floor.
     """
     if low_budget < 0:
         raise DataError("low-region budget must be non-negative")
     if not items:
         return []
-    if feedback is None:
-        feedback = attrgetter("positive_rate")
     ids = [item_id for item_id, _ in items]
-    raw = np.fromiter((feedback(stats) for _, stats in items), float, len(items))
-    if (raw < 0).any():
-        raise DataError("feedback values must be non-negative")
-    weights = np.where(raw > 0, raw, 1.0 / len(items))
+    rates = np.fromiter((stats.positive_rate for _, stats in items), float, len(items))
+    weights = np.where(rates > 0, rates, 1.0 / len(items))
     shares = _water_fill(weights, low_budget, config.max_cap)
     # Snap shares sitting a float ulp below an integer before flooring.
     granted = np.floor(shares + 1e-9).astype(np.int64)
@@ -166,22 +161,16 @@ def allocate_low(
     return list(zip(ids, granted.tolist()))
 
 
-def adapt_low_fraction(
-    current: float,
-    growth: GrowthStats,
-    bounds: tuple[float, float] = (0.0, 1.0),
-) -> float:
+def adapt_low_fraction(current: float, growth: GrowthStats) -> float:
     """Scale the low-region budget share by traffic growth relative to item growth.
 
     Faster item growth than traffic growth shrinks the share, and vice versa;
-    the result is clamped into bounds.
+    the result is capped at 1. It is never negative, as current lies in [0, 1]
+    and both ratios are positive.
     """
-    lo, hi = bounds
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ConfigError("bounds must satisfy 0 <= lo <= hi <= 1")
     if not 0.0 <= current <= 1.0:
         raise ConfigError("current fraction must lie in [0, 1]")
-    return min(max(current * growth.traffic_growth / growth.item_growth, lo), hi)
+    return min(current * growth.traffic_growth / growth.item_growth, 1.0)
 
 
 def _repair_cost(
@@ -255,6 +244,12 @@ def allocate(
     traffic; whatever the pool does not spend spills into the Low pool, which
     is then divided by allocate_low. Finally the cost constraint is enforced
     by dropping items (see _repair_cost). Deterministic: ties break on item id.
+
+    Funding orders by requested traffic, never by cost. So for any
+    non-decreasing cost_fn whose ceiling does not bind, the funded
+    High/Moderate count is the maximum that fits the traffic budget. When the
+    ceiling binds, _repair_cost's drop order decides the plan, and the count
+    is not guaranteed maximal.
 
     Scoring, region classification, greedy funding, the Low water-fill and
     the cost totals work on arrays over the whole corpus; predict_curve,

@@ -348,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with allocation config values")
         p.add_argument("--seed", type=int, default=0, help="root random seed")
         p.add_argument("--out-dir", default="out", help="output directory")
 
     def add_alloc_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", help="JSON file with allocation config values")
         p.add_argument("--budget", type=int, help="total traffic budget")
         p.add_argument("--max-cost", type=float, dest="max_cost")
         p.add_argument("--min-cap", type=int, dest="min_cap")
@@ -383,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train the discoverability model")
     add_common(p_train)
-    add_alloc_flags(p_train)
+    p_train.add_argument(
+        "--config", help="JSON file whose bucket schema the model is trained on"
+    )
     add_train_flags(p_train)
     p_train.add_argument("--train-set", required=True, dest="train_set")
     p_train.set_defaults(func=cmd_train)

@@ -212,15 +212,20 @@ def validate_config(config: AllocationConfig, schema: BucketSchema) -> Allocatio
             raise ConfigError(f"representative of bucket {k} lies outside the bucket")
     if schema.representative[-1] < schema.edges[-1]:
         raise ConfigError("top bucket representative below its lower edge")
+    validate_allocation_config(config)
+    if config.max_cap != schema.representative[-1]:
+        raise ConfigError("MaxCap mismatch with top bucket representative")
+    return config
 
+
+def validate_allocation_config(config: AllocationConfig) -> AllocationConfig:
+    """The checks of validate_config that need no bucket schema."""
     if not (0.0 < config.cf_low < config.cf_high < 1.0):
         raise ConfigError("cf ordering: require 0 < cf_low < cf_high < 1")
     if config.min_cap <= 0:
         raise ConfigError("MinCap must be positive")
     if config.max_cap < config.min_cap:
         raise ConfigError("MaxCap must be at least MinCap")
-    if config.max_cap != schema.representative[-1]:
-        raise ConfigError("MaxCap mismatch with top bucket representative")
     # total_budget 0 is allowed as a degenerate dry run yielding an empty plan.
     if config.total_budget < 0:
         raise ConfigError("total budget must be non-negative")

@@ -24,6 +24,7 @@ from .core import (
     Region,
     cost_of,
     sum_costs,
+    validate_allocation_config,
     write_csv,
 )
 
@@ -225,8 +226,9 @@ def uniform_allocate(
     Each item gets X = clamp(T // N, min_cap, max_cap), granted in id order
     for as long as both the traffic budget and the cost ceiling allow; the
     rest stay unfunded. So the funded items are a prefix of the id order.
-    Duplicate ids are refused.
+    An invalid config and duplicate ids are refused.
     """
+    validate_allocation_config(config)
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
     ids = sorted(map(attrgetter("id"), corpus))
@@ -271,8 +273,9 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
     be discovered within the cap and are excluded; others are funded at
     clamp(threshold, min_cap, max_cap), in ascending (threshold, id) order,
     each one that still fits the traffic budget and the cost ceiling.
-    Duplicate ids and NaN thresholds are refused.
+    An invalid config, duplicate ids and NaN thresholds are refused.
     """
+    validate_allocation_config(config)
     items = list(latents)
     ids = list(map(attrgetter("id"), items))
     if len(set(ids)) != len(ids):

@@ -35,27 +35,15 @@ _P_FLOOR = 1e-12
 _P_CEIL = 1.0 - 1e-12
 
 
-def _sigmoid(
-    z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow at any |z|.
 
     With e = exp(-|z|) it is 1 / (1 + e) where z >= 0 and e / (1 + e) where
-    z < 0, as e is exactly exp(z) there. The result goes to `out`, which may
-    be z itself; `work` (neither z nor out) receives e. Each is allocated when
-    not given, so a caller that passes both allocates nothing per call but the
-    sign mask.
+    z < 0, as e is exactly exp(z) there.
     """
     z = np.asarray(z, dtype=float)
-    nonneg = z >= 0
-    e = np.abs(z, out=np.empty_like(z) if work is None else work)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    p = np.empty_like(z) if out is None else out
-    np.copyto(p, e)
-    np.copyto(p, 1.0, where=nonneg)
-    e += 1.0
-    return np.divide(p, e, out=p)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,20 +169,9 @@ def train(
     n = len(y)
     lr = params.learning_rate
     first_loss = _mean_log_loss(X, y, w, b)
-    # Each epoch reuses these buffers. The arithmetic and its order are those
-    # of residual = sigmoid(X @ w + b) - y; w -= lr * (X.T @ residual) / n.
-    residual = np.empty(n)
-    work = np.empty(n)
-    step = np.empty_like(w)
     for _ in range(params.epochs):
-        np.matmul(X, w, out=residual)
-        residual += b
-        _sigmoid(residual, out=residual, work=work)
-        residual -= y
-        np.matmul(X.T, residual, out=step)
-        step *= lr
-        step /= n
-        w -= step
+        residual = _sigmoid(X @ w + b) - y
+        w -= lr * (X.T @ residual) / n
         b -= lr * float(residual.mean())
     final_loss = _mean_log_loss(X, y, w, b)
     if not np.isfinite(final_loss):
@@ -220,13 +197,10 @@ def _check_features(model: DiscoverabilityModel, features: np.ndarray) -> np.nda
 
 def predict(model: DiscoverabilityModel, features: np.ndarray, bucket: int) -> float:
     """P(discoverable) for one item at one traffic bucket, strictly inside (0, 1)."""
-    x = _check_features(model, features)
+    curve = predict_curve(model, features)
     if not 0 <= bucket < model.schema.n_buckets:
         raise DataError(f"invalid bucket index {bucket}")
-    z = float(x @ model.weights[: model.feature_dim]) + float(
-        model.weights[model.feature_dim + bucket]
-    ) + model.bias
-    return float(np.clip(_sigmoid(np.array(z)), _P_FLOOR, _P_CEIL))
+    return float(curve[bucket])
 
 
 def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coldstart_explore import allocator
 from coldstart_explore.allocator import (
@@ -29,7 +29,7 @@ from coldstart_explore.core import (
 )
 from coldstart_explore.model import monotone_curve, predict_curve
 from conftest import make_model, make_record
-from test_acceptance import random_valid_instance
+from test_acceptance import _greedy_instance, random_valid_instance
 
 SCHEMA = geometric_schema()
 SCHEMA3 = BucketSchema(edges=(0, 150, 450), representative=(100, 400, 1600))
@@ -182,25 +182,6 @@ class TestAllocateLow:
                 expected[item_id] = g if g >= 50 else 0
             assert got == expected
 
-    def test_custom_feedback_signal(self):
-        items = [
-            ("a", EngagementStats(100, 20)),
-            ("b", EngagementStats(10, 2)),
-        ]
-        # raw positive counts instead of rates: 20 vs 2
-        grants = allocate_low(
-            items,
-            1100,
-            cfg(max_cap=1600, min_cap=50),
-            feedback=lambda stats: float(stats.positive_events),
-        )
-        assert grants == [("a", 1000), ("b", 100)]
-
-    def test_negative_feedback_rejected(self):
-        items = [("a", EngagementStats(10, 1))]
-        with pytest.raises(DataError, match="non-negative"):
-            allocate_low(items, 100, cfg(), feedback=lambda stats: -1.0)
-
     def test_grants_never_exceed_budget(self):
         rng = np.random.default_rng(3)
         config = cfg(max_cap=400, min_cap=20)
@@ -228,7 +209,9 @@ class TestAdaptLowFraction:
 
     def test_clamped_to_upper_bound(self):
         growth = GrowthStats(item_growth=1.0, traffic_growth=4.0)
-        assert adapt_low_fraction(0.2, growth, bounds=(0.0, 0.5)) == pytest.approx(0.5)
+        assert adapt_low_fraction(0.2, growth) == pytest.approx(0.8)
+        assert adapt_low_fraction(0.5, growth) == 1.0
+        assert adapt_low_fraction(1.0, growth) == 1.0
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(1)
@@ -249,10 +232,6 @@ class TestAdaptLowFraction:
             with pytest.raises(ConfigError, match="finite"):
                 GrowthStats(*ratios)
 
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ConfigError):
-            adapt_low_fraction(0.2, GrowthStats(1.0, 1.0), bounds=(0.8, 0.2))
-
 
 def high_corpus_model(requests_buckets):
     """Model plus corpus where item k is High with a chosen qualifying bucket.
@@ -271,6 +250,19 @@ def high_corpus_model(requests_buckets):
         x = 2.5 - bucket
         records.append(make_record(f"i{k:03d}", [x]))
     return model, records
+
+
+def max_funded_count(requests, budget):
+    """Largest number of requests whose sum fits the budget, by exhaustive search."""
+    n = len(requests)
+    sums = np.zeros(1 << n, dtype=np.int64)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for mask in range(1, 1 << n):
+        low_bit = mask & -mask
+        parent = mask ^ low_bit
+        sums[mask] = sums[parent] + requests[low_bit.bit_length() - 1]
+        counts[mask] = counts[parent] + 1
+    return int(counts[sums <= budget].max())
 
 
 class TestAllocate:
@@ -325,13 +317,7 @@ class TestAllocate:
             plan = allocate(records, model, config, SCHEMA)
             verify_plan(plan, config)
             funded = sum(1 for e in plan.entries if e.granted > 0)
-            best = 0
-            req_list = list(requests.values())
-            for mask in range(1 << n):
-                total = sum(req_list[i] for i in range(n) if mask >> i & 1)
-                if total <= budget:
-                    best = max(best, bin(mask).count("1"))
-            assert funded == best
+            assert funded == max_funded_count(list(requests.values()), budget)
 
     def test_budget_monotonicity(self):
         model, records = high_corpus_model([0, 1, 2, 3, 4, 1, 2])
@@ -619,15 +605,13 @@ def water_fill_list_reference(weights, budget, cap):
     return shares
 
 
-def allocate_low_reference(items, low_budget, config, feedback=None):
+def allocate_low_reference(items, low_budget, config):
     """allocate_low over Python lists."""
     if not items:
         return []
-    if feedback is None:
-        feedback = lambda stats: stats.positive_rate
     floor_weight = 1.0 / len(items)
-    raw = [feedback(stats) for _, stats in items]
-    weights = [value if value > 0 else floor_weight for value in raw]
+    rates = [stats.positive_rate for _, stats in items]
+    weights = [rate if rate > 0 else floor_weight for rate in rates]
     shares = water_fill_list_reference(weights, low_budget, config.max_cap)
     grants = []
     for (item_id, _), share in zip(items, shares):
@@ -669,33 +653,24 @@ class TestAllocateLowMatchesListReference:
             assert got == allocate_low_reference(items, budget, config)
             assert all(type(g) is int for _, g in got)
 
-    def test_custom_feedback(self):
-        rng = np.random.default_rng(62)
-        for feedback in (
-            lambda stats: stats.positive_events,  # integers
-            lambda stats: float(stats.impressions) ** 0.5,
-            lambda stats: math.nan,  # neither negative nor positive: floor weight
-        ):
-            for _ in range(50):
-                items = random_low_items(rng, int(rng.integers(1, 30)))
-                budget = int(rng.integers(0, 20_000))
-                config = cfg(max_cap=800, min_cap=40)
-                assert allocate_low(items, budget, config, feedback) == (
-                    allocate_low_reference(items, budget, config, feedback)
-                )
-
     @given(
-        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30),
+        st.lists(
+            st.integers(0, 10_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+            min_size=1,
+            max_size=30,
+        ),
         st.integers(0, 100_000),
         st.integers(1, 3000),
     )
+    @example([(0, 0), (10, 0), (10, 3)], 500, 100)
     @settings(deadline=None)
-    def test_property_any_weights(self, weights, budget, max_cap):
-        items = [(f"i{k:02d}", EngagementStats(k, 0)) for k in range(len(weights))]
+    def test_property_any_weights(self, counts, budget, max_cap):
+        # Rates of any counts, with zero impressions or zero positives for the
+        # floor weight among them.
+        items = [(f"i{k:02d}", EngagementStats(*pair)) for k, pair in enumerate(counts)]
         config = cfg(max_cap=max_cap, min_cap=1)
-        signal = lambda stats: weights[stats.impressions]
-        assert allocate_low(items, budget, config, signal) == (
-            allocate_low_reference(items, budget, config, signal)
+        assert allocate_low(items, budget, config) == (
+            allocate_low_reference(items, budget, config)
         )
 
 
@@ -778,6 +753,30 @@ class TestAllocateWithNonLinearCost:
             )
             assert_non_linear_cost_plan(records, model, config)
         assert len(repairs) >= 30  # the ceiling bound in a good share of them
+
+    def test_matches_exhaustive_maximum_when_the_ceiling_does_not_bind(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cost repair called under the ceiling")
+
+        monkeypatch.setattr(allocator, "_repair_cost", refuse)
+        rng = np.random.default_rng(405)
+        for _ in range(100):
+            model, records = _greedy_instance(rng)
+            probe = allocate(records, model, cfg(total_budget=10**9, max_cost=1e18,
+                                                 cf_high=0.9, cf_low=0.01), SCHEMA)
+            requests = [e.requested for e in probe.entries]
+            budget = int(rng.integers(50, int(1.2 * sum(requests)) + 100))
+            unit_cost = float(rng.uniform(0.001, 0.05))
+            exponent = float(rng.uniform(1.2, 2.0))
+            cost_fn = lambda x, u=unit_cost, e=exponent: u * float(x) ** e
+            # A convex cost with cost_fn(0) == 0 is superadditive, so no set
+            # of grants within the traffic budget costs more than cost_fn(budget).
+            config = cfg(total_budget=budget, max_cost=cost_fn(budget) + 1e-6,
+                         cf_high=0.9, cf_low=0.01, unit_cost=unit_cost, cost_fn=cost_fn)
+            plan = allocate(records, model, config, SCHEMA)
+            verify_plan(plan, config)
+            funded = sum(1 for e in plan.entries if e.granted > 0)
+            assert funded == max_funded_count(requests, budget)
 
 
 class TestAllocateTotals:

@@ -143,6 +143,35 @@ class TestTrain:
         assert (outs[0] / "model.json").read_bytes() == (outs[1] / "model.json").read_bytes()
 
 
+    def test_config_sets_the_schema(self, tmp_path, examples_file):
+        config_path = tmp_path / "schema.json"
+        edges = [0, 50, 150, 300, 600, 1200]  # as many buckets as the examples use
+        config_path.write_text(json.dumps({"bucket_edges": edges, "max_cap": 2000}))
+        out = tmp_path / "m"
+        assert run("train", "--train-set", str(examples_file), "--config", str(config_path),
+                   "--epochs", "20", "--out-dir", str(out)) == 0
+        schema = load_model(out / "model.json").schema
+        assert schema.edges == tuple(edges)
+        assert schema.representative == (49, 149, 299, 599, 1199, 2000)
+        assert read_manifest(out)["config"]["schema_edges"] == edges
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--train-set", "t.jsonl", "--budget", "5"],
+        ["simulate", "--config", "f.json"],
+        ["eval", "--model", "m.json", "--examples", "e.jsonl", "--config", "f.json"],
+    ],
+    ids=["train-budget", "simulate-config", "eval-config"],
+)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out-dir", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 class TestAllocate:
     @pytest.fixture
     def corpus_file(self, tmp_path):

@@ -374,6 +374,10 @@ class TestOracleAllocate:
         with pytest.raises(DataError, match="NaN threshold for item b"):
             oracle_allocate([latent("a", 10.0), latent("b", math.nan)], cfg())
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigError, match="total budget"):
+            oracle_allocate([latent("a", 10.0)], cfg(total_budget=-100))
+
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -458,6 +462,13 @@ class TestUniformAllocate:
         records = [make_record(k, [0.0]) for k in ("a", "b", "a")]
         with pytest.raises(DataError, match="duplicate"):
             uniform_allocate(records, cfg())
+
+    def test_zero_min_cap_rejected(self):
+        # Without the check: ten grants of 0 labelled Uniform, which
+        # verify_plan refuses.
+        records = [make_record(f"i{k}", [0.0]) for k in range(10)]
+        with pytest.raises(ConfigError, match="MinCap"):
+            uniform_allocate(records, cfg(min_cap=0, total_budget=5))
 
 
 def reference_uniform_allocate(corpus, config):

@@ -241,13 +241,6 @@ class TestSigmoid:
     def test_bit_identical_to_masked_sigmoid(self):
         assert np.array_equal(_sigmoid(self.Z), reference_sigmoid(self.Z))
 
-    def test_writes_into_caller_buffers(self):
-        z = self.Z.copy()
-        work = np.empty_like(z)
-        result = _sigmoid(z, out=z, work=work)
-        assert result is z
-        assert np.array_equal(z, reference_sigmoid(self.Z))
-
     def test_scalar_and_nan(self):
         assert float(_sigmoid(np.array(0.0))) == 0.5
         assert np.isnan(_sigmoid(np.array([np.nan]))[0])
@@ -285,6 +278,19 @@ class TestPredict:
         model = make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets))
         with pytest.raises(DataError, match="bucket"):
             predict(model, np.array([1.0]), SCHEMA.n_buckets)
+
+    def test_equals_its_entry_of_predict_curve(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            dim = int(rng.integers(1, 6))
+            model = make_model(
+                SCHEMA, rng.normal(0, 3, size=dim), rng.normal(0, 3, size=SCHEMA.n_buckets),
+                float(rng.normal()),
+            )
+            x = rng.normal(0, 3, size=dim)
+            curve = predict_curve(model, x)
+            for k in range(SCHEMA.n_buckets):
+                assert predict(model, x, k) == curve[k]
 
 
 class TestPredictCurve:
