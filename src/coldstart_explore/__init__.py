@@ -32,7 +32,6 @@ from .core import (
 )
 from .metrics import (
     MetricsReport,
-    ScoredLabel,
     auc,
     metrics_report,
     oracle_allocate,
@@ -43,7 +42,7 @@ from .metrics import (
 from .model import (
     DiscoverabilityModel,
     Hyperparams,
-    TrainingExample,
+    TrainingSet,
     gradient,
     invert_cap,
     load_model,

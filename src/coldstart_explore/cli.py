@@ -147,6 +147,7 @@ def cmd_train(args) -> int:
             "learning_rate": params.learning_rate,
             "epochs": params.epochs,
             "schema_edges": list(schema.edges),
+            "schema_representatives": list(schema.representative),
         },
         args.seed,
         [Path(args.train_set)],
@@ -303,26 +304,18 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     fitted = model.load_model(args.model)
     examples = model.load_examples(args.examples)
-    if not examples:
+    if len(examples) == 0:
         raise DataError("no examples to evaluate")
+    if examples.bucket.max() >= fitted.schema.n_buckets:
+        raise DataError(f"invalid bucket index {examples.bucket.max()}")
     # Score every example in one batch: row i's curve, at row i's bucket. The
     # dot product runs as one matrix-vector product, so a score can differ
     # from predict() in its last bit (summation order).
-    try:
-        features = np.array([ex.features for ex in examples], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"examples differ in feature dimension: {exc}") from exc
-    model.check_finite_rows(features, "example")
-    buckets = np.array([ex.bucket for ex in examples])
-    if buckets.max() >= fitted.schema.n_buckets:
-        raise DataError(f"invalid bucket index {buckets.max()}")
-    curves = model.predict_curves(fitted, features)
-    scores = curves[np.arange(len(examples)), buckets]
-    scored = [
-        metrics.ScoredLabel(score=score, label=ex.label, bucket=ex.bucket)
-        for score, ex in zip(scores.tolist(), examples)
-    ]
-    report = metrics.metrics_report(scored, threshold=args.threshold)
+    curves = model.predict_curves(fitted, examples.features)
+    scores = curves[np.arange(len(examples)), examples.bucket]
+    report = metrics.metrics_report(
+        scores, examples.label, examples.bucket, threshold=args.threshold
+    )
     metrics_path = out / "metrics.json"
     curve_path = out / "pr_curve.csv"
     core.write_json(metrics.report_to_dict(report), metrics_path)

@@ -402,9 +402,12 @@ def _corpus_record(row: dict) -> ItemRecord:
         impressions=int(row["impressions"]),
         positive_events=int(row["positive_events"]),
     )
+    features = np.asarray(row["features"], dtype=float)
+    if features.ndim != 1:
+        raise ValueError(f"features must be a flat list of numbers, got shape {features.shape}")
     return ItemRecord(
         id=str(row["id"]),
-        features=np.asarray(row["features"], dtype=float),
+        features=features,
         engagement=stats,
         impressions_received=int(row["impressions"]),
     )

@@ -33,19 +33,6 @@ _ORACLE_REGION = (Region.UNFUNDED, Region.ORACLE)
 
 
 @dataclass(frozen=True)
-class ScoredLabel:
-    score: float
-    label: int
-    bucket: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise DataError("score must lie in [0, 1]")
-        if self.label not in (0, 1):
-            raise DataError("label must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class BucketMetrics:
     bucket: int
     accuracy: float
@@ -62,22 +49,29 @@ class MetricsReport:
     pr_curve: tuple[tuple[float, float], ...]  # (recall, precision) points
 
 
-def _arrays(scored: Sequence[ScoredLabel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scores, labels, buckets) of the scored labels, in input order."""
-    n = len(scored)
-    return (
-        np.fromiter((s.score for s in scored), dtype=float, count=n),
-        np.fromiter((s.label for s in scored), dtype=np.int64, count=n),
-        np.fromiter((s.bucket for s in scored), dtype=np.int64, count=n),
-    )
-
-
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:  # also false for NaN
         raise ConfigError("threshold must be a finite number in [0, 1]")
 
 
-def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def _columns(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns as arrays; DataError unless scores lie in [0, 1] and labels are 0 or 1."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise DataError(
+            f"scores {scores.shape} and labels {labels.shape} must be vectors of one length"
+        )
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():  # also false for NaN
+        raise DataError("score must lie in [0, 1]")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise DataError("label must be 0 or 1")
+    return scores, labels.astype(np.int64, copy=False)
+
+
+def auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Probability that a random positive outscores a random negative, ties half."""
+    scores, labels = _columns(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -93,15 +87,16 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def auc(scored: Sequence[ScoredLabel]) -> float:
-    """Probability that a random positive outscores a random negative, ties half."""
-    scores, labels, _ = _arrays(scored)
-    return _auc(scores, labels)
-
-
-def _pr_metrics(
-    scores: np.ndarray, labels: np.ndarray, threshold: float
+def pr_metrics(
+    scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5
 ) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1) at score >= threshold.
+
+    Precision is 1.0 when nothing is predicted positive. Recall is undefined
+    without positive labels, which is an error here.
+    """
+    _check_threshold(threshold)
+    scores, labels = _columns(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DataError("recall undefined: no positive labels")
@@ -118,24 +113,11 @@ def _pr_metrics(
     return accuracy, precision, recall, f1
 
 
-def pr_metrics(
-    scored: Sequence[ScoredLabel], threshold: float = 0.5
-) -> tuple[float, float, float, float]:
-    """(accuracy, precision, recall, f1) at score >= threshold.
-
-    Precision is 1.0 when nothing is predicted positive. Recall is undefined
-    without positive labels, which is an error here.
-    """
-    _check_threshold(threshold)
-    if not scored:
-        raise DataError("empty input")
-    scores, labels, _ = _arrays(scored)
-    return _pr_metrics(scores, labels, threshold)
-
-
-def _pr_curve_and_auc(
+def pr_curve_and_auc(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[list[tuple[float, float]], float]:
+    """Precision/recall at every distinct score threshold plus average precision."""
+    scores, labels = _columns(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DataError("PR curve needs at least one positive label")
@@ -153,37 +135,27 @@ def _pr_curve_and_auc(
     return list(zip(recall.tolist(), precision.tolist())), ap
 
 
-def pr_curve_and_auc(
-    scored: Sequence[ScoredLabel],
-) -> tuple[list[tuple[float, float]], float]:
-    """Precision/recall at every distinct score threshold plus average precision."""
-    scores, labels, _ = _arrays(scored)
-    return _pr_curve_and_auc(scores, labels)
-
-
 def metrics_report(
-    scored: Sequence[ScoredLabel], threshold: float = 0.5
+    scored: np.ndarray, labels: np.ndarray, buckets: np.ndarray, threshold: float = 0.5
 ) -> MetricsReport:
     """Full report: AUC, PR-AUC, per-bucket confusion metrics, PR curve.
 
+    `scored`, `labels` and `buckets` are columns of one row per example.
     Buckets with no positive labels are omitted from the per-bucket table
     because recall is undefined there.
     """
     _check_threshold(threshold)
-    scores, labels, buckets = _arrays(scored)
-    overall_auc = _auc(scores, labels)
-    curve, ap = _pr_curve_and_auc(scores, labels)
+    scores, labels = _columns(scored, labels)
+    buckets = np.asarray(buckets)
+    if buckets.shape != labels.shape:
+        raise DataError(f"buckets {buckets.shape} and labels {labels.shape} differ in shape")
+    overall_auc = auc(scores, labels)
+    curve, ap = pr_curve_and_auc(scores, labels)
     per_bucket = []
     for b in np.unique(buckets).tolist():
         mine = buckets == b
-        if not labels[mine].any():
-            continue
-        accuracy, precision, recall, f1 = _pr_metrics(scores[mine], labels[mine], threshold)
-        per_bucket.append(
-            BucketMetrics(
-                bucket=b, accuracy=accuracy, precision=precision, recall=recall, f1=f1
-            )
-        )
+        if labels[mine].any():
+            per_bucket.append(BucketMetrics(b, *pr_metrics(scores[mine], labels[mine], threshold)))
     return MetricsReport(
         auc=overall_auc,
         pr_auc=ap,

@@ -12,9 +12,9 @@ before they are inverted into per-item traffic caps.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -47,21 +47,43 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TrainingExample:
-    """One observed exploration outcome: features, served-traffic bucket, binary label."""
+class TrainingSet:
+    """Observed exploration outcomes as read-only columns, one row per example.
+
+    `features` is an (n, d) matrix, `bucket` the served-traffic bucket of each
+    row and `label` its binary discovery outcome. Each column is checked once.
+    """
 
     features: np.ndarray
-    bucket: int
-    label: int
+    bucket: np.ndarray
+    label: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        if self.label not in (0, 1):
+        features = np.asarray(self.features, dtype=float)
+        bucket = np.asarray(self.bucket)
+        label = np.asarray(self.label)
+        if features.ndim != 2:
+            raise DataError(f"features must be an (examples, dimension) matrix: {features.shape}")
+        if bucket.shape != (len(features),) or label.shape != bucket.shape:
+            raise DataError(
+                f"columns differ in length: features {features.shape}, "
+                f"bucket {bucket.shape}, label {label.shape}"
+            )
+        if not ((label == 0) | (label == 1)).all():
             raise DataError("label must be 0 or 1")
-        if self.bucket < 0:
-            raise DataError("bucket index must be non-negative")
+        if not ((bucket >= 0) & (bucket == np.floor(bucket))).all():
+            raise DataError("bucket index must be a non-negative integer")
+        bucket, label = bucket.astype(np.int64, copy=False), label.astype(np.int64, copy=False)
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DataError(f"non-finite feature in training example {row} (counting from 0)")
+        for name, column in (("features", features), ("bucket", bucket), ("label", label)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.label)
 
 
 @dataclass(frozen=True)
@@ -109,33 +131,18 @@ class DiscoverabilityModel:
         return len(self.weights) - self.schema.n_buckets
 
 
-def _design_matrix(
-    examples: Sequence[TrainingExample], schema: BucketSchema
-) -> tuple[np.ndarray, np.ndarray]:
-    dims = {len(ex.features) for ex in examples}
-    if len(dims) != 1:
-        raise DataError(f"feature dimension mismatch across examples: {sorted(dims)}")
-    feature_dim = dims.pop()
+def _design_matrix(examples: TrainingSet, schema: BucketSchema) -> np.ndarray:
+    """The features with a one-hot block of the buckets appended."""
+    n, feature_dim = examples.features.shape
     n_buckets = schema.n_buckets
-    n = len(examples)
-    buckets = np.fromiter((ex.bucket for ex in examples), dtype=np.intp, count=n)
-    out_of_range = np.flatnonzero(buckets >= n_buckets)
+    out_of_range = np.flatnonzero(examples.bucket >= n_buckets)
     if out_of_range.size:
-        bucket = buckets[out_of_range[0]]
+        bucket = examples.bucket[out_of_range[0]]
         raise DataError(f"bucket {bucket} out of range for {n_buckets} buckets")
     X = np.zeros((n, feature_dim + n_buckets))
-    np.stack([ex.features for ex in examples], out=X[:, :feature_dim])
-    X[np.arange(n), feature_dim + buckets] = 1.0
-    y = np.fromiter((ex.label for ex in examples), dtype=float, count=n)
-    return X, y
-
-
-def check_finite_rows(X: np.ndarray, what: str) -> None:
-    """DataError naming the first row of X that holds a NaN or inf."""
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DataError(f"non-finite feature in {what} {row} (counting from 0)")
+    X[:, :feature_dim] = examples.features
+    X[np.arange(n), feature_dim + examples.bucket] = 1.0
+    return X
 
 
 def _mean_log_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
@@ -145,21 +152,21 @@ def _mean_log_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> flo
 
 
 def train(
-    examples: Sequence[TrainingExample],
+    examples: TrainingSet,
     schema: BucketSchema,
     params: Hyperparams = Hyperparams(),
 ) -> DiscoverabilityModel:
     """Fit the logistic model by full-batch gradient descent.
 
     Deterministic given params.seed. Refuses degenerate inputs: an empty set,
-    inconsistent feature dimensions, or a single-class label set (for which the
+    a bucket outside the schema, or a single-class label set (for which the
     cross-entropy minimizer pushes weights to infinity).
     """
     params.validate()
     if len(examples) == 0:
         raise DataError("empty training set")
-    X, y = _design_matrix(examples, schema)
-    check_finite_rows(X, "training example")
+    X = _design_matrix(examples, schema)
+    y = examples.label.astype(float)
     if y.min() == y.max():
         raise DataError("single-class training set")
 
@@ -230,22 +237,21 @@ def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndar
 
 
 def gradient(
-    model: DiscoverabilityModel, example: TrainingExample
+    model: DiscoverabilityModel, features: np.ndarray, bucket: int, label: int
 ) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the per-example cross-entropy loss.
+    """Analytic gradient of the cross-entropy loss of one example.
 
     Returns (d_loss/d_weights, d_loss/d_bias). For a logistic model both are
     (p - y) times the input, with the bias input fixed at 1.
     """
-    if len(example.features) != model.feature_dim:
-        raise DataError("feature dimension mismatch")
-    if example.bucket >= model.schema.n_buckets:
-        raise DataError(f"invalid bucket index {example.bucket}")
+    x = _check_features(model, features)
+    if not 0 <= bucket < model.schema.n_buckets:
+        raise DataError(f"invalid bucket index {bucket}")
     x_full = np.zeros_like(model.weights)
-    x_full[: model.feature_dim] = example.features
-    x_full[model.feature_dim + example.bucket] = 1.0
+    x_full[: model.feature_dim] = x
+    x_full[model.feature_dim + bucket] = 1.0
     p = float(_sigmoid(np.array(x_full @ model.weights + model.bias)))
-    residual = p - example.label
+    residual = p - label
     return residual * x_full, residual
 
 
@@ -401,27 +407,47 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
     return model_from_dict(read_json(path))
 
 
-def save_examples(examples: Sequence[TrainingExample], path: str | Path) -> None:
+def save_examples(examples: TrainingSet, path: str | Path) -> None:
+    columns = examples.features.tolist(), examples.bucket.tolist(), examples.label.tolist()
     write_jsonl(
-        (
-            {
-                "features": ex.features.tolist(),
-                "bucket": ex.bucket,
-                "label": ex.label,
-            }
-            for ex in examples
-        ),
-        path,
+        ({"features": f, "bucket": b, "label": y} for f, b, y in zip(*columns)), path
     )
 
 
-def _training_example(row: dict) -> TrainingExample:
-    return TrainingExample(
-        features=np.asarray(row["features"], dtype=float),
-        bucket=int(row["bucket"]),
-        label=int(row["label"]),
+def load_examples(path: str | Path) -> TrainingSet:
+    """The training-set file as columns; the features of every row go into one
+    flat buffer, reshaped once.
+
+    A row whose features are not a flat list of numbers as long as the first
+    row's, whose label is not 0 or 1, or whose bucket is not a non-negative
+    integer raises DataError naming `path:line`.
+    """
+    features, buckets, labels = array("d"), array("q"), array("q")
+    dim = None
+
+    def append(row: dict) -> None:
+        nonlocal dim
+        values = row["features"]
+        if type(values) is not list:
+            raise TypeError(f"features must be a list, not {type(values).__name__}")
+        dim = len(values) if dim is None else dim
+        if len(values) != dim:
+            raise ValueError(f"feature dimension {len(values)}, earlier rows have {dim}")
+        bucket, label = row["bucket"], row["label"]
+        if label not in (0, 1):
+            raise ValueError("label must be 0 or 1")
+        if type(bucket) is not int or bucket < 0:
+            raise ValueError("bucket index must be a non-negative integer")
+        try:
+            features.extend(values)
+        except TypeError as exc:
+            raise TypeError(f"features must be a flat list of numbers: {exc}") from None
+        buckets.append(bucket)
+        labels.append(int(label))
+
+    read_jsonl(path, append, "training example")
+    return TrainingSet(
+        np.frombuffer(features).reshape(len(labels), dim or 0),
+        np.frombuffer(buckets, dtype=np.int64),
+        np.frombuffer(labels, dtype=np.int64),
     )
-
-
-def load_examples(path: str | Path) -> list[TrainingExample]:
-    return read_jsonl(path, _training_example, "training example")

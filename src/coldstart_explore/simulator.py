@@ -42,7 +42,7 @@ from .core import (
     write_jsonl,
 )
 from .metrics import oracle_allocate, uniform_allocate
-from .model import Hyperparams, TrainingExample, train
+from .model import Hyperparams, TrainingSet, train
 
 STRATEGIES = ("uniform", "model", "oracle")
 
@@ -233,7 +233,7 @@ def build_training_set(
     observations: Sequence[Observation],
     records: Sequence[ItemRecord],
     schema: BucketSchema,
-) -> list[TrainingExample]:
+) -> TrainingSet:
     """One example per serving event.
 
     Features are the item's static features plus its engagement block as it
@@ -261,17 +261,11 @@ def build_training_set(
         raise DataError("positive_events cannot exceed impressions")
 
     static = static_matrix([records[k] for k in rows])
-    features = np.hstack([static, engagement_block(impressions, positives)])
-    features.setflags(write=False)
     edges = np.asarray(schema.edges)
-    buckets = np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1)
-    return list(
-        map(
-            TrainingExample,
-            features,
-            buckets.tolist(),
-            [int(o.discovered) for o in events],
-        )
+    return TrainingSet(
+        features=np.hstack([static, engagement_block(impressions, positives)]),
+        bucket=np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1),
+        label=np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
     )
 
 

@@ -22,10 +22,10 @@ from coldstart_explore.core import (
     validate_config,
     verify_plan,
 )
-from coldstart_explore.metrics import ScoredLabel, auc, pr_curve_and_auc, uniform_allocate
+from coldstart_explore.metrics import auc, pr_curve_and_auc, uniform_allocate
 from coldstart_explore.model import (
     Hyperparams,
-    TrainingExample,
+    TrainingSet,
     gradient,
     invert_cap,
     predict,
@@ -172,17 +172,15 @@ def test_c3_gradient_matches_finite_differences():
         w = rng.normal(0, 1.5, size=dim + SCHEMA.n_buckets)
         bias = float(rng.normal())
         model = make_model(SCHEMA, w[:dim], w[dim:], bias)
-        ex = TrainingExample(
-            features=rng.normal(size=dim),
-            bucket=int(rng.integers(SCHEMA.n_buckets)),
-            label=int(rng.integers(2)),
-        )
-        grad_w, grad_b = gradient(model, ex)
+        features = rng.normal(size=dim)
+        bucket = int(rng.integers(SCHEMA.n_buckets))
+        label = int(rng.integers(2))
+        grad_w, grad_b = gradient(model, features, bucket, label)
 
         def loss(weights, b):
             m = make_model(SCHEMA, weights[:dim], weights[dim:], b)
-            p = predict(m, ex.features, ex.bucket)
-            return -(ex.label * math.log(p) + (1 - ex.label) * math.log(1 - p))
+            p = predict(m, features, bucket)
+            return -(label * math.log(p) + (1 - label) * math.log(1 - p))
 
         fd = np.zeros(len(w) + 1)
         for j in range(len(w)):
@@ -277,15 +275,17 @@ def test_c5_model_quality_on_simulator_ground_truth():
     observations = serve_round(latents, plan, sim, 0)
     examples = build_training_set(observations, records, DEFAULT_SCHEMA)
     assert len(examples) >= 4000
-    train_split = examples[0::2]
-    holdout = examples[1::2]
+    train_split, holdout = (
+        TrainingSet(examples.features[k::2], examples.bucket[k::2], examples.label[k::2])
+        for k in (0, 1)
+    )
     assert len(train_split) >= 2000
     model = train(train_split, DEFAULT_SCHEMA, Hyperparams(learning_rate=0.05, epochs=1000, seed=0))
     scored = [
-        ScoredLabel(score=predict(model, ex.features, ex.bucket), label=ex.label)
-        for ex in holdout
+        predict(model, features, bucket)
+        for features, bucket in zip(holdout.features, holdout.bucket.tolist())
     ]
-    heldout_auc = auc(scored)
+    heldout_auc = auc(scored, holdout.label)
     assert heldout_auc >= 0.85
     report("C5 model-quality", f"held-out AUC {heldout_auc:.3f} >= 0.85")
 
@@ -343,9 +343,9 @@ def test_c8_metric_oracles_match():
     worst_auc = worst_ap = 0.0
     for k in range(100):
         items = random_instance(rng, int(rng.integers(2, 51)), tie_prone=k % 2 == 0)
-        auc_err = abs(auc(items) - auc_pairwise_oracle(items))
-        _, ap = pr_curve_and_auc(items)
-        ap_err = abs(ap - average_precision_oracle(items))
+        auc_err = abs(auc(*items) - auc_pairwise_oracle(*items))
+        _, ap = pr_curve_and_auc(*items)
+        ap_err = abs(ap - average_precision_oracle(*items))
         worst_auc = max(worst_auc, auc_err)
         worst_ap = max(worst_ap, ap_err)
         assert auc_err <= 1e-12

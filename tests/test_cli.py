@@ -26,7 +26,7 @@ from coldstart_explore.model import (
     train,
 )
 from conftest import make_record
-from test_model import separable_examples, simulated_examples
+from test_model import rows_of, separable_examples, simulated_examples
 
 
 def run(*argv) -> int:
@@ -99,11 +99,10 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert "final loss" in printed
         model = load_model(out / "model.json")
-        from coldstart_explore.model import load_examples, predict
         examples = load_examples(examples_file)
         accuracy = np.mean(
-            [(predict(model, ex.features, ex.bucket) >= 0.5) == bool(ex.label)
-             for ex in examples]
+            [(predict(model, features, bucket) >= 0.5) == bool(label)
+             for features, bucket, label in rows_of(examples)]
         )
         assert accuracy >= 0.95
 
@@ -154,6 +153,35 @@ class TestTrain:
         assert schema.edges == tuple(edges)
         assert schema.representative == (49, 149, 299, 599, 1199, 2000)
         assert read_manifest(out)["config"]["schema_edges"] == edges
+        assert read_manifest(out)["config"]["schema_representatives"] == [
+            49, 149, 299, 599, 1199, 2000
+        ]
+
+    def test_manifest_records_the_representatives(self, tmp_path, examples_file):
+        # Two configs that differ only in their representatives train different
+        # models, so their manifests differ too.
+        edges = [0, 100, 200, 400, 800, 1600]
+        configs = {
+            "derived": {"bucket_edges": edges, "max_cap": 1600},
+            "explicit": {
+                "bucket_edges": edges,
+                "max_cap": 1600,
+                "bucket_representatives": [50, 150, 300, 600, 1200, 1600],
+            },
+        }
+        manifests = {}
+        for name, config in configs.items():
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert run("train", "--train-set", str(examples_file), "--config",
+                       str(config_path), "--epochs", "20", "--out-dir", str(out)) == 0
+            manifests[name] = read_manifest(out)["config"]
+            assert manifests[name]["schema_representatives"] == list(
+                load_model(out / "model.json").schema.representative
+            )
+        assert manifests["derived"]["schema_edges"] == manifests["explicit"]["schema_edges"]
+        assert manifests["derived"] != manifests["explicit"]
 
 
 @pytest.mark.parametrize(
@@ -224,6 +252,23 @@ class TestAllocate:
         assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
                    "--out-dir", str(tmp_path / "n")) == 3
         assert "nan.jsonl:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "features", ["1.0", "[[1.0]]", "[[1.0], [1.0, 2.0]]", '"abc"'],
+        ids=["scalar", "nested", "nested-ragged", "string"],
+    )
+    def test_corpus_features_not_a_flat_list_exit_3(self, tmp_path, flat_model_file,
+                                                     features, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0], "impressions": 0, "positive_events": 0}\n'
+            f'{{"id": "b", "features": {features}, "impressions": 0, "positive_events": 0}}\n'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
+                       "--out-dir", str(tmp_path / "n")) == 3
+        assert "bad.jsonl:2: bad corpus record" in capsys.readouterr().err
 
     def test_zero_budget_unfunds_everything(self, tmp_path, corpus_file, flat_model_file):
         out = tmp_path / "zero"
@@ -443,7 +488,7 @@ class TestEval:
             ('{"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1}', "dimension"),
             ('{"features": [1.0, 2.0, 3.0, 4.0], "bucket": 6, "label": 1}', "bucket"),
             ('{"features": [1.0, 1e400, 3.0, 4.0], "bucket": 0, "label": 1}',
-             "non-finite feature in example 120"),
+             "non-finite feature in training example 120"),
         ],
         ids=["ragged", "bucket-out-of-range", "overflowing-feature"],
     )
@@ -461,25 +506,81 @@ class TestEval:
         examples_path = tmp_path / "examples.jsonl"
         save_model(train(examples, geometric_schema(), Hyperparams(epochs=100)), model_path)
         save_examples(examples, examples_path)
-        captured = []
+        captured = {}
         report = metrics.metrics_report
 
-        def capture(scored, threshold=0.5):
-            captured.extend(scored)
-            return report(scored, threshold)
+        def capture(scored, labels, buckets, threshold=0.5):
+            captured.update(scored=scored, labels=labels, buckets=buckets)
+            return report(scored, labels, buckets, threshold)
 
         monkeypatch.setattr(metrics, "metrics_report", capture)
         assert run("eval", "--model", str(model_path), "--examples", str(examples_path),
                    "--out-dir", str(tmp_path / "v")) == 0
         fitted = load_model(model_path)
         loaded = load_examples(examples_path)
-        batched = np.array([s.score for s in captured])
-        scalar = np.array([predict(fitted, ex.features, ex.bucket) for ex in loaded])
-        assert [(s.label, s.bucket) for s in captured] == [(ex.label, ex.bucket) for ex in loaded]
+        batched = captured["scored"]
+        scalar = np.array([
+            predict(fitted, features, bucket) for features, bucket, _ in rows_of(loaded)
+        ])
+        assert np.array_equal(captured["labels"], loaded.label)
+        assert np.array_equal(captured["buckets"], loaded.bucket)
         assert np.max(np.abs(batched - scalar)) <= 1e-15
         order = np.argsort(scalar, kind="stable")
         assert np.array_equal(np.argsort(batched, kind="stable"), order)
         assert np.array_equal(np.diff(batched[order]) == 0, np.diff(scalar[order]) == 0)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ('"features": 1.0, "bucket": 0, "label": 1', "features must be a list, not float"),
+        ('"features": [[1.0], 2.0, 3.0, 4.0], "bucket": 0, "label": 1',
+         "features must be a flat list of numbers"),
+        ('"features": [[1.0]], "bucket": 0, "label": 1', "feature dimension 1"),
+        ('"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1', "feature dimension 3"),
+        ('"features": ["a", 2.0, 3.0, 4.0], "bucket": 0, "label": 1',
+         "features must be a flat list of numbers"),
+        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 0, "label": 2', "label must be 0 or 1"),
+        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 0, "label": 0.7', "label must be 0 or 1"),
+        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": -1, "label": 0',
+         "bucket index must be a non-negative integer"),
+        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 2.5, "label": 0',
+         "bucket index must be a non-negative integer"),
+    ],
+    ids=["scalar", "nested", "nested-short", "ragged", "string", "label", "fractional-label",
+         "negative-bucket", "fractional-bucket"],
+)
+def test_bad_training_set_row_exits_3_naming_the_line(
+    tmp_path, trained_model_file, examples_file, command, row, message, capsys
+):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(examples_file.read_text() + "{" + row + "}\n")
+    argv = {
+        "train": ["train", "--train-set", str(path)],
+        "eval": ["eval", "--model", str(trained_model_file), "--examples", str(path)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert f"bad.jsonl:121: bad training example: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("train", "empty training set"), ("eval", "no examples to evaluate")],
+)
+def test_empty_training_set_file_exits_3(tmp_path, trained_model_file, command, message,
+                                         capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    argv = {
+        "train": ["train", "--train-set", str(path)],
+        "eval": ["eval", "--model", str(trained_model_file), "--examples", str(path)],
+    }[command]
+    assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
+    assert message in capsys.readouterr().err
 
 
 def read_csv(path):

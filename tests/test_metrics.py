@@ -18,7 +18,6 @@ from coldstart_explore.core import (
     verify_plan,
 )
 from coldstart_explore.metrics import (
-    ScoredLabel,
     auc,
     metrics_report,
     oracle_allocate,
@@ -45,13 +44,15 @@ def cfg(**overrides) -> AllocationConfig:
 
 
 def scored(pairs):
-    return [ScoredLabel(score=s, label=l) for s, l in pairs]
+    """(scores, labels) columns of (score, label) pairs."""
+    scores, labels = zip(*pairs)
+    return np.array(scores, dtype=float), np.array(labels)
 
 
-def auc_pairwise_oracle(items):
+def auc_pairwise_oracle(scores, labels):
     """O(P*N) pair enumeration, ties half."""
-    pos = [s.score for s in items if s.label == 1]
-    neg = [s.score for s in items if s.label == 0]
+    pos = [s for s, l in zip(scores, labels) if l == 1]
+    neg = [s for s, l in zip(scores, labels) if l == 0]
     total = 0.0
     for p in pos:
         for n in neg:
@@ -59,15 +60,16 @@ def auc_pairwise_oracle(items):
     return total / (len(pos) * len(neg))
 
 
-def average_precision_oracle(items):
+def average_precision_oracle(scores, labels):
     """Confusion counts recomputed from scratch at each distinct threshold."""
-    n_pos = sum(s.label for s in items)
-    thresholds = sorted({s.score for s in items}, reverse=True)
+    items = list(zip(scores, labels))
+    n_pos = sum(l for _, l in items)
+    thresholds = sorted({s for s, _ in items}, reverse=True)
     ap = 0.0
     prev_recall = 0.0
     for t in thresholds:
-        tp = sum(1 for s in items if s.score >= t and s.label == 1)
-        fp = sum(1 for s in items if s.score >= t and s.label == 0)
+        tp = sum(1 for s, l in items if s >= t and l == 1)
+        fp = sum(1 for s, l in items if s >= t and l == 0)
         precision = tp / (tp + fp)
         recall = tp / n_pos
         ap += (recall - prev_recall) * precision
@@ -83,13 +85,13 @@ def random_instance(rng, n, tie_prone=False):
     labels = rng.integers(0, 2, size=n)
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
-    return [ScoredLabel(score=float(s), label=int(l)) for s, l in zip(scores, labels)]
+    return scores, labels
 
 
-def reference_auc(items):
+def reference_auc(scores, labels):
     """Average ranks from the tie-group loop that auc replaced."""
-    labels = np.array([s.label for s in items])
-    scores = np.array([s.score for s in items])
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     order = np.argsort(scores, kind="mergesort")
@@ -106,30 +108,30 @@ def reference_auc(items):
     return u / (n_pos * n_neg)
 
 
-def reference_pr_metrics(items, threshold):
+def reference_pr_metrics(scores, labels, threshold):
     """The per-item confusion tally that pr_metrics replaced."""
-    n_pos = sum(s.label for s in items)
+    n_pos = sum(labels)
     tp = fp = tn = fn = 0
-    for s in items:
-        predicted = s.score >= threshold
-        if predicted and s.label == 1:
+    for score, label in zip(scores, labels):
+        predicted = score >= threshold
+        if predicted and label == 1:
             tp += 1
         elif predicted:
             fp += 1
-        elif s.label == 1:
+        elif label == 1:
             fn += 1
         else:
             tn += 1
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / n_pos
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return (tp + tn) / len(items), precision, recall, f1
+    return (tp + tn) / len(labels), precision, recall, f1
 
 
-def reference_pr_curve_and_auc(items):
+def reference_pr_curve_and_auc(scores, labels):
     """The tie-group loop that pr_curve_and_auc replaced."""
-    n_pos = sum(s.label for s in items)
-    ordered = sorted(items, key=lambda s: -s.score)
+    n_pos = sum(labels)
+    ordered = sorted(zip(scores, labels), key=lambda item: -item[0])
     points = []
     ap = 0.0
     tp = seen = 0
@@ -137,10 +139,10 @@ def reference_pr_curve_and_auc(items):
     i = 0
     while i < len(ordered):
         j = i
-        while j + 1 < len(ordered) and ordered[j + 1].score == ordered[i].score:
+        while j + 1 < len(ordered) and ordered[j + 1][0] == ordered[i][0]:
             j += 1
         for k in range(i, j + 1):
-            tp += ordered[k].label
+            tp += ordered[k][1]
             seen += 1
         precision = tp / seen
         recall = tp / n_pos
@@ -153,45 +155,72 @@ def reference_pr_curve_and_auc(items):
 
 class TestAuc:
     def test_perfect_ranking(self):
-        assert auc(scored([(0.9, 1), (0.8, 0)])) == 1.0
+        assert auc(*scored([(0.9, 1), (0.8, 0)])) == 1.0
 
     def test_all_ties_give_half(self):
-        assert auc(scored([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)])) == 0.5
+        assert auc(*scored([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)])) == 0.5
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(2)
         for k in range(30):
-            items = random_instance(rng, 20, tie_prone=k % 2 == 0)
-            assert auc(items) == pytest.approx(auc_pairwise_oracle(items), abs=1e-12)
+            scores, labels = random_instance(rng, 20, tie_prone=k % 2 == 0)
+            assert auc(scores, labels) == pytest.approx(
+                auc_pairwise_oracle(scores, labels), abs=1e-12
+            )
 
     @pytest.mark.parametrize("tie_prone", [False, True])
     def test_bit_identical_to_tie_loop(self, tie_prone):
         rng = np.random.default_rng(21)
         for n in (2, 7, 300, 2000):
-            items = random_instance(rng, n, tie_prone)
-            assert auc(items) == reference_auc(items)
+            scores, labels = random_instance(rng, n, tie_prone)
+            assert auc(scores, labels) == reference_auc(scores, labels)
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
-        items = random_instance(rng, 25)
-        squashed = [
-            ScoredLabel(score=float(s.score**3), label=s.label) for s in items
-        ]
-        assert auc(squashed) == pytest.approx(auc(items), abs=1e-12)
+        scores, labels = random_instance(rng, 25)
+        assert auc(scores**3, labels) == pytest.approx(auc(scores, labels), abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            auc(scored([(0.5, 1), (0.7, 1)]))
+            auc(*scored([(0.5, 1), (0.7, 1)]))
+
+
+class TestColumnCheck:
+    @pytest.mark.parametrize(
+        "scores, labels, message",
+        [
+            ([0.5, 1.5], [1, 0], "score"),
+            ([0.5, -0.1], [1, 0], "score"),
+            ([0.5, float("nan")], [1, 0], "score"),
+            ([0.5, 0.2], [1, 2], "label"),
+            ([0.5, 0.2], [1, 0.5], "label"),
+            ([0.5, 0.2], [1, 0, 1], "length"),
+            ([[0.5, 0.2]], [[1, 0]], "vectors"),
+        ],
+    )
+    def test_bad_columns_refused(self, scores, labels, message):
+        for call in (
+            lambda: auc(scores, labels),
+            lambda: pr_metrics(scores, labels),
+            lambda: pr_curve_and_auc(scores, labels),
+            lambda: metrics_report(scores, labels, np.zeros(np.shape(labels))),
+        ):
+            with pytest.raises(DataError, match=message):
+                call()
+
+    def test_bucket_column_length_refused(self):
+        with pytest.raises(DataError, match="buckets"):
+            metrics_report([0.9, 0.1], [1, 0], [0])
 
 
 class TestPrMetrics:
     def test_perfect_classifier(self):
-        items = scored([(0.9, 1), (0.8, 1), (0.1, 0), (0.2, 0)])
-        assert pr_metrics(items, 0.5) == (1.0, 1.0, 1.0, 1.0)
+        scores, labels = scored([(0.9, 1), (0.8, 1), (0.1, 0), (0.2, 0)])
+        assert pr_metrics(scores, labels, 0.5) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_predicted_negative(self):
-        items = scored([(0.1, 1), (0.2, 0), (0.3, 1), (0.0, 0)])
-        accuracy, precision, recall, f1 = pr_metrics(items, 0.5)
+        scores, labels = scored([(0.1, 1), (0.2, 0), (0.3, 1), (0.0, 0)])
+        accuracy, precision, recall, f1 = pr_metrics(scores, labels, 0.5)
         assert accuracy == 0.5
         assert precision == 1.0  # no predictions made
         assert recall == 0.0
@@ -200,13 +229,14 @@ class TestPrMetrics:
     def test_matches_direct_tabulation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            items = random_instance(rng, 30)
+            scores, labels = random_instance(rng, 30)
+            items = list(zip(scores, labels))
             threshold = float(rng.uniform(0.1, 0.9))
-            tp = sum(1 for s in items if s.score >= threshold and s.label == 1)
-            fp = sum(1 for s in items if s.score >= threshold and s.label == 0)
-            fn = sum(1 for s in items if s.score < threshold and s.label == 1)
+            tp = sum(1 for s, l in items if s >= threshold and l == 1)
+            fp = sum(1 for s, l in items if s >= threshold and l == 0)
+            fn = sum(1 for s, l in items if s < threshold and l == 1)
             tn = len(items) - tp - fp - fn
-            accuracy, precision, recall, f1 = pr_metrics(items, threshold)
+            accuracy, precision, recall, f1 = pr_metrics(scores, labels, threshold)
             assert accuracy == pytest.approx((tp + tn) / len(items))
             assert precision == pytest.approx(tp / (tp + fp) if tp + fp else 1.0)
             assert recall == pytest.approx(tp / (tp + fn))
@@ -219,61 +249,64 @@ class TestPrMetrics:
     def test_equal_to_per_item_tally(self, threshold):
         rng = np.random.default_rng(22)
         for tie_prone in (False, True):
-            items = random_instance(rng, 500, tie_prone)
-            assert pr_metrics(items, threshold) == reference_pr_metrics(items, threshold)
+            scores, labels = random_instance(rng, 500, tie_prone)
+            assert pr_metrics(scores, labels, threshold) == reference_pr_metrics(
+                scores.tolist(), labels.tolist(), threshold
+            )
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5])
     def test_bad_threshold_is_config_error(self, threshold):
-        items = scored([(0.9, 1), (0.1, 0)])
+        scores, labels = scored([(0.9, 1), (0.1, 0)])
         with pytest.raises(ConfigError, match="threshold"):
-            pr_metrics(items, threshold)
+            pr_metrics(scores, labels, threshold)
         with pytest.raises(ConfigError, match="threshold"):
-            metrics_report(items, threshold)
+            metrics_report(scores, labels, np.zeros(2), threshold)
 
     def test_no_positive_labels_is_an_error(self):
         with pytest.raises(DataError, match="recall"):
-            pr_metrics(scored([(0.9, 0), (0.1, 0)]))
+            pr_metrics(*scored([(0.9, 0), (0.1, 0)]))
+
+    def test_empty_input_is_an_error(self):
+        with pytest.raises(DataError, match="no positive labels"):
+            pr_metrics([], [])
 
 
 class TestPrCurve:
     def test_single_positive_on_top(self):
-        items = scored([(0.9, 1), (0.5, 0), (0.4, 0)])
-        _, ap = pr_curve_and_auc(items)
+        _, ap = pr_curve_and_auc(*scored([(0.9, 1), (0.5, 0), (0.4, 0)]))
         assert ap == 1.0
 
     def test_scores_equal_labels(self):
-        items = scored([(1.0, 1), (0.0, 0), (1.0, 1), (0.0, 0)])
-        _, ap = pr_curve_and_auc(items)
+        _, ap = pr_curve_and_auc(*scored([(1.0, 1), (0.0, 0), (1.0, 1), (0.0, 0)]))
         assert ap == 1.0
 
     def test_matches_average_precision_oracle(self):
         rng = np.random.default_rng(5)
         for k in range(30):
-            items = random_instance(rng, 20, tie_prone=k % 2 == 0)
-            _, ap = pr_curve_and_auc(items)
-            assert ap == pytest.approx(average_precision_oracle(items), abs=1e-12)
+            scores, labels = random_instance(rng, 20, tie_prone=k % 2 == 0)
+            _, ap = pr_curve_and_auc(scores, labels)
+            assert ap == pytest.approx(average_precision_oracle(scores, labels), abs=1e-12)
 
     @pytest.mark.parametrize("tie_prone", [False, True])
     def test_bit_identical_to_tie_loop(self, tie_prone):
         rng = np.random.default_rng(23)
         for n in (2, 5, 300, 2000):
-            items = random_instance(rng, n, tie_prone)
-            points, ap = pr_curve_and_auc(items)
-            ref_points, ref_ap = reference_pr_curve_and_auc(items)
+            scores, labels = random_instance(rng, n, tie_prone)
+            points, ap = pr_curve_and_auc(scores, labels)
+            ref_points, ref_ap = reference_pr_curve_and_auc(scores.tolist(), labels.tolist())
             assert points == ref_points
             assert ap == ref_ap
             assert all(type(v) is float for point in points for v in point)
 
     def test_recall_non_decreasing(self):
         rng = np.random.default_rng(6)
-        items = random_instance(rng, 40, tie_prone=True)
-        points, _ = pr_curve_and_auc(items)
+        points, _ = pr_curve_and_auc(*random_instance(rng, 40, tie_prone=True))
         recalls = [r for r, _ in points]
         assert recalls == sorted(recalls)
 
     def test_no_positives_rejected(self):
         with pytest.raises(DataError):
-            pr_curve_and_auc(scored([(0.5, 0)]))
+            pr_curve_and_auc(*scored([(0.5, 0)]))
 
 
 class TestMetricsReport:
@@ -282,58 +315,57 @@ class TestMetricsReport:
         items = []
         for bucket in range(4):
             for _ in range(25):
-                items.append(
-                    ScoredLabel(
-                        score=float(rng.uniform()),
-                        label=int(rng.integers(0, 2)),
-                        bucket=bucket,
-                    )
-                )
+                items.append((float(rng.uniform()), int(rng.integers(0, 2)), bucket))
         # ensure every bucket has a positive
-        report = metrics_report(items, threshold=0.5)
+        scores, labels, buckets = map(np.array, zip(*items))
+        report = metrics_report(scores, labels, buckets, threshold=0.5)
         assert len(report.per_bucket) == 4
 
         def confusion(subset):
-            tp = sum(1 for s in subset if s.score >= 0.5 and s.label == 1)
-            fp = sum(1 for s in subset if s.score >= 0.5 and s.label == 0)
-            fn = sum(1 for s in subset if s.score < 0.5 and s.label == 1)
+            tp = sum(1 for s, l, _ in subset if s >= 0.5 and l == 1)
+            fp = sum(1 for s, l, _ in subset if s >= 0.5 and l == 0)
+            fn = sum(1 for s, l, _ in subset if s < 0.5 and l == 1)
             tn = len(subset) - tp - fp - fn
             return np.array([tp, fp, fn, tn])
 
         micro = sum(
-            confusion([s for s in items if s.bucket == b]) for b in range(4)
+            confusion([item for item in items if item[2] == b]) for b in range(4)
         )
         assert np.array_equal(micro, confusion(items))
 
     @pytest.mark.parametrize("tie_prone", [False, True])
     def test_per_bucket_rows_equal_per_item_tally(self, tie_prone):
         rng = np.random.default_rng(24)
-        base = random_instance(rng, 900, tie_prone)
-        buckets = rng.integers(0, 6, size=len(base))
-        items = [ScoredLabel(s.score, s.label, int(b)) for s, b in zip(base, buckets)]
+        base_scores, base_labels = random_instance(rng, 900, tie_prone)
+        base_buckets = rng.integers(0, 6, size=len(base_labels))
         # A bucket with no positive label is left out of the table.
-        items += [ScoredLabel(0.7, 0, 9), ScoredLabel(0.2, 0, 9)]
-        report = metrics_report(items, threshold=0.5)
+        scores = base_scores.tolist() + [0.7, 0.2]
+        labels = base_labels.tolist() + [0, 0]
+        buckets = base_buckets.tolist() + [9, 9]
+        report = metrics_report(
+            np.array(scores), np.array(labels), np.array(buckets), threshold=0.5
+        )
         expected = []
-        for b in sorted({s.bucket for s in items}):
-            subset = [s for s in items if s.bucket == b]
-            if sum(s.label for s in subset):
-                expected.append((b, *reference_pr_metrics(subset, 0.5)))
+        for b in sorted(set(buckets)):
+            mine = [k for k, bucket in enumerate(buckets) if bucket == b]
+            subset_labels = [labels[k] for k in mine]
+            if sum(subset_labels):
+                subset_scores = [scores[k] for k in mine]
+                expected.append((b, *reference_pr_metrics(subset_scores, subset_labels, 0.5)))
         rows = [(m.bucket, m.accuracy, m.precision, m.recall, m.f1) for m in report.per_bucket]
         assert rows == expected
         assert all(type(m.bucket) is int for m in report.per_bucket)
-        points, ap = reference_pr_curve_and_auc(items)
+        points, ap = reference_pr_curve_and_auc(scores, labels)
         assert report.pr_curve == tuple(points)
         assert report.pr_auc == ap
-        assert report.auc == reference_auc(items)
+        assert report.auc == reference_auc(scores, labels)
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(8)
-        items = [
-            ScoredLabel(float(rng.uniform()), int(rng.integers(0, 2)), int(b))
-            for b in rng.integers(0, 3, size=60)
-        ]
-        report = metrics_report(items)
+        buckets = rng.integers(0, 3, size=60)
+        pairs = [(float(rng.uniform()), int(rng.integers(0, 2))) for _ in buckets]
+        scores, labels = map(np.array, zip(*pairs))
+        report = metrics_report(scores, labels, buckets)
         values = [report.auc, report.pr_auc]
         for m in report.per_bucket:
             values += [m.accuracy, m.precision, m.recall, m.f1]

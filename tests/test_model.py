@@ -16,7 +16,7 @@ from coldstart_explore.core import (
 from coldstart_explore.metrics import uniform_allocate
 from coldstart_explore.model import (
     Hyperparams,
-    TrainingExample,
+    TrainingSet,
     _design_matrix,
     _sigmoid,
     gradient,
@@ -49,18 +49,25 @@ def separable_examples(n=200, dim=4, seed=7):
     rng = np.random.default_rng(seed)
     true_w = rng.normal(size=dim)
     true_w /= np.linalg.norm(true_w)
-    examples = []
-    while len(examples) < n:
+    rows = []
+    while len(rows) < n:
         x = rng.normal(size=dim) * 3
         margin = float(x @ true_w)
         if abs(margin) < 1.0:
             continue
-        examples.append(
-            TrainingExample(
-                features=x, bucket=len(examples) % SCHEMA.n_buckets, label=int(margin > 0)
-            )
-        )
-    return examples
+        rows.append((x, len(rows) % SCHEMA.n_buckets, int(margin > 0)))
+    return training_set(rows)
+
+
+def training_set(rows):
+    """TrainingSet of (features, bucket, label) rows."""
+    features, buckets, labels = zip(*rows)
+    return TrainingSet(np.array(features, dtype=float), buckets, labels)
+
+
+def rows_of(examples):
+    """(features, bucket, label) of every example, in order."""
+    return list(zip(examples.features, examples.bucket.tolist(), examples.label.tolist()))
 
 
 def reference_sigmoid(z):
@@ -76,13 +83,14 @@ def reference_sigmoid(z):
 
 def reference_design_matrix(examples, schema):
     """The row-by-row design matrix that _design_matrix replaced."""
-    feature_dim = len(examples[0].features)
-    X = np.zeros((len(examples), feature_dim + schema.n_buckets))
-    y = np.zeros(len(examples))
-    for i, ex in enumerate(examples):
-        X[i, :feature_dim] = ex.features
-        X[i, feature_dim + ex.bucket] = 1.0
-        y[i] = ex.label
+    rows = rows_of(examples)
+    feature_dim = len(rows[0][0])
+    X = np.zeros((len(rows), feature_dim + schema.n_buckets))
+    y = np.zeros(len(rows))
+    for i, (features, bucket, label) in enumerate(rows):
+        X[i, :feature_dim] = features
+        X[i, feature_dim + bucket] = 1.0
+        y[i] = label
     return X, y
 
 
@@ -117,62 +125,78 @@ class TestTrain:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_feature_names_the_example(self, value):
         examples = separable_examples(n=40)
-        features = examples[7].features.copy()
-        features[1] = value
-        examples[7] = TrainingExample(features, examples[7].bucket, examples[7].label)
-        # Refused before the first epoch, so numpy never warns.
+        features = examples.features.copy()
+        features[7, 1] = value
+        # Refused when the set is built, so training never starts and numpy
+        # never warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"training example 7 \(counting from 0\)"):
-                train(examples, SCHEMA, Hyperparams(epochs=5))
+                TrainingSet(features, examples.bucket, examples.label)
 
     def test_separable_set_reaches_high_accuracy(self):
         examples = separable_examples()
         model = train(examples, SCHEMA, Hyperparams(learning_rate=0.1, epochs=2000, seed=0))
         correct = sum(
-            ((predict(model, ex.features, ex.bucket) >= 0.5) == bool(ex.label))
-            for ex in examples
+            ((predict(model, features, bucket) >= 0.5) == bool(label))
+            for features, bucket, label in rows_of(examples)
         )
         assert correct / len(examples) >= 0.95
 
     def test_zero_features_converge_to_base_rate(self):
         # With all-zero features only the bucket weight and bias can train, so
         # the prediction settles at each bucket's positive rate (0.3 here).
-        examples = []
-        for bucket in range(SCHEMA.n_buckets):
-            for k in range(20):
-                examples.append(
-                    TrainingExample(features=np.zeros(3), bucket=bucket, label=int(k < 6))
-                )
+        examples = training_set(
+            (np.zeros(3), bucket, int(k < 6))
+            for bucket in range(SCHEMA.n_buckets)
+            for k in range(20)
+        )
         model = train(examples, SCHEMA, Hyperparams(learning_rate=0.5, epochs=3000, seed=1))
         for bucket in range(SCHEMA.n_buckets):
             p = predict(model, np.zeros(3), bucket)
             assert abs(p - 0.3) <= 0.05
 
     def test_single_class_refused(self):
-        examples = [
-            TrainingExample(features=np.array([1.0]), bucket=0, label=1) for _ in range(5)
-        ]
+        examples = TrainingSet(np.ones((5, 1)), np.zeros(5), np.ones(5))
         with pytest.raises(DataError, match="single-class"):
             train(examples, SCHEMA)
 
     def test_empty_refused(self):
         with pytest.raises(DataError, match="empty"):
-            train([], SCHEMA)
+            train(TrainingSet(np.empty((0, 2)), [], []), SCHEMA)
 
     def test_dimension_mismatch_refused(self):
-        examples = [
-            TrainingExample(features=np.array([1.0]), bucket=0, label=1),
-            TrainingExample(features=np.array([1.0, 2.0]), bucket=0, label=0),
-        ]
+        # A training set holds one feature row per example, so the features
+        # must be a matrix and every column as long as it.
         with pytest.raises(DataError, match="dimension"):
-            train(examples, SCHEMA)
+            TrainingSet(np.array([1.0, 2.0]), [0, 0], [1, 0])
+        with pytest.raises(DataError, match="length"):
+            TrainingSet(np.ones((2, 1)), [0], [1, 0])
+        with pytest.raises(DataError, match="length"):
+            TrainingSet(np.ones((2, 1)), [0, 0], [1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "bucket, label, message",
+        [
+            ([0, -1], [1, 0], "bucket"),
+            ([0, 1.5], [1, 0], "bucket"),
+            ([0, 0], [1, 2], "label"),
+            ([0, 0], [1, -1], "label"),
+            ([0, 0], [1, 0.9], "label"),
+        ],
+    )
+    def test_bad_label_or_negative_bucket_refused(self, bucket, label, message):
+        with pytest.raises(DataError, match=message):
+            TrainingSet(np.ones((2, 1)), bucket, label)
+
+    def test_columns_are_read_only(self):
+        examples = separable_examples(n=10)
+        assert len(examples) == 10
+        for column in (examples.features, examples.bucket, examples.label):
+            assert not column.flags.writeable
 
     def test_bucket_out_of_range_refused(self):
-        examples = [
-            TrainingExample(features=np.array([1.0]), bucket=99, label=1),
-            TrainingExample(features=np.array([1.0]), bucket=0, label=0),
-        ]
+        examples = TrainingSet(np.ones((2, 1)), [99, 0], [1, 0])
         with pytest.raises(DataError, match="bucket"):
             train(examples, SCHEMA)
 
@@ -208,10 +232,9 @@ class TestTrain:
 
     def test_design_matrix_equals_reference(self):
         examples = simulated_examples(items=200)
-        X, y = _design_matrix(examples, SCHEMA)
         X_ref, y_ref = reference_design_matrix(examples, SCHEMA)
-        assert np.array_equal(X, X_ref)
-        assert np.array_equal(y, y_ref)
+        assert np.array_equal(_design_matrix(examples, SCHEMA), X_ref)
+        assert np.array_equal(examples.label.astype(float), y_ref)
 
     @pytest.mark.parametrize(
         "params",
@@ -260,8 +283,8 @@ class TestPredict:
     def test_trained_model_scores_positive_point_high(self):
         examples = separable_examples()
         model = train(examples, SCHEMA, Hyperparams(learning_rate=0.1, epochs=2000, seed=0))
-        positives = [ex for ex in examples if ex.label == 1]
-        assert predict(model, positives[0].features, positives[0].bucket) > 0.5
+        first = int(np.argmax(examples.label == 1))
+        assert predict(model, examples.features[first], examples.bucket[first]) > 0.5
 
     def test_output_strictly_inside_unit_interval(self):
         model = make_model(SCHEMA, [1000.0], np.zeros(SCHEMA.n_buckets))
@@ -339,16 +362,14 @@ class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
         # A huge logit saturates the sigmoid to exactly 1.0 in floats.
         model = make_model(SCHEMA, [40.0], np.zeros(SCHEMA.n_buckets))
-        ex = TrainingExample(features=np.array([1.0]), bucket=0, label=1)
-        grad_w, grad_b = gradient(model, ex)
+        grad_w, grad_b = gradient(model, np.array([1.0]), 0, 1)
         assert np.all(grad_w == 0.0)
         assert grad_b == 0.0
 
     def test_zero_model_label_one(self):
         model = make_model(SCHEMA, [0.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
         x = np.array([1.0, -2.0, 0.5])
-        ex = TrainingExample(features=x, bucket=2, label=1)
-        grad_w, grad_b = gradient(model, ex)
+        grad_w, grad_b = gradient(model, x, 2, 1)
         assert np.allclose(grad_w[:3], -0.5 * x)
         assert grad_w[3 + 2] == pytest.approx(-0.5)
         assert grad_b == pytest.approx(-0.5)
@@ -361,17 +382,15 @@ class TestGradient:
             w = rng.normal(size=dim + SCHEMA.n_buckets)
             bias = float(rng.normal())
             model = make_model(SCHEMA, w[:dim], w[dim:], bias)
-            ex = TrainingExample(
-                features=rng.normal(size=dim),
-                bucket=int(rng.integers(SCHEMA.n_buckets)),
-                label=int(rng.integers(2)),
-            )
-            grad_w, grad_b = gradient(model, ex)
+            features = rng.normal(size=dim)
+            bucket = int(rng.integers(SCHEMA.n_buckets))
+            label = int(rng.integers(2))
+            grad_w, grad_b = gradient(model, features, bucket, label)
 
             def loss(weights, b):
                 m = make_model(SCHEMA, weights[:dim], weights[dim:], b)
-                p = predict(m, ex.features, ex.bucket)
-                return -(ex.label * np.log(p) + (1 - ex.label) * np.log(1 - p))
+                p = predict(m, features, bucket)
+                return -(label * np.log(p) + (1 - label) * np.log(1 - p))
 
             fd = np.zeros(len(w) + 1)
             for j in range(len(w)):
@@ -385,9 +404,10 @@ class TestGradient:
 
     def test_dimension_mismatch(self):
         model = make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets))
-        ex = TrainingExample(features=np.array([1.0, 2.0]), bucket=0, label=0)
         with pytest.raises(DataError, match="dimension"):
-            gradient(model, ex)
+            gradient(model, np.array([1.0, 2.0]), 0, 0)
+        with pytest.raises(DataError, match="bucket"):
+            gradient(model, np.array([1.0]), SCHEMA.n_buckets, 0)
 
 
 class TestMonotoneCurve:
@@ -543,7 +563,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        x = examples[0].features
+        x = examples.features[0]
         assert predict(loaded, x, 1) == predict(model, x, 1)
 
     def test_bad_model_payload(self, tmp_path):
@@ -596,6 +616,10 @@ class TestSerialization:
         save_examples(examples, path)
         loaded = load_examples(path)
         assert len(loaded) == len(examples)
-        for a, b in zip(examples, loaded):
-            assert np.array_equal(a.features, b.features)
-            assert (a.bucket, a.label) == (b.bucket, b.label)
+        for a, b in zip(rows_of(examples), rows_of(loaded)):
+            assert np.array_equal(a[0], b[0])
+            assert a[1:] == b[1:]
+        for column in (loaded.features, loaded.bucket, loaded.label):
+            assert not column.flags.writeable
+        save_examples(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()

@@ -21,7 +21,7 @@ from coldstart_explore.core import (
     validate_config,
 )
 from coldstart_explore.metrics import oracle_allocate, uniform_allocate
-from coldstart_explore.model import Hyperparams, TrainingExample, train
+from coldstart_explore.model import Hyperparams, train
 from coldstart_explore.simulator import (
     STRATEGIES,
     ExperimentReport,
@@ -203,14 +203,14 @@ class TestBuildTrainingSet:
         records = [make_record("a", [1.0, 2.0])]
         obs = [Observation(round=0, item_id="a", served=150, positive_events=3, discovered=True)]
         examples = build_training_set(obs, records, SCHEMA)
-        assert examples[0].bucket == bucket_of(150, SCHEMA)
-        assert examples[0].label == 1
+        assert examples.bucket[0] == bucket_of(150, SCHEMA)
+        assert examples.label[0] == 1
 
     def test_cold_item_has_zero_engagement_block(self):
         records = [make_record("a", [1.0])]
         obs = [Observation(round=0, item_id="a", served=100, positive_events=10, discovered=False)]
         examples = build_training_set(obs, records, SCHEMA)
-        assert np.allclose(examples[0].features, [1.0, 0.0, 0.0])
+        assert np.allclose(examples.features[0], [1.0, 0.0, 0.0])
 
     def test_engagement_reflects_state_at_serving_time(self):
         records = [make_record("a", [1.0])]
@@ -220,8 +220,8 @@ class TestBuildTrainingSet:
         ]
         examples = build_training_set(obs, records, SCHEMA)
         # round-1 example sees the engagement accumulated in round 0 only
-        assert examples[1].features[1] == pytest.approx(0.25)
-        assert examples[1].features[2] == pytest.approx(math.log1p(100))
+        assert examples.features[1, 1] == pytest.approx(0.25)
+        assert examples.features[1, 2] == pytest.approx(math.log1p(100))
 
     def test_unknown_item_rejected(self):
         obs = [Observation(round=0, item_id="zzz", served=100, positive_events=0, discovered=False)]
@@ -424,7 +424,7 @@ def build_training_set_reference(observations, records, schema):
     """build_training_set replaying each item's engagement in a dict."""
     static = {rec.id: rec.features for rec in records}
     running = {}
-    examples = []
+    examples = []  # (features, bucket, label) rows
     for obs in sorted(observations, key=lambda o: (o.round, o.item_id)):
         if obs.item_id not in static:
             raise DataError(f"observation references unknown item {obs.item_id}")
@@ -433,13 +433,7 @@ def build_training_set_reference(observations, records, schema):
         impressions, positives = running.get(obs.item_id, (0, 0))
         stats = EngagementStats(impressions=impressions, positive_events=positives)
         features = np.concatenate([static[obs.item_id], engagement_features(stats)])
-        examples.append(
-            TrainingExample(
-                features=features,
-                bucket=bucket_of(obs.served, schema),
-                label=int(obs.discovered),
-            )
-        )
+        examples.append((features, bucket_of(obs.served, schema), int(obs.discovered)))
         running[obs.item_id] = (
             impressions + obs.served,
             positives + obs.positive_events,
@@ -522,10 +516,12 @@ def run_experiment_reference(sim_config, alloc_config, schema, params, strategy)
 
 def assert_examples_bit_identical(got, expected):
     assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert (a.bucket, a.label) == (b.bucket, b.label)
-        assert a.features.shape == b.features.shape
-        assert np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+    rows = zip(got.features, got.bucket.tolist(), got.label.tolist())
+    for (features, bucket, label), (ref_features, ref_bucket, ref_label) in zip(rows, expected):
+        assert (bucket, label) == (ref_bucket, ref_label)
+        assert features.shape == ref_features.shape
+        assert np.array_equal(features.view(np.int64), ref_features.view(np.int64))
+    assert not got.features.flags.writeable
 
 
 class TestArrayLoopsMatchPerItemReference:
@@ -617,7 +613,7 @@ class TestArrayLoopsMatchPerItemReference:
             )
 
     def test_build_training_set_of_no_observations(self):
-        assert build_training_set([], [make_record("a", [1.0])], SCHEMA) == []
+        assert len(build_training_set([], [make_record("a", [1.0])], SCHEMA)) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_run_experiment(self, strategy):
