@@ -79,9 +79,9 @@ def _load_alloc_config(args) -> tuple[core.AllocationConfig, core.BucketSchema]:
     return config, schema
 
 
-def _sim_config(args) -> simulator.SimConfig:
+def _sim_config(args, seed: int) -> simulator.SimConfig:
     cfg = simulator.SimConfig(
-        seed=args.seed,
+        seed=seed,
         items_per_round=args.items,
         rounds=args.rounds,
         feature_dim=args.feature_dim,
@@ -99,7 +99,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, args.seed)
     all_latents = []
     all_records = []
     for round_index in range(cfg.rounds):
@@ -133,9 +133,7 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     _, schema = _load_alloc_config(args)
-    params = model.Hyperparams(
-        learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
-    ).validate()
+    params = model.Hyperparams(epochs=args.epochs).validate()
     examples = model.load_examples(args.train_set)
     fitted = model.train(examples, schema, params)
     model_path = out / "model.json"
@@ -144,7 +142,6 @@ def cmd_train(args) -> int:
         out,
         "train",
         {
-            "learning_rate": params.learning_rate,
             "epochs": params.epochs,
             "schema_edges": list(schema.edges),
             "schema_representatives": list(schema.representative),
@@ -229,20 +226,12 @@ def cmd_experiment(args) -> int:
         if strategy not in simulator.STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    params = model.Hyperparams(
-        learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
-    ).validate()
+    params = model.Hyperparams(epochs=args.epochs).validate()
     outputs = []
     totals: dict[str, list[int]] = {s: [] for s in strategies}
     for seed in sorted(seeds):
         for strategy in strategies:
-            sim_cfg = simulator.SimConfig(
-                seed=seed,
-                items_per_round=args.items,
-                rounds=args.rounds,
-                feature_dim=args.feature_dim,
-                feature_noise=args.feature_noise,
-            ).validate()
+            sim_cfg = _sim_config(args, seed)
             report = simulator.run_experiment(sim_cfg, config, schema, params, strategy)
             json_path = out / f"report_{strategy}_seed{seed}.json"
             csv_path = out / f"report_{strategy}_seed{seed}.csv"
@@ -283,7 +272,6 @@ def cmd_experiment(args) -> int:
             "rounds": args.rounds,
             "strategies": strategies,
             "seeds": sorted(seeds),
-            "learning_rate": params.learning_rate,
             "epochs": params.epochs,
         },
         args.seed,
@@ -365,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--learning-rate", type=float, default=0.05, dest="learning_rate"
+            "--epochs", type=int, default=model.Hyperparams().epochs,
+            help="most Newton steps per fit",
         )
-        p.add_argument("--epochs", type=int, default=1000)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic corpus")
     add_common(p_sim)

@@ -62,6 +62,19 @@ class EngagementStats:
         return self.positive_events / self.impressions
 
 
+def read_only(values, dtype=float) -> np.ndarray:
+    """values as a read-only array of dtype, copied only when the caller can still write it.
+
+    A read-only array is taken as it is; one that asarray built is frozen in place.
+    """
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable:
+        if array is values or array.base is not None:
+            array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class ItemRecord:
     """An item as the allocator sees it: static features plus observed engagement."""
@@ -73,9 +86,7 @@ class ItemRecord:
     discovered: bool | None = None
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", read_only(self.features))
         if self.impressions_received < 0:
             raise DataError("impressions_received must be non-negative")
 
@@ -398,18 +409,18 @@ def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
 
 
 def _corpus_record(row: dict) -> ItemRecord:
-    stats = EngagementStats(
-        impressions=int(row["impressions"]),
-        positive_events=int(row["positive_events"]),
-    )
-    features = np.asarray(row["features"], dtype=float)
+    impressions, positive_events = row["impressions"], row["positive_events"]
+    for name, count in (("impressions", impressions), ("positive_events", positive_events)):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{name} must be a non-negative integer, not {count!r}")
+    features = read_only(row["features"])
     if features.ndim != 1:
         raise ValueError(f"features must be a flat list of numbers, got shape {features.shape}")
     return ItemRecord(
         id=str(row["id"]),
         features=features,
-        engagement=stats,
-        impressions_received=int(row["impressions"]),
+        engagement=EngagementStats(impressions, positive_events),
+        impressions_received=impressions,
     )
 
 

@@ -6,7 +6,7 @@ precision with step interpolation, computed at every distinct score threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -165,20 +165,11 @@ def metrics_report(
 
 
 def report_to_dict(report: MetricsReport) -> dict:
+    """Everything but the PR curve, which write_pr_curve_csv writes."""
     return {
         "auc": report.auc,
         "pr_auc": report.pr_auc,
-        "per_bucket": [
-            {
-                "bucket": m.bucket,
-                "accuracy": m.accuracy,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-            }
-            for m in report.per_bucket
-        ],
-        "pr_curve": [[r, p] for r, p in report.pr_curve],
+        "per_bucket": [asdict(m) for m in report.per_bucket],
     }
 
 

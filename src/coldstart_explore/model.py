@@ -2,8 +2,8 @@
 
 A logistic model scores P(item becomes discoverable | features, traffic bucket).
 The traffic bucket enters as a one-hot block concatenated to the item features.
-Training is plain full-batch gradient descent on mean cross-entropy; the
-gradient is exposed separately so it can be checked against finite differences.
+Training is Newton's method (IRLS) on mean cross-entropy; the gradient is
+exposed separately so it can be checked against finite differences.
 
 Predicted per-bucket curves are made non-decreasing with isotonic regression
 before they are inverted into per-item traffic caps.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     ConfigError,
     DataError,
     read_json,
+    read_only,
     read_jsonl,
     write_json,
     write_jsonl,
@@ -33,6 +34,8 @@ from .core import (
 # thresholding never see exact 0 or 1.
 _P_FLOOR = 1e-12
 _P_CEIL = 1.0 - 1e-12
+
+_STEP_TOLERANCE = 1e-10  # Newton's method stops once no coefficient moves by more
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,7 +62,7 @@ class TrainingSet:
     label: np.ndarray
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=float)
+        features = read_only(self.features)
         bucket = np.asarray(self.bucket)
         label = np.asarray(self.label)
         if features.ndim != 2:
@@ -73,14 +76,13 @@ class TrainingSet:
             raise DataError("label must be 0 or 1")
         if not ((bucket >= 0) & (bucket == np.floor(bucket))).all():
             raise DataError("bucket index must be a non-negative integer")
-        bucket, label = bucket.astype(np.int64, copy=False), label.astype(np.int64, copy=False)
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
             raise DataError(f"non-finite feature in training example {row} (counting from 0)")
-        for name, column in (("features", features), ("bucket", bucket), ("label", label)):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "bucket", read_only(self.bucket, np.int64))
+        object.__setattr__(self, "label", read_only(self.label, np.int64))
 
     def __len__(self) -> int:
         return len(self.label)
@@ -88,24 +90,22 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class TrainingMeta:
+    """Newton steps taken, final mean loss, and examples and positives per bucket."""
+
     epochs: int
     final_loss: float
-    seed: int
+    bucket_examples: tuple[int, ...]
+    bucket_positives: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    learning_rate: float = 0.05
-    epochs: int = 1000
-    seed: int = 0
+    epochs: int = 100  # the most Newton steps train takes
 
     def validate(self) -> "Hyperparams":
-        # Zero epochs or a zero rate would return the random initial weights
-        # as a trained model; a NaN rate would only fail after every epoch.
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning rate must be finite and positive")
+        # Zero steps would return the zero start as a trained model.
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise ConfigError(f"epochs must be an integer of at least 1, not {self.epochs!r}")
         return self
 
 
@@ -119,11 +119,9 @@ class DiscoverabilityModel:
     meta: TrainingMeta
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", read_only(self.weights))
         # A NaN weight makes every curve NaN, which no region threshold rejects.
-        if not (np.isfinite(w).all() and np.isfinite(self.bias)):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise DataError("model weights and bias must be finite")
 
     @property
@@ -132,21 +130,22 @@ class DiscoverabilityModel:
 
 
 def _design_matrix(examples: TrainingSet, schema: BucketSchema) -> np.ndarray:
-    """The features with a one-hot block of the buckets appended."""
+    """The features, a one-hot block of the buckets and a column of ones for the bias."""
     n, feature_dim = examples.features.shape
     n_buckets = schema.n_buckets
     out_of_range = np.flatnonzero(examples.bucket >= n_buckets)
     if out_of_range.size:
         bucket = examples.bucket[out_of_range[0]]
         raise DataError(f"bucket {bucket} out of range for {n_buckets} buckets")
-    X = np.zeros((n, feature_dim + n_buckets))
+    X = np.zeros((n, feature_dim + n_buckets + 1))
     X[:, :feature_dim] = examples.features
     X[np.arange(n), feature_dim + examples.bucket] = 1.0
+    X[:, -1] = 1.0
     return X
 
 
-def _mean_log_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
-    z = X @ w + b
+def _mean_log_loss(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
+    z = X @ theta
     # log(1 + e^z) - y*z, computed without overflow
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
@@ -156,10 +155,13 @@ def train(
     schema: BucketSchema,
     params: Hyperparams = Hyperparams(),
 ) -> DiscoverabilityModel:
-    """Fit the logistic model by full-batch gradient descent.
+    """Fit the logistic model by Newton's method from all-zero coefficients.
 
-    Deterministic given params.seed. Refuses degenerate inputs: an empty set,
-    a bucket outside the schema, or a single-class label set (for which the
+    Each step is the minimum-norm least-squares solution of H·s = g, so a
+    bucket no example was served at keeps weight 0, and an intercept splits
+    evenly between the bias and a lone bucket. Stops once no coefficient moves
+    by more than 1e-10, or after params.epochs steps. Refuses an empty set, a
+    bucket outside the schema, or a single-class label set (for which the
     cross-entropy minimizer pushes weights to infinity).
     """
     params.validate()
@@ -170,26 +172,27 @@ def train(
     if y.min() == y.max():
         raise DataError("single-class training set")
 
-    rng = np.random.default_rng(params.seed)
-    w = rng.normal(0.0, 0.01, size=X.shape[1])
-    b = 0.0
-    n = len(y)
-    lr = params.learning_rate
-    first_loss = _mean_log_loss(X, y, w, b)
-    for _ in range(params.epochs):
-        residual = _sigmoid(X @ w + b) - y
-        w -= lr * (X.T @ residual) / n
-        b -= lr * float(residual.mean())
-    final_loss = _mean_log_loss(X, y, w, b)
+    theta = np.zeros(X.shape[1])
+    first_loss = _mean_log_loss(X, y, theta)
+    for steps in range(1, params.epochs + 1):
+        p = _sigmoid(X @ theta)
+        hessian = X.T @ (X * (p * (1.0 - p))[:, None])
+        step = np.linalg.lstsq(hessian, X.T @ (p - y), rcond=None)[0]
+        theta -= step
+        if np.abs(step).max() <= _STEP_TOLERANCE:
+            break
+    final_loss = _mean_log_loss(X, y, theta)
     if not np.isfinite(final_loss):
         raise DataError("training diverged: non-finite loss")
     if final_loss > first_loss:
-        raise DataError(
-            f"training loss increased ({first_loss:.6f} -> {final_loss:.6f}); "
-            "lower the learning rate"
-        )
-    meta = TrainingMeta(epochs=params.epochs, final_loss=final_loss, seed=params.seed)
-    return DiscoverabilityModel(weights=w, bias=b, schema=schema, meta=meta)
+        raise DataError(f"training loss increased ({first_loss:.6f} -> {final_loss:.6f})")
+    examples_per_bucket, positives_per_bucket = (
+        tuple(np.bincount(examples.bucket, weights, schema.n_buckets).astype(int).tolist())
+        for weights in (None, examples.label)
+    )
+    meta = TrainingMeta(steps, final_loss, examples_per_bucket, positives_per_bucket)
+    theta.setflags(write=False)  # so the weights, a view of it, are not copied
+    return DiscoverabilityModel(theta[:-1], float(theta[-1]), schema, meta)
 
 
 def _check_features(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
@@ -366,24 +369,35 @@ def model_to_dict(model: DiscoverabilityModel) -> dict:
             "edges": list(model.schema.edges),
             "representative": list(model.schema.representative),
         },
-        "training_meta": {
-            "epochs": model.meta.epochs,
-            "final_loss": model.meta.final_loss,
-            "seed": model.meta.seed,
-        },
+        "training_meta": asdict(model.meta),
     }
 
 
+def _bucket_counts(raw: dict, key: str, n_buckets: int) -> tuple[int, ...]:
+    counts = raw[key]
+    if (
+        type(counts) is not list
+        or len(counts) != n_buckets
+        or any(type(c) is not int or c < 0 for c in counts)
+    ):
+        raise ValueError(f"{key} must be {n_buckets} non-negative integers, not {counts!r}")
+    return tuple(counts)
+
+
 def model_from_dict(raw: dict) -> DiscoverabilityModel:
+    """A model from its file form. A file whose training_meta lacks the
+    bucket counts holds a gradient-descent fit and is refused."""
     try:
         schema = BucketSchema(
             edges=tuple(raw["schema"]["edges"]),
             representative=tuple(raw["schema"]["representative"]),
         )
+        training = raw["training_meta"]
         meta = TrainingMeta(
-            epochs=int(raw["training_meta"]["epochs"]),
-            final_loss=float(raw["training_meta"]["final_loss"]),
-            seed=int(raw["training_meta"]["seed"]),
+            epochs=int(training["epochs"]),
+            final_loss=float(training["final_loss"]),
+            bucket_examples=_bucket_counts(training, "bucket_examples", schema.n_buckets),
+            bucket_positives=_bucket_counts(training, "bucket_positives", schema.n_buckets),
         )
         # The decoder reads an overflowing literal such as 1e400 as inf,
         # which no writer writes: train refuses a non-finite loss.
@@ -446,8 +460,11 @@ def load_examples(path: str | Path) -> TrainingSet:
         labels.append(int(label))
 
     read_jsonl(path, append, "training example")
-    return TrainingSet(
+    columns = (
         np.frombuffer(features).reshape(len(labels), dim or 0),
         np.frombuffer(buckets, dtype=np.int64),
         np.frombuffer(labels, dtype=np.int64),
     )
+    for column in columns:
+        column.setflags(write=False)  # no one else holds the buffers, so no copy
+    return TrainingSet(*columns)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -262,11 +262,14 @@ def build_training_set(
 
     static = static_matrix([records[k] for k in rows])
     edges = np.asarray(schema.edges)
-    return TrainingSet(
-        features=np.hstack([static, engagement_block(impressions, positives)]),
-        bucket=np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1),
-        label=np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
+    columns = (
+        np.hstack([static, engagement_block(impressions, positives)]),
+        np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1),
+        np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
     )
+    for column in columns:
+        column.setflags(write=False)  # built here, so TrainingSet need not copy them
+    return TrainingSet(*columns)
 
 
 @dataclass(frozen=True)
@@ -451,18 +454,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "strategy": report.strategy,
         "seed": report.seed,
         "total_discovered": report.total_discovered,
-        "rounds": [
-            {
-                "round": m.round,
-                "candidates": m.candidates,
-                "funded": m.funded,
-                "discovered": m.discovered,
-                "total_allocated": m.total_allocated,
-                "total_cost": m.total_cost,
-                "region_counts": m.region_counts,
-            }
-            for m in report.rounds
-        ],
+        "rounds": [asdict(m) for m in report.rounds],
     }
 
 

@@ -43,7 +43,12 @@ def make_model(
         weights=weights,
         bias=bias,
         schema=schema,
-        meta=TrainingMeta(epochs=0, final_loss=0.0, seed=0),
+        meta=TrainingMeta(
+            epochs=0,
+            final_loss=0.0,
+            bucket_examples=(0,) * schema.n_buckets,
+            bucket_positives=(0,) * schema.n_buckets,
+        ),
     )
 
 

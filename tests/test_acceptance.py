@@ -280,7 +280,7 @@ def test_c5_model_quality_on_simulator_ground_truth():
         for k in (0, 1)
     )
     assert len(train_split) >= 2000
-    model = train(train_split, DEFAULT_SCHEMA, Hyperparams(learning_rate=0.05, epochs=1000, seed=0))
+    model = train(train_split, DEFAULT_SCHEMA, Hyperparams())
     scored = [
         predict(model, features, bucket)
         for features, bucket in zip(holdout.features, holdout.bucket.tolist())
@@ -292,7 +292,7 @@ def test_c5_model_quality_on_simulator_ground_truth():
 
 def test_c6_end_to_end_strategy_ordering():
     seeds = range(20)
-    params = Hyperparams(learning_rate=0.05, epochs=1000, seed=0)
+    params = Hyperparams()
     totals = {s: [] for s in ("uniform", "model", "oracle")}
     for seed in seeds:
         sim = SimConfig(seed=seed)
@@ -377,7 +377,7 @@ def test_c9_cli_determinism(tmp_path):
     from coldstart_explore.model import train as train_fn, load_examples
 
     save_model(
-        train_fn(load_examples(examples_path), SCHEMA, Hyperparams(epochs=150, seed=1)),
+        train_fn(load_examples(examples_path), SCHEMA, Hyperparams(epochs=150)),
         trained_path,
     )
 

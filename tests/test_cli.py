@@ -21,6 +21,7 @@ from coldstart_explore.model import (
     load_examples,
     load_model,
     predict,
+    predict_curves,
     save_examples,
     save_model,
     train,
@@ -40,7 +41,7 @@ def read_manifest(out_dir):
 @pytest.fixture
 def trained_model_file(tmp_path):
     examples = separable_examples(n=120, dim=4)
-    model = train(examples, geometric_schema(), Hyperparams(epochs=200, seed=1))
+    model = train(examples, geometric_schema())
     path = tmp_path / "fixture_model.json"
     save_model(model, path)
     return path
@@ -94,8 +95,7 @@ class TestSimulate:
 class TestTrain:
     def test_trains_and_reports_accuracy(self, tmp_path, examples_file, capsys):
         out = tmp_path / "train_out"
-        assert run("train", "--train-set", str(examples_file), "--out-dir", str(out),
-                   "--epochs", "2000", "--learning-rate", "0.1") == 0
+        assert run("train", "--train-set", str(examples_file), "--out-dir", str(out)) == 0
         printed = capsys.readouterr().out
         assert "final loss" in printed
         model = load_model(out / "model.json")
@@ -124,8 +124,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--epochs", "0"), ("--epochs", "-3"), ("--learning-rate", "0"),
-         ("--learning-rate", "nan"), ("--learning-rate", "inf")],
+        [("--epochs", "0"), ("--epochs", "-3")],
     )
     def test_bad_training_settings_exit_2(self, tmp_path, examples_file, flags, capsys):
         out = tmp_path / "o"
@@ -200,6 +199,16 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["train", "--train-set", "t.jsonl"], ["experiment"]])
+def test_learning_rate_flag_is_gone(tmp_path, command, capsys):
+    # Newton's method computes its step, so no command takes a learning rate.
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--learning-rate", "0.05", "--out-dir", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --learning-rate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestAllocate:
     @pytest.fixture
     def corpus_file(self, tmp_path):
@@ -269,6 +278,37 @@ class TestAllocate:
             assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
                        "--out-dir", str(tmp_path / "n")) == 3
         assert "bad.jsonl:2: bad corpus record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts", ['"impressions": 10.7, "positive_events": 2', '"impressions": 10, '
+                   '"positive_events": 2.9', '"impressions": -1, "positive_events": 0'],
+        ids=["fractional-impressions", "fractional-positives", "negative"],
+    )
+    def test_corpus_count_not_a_non_negative_integer_exits_3(
+        self, tmp_path, flat_model_file, counts, capsys
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0], "impressions": 0, "positive_events": 0}\n'
+            f'{{"id": "b", "features": [1.0], {counts}}}\n'
+        )
+        assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
+                   "--out-dir", str(tmp_path / "n")) == 3
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2: bad corpus record" in err
+        assert "must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("key", ["bucket_examples", "bucket_positives"])
+    def test_model_file_without_bucket_support_exits_3(
+        self, tmp_path, corpus_file, flat_model_file, key, capsys
+    ):
+        payload = read_json(flat_model_file)
+        del payload["training_meta"][key]
+        model_path = tmp_path / "old_model.json"
+        model_path.write_text(json.dumps(payload))
+        assert run("allocate", "--corpus", str(corpus_file), "--model", str(model_path),
+                   "--out-dir", str(tmp_path / "m")) == 3
+        assert f"bad model payload: '{key}'" in capsys.readouterr().err
 
     def test_zero_budget_unfunds_everything(self, tmp_path, corpus_file, flat_model_file):
         out = tmp_path / "zero"
@@ -439,7 +479,7 @@ class TestExperiment:
         assert run("experiment", "--strategies", "magic",
                    "--out-dir", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("flags", [("--epochs", "0"), ("--learning-rate", "nan")])
+    @pytest.mark.parametrize("flags", [("--epochs", "0")])
     def test_bad_training_settings_exit_2(self, tmp_path, flags):
         assert run("experiment", "--items", "20", "--rounds", "2",
                    "--out-dir", str(tmp_path / "x"), *flags) == 2
@@ -462,6 +502,7 @@ class TestEval:
                    "--examples", str(examples_file), "--out-dir", str(out)) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.9 <= metrics["auc"] <= 1.0
+        assert "pr_curve" not in metrics  # pr_curve.csv holds the curve
         curve = (out / "pr_curve.csv").read_text().splitlines()
         assert curve[0] == "recall,precision"
         assert len(curve) > 2
@@ -622,16 +663,22 @@ def test_every_command_once_outputs_read_back(tmp_path):
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
-    assert read_json(model_path)["training_meta"]["epochs"] == 50
+    # training_meta counts the Newton steps taken, at most the --epochs cap.
+    assert 1 <= read_json(model_path)["training_meta"]["epochs"] <= 50
+    assert read_json(trained / "manifest.json")["config"]["epochs"] == 50
     rows = read_csv(plan / "plan.csv")
     summary = read_json(plan / "summary.json")
     assert len(rows) == summary["items"] == 200
     assert sum(int(r["granted"]) for r in rows) == summary["total_allocated"]
     assert all((r["requested"] == "") == (r["region"] == "Low") for r in rows
                if r["region"] != "Unfunded")
-    report = read_json(scored / "metrics.json")
+    examples = load_examples(train_path)
+    fitted = load_model(model_path)
+    curves = predict_curves(fitted, examples.features)
+    scores = curves[np.arange(len(examples)), examples.bucket]
+    points, _ = metrics.pr_curve_and_auc(scores, examples.label)
     curve = read_csv(scored / "pr_curve.csv")
-    assert [[float(c["recall"]), float(c["precision"])] for c in curve] == report["pr_curve"]
+    assert [(float(c["recall"]), float(c["precision"])) for c in curve] == points
     comparison = read_json(exp / "comparison.json")
     for strategy in ("uniform", "model", "oracle"):
         for k, seed in enumerate((0, 1)):

@@ -257,6 +257,17 @@ class TestItemFeatures:
         with pytest.raises(ValueError):
             rec.features[0] = 2.0
 
+    def test_caller_features_stay_writeable(self):
+        features = np.array([1.0, 2.0])
+        rec = ItemRecord("a", features)
+        features[0] = 5.0
+        assert rec.features[0] == 1.0
+        # A read-only row of a read-only matrix is taken as it is, not copied.
+        matrix = np.ones((2, 2))
+        matrix.setflags(write=False)
+        row = matrix[1]
+        assert ItemRecord("b", row).features is row
+
 
 class TestVerifyPlan:
     def _plan(self, entries, config):
@@ -334,6 +345,32 @@ class TestCorpusFile:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "features": [1.0]}\n')
         with pytest.raises(DataError, match="corpus"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "impressions, positive_events, name",
+        [
+            (10.7, 2, "impressions"),
+            (10, 2.9, "positive_events"),
+            (10.0, 2, "impressions"),
+            (-1, 0, "impressions"),
+            (10, "2", "positive_events"),
+            (True, 0, "impressions"),
+        ],
+    )
+    def test_count_not_a_non_negative_integer_refused(
+        self, tmp_path, impressions, positive_events, name
+    ):
+        path = tmp_path / "corpus.jsonl"
+        rows = [
+            {"id": "a", "features": [1.0], "impressions": 3, "positive_events": 1},
+            {"id": "b", "features": [1.0], "impressions": impressions,
+             "positive_events": positive_events},
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(
+            DataError, match=rf"corpus\.jsonl:2: .*{name} must be a non-negative integer"
+        ):
             load_corpus(path)
 
 

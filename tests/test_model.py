@@ -15,6 +15,7 @@ from coldstart_explore.core import (
 )
 from coldstart_explore.metrics import uniform_allocate
 from coldstart_explore.model import (
+    DiscoverabilityModel,
     Hyperparams,
     TrainingSet,
     _design_matrix,
@@ -94,19 +95,28 @@ def reference_design_matrix(examples, schema):
     return X, y
 
 
-def reference_train(examples, schema, params):
-    """The epoch loop that allocated its temporaries: (weights, bias, final_loss)."""
+def gradient_descent_loss(examples, schema, learning_rate=0.05, epochs=1000, seed=0):
+    """Final mean loss of the full-batch gradient descent that Newton's method
+    replaced, from its seeded N(0, 0.01) start."""
     X, y = reference_design_matrix(examples, schema)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 0.01, size=X.shape[1])
     b = 0.0
     n = len(y)
-    for _ in range(params.epochs):
+    for _ in range(epochs):
         residual = reference_sigmoid(X @ w + b) - y
-        w -= params.learning_rate * (X.T @ residual) / n
-        b -= params.learning_rate * float(residual.mean())
+        w -= learning_rate * (X.T @ residual) / n
+        b -= learning_rate * float(residual.mean())
     z = X @ w + b
-    return w, b, float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def mean_loss_gradient(model, examples):
+    """Gradient of the mean loss over (weights, bias) at the model's coefficients."""
+    X, y = reference_design_matrix(examples, model.schema)
+    X = np.column_stack([X, np.ones(len(y))])
+    theta = np.append(model.weights, model.bias)
+    return X.T @ (reference_sigmoid(X @ theta) - y) / len(y)
 
 
 def simulated_examples(items=600, seed=11):
@@ -136,7 +146,7 @@ class TestTrain:
 
     def test_separable_set_reaches_high_accuracy(self):
         examples = separable_examples()
-        model = train(examples, SCHEMA, Hyperparams(learning_rate=0.1, epochs=2000, seed=0))
+        model = train(examples, SCHEMA, Hyperparams())
         correct = sum(
             ((predict(model, features, bucket) >= 0.5) == bool(label))
             for features, bucket, label in rows_of(examples)
@@ -151,7 +161,7 @@ class TestTrain:
             for bucket in range(SCHEMA.n_buckets)
             for k in range(20)
         )
-        model = train(examples, SCHEMA, Hyperparams(learning_rate=0.5, epochs=3000, seed=1))
+        model = train(examples, SCHEMA)
         for bucket in range(SCHEMA.n_buckets):
             p = predict(model, np.zeros(3), bucket)
             assert abs(p - 0.3) <= 0.05
@@ -195,45 +205,90 @@ class TestTrain:
         for column in (examples.features, examples.bucket, examples.label):
             assert not column.flags.writeable
 
+    def test_caller_arrays_stay_writeable(self):
+        features, bucket, label = np.ones((2, 1)), np.array([0, 1]), np.array([1, 0])
+        examples = TrainingSet(features, bucket, label)
+        features[0, 0], bucket[0], label[0] = 5.0, 2, 0
+        assert examples.features[0, 0] == 1.0
+        assert examples.bucket[0] == 0 and examples.label[0] == 1
+        # A read-only column is taken as it is, not copied.
+        for column in (features, bucket, label):
+            column.setflags(write=False)
+        frozen = TrainingSet(features, bucket, label)
+        assert frozen.features is features
+        assert frozen.bucket is bucket and frozen.label is label
+
     def test_bucket_out_of_range_refused(self):
         examples = TrainingSet(np.ones((2, 1)), [99, 0], [1, 0])
         with pytest.raises(DataError, match="bucket"):
             train(examples, SCHEMA)
 
-    def test_deterministic_given_seed(self):
-        examples = separable_examples(n=60)
-        a = train(examples, SCHEMA, Hyperparams(epochs=50, seed=3))
-        b = train(examples, SCHEMA, Hyperparams(epochs=50, seed=3))
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
-        assert a.meta == b.meta
+    def test_two_fits_are_bit_identical(self):
+        for examples in (separable_examples(n=60), simulated_examples()):
+            a = train(examples, SCHEMA)
+            b = train(examples, SCHEMA)
+            assert np.array_equal(a.weights, b.weights)
+            assert a.bias == b.bias
+            assert a.meta == b.meta
 
     def test_more_epochs_do_not_increase_loss(self):
         examples = separable_examples(n=100)
-        short = train(examples, SCHEMA, Hyperparams(epochs=10, seed=0))
-        long = train(examples, SCHEMA, Hyperparams(epochs=500, seed=0))
+        short = train(examples, SCHEMA, Hyperparams(epochs=10))
+        long = train(examples, SCHEMA, Hyperparams(epochs=500))
         assert long.meta.final_loss <= short.meta.final_loss
         assert np.isfinite(long.meta.final_loss)
 
+    def test_mean_gradient_vanishes_at_the_fit(self):
+        examples = simulated_examples()
+        model = train(examples, SCHEMA)
+        assert model.meta.epochs < Hyperparams().epochs  # converged, not capped
+        assert np.abs(mean_loss_gradient(model, examples)).max() <= 1e-8
+
     @pytest.mark.parametrize(
-        "examples, params",
-        [
-            (separable_examples(), Hyperparams(learning_rate=0.1, epochs=300, seed=0)),
-            (simulated_examples(), Hyperparams(epochs=200, seed=4)),
-        ],
+        "examples", [separable_examples(), simulated_examples()],
         ids=["separable", "simulated"],
     )
-    def test_bit_identical_to_reference_loop(self, examples, params):
-        model = train(examples, SCHEMA, params)
-        w, b, final_loss = reference_train(examples, SCHEMA, params)
-        assert np.array_equal(model.weights, w)
-        assert model.bias == b
-        assert model.meta.final_loss == final_loss
+    def test_loss_at_most_that_of_gradient_descent(self, examples):
+        model = train(examples, SCHEMA)
+        assert model.meta.final_loss <= gradient_descent_loss(examples, SCHEMA)
+
+    def test_separable_set_stops_at_the_cap(self):
+        # No finite minimizer exists, so the weights grow with every step.
+        model = train(separable_examples(), SCHEMA)
+        assert model.meta.epochs == Hyperparams().epochs
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+        assert model.meta.final_loss < np.log(2.0)
+
+    def test_unseen_buckets_get_zero_weight(self):
+        # Every example sits in bucket 1, as in the simulated loop's bootstrap
+        # round: the bias column equals bucket 1's and the other five are zero.
+        base = simulated_examples()
+        examples = TrainingSet(base.features, np.ones(len(base), dtype=int), base.label)
+        model = train(examples, SCHEMA)
+        n = len(examples)
+        assert model.meta.bucket_examples == (0, n, 0, 0, 0, 0)
+        assert model.meta.bucket_positives == (0, int(base.label.sum()), 0, 0, 0, 0)
+        bucket_weights = model.weights[model.feature_dim :]
+        unseen = np.array(model.meta.bucket_examples) == 0
+        assert np.abs(bucket_weights[unseen]).max() <= 1e-12
+        # The minimum-norm steps split the intercept evenly.
+        assert bucket_weights[1] == pytest.approx(model.bias, rel=1e-9)
+
+    def test_meta_counts_the_examples_of_each_bucket(self):
+        examples = separable_examples(n=60)
+        meta = train(examples, SCHEMA).meta
+        assert meta.bucket_examples == tuple(
+            int((examples.bucket == k).sum()) for k in range(SCHEMA.n_buckets)
+        )
+        assert meta.bucket_positives == tuple(
+            int(examples.label[examples.bucket == k].sum()) for k in range(SCHEMA.n_buckets)
+        )
 
     def test_design_matrix_equals_reference(self):
         examples = simulated_examples(items=200)
         X_ref, y_ref = reference_design_matrix(examples, SCHEMA)
-        assert np.array_equal(_design_matrix(examples, SCHEMA), X_ref)
+        with_bias = np.column_stack([X_ref, np.ones(len(y_ref))])
+        assert np.array_equal(_design_matrix(examples, SCHEMA), with_bias)
         assert np.array_equal(examples.label.astype(float), y_ref)
 
     @pytest.mark.parametrize(
@@ -241,14 +296,14 @@ class TestTrain:
         [
             Hyperparams(epochs=0),
             Hyperparams(epochs=-3),
-            Hyperparams(learning_rate=0.0),
-            Hyperparams(learning_rate=-0.1),
-            Hyperparams(learning_rate=float("nan")),
-            Hyperparams(learning_rate=float("inf")),
+            Hyperparams(epochs=2.5),
+            Hyperparams(epochs=float("nan")),
+            Hyperparams(epochs=float("inf")),
+            Hyperparams(epochs="100"),
         ],
     )
     def test_bad_hyperparams_refused(self, params):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="epochs"):
             train(separable_examples(n=20), SCHEMA, params)
 
 
@@ -282,7 +337,7 @@ class TestPredict:
 
     def test_trained_model_scores_positive_point_high(self):
         examples = separable_examples()
-        model = train(examples, SCHEMA, Hyperparams(learning_rate=0.1, epochs=2000, seed=0))
+        model = train(examples, SCHEMA, Hyperparams())
         first = int(np.argmax(examples.label == 1))
         assert predict(model, examples.features[first], examples.bucket[first]) > 0.5
 
@@ -547,10 +602,26 @@ class TestInvertCap:
             assert caps[0] <= caps[1]
 
 
+class TestDiscoverabilityModel:
+    def test_caller_weights_stay_writeable(self):
+        weights = np.zeros(1 + SCHEMA.n_buckets)
+        model = make_model(SCHEMA, [0.0], np.zeros(SCHEMA.n_buckets))
+        model = DiscoverabilityModel(weights, 0.0, SCHEMA, model.meta)
+        weights[0] = 5.0
+        assert model.weights[0] == 0.0
+        assert not model.weights.flags.writeable
+
+    def test_trained_weights_are_not_copied(self):
+        model = train(separable_examples(n=60), SCHEMA)
+        assert DiscoverabilityModel(model.weights, 0.0, SCHEMA, model.meta).weights is (
+            model.weights
+        )
+
+
 class TestSerialization:
     def test_model_file_round_trips_bit_exactly(self, tmp_path):
         examples = separable_examples(n=80)
-        model = train(examples, SCHEMA, Hyperparams(epochs=100, seed=9))
+        model = train(examples, SCHEMA, Hyperparams())
         path1 = tmp_path / "model.json"
         path2 = tmp_path / "model2.json"
         save_model(model, path1)
@@ -559,7 +630,7 @@ class TestSerialization:
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         examples = separable_examples(n=80)
-        model = train(examples, SCHEMA, Hyperparams(epochs=100, seed=9))
+        model = train(examples, SCHEMA, Hyperparams())
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -600,6 +671,25 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload).replace("12345.5", "1e400"))
         with pytest.raises(DataError, match="bad model payload"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["bucket_examples", "bucket_positives"])
+    def test_file_without_bucket_support_refused(self, tmp_path, key):
+        # A model file written before training recorded its support per bucket.
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        del payload["training_meta"][key]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"bad model payload: '{key}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("counts", [[0] * 5, [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 1.5], 6])
+    def test_bad_bucket_support_refused(self, tmp_path, counts):
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        payload["training_meta"]["bucket_examples"] = counts
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="bucket_examples must be 6 non-negative integers"):
             load_model(path)
 
     def test_non_finite_weights_rejected(self, tmp_path):

@@ -282,10 +282,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "params",
-        [Hyperparams(epochs=0), Hyperparams(learning_rate=0.0), Hyperparams(learning_rate=math.nan)],
+        [Hyperparams(epochs=0), Hyperparams(epochs=2.5), Hyperparams(epochs=math.nan)],
     )
     def test_bad_hyperparams_refused_before_any_round(self, params):
-        with pytest.raises(ConfigError, match="epochs|learning rate"):
+        with pytest.raises(ConfigError, match="epochs"):
             run_experiment(SimConfig(items_per_round=10), cfg(), SCHEMA, params, "uniform")
 
     def test_discovered_items_leave_candidate_pool(self):
@@ -308,7 +308,7 @@ class TestTrainedCurves:
         latents, records = generate_corpus(sim, 0)
         obs = serve_round(latents, uniform_allocate(records, config), sim, 0)
         examples = build_training_set(obs, records, SCHEMA)
-        model = train(examples, SCHEMA, Hyperparams(epochs=300, seed=0))
+        model = train(examples, SCHEMA, Hyperparams())
         violations = 0
         for rec in records[:50]:
             raw = predict_curve(model, item_feature_vector(rec))
@@ -319,7 +319,9 @@ class TestTrainedCurves:
             smooth = monotone_curve(raw)
             assert np.all(np.diff(smooth) >= 0)
             invert_cap(smooth, 0.5, config, SCHEMA)  # must not raise
-        assert violations > 0  # single-bucket training leaves jitter in the rest
+        # Single-bucket training leaves every other bucket's weight at 0, above
+        # the trained bucket's negative share of the intercept.
+        assert violations > 0
 
 
 class TestLatentFile:
