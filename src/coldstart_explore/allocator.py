@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,9 +42,9 @@ from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_cu
 #: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes of the array code: a code indexes _REGIONS. Unfunded is not a
+# Region codes of the array code: a code indexes REGIONS. Unfunded is not a
 # region an item is classified into; it marks plan entries granted nothing.
-_REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW, Region.UNFUNDED)
+REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW, Region.UNFUNDED)
 _HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
 
 
@@ -135,30 +135,36 @@ def _water_fill(weights: np.ndarray, budget: int, cap: int) -> np.ndarray:
     return grants
 
 
-def allocate_low(
-    items: Sequence[tuple[str, EngagementStats]],
-    low_budget: int,
-    config: AllocationConfig,
-) -> list[tuple[str, int]]:
-    """Split the low-region budget across items in proportion to their positive rate.
+def low_grants(rates: np.ndarray, low_budget: int, config: AllocationConfig) -> np.ndarray:
+    """Grants of the Low items whose positive rates are given: the kernel of allocate_low.
 
     Items with no positive feedback yet get a small floor weight (1/n) so new
     items are not starved. Shares are capped at max_cap with overflow
     redistributed; a share that lands below min_cap is deferred to a later
     round (granted 0) rather than served under the floor.
     """
-    if low_budget < 0:
-        raise DataError("low-region budget must be non-negative")
-    if not items:
-        return []
-    ids = [item_id for item_id, _ in items]
-    rates = np.fromiter((stats.positive_rate for _, stats in items), float, len(items))
-    weights = np.where(rates > 0, rates, 1.0 / len(items))
+    if not len(rates):
+        return np.zeros(0, dtype=np.int64)
+    weights = np.where(rates > 0, rates, 1.0 / len(rates))
     shares = _water_fill(weights, low_budget, config.max_cap)
     # Snap shares sitting a float ulp below an integer before flooring.
     granted = np.floor(shares + 1e-9).astype(np.int64)
     granted[granted < config.min_cap] = 0
-    return list(zip(ids, granted.tolist()))
+    return granted
+
+
+def allocate_low(
+    items: Sequence[tuple[str, EngagementStats]],
+    low_budget: int,
+    config: AllocationConfig,
+) -> list[tuple[str, int]]:
+    """Split the low-region budget across items in proportion to their
+    positive rate (see low_grants); a negative budget is refused."""
+    if low_budget < 0:
+        raise DataError("low-region budget must be non-negative")
+    rates = np.fromiter((stats.positive_rate for _, stats in items), float, len(items))
+    granted = low_grants(rates, low_budget, config)
+    return list(zip([item_id for item_id, _ in items], granted.tolist()))
 
 
 def adapt_low_fraction(current: float, growth: GrowthStats) -> float:
@@ -230,45 +236,31 @@ def _score(
     return p_at_maxcap, caps
 
 
-def allocate(
-    corpus: Sequence[ItemRecord],
+class PlanColumns(NamedTuple):
+    """An allocation as columns over the candidates, in their order."""
+
+    region: np.ndarray  # region code (indexes REGIONS) each item is classified into
+    granted: np.ndarray
+    requested: np.ndarray  # meaningful for High and Moderate items only
+    p_at_maxcap: np.ndarray
+    total_cost: float
+
+
+def plan_columns(
+    ids: Sequence[str],
+    features: np.ndarray,
     model: DiscoverabilityModel,
     config: AllocationConfig,
     schema: BucketSchema,
     growth: GrowthStats | None = None,
-) -> AllocationPlan:
-    """Build a full allocation plan for a corpus.
+) -> PlanColumns:
+    """The allocation of candidates given in id order: the kernel of allocate.
 
-    The budget is split between a High+Moderate pool and a Low pool. High and
-    Moderate items are funded full-or-nothing in ascending order of requested
-    traffic; whatever the pool does not spend spills into the Low pool, which
-    is then divided by allocate_low. Finally the cost constraint is enforced
-    by dropping items (see _repair_cost). Deterministic: ties break on item id.
-
-    Funding orders by requested traffic, never by cost. So for any
-    non-decreasing cost_fn whose ceiling does not bind, the funded
-    High/Moderate count is the maximum that fits the traffic budget. When the
-    ceiling binds, _repair_cost's drop order decides the plan, and the count
-    is not guaranteed maximal.
-
-    Scoring, region classification, greedy funding, the Low water-fill and
-    the cost totals work on arrays over the whole corpus; predict_curve,
-    monotone_curve, classify_region and requested_traffic are their per-item
-    counterparts. The id-keyed dicts of _repair_cost are built only when the
-    cost ceiling binds.
+    Row i of `features` is the model input of item ids[i], so it ends with
+    the engagement block [positive_rate, log1p(impressions)]; the rate
+    column weights the Low water-fill. `ids` keys the dicts of _repair_cost,
+    which are built only when the cost ceiling binds.
     """
-    validate_config(config, schema)
-    if model.schema != schema:
-        raise ConfigError("model was trained against a different bucket schema")
-    records = sorted(corpus, key=attrgetter("id"))
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in corpus")
-    features = feature_matrix(records)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
-
     p_at_maxcap, caps = _score(features, model, config, schema)
     region = _classify(p_at_maxcap, config)
     requested = np.where(region == _HIGH, caps, config.max_cap)
@@ -285,43 +277,83 @@ def allocate(
     order = candidates[np.argsort(requested[candidates], kind="stable")]
     spent = np.cumsum(requested[order])
     n_funded = int(np.searchsorted(spent, hm_budget, side="right"))
-    granted = np.zeros(len(records), dtype=np.int64)
+    granted = np.zeros(len(ids), dtype=np.int64)
     granted[order[:n_funded]] = requested[order[:n_funded]]
     remaining = hm_budget - (int(spent[n_funded - 1]) if n_funded else 0)
 
     # Unspent High/Moderate budget spills into the Low pool.
     low = np.flatnonzero(region == _LOW)
-    low_items = [(ids[i], records[i].engagement) for i in low.tolist()]
-    low_grants = allocate_low(low_items, low_pool + remaining, config)
-    granted[low] = [grant for _, grant in low_grants]
+    rates = features[low, -2]
+    granted[low] = low_grants(rates, low_pool + remaining, config)
 
     total_cost = sum_costs(granted, config)
     if not total_cost <= config.max_cost:
         grants = dict(zip(ids, granted.tolist()))
         _repair_cost(
             grants,
-            dict(zip(ids, map(_REGIONS.__getitem__, region.tolist()))),
-            {item_id: stats.positive_rate for item_id, stats in low_items},
+            dict(zip(ids, map(REGIONS.__getitem__, region.tolist()))),
+            dict(zip(map(ids.__getitem__, low.tolist()), rates.tolist())),
             config,
         )
         granted = np.fromiter(grants.values(), np.int64, len(ids))
         total_cost = sum_costs(granted, config)
+    return PlanColumns(region, granted, requested, p_at_maxcap, total_cost)
 
-    entry_region = np.where(granted > 0, region, _UNFUNDED)
-    entry_requested = requested.astype(object)
-    entry_requested[low] = None
+
+def allocate(
+    corpus: Sequence[ItemRecord],
+    model: DiscoverabilityModel,
+    config: AllocationConfig,
+    schema: BucketSchema,
+    growth: GrowthStats | None = None,
+) -> AllocationPlan:
+    """Build a full allocation plan for a corpus.
+
+    The budget is split between a High+Moderate pool and a Low pool. High and
+    Moderate items are funded full-or-nothing in ascending order of requested
+    traffic; whatever the pool does not spend spills into the Low pool, which
+    is then divided as allocate_low divides it. Finally the cost constraint is
+    enforced by dropping items (see _repair_cost). Deterministic: ties break
+    on item id.
+
+    Funding orders by requested traffic, never by cost. So for any
+    non-decreasing cost_fn whose ceiling does not bind, the funded
+    High/Moderate count is the maximum that fits the traffic budget. When the
+    ceiling binds, _repair_cost's drop order decides the plan, and the count
+    is not guaranteed maximal.
+
+    plan_columns does the work on arrays over the whole corpus;
+    predict_curve, monotone_curve, classify_region and requested_traffic are
+    its per-item counterparts.
+    """
+    validate_config(config, schema)
+    if model.schema != schema:
+        raise ConfigError("model was trained against a different bucket schema")
+    records = sorted(corpus, key=attrgetter("id"))
+    ids = [r.id for r in records]
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate item ids in corpus")
+    features = feature_matrix(records)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
+
+    plan = plan_columns(ids, features, model, config, schema, growth)
+    entry_region = np.where(plan.granted > 0, plan.region, _UNFUNDED)
+    entry_requested = plan.requested.astype(object)
+    entry_requested[plan.region == _LOW] = None
     entries = tuple(
         map(
             PlanEntry,
             ids,
-            map(_REGIONS.__getitem__, entry_region.tolist()),
-            granted.tolist(),
+            map(REGIONS.__getitem__, entry_region.tolist()),
+            plan.granted.tolist(),
             entry_requested.tolist(),
-            p_at_maxcap.tolist(),
+            plan.p_at_maxcap.tolist(),
         )
     )
     return AllocationPlan(
-        entries=entries, total_allocated=int(granted.sum()), total_cost=total_cost
+        entries=entries, total_allocated=int(plan.granted.sum()), total_cost=plan.total_cost
     )
 
 
@@ -363,7 +395,7 @@ def plan_summary(
     )
     codes = _classify(scored, config)
     summary["classified_counts"] = {
-        _REGIONS[code].value: int(np.count_nonzero(codes == code))
+        REGIONS[code].value: int(np.count_nonzero(codes == code))
         for code in (_HIGH, _MODERATE, _LOW)
     }
     if adapted_low_fraction is not None:

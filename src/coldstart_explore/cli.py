@@ -39,7 +39,9 @@ def _write_manifest(
     inputs: list[Path],
     outputs: list[Path],
     started: float,
+    **facts,
 ) -> None:
+    """manifest.json: the run's config, seed and file digests, plus `facts`."""
     manifest = {
         "command": command,
         "config": config_snapshot,
@@ -47,6 +49,7 @@ def _write_manifest(
         "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
         "outputs": {str(p): _sha256(p) for p in sorted(outputs)},
         "duration_seconds": time.monotonic() - started,
+        **facts,
     }
     core.write_json(manifest, out_dir / "manifest.json")
 
@@ -150,6 +153,8 @@ def cmd_train(args) -> int:
         [Path(args.train_set)],
         [model_path],
         started,
+        bucket_examples=list(fitted.meta.bucket_examples),
+        bucket_positives=list(fitted.meta.bucket_positives),
     )
     print(f"final loss {fitted.meta.final_loss:.6f} on {len(examples)} examples")
     return 0
@@ -174,7 +179,9 @@ def cmd_allocate(args) -> int:
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"
     allocator.write_plan_csv(plan, plan_path)
-    core.write_json(allocator.plan_summary(plan, config, adapted), summary_path)
+    summary = allocator.plan_summary(plan, config, adapted)
+    summary["untrained_buckets"] = list(fitted.meta.untrained_buckets)
+    core.write_json(summary, summary_path)
     _write_manifest(
         out,
         "allocate",

@@ -252,14 +252,19 @@ def validate_allocation_config(config: AllocationConfig) -> AllocationConfig:
 
 
 def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
-    """Re-check all plan invariants from the plan and config alone.
+    """Re-check all plan invariants from the plan and config alone, one
+    entry per item among them.
 
     Raises DataError on the first violation. Used by tests and by callers that
     receive plans across a trust boundary.
     """
     allocated = 0
     cost = 0.0
+    seen = set()
     for entry in plan.entries:
+        if entry.item_id in seen:
+            raise DataError(f"duplicate plan entry for item {entry.item_id}")
+        seen.add(entry.item_id)
         if entry.granted == 0:
             if entry.region is not Region.UNFUNDED:
                 raise DataError(f"zero grant must be Unfunded: {entry.item_id}")
@@ -316,13 +321,20 @@ def static_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
     return np.array([rec.features for rec in records])
 
 
+def model_inputs(
+    static: np.ndarray, impressions: np.ndarray, positive_events: np.ndarray
+) -> np.ndarray:
+    """Model inputs from columns: each row's static features, then its engagement block."""
+    return np.hstack([static, engagement_block(impressions, positive_events)])
+
+
 def feature_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
     """Model inputs for many items, one row each: row i is item_feature_vector(records[i])."""
     n = len(records)
     engagement = [rec.engagement for rec in records]
     impressions = np.fromiter((s.impressions for s in engagement), np.int64, n)
     positives = np.fromiter((s.positive_events for s in engagement), np.int64, n)
-    return np.hstack([static_matrix(records), engagement_block(impressions, positives)])
+    return model_inputs(static_matrix(records), impressions, positives)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +432,6 @@ def _corpus_record(row: dict) -> ItemRecord:
         id=str(row["id"]),
         features=features,
         engagement=EngagementStats(impressions, positive_events),
-        impressions_received=impressions,
     )
 
 
@@ -450,33 +461,63 @@ def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
     }
 
 
+#: The types a loader accepts for an integer and for a float value. bool is a
+#: subclass of int, so a type test, not isinstance, keeps true and false out.
+INTEGER = (int,)
+NUMBER = (int, float)
+
+
+def checked(value, kinds: tuple[type, ...], what: str):
+    """value if its type is one of kinds; ValueError naming `what` otherwise."""
+    if type(value) not in kinds:
+        kind = "an integer" if kinds is INTEGER else "a number"
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
+def checked_list(values, kinds: tuple[type, ...], what: str) -> tuple:
+    """The values of a list as a tuple, each checked as checked() does."""
+    if type(values) not in (list, tuple):
+        raise ValueError(f"{what} must be a list, not {values!r}")
+    return tuple(checked(v, kinds, f"each of {what}") for v in values)
+
+
 def config_from_dict(raw: dict) -> tuple[AllocationConfig, BucketSchema]:
     """(config, schema) from a flat dict; missing keys fall back to defaults.
 
-    A value of the wrong type raises ConfigError.
+    Budget, caps and bucket edges must be integers, the other values integers
+    or floats. Any other value, a bool or a string included, raises
+    ConfigError naming its key.
     """
     base = config_to_dict(DEFAULT_ALLOCATION, DEFAULT_SCHEMA)
     unknown = set(raw) - set(base)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base.update(raw)
+
+    def number(key: str) -> float:
+        return float(checked(base[key], NUMBER, key))
+
     try:
-        edges = tuple(int(e) for e in base["bucket_edges"])
-        reps = base["bucket_representatives"]
+        edges = checked_list(base["bucket_edges"], INTEGER, "bucket_edges")
+        max_cap = checked(base["max_cap"], INTEGER, "max_cap")
         if "bucket_edges" in raw and "bucket_representatives" not in raw:
             # Edges changed without explicit representatives: re-derive them.
-            reps = [edges[k + 1] - 1 for k in range(len(edges) - 1)] + [base["max_cap"]]
-        schema = BucketSchema(edges=edges, representative=tuple(int(r) for r in reps))
+            reps = tuple(edges[k + 1] - 1 for k in range(len(edges) - 1)) + (max_cap,)
+        else:
+            reps = checked_list(
+                base["bucket_representatives"], INTEGER, "bucket_representatives"
+            )
         config = AllocationConfig(
-            total_budget=int(base["total_budget"]),
-            max_cost=float(base["max_cost"]),
-            min_cap=int(base["min_cap"]),
-            max_cap=int(base["max_cap"]),
-            cf_high=float(base["cf_high"]),
-            cf_low=float(base["cf_low"]),
-            low_region_fraction=float(base["low_region_fraction"]),
-            unit_cost=float(base["unit_cost"]),
+            total_budget=checked(base["total_budget"], INTEGER, "total_budget"),
+            max_cost=number("max_cost"),
+            min_cap=checked(base["min_cap"], INTEGER, "min_cap"),
+            max_cap=max_cap,
+            cf_high=number("cf_high"),
+            cf_low=number("cf_low"),
+            low_region_fraction=number("low_region_fraction"),
+            unit_cost=number("unit_cost"),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # float() of an integer past float range
         raise ConfigError(f"bad config value: {exc}") from exc
-    return config, schema
+    return config, BucketSchema(edges=edges, representative=reps)

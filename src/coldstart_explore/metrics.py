@@ -7,7 +7,6 @@ precision with step interpolation, computed at every distinct score threshold.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,10 +26,6 @@ from .core import (
     validate_allocation_config,
     write_csv,
 )
-
-# Region of an oracle plan entry, indexed by whether it is funded.
-_ORACLE_REGION = (Region.UNFUNDED, Region.ORACLE)
-
 
 @dataclass(frozen=True)
 class BucketMetrics:
@@ -181,23 +176,14 @@ def write_pr_curve_csv(report: MetricsReport, path: str | Path) -> None:
 # Baseline allocation strategies
 # ---------------------------------------------------------------------------
 
-def uniform_allocate(
-    corpus: Sequence[ItemRecord], config: AllocationConfig
-) -> AllocationPlan:
-    """Equal traffic for everyone: the no-model baseline.
+def uniform_grants(n: int, config: AllocationConfig) -> np.ndarray:
+    """The uniform grants of n items in id order: the kernel of uniform_allocate.
 
-    Each item gets X = clamp(T // N, min_cap, max_cap), granted in id order
+    Each item gets X = clamp(T // n, min_cap, max_cap), granted in id order
     for as long as both the traffic budget and the cost ceiling allow; the
-    rest stay unfunded. So the funded items are a prefix of the id order.
-    An invalid config and duplicate ids are refused.
+    rest get 0. So the funded items are a prefix of the id order.
     """
-    validate_allocation_config(config)
-    if not corpus:
-        raise DataError("uniform allocation needs a non-empty corpus")
-    ids = sorted(map(attrgetter("id"), corpus))
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in corpus")
-    share = config.total_budget // len(ids)
+    share = config.total_budget // n
     x_uniform = max(min(share, config.max_cap), config.min_cap)
     unit = cost_of(x_uniform, config)
     # The first test that fails fails for every later item too, as nothing is
@@ -206,53 +192,24 @@ def uniform_allocate(
     funded = 0
     remaining = config.total_budget
     cost_left = config.max_cost
-    while funded < len(ids) and x_uniform <= remaining and unit <= cost_left + 1e-12:
+    while funded < n and x_uniform <= remaining and unit <= cost_left + 1e-12:
         remaining -= x_uniform
         cost_left -= unit
         funded += 1
-    entries = (
-        *map(
-            PlanEntry,
-            ids[:funded],
-            repeat(Region.UNIFORM),
-            repeat(x_uniform),
-            repeat(x_uniform),
-        ),
-        *map(PlanEntry, ids[funded:], repeat(Region.UNFUNDED), repeat(0)),
-    )
-    granted = np.repeat([x_uniform, 0], [funded, len(ids) - funded])
-    return AllocationPlan(
-        entries=entries,
-        total_allocated=funded * x_uniform,
-        total_cost=sum_costs(granted, config),
-    )
+    return np.repeat(np.array([x_uniform, 0], dtype=np.int64), [funded, n - funded])
 
 
-def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPlan:
-    """Full-information upper bound: fund cheapest true thresholds first.
+def oracle_grants(thresholds: np.ndarray, config: AllocationConfig) -> np.ndarray:
+    """The oracle grants of items whose true thresholds are given in id order,
+    in that order: the kernel of oracle_allocate.
 
-    `latents` supplies objects with `id` and `true_threshold` attributes (the
-    simulator's ground truth). Items whose threshold exceeds max_cap can never
-    be discovered within the cap and are excluded; others are funded at
-    clamp(threshold, min_cap, max_cap), in ascending (threshold, id) order,
-    each one that still fits the traffic budget and the cost ceiling.
-    An invalid config, duplicate ids and NaN thresholds are refused.
+    Items whose threshold exceeds max_cap can never be discovered within the
+    cap and get 0. Others are funded at clamp(threshold, min_cap, max_cap),
+    in ascending (threshold, id) order, each one that still fits the traffic
+    budget and the cost ceiling. No threshold may be NaN.
     """
-    validate_allocation_config(config)
-    items = list(latents)
-    ids = list(map(attrgetter("id"), items))
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in latents")
-    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
-    nan = np.flatnonzero(np.isnan(thresholds))
-    if nan.size:
-        raise DataError(f"NaN threshold for item {ids[nan[0]]}")
-    # Rank the ids in Python's str order: a numpy <U array would drop
-    # trailing NULs and so could order ids differently.
-    id_order = sorted(range(len(ids)), key=ids.__getitem__)
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[id_order] = np.arange(len(ids))
-    order = np.lexsort((id_rank, thresholds))
+    # A stable sort keeps tied thresholds in id order.
+    order = np.argsort(thresholds, kind="stable")
     eligible = order[thresholds[order] <= config.max_cap]
     # int() of clamp(threshold, min_cap, max_cap): astype truncates towards
     # zero, as int() does.
@@ -260,7 +217,7 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
         thresholds[eligible], config.min_cap, config.max_cap
     ).astype(np.int64)
 
-    granted = np.zeros(len(items), dtype=np.int64)
+    granted = np.zeros(len(thresholds), dtype=np.int64)
     remaining = config.total_budget
     cost_left = config.max_cost
     for i, need in zip(eligible.tolist(), needed.tolist()):
@@ -275,18 +232,22 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
         granted[i] = need
         remaining -= need
         cost_left -= cost
+    return granted
 
-    granted = granted[id_order]
-    funded = granted > 0
-    requested = granted.astype(object)
-    requested[~funded] = None
+
+def _baseline_plan(
+    ids: Sequence[str], granted: np.ndarray, region: Region, config: AllocationConfig
+) -> AllocationPlan:
+    """A plan of grants in id order: funded entries in `region`, requesting
+    their grant, and the rest Unfunded."""
+    grants = granted.tolist()
     entries = tuple(
         map(
             PlanEntry,
-            map(ids.__getitem__, id_order),
-            map(_ORACLE_REGION.__getitem__, funded.tolist()),
-            granted.tolist(),
-            requested.tolist(),
+            ids,
+            [region if grant else Region.UNFUNDED for grant in grants],
+            grants,
+            [grant or None for grant in grants],
         )
     )
     return AllocationPlan(
@@ -294,3 +255,42 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
         total_allocated=int(granted.sum()),
         total_cost=sum_costs(granted, config),
     )
+
+
+def uniform_allocate(
+    corpus: Sequence[ItemRecord], config: AllocationConfig
+) -> AllocationPlan:
+    """Equal traffic for everyone: the no-model baseline (see uniform_grants).
+
+    An invalid config, an empty corpus and duplicate ids are refused.
+    """
+    validate_allocation_config(config)
+    if not corpus:
+        raise DataError("uniform allocation needs a non-empty corpus")
+    ids = sorted(map(attrgetter("id"), corpus))
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate item ids in corpus")
+    return _baseline_plan(ids, uniform_grants(len(ids), config), Region.UNIFORM, config)
+
+
+def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPlan:
+    """Full-information upper bound: fund cheapest true thresholds first.
+
+    `latents` supplies objects with `id` and `true_threshold` attributes (the
+    simulator's ground truth); oracle_grants funds them. An invalid config,
+    duplicate ids and NaN thresholds are refused.
+    """
+    validate_allocation_config(config)
+    items = list(latents)
+    ids = list(map(attrgetter("id"), items))
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate item ids in latents")
+    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
+    nan = np.flatnonzero(np.isnan(thresholds))
+    if nan.size:
+        raise DataError(f"NaN threshold for item {ids[nan[0]]}")
+    # Python's str order: a numpy <U array would drop trailing NULs and so
+    # could order ids differently.
+    id_order = sorted(range(len(ids)), key=ids.__getitem__)
+    granted = oracle_grants(thresholds[id_order], config)
+    return _baseline_plan([ids[k] for k in id_order], granted, Region.ORACLE, config)

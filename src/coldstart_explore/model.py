@@ -19,10 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    INTEGER,
+    NUMBER,
     AllocationConfig,
     BucketSchema,
     ConfigError,
     DataError,
+    checked,
+    checked_list,
     read_json,
     read_only,
     read_jsonl,
@@ -96,6 +100,11 @@ class TrainingMeta:
     final_loss: float
     bucket_examples: tuple[int, ...]
     bucket_positives: tuple[int, ...]
+
+    @property
+    def untrained_buckets(self) -> tuple[int, ...]:
+        """Indices of the buckets no training example was served at."""
+        return tuple(k for k, count in enumerate(self.bucket_examples) if count == 0)
 
 
 @dataclass(frozen=True)
@@ -386,16 +395,22 @@ def _bucket_counts(raw: dict, key: str, n_buckets: int) -> tuple[int, ...]:
 
 def model_from_dict(raw: dict) -> DiscoverabilityModel:
     """A model from its file form. A file whose training_meta lacks the
-    bucket counts holds a gradient-descent fit and is refused."""
+    bucket counts holds a gradient-descent fit and is refused.
+
+    Schema edges, representatives and epochs must be integers, weights, bias
+    and final_loss integers or floats; a bool or a string is refused.
+    """
     try:
         schema = BucketSchema(
-            edges=tuple(raw["schema"]["edges"]),
-            representative=tuple(raw["schema"]["representative"]),
+            edges=checked_list(raw["schema"]["edges"], INTEGER, "edges"),
+            representative=checked_list(
+                raw["schema"]["representative"], INTEGER, "representative"
+            ),
         )
         training = raw["training_meta"]
         meta = TrainingMeta(
-            epochs=int(training["epochs"]),
-            final_loss=float(training["final_loss"]),
+            epochs=checked(training["epochs"], INTEGER, "epochs"),
+            final_loss=float(checked(training["final_loss"], NUMBER, "final_loss")),
             bucket_examples=_bucket_counts(training, "bucket_examples", schema.n_buckets),
             bucket_positives=_bucket_counts(training, "bucket_positives", schema.n_buckets),
         )
@@ -404,8 +419,8 @@ def model_from_dict(raw: dict) -> DiscoverabilityModel:
         if not math.isfinite(meta.final_loss):
             raise ValueError("final_loss must be finite")
         return DiscoverabilityModel(
-            weights=np.asarray(raw["weights"], dtype=float),
-            bias=float(raw["bias"]),
+            weights=np.asarray(checked_list(raw["weights"], NUMBER, "weights"), dtype=float),
+            bias=float(checked(raw["bias"], NUMBER, "bias")),
             schema=schema,
             meta=meta,
         )

@@ -19,29 +19,31 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .allocator import allocate
+from .allocator import REGIONS, plan_columns
 from .core import (
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
     ConfigError,
     DataError,
-    EngagementStats,
     ItemRecord,
-    engagement_block,
+    Region,
+    model_inputs,
     read_jsonl,
     static_matrix,
+    sum_costs,
     validate_config,
     write_csv,
     write_jsonl,
 )
-from .metrics import oracle_allocate, uniform_allocate
+from .metrics import oracle_grants, uniform_grants
 from .model import Hyperparams, TrainingSet, train
 
 STRATEGIES = ("uniform", "model", "oracle")
@@ -122,13 +124,15 @@ def _feature_projection(config: SimConfig) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=config.feature_dim)
 
 
-def generate_corpus(
+def draw_columns(
     config: SimConfig, round_index: int
-) -> tuple[list[LatentItem], list[ItemRecord]]:
-    """Draw one round's fresh items. Deterministic given (seed, round_index)."""
-    config.validate()
-    if round_index < 0:
-        raise DataError("round_index must be non-negative")
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One round's fresh items as columns: the kernel of generate_corpus.
+
+    Returns the ids, quality, true threshold and engagement probability of
+    every item, and the read-only (items, feature_dim) feature matrix.
+    Deterministic given (seed, round_index); the config is not validated.
+    """
     projection = _feature_projection(config)
     rng = np.random.default_rng([config.seed, round_index])
     n = config.items_per_round
@@ -137,8 +141,8 @@ def generate_corpus(
     log_noise = rng.normal(0.0, config.threshold_noise, size=n)
     feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
 
-    # Columns first, objects last. math.exp is mapped over the columns: np.exp
-    # can differ from it in the last bit, which would change latents.jsonl.
+    # math.exp is mapped over the columns: np.exp can differ from it in the
+    # last bit, which would change latents.jsonl.
     template = f"r{round_index:02d}-%05d"
     ids = [template % i for i in range(n)]
     theta = np.where(archetype == 0, 0.0, math.inf)
@@ -161,13 +165,40 @@ def generate_corpus(
     except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"config pushes a value out of float range: {exc}") from exc
     features.setflags(write=False)
+    return ids, quality, theta, engagement_prob, features
 
+
+def generate_corpus(
+    config: SimConfig, round_index: int
+) -> tuple[list[LatentItem], list[ItemRecord]]:
+    """Draw one round's fresh items (see draw_columns) as objects."""
+    config.validate()
+    if round_index < 0:
+        raise DataError("round_index must be non-negative")
+    ids, quality, theta, engagement_prob, features = draw_columns(config, round_index)
     latents = list(
         map(LatentItem, ids, quality.tolist(), theta.tolist(), engagement_prob.tolist())
     )
     # Each record's features are a read-only row of the one matrix.
     records = list(map(ItemRecord, ids, features))
     return latents, records
+
+
+def serve_columns(
+    config: SimConfig,
+    round_index: int,
+    served: np.ndarray,
+    engagement_prob: np.ndarray,
+    true_threshold: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive events and discovery outcomes of the funded items of one
+    round, given in id order: the kernel of serve_round.
+
+    One binomial draw over the items in id order takes what one draw per
+    item in that order takes.
+    """
+    rng = np.random.default_rng([config.seed, round_index, _SERVE_STREAM])
+    return rng.binomial(served, engagement_prob), served >= true_threshold
 
 
 def serve_round(
@@ -183,26 +214,33 @@ def serve_round(
     item id order. Discovery is decided per round: the item is discovered
     exactly when this round's grant reaches its threshold. Traffic from
     earlier rounds does not count towards it, unlike engagement, which
-    accumulates.
+    accumulates. A plan naming an unknown item, or one item twice, is refused.
     """
     by_id = {lat.id: lat for lat in latents}
     entries = sorted(plan.entries, key=attrgetter("item_id"))
+    previous = None
     for entry in entries:
         if entry.item_id not in by_id:
             raise DataError(f"plan references unknown item {entry.item_id}")
+        if entry.item_id == previous:
+            raise DataError(f"duplicate plan entry for item {entry.item_id}")
+        previous = entry.item_id
     entries = [entry for entry in entries if entry.granted != 0]
     n = len(entries)
     served = np.fromiter((e.granted for e in entries), np.int64, n)
     probs = np.fromiter((by_id[e.item_id].engagement_prob for e in entries), float, n)
     thresholds = np.fromiter((by_id[e.item_id].true_threshold for e in entries), float, n)
-    # One draw over the funded entries in id order takes what one draw per
-    # entry in that order takes.
-    rng = np.random.default_rng([config.seed, round_index, _SERVE_STREAM])
-    positives = rng.binomial(served, probs)
-    return [
-        Observation(round_index, entry.item_id, entry.granted, int(positive), bool(found))
-        for entry, positive, found in zip(entries, positives, served >= thresholds)
-    ]
+    positives, found = serve_columns(config, round_index, served, probs, thresholds)
+    return list(
+        map(
+            Observation,
+            repeat(round_index),
+            [e.item_id for e in entries],
+            served.tolist(),
+            positives.tolist(),
+            found.tolist(),
+        )
+    )
 
 
 def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -> np.ndarray:
@@ -229,47 +267,63 @@ def _counts_before(groups: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return result
 
 
-def build_training_set(
-    observations: Sequence[Observation],
-    records: Sequence[ItemRecord],
+def training_columns(
+    static: np.ndarray,
+    items: np.ndarray,
+    served: np.ndarray,
+    positive_events: np.ndarray,
+    discovered: np.ndarray,
     schema: BucketSchema,
 ) -> TrainingSet:
-    """One example per serving event.
+    """One example per serving event, the events given as columns in
+    (round, item id) order: the kernel of build_training_set.
 
-    Features are the item's static features plus its engagement block as it
-    stood when the round was served, reconstructed by replaying observations
-    in round order. The bucket is the served traffic's bucket and the label is
-    the observed discovery outcome.
-
-    The replay runs on columns: the events in (round, item id) order, each
-    item's running counts an exclusive cumulative sum over its own events.
+    Event k served item items[k], whose static features are static[k]. Its
+    example's features are those plus the item's engagement block as it
+    stood before the event: an exclusive cumulative sum over the item's own
+    events. Its bucket is the served traffic's and its label `discovered`.
     """
-    events = sorted(observations, key=attrgetter("round", "item_id"))
-    rows = _record_rows(events, records)
-    n = len(events)
-    served = np.fromiter((o.served for o in events), np.int64, n)
-    positive_events = np.fromiter((o.positive_events for o in events), np.int64, n)
     if (served < 0).any():
         raise DataError("traffic must be non-negative")
-    # The item's engagement as it stood before each event.
     impressions, positives = _counts_before(
-        rows, np.column_stack([served, positive_events])
+        items, np.column_stack([served, positive_events])
     ).T
     if (positives < 0).any():
         raise DataError("engagement counts must be non-negative")
     if (positives > impressions).any():
         raise DataError("positive_events cannot exceed impressions")
-
-    static = static_matrix([records[k] for k in rows])
     edges = np.asarray(schema.edges)
     columns = (
-        np.hstack([static, engagement_block(impressions, positives)]),
+        model_inputs(static, impressions, positives),
         np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1),
-        np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
+        discovered.astype(np.int64),
     )
     for column in columns:
         column.setflags(write=False)  # built here, so TrainingSet need not copy them
     return TrainingSet(*columns)
+
+
+def build_training_set(
+    observations: Sequence[Observation],
+    records: Sequence[ItemRecord],
+    schema: BucketSchema,
+) -> TrainingSet:
+    """One example per serving event (see training_columns).
+
+    The events are replayed in (round, item id) order, so each example sees
+    the engagement its item had when the round was served.
+    """
+    events = sorted(observations, key=attrgetter("round", "item_id"))
+    rows = _record_rows(events, records)
+    n = len(events)
+    return training_columns(
+        static_matrix([records[k] for k in rows]),
+        rows,
+        np.fromiter((o.served for o in events), np.int64, n),
+        np.fromiter((o.positive_events for o in events), np.int64, n),
+        np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
+        schema,
+    )
 
 
 @dataclass(frozen=True)
@@ -281,6 +335,8 @@ class RoundMetrics:
     total_allocated: int
     total_cost: float
     region_counts: dict[str, int]
+    # Buckets the round's model saw no training example at; None without a model.
+    untrained_buckets: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -316,6 +372,10 @@ def run_experiment(
     allocates through the three-region allocator; "uniform" keeps the
     baseline; "oracle" allocates from the hidden thresholds. Discovered items
     leave the candidate pool; every round adds a fresh batch.
+
+    The loop keeps its state as columns and calls the kernels behind the
+    per-item functions: draw_columns, uniform_grants, oracle_grants,
+    training_columns, plan_columns and serve_columns.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -323,75 +383,85 @@ def run_experiment(
     validate_config(alloc_config, schema)
     params.validate()
 
-    pool_latents: dict[str, LatentItem] = {}
-    pool_records: dict[str, ItemRecord] = {}
-    all_observations: list[Observation] = []
+    n = sim_config.items_per_round
+    size = sim_config.rounds * n
+    # The pool: one row per item drawn, in draw order.
+    ids: list[str] = []
+    static = np.empty((size, sim_config.feature_dim))
+    true_threshold = np.empty(size)
+    engagement_prob = np.empty(size)
+    impressions = np.zeros(size, dtype=np.int64)
+    positive_events = np.zeros(size, dtype=np.int64)
+    discovered = np.zeros(size, dtype=bool)
+    # The observation log, one entry per round: the pool rows served, in id
+    # order, what each was served, its positive events and its discovery.
+    log: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     round_metrics = []
-    item_rows = []
+    item_rows: list[ItemRoundRow] = []
 
     for round_index in range(sim_config.rounds):
-        latents, records = generate_corpus(sim_config, round_index)
-        for lat, rec in zip(latents, records):
-            pool_latents[lat.id] = lat
-            pool_records[rec.id] = rec
+        fresh = slice(round_index * n, (round_index + 1) * n)
+        fresh_ids, _, true_threshold[fresh], engagement_prob[fresh], static[fresh] = (
+            draw_columns(sim_config, round_index)
+        )
+        ids += fresh_ids
+        # The candidates: the undiscovered rows, in Python's str order of their ids.
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+        rows = order[~discovered[order]]
 
-        candidates = [
-            rec for rec in pool_records.values() if rec.discovered is not True
-        ]
-        candidates.sort(key=attrgetter("id"))
-        candidate_latents = [pool_latents[rec.id] for rec in candidates]
-
+        untrained = None
         if strategy == "oracle":
-            plan = oracle_allocate(candidate_latents, alloc_config)
+            granted = oracle_grants(true_threshold[rows], alloc_config)
+            total_cost = sum_costs(granted, alloc_config)
+            names = [Region.ORACLE.value] * int(np.count_nonzero(granted))
         elif strategy == "model" and round_index > 0:
-            examples = build_training_set(
-                all_observations, list(pool_records.values()), schema
-            )
+            logged_rows, *events = map(np.concatenate, zip(*log))
+            examples = training_columns(static[logged_rows], logged_rows, *events, schema)
             model = train(examples, schema, params)
-            plan = allocate(candidates, model, alloc_config, schema)
+            untrained = model.meta.untrained_buckets
+            features = model_inputs(static[rows], impressions[rows], positive_events[rows])
+            candidate_ids = [ids[k] for k in rows.tolist()]
+            plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
+            granted, total_cost = plan.granted, plan.total_cost
+            names = [REGIONS[code].value for code in plan.region[granted > 0].tolist()]
         else:
-            plan = uniform_allocate(candidates, alloc_config)
+            granted = uniform_grants(len(rows), alloc_config)
+            total_cost = sum_costs(granted, alloc_config)
+            names = [Region.UNIFORM.value] * int(np.count_nonzero(granted))
 
-        observations = serve_round(candidate_latents, plan, sim_config, round_index)
-        all_observations.extend(observations)
+        funded = np.flatnonzero(granted)
+        served_rows, served = rows[funded], granted[funded]
+        positives, found = serve_columns(
+            sim_config, round_index, served, engagement_prob[served_rows],
+            true_threshold[served_rows],
+        )
+        impressions[served_rows] += served
+        positive_events[served_rows] += positives
+        discovered[served_rows] = found
+        log.append((served_rows, served, positives, found))
 
-        counts = Counter(map(attrgetter("region"), plan.entries))
-        regions = {e.item_id: e.region.value for e in plan.entries if e.granted}
-        discovered = 0
-        for obs in observations:
-            rec = pool_records[obs.item_id]
-            stats = rec.engagement
-            pool_records[obs.item_id] = ItemRecord(
-                id=rec.id,
-                features=rec.features,
-                engagement=EngagementStats(
-                    impressions=stats.impressions + obs.served,
-                    positive_events=stats.positive_events + obs.positive_events,
-                ),
-                impressions_received=rec.impressions_received + obs.served,
-                discovered=True if obs.discovered else rec.discovered,
-            )
-            item_rows.append(
-                ItemRoundRow(
-                    round=round_index,
-                    item_id=obs.item_id,
-                    region=regions[obs.item_id],
-                    granted=obs.served,
-                    positive_events=obs.positive_events,
-                    discovered=obs.discovered,
-                )
-            )
-            discovered += obs.discovered
-
+        counts = Counter(names)
+        if len(funded) < len(rows):
+            counts[Region.UNFUNDED.value] = len(rows) - len(funded)
+        item_rows += map(
+            ItemRoundRow,
+            repeat(round_index),
+            [ids[k] for k in served_rows.tolist()],
+            names,
+            served.tolist(),
+            positives.tolist(),
+            found.tolist(),
+        )
         round_metrics.append(
             RoundMetrics(
                 round=round_index,
-                candidates=len(candidates),
-                funded=len(observations),
-                discovered=discovered,
-                total_allocated=plan.total_allocated,
-                total_cost=plan.total_cost,
-                region_counts=dict(sorted((r.value, c) for r, c in counts.items())),
+                candidates=len(rows),
+                funded=len(funded),
+                discovered=int(found.sum()),
+                total_allocated=int(granted.sum()),
+                total_cost=total_cost,
+                region_counts=dict(sorted(counts.items())),
+                untrained_buckets=untrained,
             )
         )
 

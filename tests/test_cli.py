@@ -353,8 +353,10 @@ class TestAllocate:
 
     @pytest.mark.parametrize(
         "text", ['{"total_budget": ', '{"max_cost": NaN}', '{"cf_low": -Infinity}',
-                 '{"total_budget": "abc"}', '{"bucket_edges": 5}'],
-        ids=["malformed", "nan", "infinity", "string-budget", "scalar-edges"],
+                 '{"total_budget": "abc"}', '{"bucket_edges": 5}', '{"min_cap": 100.7}',
+                 '{"total_budget": true}', '{"cf_high": "0.6"}'],
+        ids=["malformed", "nan", "infinity", "string-budget", "scalar-edges",
+             "fractional-cap", "boolean-budget", "string-cf"],
     )
     def test_bad_config_file_exits_2(self, tmp_path, corpus_file, flat_model_file, text,
                                      capsys):
@@ -395,6 +397,24 @@ class TestAllocate:
         assert run("allocate", "--corpus", str(corpus_file),
                    "--model", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path / "m")) == 3
+
+    def test_bucket_support_in_train_manifest_and_allocate_summary(self, tmp_path,
+                                                                   corpus_file):
+        examples = tmp_path / "bucket1.jsonl"
+        # One static feature and the engagement block, as corpus_file's items have.
+        rows = [
+            {"features": [x, 0.0, 0.0], "bucket": 1, "label": int(x > 0)} for x in (-2, -1, 1, 2)
+        ]
+        examples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        trained = tmp_path / "trained"
+        assert run("train", "--train-set", str(examples), "--out-dir", str(trained)) == 0
+        manifest = read_manifest(trained)
+        assert manifest["bucket_examples"] == [0, 4, 0, 0, 0, 0]
+        assert manifest["bucket_positives"] == [0, 2, 0, 0, 0, 0]
+        out = tmp_path / "alloc"
+        assert run("allocate", "--corpus", str(corpus_file), "--model",
+                   str(trained / "model.json"), "--out-dir", str(out)) == 0
+        assert read_json(out / "summary.json")["untrained_buckets"] == [0, 2, 3, 4, 5]
 
     def test_repeat_runs_byte_identical(self, tmp_path, corpus_file, flat_model_file):
         outs = [tmp_path / f"a{k}" for k in range(2)]

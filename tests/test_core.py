@@ -321,6 +321,14 @@ class TestVerifyPlan:
         with pytest.raises(DataError, match="total_allocated"):
             verify_plan(plan, config)
 
+    def test_catches_duplicate_entries(self):
+        config = cfg()
+        plan = AllocationPlan(
+            (PlanEntry("a", Region.UNIFORM, 100), PlanEntry("a", Region.UNIFORM, 100)), 200, 2.0
+        )
+        with pytest.raises(DataError, match="duplicate plan entry for item a"):
+            verify_plan(plan, config)
+
 
 class TestCorpusFile:
     def test_round_trip(self, tmp_path):
@@ -489,11 +497,24 @@ class TestConfigDict:
             {"cf_high": [0.5]},
             {"bucket_edges": 5},
             {"bucket_representatives": ["x", 1, 2, 3, 4, 5]},
+            # Values that int() or float() would truncate or convert.
+            {"min_cap": 100.7},
+            {"total_budget": True},
+            {"cf_high": "0.6"},
+            {"max_cost": False},
+            {"bucket_edges": [0, 100.5, 200, 400, 800, 1600]},
+            {"bucket_representatives": [99, 199, 399, 799, 1599, 1600.0]},
+            {"bucket_representatives": [True, 199, 399, 799, 1599, 1600]},
         ],
     )
     def test_wrong_value_type_is_config_error(self, raw):
-        with pytest.raises(ConfigError, match="bad config value"):
+        with pytest.raises(ConfigError, match=f"bad config value: .*{next(iter(raw))}"):
             config_from_dict(raw)
+
+    def test_float_keys_take_integers(self):
+        config, _ = config_from_dict({"max_cost": 2500, "cf_high": 1, "cf_low": 0})
+        assert (config.max_cost, config.cf_high, config.cf_low) == (2500.0, 1.0, 0.0)
+        assert all(type(v) is float for v in (config.max_cost, config.cf_high, config.cf_low))
 
     def test_new_edges_rederive_representatives(self):
         config, schema = config_from_dict(

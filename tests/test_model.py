@@ -692,6 +692,42 @@ class TestSerialization:
         with pytest.raises(DataError, match="bucket_examples must be 6 non-negative integers"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("schema", "edges", 1), True),
+            (("schema", "edges", 1), 100.5),
+            (("schema", "representative", 0), True),
+            (("schema", "representative", 5), "1600"),
+            (("training_meta", "epochs"), True),
+            (("training_meta", "epochs"), 3.0),
+            (("training_meta", "final_loss"), "0.5"),
+            (("weights", 0), True),
+            (("weights", 0), "1.0"),
+            (("bias",), False),
+            (("bias",), "0.5"),
+        ],
+    )
+    def test_wrong_value_type_refused(self, tmp_path, path, value):
+        # Values that int() or float() would truncate or convert.
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        *parents, key = path
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(payload))
+        named = parents[-1] if isinstance(key, int) else key
+        with pytest.raises(DataError, match=f"bad model payload: .*{named}"):
+            load_model(file)
+
+    def test_meta_names_the_untrained_buckets(self):
+        rows = [(np.array([x]), 1, int(x > 0)) for x in (-2.0, -1.0, 1.0, 2.0)]
+        model = train(training_set(rows), SCHEMA)
+        assert model.meta.bucket_examples == (0, 4, 0, 0, 0, 0)
+        assert model.meta.untrained_buckets == (0, 2, 3, 4, 5)
+
     def test_non_finite_weights_rejected(self, tmp_path):
         payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
         payload["weights"][0] = float("nan")

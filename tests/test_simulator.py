@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coldstart_explore import simulator
+from coldstart_explore import allocator, simulator
 from coldstart_explore.core import (
     AllocationConfig,
     AllocationPlan,
@@ -21,7 +21,7 @@ from coldstart_explore.core import (
     validate_config,
 )
 from coldstart_explore.metrics import oracle_allocate, uniform_allocate
-from coldstart_explore.model import Hyperparams, train
+from coldstart_explore.model import Hyperparams, TrainingSet, train
 from coldstart_explore.simulator import (
     STRATEGIES,
     ExperimentReport,
@@ -168,6 +168,12 @@ class TestServeRound:
         with pytest.raises(DataError, match="unknown item"):
             serve_round([lat], plan, SimConfig(seed=0), 0)
 
+    def test_duplicate_plan_entry_rejected(self):
+        lat = LatentItem(id="a", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
+        plan = plan_for([lat, lat], [100, 100])
+        with pytest.raises(DataError, match="duplicate plan entry for item a"):
+            serve_round([lat], plan, SimConfig(seed=0), 0)
+
     def test_binomial_engagement_concentrates(self):
         lats = [
             LatentItem(id=f"i{k:03d}", quality=0.0, true_threshold=1.0, engagement_prob=0.1)
@@ -287,6 +293,16 @@ class TestRunExperiment:
     def test_bad_hyperparams_refused_before_any_round(self, params):
         with pytest.raises(ConfigError, match="epochs"):
             run_experiment(SimConfig(items_per_round=10), cfg(), SCHEMA, params, "uniform")
+
+    def test_rounds_report_the_buckets_the_model_never_saw(self):
+        # The uniform bootstrap grants min_cap, 100, to every item: bucket 1.
+        config = SimConfig(seed=0, items_per_round=300, rounds=2)
+        report = run_experiment(config, cfg(), SCHEMA, Hyperparams(), "model")
+        assert [m.untrained_buckets for m in report.rounds] == [None, (0, 2, 3, 4, 5)]
+        uniform = run_experiment(config, cfg(), SCHEMA, Hyperparams(), "uniform")
+        assert [m.untrained_buckets for m in uniform.rounds] == [None, None]
+        rounds = json.loads(json.dumps(report_to_dict(report)))["rounds"]
+        assert [r["untrained_buckets"] for r in rounds] == [None, [0, 2, 3, 4, 5]]
 
     def test_discovered_items_leave_candidate_pool(self):
         config = SimConfig(seed=4, items_per_round=100, rounds=2)
@@ -443,30 +459,38 @@ def build_training_set_reference(observations, records, schema):
     return examples
 
 
-def run_experiment_reference(sim_config, alloc_config, schema, params, strategy):
-    """run_experiment updating the pool with dataclasses.replace."""
+def run_experiment_reference(
+    sim_config, alloc_config, schema, params, strategy,
+    uniform=uniform_allocate, oracle=oracle_allocate,
+):
+    """run_experiment on objects: the per-item references above, a plan per
+    round from `uniform`, `oracle` or allocator.allocate, and a pool of
+    records updated with dataclasses.replace."""
     sim_config.validate()
     validate_config(alloc_config, schema)
     pool_latents, pool_records = {}, {}
     all_observations, round_metrics, item_rows = [], [], []
     for round_index in range(sim_config.rounds):
-        latents, records = generate_corpus(sim_config, round_index)
+        latents, records = generate_corpus_reference(sim_config, round_index)
         for lat, rec in zip(latents, records):
             pool_latents[lat.id] = lat
             pool_records[rec.id] = rec
         candidates = [rec for rec in pool_records.values() if rec.discovered is not True]
         candidates.sort(key=lambda r: r.id)
+        untrained = None
         if strategy == "oracle":
-            plan = oracle_allocate([pool_latents[r.id] for r in candidates], alloc_config)
+            plan = oracle([pool_latents[r.id] for r in candidates], alloc_config)
         elif strategy == "model" and round_index > 0:
-            examples = build_training_set(
+            rows = build_training_set_reference(
                 all_observations, list(pool_records.values()), schema
             )
+            examples = TrainingSet(*map(np.array, zip(*rows)))
             model = train(examples, schema, params)
-            plan = simulator.allocate(candidates, model, alloc_config, schema)
+            untrained = tuple(k for k, n in enumerate(model.meta.bucket_examples) if n == 0)
+            plan = allocator.allocate(candidates, model, alloc_config, schema)
         else:
-            plan = uniform_allocate(candidates, alloc_config)
-        observations = serve_round(
+            plan = uniform(candidates, alloc_config)
+        observations = serve_round_reference(
             [pool_latents[r.id] for r in candidates], plan, sim_config, round_index
         )
         all_observations.extend(observations)
@@ -480,7 +504,6 @@ def run_experiment_reference(sim_config, alloc_config, schema, params, strategy)
                     impressions=stats.impressions + obs.served,
                     positive_events=stats.positive_events + obs.positive_events,
                 ),
-                impressions_received=rec.impressions_received + obs.served,
                 discovered=True if obs.discovered else rec.discovered,
             )
             item_rows.append(
@@ -505,6 +528,7 @@ def run_experiment_reference(sim_config, alloc_config, schema, params, strategy)
                 total_allocated=plan.total_allocated,
                 total_cost=plan.total_cost,
                 region_counts=dict(sorted(counts.items())),
+                untrained_buckets=untrained,
             )
         )
     return ExperimentReport(
@@ -514,6 +538,24 @@ def run_experiment_reference(sim_config, alloc_config, schema, params, strategy)
         total_discovered=sum(m.discovered for m in round_metrics),
         item_rows=tuple(item_rows),
     )
+
+
+def assert_same_report(got, expected):
+    assert got == expected
+    assert [repr(m.total_cost) for m in got.rounds] == [
+        repr(m.total_cost) for m in expected.rounds
+    ]
+
+
+# Allocation configs of the 300-item loop oracle test.
+LOOP_CONFIGS = {
+    "default": cfg(),
+    # 0.01 per impression against a 20,000-impression budget: the ceiling binds.
+    "binding ceiling": cfg(max_cost=120.0),
+    "convex cost": cfg(max_cost=500.0, cost_fn=lambda t: 2e-5 * t * t),
+    # Low pools of 18,000 impressions: Low shares reach min_cap.
+    "large low pool": cfg(low_region_fraction=0.9),
+}
 
 
 def assert_examples_bit_identical(got, expected):
@@ -618,12 +660,29 @@ class TestArrayLoopsMatchPerItemReference:
         assert len(build_training_set([], [make_record("a", [1.0])], SCHEMA)) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_run_experiment(self, strategy):
-        config = SimConfig(seed=6, items_per_round=300, rounds=3)
+    def test_run_experiment(self, strategy, monkeypatch):
+        dropped = []
+        repair = allocator._repair_cost
+
+        def counting_repair(granted, *args):
+            funded = sum(1 for g in granted.values() if g)
+            repair(granted, *args)
+            dropped.append(funded - sum(1 for g in granted.values() if g))
+
+        monkeypatch.setattr(allocator, "_repair_cost", counting_repair)
         params = Hyperparams(epochs=100)
-        got = run_experiment(config, cfg(), SCHEMA, params, strategy)
-        expected = run_experiment_reference(config, cfg(), SCHEMA, params, strategy)
-        assert got == expected
+        for name, alloc_config in LOOP_CONFIGS.items():
+            for seed in (6, 7):
+                config = SimConfig(seed=seed, items_per_round=300, rounds=3)
+                got = run_experiment(config, alloc_config, SCHEMA, params, strategy)
+                expected = run_experiment_reference(
+                    config, alloc_config, SCHEMA, params, strategy
+                )
+                assert_same_report(got, expected)
+                if strategy == "model" and name == "large low pool":
+                    assert any(row.region == "Low" for row in got.item_rows)
+        if strategy == "model":
+            assert sum(dropped) > 0  # cost repair dropped funded items
 
 
 class TestBuildTrainingSetRejectsBadCounts:
