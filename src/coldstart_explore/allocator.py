@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -23,13 +22,15 @@ from .core import (
     AllocationPlan,
     BucketSchema,
     ConfigError,
+    Corpus,
     DataError,
     EngagementStats,
     ItemRecord,
     PlanEntry,
     Region,
     cost_of,
-    feature_matrix,
+    id_order,
+    model_inputs,
     sum_costs,
     validate_config,
     write_csv,
@@ -300,6 +301,68 @@ def plan_columns(
     return PlanColumns(region, granted, requested, p_at_maxcap, total_cost)
 
 
+class PlanTable(NamedTuple):
+    """A plan as the columns of plan.csv, one entry per item in id order,
+    plus its totals: what plan.csv and summary.json are written from."""
+
+    item_id: Sequence[str]
+    region: Sequence[Region]  # Unfunded for an item granted nothing
+    granted: Sequence[int]
+    requested: Sequence[int | None]  # None for Low items and unfunded baseline items
+    p_at_maxcap: Sequence[float | None]  # None in a baseline plan
+    total_allocated: int
+    total_cost: float
+
+    @classmethod
+    def of(cls, plan: AllocationPlan) -> "PlanTable":
+        """The entries of a plan as columns."""
+        return cls(
+            *([getattr(e, name) for e in plan.entries] for name in cls._fields[:5]),
+            plan.total_allocated,
+            plan.total_cost,
+        )
+
+
+def plan_corpus(
+    corpus: Corpus,
+    model: DiscoverabilityModel,
+    config: AllocationConfig,
+    schema: BucketSchema,
+    growth: GrowthStats | None = None,
+) -> PlanTable:
+    """The plan of allocate, as columns: its checks, then plan_columns over
+    the corpus in Python's str order of the ids.
+
+    Refuses an invalid config, a model trained on another schema, duplicate
+    ids and a non-finite model input, naming the item.
+    """
+    validate_config(config, schema)
+    if model.schema != schema:
+        raise ConfigError("model was trained against a different bucket schema")
+    order = np.array(id_order(corpus.ids, "corpus"), dtype=np.intp)
+    ids = [corpus.ids[k] for k in order.tolist()]
+    features = model_inputs(
+        corpus.features[order], corpus.impressions[order], corpus.positive_events[order]
+    )
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
+
+    plan = plan_columns(ids, features, model, config, schema, growth)
+    region = np.where(plan.granted > 0, plan.region, _UNFUNDED)
+    requested = plan.requested.astype(object)
+    requested[plan.region == _LOW] = None
+    return PlanTable(
+        ids,
+        list(map(REGIONS.__getitem__, region.tolist())),
+        plan.granted.tolist(),
+        requested.tolist(),
+        plan.p_at_maxcap.tolist(),
+        int(plan.granted.sum()),
+        plan.total_cost,
+    )
+
+
 def allocate(
     corpus: Sequence[ItemRecord],
     model: DiscoverabilityModel,
@@ -322,38 +385,15 @@ def allocate(
     ceiling binds, _repair_cost's drop order decides the plan, and the count
     is not guaranteed maximal.
 
-    plan_columns does the work on arrays over the whole corpus;
-    predict_curve, monotone_curve, classify_region and requested_traffic are
-    its per-item counterparts.
+    plan_corpus checks the corpus and plan_columns does the work on arrays
+    over it; predict_curve, monotone_curve, classify_region and
+    requested_traffic are its per-item counterparts.
     """
-    validate_config(config, schema)
-    if model.schema != schema:
-        raise ConfigError("model was trained against a different bucket schema")
-    records = sorted(corpus, key=attrgetter("id"))
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in corpus")
-    features = feature_matrix(records)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
-
-    plan = plan_columns(ids, features, model, config, schema, growth)
-    entry_region = np.where(plan.granted > 0, plan.region, _UNFUNDED)
-    entry_requested = plan.requested.astype(object)
-    entry_requested[plan.region == _LOW] = None
-    entries = tuple(
-        map(
-            PlanEntry,
-            ids,
-            map(REGIONS.__getitem__, entry_region.tolist()),
-            plan.granted.tolist(),
-            entry_requested.tolist(),
-            plan.p_at_maxcap.tolist(),
-        )
-    )
+    table = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
     return AllocationPlan(
-        entries=entries, total_allocated=int(plan.granted.sum()), total_cost=plan.total_cost
+        entries=tuple(map(PlanEntry, *table[:5])),
+        total_allocated=table.total_allocated,
+        total_cost=table.total_cost,
     )
 
 
@@ -361,38 +401,46 @@ def allocate(
 # Plan export
 # ---------------------------------------------------------------------------
 
-def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
+def write_plan_table(table: PlanTable, path: str | Path) -> None:
+    """The plan file: a CSV of item_id, region, granted, requested, p_at_maxcap."""
     write_csv(
-        ["item_id", "region", "granted", "requested", "p_at_maxcap"],
-        (
-            [e.item_id, e.region.value, e.granted, e.requested, e.p_at_maxcap]
-            for e in plan.entries
+        PlanTable._fields[:5],
+        zip(
+            table.item_id,
+            [region.value for region in table.region],
+            table.granted,
+            table.requested,
+            table.p_at_maxcap,
         ),
         path,
     )
 
 
-def plan_summary(
-    plan: AllocationPlan,
+def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
+    write_plan_table(PlanTable.of(plan), path)
+
+
+def table_summary(
+    table: PlanTable,
     config: AllocationConfig,
     adapted_low_fraction: float | None = None,
 ) -> dict:
-    regions = Counter(e.region.value for e in plan.entries)
+    """The plan summary: counts per region after and before funding, totals
+    and utilizations."""
+    regions = Counter(region.value for region in table.region)
     summary = {
-        "items": len(plan.entries),
+        "items": len(table.item_id),
         "region_counts": dict(sorted(regions.items())),
-        "total_allocated": plan.total_allocated,
-        "total_cost": plan.total_cost,
+        "total_allocated": table.total_allocated,
+        "total_cost": table.total_cost,
         "budget": config.total_budget,
         "budget_utilization": (
-            plan.total_allocated / config.total_budget if config.total_budget else 0.0
+            table.total_allocated / config.total_budget if config.total_budget else 0.0
         ),
-        "cost_utilization": plan.total_cost / config.max_cost,
+        "cost_utilization": table.total_cost / config.max_cost,
     }
     # Regions before funding, so Low items deferred below min_cap stay visible.
-    scored = np.array(
-        [e.p_at_maxcap for e in plan.entries if e.p_at_maxcap is not None], dtype=float
-    )
+    scored = np.array([p for p in table.p_at_maxcap if p is not None], dtype=float)
     codes = _classify(scored, config)
     summary["classified_counts"] = {
         REGIONS[code].value: int(np.count_nonzero(codes == code))
@@ -401,3 +449,11 @@ def plan_summary(
     if adapted_low_fraction is not None:
         summary["adapted_low_fraction"] = adapted_low_fraction
     return summary
+
+
+def plan_summary(
+    plan: AllocationPlan,
+    config: AllocationConfig,
+    adapted_low_fraction: float | None = None,
+) -> dict:
+    return table_summary(PlanTable.of(plan), config, adapted_low_fraction)

@@ -103,16 +103,20 @@ def cmd_simulate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     cfg = _sim_config(args, args.seed)
-    all_latents = []
-    all_records = []
-    for round_index in range(cfg.rounds):
-        latents, records = simulator.generate_corpus(cfg, round_index)
-        all_latents.extend(latents)
-        all_records.extend(records)
+    # Each round's columns, one round after another: the rows that
+    # generate_corpus's objects would hold, in the same order.
+    draws = [simulator.draw_columns(cfg, round_index) for round_index in range(cfg.rounds)]
+    ids = [item_id for draw in draws for item_id in draw[0]]
+    quality, threshold, engagement_prob, features = (
+        np.concatenate(column) for column in zip(*(draw[1:] for draw in draws))
+    )
+    never_served = np.zeros(len(ids), dtype=np.int64)
     corpus_path = out / "corpus.jsonl"
     latents_path = out / "latents.jsonl"
-    core.save_corpus(all_records, corpus_path)
-    simulator.save_latents(all_latents, latents_path)
+    core.write_corpus(core.Corpus(ids, features, never_served, never_served), corpus_path)
+    simulator.write_latents(
+        simulator.LatentColumns(ids, quality, threshold, engagement_prob), latents_path
+    )
     _write_manifest(
         out,
         "simulate",
@@ -128,7 +132,7 @@ def cmd_simulate(args) -> int:
         [corpus_path, latents_path],
         started,
     )
-    print(f"wrote {len(all_records)} items to {corpus_path}")
+    print(f"wrote {len(ids)} items to {corpus_path}")
     return 0
 
 
@@ -164,7 +168,7 @@ def cmd_allocate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     config, schema = _load_alloc_config(args)
-    corpus = core.load_corpus(args.corpus)
+    corpus = core.read_corpus(args.corpus)
     fitted = model.load_model(args.model)
     growth = None
     adapted = None
@@ -175,11 +179,11 @@ def cmd_allocate(args) -> int:
             item_growth=args.item_growth, traffic_growth=args.traffic_growth
         )
         adapted = allocator.adapt_low_fraction(config.low_region_fraction, growth)
-    plan = allocator.allocate(corpus, fitted, config, schema, growth)
+    table = allocator.plan_corpus(corpus, fitted, config, schema, growth)
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"
-    allocator.write_plan_csv(plan, plan_path)
-    summary = allocator.plan_summary(plan, config, adapted)
+    allocator.write_plan_table(table, plan_path)
+    summary = allocator.table_summary(table, config, adapted)
     summary["untrained_buckets"] = list(fitted.meta.untrained_buckets)
     core.write_json(summary, summary_path)
     _write_manifest(
@@ -192,8 +196,8 @@ def cmd_allocate(args) -> int:
         started,
     )
     print(
-        f"allocated {plan.total_allocated} impressions across "
-        f"{sum(1 for e in plan.entries if e.granted > 0)} items"
+        f"allocated {table.total_allocated} impressions across "
+        f"{np.count_nonzero(table.granted)} items"
     )
     return 0
 

@@ -10,10 +10,11 @@ import bisect
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,7 +43,16 @@ class Region(str, Enum):
     ORACLE = "Oracle"
 
 
-@dataclass(frozen=True)
+def _check_engagement(impressions: int, positive_events: int) -> None:
+    """DataError unless both counts are non-negative and the positive events
+    are at most the impressions."""
+    if impressions < 0 or positive_events < 0:
+        raise DataError("engagement counts must be non-negative")
+    if positive_events > impressions:
+        raise DataError("positive_events cannot exceed impressions")
+
+
+@dataclass(frozen=True, slots=True)
 class EngagementStats:
     """Running engagement counters for one item."""
 
@@ -50,10 +60,7 @@ class EngagementStats:
     positive_events: int = 0
 
     def __post_init__(self) -> None:
-        if self.impressions < 0 or self.positive_events < 0:
-            raise DataError("engagement counts must be non-negative")
-        if self.positive_events > self.impressions:
-            raise DataError("positive_events cannot exceed impressions")
+        _check_engagement(self.impressions, self.positive_events)
 
     @property
     def positive_rate(self) -> float:
@@ -75,7 +82,7 @@ def read_only(values, dtype=float) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ItemRecord:
     """An item as the allocator sees it: static features plus observed engagement."""
 
@@ -89,6 +96,62 @@ class ItemRecord:
         object.__setattr__(self, "features", read_only(self.features))
         if self.impressions_received < 0:
             raise DataError("impressions_received must be non-negative")
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Items as columns, one row per item: what a corpus file holds.
+
+    `features` is the read-only (items, dimension) matrix of static features,
+    `impressions` and `positive_events` the read-only int64 engagement counts.
+    The holder checks that the columns line up; each count is checked where it
+    enters, by the corpus reader per row and by EngagementStats per record.
+    """
+
+    ids: tuple[str, ...]
+    features: np.ndarray
+    impressions: np.ndarray
+    positive_events: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "features", read_only(self.features))
+        for name in ("impressions", "positive_events"):
+            object.__setattr__(self, name, read_only(getattr(self, name), np.int64))
+        n = len(self.ids)
+        if self.features.ndim != 2 or len(self.features) != n:
+            raise DataError(f"features must be an ({n}, dimension) matrix: {self.features.shape}")
+        if self.impressions.shape != (n,) or self.positive_events.shape != (n,):
+            raise DataError(
+                f"columns differ in length: {n} ids, impressions {self.impressions.shape}, "
+                f"positive_events {self.positive_events.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def of(cls, records: Sequence[ItemRecord]) -> "Corpus":
+        """The records as columns, in their order."""
+        n = len(records)
+        engagement = [rec.engagement for rec in records]
+        return cls(
+            tuple(rec.id for rec in records),
+            static_matrix(records),
+            np.fromiter((s.impressions for s in engagement), np.int64, n),
+            np.fromiter((s.positive_events for s in engagement), np.int64, n),
+        )
+
+    def records(self) -> list[ItemRecord]:
+        """One ItemRecord per row; each record's features are a read-only row of the matrix."""
+        return list(
+            map(
+                ItemRecord,
+                self.ids,
+                self.features,
+                map(EngagementStats, self.impressions.tolist(), self.positive_events.tolist()),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -159,7 +222,7 @@ DEFAULT_ALLOCATION = AllocationConfig(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEntry:
     item_id: str
     region: Region
@@ -204,6 +267,18 @@ def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
     if config.cost_fn is None:
         return sum((config.unit_cost * granted).tolist())
     return sum([cost_of(g, config) for g in granted.tolist()])
+
+
+def id_order(ids: Sequence[str], what: str) -> list[int]:
+    """Indices of the ids in Python's str order; DataError naming `what` if an
+    id repeats.
+
+    A numpy <U array of the ids would drop trailing NULs and so could order
+    them differently.
+    """
+    if len(set(ids)) != len(ids):
+        raise DataError(f"duplicate item ids in {what}")
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def validate_config(config: AllocationConfig, schema: BucketSchema) -> AllocationConfig:
@@ -404,39 +479,110 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write("\n")
 
 
-def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
-    """Write items as JSON lines: id, features, impressions, positive_events."""
+#: Rows a column writer turns into Python values at a time, so that no writer
+#: holds a whole matrix as nested lists.
+WRITE_BLOCK_ROWS = 4096
+
+
+def column_rows(*columns: Sequence) -> Iterator[tuple]:
+    """The rows of equal-length columns as tuples of Python values.
+
+    Array columns are converted with tolist() one block of WRITE_BLOCK_ROWS
+    rows at a time; other sequences, such as a list of ids, are sliced as
+    they are.
+    """
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
+        yield from zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block))
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+class FeatureRows:
+    """Feature rows of a JSON-lines file, gathered into one flat buffer.
+
+    Every row must be a flat list of numbers, ints or floats but no bools, as
+    long as the first row's; append raises TypeError or ValueError otherwise,
+    which read_jsonl reports with the row's `path:line`.
+    """
+
+    def __init__(self) -> None:
+        self.values = array("d")
+        self.dim: int | None = None
+        self.rows = 0
+
+    def append(self, values) -> None:
+        if type(values) is not list:
+            raise TypeError(f"features must be a list, not {type(values).__name__}")
+        self.dim = len(values) if self.dim is None else self.dim
+        if len(values) != self.dim:
+            raise ValueError(f"feature dimension {len(values)}, earlier rows have {self.dim}")
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+            raise TypeError(f"features must be a flat list of numbers; {bad!r} is not one")
+        self.values.extend(values)
+        self.rows += 1
+
+    def matrix(self) -> np.ndarray:
+        """The rows as a read-only (rows, dimension) matrix over the buffer, not a copy."""
+        matrix = np.frombuffer(self.values).reshape(self.rows, self.dim or 0)
+        matrix.setflags(write=False)  # no one else holds the buffer
+        return matrix
+
+
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """The corpus file: JSON lines of id, features, impressions, positive_events."""
     write_jsonl(
         (
-            {
-                "id": rec.id,
-                "features": rec.features.tolist(),
-                "impressions": rec.engagement.impressions,
-                "positive_events": rec.engagement.positive_events,
-            }
-            for rec in records
+            {"id": i, "features": f, "impressions": m, "positive_events": p}
+            for i, f, m, p in column_rows(
+                corpus.ids, corpus.features, corpus.impressions, corpus.positive_events
+            )
         ),
         path,
     )
 
 
-def _corpus_record(row: dict) -> ItemRecord:
-    impressions, positive_events = row["impressions"], row["positive_events"]
-    for name, count in (("impressions", impressions), ("positive_events", positive_events)):
-        if type(count) is not int or count < 0:
-            raise ValueError(f"{name} must be a non-negative integer, not {count!r}")
-    features = read_only(row["features"])
-    if features.ndim != 1:
-        raise ValueError(f"features must be a flat list of numbers, got shape {features.shape}")
-    return ItemRecord(
-        id=str(row["id"]),
-        features=features,
-        engagement=EngagementStats(impressions, positive_events),
-    )
+def read_corpus(path: str | Path) -> Corpus:
+    """A corpus file as columns, in file order.
+
+    A row whose id is not a string, whose features are not a flat list of
+    numbers as long as the first row's, or whose counts are not non-negative
+    integers with positive_events at most impressions raises DataError naming
+    `path:line`.
+    """
+    ids: list[str] = []
+    features = FeatureRows()
+    impressions_column, positives_column = array("q"), array("q")
+
+    def append(row: dict) -> None:
+        item_id = checked(row["id"], STRING, "id")
+        impressions, positive_events = row["impressions"], row["positive_events"]
+        for name, count in (("impressions", impressions), ("positive_events", positive_events)):
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{name} must be a non-negative integer, not {count!r}")
+        _check_engagement(impressions, positive_events)
+        features.append(row["features"])
+        ids.append(item_id)
+        impressions_column.append(impressions)
+        positives_column.append(positive_events)
+
+    read_jsonl(path, append, "corpus record")
+    counts = [np.frombuffer(c, dtype=np.int64) for c in (impressions_column, positives_column)]
+    for column in counts:
+        column.setflags(write=False)  # no one else holds the buffers, so no copy
+    return Corpus(ids, features.matrix(), *counts)
+
+
+def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
+    """Write items as the corpus file (see write_corpus)."""
+    write_corpus(Corpus.of(list(records)), path)
 
 
 def load_corpus(path: str | Path) -> list[ItemRecord]:
-    return read_jsonl(path, _corpus_record, "corpus record")
+    """The corpus file (see read_corpus) as records, in file order."""
+    return read_corpus(path).records()
 
 
 def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
@@ -461,17 +607,18 @@ def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
     }
 
 
-#: The types a loader accepts for an integer and for a float value. bool is a
-#: subclass of int, so a type test, not isinstance, keeps true and false out.
+#: The types a loader accepts for an integer, a float and a string value. bool
+#: is a subclass of int, so a type test, not isinstance, keeps true and false out.
 INTEGER = (int,)
 NUMBER = (int, float)
+STRING = (str,)
+_KINDS = {INTEGER: "an integer", NUMBER: "a number", STRING: "a string"}
 
 
 def checked(value, kinds: tuple[type, ...], what: str):
     """value if its type is one of kinds; ValueError naming `what` otherwise."""
     if type(value) not in kinds:
-        kind = "an integer" if kinds is INTEGER else "a number"
-        raise ValueError(f"{what} must be {kind}, not {value!r}")
+        raise ValueError(f"{what} must be {_KINDS[kinds]}, not {value!r}")
     return value
 
 

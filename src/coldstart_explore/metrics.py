@@ -22,6 +22,7 @@ from .core import (
     PlanEntry,
     Region,
     cost_of,
+    id_order,
     sum_costs,
     validate_allocation_config,
     write_csv,
@@ -267,9 +268,8 @@ def uniform_allocate(
     validate_allocation_config(config)
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
-    ids = sorted(map(attrgetter("id"), corpus))
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in corpus")
+    ids = [rec.id for rec in corpus]
+    ids = [ids[k] for k in id_order(ids, "corpus")]
     return _baseline_plan(ids, uniform_grants(len(ids), config), Region.UNIFORM, config)
 
 
@@ -283,14 +283,10 @@ def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPl
     validate_allocation_config(config)
     items = list(latents)
     ids = list(map(attrgetter("id"), items))
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in latents")
+    order = id_order(ids, "latents")
     thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
     nan = np.flatnonzero(np.isnan(thresholds))
     if nan.size:
         raise DataError(f"NaN threshold for item {ids[nan[0]]}")
-    # Python's str order: a numpy <U array would drop trailing NULs and so
-    # could order ids differently.
-    id_order = sorted(range(len(ids)), key=ids.__getitem__)
-    granted = oracle_grants(thresholds[id_order], config)
-    return _baseline_plan([ids[k] for k in id_order], granted, Region.ORACLE, config)
+    granted = oracle_grants(thresholds[order], config)
+    return _baseline_plan([ids[k] for k in order], granted, Region.ORACLE, config)

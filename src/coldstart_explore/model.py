@@ -25,8 +25,10 @@ from .core import (
     BucketSchema,
     ConfigError,
     DataError,
+    FeatureRows,
     checked,
     checked_list,
+    column_rows,
     read_json,
     read_only,
     read_jsonl,
@@ -437,9 +439,12 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
 
 
 def save_examples(examples: TrainingSet, path: str | Path) -> None:
-    columns = examples.features.tolist(), examples.bucket.tolist(), examples.label.tolist()
     write_jsonl(
-        ({"features": f, "bucket": b, "label": y} for f, b, y in zip(*columns)), path
+        (
+            {"features": f, "bucket": b, "label": y}
+            for f, b, y in column_rows(examples.features, examples.bucket, examples.label)
+        ),
+        path,
     )
 
 
@@ -451,35 +456,23 @@ def load_examples(path: str | Path) -> TrainingSet:
     row's, whose label is not 0 or 1, or whose bucket is not a non-negative
     integer raises DataError naming `path:line`.
     """
-    features, buckets, labels = array("d"), array("q"), array("q")
-    dim = None
+    features, buckets, labels = FeatureRows(), array("q"), array("q")
 
     def append(row: dict) -> None:
-        nonlocal dim
-        values = row["features"]
-        if type(values) is not list:
-            raise TypeError(f"features must be a list, not {type(values).__name__}")
-        dim = len(values) if dim is None else dim
-        if len(values) != dim:
-            raise ValueError(f"feature dimension {len(values)}, earlier rows have {dim}")
+        features.append(row["features"])
         bucket, label = row["bucket"], row["label"]
         if label not in (0, 1):
             raise ValueError("label must be 0 or 1")
         if type(bucket) is not int or bucket < 0:
             raise ValueError("bucket index must be a non-negative integer")
-        try:
-            features.extend(values)
-        except TypeError as exc:
-            raise TypeError(f"features must be a flat list of numbers: {exc}") from None
         buckets.append(bucket)
         labels.append(int(label))
 
     read_jsonl(path, append, "training example")
     columns = (
-        np.frombuffer(features).reshape(len(labels), dim or 0),
         np.frombuffer(buckets, dtype=np.int64),
         np.frombuffer(labels, dtype=np.int64),
     )
     for column in columns:
         column.setflags(write=False)  # no one else holds the buffers, so no copy
-    return TrainingSet(*columns)
+    return TrainingSet(features.matrix(), *columns)

@@ -22,12 +22,14 @@ from dataclasses import asdict, dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .allocator import REGIONS, plan_columns
 from .core import (
+    NUMBER,
+    STRING,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -35,6 +37,8 @@ from .core import (
     DataError,
     ItemRecord,
     Region,
+    checked,
+    column_rows,
     model_inputs,
     read_jsonl,
     static_matrix,
@@ -52,7 +56,7 @@ STRATEGIES = ("uniform", "model", "oracle")
 _SERVE_STREAM = 7919
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatentItem:
     """Ground truth the allocator must not see."""
 
@@ -106,7 +110,7 @@ class SimConfig:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """Outcome of serving one item in one round."""
 
@@ -244,13 +248,18 @@ def serve_round(
 
 
 def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -> np.ndarray:
-    """Index into records of every event's item, checking each event in order."""
+    """Index into records of every event's item, checking each event in
+    order; the events come in (round, item id) order."""
     row_of = {rec.id: k for k, rec in enumerate(records)}
+    previous = None
     for obs in events:
         if obs.item_id not in row_of:
             raise DataError(f"observation references unknown item {obs.item_id}")
         if obs.discovered is None:
             raise DataError(f"unresolved observation for item {obs.item_id}")
+        if (obs.round, obs.item_id) == previous:
+            raise DataError(f"two observations of item {obs.item_id} in round {obs.round}")
+        previous = obs.round, obs.item_id
     return np.fromiter((row_of[o.item_id] for o in events), np.int64, len(events))
 
 
@@ -311,7 +320,9 @@ def build_training_set(
     """One example per serving event (see training_columns).
 
     The events are replayed in (round, item id) order, so each example sees
-    the engagement its item had when the round was served.
+    the engagement its item had when the round was served. An item is served
+    at most once a round: two observations of one item in one round are
+    refused, as neither came before the other.
     """
     events = sorted(observations, key=attrgetter("round", "item_id"))
     rows = _record_rows(events, records)
@@ -339,7 +350,7 @@ class RoundMetrics:
     untrained_buckets: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemRoundRow:
     round: int
     item_id: str
@@ -478,45 +489,95 @@ def run_experiment(
 # File formats
 # ---------------------------------------------------------------------------
 
-def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
-    """Ground-truth file; kept separate so allocation code never reads it."""
+class LatentColumns(NamedTuple):
+    """Ground truth as columns, one row per item: what a latents file holds."""
+
+    ids: Sequence[str]
+    quality: np.ndarray
+    true_threshold: np.ndarray  # inf = never discoverable
+    engagement_prob: np.ndarray
+
+    @classmethod
+    def of(cls, latents: Sequence[LatentItem]) -> "LatentColumns":
+        """The latent items as columns, in their order."""
+        n = len(latents)
+        return cls(
+            [lat.id for lat in latents],
+            *(
+                np.fromiter(map(attrgetter(name), latents), float, n)
+                for name in ("quality", "true_threshold", "engagement_prob")
+            ),
+        )
+
+    def items(self) -> list[LatentItem]:
+        """One LatentItem per row."""
+        return list(
+            map(
+                LatentItem,
+                self.ids,
+                self.quality.tolist(),
+                self.true_threshold.tolist(),
+                self.engagement_prob.tolist(),
+            )
+        )
+
+
+def write_latents(latents: LatentColumns, path: str | Path) -> None:
+    """Ground-truth file; kept separate so allocation code never reads it.
+
+    JSON lines of id, quality, threshold and engagement_prob; an infinite
+    threshold is written as null.
+    """
     write_jsonl(
         (
             {
-                "id": lat.id,
-                "quality": lat.quality,
-                "threshold": (
-                    None if math.isinf(lat.true_threshold) else lat.true_threshold
-                ),
-                "engagement_prob": lat.engagement_prob,
+                "id": item_id,
+                "quality": quality,
+                "threshold": None if math.isinf(threshold) else threshold,
+                "engagement_prob": prob,
             }
-            for lat in latents
+            for item_id, quality, threshold, prob in column_rows(*latents)
         ),
         path,
     )
 
 
 def _finite(row: dict, key: str) -> float:
-    value = float(row[key])
+    value = float(checked(row[key], NUMBER, key))
     if not math.isfinite(value):
         raise ValueError(f"{key} {row[key]!r} is not finite")
     return value
 
 
-def _latent_item(row: dict) -> LatentItem:
+def _latent_row(row: dict) -> tuple[str, float, float, float]:
     # The decoder reads an overflowing literal such as 1e400 as inf, which no
-    # writer writes: save_latents writes an infinite threshold as null.
+    # writer writes: write_latents writes an infinite threshold as null.
     threshold = row["threshold"]
-    return LatentItem(
-        id=str(row["id"]),
-        quality=_finite(row, "quality"),
-        true_threshold=math.inf if threshold is None else _finite(row, "threshold"),
-        engagement_prob=_finite(row, "engagement_prob"),
+    return (
+        checked(row["id"], STRING, "id"),
+        _finite(row, "quality"),
+        math.inf if threshold is None else _finite(row, "threshold"),
+        _finite(row, "engagement_prob"),
     )
 
 
+def read_latents(path: str | Path) -> LatentColumns:
+    """A latents file as columns, in file order. A row whose id is not a
+    string, or whose values are not finite numbers (a threshold may also be
+    null), raises DataError naming `path:line`."""
+    rows = read_jsonl(path, _latent_row, "latent record")
+    values = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), 3)
+    return LatentColumns([row[0] for row in rows], *values.T.copy())
+
+
+def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
+    """Write latent items as the latents file (see write_latents)."""
+    write_latents(LatentColumns.of(latents), path)
+
+
 def load_latents(path: str | Path) -> list[LatentItem]:
-    return read_jsonl(path, _latent_item, "latent record")
+    """The latents file (see read_latents) as latent items, in file order."""
+    return read_latents(path).items()
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

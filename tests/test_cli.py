@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,16 @@ import pytest
 from coldstart_explore.cli import main
 from coldstart_explore.core import (
     DEFAULT_ALLOCATION,
+    EngagementStats,
+    Region,
+    config_from_dict,
     geometric_schema,
     load_corpus,
     read_json,
     save_corpus,
+    write_json,
 )
-from coldstart_explore import metrics, simulator
+from coldstart_explore import allocator, metrics, simulator
 from coldstart_explore.model import (
     Hyperparams,
     load_examples,
@@ -278,6 +284,31 @@ class TestAllocate:
             assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
                        "--out-dir", str(tmp_path / "n")) == 3
         assert "bad.jsonl:2: bad corpus record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"id": "b", "features": [true]',
+             "features must be a flat list of numbers; True is not one"),
+            ('"id": "b", "features": ["1.5"]',
+             "features must be a flat list of numbers; '1.5' is not one"),
+            ('"id": 7, "features": [1.5]', "id must be a string, not 7"),
+            ('"id": null, "features": [1.5]', "id must be a string, not None"),
+            ('"id": "b", "features": [1.5, 2.0]', "feature dimension 2, earlier rows have 1"),
+        ],
+        ids=["bool-feature", "string-feature", "number-id", "null-id", "feature-count"],
+    )
+    def test_corpus_value_refused_instead_of_converted_exit_3(
+        self, tmp_path, flat_model_file, row, message, capsys
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0], "impressions": 0, "positive_events": 0}\n'
+            "{" + row + ', "impressions": 0, "positive_events": 0}\n'
+        )
+        assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
+                   "--out-dir", str(tmp_path / "n")) == 3
+        assert f"bad.jsonl:2: bad corpus record: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "counts", ['"impressions": 10.7, "positive_events": 2', '"impressions": 10, '
@@ -706,3 +737,134 @@ def test_every_command_once_outputs_read_back(tmp_path):
             item_rows = read_csv(exp / f"report_{strategy}_seed{seed}.csv")
             assert report["total_discovered"] == comparison["total_discovered"][strategy][k]
             assert sum(int(r["discovered"]) for r in item_rows) == report["total_discovered"]
+
+
+# ---------------------------------------------------------------------------
+# simulate and allocate run on columns; the per-item path is their oracle.
+# ---------------------------------------------------------------------------
+
+def json_lines(rows) -> bytes:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_simulate_writes_what_the_per_item_path_writes(tmp_path, rounds):
+    out = tmp_path / "sim"
+    assert run("simulate", "--items", "120", "--rounds", str(rounds), "--seed", "5",
+               "--feature-dim", "3", "--out-dir", str(out)) == 0
+    config = simulator.SimConfig(seed=5, items_per_round=120, rounds=rounds, feature_dim=3)
+    latents, records = [], []
+    for round_index in range(rounds):
+        fresh_latents, fresh_records = simulator.generate_corpus(config, round_index)
+        latents += fresh_latents
+        records += fresh_records
+    save_corpus(records, tmp_path / "corpus.jsonl")
+    simulator.save_latents(latents, tmp_path / "latents.jsonl")
+    corpus = (out / "corpus.jsonl").read_bytes()
+    latent_truth = (out / "latents.jsonl").read_bytes()
+    assert corpus == (tmp_path / "corpus.jsonl").read_bytes()
+    assert latent_truth == (tmp_path / "latents.jsonl").read_bytes()
+    assert corpus == json_lines(
+        {"id": r.id, "features": r.features.tolist(), "impressions": 0, "positive_events": 0}
+        for r in records
+    )
+    assert latent_truth == json_lines(
+        {"id": lat.id, "quality": lat.quality, "engagement_prob": lat.engagement_prob,
+         "threshold": None if math.isinf(lat.true_threshold) else lat.true_threshold}
+        for lat in latents
+    )
+    assert any(math.isinf(lat.true_threshold) for lat in latents)
+
+
+@pytest.fixture(scope="module")
+def served_corpus(tmp_path_factory):
+    """A corpus half of which was served once, and a model trained on that round."""
+    tmp = tmp_path_factory.mktemp("served")
+    sim = simulator.SimConfig(seed=4, items_per_round=1200)
+    latents, records = simulator.generate_corpus(sim, 0)
+    plan = metrics.uniform_allocate(records[::2], DEFAULT_ALLOCATION)
+    observations = simulator.serve_round(latents, plan, sim, 0)
+    schema = geometric_schema()
+    save_model(train(simulator.build_training_set(observations, records, schema), schema),
+               tmp / "model.json")
+    served = {o.item_id: o for o in observations}
+    records = [
+        replace(r, engagement=EngagementStats(o.served, o.positive_events))
+        if (o := served.get(r.id)) else r
+        for r in records[::-1]  # the file need not be in id order
+    ]
+    save_corpus(records, tmp / "corpus.jsonl")
+    return tmp / "corpus.jsonl", tmp / "model.json"
+
+
+def per_item_allocation(corpus_path, model_path, config, growth, out):
+    """plan.csv and summary.json as allocator.allocate's plan gives them."""
+    fitted = load_model(model_path)
+    plan = allocator.allocate(load_corpus(corpus_path), fitted, config, geometric_schema(),
+                              growth)
+    out.mkdir()
+    with open(out / "plan.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["item_id", "region", "granted", "requested", "p_at_maxcap"])
+        for e in plan.entries:
+            writer.writerow([e.item_id, e.region.value, e.granted, e.requested, e.p_at_maxcap])
+    adapted = None if growth is None else allocator.adapt_low_fraction(
+        config.low_region_fraction, growth
+    )
+    summary = allocator.plan_summary(plan, config, adapted)
+    summary["untrained_buckets"] = list(fitted.meta.untrained_buckets)
+    write_json(summary, out / "summary.json")
+    return plan
+
+
+@pytest.mark.parametrize(
+    "flags, growth",
+    [
+        ([], None),
+        (["--budget", "20000"], None),
+        (["--low-fraction", "0.6", "--budget", "150000"], None),
+        (["--max-cost", "400", "--low-fraction", "0.5", "--budget", "100000"], None),
+        (["--low-fraction", "0.5", "--budget", "150000", "--item-growth", "2",
+          "--traffic-growth", "1.5"], (2.0, 1.5)),
+    ],
+    ids=["default", "ties", "low-funded", "cost-ceiling", "growth"],
+)
+def test_allocate_writes_what_the_per_item_path_writes(
+    tmp_path, served_corpus, flags, growth, monkeypatch, request
+):
+    corpus_path, model_path = served_corpus
+    repairs = []
+    repair = allocator._repair_cost
+    monkeypatch.setattr(
+        allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+    )
+    out = tmp_path / "columns"
+    assert run("allocate", "--corpus", str(corpus_path), "--model", str(model_path),
+               "--out-dir", str(out), *flags) == 0
+    config, _ = config_from_dict(read_manifest(out)["config"])
+    plan = per_item_allocation(
+        corpus_path, model_path, config,
+        None if growth is None else allocator.GrowthStats(*growth), tmp_path / "items",
+    )
+    for name in ("plan.csv", "summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "items" / name).read_bytes(), name
+
+    case = request.node.callspec.id
+    summary = read_json(out / "summary.json")
+    funded = [e for e in plan.entries if e.granted > 0]
+    if case == "ties":
+        # The pool runs out inside a group of equal requests: id breaks the tie.
+        last = max(funded, key=lambda e: e.item_id)
+        assert any(
+            e.requested == last.requested and e.granted == 0 and e.region is not Region.LOW
+            for e in plan.entries
+        )
+    if case in ("low-funded", "growth"):
+        assert summary["region_counts"]["Low"] > 0
+    if case == "cost-ceiling":
+        assert len(repairs) == 2  # the ceiling binds on both paths
+        assert summary["total_cost"] <= 400 < 0.01 * config.total_budget
+    else:
+        assert repairs == []
+    if case == "growth":
+        assert summary["adapted_low_fraction"] == 0.375

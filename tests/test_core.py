@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from coldstart_explore.core import (
     AllocationPlan,
     BucketSchema,
     ConfigError,
+    Corpus,
     DataError,
     EngagementStats,
     ItemRecord,
@@ -25,6 +28,7 @@ from coldstart_explore.core import (
     geometric_schema,
     item_feature_vector,
     load_corpus,
+    read_corpus,
     read_json,
     read_jsonl,
     save_corpus,
@@ -32,8 +36,11 @@ from coldstart_explore.core import (
     verify_plan,
     write_csv,
     write_json,
+    write_corpus,
     write_jsonl,
 )
+from coldstart_explore import core
+from coldstart_explore.simulator import ItemRoundRow, LatentItem, Observation
 
 FOUR_BUCKETS = BucketSchema(edges=(0, 100, 200, 400), representative=(99, 199, 399, 1600))
 
@@ -330,6 +337,9 @@ class TestVerifyPlan:
             verify_plan(plan, config)
 
 
+NOT_A_NUMBER = "features must be a flat list of numbers; "
+
+
 class TestCorpusFile:
     def test_round_trip(self, tmp_path):
         records = [
@@ -381,6 +391,80 @@ class TestCorpusFile:
         ):
             load_corpus(path)
 
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"id": "b", "features": [1.5, true]', NOT_A_NUMBER + "True is not one"),
+            ('"id": "b", "features": ["1.5", 2.0]', NOT_A_NUMBER + "'1.5' is not one"),
+            ('"id": "b", "features": [[1.5], 2.0]', NOT_A_NUMBER + "[1.5] is not one"),
+            ('"id": 7, "features": [1.5, 2.0]', "id must be a string, not 7"),
+            ('"id": null, "features": [1.5, 2.0]', "id must be a string, not None"),
+            ('"id": "b", "features": [1.5]', "feature dimension 1, earlier rows have 2"),
+            ('"id": "b", "features": [1.5, 2.0, 3.0]', "feature dimension 3, earlier rows have 2"),
+        ],
+        ids=["bool-feature", "string-feature", "nested-feature", "number-id", "null-id",
+             "fewer-features", "more-features"],
+    )
+    def test_row_refused_instead_of_converted(self, tmp_path, row, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0, 2.0], "impressions": 0, "positive_events": 0}\n'
+            "{" + row + ', "impressions": 0, "positive_events": 0}\n'
+        )
+        with pytest.raises(
+            DataError, match=re.escape(f"corpus.jsonl:2: bad corpus record: {message}")
+        ):
+            load_corpus(path)
+
+    def test_more_positive_events_than_impressions_refused_with_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0], "impressions": 3, "positive_events": 1}\n'
+            '{"id": "b", "features": [1.0], "impressions": 3, "positive_events": 4}\n'
+        )
+        with pytest.raises(DataError, match=r"corpus\.jsonl:2: .*cannot exceed impressions"):
+            read_corpus(path)
+
+    def test_columns_round_trip_read_only(self, tmp_path):
+        features = np.arange(12.0).reshape(4, 3)
+        corpus = Corpus(["d", "b", "a", "c"], features, [0, 5, 9, 2], [0, 1, 9, 0])
+        assert features.flags.writeable  # the caller's array is copied, not frozen
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        loaded = read_corpus(path)
+        assert loaded.ids == ("d", "b", "a", "c")
+        for name in ("features", "impressions", "positive_events"):
+            column = getattr(loaded, name)
+            assert np.array_equal(column, getattr(corpus, name))
+            assert not column.flags.writeable
+        assert loaded.impressions.dtype == np.int64
+        records = loaded.records()
+        assert [r.engagement for r in records] == [
+            EngagementStats(0, 0), EngagementStats(5, 1), EngagementStats(9, 9),
+            EngagementStats(2, 0),
+        ]
+        assert np.array_equal(Corpus.of(records).features, features)
+
+    def test_columns_must_line_up(self):
+        with pytest.raises(DataError, match="columns differ in length"):
+            Corpus(["a", "b"], np.zeros((2, 1)), [0, 0], [0])
+        with pytest.raises(DataError, match="matrix"):
+            Corpus(["a", "b"], np.zeros(2), [0, 0], [0, 0])
+
+    def test_blocks_write_what_one_block_writes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 11
+        corpus = Corpus(
+            [f"i{k}" for k in range(n)], rng.normal(size=(n, 3)),
+            np.full(n, 7), rng.integers(0, 8, size=n),
+        )
+        write_corpus(corpus, tmp_path / "one.jsonl")
+        monkeypatch.setattr(core, "WRITE_BLOCK_ROWS", 4)
+        write_corpus(corpus, tmp_path / "blocks.jsonl")
+        one = (tmp_path / "one.jsonl").read_bytes()
+        assert one == (tmp_path / "blocks.jsonl").read_bytes()
+        assert one.count(b"\n") == n
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_feature_rejected_with_line(self, tmp_path, token):
@@ -522,3 +606,27 @@ class TestConfigDict:
         )
         assert schema.representative == (49, 99, 199, 400)
         validate_config(config, schema)
+
+
+@pytest.mark.parametrize(
+    "record, field, value",
+    [
+        (EngagementStats(3, 1), "impressions", 4),
+        (ItemRecord("a", np.array([1.0])), "id", "b"),
+        (PlanEntry("a", Region.HIGH, 100, 100, 0.7), "granted", 200),
+        (LatentItem("a", 0.1, 5.0, 0.2), "quality", 0.3),
+        (Observation(0, "a", 100, 3, False), "served", 200),
+        (ItemRoundRow(0, "a", "High", 100, 3, False), "granted", 200),
+    ],
+    ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None,
+)
+def test_per_item_records_are_slotted_and_frozen(record, field, value):
+    assert not hasattr(record, "__dict__")
+    assert set(type(record).__slots__) == {f.name for f in dataclasses.fields(record)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, value)
+    changed = dataclasses.replace(record, **{field: value})
+    assert getattr(changed, field) == value != getattr(record, field)
+    for other in dataclasses.fields(record):
+        if other.name != field:
+            assert getattr(changed, other.name) is getattr(record, other.name)

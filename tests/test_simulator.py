@@ -26,6 +26,7 @@ from coldstart_explore.simulator import (
     STRATEGIES,
     ExperimentReport,
     ItemRoundRow,
+    LatentColumns,
     LatentItem,
     Observation,
     RoundMetrics,
@@ -33,10 +34,12 @@ from coldstart_explore.simulator import (
     build_training_set,
     generate_corpus,
     load_latents,
+    read_latents,
     report_to_dict,
     run_experiment,
     save_latents,
     serve_round,
+    write_latents,
 )
 from conftest import make_record
 
@@ -372,6 +375,39 @@ class TestLatentFile:
         with pytest.raises(DataError, match=rf"latents\.jsonl:2: .*{key} inf is not finite"):
             load_latents(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("id", None, "id must be a string, not None"),
+            ("id", 7, "id must be a string, not 7"),
+            ("quality", "0.5", "quality must be a number, not '0.5'"),
+            ("threshold", "12", "threshold must be a number, not '12'"),
+            ("threshold", True, "threshold must be a number, not True"),
+            ("engagement_prob", True, "engagement_prob must be a number, not True"),
+        ],
+    )
+    def test_value_refused_instead_of_converted(self, tmp_path, key, value, message):
+        row = {"engagement_prob": 0.1, "id": "b", "quality": 0.5, "threshold": 10.0, key: value}
+        path = tmp_path / "latents.jsonl"
+        path.write_text(
+            '{"engagement_prob": 0.1, "id": "a", "quality": 0.5, "threshold": null}\n'
+            + json.dumps(row) + "\n"
+        )
+        with pytest.raises(DataError, match=rf"latents\.jsonl:2: bad latent record: {message}"):
+            load_latents(path)
+
+    def test_columns_round_trip(self, tmp_path):
+        latents, _ = generate_corpus(SimConfig(seed=6, items_per_round=40), 1)
+        columns = LatentColumns.of(latents)
+        path = tmp_path / "latents.jsonl"
+        write_latents(columns, path)
+        loaded = read_latents(path)
+        assert list(loaded.ids) == [lat.id for lat in latents]
+        assert np.isinf(loaded.true_threshold).any()
+        for name in ("quality", "true_threshold", "engagement_prob"):
+            assert np.array_equal(getattr(loaded, name), getattr(columns, name))
+        assert loaded.items() == latents
+
     def test_non_finite_quality_not_written(self, tmp_path):
         bad = LatentItem(id="a", quality=math.nan, true_threshold=5.0, engagement_prob=0.1)
         with pytest.raises(ValueError):
@@ -640,12 +676,15 @@ class TestArrayLoopsMatchPerItemReference:
                 make_record(f"i{k:02d}", rng.normal(size=dim)) for k in range(n_items)
             ]
             observations = []
-            for _ in range(int(rng.integers(0, 40))):
+            # Distinct (round, item) pairs, in random order: an item is
+            # served at most once a round.
+            pairs = rng.permutation(4 * n_items)[: int(rng.integers(0, 4 * n_items + 1))]
+            for pair in pairs.tolist():
                 served = int(rng.integers(0, 5000))
                 observations.append(
                     Observation(
-                        round=int(rng.integers(0, 4)),  # same item twice a round too
-                        item_id=f"i{int(rng.integers(0, n_items)):02d}",
+                        round=pair // n_items,
+                        item_id=f"i{pair % n_items:02d}",
                         served=served,
                         positive_events=int(rng.integers(0, served + 1)),
                         discovered=bool(rng.integers(0, 2)),
@@ -699,6 +738,18 @@ class TestBuildTrainingSetRejectsBadCounts:
         ]
         with pytest.raises(DataError, match="cannot exceed"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+
+    def test_two_observations_of_one_item_in_one_round_rejected(self):
+        # Neither event came before the other, so neither engagement block
+        # would be the item's as it stood when the round was served.
+        obs = [
+            Observation(round=0, item_id="b", served=100, positive_events=5, discovered=False),
+            Observation(round=1, item_id="a", served=100, positive_events=0, discovered=False),
+            Observation(round=0, item_id="b", served=100, positive_events=7, discovered=False),
+        ]
+        records = [make_record("a", [1.0]), make_record("b", [2.0])]
+        with pytest.raises(DataError, match="two observations of item b in round 0"):
+            build_training_set(obs, records, SCHEMA)
 
     def test_mixed_feature_dimensions_rejected(self):
         records = [make_record("a", [1.0]), make_record("b", [1.0, 2.0])]
