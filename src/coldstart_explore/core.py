@@ -13,8 +13,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -403,15 +404,6 @@ def model_inputs(
     return np.hstack([static, engagement_block(impressions, positive_events)])
 
 
-def feature_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
-    """Model inputs for many items, one row each: row i is item_feature_vector(records[i])."""
-    n = len(records)
-    engagement = [rec.engagement for rec in records]
-    impressions = np.fromiter((s.impressions for s in engagement), np.int64, n)
-    positives = np.fromiter((s.positive_events for s in engagement), np.int64, n)
-    return model_inputs(static_matrix(records), impressions, positives)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -420,12 +412,11 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"{token} is not a finite number")
 
 
-# One decoder for every JSON file, and one encoder for each of its two layouts:
-# a JSON-lines row and an indented document. The decoder refuses the NaN,
-# Infinity and -Infinity tokens json accepts by default; the encoders refuse
-# non-finite floats, so no file is written that the decoder would reject.
+# One decoder for every JSON file and one encoder for JSON documents. The
+# decoder refuses the NaN, Infinity and -Infinity tokens json accepts by
+# default; the writers refuse non-finite floats, so no file is written that the
+# decoder would reject.
 _FINITE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 T = TypeVar("T")
@@ -471,29 +462,47 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
     return rows
 
 
-def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
-    """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(_JSONL_ENCODER.encode(row))
-            fh.write("\n")
-
-
-#: Rows a column writer turns into Python values at a time, so that no writer
-#: holds a whole matrix as nested lists.
+#: Rows a JSON-lines writer formats and joins at a time, so that no writer
+#: holds a whole matrix as Python values.
 WRITE_BLOCK_ROWS = 4096
 
 
-def column_rows(*columns: Sequence) -> Iterator[tuple]:
-    """The rows of equal-length columns as tuples of Python values.
+class _JsonNull:
+    def __repr__(self) -> str:
+        return "null"
 
-    Array columns are converted with tolist() one block of WRITE_BLOCK_ROWS
-    rows at a time; other sequences, such as a list of ids, are sliced as
-    they are.
+
+JSON_NULL = _JsonNull()  # what write_jsonl_columns writes as null
+
+
+def write_jsonl_columns(columns: dict[str, Sequence], path: str | Path) -> None:
+    """Line for line what json.dumps(row, sort_keys=True) writes for each row.
+
+    One template, keys sorted, formats each row. json writes a finite float
+    with float.__repr__ and an int with int.__repr__, so an array column (of
+    numbers, matrix rows or JSON_NULL) goes in by %r; any other column holds
+    strings, encoded by json's encode_basestring_ascii. A NaN or infinity in a
+    float column, or a non-string in a string column, raises DataError before
+    the file is opened.
     """
-    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
-        yield from zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block))
+    fields, values = [], []
+    for name in sorted(columns):
+        column = columns[name]
+        if not isinstance(column, np.ndarray):
+            try:
+                column = list(map(encode_basestring_ascii, column))
+            except TypeError as exc:
+                raise DataError(f"{path}: {name} must hold strings: {exc}") from exc
+        elif column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise DataError(f"{path}: {name} holds a non-finite value, which JSON cannot")
+        fields.append(f'"{name}": %{"r" if isinstance(column, np.ndarray) else "s"}')
+        values.append(column)
+    template = "{" + ", ".join(fields) + "}\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for start in range(0, len(values[0]), WRITE_BLOCK_ROWS):
+            block = (column[start : start + WRITE_BLOCK_ROWS] for column in values)
+            rows = zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block))
+            fh.write("".join(map(template.__mod__, rows)))
 
 
 _NUMBER_TYPES = frozenset((int, float))
@@ -533,24 +542,18 @@ class FeatureRows:
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """The corpus file: JSON lines of id, features, impressions, positive_events."""
-    write_jsonl(
-        (
-            {"id": i, "features": f, "impressions": m, "positive_events": p}
-            for i, f, m, p in column_rows(
-                corpus.ids, corpus.features, corpus.impressions, corpus.positive_events
-            )
-        ),
-        path,
-    )
+    names = ("id", "features", "impressions", "positive_events")
+    columns = (corpus.ids, corpus.features, corpus.impressions, corpus.positive_events)
+    write_jsonl_columns(dict(zip(names, columns)), path)
 
 
 def read_corpus(path: str | Path) -> Corpus:
     """A corpus file as columns, in file order.
 
     A row whose id is not a string, whose features are not a flat list of
-    numbers as long as the first row's, or whose counts are not non-negative
-    integers with positive_events at most impressions raises DataError naming
-    `path:line`.
+    finite numbers as long as the first row's, or whose counts are not
+    non-negative integers with positive_events at most impressions raises
+    DataError naming `path:line`.
     """
     ids: list[str] = []
     features = FeatureRows()
@@ -564,6 +567,12 @@ def read_corpus(path: str | Path) -> Corpus:
                 raise ValueError(f"{name} must be a non-negative integer, not {count!r}")
         _check_engagement(impressions, positive_events)
         features.append(row["features"])
+        # The decoder reads 1e400 as inf. A finite sum means finite features;
+        # an overflowing sum of finite ones is looked at value by value.
+        if not math.isfinite(sum(row["features"])):
+            for value in row["features"]:
+                if not math.isfinite(value):
+                    raise ValueError(f"feature {value!r} is not finite")
         ids.append(item_id)
         impressions_column.append(impressions)
         positives_column.append(positive_events)

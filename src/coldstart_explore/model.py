@@ -28,12 +28,11 @@ from .core import (
     FeatureRows,
     checked,
     checked_list,
-    column_rows,
     read_json,
     read_only,
     read_jsonl,
     write_json,
-    write_jsonl,
+    write_jsonl_columns,
 )
 
 # Probabilities are kept strictly inside (0, 1) so log-loss and downstream
@@ -439,13 +438,9 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
 
 
 def save_examples(examples: TrainingSet, path: str | Path) -> None:
-    write_jsonl(
-        (
-            {"features": f, "bucket": b, "label": y}
-            for f, b, y in column_rows(examples.features, examples.bucket, examples.label)
-        ),
-        path,
-    )
+    """The training-set file: JSON lines of features, bucket and label."""
+    columns = {"features": examples.features, "bucket": examples.bucket, "label": examples.label}
+    write_jsonl_columns(columns, path)
 
 
 def load_examples(path: str | Path) -> TrainingSet:

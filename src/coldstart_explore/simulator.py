@@ -28,6 +28,7 @@ import numpy as np
 
 from .allocator import REGIONS, plan_columns
 from .core import (
+    JSON_NULL,
     NUMBER,
     STRING,
     AllocationConfig,
@@ -38,14 +39,13 @@ from .core import (
     ItemRecord,
     Region,
     checked,
-    column_rows,
     model_inputs,
     read_jsonl,
     static_matrix,
     sum_costs,
     validate_config,
     write_csv,
-    write_jsonl,
+    write_jsonl_columns,
 )
 from .metrics import oracle_grants, uniform_grants
 from .model import Hyperparams, TrainingSet, train
@@ -526,20 +526,15 @@ def write_latents(latents: LatentColumns, path: str | Path) -> None:
     """Ground-truth file; kept separate so allocation code never reads it.
 
     JSON lines of id, quality, threshold and engagement_prob; an infinite
-    threshold is written as null.
+    threshold is written as null. DataError, before the file is opened, if a
+    value is NaN or, but for a threshold, infinite.
     """
-    write_jsonl(
-        (
-            {
-                "id": item_id,
-                "quality": quality,
-                "threshold": None if math.isinf(threshold) else threshold,
-                "engagement_prob": prob,
-            }
-            for item_id, quality, threshold, prob in column_rows(*latents)
-        ),
-        path,
-    )
+    threshold = latents.true_threshold
+    if np.isnan(threshold).any():
+        raise DataError(f"{path}: threshold holds NaN, which JSON cannot")
+    columns = latents._replace(true_threshold=np.where(np.isinf(threshold), JSON_NULL, threshold))
+    names = ("id", "quality", "threshold", "engagement_prob")
+    write_jsonl_columns(dict(zip(names, columns)), path)
 
 
 def _finite(row: dict, key: str) -> float:

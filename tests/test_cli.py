@@ -295,8 +295,11 @@ class TestAllocate:
             ('"id": 7, "features": [1.5]', "id must be a string, not 7"),
             ('"id": null, "features": [1.5]', "id must be a string, not None"),
             ('"id": "b", "features": [1.5, 2.0]', "feature dimension 2, earlier rows have 1"),
+            # The decoder reads 1e400 as inf, which the corpus writer never writes.
+            ('"id": "b", "features": [1e400]', "feature inf is not finite"),
         ],
-        ids=["bool-feature", "string-feature", "number-id", "null-id", "feature-count"],
+        ids=["bool-feature", "string-feature", "number-id", "null-id", "feature-count",
+             "overflowing-feature"],
     )
     def test_corpus_value_refused_instead_of_converted_exit_3(
         self, tmp_path, flat_model_file, row, message, capsys

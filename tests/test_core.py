@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coldstart_explore.core import (
     AllocationConfig,
@@ -24,23 +27,32 @@ from coldstart_explore.core import (
     cost_of,
     engagement_block,
     engagement_features,
-    feature_matrix,
     geometric_schema,
     item_feature_vector,
     load_corpus,
+    model_inputs,
     read_corpus,
     read_json,
     read_jsonl,
     save_corpus,
+    static_matrix,
     validate_config,
     verify_plan,
     write_csv,
     write_json,
     write_corpus,
-    write_jsonl,
+    write_jsonl_columns,
 )
 from coldstart_explore import core
-from coldstart_explore.simulator import ItemRoundRow, LatentItem, Observation
+from coldstart_explore.model import TrainingSet, load_examples, save_examples
+from coldstart_explore.simulator import (
+    ItemRoundRow,
+    LatentColumns,
+    LatentItem,
+    Observation,
+    read_latents,
+    write_latents,
+)
 
 FOUR_BUCKETS = BucketSchema(edges=(0, 100, 200, 400), representative=(99, 199, 399, 1600))
 
@@ -190,6 +202,14 @@ class TestEngagementStats:
             EngagementStats(-1, 0)
 
 
+def engagement_columns(records):
+    """The impressions and positive_events columns of the records."""
+    return tuple(
+        np.array([getattr(rec.engagement, name) for rec in records], dtype=np.int64)
+        for name in ("impressions", "positive_events")
+    )
+
+
 class TestItemFeatures:
     def test_engagement_block_appended(self):
         rec = ItemRecord(
@@ -216,7 +236,7 @@ class TestItemFeatures:
             )
             for k in range(50)
         ]
-        X = feature_matrix(records)
+        X = model_inputs(static_matrix(records), *engagement_columns(records))
         assert X.shape == (50, 5)
         for rec, row in zip(records, X):
             assert np.array_equal(row, item_feature_vector(rec))
@@ -227,10 +247,10 @@ class TestItemFeatures:
             ItemRecord(id="b", features=np.array([1.0, 2.0])),
         ]
         with pytest.raises(DataError, match="dimension"):
-            feature_matrix(records)
+            model_inputs(static_matrix(records), *engagement_columns(records))
 
     def test_feature_matrix_of_no_items(self):
-        assert feature_matrix([]).shape == (0, 2)
+        assert model_inputs(static_matrix([]), *engagement_columns([])).shape == (0, 2)
 
     def test_engagement_block_rows_equal_engagement_features(self):
         rng = np.random.default_rng(4)
@@ -256,7 +276,8 @@ class TestItemFeatures:
                     engagement=EngagementStats(impressions, int(rng.integers(0, impressions + 1))),
                 )
             )
-        for rec, row in zip(records, feature_matrix(records)):
+        X = model_inputs(static_matrix(records), *engagement_columns(records))
+        for rec, row in zip(records, X):
             assert np.array_equal(row.view(np.int64), item_feature_vector(rec).view(np.int64))
 
     def test_features_are_read_only(self):
@@ -476,20 +497,61 @@ class TestCorpusFile:
         with pytest.raises(DataError, match=rf"corpus\.jsonl:2: .*{token}"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("literal, value", [("1e400", "inf"), ("-1e400", "-inf")])
+    def test_overflowing_feature_refused_with_line(self, tmp_path, literal, value):
+        # The decoder reads 1e400 as inf, which write_corpus never writes.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "features": [1.0, 0.5], "impressions": 0, "positive_events": 0}\n'
+            f'{{"id": "b", "features": [{literal}, 0.5], "impressions": 0, '
+            '"positive_events": 0}\n'
+        )
+        with pytest.raises(
+            DataError, match=rf"corpus\.jsonl:2: bad corpus record: feature {value} is not finite"
+        ):
+            read_corpus(path)
+
+    def test_finite_features_whose_sum_overflows_are_read(self, tmp_path):
+        corpus = Corpus(["a", "b"], [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]], [0, 0], [0, 0])
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        assert np.array_equal(read_corpus(path).features, corpus.features)
+        path.write_text(path.read_text().replace("[-1.7e+308, ", "[1e400, "))
+        with pytest.raises(DataError, match=r"corpus\.jsonl:2: .*feature inf is not finite"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_not_written(self, tmp_path, value):
+        corpus = Corpus(["a", "b"], [[1.0, 2.0], [value, 0.5]], [0, 0], [0, 0])
+        path = tmp_path / "corpus.jsonl"
+        with pytest.raises(DataError, match="features holds a non-finite value"):
+            write_corpus(corpus, path)
+        assert not path.exists()
+
 
 class TestJsonLines:
-    ROWS = [{"b": 1.5, "a": [0.1, -2.0]}, {"id": "x", "n": None, "k": 3}]
+    COLUMNS = {
+        "b": np.array([1.5, -0.0]),
+        "a": np.array([[0.1, -2.0], [1e-05, 2.0]]),
+        "id": ["x", 'q"\\\u00e9\u2603'],
+        "k": np.array([3, -7]),
+    }
+    ROWS = [
+        {"b": 1.5, "a": [0.1, -2.0], "id": "x", "k": 3},
+        {"b": -0.0, "a": [1e-05, 2.0], "id": 'q"\\\u00e9\u2603', "k": -7},
+    ]
 
     def test_writes_what_json_dumps_writes(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        write_jsonl(iter(self.ROWS), path)
+        write_jsonl_columns(self.COLUMNS, path)
         expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.ROWS)
         assert path.read_text(encoding="utf-8") == expected
 
     def test_round_trip_skips_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        write_jsonl(self.ROWS, path)
-        path.write_text(path.read_text() + "\n  \n")
+        write_jsonl_columns(self.COLUMNS, path)
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text("\n" + first + " \t\n" + second + "\n  \n")
         assert read_jsonl(path, dict, "row") == self.ROWS
 
     def test_parse_errors_name_path_and_line(self, tmp_path):
@@ -507,8 +569,164 @@ class TestJsonLines:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_not_written(self, tmp_path, value):
-        with pytest.raises(ValueError):
-            write_jsonl([{"x": value}], tmp_path / "rows.jsonl")
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(DataError, match="x holds a non-finite value"):
+            write_jsonl_columns({"x": np.array([1.0, value]), "id": ["a", "b"]}, path)
+        assert not path.exists()
+
+    def test_string_column_of_non_strings_not_written(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(DataError, match="id must hold strings"):
+            write_jsonl_columns({"x": np.zeros(2), "id": ["a", 7]}, path)
+        assert not path.exists()
+
+
+def small_corpus(n):
+    return Corpus(
+        [f"i{k}" for k in range(n)], np.arange(2.0 * n).reshape(n, 2) - 3.5,
+        np.full(n, 5), np.arange(n) % 6,
+    )
+
+
+def small_training_set(n):
+    return TrainingSet(np.arange(3.0 * n).reshape(n, 3) / 7, np.arange(n) % 6, np.arange(n) % 2)
+
+
+def small_latents(n):
+    threshold = np.arange(n) * 10.5
+    threshold[::3] = math.inf
+    return LatentColumns(
+        [f"i{k}" for k in range(n)], np.linspace(-1, 1, n), threshold, np.linspace(0, 0.5, n)
+    )
+
+
+# Per file format: a maker of n rows, the writer, the reader, the columns to
+# compare, and a bad value for one key with the message that refuses it.
+FORMATS = {
+    "corpus": (
+        small_corpus, write_corpus, read_corpus,
+        ("ids", "features", "impressions", "positive_events"),
+        "corpus record", "id", 7, "id must be a string, not 7",
+    ),
+    "training set": (
+        small_training_set, save_examples, load_examples, ("features", "bucket", "label"),
+        "training example", "label", 2, "label must be 0 or 1",
+    ),
+    "latents": (
+        small_latents, write_latents, read_latents,
+        ("ids", "quality", "true_threshold", "engagement_prob"),
+        "latent record", "quality", "0.5", "quality must be a number, not '0.5'",
+    ),
+}
+
+
+class TestBlockEdges:
+    """The three JSON-lines formats, written 4 rows at a time."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_four(self, monkeypatch):
+        monkeypatch.setattr(core, "WRITE_BLOCK_ROWS", 4)
+
+    @pytest.mark.parametrize("n", [4, 9], ids=["one-block", "three-blocks"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_round_trip(self, tmp_path, fmt, n):
+        make, write, read, fields, *_ = FORMATS[fmt]
+        original = make(n)
+        path = tmp_path / "rows.jsonl"
+        write(original, path)
+        assert path.read_text().count("\n") == n
+        loaded = read(path)
+        for field in fields:
+            assert np.array_equal(np.asarray(getattr(loaded, field)),
+                                  np.asarray(getattr(original, field)))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_bad_row_in_second_block_named_at_its_line(self, tmp_path, fmt):
+        make, write, read, _, what, key, value, message = FORMATS[fmt]
+        path = tmp_path / "rows.jsonl"
+        write(make(10), path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k in (5, 6):  # the second and third rows of the second block
+            row = json.loads(lines[k])
+            row[key] = value
+            lines[k] = json.dumps(row) + "\n"
+        # Line 1 and lines 5 and 6 are blank, so row 5 is on line 9.
+        path.write_text("\n" + "".join(lines[:3]) + "  \n\n" + "".join(lines[3:]))
+        with pytest.raises(DataError, match=re.escape(f"rows.jsonl:9: bad {what}: {message}")):
+            read(path)
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 1e-05, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+IDS = st.text(st.one_of(st.sampled_from('"\\\u00e9\u2603\x00\n'), st.characters()), max_size=6)
+
+
+def assert_json_lines(write, columns, rows):
+    """write(columns, path), with blocks of 3 rows, writes json.dumps of each row."""
+    with tempfile.TemporaryDirectory() as tmp, patch.object(core, "WRITE_BLOCK_ROWS", 3):
+        path = Path(tmp) / "rows.jsonl"
+        write(columns, path)
+        text = path.read_text(encoding="utf-8")
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def matrices(n):
+    return st.integers(0, 3).flatmap(
+        lambda dim: st.lists(st.lists(FLOATS, min_size=dim, max_size=dim),
+                             min_size=n, max_size=n).map(lambda rows: (rows, dim))
+    )
+
+
+class TestWriterBytes:
+    """Each JSON-lines writer writes, line for line, json.dumps(row, sort_keys=True)."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_corpus(self, data):
+        n = data.draw(st.integers(0, 8))
+        features, dim = data.draw(matrices(n))
+        ids = data.draw(st.lists(IDS, min_size=n, max_size=n))
+        counts = data.draw(st.lists(st.integers(0, 2**62), min_size=2 * n, max_size=2 * n))
+        impressions, positives = counts[:n], counts[n:]
+        corpus = Corpus(ids, np.array(features).reshape(n, dim), impressions, positives)
+        rows = [
+            {"id": i, "features": f, "impressions": m, "positive_events": p}
+            for i, f, m, p in zip(ids, features, impressions, positives)
+        ]
+        assert_json_lines(write_corpus, corpus, rows)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_training_set(self, data):
+        n = data.draw(st.integers(0, 8))
+        features, dim = data.draw(matrices(n))
+        buckets = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        examples = TrainingSet(np.array(features).reshape(n, dim), buckets, labels)
+        rows = [
+            {"features": f, "bucket": b, "label": y}
+            for f, b, y in zip(features, buckets, labels)
+        ]
+        assert_json_lines(save_examples, examples, rows)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_latents(self, data):
+        n = data.draw(st.integers(0, 8))
+        ids = data.draw(st.lists(IDS, min_size=n, max_size=n))
+        quality, prob = (data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in "qp")
+        threshold = data.draw(
+            st.lists(st.one_of(FLOATS, st.just(math.inf)), min_size=n, max_size=n)
+        )
+        latents = LatentColumns(ids, np.array(quality), np.array(threshold), np.array(prob))
+        rows = [
+            {"id": i, "quality": q, "threshold": None if t == math.inf else t,
+             "engagement_prob": p}
+            for i, q, t, p in zip(ids, quality, threshold, prob)
+        ]
+        assert_json_lines(write_latents, latents, rows)
 
 
 class TestJsonDocuments:

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -23,6 +26,7 @@ from coldstart_explore.metrics import (
     pr_curve_and_auc,
     pr_metrics,
     uniform_allocate,
+    write_pr_curve_csv,
 )
 from coldstart_explore.model import Hyperparams
 from coldstart_explore.simulator import LatentItem, SimConfig, run_experiment
@@ -373,6 +377,19 @@ class TestMetricsReport:
         for recall, precision in report.pr_curve:
             values += [recall, precision]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_pr_curve_file_is_what_csv_writer_writes(self, tmp_path):
+        rng = np.random.default_rng(9)
+        scores, labels = random_instance(rng, 200, tie_prone=True)
+        report = metrics_report(scores, labels, rng.integers(0, 3, size=len(labels)))
+        edges = ((5e-324, 1e-05), (0.1, 2.0), (1.7976931348623157e308, -0.0), (1 / 3, 1e16))
+        report = dataclasses.replace(report, pr_curve=report.pr_curve + edges)
+        write_pr_curve_csv(report, tmp_path / "pr_curve.csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["recall", "precision"])
+        writer.writerows(report.pr_curve)
+        assert (tmp_path / "pr_curve.csv").read_bytes() == expected.getvalue().encode()
 
 
 def latent(item_id, theta):

@@ -396,6 +396,24 @@ class TestLatentFile:
         with pytest.raises(DataError, match=rf"latents\.jsonl:2: bad latent record: {message}"):
             load_latents(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("quality", math.nan), ("quality", math.inf), ("engagement_prob", -math.inf),
+         ("threshold", math.nan)],
+    )
+    def test_non_finite_value_not_written(self, tmp_path, key, value):
+        row = {"quality": 0.1, "threshold": 3.0, "engagement_prob": 0.2, key: value}
+        latents = LatentColumns(
+            ["a", "b"],
+            np.array([0.5, row["quality"]]),
+            np.array([math.inf, row["threshold"]]),
+            np.array([0.1, row["engagement_prob"]]),
+        )
+        path = tmp_path / "latents.jsonl"
+        with pytest.raises(DataError, match=f"latents.jsonl: {key} holds"):
+            write_latents(latents, path)
+        assert not path.exists()
+
     def test_columns_round_trip(self, tmp_path):
         latents, _ = generate_corpus(SimConfig(seed=6, items_per_round=40), 1)
         columns = LatentColumns.of(latents)
