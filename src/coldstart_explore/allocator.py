@@ -3,14 +3,14 @@
 Items are partitioned by their predicted discoverability at the traffic cap:
 confident items get the cheapest qualifying traffic level, moderate ones get
 the full cap, and long-shot items share a reserved slice of budget in
-proportion to their user feedback. Funding is full-or-nothing, cheapest first,
-so the count of funded items is maximized within the budget.
+proportion to their user feedback, water-filled under the cap. Confident and
+moderate items are funded full-or-nothing, smallest request first: as many as
+the budget allows, unless the cost ceiling binds and items are dropped.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -238,8 +238,10 @@ def _score(
 
 
 class PlanColumns(NamedTuple):
-    """An allocation as columns over the candidates, in their order."""
+    """An allocation as columns over the candidates, in id order: the plan
+    that allocate, plan.csv and summary.json are built from."""
 
+    ids: Sequence[str]
     region: np.ndarray  # region code (indexes REGIONS) each item is classified into
     granted: np.ndarray
     requested: np.ndarray  # meaningful for High and Moderate items only
@@ -298,29 +300,7 @@ def plan_columns(
         )
         granted = np.fromiter(grants.values(), np.int64, len(ids))
         total_cost = sum_costs(granted, config)
-    return PlanColumns(region, granted, requested, p_at_maxcap, total_cost)
-
-
-class PlanTable(NamedTuple):
-    """A plan as the columns of plan.csv, one entry per item in id order,
-    plus its totals: what plan.csv and summary.json are written from."""
-
-    item_id: Sequence[str]
-    region: Sequence[Region]  # Unfunded for an item granted nothing
-    granted: Sequence[int]
-    requested: Sequence[int | None]  # None for Low items and unfunded baseline items
-    p_at_maxcap: Sequence[float | None]  # None in a baseline plan
-    total_allocated: int
-    total_cost: float
-
-    @classmethod
-    def of(cls, plan: AllocationPlan) -> "PlanTable":
-        """The entries of a plan as columns."""
-        return cls(
-            *([getattr(e, name) for e in plan.entries] for name in cls._fields[:5]),
-            plan.total_allocated,
-            plan.total_cost,
-        )
+    return PlanColumns(ids, region, granted, requested, p_at_maxcap, total_cost)
 
 
 def plan_corpus(
@@ -329,7 +309,7 @@ def plan_corpus(
     config: AllocationConfig,
     schema: BucketSchema,
     growth: GrowthStats | None = None,
-) -> PlanTable:
+) -> PlanColumns:
     """The plan of allocate, as columns: its checks, then plan_columns over
     the corpus in Python's str order of the ids.
 
@@ -347,20 +327,15 @@ def plan_corpus(
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
+    return plan_columns(ids, features, model, config, schema, growth)
 
-    plan = plan_columns(ids, features, model, config, schema, growth)
-    region = np.where(plan.granted > 0, plan.region, _UNFUNDED)
+
+def _entry_columns(plan: PlanColumns) -> tuple[list[int], list[int | None]]:
+    """Each item's region code as a plan entry has it, Unfunded where nothing
+    was granted, and its request, None for a Low item."""
     requested = plan.requested.astype(object)
     requested[plan.region == _LOW] = None
-    return PlanTable(
-        ids,
-        list(map(REGIONS.__getitem__, region.tolist())),
-        plan.granted.tolist(),
-        requested.tolist(),
-        plan.p_at_maxcap.tolist(),
-        int(plan.granted.sum()),
-        plan.total_cost,
-    )
+    return np.where(plan.granted > 0, plan.region, _UNFUNDED).tolist(), requested.tolist()
 
 
 def allocate(
@@ -389,71 +364,67 @@ def allocate(
     over it; predict_curve, monotone_curve, classify_region and
     requested_traffic are its per-item counterparts.
     """
-    table = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
-    return AllocationPlan(
-        entries=tuple(map(PlanEntry, *table[:5])),
-        total_allocated=table.total_allocated,
-        total_cost=table.total_cost,
+    plan = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
+    region, requested = _entry_columns(plan)
+    entries = map(
+        PlanEntry,
+        plan.ids,
+        map(REGIONS.__getitem__, region),
+        plan.granted.tolist(),
+        requested,
+        plan.p_at_maxcap.tolist(),
     )
+    return AllocationPlan(tuple(entries), int(plan.granted.sum()), plan.total_cost)
 
 
 # ---------------------------------------------------------------------------
 # Plan export
 # ---------------------------------------------------------------------------
 
-def write_plan_table(table: PlanTable, path: str | Path) -> None:
+_REGION_NAMES = tuple(region.value for region in REGIONS)
+
+
+def write_plan_csv(plan: PlanColumns, path: str | Path) -> None:
     """The plan file: a CSV of item_id, region, granted, requested, p_at_maxcap."""
+    region, requested = _entry_columns(plan)
     write_csv(
-        PlanTable._fields[:5],
+        ("item_id", "region", "granted", "requested", "p_at_maxcap"),
         zip(
-            table.item_id,
-            [region.value for region in table.region],
-            table.granted,
-            table.requested,
-            table.p_at_maxcap,
+            plan.ids,
+            map(_REGION_NAMES.__getitem__, region),
+            plan.granted.tolist(),
+            requested,
+            plan.p_at_maxcap.tolist(),
         ),
         path,
     )
 
 
-def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
-    write_plan_table(PlanTable.of(plan), path)
-
-
-def table_summary(
-    table: PlanTable,
+def plan_summary(
+    plan: PlanColumns,
     config: AllocationConfig,
     adapted_low_fraction: float | None = None,
 ) -> dict:
     """The plan summary: counts per region after and before funding, totals
-    and utilizations."""
-    regions = Counter(region.value for region in table.region)
+    and utilizations. The counts before funding keep Low items deferred below
+    min_cap visible."""
+    funded = np.bincount(_entry_columns(plan)[0], minlength=len(REGIONS))
+    classified = np.bincount(plan.region, minlength=3)
+    total_allocated = int(plan.granted.sum())
     summary = {
-        "items": len(table.item_id),
-        "region_counts": dict(sorted(regions.items())),
-        "total_allocated": table.total_allocated,
-        "total_cost": table.total_cost,
+        "items": len(plan.ids),
+        "region_counts": {
+            name: count for name, count in zip(_REGION_NAMES, funded.tolist()) if count
+        },
+        "classified_counts": dict(zip(_REGION_NAMES[:3], classified.tolist())),
+        "total_allocated": total_allocated,
+        "total_cost": plan.total_cost,
         "budget": config.total_budget,
         "budget_utilization": (
-            table.total_allocated / config.total_budget if config.total_budget else 0.0
+            total_allocated / config.total_budget if config.total_budget else 0.0
         ),
-        "cost_utilization": table.total_cost / config.max_cost,
-    }
-    # Regions before funding, so Low items deferred below min_cap stay visible.
-    scored = np.array([p for p in table.p_at_maxcap if p is not None], dtype=float)
-    codes = _classify(scored, config)
-    summary["classified_counts"] = {
-        REGIONS[code].value: int(np.count_nonzero(codes == code))
-        for code in (_HIGH, _MODERATE, _LOW)
+        "cost_utilization": plan.total_cost / config.max_cost,
     }
     if adapted_low_fraction is not None:
         summary["adapted_low_fraction"] = adapted_low_fraction
     return summary
-
-
-def plan_summary(
-    plan: AllocationPlan,
-    config: AllocationConfig,
-    adapted_low_fraction: float | None = None,
-) -> dict:
-    return table_summary(PlanTable.of(plan), config, adapted_low_fraction)

@@ -179,11 +179,11 @@ def cmd_allocate(args) -> int:
             item_growth=args.item_growth, traffic_growth=args.traffic_growth
         )
         adapted = allocator.adapt_low_fraction(config.low_region_fraction, growth)
-    table = allocator.plan_corpus(corpus, fitted, config, schema, growth)
+    plan = allocator.plan_corpus(corpus, fitted, config, schema, growth)
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"
-    allocator.write_plan_table(table, plan_path)
-    summary = allocator.table_summary(table, config, adapted)
+    allocator.write_plan_csv(plan, plan_path)
+    summary = allocator.plan_summary(plan, config, adapted)
     summary["untrained_buckets"] = list(fitted.meta.untrained_buckets)
     core.write_json(summary, summary_path)
     _write_manifest(
@@ -196,8 +196,8 @@ def cmd_allocate(args) -> int:
         started,
     )
     print(
-        f"allocated {table.total_allocated} impressions across "
-        f"{np.count_nonzero(table.granted)} items"
+        f"allocated {summary['total_allocated']} impressions across "
+        f"{np.count_nonzero(plan.granted)} items"
     )
     return 0
 
@@ -233,6 +233,8 @@ def cmd_experiment(args) -> int:
     strategies = _refuse_repeats(
         "--strategies", [s.strip() for s in args.strategies.split(",") if s.strip()]
     )
+    if not strategies:
+        raise ConfigError(f"--strategies {args.strategies!r} names no strategy")
     for strategy in strategies:
         if strategy not in simulator.STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")

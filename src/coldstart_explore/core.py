@@ -1,12 +1,13 @@
-"""Shared domain types: items, engagement, traffic buckets, allocation config and plans.
+"""Shared domain types and file formats.
 
-Everything here is an immutable value object; the simulator updates an item
-by building a new one.
+Immutable item, engagement, bucket, config and plan records; the corpus as
+columns (`Corpus`); the checks and the cost, bucket and model-input functions
+the modules share; and the one reader and writer of each file kind, with
+`FeatureRows`, which gathers feature rows as they are read.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
@@ -241,12 +242,16 @@ class AllocationPlan:
     total_cost: float
 
 
-def bucket_of(traffic: int, schema: BucketSchema) -> int:
-    """Bucket index for a traffic level; beyond the last edge clamps to the last bucket."""
-    if traffic < 0:
+def bucket_of(traffic, schema: BucketSchema):
+    """Bucket index for a traffic level, or an array of them for an array of
+    levels; beyond the last edge clamps to the last bucket."""
+    traffic = np.asarray(traffic)
+    if (traffic < 0).any():
         raise DataError("traffic must be non-negative")
-    idx = bisect.bisect_right(schema.edges, traffic) - 1
-    return min(idx, schema.n_buckets - 1)
+    bucket = np.minimum(
+        np.searchsorted(schema.edges, traffic, side="right") - 1, schema.n_buckets - 1
+    )
+    return bucket if bucket.ndim else int(bucket)
 
 
 def cost_of(traffic: int, config: AllocationConfig) -> float:
@@ -259,15 +264,16 @@ def cost_of(traffic: int, config: AllocationConfig) -> float:
 
 
 def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
-    """Total cost_of of an array of grants: built-in sum() in array order.
+    """Total cost_of of an array of grants, a float even for none: built-in
+    sum() in array order.
 
     Callers pass the grants in id order, the order a per-item
     sum(cost_of(...)) over the plan entries adds them. From Python 3.12 on,
     sum() of floats is compensated, so np.sum would not match it.
     """
     if config.cost_fn is None:
-        return sum((config.unit_cost * granted).tolist())
-    return sum([cost_of(g, config) for g in granted.tolist()])
+        return sum((config.unit_cost * granted).tolist(), 0.0)
+    return sum([cost_of(g, config) for g in granted.tolist()], 0.0)
 
 
 def id_order(ids: Sequence[str], what: str) -> list[int]:

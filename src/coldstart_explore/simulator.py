@@ -38,6 +38,7 @@ from .core import (
     DataError,
     ItemRecord,
     Region,
+    bucket_of,
     checked,
     model_inputs,
     read_jsonl,
@@ -292,8 +293,7 @@ def training_columns(
     stood before the event: an exclusive cumulative sum over the item's own
     events. Its bucket is the served traffic's and its label `discovered`.
     """
-    if (served < 0).any():
-        raise DataError("traffic must be non-negative")
+    bucket = bucket_of(served, schema)
     impressions, positives = _counts_before(
         items, np.column_stack([served, positive_events])
     ).T
@@ -301,12 +301,7 @@ def training_columns(
         raise DataError("engagement counts must be non-negative")
     if (positives > impressions).any():
         raise DataError("positive_events cannot exceed impressions")
-    edges = np.asarray(schema.edges)
-    columns = (
-        model_inputs(static, impressions, positives),
-        np.minimum(np.searchsorted(edges, served, side="right") - 1, len(edges) - 1),
-        discovered.astype(np.int64),
-    )
+    columns = (model_inputs(static, impressions, positives), bucket, discovered.astype(np.int64))
     for column in columns:
         column.setflags(write=False)  # built here, so TrainingSet need not copy them
     return TrainingSet(*columns)

@@ -11,6 +11,7 @@ from coldstart_explore.allocator import (
     allocate,
     allocate_low,
     classify_region,
+    plan_corpus,
     plan_summary,
     requested_traffic,
 )
@@ -18,6 +19,7 @@ from coldstart_explore.core import (
     AllocationConfig,
     BucketSchema,
     ConfigError,
+    Corpus,
     DataError,
     EngagementStats,
     ItemRecord,
@@ -572,15 +574,39 @@ class TestAllocateRejectsBadInput:
 
 
 class TestPlanSummary:
+    MODEL = make_model(SCHEMA, [4.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+
+    def summary(self, records, config):
+        plan = plan_corpus(Corpus.of(records), self.MODEL, config, SCHEMA)
+        return plan_summary(plan, config)
+
     def test_classified_counts_show_deferred_low_items(self):
         # The Low item's share (500) falls below min_cap (1000), so it is
         # deferred: Unfunded in the plan, still Low before funding.
-        model = make_model(SCHEMA, [4.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
         records = [make_record("mod0", [0.2]), make_record("low0", [-1.0])]
         config = cfg(total_budget=2100, min_cap=1000, low_region_fraction=0.0)
-        summary = plan_summary(allocate(records, model, config, SCHEMA), config)
+        summary = self.summary(records, config)
         assert summary["region_counts"] == {"Moderate": 1, "Unfunded": 1}
         assert summary["classified_counts"] == {"High": 0, "Low": 1, "Moderate": 1}
+
+    def test_cost_repair_moves_dropped_items_to_unfunded_only(self):
+        # Without the ceiling every item is funded: High at 100, the rest at
+        # 1600 (cost 49). The ceiling of 1.0 drops the Low item, then both
+        # Moderate ones, and keeps the High one.
+        records = [
+            make_record("high0", [2.0]),
+            make_record("mod0", [0.2]),
+            make_record("mod1", [0.2]),
+            make_record("low0", [-1.0]),
+        ]
+        config = cfg(total_budget=20_000, cf_low=0.3, max_cost=1.0)
+        summary = self.summary(records, config)
+        assert summary["region_counts"] == {"High": 1, "Unfunded": 3}
+        assert summary["classified_counts"] == {"High": 1, "Low": 1, "Moderate": 2}
+        assert sum(summary["region_counts"].values()) == summary["items"] == 4
+        assert sum(summary["classified_counts"].values()) == 4
+        assert summary["total_allocated"] == 100
+        assert summary["total_cost"] == 1.0
 
 
 def water_fill_list_reference(weights, budget, cap):

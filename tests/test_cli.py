@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,6 +354,21 @@ class TestAllocate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_allocated"] == 0
 
+    def test_empty_corpus_gives_an_empty_plan(self, tmp_path, flat_model_file):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        out = tmp_path / "empty"
+        assert run("allocate", "--corpus", str(corpus), "--model", str(flat_model_file),
+                   "--out-dir", str(out)) == 0
+        assert (out / "plan.csv").read_text() == (
+            "item_id,region,granted,requested,p_at_maxcap\n"
+        )
+        summary_text = (out / "summary.json").read_text()
+        assert '"total_cost": 0.0,' in summary_text
+        summary = json.loads(summary_text)
+        assert summary["items"] == summary["total_allocated"] == 0
+        assert summary["region_counts"] == {}
+
     def test_growth_flags_recorded(self, tmp_path, corpus_file, flat_model_file):
         out = tmp_path / "growth"
         assert run("allocate", "--corpus", str(corpus_file), "--model", str(flat_model_file),
@@ -519,7 +535,9 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--seeds", "1,1", "--seeds repeats 1"),
-         ("--strategies", "uniform,oracle,uniform", "--strategies repeats 'uniform'")],
+         ("--strategies", "uniform,oracle,uniform", "--strategies repeats 'uniform'"),
+         ("--strategies", ",", "--strategies ',' names no strategy"),
+         ("--strategies", "", "--strategies '' names no strategy")],
     )
     def test_repeated_seed_or_strategy_exits_2(self, tmp_path, flag, value, message,
                                                capsys):
@@ -811,11 +829,26 @@ def per_item_allocation(corpus_path, model_path, config, growth, out):
         writer.writerow(["item_id", "region", "granted", "requested", "p_at_maxcap"])
         for e in plan.entries:
             writer.writerow([e.item_id, e.region.value, e.granted, e.requested, e.p_at_maxcap])
-    adapted = None if growth is None else allocator.adapt_low_fraction(
-        config.low_region_fraction, growth
-    )
-    summary = allocator.plan_summary(plan, config, adapted)
-    summary["untrained_buckets"] = list(fitted.meta.untrained_buckets)
+    # Regions before funding, from each entry's curve value at MaxCap.
+    classified = [
+        allocator.classify_region(np.array([e.p_at_maxcap]), config)[0].value
+        for e in plan.entries
+    ]
+    summary = {
+        "items": len(plan.entries),
+        "region_counts": dict(Counter(e.region.value for e in plan.entries)),
+        "classified_counts": {r: classified.count(r) for r in ("High", "Moderate", "Low")},
+        "total_allocated": plan.total_allocated,
+        "total_cost": plan.total_cost,
+        "budget": config.total_budget,
+        "budget_utilization": plan.total_allocated / config.total_budget,
+        "cost_utilization": plan.total_cost / config.max_cost,
+        "untrained_buckets": list(fitted.meta.untrained_buckets),
+    }
+    if growth is not None:
+        summary["adapted_low_fraction"] = allocator.adapt_low_fraction(
+            config.low_region_fraction, growth
+        )
     write_json(summary, out / "summary.json")
     return plan
 

@@ -549,7 +549,7 @@ def reference_uniform_allocate(corpus, config):
                 PlanEntry(item_id=rec.id, region=Region.UNFUNDED, granted=0)
             )
     total = sum(e.granted for e in entries)
-    total_cost = sum(cost_of(e.granted, config) for e in entries)
+    total_cost = sum((cost_of(e.granted, config) for e in entries), 0.0)
     return AllocationPlan(
         entries=tuple(entries), total_allocated=total, total_cost=total_cost
     )
@@ -581,7 +581,7 @@ def reference_oracle_allocate(latents, config):
         for it in sorted(items, key=lambda it: it.id)
     )
     total = sum(e.granted for e in entries)
-    total_cost = sum(cost_of(e.granted, config) for e in entries)
+    total_cost = sum((cost_of(e.granted, config) for e in entries), 0.0)
     return AllocationPlan(
         entries=entries, total_allocated=total, total_cost=total_cost
     )
