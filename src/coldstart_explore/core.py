@@ -3,7 +3,7 @@
 Immutable item, engagement, bucket, config and plan records; the corpus as
 columns (`Corpus`); the checks and the cost, bucket and model-input functions
 the modules share; and the one reader and writer of each file kind, with
-`FeatureRows`, which gathers feature rows as they are read.
+`FeatureRows`, which gathers a corpus file's feature rows as they are read.
 """
 
 from __future__ import annotations
@@ -515,7 +515,7 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 class FeatureRows:
-    """Feature rows of a JSON-lines file, gathered into one flat buffer.
+    """Feature rows of a corpus file, gathered into one flat buffer.
 
     Every row must be a flat list of numbers, ints or floats but no bools, as
     long as the first row's; append raises TypeError or ValueError otherwise,

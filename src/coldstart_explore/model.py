@@ -12,7 +12,7 @@ before they are inverted into per-item traffic caps.
 from __future__ import annotations
 
 import math
-from array import array
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,14 +25,11 @@ from .core import (
     BucketSchema,
     ConfigError,
     DataError,
-    FeatureRows,
     checked,
     checked_list,
     read_json,
     read_only,
-    read_jsonl,
     write_json,
-    write_jsonl_columns,
 )
 
 # Probabilities are kept strictly inside (0, 1) so log-loss and downstream
@@ -52,6 +49,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _refuse_first(column: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """DataError of message naming the first example where bad holds, if any."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(
+            f"{message}: training example {row} (counting from 0) has {column[row].item()!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +83,11 @@ class TrainingSet:
                 f"columns differ in length: features {features.shape}, "
                 f"bucket {bucket.shape}, label {label.shape}"
             )
-        if not ((label == 0) | (label == 1)).all():
-            raise DataError("label must be 0 or 1")
-        if not ((bucket >= 0) & (bucket == np.floor(bucket))).all():
-            raise DataError("bucket index must be a non-negative integer")
+        _refuse_first(label, (label != 0) & (label != 1), "label must be 0 or 1")
+        _refuse_first(
+            bucket, ~((bucket >= 0) & (bucket == np.floor(bucket))),
+            "bucket index must be a non-negative integer",
+        )
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -437,37 +444,66 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
     return model_from_dict(read_json(path))
 
 
+# The training-set file's members, each with the dtype and number of
+# dimensions save_examples writes and load_examples requires.
+_EXAMPLE_COLUMNS = {"features": (np.float64, 2), "bucket": (np.int64, 1), "label": (np.int64, 1)}
+
+# The first bytes of a zip archive, and so of an .npz file (np.load tests the same).
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
+
+
 def save_examples(examples: TrainingSet, path: str | Path) -> None:
-    """The training-set file: JSON lines of features, bucket and label."""
-    columns = {"features": examples.features, "bucket": examples.bucket, "label": examples.label}
-    write_jsonl_columns(columns, path)
+    """The training-set file: an uncompressed .npz of features (float64,
+    (n, d)), bucket and label (int64, (n,)), written at exactly `path`.
+
+    np.savez is given an open file, so it adds no .npz suffix to the path, and
+    it stamps every member with the same date, so equal sets give equal bytes.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, features=examples.features, bucket=examples.bucket, label=examples.label)
 
 
 def load_examples(path: str | Path) -> TrainingSet:
-    """The training-set file as columns; the features of every row go into one
-    flat buffer, reshaped once.
+    """The training-set file (see save_examples) as read-only columns.
 
-    A row whose features are not a flat list of numbers as long as the first
-    row's, whose label is not 0 or 1, or whose bucket is not a non-negative
-    integer raises DataError naming `path:line`.
+    The file's content decides its format, not its suffix. A file that is not
+    a zip archive (a JSON-lines training set of an earlier version, a bare
+    .npy, an empty file), an archive np.load cannot read, members other than
+    exactly features, bucket and label, a member of another dtype or number of
+    dimensions, or columns TrainingSet refuses raise DataError naming `path`.
     """
-    features, buckets, labels = FeatureRows(), array("q"), array("q")
-
-    def append(row: dict) -> None:
-        features.append(row["features"])
-        bucket, label = row["bucket"], row["label"]
-        if label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        if type(bucket) is not int or bucket < 0:
-            raise ValueError("bucket index must be a non-negative integer")
-        buckets.append(bucket)
-        labels.append(int(label))
-
-    read_jsonl(path, append, "training example")
-    columns = (
-        np.frombuffer(buckets, dtype=np.int64),
-        np.frombuffer(labels, dtype=np.int64),
-    )
-    for column in columns:
-        column.setflags(write=False)  # no one else holds the buffers, so no copy
-    return TrainingSet(features.matrix(), *columns)
+    with open(path, "rb") as fh:
+        if fh.read(4) not in _ZIP_MAGIC:
+            raise DataError(
+                f"{path}: not an .npz training set; training sets are no longer "
+                "read as JSON lines"
+            )
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                names = set(archive.files)
+                columns = {name: archive[name] for name in names & _EXAMPLE_COLUMNS.keys()}
+        # zipfile raises OSError for a seek past the end and NotImplementedError,
+        # a RuntimeError, for a compression method or flag it lacks.
+        except (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: bad .npz training set: {exc}") from exc
+    if names != _EXAMPLE_COLUMNS.keys():
+        raise DataError(
+            f"{path}: a training set holds exactly {sorted(_EXAMPLE_COLUMNS)}: "
+            f"missing {sorted(_EXAMPLE_COLUMNS.keys() - names)}, "
+            f"unexpected {sorted(names - _EXAMPLE_COLUMNS.keys())}"
+        )
+    for name, (dtype, ndim) in _EXAMPLE_COLUMNS.items():
+        column = columns[name]
+        if not isinstance(column, np.ndarray):
+            raise DataError(f"{path}: {name} is not an .npy member")
+        if column.dtype != dtype or column.ndim != ndim:
+            raise DataError(
+                f"{path}: {name} must be a {ndim}-D {np.dtype(dtype)} array, "
+                f"not a {column.ndim}-D {column.dtype} one"
+            )
+        column.setflags(write=False)  # no one else holds it, so TrainingSet copies none
+    try:
+        return TrainingSet(**columns)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -25,6 +25,7 @@ from coldstart_explore.core import (
 from coldstart_explore import allocator, metrics, simulator
 from coldstart_explore.model import (
     Hyperparams,
+    TrainingSet,
     load_examples,
     load_model,
     predict,
@@ -34,7 +35,14 @@ from coldstart_explore.model import (
     train,
 )
 from conftest import make_record
-from test_model import rows_of, separable_examples, simulated_examples
+from test_model import (
+    members_of,
+    npy_bytes,
+    rows_of,
+    separable_examples,
+    simulated_examples,
+    write_members,
+)
 
 
 def run(*argv) -> int:
@@ -56,9 +64,16 @@ def trained_model_file(tmp_path):
 
 @pytest.fixture
 def examples_file(tmp_path):
-    path = tmp_path / "train.jsonl"
+    path = tmp_path / "train.npz"
     save_examples(separable_examples(n=120, dim=4), path)
     return path
+
+
+def with_row(examples_file, features, bucket, label):
+    """The members of examples_file with one more row appended, unchecked."""
+    members = members_of(load_examples(examples_file))
+    row = {"features": [features], "bucket": [bucket], "label": [label]}
+    return {name: np.concatenate([column, row[name]]) for name, column in members.items()}
 
 
 class TestSimulate:
@@ -114,15 +129,14 @@ class TestTrain:
         assert accuracy >= 0.95
 
     def test_single_class_file_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"features": [1.0], "bucket": 0, "label": 1}\n' * 4)
+        path = tmp_path / "bad.npz"
+        save_examples(TrainingSet(np.ones((4, 1)), [0] * 4, [1] * 4), path)
         assert run("train", "--train-set", str(path), "--out-dir", str(tmp_path / "o")) == 3
         assert "single-class" in capsys.readouterr().err
 
     def test_overflowing_feature_exits_3(self, tmp_path, examples_file, capsys):
-        path = tmp_path / "bad.jsonl"
-        line = '{"features": [1.0, 1e400, 3.0, 4.0], "bucket": 0, "label": 1}\n'
-        path.write_text(examples_file.read_text() + line)
+        path = tmp_path / "bad.npz"
+        write_members(path, **with_row(examples_file, [1.0, math.inf, 3.0, 4.0], 0, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("train", "--train-set", str(path),
@@ -450,12 +464,11 @@ class TestAllocate:
 
     def test_bucket_support_in_train_manifest_and_allocate_summary(self, tmp_path,
                                                                    corpus_file):
-        examples = tmp_path / "bucket1.jsonl"
+        examples = tmp_path / "bucket1.npz"
         # One static feature and the engagement block, as corpus_file's items have.
-        rows = [
-            {"features": [x, 0.0, 0.0], "bucket": 1, "label": int(x > 0)} for x in (-2, -1, 1, 2)
-        ]
-        examples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        x = np.array([-2.0, -1.0, 1.0, 2.0])
+        features = np.column_stack([x, np.zeros(4), np.zeros(4)])
+        save_examples(TrainingSet(features, [1] * 4, (x > 0).astype(int)), examples)
         trained = tmp_path / "trained"
         assert run("train", "--train-set", str(examples), "--out-dir", str(trained)) == 0
         manifest = read_manifest(trained)
@@ -596,19 +609,21 @@ class TestEval:
         assert "threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, message",
+        "make, message",
         [
-            ('{"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1}', "dimension"),
-            ('{"features": [1.0, 2.0, 3.0, 4.0], "bucket": 6, "label": 1}', "bucket"),
-            ('{"features": [1.0, 1e400, 3.0, 4.0], "bucket": 0, "label": 1}',
+            # Features one column short of what the model was trained on.
+            (lambda f: {**members_of(load_examples(f)),
+                        "features": load_examples(f).features[:, :3]}, "dimension"),
+            (lambda f: with_row(f, [1.0, 2.0, 3.0, 4.0], 6, 1), "bucket"),
+            (lambda f: with_row(f, [1.0, math.inf, 3.0, 4.0], 0, 1),
              "non-finite feature in training example 120"),
         ],
         ids=["ragged", "bucket-out-of-range", "overflowing-feature"],
     )
     def test_bad_example_file_exits_3(self, tmp_path, trained_model_file, examples_file,
-                                      line, message, capsys):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(examples_file.read_text() + line + "\n")
+                                      make, message, capsys):
+        path = tmp_path / "bad.npz"
+        write_members(path, **make(examples_file))
         assert run("eval", "--model", str(trained_model_file), "--examples", str(path),
                    "--out-dir", str(tmp_path / "v")) == 3
         assert message in capsys.readouterr().err
@@ -616,7 +631,7 @@ class TestEval:
     def test_batched_scores_match_predict(self, tmp_path, monkeypatch):
         examples = simulated_examples(items=1500, seed=12)
         model_path = tmp_path / "model.json"
-        examples_path = tmp_path / "examples.jsonl"
+        examples_path = tmp_path / "examples.npz"
         save_model(train(examples, geometric_schema(), Hyperparams(epochs=100)), model_path)
         save_examples(examples, examples_path)
         captured = {}
@@ -643,41 +658,61 @@ class TestEval:
         assert np.array_equal(np.diff(batched[order]) == 0, np.diff(scalar[order]) == 0)
 
 
+def reading(command, path, model_file):
+    """The argv of train or eval reading the training-set file at path."""
+    return {
+        "train": ["train", "--train-set", str(path)],
+        "eval": ["eval", "--model", str(model_file), "--examples", str(path)],
+    }[command]
+
+
+def object_rows(features):
+    """Features as an object array of lists of two lengths."""
+    rows = np.empty(len(features), dtype=object)
+    rows[:] = [row[: 1 + k % 2].tolist() for k, row in enumerate(features)]
+    return rows
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize(
-    "row, message",
+    "change, message",
     [
-        ('"features": 1.0, "bucket": 0, "label": 1', "features must be a list, not float"),
-        ('"features": [[1.0], 2.0, 3.0, 4.0], "bucket": 0, "label": 1',
-         "features must be a flat list of numbers"),
-        ('"features": [[1.0]], "bucket": 0, "label": 1', "feature dimension 1"),
-        ('"features": [1.0, 2.0, 3.0], "bucket": 0, "label": 1', "feature dimension 3"),
-        ('"features": ["a", 2.0, 3.0, 4.0], "bucket": 0, "label": 1',
-         "features must be a flat list of numbers"),
-        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 0, "label": 2', "label must be 0 or 1"),
-        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 0, "label": 0.7', "label must be 0 or 1"),
-        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": -1, "label": 0',
-         "bucket index must be a non-negative integer"),
-        ('"features": [1.0, 2.0, 3.0, 4.0], "bucket": 2.5, "label": 0',
-         "bucket index must be a non-negative integer"),
+        (lambda m: {**m, "features": m["features"].ravel()},
+         "features must be a 2-D float64 array, not a 1-D float64 one"),
+        (lambda m: {**m, "features": m["features"][:, :, None]},
+         "features must be a 2-D float64 array, not a 3-D float64 one"),
+        (lambda m: {**m, "features": object_rows(m["features"])},
+         "bad .npz training set: Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda m: {**m, "features": m["features"][:-1]}, "columns differ in length"),
+        (lambda m: {**m, "features": m["features"].astype(str)},
+         "features must be a 2-D float64 array, not a 2-D <U32 one"),
+        (lambda m: {**m, "label": np.append(m["label"][:-1], 2)},
+         "label must be 0 or 1: training example 120 (counting from 0) has 2"),
+        (lambda m: {**m, "label": np.append(m["label"][:-1], 0.7)},
+         "label must be a 1-D int64 array, not a 1-D float64 one"),
+        (lambda m: {**m, "bucket": np.append(m["bucket"][:-1], -1)},
+         "bucket index must be a non-negative integer: training example 120 "
+         "(counting from 0) has -1"),
+        (lambda m: {**m, "bucket": np.append(m["bucket"][:-1], 2.5)},
+         "bucket must be a 1-D int64 array, not a 1-D float64 one"),
     ],
     ids=["scalar", "nested", "nested-short", "ragged", "string", "label", "fractional-label",
          "negative-bucket", "fractional-bucket"],
 )
 def test_bad_training_set_row_exits_3_naming_the_line(
-    tmp_path, trained_model_file, examples_file, command, row, message, capsys
+    tmp_path, trained_model_file, examples_file, command, change, message, capsys
 ):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(examples_file.read_text() + "{" + row + "}\n")
-    argv = {
-        "train": ["train", "--train-set", str(path)],
-        "eval": ["eval", "--model", str(trained_model_file), "--examples", str(path)],
-    }[command]
+    """The .npz form of each refusal a JSON-lines row used to meet. The message
+    names the file, and the example (counting from 0) where one row is at
+    fault, as the JSON-lines reader named `path:line`."""
+    path = tmp_path / "bad.npz"
+    write_members(path, **change(with_row(examples_file, [1.0, 2.0, 3.0, 4.0], 0, 1)))
+    argv = reading(command, path, trained_model_file)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
-    assert f"bad.jsonl:121: bad training example: {message}" in err
+    assert f"data error: {path}: {message}" in err
 
 
 @pytest.mark.parametrize(
@@ -686,14 +721,47 @@ def test_bad_training_set_row_exits_3_naming_the_line(
 )
 def test_empty_training_set_file_exits_3(tmp_path, trained_model_file, command, message,
                                          capsys):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("\n")
-    argv = {
-        "train": ["train", "--train-set", str(path)],
-        "eval": ["eval", "--model", str(trained_model_file), "--examples", str(path)],
-    }[command]
+    path = tmp_path / "empty.npz"
+    save_examples(TrainingSet(np.empty((0, 4)), [], []), path)
+    argv = reading(command, path, trained_model_file)
     assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path, good: path.write_bytes(b""), "not an .npz training set"),
+        (lambda path, good: path.write_text('{"bucket": 0, "features": [1.0], "label": 1}\n'),
+         "not an .npz training set; training sets are no longer read as JSON lines"),
+        (lambda path, good: path.write_bytes(npy_bytes(np.ones((4, 2)))),
+         "not an .npz training set"),
+        (lambda path, good: path.write_bytes(good.read_bytes()[:-30]),
+         "bad .npz training set"),
+        (lambda path, good: write_members(path, features=np.ones((4, 2), dtype=object),
+                                          bucket=np.zeros(4, int), label=np.arange(4) % 2),
+         "bad .npz training set: Object arrays cannot be loaded"),
+    ],
+    ids=["empty-file", "json-lines", "npy", "truncated", "object-member"],
+)
+def test_unreadable_training_set_exits_3(tmp_path, trained_model_file, examples_file,
+                                         command, write, message, capsys):
+    path = tmp_path / "bad"
+    write(path, examples_file)
+    argv = reading(command, path, trained_model_file)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
+    assert f"data error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_training_set_exits_3(tmp_path, trained_model_file, command, capsys):
+    path = tmp_path / "nope.npz"
+    argv = reading(command, path, trained_model_file)
+    assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def read_csv(path):
@@ -716,7 +784,7 @@ def test_every_command_once_outputs_read_back(tmp_path):
         metrics.uniform_allocate(records, DEFAULT_ALLOCATION),
         simulator.SimConfig(items_per_round=200),
     )
-    train_path = tmp_path / "train.jsonl"
+    train_path = tmp_path / "train.npz"
     save_examples(
         simulator.build_training_set(observations, records, geometric_schema()), train_path
     )

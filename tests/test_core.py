@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coldstart_explore.core import (
     AllocationConfig,
@@ -588,10 +588,6 @@ def small_corpus(n):
     )
 
 
-def small_training_set(n):
-    return TrainingSet(np.arange(3.0 * n).reshape(n, 3) / 7, np.arange(n) % 6, np.arange(n) % 2)
-
-
 def small_latents(n):
     threshold = np.arange(n) * 10.5
     threshold[::3] = math.inf
@@ -608,10 +604,6 @@ FORMATS = {
         ("ids", "features", "impressions", "positive_events"),
         "corpus record", "id", 7, "id must be a string, not 7",
     ),
-    "training set": (
-        small_training_set, save_examples, load_examples, ("features", "bucket", "label"),
-        "training example", "label", 2, "label must be 0 or 1",
-    ),
     "latents": (
         small_latents, write_latents, read_latents,
         ("ids", "quality", "true_threshold", "engagement_prob"),
@@ -621,7 +613,7 @@ FORMATS = {
 
 
 class TestBlockEdges:
-    """The three JSON-lines formats, written 4 rows at a time."""
+    """The two JSON-lines formats, written 4 rows at a time."""
 
     @pytest.fixture(autouse=True)
     def blocks_of_four(self, monkeypatch):
@@ -672,6 +664,17 @@ def assert_json_lines(write, columns, rows):
     assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def training_sets():
+    """(features, bucket, label) of up to 8 rows; any finite features, any bucket."""
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            matrices(n).map(lambda m: np.array(m[0], dtype=float).reshape(n, m[1])),
+            st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        )
+    )
+
+
 def matrices(n):
     return st.integers(0, 3).flatmap(
         lambda dim: st.lists(st.lists(FLOATS, min_size=dim, max_size=dim),
@@ -680,7 +683,8 @@ def matrices(n):
 
 
 class TestWriterBytes:
-    """Each JSON-lines writer writes, line for line, json.dumps(row, sort_keys=True)."""
+    """Each JSON-lines writer writes, line for line, json.dumps(row, sort_keys=True),
+    and the training set, an .npz, reads back bit for bit."""
 
     @given(st.data())
     @settings(deadline=None, max_examples=60)
@@ -697,19 +701,25 @@ class TestWriterBytes:
         ]
         assert_json_lines(write_corpus, corpus, rows)
 
-    @given(st.data())
+    @given(training_sets())
+    @example((np.empty((0, 0)), [], []))
+    @example((np.empty((0, 3)), [], []))
+    @example((np.array([[-0.0, 5e-324, 1.7976931348623157e308]]), [2**63 - 1], [1]))
     @settings(deadline=None, max_examples=60)
-    def test_training_set(self, data):
-        n = data.draw(st.integers(0, 8))
-        features, dim = data.draw(matrices(n))
-        buckets = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        examples = TrainingSet(np.array(features).reshape(n, dim), buckets, labels)
-        rows = [
-            {"features": f, "bucket": b, "label": y}
-            for f, b, y in zip(features, buckets, labels)
-        ]
-        assert_json_lines(save_examples, examples, rows)
+    def test_training_set(self, columns):
+        # The path has no .npz suffix, which np.savez would add to a path string.
+        examples = TrainingSet(*columns)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "train"
+            save_examples(examples, str(path))
+            assert [p.name for p in Path(tmp).iterdir()] == ["train"]
+            loaded = load_examples(str(path))
+            save_examples(loaded, Path(tmp) / "again")
+            assert (Path(tmp) / "again").read_bytes() == path.read_bytes()
+        for name in ("features", "bucket", "label"):
+            column, original = getattr(loaded, name), getattr(examples, name)
+            assert column.dtype == original.dtype and column.shape == original.shape
+            assert column.tobytes() == original.tobytes()
 
     @given(st.data())
     @settings(deadline=None, max_examples=60)

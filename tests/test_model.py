@@ -1,6 +1,9 @@
+import io
 import itertools
 import json
+import re
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -69,6 +72,17 @@ def training_set(rows):
 def rows_of(examples):
     """(features, bucket, label) of every example, in order."""
     return list(zip(examples.features, examples.bucket.tolist(), examples.label.tolist()))
+
+
+def members_of(examples):
+    """The columns of a training set as writable arrays, keyed by file member."""
+    return {name: getattr(examples, name).copy() for name in ("features", "bucket", "label")}
+
+
+def write_members(path, **members):
+    """An .npz of the given members, written as save_examples writes one but unchecked."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
 def reference_sigmoid(z):
@@ -645,12 +659,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_examples_non_finite_rejected_with_line(self, tmp_path, token):
-        path = tmp_path / "train.jsonl"
-        path.write_text(
-            '{"features": [1.0], "bucket": 0, "label": 1}\n'
-            f'{{"features": [{token}], "bucket": 0, "label": 0}}\n'
-        )
-        with pytest.raises(DataError, match=rf"train\.jsonl:2: .*{token}"):
+        # The file names the example, counting from 0, where a line used to be.
+        path = tmp_path / "train.npz"
+        features = np.array([[1.0], [float(token)]])
+        write_members(path, features=features, bucket=np.zeros(2, np.int64),
+                      label=np.array([1, 0]))
+        with pytest.raises(
+            DataError, match=r"train\.npz: non-finite feature in training example 1 "
+        ):
             load_examples(path)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -749,3 +765,121 @@ class TestSerialization:
             assert not column.flags.writeable
         save_examples(loaded, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def _replaced(**changes):
+    """The members of a 4-row training set with some replaced (None drops one)."""
+    members = {
+        "features": np.arange(8.0).reshape(4, 2),
+        "bucket": np.array([0, 1, 2, 3]),
+        "label": np.array([0, 1, 0, 1]),
+        **changes,
+    }
+    return {name: value for name, value in members.items() if value is not None}
+
+
+def npy_bytes(array):
+    """What np.save writes for array: a bare .npy file."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestTrainingSetFile:
+    """load_examples refuses, naming the path, every file save_examples would not write."""
+
+    def test_members_stored_with_a_fixed_date(self, tmp_path):
+        path = tmp_path / "train.npz"
+        save_examples(separable_examples(n=12), path)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert [info.filename for info in infos] == ["features.npy", "bucket.npy", "label.npy"]
+        assert {info.date_time for info in infos} == {(1980, 1, 1, 0, 0, 0)}
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "not an .npz training set"),
+            (b'{"bucket": 0, "features": [1.0], "label": 1}\n',
+             "not an .npz training set; training sets are no longer read as JSON lines"),
+            (npy_bytes(np.ones((4, 2))), "not an .npz training set"),
+            (b"PK\x03\x04", "bad .npz training set"),
+            (b"PK\x05\x06" + bytes(10), "bad .npz training set"),
+        ],
+        ids=["empty", "json-lines", "npy", "zip-magic-only", "truncated-empty-zip"],
+    )
+    def test_not_an_archive_refused(self, tmp_path, content, message):
+        path = tmp_path / "train.npz"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_examples(path)
+
+    @pytest.mark.parametrize("keep", [0.1, 0.5, 0.9, 0.999])
+    def test_truncated_archive_refused(self, tmp_path, keep):
+        path = tmp_path / "train.npz"
+        save_examples(separable_examples(n=12), path)
+        content = path.read_bytes()
+        path.write_bytes(content[: int(len(content) * keep)])
+        with pytest.raises(DataError, match=re.escape(f"{path}: bad .npz training set")):
+            load_examples(path)
+
+    def test_object_member_refused(self, tmp_path):
+        path = tmp_path / "train.npz"
+        features = np.empty((4, 2), dtype=object)
+        features[:] = 1.0
+        write_members(path, **_replaced(features=features))
+        with pytest.raises(DataError, match=re.escape(f"{path}: bad .npz training set")):
+            load_examples(path)
+
+    def test_member_that_is_not_npy_refused(self, tmp_path):
+        path = tmp_path / "train.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("features.npy", b"not an array")
+            archive.writestr("bucket.npy", npy_bytes(np.arange(4)))
+            archive.writestr("label.npy", npy_bytes(np.array([0, 1, 0, 1])))
+        with pytest.raises(DataError, match=re.escape(f"{path}: features is not an .npy member")):
+            load_examples(path)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            (_replaced(label=None), "missing ['label'], unexpected []"),
+            (_replaced(traffic=np.arange(4)), "missing [], unexpected ['traffic']"),
+            (_replaced(features=np.ones((4, 2), dtype=bool)),
+             "features must be a 2-D float64 array, not a 2-D bool one"),
+            (_replaced(features=np.ones((4, 2), dtype=np.int64)),
+             "features must be a 2-D float64 array, not a 2-D int64 one"),
+            (_replaced(features=np.ones((4, 2), dtype=np.float32)),
+             "features must be a 2-D float64 array, not a 2-D float32 one"),
+            # Cast to int64, 2**63 would wrap to a negative bucket.
+            (_replaced(bucket=np.array([0, 1, 2, 2**63], dtype=np.uint64)),
+             "bucket must be a 1-D int64 array, not a 1-D uint64 one"),
+            (_replaced(bucket=np.array([0.0, 1.0, 2.0, 3.0])),
+             "bucket must be a 1-D int64 array, not a 1-D float64 one"),
+            (_replaced(label=np.array([False, True, False, True])),
+             "label must be a 1-D int64 array, not a 1-D bool one"),
+            (_replaced(features=np.arange(4.0)),
+             "features must be a 2-D float64 array, not a 1-D float64 one"),
+            (_replaced(bucket=np.zeros((4, 1), dtype=np.int64)),
+             "bucket must be a 1-D int64 array, not a 2-D int64 one"),
+            (_replaced(label=np.array([0, 1, 0])), "columns differ in length"),
+            (_replaced(label=np.array([0, 1, 0, 2])),
+             "label must be 0 or 1: training example 3 (counting from 0) has 2"),
+            (_replaced(bucket=np.array([0, 1, 2, -1])),
+             "bucket index must be a non-negative integer: training example 3 "
+             "(counting from 0) has -1"),
+        ],
+        ids=["missing", "extra", "bool-features", "int-features", "float32-features",
+             "uint64-bucket", "float-bucket", "bool-label", "1-D-features", "2-D-bucket",
+             "lengths-differ", "label-2", "negative-bucket"],
+    )
+    def test_bad_member_refused_naming_it(self, tmp_path, members, message):
+        path = tmp_path / "train.npz"
+        write_members(path, **members)
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            load_examples(path)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_examples(tmp_path / "nope.npz")
