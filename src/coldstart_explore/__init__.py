@@ -6,14 +6,7 @@ budget against those caps; a seeded simulator with hidden ground truth closes
 the loop for end-to-end evaluation.
 """
 
-from .allocator import (
-    GrowthStats,
-    adapt_low_fraction,
-    allocate,
-    allocate_low,
-    classify_region,
-    requested_traffic,
-)
+from .allocator import GrowthStats, adapt_low_fraction, allocate
 from .core import (
     AllocationConfig,
     AllocationPlan,

@@ -24,18 +24,17 @@ from .core import (
     ConfigError,
     Corpus,
     DataError,
-    EngagementStats,
     ItemRecord,
     PlanEntry,
     Region,
-    cost_of,
+    costs_of,
     id_order,
     model_inputs,
     sum_costs,
     validate_config,
     write_csv,
 )
-from .model import DiscoverabilityModel, invert_cap, monotone_curves, predict_curves
+from .model import DiscoverabilityModel, monotone_curves, predict_curves
 
 #: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
 #: temporaries of the curve and isotonic steps small, so peak memory does not
@@ -62,51 +61,17 @@ class GrowthStats:
                 raise ConfigError("growth ratios must be finite and positive")
 
 
-def classify_region(
-    curve: np.ndarray, config: AllocationConfig
-) -> tuple[Region, float]:
-    """Region from the curve value at the top bucket (discoverability at MaxCap).
+def _classify(p_at_maxcap: np.ndarray, config: AllocationConfig) -> np.ndarray:
+    """Region code of every item from its curve value at MaxCap.
 
     Boundary convention: p == cf_high falls into Moderate, matching the
     moderate region's closed lower bound at cf_low.
     """
-    p = float(curve[-1])
-    if p > config.cf_high:
-        return Region.HIGH, p
-    if p < config.cf_low:
-        return Region.LOW, p
-    return Region.MODERATE, p
-
-
-def _classify(p_at_maxcap: np.ndarray, config: AllocationConfig) -> np.ndarray:
-    """Region code of every item from its curve value at MaxCap; as classify_region."""
     return np.where(
         p_at_maxcap > config.cf_high,
         _HIGH,
         np.where(p_at_maxcap < config.cf_low, _LOW, _MODERATE),
     )
-
-
-def requested_traffic(
-    region: Region,
-    curve: np.ndarray,
-    config: AllocationConfig,
-    schema: BucketSchema,
-) -> int:
-    """Traffic an item asks for before budget arbitration.
-
-    High items invert their curve at cf_high; moderate items request the full
-    cap. Low items are funded collectively by allocate_low, never here.
-    """
-    if region is Region.HIGH:
-        cap = invert_cap(curve, config.cf_high, config, schema)
-        if cap is None:
-            # Unreachable for a monotone curve: High means curve[-1] > cf_high.
-            raise DataError("High item has no qualifying bucket")
-        return cap
-    if region is Region.MODERATE:
-        return config.max_cap
-    raise DataError("requested_traffic is undefined for the Low region")
 
 
 def _water_fill(weights: np.ndarray, budget: int, cap: int) -> np.ndarray:
@@ -137,7 +102,8 @@ def _water_fill(weights: np.ndarray, budget: int, cap: int) -> np.ndarray:
 
 
 def low_grants(rates: np.ndarray, low_budget: int, config: AllocationConfig) -> np.ndarray:
-    """Grants of the Low items whose positive rates are given: the kernel of allocate_low.
+    """Grants of the Low items whose positive rates are given: the low-region
+    budget split in proportion to each item's positive rate.
 
     Items with no positive feedback yet get a small floor weight (1/n) so new
     items are not starved. Shares are capped at max_cap with overflow
@@ -154,20 +120,6 @@ def low_grants(rates: np.ndarray, low_budget: int, config: AllocationConfig) -> 
     return granted
 
 
-def allocate_low(
-    items: Sequence[tuple[str, EngagementStats]],
-    low_budget: int,
-    config: AllocationConfig,
-) -> list[tuple[str, int]]:
-    """Split the low-region budget across items in proportion to their
-    positive rate (see low_grants); a negative budget is refused."""
-    if low_budget < 0:
-        raise DataError("low-region budget must be non-negative")
-    rates = np.fromiter((stats.positive_rate for _, stats in items), float, len(items))
-    granted = low_grants(rates, low_budget, config)
-    return list(zip([item_id for item_id, _ in items], granted.tolist()))
-
-
 def adapt_low_fraction(current: float, growth: GrowthStats) -> float:
     """Scale the low-region budget share by traffic growth relative to item growth.
 
@@ -180,35 +132,30 @@ def adapt_low_fraction(current: float, growth: GrowthStats) -> float:
     return min(current * growth.traffic_growth / growth.item_growth, 1.0)
 
 
-def _repair_cost(
-    granted: dict[str, int],
-    regions: dict[str, Region],
-    low_rates: dict[str, float],
+def _drop_for_cost(
+    granted: np.ndarray,
+    region: np.ndarray,
+    rates: np.ndarray,
+    total_cost: float,
     config: AllocationConfig,
 ) -> None:
-    """Drop funded items in place until the cost constraint holds.
+    """Zero funded grants in place until the cost constraint holds.
 
-    `regions` holds each item's region before funding, `low_rates` the
-    feedback rate of each Low item. Drop order reflects expected gain per
-    impression: Low items first (worst feedback first), then Moderate by
-    descending request, then High by descending request as a last resort so
-    the constraint always holds.
+    `total_cost` is the cost of `granted`, `rates` each item's feedback rate.
+    Drop order reflects expected gain per impression: Low items first (worst
+    feedback first), then Moderate by descending grant, then High by
+    descending grant as a last resort so the constraint always holds. Ties
+    keep index order, which is id order. The costs come off total_cost one at
+    a time in drop order, as a per-item loop subtracts them.
     """
-    total_cost = sum(cost_of(g, config) for g in granted.values())
-
-    def funded(region: Region) -> list[str]:
-        return [i for i, g in granted.items() if g > 0 and regions[i] is region]
-
-    drop_order = (
-        sorted(funded(Region.LOW), key=lambda i: (low_rates[i], i))
-        + sorted(funded(Region.MODERATE), key=lambda i: (-granted[i], i))
-        + sorted(funded(Region.HIGH), key=lambda i: (-granted[i], i))
-    )
-    for item_id in drop_order:
-        if total_cost <= config.max_cost:
-            break
-        total_cost -= cost_of(granted[item_id], config)
-        granted[item_id] = 0
+    funded = np.flatnonzero(granted)
+    key = np.where(region[funded] == _LOW, rates[funded], -granted[funded])
+    # lexsort is stable and sorts on its last key first: -region puts Low,
+    # then Moderate, then High.
+    order = funded[np.lexsort((key, -region[funded]))]
+    running = np.subtract.accumulate([total_cost, *costs_of(granted[order], config)])
+    within = running <= config.max_cost
+    granted[order[: int(np.argmax(within)) if within.any() else len(order)]] = 0
 
 
 def _score(
@@ -261,8 +208,8 @@ def plan_columns(
 
     Row i of `features` is the model input of item ids[i], so it ends with
     the engagement block [positive_rate, log1p(impressions)]; the rate
-    column weights the Low water-fill. `ids` keys the dicts of _repair_cost,
-    which are built only when the cost ceiling binds.
+    column weights the Low water-fill and orders the Low items' drops when
+    the cost ceiling binds.
     """
     p_at_maxcap, caps = _score(features, model, config, schema)
     region = _classify(p_at_maxcap, config)
@@ -286,19 +233,11 @@ def plan_columns(
 
     # Unspent High/Moderate budget spills into the Low pool.
     low = np.flatnonzero(region == _LOW)
-    rates = features[low, -2]
-    granted[low] = low_grants(rates, low_pool + remaining, config)
+    granted[low] = low_grants(features[low, -2], low_pool + remaining, config)
 
     total_cost = sum_costs(granted, config)
     if not total_cost <= config.max_cost:
-        grants = dict(zip(ids, granted.tolist()))
-        _repair_cost(
-            grants,
-            dict(zip(ids, map(REGIONS.__getitem__, region.tolist()))),
-            dict(zip(map(ids.__getitem__, low.tolist()), rates.tolist())),
-            config,
-        )
-        granted = np.fromiter(grants.values(), np.int64, len(ids))
+        _drop_for_cost(granted, region, features[:, -2], total_cost, config)
         total_cost = sum_costs(granted, config)
     return PlanColumns(ids, region, granted, requested, p_at_maxcap, total_cost)
 
@@ -350,19 +289,18 @@ def allocate(
     The budget is split between a High+Moderate pool and a Low pool. High and
     Moderate items are funded full-or-nothing in ascending order of requested
     traffic; whatever the pool does not spend spills into the Low pool, which
-    is then divided as allocate_low divides it. Finally the cost constraint is
-    enforced by dropping items (see _repair_cost). Deterministic: ties break
+    is then divided as low_grants divides it. Finally the cost constraint is
+    enforced by dropping items (see _drop_for_cost). Deterministic: ties break
     on item id.
 
     Funding orders by requested traffic, never by cost. So for any
     non-decreasing cost_fn whose ceiling does not bind, the funded
     High/Moderate count is the maximum that fits the traffic budget. When the
-    ceiling binds, _repair_cost's drop order decides the plan, and the count
+    ceiling binds, _drop_for_cost's drop order decides the plan, and the count
     is not guaranteed maximal.
 
     plan_corpus checks the corpus and plan_columns does the work on arrays
-    over it; predict_curve, monotone_curve, classify_region and
-    requested_traffic are its per-item counterparts.
+    over it, from scores to grants.
     """
     plan = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
     region, requested = _entry_columns(plan)

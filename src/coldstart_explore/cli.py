@@ -421,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    # A path that names nothing, or a file where a directory is wanted or the reverse.
+    except (
+        DataError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -92,7 +92,6 @@ class ItemRecord:
     features: np.ndarray
     engagement: EngagementStats = EngagementStats()
     impressions_received: int = 0
-    discovered: bool | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", read_only(self.features))
@@ -263,6 +262,13 @@ def cost_of(traffic: int, config: AllocationConfig) -> float:
     return config.unit_cost * traffic
 
 
+def costs_of(granted: np.ndarray, config: AllocationConfig) -> list[float]:
+    """cost_of of each grant of an array, in array order."""
+    if config.cost_fn is None:
+        return (config.unit_cost * granted).tolist()
+    return [cost_of(g, config) for g in granted.tolist()]
+
+
 def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
     """Total cost_of of an array of grants, a float even for none: built-in
     sum() in array order.
@@ -271,9 +277,7 @@ def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
     sum(cost_of(...)) over the plan entries adds them. From Python 3.12 on,
     sum() of floats is compensated, so np.sum would not match it.
     """
-    if config.cost_fn is None:
-        return sum((config.unit_cost * granted).tolist(), 0.0)
-    return sum([cost_of(g, config) for g in granted.tolist()], 0.0)
+    return sum(costs_of(granted, config), 0.0)
 
 
 def id_order(ids: Sequence[str], what: str) -> list[int]:

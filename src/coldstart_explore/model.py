@@ -88,6 +88,8 @@ class TrainingSet:
             bucket, ~((bucket >= 0) & (bucket == np.floor(bucket))),
             "bucket index must be a non-negative integer",
         )
+        if not np.can_cast(bucket.dtype, np.int64):  # a uint64 or float column may not fit
+            _refuse_first(bucket, ~(bucket < 2**63), "bucket index must fit in int64")
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))

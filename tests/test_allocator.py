@@ -9,11 +9,10 @@ from coldstart_explore.allocator import (
     GrowthStats,
     adapt_low_fraction,
     allocate,
-    allocate_low,
-    classify_region,
+    low_grants,
+    plan_columns,
     plan_corpus,
     plan_summary,
-    requested_traffic,
 )
 from coldstart_explore.core import (
     AllocationConfig,
@@ -29,7 +28,7 @@ from coldstart_explore.core import (
     item_feature_vector,
     verify_plan,
 )
-from coldstart_explore.model import monotone_curve, predict_curve
+from coldstart_explore.model import invert_cap, monotone_curve, predict_curve
 from conftest import make_model, make_record
 from test_acceptance import _greedy_instance, random_valid_instance
 
@@ -51,28 +50,28 @@ def cfg(**overrides) -> AllocationConfig:
     return AllocationConfig(**base)
 
 
+def region_of(p_at_maxcap: float) -> Region:
+    return allocator.REGIONS[int(allocator._classify(np.array([p_at_maxcap]), cfg())[0])]
+
+
 class TestClassifyRegion:
     def test_high(self):
-        region, p = classify_region(np.array([0.5, 0.8, 0.97]), cfg())
-        assert region is Region.HIGH and p == pytest.approx(0.97)
+        assert region_of(0.97) is Region.HIGH
 
     def test_moderate(self):
-        region, _ = classify_region(np.array([0.2, 0.3, 0.5]), cfg())
-        assert region is Region.MODERATE
+        assert region_of(0.5) is Region.MODERATE
 
     def test_low(self):
-        region, _ = classify_region(np.array([0.05, 0.08, 0.1]), cfg())
-        assert region is Region.LOW
+        assert region_of(0.1) is Region.LOW
 
     def test_boundaries_fall_into_moderate(self):
-        assert classify_region(np.array([0.1, 0.5, 0.9]), cfg())[0] is Region.MODERATE
-        assert classify_region(np.array([0.1, 0.15, 0.2]), cfg())[0] is Region.MODERATE
+        assert region_of(0.9) is Region.MODERATE
+        assert region_of(0.2) is Region.MODERATE
 
     def test_partition_is_exhaustive_and_exclusive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            curve = np.sort(rng.uniform(0, 1, size=4))
-            region, p = classify_region(curve, cfg())
+        p_at_maxcap = np.random.default_rng(0).uniform(0, 1, size=300)
+        regions = allocator._classify(p_at_maxcap, cfg())
+        for p, code in zip(p_at_maxcap.tolist(), regions.tolist()):
             expected = (
                 Region.HIGH
                 if p > 0.9
@@ -80,25 +79,28 @@ class TestClassifyRegion:
                 if p < 0.2
                 else Region.MODERATE
             )
-            assert region is expected
+            assert allocator.REGIONS[code] is expected
+
+
+def request_of(bucket_logits) -> tuple[Region, int]:
+    """Region and request plan_columns gives one item whose curve is the
+    sigmoid of bucket_logits, on SCHEMA3."""
+    model = make_model(SCHEMA3, [0.0, 0.0, 0.0], bucket_logits)
+    plan = plan_columns(["a"], np.zeros((1, 3)), model, cfg(), SCHEMA3)
+    return allocator.REGIONS[int(plan.region[0])], int(plan.requested[0])
 
 
 class TestRequestedTraffic:
     def test_high_inverts_curve(self):
-        req = requested_traffic(Region.HIGH, np.array([0.5, 0.92, 0.97]), cfg(), SCHEMA3)
-        assert req == 400
+        # curve ~ [0.5, 0.92, 0.97]: the first bucket at cf_high = 0.9 is the second
+        assert request_of([0.0, 2.44, 3.48]) == (Region.HIGH, 400)
 
     def test_moderate_requests_max_cap(self):
-        req = requested_traffic(Region.MODERATE, np.array([0.2, 0.3, 0.5]), cfg(), SCHEMA3)
-        assert req == 1600
+        # curve ~ [0.2, 0.3, 0.5]
+        assert request_of([-1.39, -0.85, 0.0]) == (Region.MODERATE, 1600)
 
     def test_high_with_saturated_curve_requests_min_cap(self):
-        req = requested_traffic(Region.HIGH, np.ones(3), cfg(), SCHEMA3)
-        assert req == 100
-
-    def test_low_region_rejected(self):
-        with pytest.raises(DataError, match="Low"):
-            requested_traffic(Region.LOW, np.full(3, 0.1), cfg(), SCHEMA3)
+        assert request_of([40.0, 40.0, 40.0]) == (Region.HIGH, 100)
 
 
 def water_fill_reference(weights, budget, cap):
@@ -133,6 +135,12 @@ def water_fill_reference(weights, budget, cap):
     raise AssertionError("no consistent water level found")
 
 
+def rates_of(items):
+    """The positive rates of (id, EngagementStats) pairs: the rate column
+    low_grants weights."""
+    return np.array([stats.positive_rate for _, stats in items], dtype=float)
+
+
 class TestAllocateLow:
     def test_proportional_no_caps(self):
         items = [
@@ -140,26 +148,27 @@ class TestAllocateLow:
             ("b", EngagementStats(100, 10)),
             ("c", EngagementStats(100, 10)),
         ]
-        grants = allocate_low(items, 400, cfg(max_cap=300, min_cap=50))
-        assert grants == [("a", 200), ("b", 100), ("c", 100)]
+        grants = low_grants(rates_of(items), 400, cfg(max_cap=300, min_cap=50))
+        assert grants.tolist() == [200, 100, 100]
 
     def test_cap_overflow_redistributed(self):
         items = [("a", EngagementStats(100, 90)), ("b", EngagementStats(100, 10))]
-        grants = allocate_low(items, 1000, cfg(max_cap=600, min_cap=50))
-        assert grants == [("a", 600), ("b", 400)]
+        grants = low_grants(rates_of(items), 1000, cfg(max_cap=600, min_cap=50))
+        assert grants.tolist() == [600, 400]
 
     def test_zero_feedback_items_share_equally(self):
         items = [("a", EngagementStats()), ("b", EngagementStats())]
-        grants = allocate_low(items, 500, cfg(max_cap=1600, min_cap=100))
-        assert grants == [("a", 250), ("b", 250)]
+        grants = low_grants(rates_of(items), 500, cfg(max_cap=1600, min_cap=100))
+        assert grants.tolist() == [250, 250]
 
     def test_sub_min_cap_shares_deferred(self):
         items = [(f"i{k}", EngagementStats()) for k in range(10)]
-        grants = allocate_low(items, 500, cfg(max_cap=1600, min_cap=100))
-        assert all(g == 0 for _, g in grants)
+        grants = low_grants(rates_of(items), 500, cfg(max_cap=1600, min_cap=100))
+        assert not grants.any()
 
     def test_empty_items(self):
-        assert allocate_low([], 100, cfg()) == []
+        grants = low_grants(np.zeros(0), 100, cfg())
+        assert grants.dtype == np.int64 and grants.shape == (0,)
 
     def test_matches_reference_water_filling(self):
         rng = np.random.default_rng(11)
@@ -172,16 +181,14 @@ class TestAllocateLow:
                 pos = int(rng.integers(0, imp + 1))
                 items.append((f"i{k}", EngagementStats(imp, pos)))
             budget = int(rng.integers(0, 3000))
-            got = dict(allocate_low(items, budget, config))
+            got = low_grants(rates_of(items), budget, config).tolist()
             weights = [
                 s.positive_rate if s.positive_rate > 0 else 1.0 / n for _, s in items
             ]
-            expected = {}
-            for (item_id, _), share in zip(
-                items, water_fill_reference(weights, budget, 600)
-            ):
+            expected = []
+            for share in water_fill_reference(weights, budget, 600):
                 g = int(math.floor(share + 1e-9))
-                expected[item_id] = g if g >= 50 else 0
+                expected.append(g if g >= 50 else 0)
             assert got == expected
 
     def test_grants_never_exceed_budget(self):
@@ -194,10 +201,9 @@ class TestAllocateLow:
                 for k in range(n)
             ]
             budget = int(rng.integers(0, 2500))
-            grants = allocate_low(items, budget, config)
-            total = sum(g for _, g in grants)
-            assert total <= budget
-            assert all(g == 0 or 20 <= g <= 400 for _, g in grants)
+            grants = low_grants(rates_of(items), budget, config).tolist()
+            assert sum(grants) <= budget
+            assert all(g == 0 or 20 <= g <= 400 for g in grants)
 
 
 class TestAdaptLowFraction:
@@ -440,21 +446,27 @@ class TestAllocate:
 
 
 def scalar_reference_plan(records, model, config, schema, growth=None):
-    """The allocator written item by item with the per-item helpers.
+    """The allocator written item by item.
 
-    predict_curve -> monotone_curve -> classify_region -> requested_traffic,
-    then greedy funding by (requested, id), the Low water-fill and the cost
+    predict_curve -> monotone_curve -> the region of the curve's last value ->
+    the request (invert_cap at cf_high for High, max_cap for Moderate), then
+    greedy funding by (requested, id), the list Low water-fill and the cost
     repair drop order. Returns {item_id: (region, granted, requested, p)}.
     """
     records = sorted(records, key=lambda r: r.id)
     region, requested, p_at_maxcap, low_items = {}, {}, {}, []
     for rec in records:
         curve = monotone_curve(predict_curve(model, item_feature_vector(rec)))
-        region[rec.id], p_at_maxcap[rec.id] = classify_region(curve, config)
-        if region[rec.id] is Region.LOW:
+        p = p_at_maxcap[rec.id] = float(curve[-1])
+        if p > config.cf_high:
+            region[rec.id] = Region.HIGH
+            requested[rec.id] = invert_cap(curve, config.cf_high, config, schema)
+        elif p < config.cf_low:
+            region[rec.id] = Region.LOW
             low_items.append((rec.id, rec.engagement))
         else:
-            requested[rec.id] = requested_traffic(region[rec.id], curve, config, schema)
+            region[rec.id] = Region.MODERATE
+            requested[rec.id] = config.max_cap
     fraction = config.low_region_fraction
     if growth is not None:
         fraction = adapt_low_fraction(fraction, growth)
@@ -466,7 +478,7 @@ def scalar_reference_plan(records, model, config, schema, growth=None):
             break
         granted[item_id] = requested[item_id]
         remaining -= requested[item_id]
-    granted.update(allocate_low(low_items, low_pool + remaining, config))
+    granted.update(allocate_low_reference(low_items, low_pool + remaining, config))
     rates = {item_id: stats.positive_rate for item_id, stats in low_items}
     drop_order = []
     for r, key in (
@@ -632,7 +644,7 @@ def water_fill_list_reference(weights, budget, cap):
 
 
 def allocate_low_reference(items, low_budget, config):
-    """allocate_low over Python lists."""
+    """low_grants over Python lists, item by item: (id, grant) pairs."""
     if not items:
         return []
     floor_weight = 1.0 / len(items)
@@ -675,9 +687,9 @@ class TestAllocateLowMatchesListReference:
             config = cfg(max_cap=max_cap, min_cap=int(rng.integers(1, max_cap + 1)))
             # up to a budget that caps every item, so overflow passes repeat
             budget = int(rng.integers(0, max_cap * (len(items) + 2)))
-            got = allocate_low(items, budget, config)
-            assert got == allocate_low_reference(items, budget, config)
-            assert all(type(g) is int for _, g in got)
+            got = low_grants(rates_of(items), budget, config)
+            assert got.dtype == np.int64
+            assert got.tolist() == [g for _, g in allocate_low_reference(items, budget, config)]
 
     @given(
         st.lists(
@@ -695,16 +707,18 @@ class TestAllocateLowMatchesListReference:
         # floor weight among them.
         items = [(f"i{k:02d}", EngagementStats(*pair)) for k, pair in enumerate(counts)]
         config = cfg(max_cap=max_cap, min_cap=1)
-        assert allocate_low(items, budget, config) == (
-            allocate_low_reference(items, budget, config)
-        )
+        assert low_grants(rates_of(items), budget, config).tolist() == [
+            g for _, g in allocate_low_reference(items, budget, config)
+        ]
 
 
 def non_linear_cost_instance(rng, exponent, cost_fraction):
     """Corpus, model and config under cost u * x**exponent.
 
     The cost ceiling is cost_fraction of what every item at MaxCap would cost,
-    so a small fraction makes cost repair drop items.
+    so a small fraction makes cost repair drop items. Some items have no
+    impressions and others 100 or 200, so Low rates tie and the drop order
+    breaks the ties on id.
     """
     unit_cost = float(rng.uniform(0.001, 0.05))
     cost_fn = lambda x, u=unit_cost, e=exponent: u * float(x) ** e
@@ -717,7 +731,7 @@ def non_linear_cost_instance(rng, exponent, cost_fraction):
     )
     records = []
     for k in range(int(rng.integers(1, 40))):
-        impressions = int(rng.integers(0, 400))
+        impressions = int(rng.choice([0, 100, 200, int(rng.integers(1, 400))]))
         records.append(
             ItemRecord(
                 id=f"i{k:03d}",
@@ -767,9 +781,9 @@ class TestAllocateWithNonLinearCost:
     @pytest.mark.parametrize("shape", sorted(COST_EXPONENTS))
     def test_sweep_binds_the_ceiling(self, shape, monkeypatch):
         repairs = []
-        repair = allocator._repair_cost
+        drop = allocator._drop_for_cost
         monkeypatch.setattr(
-            allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+            allocator, "_drop_for_cost", lambda *args: repairs.append(1) or drop(*args)
         )
         rng = np.random.default_rng(71 if shape == "convex" else 72)
         lo, hi = COST_EXPONENTS[shape]
@@ -784,7 +798,7 @@ class TestAllocateWithNonLinearCost:
         def refuse(*args):
             raise AssertionError("cost repair called under the ceiling")
 
-        monkeypatch.setattr(allocator, "_repair_cost", refuse)
+        monkeypatch.setattr(allocator, "_drop_for_cost", refuse)
         rng = np.random.default_rng(405)
         for _ in range(100):
             model, records = _greedy_instance(rng)
@@ -808,9 +822,9 @@ class TestAllocateWithNonLinearCost:
 class TestAllocateTotals:
     def test_totals_are_sums_of_the_entries(self, monkeypatch):
         repairs = []
-        repair = allocator._repair_cost
+        drop = allocator._drop_for_cost
         monkeypatch.setattr(
-            allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+            allocator, "_drop_for_cost", lambda *args: repairs.append(1) or drop(*args)
         )
         rng = np.random.default_rng(81)
         for _ in range(300):
@@ -824,7 +838,7 @@ class TestAllocateTotals:
         def refuse(*args):
             raise AssertionError("cost repair called under the ceiling")
 
-        monkeypatch.setattr(allocator, "_repair_cost", refuse)
+        monkeypatch.setattr(allocator, "_drop_for_cost", refuse)
         model, records = high_corpus_model([0, 1, 2])
         plan = allocate(records, model, cfg(total_budget=1000, cf_high=0.9, cf_low=0.01), SCHEMA)
         assert plan.total_cost == pytest.approx(6.98)

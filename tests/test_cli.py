@@ -764,6 +764,29 @@ def test_missing_training_set_exits_3(tmp_path, trained_model_file, command, cap
     assert "No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--train-set", "{dir}"], "Is a directory"),
+        (["eval", "--model", "{model}", "--examples", "{dir}"], "Is a directory"),
+        (["allocate", "--corpus", "{dir}", "--model", "{model}"], "Is a directory"),
+        (["allocate", "--corpus", "{model}/x", "--model", "{model}"], "Not a directory"),
+        (["simulate", "--items", "10", "--rounds", "1", "--out-dir", "{model}/o"],
+         "Not a directory"),
+        (["simulate", "--items", "10", "--rounds", "1", "--out-dir", "{model}"], "File exists"),
+    ],
+    ids=["train-set-dir", "examples-dir", "corpus-dir", "corpus-under-file",
+         "out-dir-under-file", "out-dir-is-file"],
+)
+def test_path_of_the_wrong_kind_exits_3(tmp_path, trained_model_file, argv, message, capsys):
+    argv = [a.format(dir=tmp_path, model=trained_model_file) for a in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "o")]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno") and message in err
+
+
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -899,7 +922,9 @@ def per_item_allocation(corpus_path, model_path, config, growth, out):
             writer.writerow([e.item_id, e.region.value, e.granted, e.requested, e.p_at_maxcap])
     # Regions before funding, from each entry's curve value at MaxCap.
     classified = [
-        allocator.classify_region(np.array([e.p_at_maxcap]), config)[0].value
+        "High" if e.p_at_maxcap > config.cf_high
+        else "Low" if e.p_at_maxcap < config.cf_low
+        else "Moderate"
         for e in plan.entries
     ]
     summary = {
@@ -938,9 +963,9 @@ def test_allocate_writes_what_the_per_item_path_writes(
 ):
     corpus_path, model_path = served_corpus
     repairs = []
-    repair = allocator._repair_cost
+    drop = allocator._drop_for_cost
     monkeypatch.setattr(
-        allocator, "_repair_cost", lambda *args: repairs.append(1) or repair(*args)
+        allocator, "_drop_for_cost", lambda *args: repairs.append(1) or drop(*args)
     )
     out = tmp_path / "columns"
     assert run("allocate", "--corpus", str(corpus_path), "--model", str(model_path),

@@ -213,6 +213,38 @@ class TestTrain:
         with pytest.raises(DataError, match=message):
             TrainingSet(np.ones((2, 1)), bucket, label)
 
+    @pytest.mark.parametrize(
+        "bucket, shown",
+        [
+            (np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64), "18446744073709551615"),
+            (np.array([0, 1, 2, 2**63], dtype=np.uint64), "9223372036854775808"),
+            (np.array([0.0, 1.0, 2.0, 1e20]), "1e+20"),
+            (np.array([0.0, 1.0, 2.0, 2.0**63]), "9.223372036854776e+18"),
+            (np.array([0.0, 1.0, 2.0, np.inf]), "inf"),
+        ],
+        ids=["uint64-max", "uint64-2**63", "float-1e20", "float-2**63", "float-inf"],
+    )
+    def test_bucket_beyond_int64_refused_naming_the_row(self, bucket, shown):
+        # Checked before the int64 cast, which would wrap a uint64 bucket
+        # negative and warn of an invalid value for a float one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as caught:
+                TrainingSet(np.ones((4, 1)), bucket, [1, 0, 1, 0])
+        assert str(caught.value) == (
+            f"bucket index must fit in int64: training example 3 (counting from 0) has {shown}"
+        )
+
+    @pytest.mark.parametrize(
+        "bucket",
+        [np.array([0, 2**63 - 1], dtype=np.uint64), np.array([0.0, 2.0**63 - 1024])],
+        ids=["uint64", "float"],
+    )
+    def test_largest_int64_buckets_kept(self, bucket):
+        examples = TrainingSet(np.ones((2, 1)), bucket, [1, 0])
+        assert examples.bucket.dtype == np.int64
+        assert examples.bucket.tolist() == [0, int(bucket[1])]
+
     def test_columns_are_read_only(self):
         examples = separable_examples(n=10)
         assert len(examples) == 10

@@ -519,17 +519,17 @@ def run_experiment_reference(
 ):
     """run_experiment on objects: the per-item references above, a plan per
     round from `uniform`, `oracle` or allocator.allocate, and a pool of
-    records updated with dataclasses.replace."""
+    records updated with dataclasses.replace beside the set of ids discovered so far."""
     sim_config.validate()
     validate_config(alloc_config, schema)
-    pool_latents, pool_records = {}, {}
+    pool_latents, pool_records, discovered = {}, {}, set()
     all_observations, round_metrics, item_rows = [], [], []
     for round_index in range(sim_config.rounds):
         latents, records = generate_corpus_reference(sim_config, round_index)
         for lat, rec in zip(latents, records):
             pool_latents[lat.id] = lat
             pool_records[rec.id] = rec
-        candidates = [rec for rec in pool_records.values() if rec.discovered is not True]
+        candidates = [rec for rec in pool_records.values() if rec.id not in discovered]
         candidates.sort(key=lambda r: r.id)
         untrained = None
         if strategy == "oracle":
@@ -558,8 +558,9 @@ def run_experiment_reference(
                     impressions=stats.impressions + obs.served,
                     positive_events=stats.positive_events + obs.positive_events,
                 ),
-                discovered=True if obs.discovered else rec.discovered,
             )
+            if obs.discovered:
+                discovered.add(obs.item_id)
             item_rows.append(
                 ItemRoundRow(
                     round=round_index,
@@ -644,7 +645,7 @@ class TestArrayLoopsMatchPerItemReference:
             for rec, ref in zip(records, ref_records):
                 assert np.array_equal(rec.features.view(np.int64), ref.features.view(np.int64))
                 assert not rec.features.flags.writeable
-                assert rec.engagement == EngagementStats() and rec.discovered is None
+                assert rec.engagement == EngagementStats()
 
     def test_serve_round(self):
         rng = np.random.default_rng(31)
@@ -719,14 +720,14 @@ class TestArrayLoopsMatchPerItemReference:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_run_experiment(self, strategy, monkeypatch):
         dropped = []
-        repair = allocator._repair_cost
+        drop = allocator._drop_for_cost
 
-        def counting_repair(granted, *args):
-            funded = sum(1 for g in granted.values() if g)
-            repair(granted, *args)
-            dropped.append(funded - sum(1 for g in granted.values() if g))
+        def counting_drop(granted, *args):
+            funded = np.count_nonzero(granted)
+            drop(granted, *args)
+            dropped.append(funded - np.count_nonzero(granted))
 
-        monkeypatch.setattr(allocator, "_repair_cost", counting_repair)
+        monkeypatch.setattr(allocator, "_drop_for_cost", counting_drop)
         params = Hyperparams(epochs=100)
         for name, alloc_config in LOOP_CONFIGS.items():
             for seed in (6, 7):
