@@ -18,6 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    NO_REQUEST,
+    PLAN_REGIONS,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -25,11 +27,10 @@ from .core import (
     Corpus,
     DataError,
     ItemRecord,
-    PlanEntry,
-    Region,
     costs_of,
     id_order,
     model_inputs,
+    none_where,
     sum_costs,
     validate_config,
     write_csv,
@@ -42,9 +43,10 @@ from .model import DiscoverabilityModel, monotone_curves, predict_curves
 #: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes of the array code: a code indexes REGIONS. Unfunded is not a
-# region an item is classified into; it marks plan entries granted nothing.
-REGIONS = (Region.HIGH, Region.MODERATE, Region.LOW, Region.UNFUNDED)
+# Region codes of the array code: a code indexes REGIONS, and codes the same
+# region in an AllocationPlan. Unfunded is not a region an item is classified
+# into; it marks plan entries granted nothing.
+REGIONS = PLAN_REGIONS[:4]  # High, Moderate, Low, Unfunded
 _HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
 
 
@@ -269,12 +271,13 @@ def plan_corpus(
     return plan_columns(ids, features, model, config, schema, growth)
 
 
-def _entry_columns(plan: PlanColumns) -> tuple[list[int], list[int | None]]:
+def _entry_columns(plan: PlanColumns) -> tuple[np.ndarray, np.ndarray]:
     """Each item's region code as a plan entry has it, Unfunded where nothing
-    was granted, and its request, None for a Low item."""
-    requested = plan.requested.astype(object)
-    requested[plan.region == _LOW] = None
-    return np.where(plan.granted > 0, plan.region, _UNFUNDED).tolist(), requested.tolist()
+    was granted, and its request, NO_REQUEST for a Low item."""
+    return (
+        np.where(plan.granted > 0, plan.region, _UNFUNDED),
+        np.where(plan.region == _LOW, NO_REQUEST, plan.requested),
+    )
 
 
 def allocate(
@@ -304,15 +307,15 @@ def allocate(
     """
     plan = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
     region, requested = _entry_columns(plan)
-    entries = map(
-        PlanEntry,
+    return AllocationPlan.of_columns(
         plan.ids,
-        map(REGIONS.__getitem__, region),
-        plan.granted.tolist(),
+        region,
+        plan.granted,
         requested,
-        plan.p_at_maxcap.tolist(),
+        plan.p_at_maxcap,
+        int(plan.granted.sum()),
+        plan.total_cost,
     )
-    return AllocationPlan(tuple(entries), int(plan.granted.sum()), plan.total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +332,9 @@ def write_plan_csv(plan: PlanColumns, path: str | Path) -> None:
         ("item_id", "region", "granted", "requested", "p_at_maxcap"),
         zip(
             plan.ids,
-            map(_REGION_NAMES.__getitem__, region),
+            map(_REGION_NAMES.__getitem__, region.tolist()),
             plan.granted.tolist(),
-            requested,
+            none_where(requested, requested == NO_REQUEST),
             plan.p_at_maxcap.tolist(),
         ),
         path,

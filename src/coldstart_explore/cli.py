@@ -94,6 +94,9 @@ def _sim_config(args, seed: int) -> simulator.SimConfig:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made if missing. Each command makes it only once
+    its inputs and config have been read and checked, so a refused command
+    leaves no directory behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -101,7 +104,6 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    out = _out_dir(args)
     cfg = _sim_config(args, args.seed)
     # Each round's columns, one round after another: the rows that
     # generate_corpus's objects would hold, in the same order.
@@ -111,6 +113,7 @@ def cmd_simulate(args) -> int:
         np.concatenate(column) for column in zip(*(draw[1:] for draw in draws))
     )
     never_served = np.zeros(len(ids), dtype=np.int64)
+    out = _out_dir(args)
     corpus_path = out / "corpus.jsonl"
     latents_path = out / "latents.jsonl"
     core.write_corpus(core.Corpus(ids, features, never_served, never_served), corpus_path)
@@ -138,11 +141,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    out = _out_dir(args)
     _, schema = _load_alloc_config(args)
     params = model.Hyperparams(epochs=args.epochs).validate()
     examples = model.load_examples(args.train_set)
     fitted = model.train(examples, schema, params)
+    out = _out_dir(args)
     model_path = out / "model.json"
     model.save_model(fitted, model_path)
     _write_manifest(
@@ -166,7 +169,6 @@ def cmd_train(args) -> int:
 
 def cmd_allocate(args) -> int:
     started = time.monotonic()
-    out = _out_dir(args)
     config, schema = _load_alloc_config(args)
     corpus = core.read_corpus(args.corpus)
     fitted = model.load_model(args.model)
@@ -180,6 +182,7 @@ def cmd_allocate(args) -> int:
         )
         adapted = allocator.adapt_low_fraction(config.low_region_fraction, growth)
     plan = allocator.plan_corpus(corpus, fitted, config, schema, growth)
+    out = _out_dir(args)
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"
     allocator.write_plan_csv(plan, plan_path)
@@ -228,7 +231,6 @@ def _refuse_repeats(flag: str, values: list) -> list:
 
 def cmd_experiment(args) -> int:
     started = time.monotonic()
-    out = _out_dir(args)
     config, schema = _load_alloc_config(args)
     strategies = _refuse_repeats(
         "--strategies", [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -240,11 +242,12 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"unknown strategy {strategy!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     params = model.Hyperparams(epochs=args.epochs).validate()
+    sim_configs = {seed: _sim_config(args, seed) for seed in sorted(seeds)}
+    out = _out_dir(args)
     outputs = []
     totals: dict[str, list[int]] = {s: [] for s in strategies}
-    for seed in sorted(seeds):
+    for seed, sim_cfg in sim_configs.items():
         for strategy in strategies:
-            sim_cfg = _sim_config(args, seed)
             report = simulator.run_experiment(sim_cfg, config, schema, params, strategy)
             json_path = out / f"report_{strategy}_seed{seed}.json"
             csv_path = out / f"report_{strategy}_seed{seed}.csv"
@@ -302,7 +305,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    out = _out_dir(args)
     fitted = model.load_model(args.model)
     examples = model.load_examples(args.examples)
     if len(examples) == 0:
@@ -317,6 +319,7 @@ def cmd_eval(args) -> int:
     report = metrics.metrics_report(
         scores, examples.label, examples.bucket, threshold=args.threshold
     )
+    out = _out_dir(args)
     metrics_path = out / "metrics.json"
     curve_path = out / "pr_curve.csv"
     core.write_json(metrics.report_to_dict(report), metrics_path)

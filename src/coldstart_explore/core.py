@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -232,13 +232,118 @@ class PlanEntry:
     p_at_maxcap: float | None = None
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """Per-item grants plus budget and cost accounting."""
+#: The regions a plan's region column codes: code k is PLAN_REGIONS[k]. The
+#: allocator's codes (High, Moderate, Low, Unfunded) are the first four.
+PLAN_REGIONS = tuple(Region)
+_REGION_CODE = {region: code for code, region in enumerate(PLAN_REGIONS)}
+_UNFUNDED_CODE = _REGION_CODE[Region.UNFUNDED]
 
-    entries: tuple[PlanEntry, ...]
+#: A plan's requested column holds this where an entry's requested is None.
+NO_REQUEST = -1
+
+
+def none_where(values: np.ndarray, missing: np.ndarray) -> list:
+    """The values as a list of Python numbers, None where `missing` holds."""
+    listed = values.astype(object)
+    listed[missing] = None
+    return listed.tolist()
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class AllocationPlan:
+    """Per-item grants plus budget and cost accounting, held as columns.
+
+    Row k of the read-only columns is one plan entry: `ids[k]`, its region
+    code `region[k]` (indexing PLAN_REGIONS), `granted[k]`, `requested[k]`
+    (NO_REQUEST where the entry has None) and `p_at_maxcap[k]` (NaN where the
+    entry has None). The producers give their rows in id order; a plan built
+    from entries keeps the entries' order. `entries`, one PlanEntry per row,
+    is built on first read and kept.
+    """
+
+    ids: tuple[str, ...] = field(repr=False)
+    region: np.ndarray = field(repr=False)
+    granted: np.ndarray = field(repr=False)
+    requested: np.ndarray = field(repr=False)
+    p_at_maxcap: np.ndarray = field(repr=False)
     total_allocated: int
     total_cost: float
+    _entries: tuple[PlanEntry, ...] | None = field(default=None, repr=False)
+
+    def __init__(
+        self, entries: Iterable[PlanEntry], total_allocated: int, total_cost: float
+    ) -> None:
+        entries = tuple(entries)
+        self._hold(
+            [e.item_id for e in entries],
+            [_REGION_CODE[e.region] for e in entries],
+            [e.granted for e in entries],
+            [NO_REQUEST if e.requested is None else e.requested for e in entries],
+            [math.nan if e.p_at_maxcap is None else e.p_at_maxcap for e in entries],
+            total_allocated,
+            total_cost,
+        )
+
+    @classmethod
+    def of_columns(
+        cls,
+        ids: Sequence[str],
+        region: np.ndarray,
+        granted: np.ndarray,
+        requested: np.ndarray,
+        p_at_maxcap: np.ndarray,
+        total_allocated: int,
+        total_cost: float,
+    ) -> "AllocationPlan":
+        """The plan whose rows are the given columns, with no PlanEntry built."""
+        plan = cls.__new__(cls)
+        plan._hold(ids, region, granted, requested, p_at_maxcap, total_allocated, total_cost)
+        return plan
+
+    def _hold(self, ids, region, granted, requested, p_at_maxcap, total_allocated, total_cost):
+        columns = {"ids": tuple(ids), "granted": granted, "requested": requested}
+        # An int64 column would truncate a fractional grant or request.
+        for name in ("granted", "requested"):
+            column = np.asarray(columns[name])
+            if column.size and column.dtype.kind not in "iu":
+                raise DataError(f"plan {name} must be integers, not {column.dtype}")
+            columns[name] = read_only(column, np.int64)
+        columns.update(region=read_only(region, np.int8), p_at_maxcap=read_only(p_at_maxcap))
+        n = len(columns["ids"])
+        for name, column in columns.items():
+            if len(column) != n:
+                raise DataError(f"plan columns differ in length: {n} ids, {len(column)} {name}")
+        columns.update(total_allocated=total_allocated, total_cost=total_cost, _entries=None)
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[PlanEntry, ...]:
+        """One PlanEntry per row, in row order: built on first read, then kept."""
+        if self._entries is None:
+            entries = map(
+                PlanEntry,
+                self.ids,
+                map(PLAN_REGIONS.__getitem__, self.region.tolist()),
+                self.granted.tolist(),
+                none_where(self.requested, self.requested == NO_REQUEST),
+                none_where(self.p_at_maxcap, np.isnan(self.p_at_maxcap)),
+            )
+            object.__setattr__(self, "_entries", tuple(entries))
+        return self._entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AllocationPlan):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.total_allocated == other.total_allocated
+            and self.total_cost == other.total_cost
+            and np.array_equal(self.region, other.region)
+            and np.array_equal(self.granted, other.granted)
+            and np.array_equal(self.requested, other.requested)
+            and np.array_equal(self.p_at_maxcap, other.p_at_maxcap, equal_nan=True)
+        )
 
 
 def bucket_of(traffic, schema: BucketSchema):
@@ -341,28 +446,43 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
     """Re-check all plan invariants from the plan and config alone, one
     entry per item among them.
 
-    Raises DataError on the first violation. Used by tests and by callers that
+    Raises DataError on the first violation: the first row that breaks a
+    row's invariant, with the refusal a loop over the entries would make
+    first, and after the rows the totals. Used by tests and by callers that
     receive plans across a trust boundary.
     """
-    allocated = 0
-    cost = 0.0
-    seen = set()
-    for entry in plan.entries:
-        if entry.item_id in seen:
-            raise DataError(f"duplicate plan entry for item {entry.item_id}")
-        seen.add(entry.item_id)
-        if entry.granted == 0:
-            if entry.region is not Region.UNFUNDED:
-                raise DataError(f"zero grant must be Unfunded: {entry.item_id}")
-        else:
-            if entry.region is Region.UNFUNDED:
-                raise DataError(f"Unfunded entry with traffic: {entry.item_id}")
-            if not config.min_cap <= entry.granted <= config.max_cap:
-                raise DataError(
-                    f"grant outside [MinCap, MaxCap]: {entry.item_id} -> {entry.granted}"
-                )
-        allocated += entry.granted
-        cost += cost_of(entry.granted, config)
+    ids, granted = plan.ids, plan.granted
+    funded, unfunded = granted != 0, plan.region == _UNFUNDED_CODE
+    # np.select takes each row's first failing check, in the order a loop
+    # over the entries checks one; the last is cost_of's refusal.
+    problem = np.select(
+        [
+            _repeats(ids),
+            ~funded & ~unfunded,
+            funded & unfunded,
+            funded & ((granted < config.min_cap) | (granted > config.max_cap)),
+            granted < 0,
+        ],
+        [1, 2, 3, 4, 5],
+    )
+    bad = np.flatnonzero(problem)
+    stop = int(bad[0]) if len(bad) else len(ids)
+    # A cost function sees the grants a loop over the entries passes it, in order.
+    costs = costs_of(granted[:stop], config)
+    if len(bad):
+        item_id = ids[stop]
+        raise DataError(
+            (
+                f"duplicate plan entry for item {item_id}",
+                f"zero grant must be Unfunded: {item_id}",
+                f"Unfunded entry with traffic: {item_id}",
+                f"grant outside [MinCap, MaxCap]: {item_id} -> {granted[stop]}",
+                "traffic must be non-negative",
+            )[problem[stop] - 1]
+        )
+    allocated = int(granted.sum())
+    # cumsum adds one cost after another, as the loop's running total does.
+    cost = float(np.cumsum(costs)[-1]) if costs else 0.0
     if allocated != plan.total_allocated:
         raise DataError("total_allocated does not match entries")
     if not math.isclose(cost, plan.total_cost, rel_tol=1e-9, abs_tol=1e-9):
@@ -371,6 +491,17 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
         raise DataError("plan exceeds traffic budget")
     if cost > config.max_cost + 1e-9:
         raise DataError("plan exceeds cost budget")
+
+
+def _repeats(ids: Sequence[str]) -> np.ndarray:
+    """Row k: whether ids[k] is also an earlier row's id."""
+    repeated = np.zeros(len(ids), dtype=bool)
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for k, item_id in enumerate(ids):
+            repeated[k] = item_id in seen
+            seen.add(item_id)
+    return repeated
 
 
 def engagement_features(stats: EngagementStats) -> np.ndarray:

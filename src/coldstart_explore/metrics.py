@@ -14,12 +14,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    NO_REQUEST,
+    PLAN_REGIONS,
     AllocationConfig,
     AllocationPlan,
     ConfigError,
     DataError,
     ItemRecord,
-    PlanEntry,
     Region,
     cost_of,
     id_order,
@@ -147,11 +148,13 @@ def metrics_report(
         raise DataError(f"buckets {buckets.shape} and labels {labels.shape} differ in shape")
     overall_auc = auc(scores, labels)
     curve, ap = pr_curve_and_auc(scores, labels)
+    # Rows grouped by bucket, in row order within each bucket.
+    values, group, counts = np.unique(buckets, return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
     per_bucket = []
-    for b in np.unique(buckets).tolist():
-        mine = buckets == b
-        if labels[mine].any():
-            per_bucket.append(BucketMetrics(b, *pr_metrics(scores[mine], labels[mine], threshold)))
+    for b, rows in zip(values.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+        if labels[rows].any():
+            per_bucket.append(BucketMetrics(b, *pr_metrics(scores[rows], labels[rows], threshold)))
     return MetricsReport(
         auc=overall_auc,
         pr_auc=ap,
@@ -241,20 +244,15 @@ def _baseline_plan(
 ) -> AllocationPlan:
     """A plan of grants in id order: funded entries in `region`, requesting
     their grant, and the rest Unfunded."""
-    grants = granted.tolist()
-    entries = tuple(
-        map(
-            PlanEntry,
-            ids,
-            [region if grant else Region.UNFUNDED for grant in grants],
-            grants,
-            [grant or None for grant in grants],
-        )
-    )
-    return AllocationPlan(
-        entries=entries,
-        total_allocated=int(granted.sum()),
-        total_cost=sum_costs(granted, config),
+    funded = granted > 0
+    return AllocationPlan.of_columns(
+        ids,
+        np.where(funded, PLAN_REGIONS.index(region), PLAN_REGIONS.index(Region.UNFUNDED)),
+        granted,
+        np.where(funded, granted, NO_REQUEST),
+        np.full(len(ids), np.nan),
+        int(granted.sum()),
+        sum_costs(granted, config),
     )
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import repeat
-from operator import attrgetter
+from itertools import compress, islice, repeat
+from operator import attrgetter, eq, lt
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -222,25 +222,32 @@ def serve_round(
     accumulates. A plan naming an unknown item, or one item twice, is refused.
     """
     by_id = {lat.id: lat for lat in latents}
-    entries = sorted(plan.entries, key=attrgetter("item_id"))
-    previous = None
-    for entry in entries:
-        if entry.item_id not in by_id:
-            raise DataError(f"plan references unknown item {entry.item_id}")
-        if entry.item_id == previous:
-            raise DataError(f"duplicate plan entry for item {entry.item_id}")
-        previous = entry.item_id
-    entries = [entry for entry in entries if entry.granted != 0]
-    n = len(entries)
-    served = np.fromiter((e.granted for e in entries), np.int64, n)
-    probs = np.fromiter((by_id[e.item_id].engagement_prob for e in entries), float, n)
-    thresholds = np.fromiter((by_id[e.item_id].true_threshold for e in entries), float, n)
+    ids, served = plan.ids, plan.granted
+    # A plan whose rows are in id order, as every producer's are, needs no sort.
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, served = [ids[k] for k in order], served[order]
+    # Sorted, a repeated id sits next to itself.
+    if any(map(eq, ids, islice(ids, 1, None))) or not all(map(by_id.__contains__, ids)):
+        previous = None
+        for item_id in ids:
+            if item_id not in by_id:
+                raise DataError(f"plan references unknown item {item_id}")
+            if item_id == previous:
+                raise DataError(f"duplicate plan entry for item {item_id}")
+            previous = item_id
+    funded = served != 0
+    ids = list(compress(ids, funded.tolist()))
+    served = served[funded]
+    items = list(map(by_id.__getitem__, ids))
+    probs = np.fromiter(map(attrgetter("engagement_prob"), items), float, len(items))
+    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
     positives, found = serve_columns(config, round_index, served, probs, thresholds)
     return list(
         map(
             Observation,
             repeat(round_index),
-            [e.item_id for e in entries],
+            ids,
             served.tolist(),
             positives.tolist(),
             found.tolist(),

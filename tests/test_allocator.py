@@ -512,6 +512,8 @@ def assert_matches_scalar_reference(records, model, config, schema, growth=None)
     for e in plan.entries:
         region, granted, requested, p = expected[e.item_id]
         assert (e.region, e.granted, e.requested) == (region, granted, requested)
+        assert type(e.granted) is int and type(e.p_at_maxcap) is float
+        assert e.requested is None or type(e.requested) is int
         # The batched dot product may round its last bit differently.
         assert abs(e.p_at_maxcap - p) <= 1e-15
     assert plan.total_allocated == sum(v[1] for v in expected.values())

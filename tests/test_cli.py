@@ -787,6 +787,57 @@ def test_path_of_the_wrong_kind_exits_3(tmp_path, trained_model_file, argv, mess
     assert err.startswith("data error: [Errno") and message in err
 
 
+@pytest.fixture
+def duplicate_id_corpus(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    save_corpus([make_record("a", [0.0, 0.0, 0.0, 0.0])] * 2, path)
+    return path
+
+
+@pytest.fixture
+def single_class_set(tmp_path):
+    path = tmp_path / "one_class.npz"
+    save_examples(TrainingSet(np.zeros((4, 4)), np.zeros(4, np.int64), np.ones(4, np.int64)), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["allocate", "--corpus", "{tmp}/nope.jsonl", "--model", "{tmp}/nope.json"], 3),
+        (["allocate", "--corpus", "{twice}", "--model", "{model}"], 3),
+        (["allocate", "--corpus", "{twice}", "--model", "{model}", "--cf-low", "0.9"], 2),
+        (["train", "--train-set", "{tmp}/nope.npz"], 3),
+        (["train", "--train-set", "{one_class}"], 3),
+        (["eval", "--model", "{model}", "--examples", "{tmp}/nope.npz"], 3),
+        (["eval", "--model", "{model}", "--examples", "{one_class}", "--threshold", "2"], 2),
+        (["simulate", "--items", "0"], 2),
+        (["experiment", "--items", "0", "--rounds", "1"], 2),
+        (["experiment", "--strategies", "greedy"], 2),
+    ],
+    ids=["allocate-missing-corpus", "allocate-duplicate-ids", "allocate-bad-config",
+         "train-missing-set", "train-one-class", "eval-missing-set", "eval-bad-threshold",
+         "simulate-bad-config", "experiment-bad-config", "experiment-unknown-strategy"],
+)
+def test_refused_command_leaves_no_out_dir(
+    tmp_path, trained_model_file, duplicate_id_corpus, single_class_set, argv, code
+):
+    argv = [
+        a.format(tmp=tmp_path, model=trained_model_file, twice=duplicate_id_corpus,
+                 one_class=single_class_set)
+        for a in argv
+    ]
+    out = tmp_path / "out" / "nested"
+    assert run(*argv, "--out-dir", str(out)) == code
+    assert not (tmp_path / "out").exists()
+    # A directory that was there already is left as it was.
+    out.mkdir(parents=True)
+    (out / "kept.txt").write_text("kept")
+    assert run(*argv, "--out-dir", str(out)) == code
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept"
+
+
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))

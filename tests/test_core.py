@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coldstart_explore.core import (
+    NO_REQUEST,
+    PLAN_REGIONS,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -356,6 +358,191 @@ class TestVerifyPlan:
         )
         with pytest.raises(DataError, match="duplicate plan entry for item a"):
             verify_plan(plan, config)
+
+
+def verify_plan_reference(plan, config):
+    """The loop over the plan entries that verify_plan replaced."""
+    allocated = 0
+    cost = 0.0
+    seen = set()
+    for entry in plan.entries:
+        if entry.item_id in seen:
+            raise DataError(f"duplicate plan entry for item {entry.item_id}")
+        seen.add(entry.item_id)
+        if entry.granted == 0:
+            if entry.region is not Region.UNFUNDED:
+                raise DataError(f"zero grant must be Unfunded: {entry.item_id}")
+        else:
+            if entry.region is Region.UNFUNDED:
+                raise DataError(f"Unfunded entry with traffic: {entry.item_id}")
+            if not config.min_cap <= entry.granted <= config.max_cap:
+                raise DataError(
+                    f"grant outside [MinCap, MaxCap]: {entry.item_id} -> {entry.granted}"
+                )
+        allocated += entry.granted
+        cost += cost_of(entry.granted, config)
+    if allocated != plan.total_allocated:
+        raise DataError("total_allocated does not match entries")
+    if not math.isclose(cost, plan.total_cost, rel_tol=1e-9, abs_tol=1e-9):
+        raise DataError("total_cost does not match entries")
+    if allocated > config.total_budget:
+        raise DataError("plan exceeds traffic budget")
+    if cost > config.max_cost + 1e-9:
+        raise DataError("plan exceeds cost budget")
+
+
+def plan_twins(rows, config, total_allocated=None, total_cost=None):
+    """A plan of (id, region, granted) rows built from entries, and the same
+    plan built from columns. The totals default to the rows' own."""
+    entries = tuple(
+        PlanEntry(i, region, g, g or None, 0.5 if g else None) for i, region, g in rows
+    )
+    if total_allocated is None:
+        total_allocated = sum(g for _, _, g in rows)
+    if total_cost is None:
+        total_cost = sum((cost_of(max(g, 0), config) for _, _, g in rows), 0.0)
+    granted = np.array([g for _, _, g in rows], dtype=np.int64)
+    columns = AllocationPlan.of_columns(
+        [i for i, _, _ in rows],
+        [PLAN_REGIONS.index(region) for _, region, _ in rows],
+        granted,
+        np.where(granted != 0, granted, NO_REQUEST),
+        np.where(granted != 0, 0.5, np.nan),
+        total_allocated,
+        total_cost,
+    )
+    return AllocationPlan(entries, total_allocated, total_cost), columns
+
+
+def refusal(check, plan, config):
+    """The message of the DataError check(plan, config) raises, or None."""
+    try:
+        check(plan, config)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+H, U, N = Region.HIGH, Region.UNIFORM, Region.UNFUNDED
+
+
+def unpriced_at_101(traffic):
+    """A cost function that refuses one grant inside the default caps: a row
+    after a bad row must not reach it."""
+    if traffic == 101:
+        raise DataError("no price for 101 impressions")
+    return 0.01 * traffic
+
+
+class TestVerifyColumnPlan:
+    @pytest.mark.parametrize(
+        "rows, totals, config, message",
+        [
+            ([("a", H, 100), ("b", N, 0)], {}, cfg(), None),
+            ([("a", H, 100), ("b", N, 0), ("a", N, 0)], {}, cfg(),
+             "duplicate plan entry for item a"),
+            ([("a", H, 100), ("b", U, 0)], {}, cfg(), "zero grant must be Unfunded: b"),
+            ([("a", N, 100)], {}, cfg(), "Unfunded entry with traffic: a"),
+            ([("a", H, 100), ("b", U, 99)], {}, cfg(),
+             "grant outside [MinCap, MaxCap]: b -> 99"),
+            ([("a", H, 1601)], {}, cfg(), "grant outside [MinCap, MaxCap]: a -> 1601"),
+            ([("a", H, 100)], {"total_allocated": 150}, cfg(),
+             "total_allocated does not match entries"),
+            ([("a", H, 100)], {"total_cost": 1.5}, cfg(), "total_cost does not match entries"),
+            ([("a", H, 1600)], {}, cfg(total_budget=1000), "plan exceeds traffic budget"),
+            ([("a", H, 1600)], {}, cfg(max_cost=1.0), "plan exceeds cost budget"),
+            # A negative grant inside the caps of a config that allows it is
+            # refused by cost_of.
+            ([("a", H, -1)], {}, cfg(min_cap=-10), "traffic must be non-negative"),
+            # The first bad row decides, whatever its refusal; a totals check
+            # comes after every row.
+            ([("a", H, 100), ("b", N, 100), ("a", U, 0)], {"total_cost": 9.0}, cfg(),
+             "Unfunded entry with traffic: b"),
+            ([("c", U, 0), ("c", U, 0)], {"total_allocated": 1}, cfg(),
+             "zero grant must be Unfunded: c"),
+        ],
+        ids=["passes", "duplicate", "zero-grant-funded", "unfunded-with-traffic",
+             "below-min-cap", "above-max-cap", "total-allocated", "total-cost",
+             "over-budget", "over-cost", "negative", "first-bad-row", "first-bad-row-2"],
+    )
+    def test_same_refusal_as_the_entry_loop(self, rows, totals, config, message):
+        by_entries, by_columns = plan_twins(rows, config, **totals)
+        assert by_entries == by_columns
+        for plan in (by_entries, by_columns):
+            assert refusal(verify_plan, plan, config) == message
+            assert refusal(verify_plan_reference, plan, config) == message
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcd"),
+                st.sampled_from(PLAN_REGIONS),
+                st.sampled_from([0, 0, 50, 100, 101, 1600, 1601]),
+            ),
+            max_size=8,
+        ),
+        st.integers(0, 5000),
+        st.floats(0.5, 60.0),
+        st.sampled_from([None, -100, 1]),
+        st.sampled_from([None, 0.0, 1e-12, 1.0]),
+        st.sampled_from([None, lambda t: 1e-5 * t * t, unpriced_at_101]),
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_property_same_refusal_as_the_entry_loop(
+        self, rows, budget, max_cost, allocated_off, cost_off, cost_fn
+    ):
+        config = cfg(total_budget=budget, max_cost=max_cost, cost_fn=cost_fn)
+        # unpriced_at_101 costs what the linear default costs, where it prices.
+        priced = cfg() if cost_fn is unpriced_at_101 else config
+        by_entries, by_columns = plan_twins(rows, priced)
+        totals = {}
+        if allocated_off is not None:
+            totals["total_allocated"] = by_entries.total_allocated + allocated_off
+        if cost_off is not None:
+            totals["total_cost"] = by_entries.total_cost + cost_off
+        by_entries, by_columns = plan_twins(rows, priced, **totals)
+        message = refusal(verify_plan_reference, by_entries, config)
+        assert refusal(verify_plan, by_entries, config) == message
+        assert refusal(verify_plan, by_columns, config) == message
+
+    def test_entries_are_built_once_from_the_columns(self):
+        config = cfg()
+        by_entries, by_columns = plan_twins([("b", U, 100), ("a", N, 0)], config)
+        entries = by_columns.entries
+        assert entries is by_columns.entries
+        assert entries == by_entries.entries == (
+            PlanEntry("b", U, 100, 100, 0.5),
+            PlanEntry("a", N, 0, None, None),
+        )
+        assert type(entries[0].granted) is int and type(entries[0].requested) is int
+        assert type(entries[0].p_at_maxcap) is float
+        assert AllocationPlan(entries, 100, by_columns.total_cost) == by_columns
+
+    def test_plan_is_immutable_and_unequal_to_another_plan(self):
+        config = cfg()
+        plan, _ = plan_twins([("a", H, 100)], config)
+        with pytest.raises(AttributeError):
+            plan.total_cost = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.granted[0] = 200
+        other, _ = plan_twins([("a", H, 200)], config)
+        assert plan != other
+        assert plan != plan_twins([("a", H, 100)], config, total_cost=2.0)[0]
+
+    def test_columns_of_different_lengths_refused(self):
+        with pytest.raises(DataError, match="plan columns differ in length"):
+            AllocationPlan.of_columns(["a", "b"], [0], [100], [100], [0.5], 100, 1.0)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (PlanEntry("a", H, 100.5, 100), "plan granted must be integers, not float64"),
+            (PlanEntry("a", H, 100, 100.0), "plan requested must be integers, not float64"),
+        ],
+    )
+    def test_fractional_grant_or_request_refused_not_truncated(self, entry, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            AllocationPlan([entry], 100, 1.0)
 
 
 NOT_A_NUMBER = "features must be a flat list of numbers; "

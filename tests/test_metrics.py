@@ -590,6 +590,12 @@ def reference_oracle_allocate(latents, config):
 def assert_same_plan(got, expected):
     assert got == expected
     assert repr(got.total_cost) == repr(expected.total_cost)
+    # The entries the plan builds from its columns, field for field and type
+    # for type: ints, and None for no request and no p_at_maxcap.
+    assert got.entries == expected.entries
+    for e in got.entries:
+        assert type(e.granted) is int and e.p_at_maxcap is None
+        assert e.requested is None if e.granted == 0 else type(e.requested) is int
 
 
 COST_FNS = {

@@ -473,9 +473,13 @@ def serve_round_reference(latents, plan, config, round_index=0):
     by_id = {lat.id: lat for lat in latents}
     rng = np.random.default_rng([config.seed, round_index, simulator._SERVE_STREAM])
     observations = []
+    previous = None
     for entry in sorted(plan.entries, key=lambda e: e.item_id):
         if entry.item_id not in by_id:
             raise DataError(f"plan references unknown item {entry.item_id}")
+        if entry.item_id == previous:
+            raise DataError(f"duplicate plan entry for item {entry.item_id}")
+        previous = entry.item_id
         if entry.granted == 0:
             continue
         lat = by_id[entry.item_id]
@@ -660,6 +664,31 @@ class TestArrayLoopsMatchPerItemReference:
             assert got == serve_round_reference(latents, plan, config, 2)
             assert all(type(o.positive_events) is int for o in got)
             assert all(type(o.discovered) is bool for o in got)
+
+    @pytest.mark.parametrize(
+        "plan_ids, message",
+        [
+            # Sorted, "a" repeats before the unknown "b" comes.
+            (["d", "b", "a", "c", "a"], "duplicate plan entry for item a"),
+            (["d", "b", "a", "d"], "plan references unknown item b"),
+            # An unknown id given twice is refused as unknown.
+            (["c", "b", "b"], "plan references unknown item b"),
+            (["c", "a", "c", "a"], "duplicate plan entry for item a"),
+        ],
+    )
+    def test_serve_round_refuses_in_id_order(self, plan_ids, message):
+        latents = [
+            LatentItem(id=i, quality=0.0, true_threshold=50.0, engagement_prob=0.5)
+            for i in "acd"
+        ]
+        by_id = {lat.id: lat for lat in latents}
+        ghost = LatentItem(id="b", quality=0.0, true_threshold=50.0, engagement_prob=0.5)
+        plan = plan_for([by_id.get(i, ghost) for i in plan_ids], [100] * len(plan_ids))
+        config = SimConfig(seed=0)
+        for serve in (serve_round, serve_round_reference):
+            with pytest.raises(DataError) as refused:
+                serve(latents, plan, config, 0)
+            assert str(refused.value) == message
 
     def test_serve_round_of_nothing_funded(self):
         config = SimConfig(seed=1, items_per_round=20)
