@@ -39,7 +39,6 @@ from .model import (
     gradient,
     invert_cap,
     load_model,
-    monotone_curve,
     monotone_curves,
     predict,
     predict_curve,

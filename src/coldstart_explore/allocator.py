@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +43,9 @@ from .model import DiscoverabilityModel, monotone_curves, predict_curves
 #: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes of the array code: a code indexes REGIONS, and codes the same
-# region in an AllocationPlan. Unfunded is not a region an item is classified
-# into; it marks plan entries granted nothing.
-REGIONS = PLAN_REGIONS[:4]  # High, Moderate, Low, Unfunded
+# Region codes: a code indexes PLAN_REGIONS, as a plan's region column does.
+# Unfunded is not a region an item is classified into; it marks plan rows
+# granted nothing.
 _HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
 
 
@@ -161,6 +160,7 @@ def _drop_for_cost(
 
 
 def _score(
+    ids: Sequence[str],
     features: np.ndarray,
     model: DiscoverabilityModel,
     config: AllocationConfig,
@@ -171,31 +171,32 @@ def _score(
     The cap is the first bucket whose smoothed probability reaches cf_high,
     clamped into [min_cap, max_cap] as invert_cap does; it is meaningful only
     for High rows, whose curves end above cf_high.
+
+    Finite but huge features can overflow an item's score (its features times
+    the static weights, plus the bias) to an infinity, or to NaN where
+    overflows of both signs meet, and a NaN curve passes every region test.
+    Such an item is refused with a DataError naming it.
     """
     n = len(features)
     p_at_maxcap = np.empty(n)
     first_bucket = np.empty(n, dtype=np.intp)
     for start in range(0, n, SCORE_BLOCK_ROWS):
         rows = slice(start, start + SCORE_BLOCK_ROWS)
-        curves = monotone_curves(predict_curves(model, features[rows]))
+        block = features[rows]
+        # predict_curves checks the block's shape, then forms the same score.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = predict_curves(model, block)
+            fits = np.isfinite(block @ model.weights[: model.feature_dim] + model.bias)
+        if not fits.all():
+            item_id = ids[start + int(np.argmin(fits))]
+            raise DataError(f"the features of item {item_id} overflow the model's score")
+        curves = monotone_curves(raw)
         p_at_maxcap[rows] = curves[:, -1]
         first_bucket[rows] = np.argmax(curves >= config.cf_high, axis=1)
     caps = np.clip(
         np.asarray(schema.representative)[first_bucket], config.min_cap, config.max_cap
     )
     return p_at_maxcap, caps
-
-
-class PlanColumns(NamedTuple):
-    """An allocation as columns over the candidates, in id order: the plan
-    that allocate, plan.csv and summary.json are built from."""
-
-    ids: Sequence[str]
-    region: np.ndarray  # region code (indexes REGIONS) each item is classified into
-    granted: np.ndarray
-    requested: np.ndarray  # meaningful for High and Moderate items only
-    p_at_maxcap: np.ndarray
-    total_cost: float
 
 
 def plan_columns(
@@ -205,15 +206,16 @@ def plan_columns(
     config: AllocationConfig,
     schema: BucketSchema,
     growth: GrowthStats | None = None,
-) -> PlanColumns:
+) -> AllocationPlan:
     """The allocation of candidates given in id order: the kernel of allocate.
 
     Row i of `features` is the model input of item ids[i], so it ends with
     the engagement block [positive_rate, log1p(impressions)]; the rate
     column weights the Low water-fill and orders the Low items' drops when
-    the cost ceiling binds.
+    the cost ceiling binds. The plan's rows are the candidates in that
+    order: an item granted nothing is Unfunded, and a Low item has no request.
     """
-    p_at_maxcap, caps = _score(features, model, config, schema)
+    p_at_maxcap, caps = _score(ids, features, model, config, schema)
     region = _classify(p_at_maxcap, config)
     requested = np.where(region == _HIGH, caps, config.max_cap)
 
@@ -241,7 +243,15 @@ def plan_columns(
     if not total_cost <= config.max_cost:
         _drop_for_cost(granted, region, features[:, -2], total_cost, config)
         total_cost = sum_costs(granted, config)
-    return PlanColumns(ids, region, granted, requested, p_at_maxcap, total_cost)
+    return AllocationPlan.of_columns(
+        ids,
+        np.where(granted > 0, region, _UNFUNDED),
+        granted,
+        np.where(region == _LOW, NO_REQUEST, requested),
+        p_at_maxcap,
+        int(granted.sum()),
+        total_cost,
+    )
 
 
 def plan_corpus(
@@ -250,12 +260,12 @@ def plan_corpus(
     config: AllocationConfig,
     schema: BucketSchema,
     growth: GrowthStats | None = None,
-) -> PlanColumns:
-    """The plan of allocate, as columns: its checks, then plan_columns over
-    the corpus in Python's str order of the ids.
+) -> AllocationPlan:
+    """The allocation of a corpus: its checks, then plan_columns over the
+    items in Python's str order of their ids.
 
     Refuses an invalid config, a model trained on another schema, duplicate
-    ids and a non-finite model input, naming the item.
+    ids, a non-finite model input and a score that overflows, naming the item.
     """
     validate_config(config, schema)
     if model.schema != schema:
@@ -269,15 +279,6 @@ def plan_corpus(
     if not finite.all():
         raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
     return plan_columns(ids, features, model, config, schema, growth)
-
-
-def _entry_columns(plan: PlanColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's region code as a plan entry has it, Unfunded where nothing
-    was granted, and its request, NO_REQUEST for a Low item."""
-    return (
-        np.where(plan.granted > 0, plan.region, _UNFUNDED),
-        np.where(plan.region == _LOW, NO_REQUEST, plan.requested),
-    )
 
 
 def allocate(
@@ -302,39 +303,27 @@ def allocate(
     ceiling binds, _drop_for_cost's drop order decides the plan, and the count
     is not guaranteed maximal.
 
-    plan_corpus checks the corpus and plan_columns does the work on arrays
-    over it, from scores to grants.
+    This is plan_corpus over the records as columns.
     """
-    plan = plan_corpus(Corpus.of(corpus), model, config, schema, growth)
-    region, requested = _entry_columns(plan)
-    return AllocationPlan.of_columns(
-        plan.ids,
-        region,
-        plan.granted,
-        requested,
-        plan.p_at_maxcap,
-        int(plan.granted.sum()),
-        plan.total_cost,
-    )
+    return plan_corpus(Corpus.of(corpus), model, config, schema, growth)
 
 
 # ---------------------------------------------------------------------------
 # Plan export
 # ---------------------------------------------------------------------------
 
-_REGION_NAMES = tuple(region.value for region in REGIONS)
+_REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
 
 
-def write_plan_csv(plan: PlanColumns, path: str | Path) -> None:
+def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
     """The plan file: a CSV of item_id, region, granted, requested, p_at_maxcap."""
-    region, requested = _entry_columns(plan)
     write_csv(
         ("item_id", "region", "granted", "requested", "p_at_maxcap"),
         zip(
             plan.ids,
-            map(_REGION_NAMES.__getitem__, region.tolist()),
+            map(_REGION_NAMES.__getitem__, plan.region.tolist()),
             plan.granted.tolist(),
-            none_where(requested, requested == NO_REQUEST),
+            none_where(plan.requested, plan.requested == NO_REQUEST),
             plan.p_at_maxcap.tolist(),
         ),
         path,
@@ -342,27 +331,26 @@ def write_plan_csv(plan: PlanColumns, path: str | Path) -> None:
 
 
 def plan_summary(
-    plan: PlanColumns,
+    plan: AllocationPlan,
     config: AllocationConfig,
     adapted_low_fraction: float | None = None,
 ) -> dict:
     """The plan summary: counts per region after and before funding, totals
-    and utilizations. The counts before funding keep Low items deferred below
-    min_cap visible."""
-    funded = np.bincount(_entry_columns(plan)[0], minlength=len(REGIONS))
-    classified = np.bincount(plan.region, minlength=3)
-    total_allocated = int(plan.granted.sum())
+    and utilizations. The counts before funding classify every item again
+    from its p_at_maxcap, so Low items deferred below min_cap stay visible."""
+    funded = np.bincount(plan.region)
+    classified = np.bincount(_classify(plan.p_at_maxcap, config), minlength=3)
     summary = {
         "items": len(plan.ids),
         "region_counts": {
             name: count for name, count in zip(_REGION_NAMES, funded.tolist()) if count
         },
         "classified_counts": dict(zip(_REGION_NAMES[:3], classified.tolist())),
-        "total_allocated": total_allocated,
+        "total_allocated": plan.total_allocated,
         "total_cost": plan.total_cost,
         "budget": config.total_budget,
         "budget_utilization": (
-            total_allocated / config.total_budget if config.total_budget else 0.0
+            plan.total_allocated / config.total_budget if config.total_budget else 0.0
         ),
         "cost_utilization": plan.total_cost / config.max_cost,
     }

@@ -1,9 +1,9 @@
 """Shared domain types and file formats.
 
-Immutable item, engagement, bucket, config and plan records; the corpus as
-columns (`Corpus`); the checks and the cost, bucket and model-input functions
-the modules share; and the one reader and writer of each file kind, with
-`FeatureRows`, which gathers a corpus file's feature rows as they are read.
+Immutable item, engagement, bucket and config records; the corpus and the
+allocation plan as columns; the checks and the cost, bucket and model-input
+functions the modules share; and the one reader and writer of each file kind,
+with `FeatureRows`, which gathers a corpus file's feature rows as they are read.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ class Corpus:
             static_matrix(records),
             np.fromiter((s.impressions for s in engagement), np.int64, n),
             np.fromiter((s.positive_events for s in engagement), np.int64, n),
-        )
-
-    def records(self) -> list[ItemRecord]:
-        """One ItemRecord per row; each record's features are a read-only row of the matrix."""
-        return list(
-            map(
-                ItemRecord,
-                self.ids,
-                self.features,
-                map(EngagementStats, self.impressions.tolist(), self.positive_events.tolist()),
-            )
         )
 
 
@@ -350,7 +339,7 @@ def bucket_of(traffic, schema: BucketSchema):
     """Bucket index for a traffic level, or an array of them for an array of
     levels; beyond the last edge clamps to the last bucket."""
     traffic = np.asarray(traffic)
-    if (traffic < 0).any():
+    if not (traffic >= 0).all():  # also true for NaN
         raise DataError("traffic must be non-negative")
     bucket = np.minimum(
         np.searchsorted(schema.edges, traffic, side="right") - 1, schema.n_buckets - 1
@@ -360,7 +349,7 @@ def bucket_of(traffic, schema: BucketSchema):
 
 def cost_of(traffic: int, config: AllocationConfig) -> float:
     """Exploration cost of a traffic level under the config's cost model."""
-    if traffic < 0:
+    if not traffic >= 0:  # also true for NaN
         raise DataError("traffic must be non-negative")
     if config.cost_fn is not None:
         return float(config.cost_fn(traffic))
@@ -504,28 +493,18 @@ def _repeats(ids: Sequence[str]) -> np.ndarray:
     return repeated
 
 
-def engagement_features(stats: EngagementStats) -> np.ndarray:
-    """The engagement block of one item: [positive_rate, log1p(impressions)]."""
-    return np.array([stats.positive_rate, math.log1p(stats.impressions)])
-
-
 def engagement_block(impressions: np.ndarray, positive_events: np.ndarray) -> np.ndarray:
     """The engagement block of many items from their integer count columns.
 
-    Row k equals engagement_features(EngagementStats(impressions[k],
-    positive_events[k])): the float64 quotient of two integers is the same
-    correctly rounded value as Python's, and log1p is math.log1p, whose last
-    bit np.log1p need not match.
+    Row k is [positive_rate, log1p(impressions)] of an item with those
+    counts, as EngagementStats gives the rate: the float64 quotient of two
+    integers is the same correctly rounded value as Python's, and log1p is
+    math.log1p, whose last bit np.log1p need not match.
     """
     rate = np.zeros(len(impressions))
     np.divide(positive_events, impressions, out=rate, where=impressions > 0)
     log_impressions = np.fromiter(map(math.log1p, impressions), float, len(impressions))
     return np.column_stack([rate, log_impressions])
-
-
-def item_feature_vector(record: ItemRecord) -> np.ndarray:
-    """Model input for one item: static features followed by the engagement block."""
-    return np.concatenate([record.features, engagement_features(record.engagement)])
 
 
 def static_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
@@ -728,11 +707,6 @@ def read_corpus(path: str | Path) -> Corpus:
 def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:
     """Write items as the corpus file (see write_corpus)."""
     write_corpus(Corpus.of(list(records)), path)
-
-
-def load_corpus(path: str | Path) -> list[ItemRecord]:
-    """The corpus file (see read_corpus) as records, in file order."""
-    return read_corpus(path).records()
 
 
 def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:

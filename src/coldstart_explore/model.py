@@ -241,11 +241,12 @@ def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarr
 
 
 def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
-    """P(discoverable) at every bucket for many items: row i is predict_curve of row i.
+    """P(discoverable) at every bucket for many items, one row each.
 
     One matrix-vector product scores the static features of every row, so a
     row can differ from predict_curve in the last bit of its dot product
     (summation order); everything after the dot product is the same arithmetic.
+    Huge features can overflow a score; the allocator refuses such an item.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
@@ -277,47 +278,19 @@ def gradient(
     return residual * x_full, residual
 
 
-def monotone_curve(curve: np.ndarray) -> np.ndarray:
-    """Non-decreasing least-squares fit of a bucket curve (pool adjacent violators).
-
-    Returns the input unchanged (as a copy) when it is already non-decreasing.
-    Idempotent.
-    """
-    values = np.asarray(curve, dtype=float)
-    if values.ndim != 1 or len(values) == 0:
-        raise DataError("curve must be a non-empty vector")
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise DataError("curve values must lie in [0, 1]")
-    # blocks of (total, count); merge backwards while means decrease
-    totals: list[float] = []
-    counts: list[int] = []
-    for v in values:
-        totals.append(float(v))
-        counts.append(1)
-        while len(totals) > 1 and totals[-2] / counts[-2] > totals[-1] / counts[-1]:
-            totals[-2] += totals[-1]
-            counts[-2] += counts[-1]
-            totals.pop()
-            counts.pop()
-    out = np.empty_like(values)
-    pos = 0
-    for total, count in zip(totals, counts):
-        out[pos : pos + count] = total / count
-        pos += count
-    return out
-
-
 def monotone_curves(curves: np.ndarray) -> np.ndarray:
-    """monotone_curve applied to every row of a matrix, bit for bit.
+    """Non-decreasing least-squares fit of every row of a matrix of bucket
+    curves (pool adjacent violators); a non-decreasing row comes back unchanged.
 
-    Pool adjacent violators runs on all rows at once: each row keeps its own
-    stack of blocks (total, count), and every row goes through the same pushes,
-    merges and divisions, in the same order, as monotone_curve does for it.
+    Each row keeps its own stack of blocks (total, count): a value is pushed
+    as a block, then the last two merge while their means decrease. All rows
+    run at once, each through the pushes, merges and divisions, in the same
+    order, that a loop over its values alone would make.
     """
     values = np.asarray(curves, dtype=float)
     if values.ndim != 2 or values.shape[1] == 0:
         raise DataError("curves must be a matrix with at least one bucket")
-    if np.any(values < 0.0) or np.any(values > 1.0):
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # also false for NaN
         raise DataError("curve values must lie in [0, 1]")
     n, k = values.shape
     rows = np.arange(n)
@@ -367,8 +340,8 @@ def invert_cap(
         raise DataError("curve length must equal the bucket count")
     if not 0.0 < cf < 1.0:
         raise ConfigError("confidence level must lie strictly inside (0, 1)")
-    if np.any(np.diff(values) < 0.0):
-        raise DataError("curve is not non-decreasing; apply monotone_curve first")
+    if not (np.diff(values) >= 0.0).all():  # also false for NaN
+        raise DataError("curve is not non-decreasing; apply monotone_curves first")
     qualifying = np.nonzero(values >= cf)[0]
     if len(qualifying) == 0:
         return None

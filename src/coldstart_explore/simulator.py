@@ -26,10 +26,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .allocator import REGIONS, plan_columns
+from .allocator import plan_columns
 from .core import (
     JSON_NULL,
     NUMBER,
+    PLAN_REGIONS,
     STRING,
     AllocationConfig,
     AllocationPlan,
@@ -388,7 +389,8 @@ def run_experiment(
 
     The loop keeps its state as columns and calls the kernels behind the
     per-item functions: draw_columns, uniform_grants, oracle_grants,
-    training_columns, plan_columns and serve_columns.
+    training_columns and serve_columns, and plan_columns, whose column
+    AllocationPlan gives a model round its grants and regions.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -436,7 +438,7 @@ def run_experiment(
             candidate_ids = [ids[k] for k in rows.tolist()]
             plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
             granted, total_cost = plan.granted, plan.total_cost
-            names = [REGIONS[code].value for code in plan.region[granted > 0].tolist()]
+            names = [PLAN_REGIONS[code].value for code in plan.region[granted > 0].tolist()]
         else:
             granted = uniform_grants(len(rows), alloc_config)
             total_cost = sum_costs(granted, alloc_config)
@@ -499,18 +501,6 @@ class LatentColumns(NamedTuple):
     true_threshold: np.ndarray  # inf = never discoverable
     engagement_prob: np.ndarray
 
-    @classmethod
-    def of(cls, latents: Sequence[LatentItem]) -> "LatentColumns":
-        """The latent items as columns, in their order."""
-        n = len(latents)
-        return cls(
-            [lat.id for lat in latents],
-            *(
-                np.fromiter(map(attrgetter(name), latents), float, n)
-                for name in ("quality", "true_threshold", "engagement_prob")
-            ),
-        )
-
     def items(self) -> list[LatentItem]:
         """One LatentItem per row."""
         return list(
@@ -565,11 +555,6 @@ def read_latents(path: str | Path) -> LatentColumns:
     rows = read_jsonl(path, _latent_row, "latent record")
     values = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), 3)
     return LatentColumns([row[0] for row in rows], *values.T.copy())
-
-
-def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
-    """Write latent items as the latents file (see write_latents)."""
-    write_latents(LatentColumns.of(latents), path)
 
 
 def load_latents(path: str | Path) -> list[LatentItem]:

@@ -15,7 +15,9 @@ from coldstart_explore.allocator import (
     plan_summary,
 )
 from coldstart_explore.core import (
+    PLAN_REGIONS,
     AllocationConfig,
+    AllocationPlan,
     BucketSchema,
     ConfigError,
     Corpus,
@@ -25,11 +27,12 @@ from coldstart_explore.core import (
     Region,
     cost_of,
     geometric_schema,
-    item_feature_vector,
     verify_plan,
 )
-from coldstart_explore.model import invert_cap, monotone_curve, predict_curve
+from coldstart_explore.model import invert_cap, predict_curve
+from coldstart_explore.simulator import SimConfig, generate_corpus, serve_round
 from conftest import make_model, make_record
+from per_item import item_feature_vector, monotone_curve
 from test_acceptance import _greedy_instance, random_valid_instance
 
 SCHEMA = geometric_schema()
@@ -51,7 +54,7 @@ def cfg(**overrides) -> AllocationConfig:
 
 
 def region_of(p_at_maxcap: float) -> Region:
-    return allocator.REGIONS[int(allocator._classify(np.array([p_at_maxcap]), cfg())[0])]
+    return PLAN_REGIONS[int(allocator._classify(np.array([p_at_maxcap]), cfg())[0])]
 
 
 class TestClassifyRegion:
@@ -79,7 +82,7 @@ class TestClassifyRegion:
                 if p < 0.2
                 else Region.MODERATE
             )
-            assert allocator.REGIONS[code] is expected
+            assert PLAN_REGIONS[code] is expected
 
 
 def request_of(bucket_logits) -> tuple[Region, int]:
@@ -87,7 +90,7 @@ def request_of(bucket_logits) -> tuple[Region, int]:
     sigmoid of bucket_logits, on SCHEMA3."""
     model = make_model(SCHEMA3, [0.0, 0.0, 0.0], bucket_logits)
     plan = plan_columns(["a"], np.zeros((1, 3)), model, cfg(), SCHEMA3)
-    return allocator.REGIONS[int(plan.region[0])], int(plan.requested[0])
+    return PLAN_REGIONS[int(plan.region[0])], int(plan.requested[0])
 
 
 class TestRequestedTraffic:
@@ -585,6 +588,39 @@ class TestAllocateRejectsBadInput:
         model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
         with pytest.raises(DataError, match="dimension"):
             allocate([make_record("a", [1.0, 2.0])], model, cfg(), SCHEMA)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block_rows", [1, 4096])
+    def test_score_overflow_names_the_item(self, monkeypatch, block_rows):
+        # Both products, 2 * 1e308 and -2 * 1e308, overflow: the score is an
+        # infinity, or NaN where the two meet, and a NaN curve would pass every
+        # region test. No RuntimeWarning escapes the refusal.
+        monkeypatch.setattr(allocator, "SCORE_BLOCK_ROWS", block_rows)
+        model = make_model(SCHEMA, [2.0, -2.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        corpus = Corpus(("a", "b", "c"), [[1.0, 1.0], [1e308, 1e308], [0.0, 1.0]], [0] * 3, [0] * 3)
+        with pytest.raises(DataError, match="features of item b overflow the model's score"):
+            plan_corpus(corpus, model, cfg(), SCHEMA)
+
+
+class TestPlanCorpusPlan:
+    def test_verified_and_served_as_it_is(self):
+        # plan_corpus's plan is what verify_plan checks and serve_round serves,
+        # with no conversion: serving it equals serving its entries.
+        sim = SimConfig(seed=3, items_per_round=400)
+        latents, records = generate_corpus(sim, 0)
+        model = make_model(SCHEMA, [0.5] * 8 + [2.0, 0.0], np.linspace(-2.0, 2.0, 6), -1.0)
+        config = cfg(total_budget=300_000, low_region_fraction=0.3, cf_low=0.3)
+        plan = plan_corpus(Corpus.of(records), model, config, SCHEMA)
+        assert type(plan) is AllocationPlan
+        verify_plan(plan, config)
+        funded = {e.region for e in plan.entries if e.granted > 0}
+        assert funded == {Region.HIGH, Region.MODERATE, Region.LOW}
+        observations = serve_round(latents, plan, sim, 0)
+        assert [(o.item_id, o.served) for o in observations] == [
+            (e.item_id, e.granted) for e in plan.entries if e.granted > 0
+        ]
+        entries_plan = AllocationPlan(plan.entries, plan.total_allocated, plan.total_cost)
+        assert serve_round(latents, entries_plan, sim, 0) == observations
 
 
 class TestPlanSummary:

@@ -17,7 +17,6 @@ from coldstart_explore.core import (
     Region,
     config_from_dict,
     geometric_schema,
-    load_corpus,
     read_json,
     save_corpus,
     write_json,
@@ -35,6 +34,7 @@ from coldstart_explore.model import (
     train,
 )
 from conftest import make_record
+from per_item import load_corpus, save_latents
 from test_model import (
     members_of,
     npy_bytes,
@@ -282,6 +282,21 @@ class TestAllocate:
         assert run("allocate", "--corpus", str(path), "--model", str(flat_model_file),
                    "--out-dir", str(tmp_path / "n")) == 3
         assert "nan.jsonl:1" in capsys.readouterr().err
+
+    def test_score_overflow_exits_3(self, tmp_path, capsys):
+        # Finite features whose score overflows are refused, not funded with
+        # a NaN p_at_maxcap, and no RuntimeWarning escapes.
+        from conftest import make_model
+        model_path = tmp_path / "model.json"
+        save_model(make_model(geometric_schema(), [2.0, -2.0, 0.0, 0.0], np.zeros(6)), model_path)
+        corpus = tmp_path / "huge.jsonl"
+        save_corpus([make_record("a", [1.0, 1.0]), make_record("b", [1e308, 1e308])], corpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("allocate", "--corpus", str(corpus), "--model", str(model_path),
+                       "--out-dir", str(tmp_path / "o")) == 3
+        assert "item b overflow" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "features", ["1.0", "[[1.0]]", "[[1.0], [1.0, 2.0]]", '"abc"'],
@@ -922,7 +937,7 @@ def test_simulate_writes_what_the_per_item_path_writes(tmp_path, rounds):
         latents += fresh_latents
         records += fresh_records
     save_corpus(records, tmp_path / "corpus.jsonl")
-    simulator.save_latents(latents, tmp_path / "latents.jsonl")
+    save_latents(latents, tmp_path / "latents.jsonl")
     corpus = (out / "corpus.jsonl").read_bytes()
     latent_truth = (out / "latents.jsonl").read_bytes()
     assert corpus == (tmp_path / "corpus.jsonl").read_bytes()

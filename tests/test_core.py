@@ -28,10 +28,7 @@ from coldstart_explore.core import (
     config_to_dict,
     cost_of,
     engagement_block,
-    engagement_features,
     geometric_schema,
-    item_feature_vector,
-    load_corpus,
     model_inputs,
     read_corpus,
     read_json,
@@ -55,6 +52,7 @@ from coldstart_explore.simulator import (
     read_latents,
     write_latents,
 )
+from per_item import engagement_features, item_feature_vector, load_corpus
 
 FOUR_BUCKETS = BucketSchema(edges=(0, 100, 200, 400), representative=(99, 199, 399, 1600))
 
@@ -90,6 +88,13 @@ class TestBucketOf:
     def test_negative_rejected(self):
         with pytest.raises(DataError):
             bucket_of(-1, FOUR_BUCKETS)
+
+    def test_nan_rejected(self):
+        # NaN compares false with every edge; it is no traffic, not the last bucket's.
+        with pytest.raises(DataError, match="non-negative"):
+            bucket_of(math.nan, FOUR_BUCKETS)
+        with pytest.raises(DataError, match="non-negative"):
+            bucket_of(np.array([100.0, math.nan]), FOUR_BUCKETS)
 
     @given(st.integers(0, 10**7), st.integers(0, 10**7))
     def test_monotone(self, a, b):
@@ -127,6 +132,11 @@ class TestCostOf:
         quadratic = cfg(cost_fn=lambda x: 0.001 * x * x)
         assert cost_of(100, quadratic) == pytest.approx(10.0)
         assert cost_of(0, quadratic) == 0.0
+
+    @pytest.mark.parametrize("cost_fn", [None, lambda x: 0.001 * x * x])
+    def test_nan_traffic_rejected(self, cost_fn):
+        with pytest.raises(DataError, match="non-negative"):
+            cost_of(math.nan, cfg(cost_fn=cost_fn))
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     def test_non_decreasing(self, a, b):
@@ -219,14 +229,14 @@ class TestItemFeatures:
             features=np.array([1.0, 2.0]),
             engagement=EngagementStats(impressions=99, positive_events=33),
         )
-        vec = item_feature_vector(rec)
+        vec = model_inputs(static_matrix([rec]), *engagement_columns([rec]))[0]
         assert vec.shape == (4,)
         assert vec[2] == pytest.approx(1 / 3)
         assert vec[3] == pytest.approx(math.log1p(99))
 
     def test_cold_item_engagement_block_is_zero(self):
         rec = ItemRecord(id="a", features=np.array([1.0]))
-        assert np.all(item_feature_vector(rec)[1:] == 0.0)
+        assert np.all(model_inputs(static_matrix([rec]), *engagement_columns([rec]))[0, 1:] == 0)
 
     def test_feature_matrix_rows_equal_item_feature_vector(self):
         rng = np.random.default_rng(3)
@@ -571,7 +581,7 @@ class TestCorpusFile:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "features": [1.0]}\n')
         with pytest.raises(DataError, match="corpus"):
-            load_corpus(path)
+            read_corpus(path)
 
     @pytest.mark.parametrize(
         "impressions, positive_events, name",
@@ -597,7 +607,7 @@ class TestCorpusFile:
         with pytest.raises(
             DataError, match=rf"corpus\.jsonl:2: .*{name} must be a non-negative integer"
         ):
-            load_corpus(path)
+            read_corpus(path)
 
 
     @pytest.mark.parametrize(
@@ -623,7 +633,7 @@ class TestCorpusFile:
         with pytest.raises(
             DataError, match=re.escape(f"corpus.jsonl:2: bad corpus record: {message}")
         ):
-            load_corpus(path)
+            read_corpus(path)
 
     def test_more_positive_events_than_impressions_refused_with_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -647,12 +657,6 @@ class TestCorpusFile:
             assert np.array_equal(column, getattr(corpus, name))
             assert not column.flags.writeable
         assert loaded.impressions.dtype == np.int64
-        records = loaded.records()
-        assert [r.engagement for r in records] == [
-            EngagementStats(0, 0), EngagementStats(5, 1), EngagementStats(9, 9),
-            EngagementStats(2, 0),
-        ]
-        assert np.array_equal(Corpus.of(records).features, features)
 
     def test_columns_must_line_up(self):
         with pytest.raises(DataError, match="columns differ in length"):
@@ -682,7 +686,7 @@ class TestCorpusFile:
             f'{{"id": "b", "features": [{token}], "impressions": 0, "positive_events": 0}}\n'
         )
         with pytest.raises(DataError, match=rf"corpus\.jsonl:2: .*{token}"):
-            load_corpus(path)
+            read_corpus(path)
 
     @pytest.mark.parametrize("literal, value", [("1e400", "inf"), ("-1e400", "-inf")])
     def test_overflowing_feature_refused_with_line(self, tmp_path, literal, value):

@@ -28,7 +28,6 @@ from coldstart_explore.model import (
     load_examples,
     load_model,
     model_to_dict,
-    monotone_curve,
     monotone_curves,
     predict,
     predict_curve,
@@ -44,6 +43,7 @@ from coldstart_explore.simulator import (
     serve_round,
 )
 from conftest import make_model
+from per_item import monotone_curve
 
 SCHEMA = geometric_schema()
 
@@ -587,6 +587,12 @@ class TestMonotoneCurves:
     def test_no_rows(self):
         assert monotone_curves(np.empty((0, 6))).shape == (0, 6)
 
+    def test_rejects_nan_rows(self):
+        curves = np.array([[0.1, 0.2, 0.3], [0.1, np.nan, 0.3], [np.nan] * 3])
+        for rows in (curves, curves[1:2], curves[2:]):
+            with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
+                monotone_curves(rows)
+
     def test_rejects_out_of_range_and_bad_shape(self):
         with pytest.raises(DataError):
             monotone_curves([[0.5, 1.5]])
@@ -627,6 +633,15 @@ class TestInvertCap:
     def test_cf_out_of_range(self):
         with pytest.raises(ConfigError):
             invert_cap(np.ones(4), 1.0, self.CONFIG, self.SCHEMA4)
+
+    @pytest.mark.parametrize(
+        "curve", [[0.1, np.nan, 0.7, 0.95], [np.nan] * 4], ids=["one-nan", "all-nan"]
+    )
+    def test_nan_curve_refused(self, curve):
+        # Every comparison with NaN is false, so NaN would pass a test for a
+        # decrease, and an all-NaN curve would read as one that never reaches cf.
+        with pytest.raises(DataError, match="apply monotone_curves first"):
+            invert_cap(np.array(curve), 0.6, self.CONFIG, self.SCHEMA4)
 
     def test_minimality_and_cf_monotonicity(self):
         rng = np.random.default_rng(5)

@@ -16,7 +16,6 @@ from coldstart_explore.core import (
     PlanEntry,
     Region,
     bucket_of,
-    engagement_features,
     geometric_schema,
     validate_config,
 )
@@ -37,11 +36,17 @@ from coldstart_explore.simulator import (
     read_latents,
     report_to_dict,
     run_experiment,
-    save_latents,
     serve_round,
     write_latents,
 )
 from conftest import make_record
+from per_item import (
+    engagement_features,
+    item_feature_vector,
+    latent_columns,
+    monotone_curve,
+    save_latents,
+)
 
 SCHEMA = geometric_schema()
 
@@ -318,9 +323,8 @@ class TestTrainedCurves:
     def test_raw_violations_flagged_smoothed_curves_invert(self):
         # Curves from a trained model need not be monotone in traffic; the
         # inversion refuses them raw and accepts the isotonic fit.
-        from coldstart_explore.core import item_feature_vector
         from coldstart_explore.metrics import uniform_allocate
-        from coldstart_explore.model import invert_cap, monotone_curve, predict_curve, train
+        from coldstart_explore.model import invert_cap, predict_curve, train
 
         sim = SimConfig(seed=20, items_per_round=400)
         config = cfg()
@@ -363,7 +367,7 @@ class TestLatentFile:
 
     @pytest.mark.parametrize("key", ["quality", "threshold", "engagement_prob"])
     def test_overflowing_literal_rejected_with_line(self, tmp_path, key):
-        # json decodes 1e400 to inf; save_latents writes an infinite
+        # json decodes 1e400 to inf; write_latents writes an infinite
         # threshold as null and never writes a non-finite number.
         row = {"engagement_prob": 0.1, "id": "b", "quality": 0.5, "threshold": 10.0}
         row[key] = 12345.5
@@ -416,7 +420,7 @@ class TestLatentFile:
 
     def test_columns_round_trip(self, tmp_path):
         latents, _ = generate_corpus(SimConfig(seed=6, items_per_round=40), 1)
-        columns = LatentColumns.of(latents)
+        columns = latent_columns(latents)
         path = tmp_path / "latents.jsonl"
         write_latents(columns, path)
         loaded = read_latents(path)
