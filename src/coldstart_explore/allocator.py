@@ -28,6 +28,7 @@ from .core import (
     DataError,
     ItemRecord,
     costs_of,
+    frozen,
     id_order,
     model_inputs,
     none_where,
@@ -35,7 +36,7 @@ from .core import (
     validate_config,
     write_csv,
 )
-from .model import DiscoverabilityModel, monotone_curves, predict_curves
+from .model import DiscoverabilityModel, ScoreOverflow, monotone_curves, predict_curves
 
 #: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
 #: temporaries of the curve and isotonic steps small, so peak memory does not
@@ -170,27 +171,19 @@ def _score(
 
     The cap is the first bucket whose smoothed probability reaches cf_high,
     clamped into [min_cap, max_cap] as invert_cap does; it is meaningful only
-    for High rows, whose curves end above cf_high.
-
-    Finite but huge features can overflow an item's score (its features times
-    the static weights, plus the bias) to an infinity, or to NaN where
-    overflows of both signs meet, and a NaN curve passes every region test.
-    Such an item is refused with a DataError naming it.
+    for High rows, whose curves end above cf_high. An item whose score
+    overflows (see predict_curves) is refused with a DataError naming it.
     """
     n = len(features)
     p_at_maxcap = np.empty(n)
     first_bucket = np.empty(n, dtype=np.intp)
     for start in range(0, n, SCORE_BLOCK_ROWS):
         rows = slice(start, start + SCORE_BLOCK_ROWS)
-        block = features[rows]
-        # predict_curves checks the block's shape, then forms the same score.
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = predict_curves(model, block)
-            fits = np.isfinite(block @ model.weights[: model.feature_dim] + model.bias)
-        if not fits.all():
-            item_id = ids[start + int(np.argmin(fits))]
-            raise DataError(f"the features of item {item_id} overflow the model's score")
-        curves = monotone_curves(raw)
+        try:
+            curves = monotone_curves(predict_curves(model, features[rows]))
+        except ScoreOverflow as exc:
+            item_id = ids[start + exc.row]
+            raise DataError(f"the features of item {item_id} overflow the model's score") from None
         p_at_maxcap[rows] = curves[:, -1]
         first_bucket[rows] = np.argmax(curves >= config.cf_high, axis=1)
     caps = np.clip(
@@ -246,9 +239,7 @@ def plan_columns(
     return AllocationPlan.of_columns(
         ids,
         np.where(granted > 0, region, _UNFUNDED),
-        granted,
-        np.where(region == _LOW, NO_REQUEST, requested),
-        p_at_maxcap,
+        *frozen(granted, np.where(region == _LOW, NO_REQUEST, requested), p_at_maxcap),
         int(granted.sum()),
         total_cost,
     )

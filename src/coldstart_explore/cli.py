@@ -314,7 +314,11 @@ def cmd_eval(args) -> int:
     # Score every example in one batch: row i's curve, at row i's bucket. The
     # dot product runs as one matrix-vector product, so a score can differ
     # from predict() in its last bit (summation order).
-    curves = model.predict_curves(fitted, examples.features)
+    try:
+        curves = model.predict_curves(fitted, examples.features)
+    except model.ScoreOverflow as exc:
+        example = f"training example {exc.row} (counting from 0)"
+        raise DataError(f"the features of {example} overflow the model's score") from None
     scores = curves[np.arange(len(examples)), examples.bucket]
     report = metrics.metrics_report(
         scores, examples.label, examples.bucket, threshold=args.threshold

@@ -84,6 +84,14 @@ def read_only(values, dtype=float) -> np.ndarray:
     return array
 
 
+def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place: for arrays that only the
+    caller holds, so that read_only takes them without a copy."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class ItemRecord:
     """An item as the allocator sees it: static features plus observed engagement."""
@@ -698,10 +706,9 @@ def read_corpus(path: str | Path) -> Corpus:
         positives_column.append(positive_events)
 
     read_jsonl(path, append, "corpus record")
-    counts = [np.frombuffer(c, dtype=np.int64) for c in (impressions_column, positives_column)]
-    for column in counts:
-        column.setflags(write=False)  # no one else holds the buffers, so no copy
-    return Corpus(ids, features.matrix(), *counts)
+    # No one else holds the buffers, so Corpus takes the frozen counts uncopied.
+    counts = (np.frombuffer(c, dtype=np.int64) for c in (impressions_column, positives_column))
+    return Corpus(ids, features.matrix(), *frozen(*counts))
 
 
 def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:

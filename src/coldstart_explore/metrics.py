@@ -23,6 +23,7 @@ from .core import (
     ItemRecord,
     Region,
     cost_of,
+    frozen,
     id_order,
     sum_costs,
     validate_allocation_config,
@@ -243,14 +244,12 @@ def _baseline_plan(
     ids: Sequence[str], granted: np.ndarray, region: Region, config: AllocationConfig
 ) -> AllocationPlan:
     """A plan of grants in id order: funded entries in `region`, requesting
-    their grant, and the rest Unfunded."""
+    their grant, and the rest Unfunded. The plan holds `granted`, frozen."""
     funded = granted > 0
     return AllocationPlan.of_columns(
         ids,
         np.where(funded, PLAN_REGIONS.index(region), PLAN_REGIONS.index(Region.UNFUNDED)),
-        granted,
-        np.where(funded, granted, NO_REQUEST),
-        np.full(len(ids), np.nan),
+        *frozen(granted, np.where(funded, granted, NO_REQUEST), np.full(len(ids), np.nan)),
         int(granted.sum()),
         sum_costs(granted, config),
     )

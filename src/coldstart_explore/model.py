@@ -51,6 +51,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+class ScoreOverflow(DataError):
+    """Finite but huge features overflowed the score of row `row`, counted from 0."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(f"the features of row {row} overflow the model's score")
+        self.row = row
+
+
 def _refuse_first(column: np.ndarray, bad: np.ndarray, message: str) -> None:
     """DataError of message naming the first example where bad holds, if any."""
     if bad.any():
@@ -246,7 +254,10 @@ def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndar
     One matrix-vector product scores the static features of every row, so a
     row can differ from predict_curve in the last bit of its dot product
     (summation order); everything after the dot product is the same arithmetic.
-    Huge features can overflow a score; the allocator refuses such an item.
+
+    Finite but huge features can overflow a row's logits to an infinity, or
+    to NaN where overflows of both signs meet. Such a row raises
+    ScoreOverflow, and no warning escapes.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
@@ -254,8 +265,12 @@ def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndar
             f"feature dimension mismatch: got {X.shape}, model expects "
             f"(n, {model.feature_dim})"
         )
-    base = X @ model.weights[: model.feature_dim] + model.bias
-    logits = base[:, None] + model.weights[model.feature_dim :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = X @ model.weights[: model.feature_dim] + model.bias
+        logits = base[:, None] + model.weights[model.feature_dim :]
+    fits = np.isfinite(logits).all(axis=1)
+    if not fits.all():
+        raise ScoreOverflow(int(np.argmin(fits)))
     return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
 
 

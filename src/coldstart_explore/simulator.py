@@ -41,6 +41,7 @@ from .core import (
     Region,
     bucket_of,
     checked,
+    frozen,
     model_inputs,
     read_jsonl,
     static_matrix,
@@ -182,9 +183,7 @@ def generate_corpus(
     if round_index < 0:
         raise DataError("round_index must be non-negative")
     ids, quality, theta, engagement_prob, features = draw_columns(config, round_index)
-    latents = list(
-        map(LatentItem, ids, quality.tolist(), theta.tolist(), engagement_prob.tolist())
-    )
+    latents = LatentColumns(ids, quality, theta, engagement_prob).items()
     # Each record's features are a read-only row of the one matrix.
     records = list(map(ItemRecord, ids, features))
     return latents, records
@@ -220,22 +219,29 @@ def serve_round(
     item id order. Discovery is decided per round: the item is discovered
     exactly when this round's grant reaches its threshold. Traffic from
     earlier rounds does not count towards it, unlike engagement, which
-    accumulates. A plan naming an unknown item, or one item twice, is refused.
+    accumulates. A plan naming an unknown item or one item twice, or granting
+    negative traffic, is refused in id order, as are two latents of one item.
     """
     by_id = {lat.id: lat for lat in latents}
+    if len(by_id) != len(latents):
+        repeated = next(i for i, n in Counter(lat.id for lat in latents).items() if n > 1)
+        raise DataError(f"duplicate latent for item {repeated}")
     ids, served = plan.ids, plan.granted
     # A plan whose rows are in id order, as every producer's are, needs no sort.
     if not all(map(lt, ids, islice(ids, 1, None))):
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids, served = [ids[k] for k in order], served[order]
     # Sorted, a repeated id sits next to itself.
-    if any(map(eq, ids, islice(ids, 1, None))) or not all(map(by_id.__contains__, ids)):
+    twice = any(map(eq, ids, islice(ids, 1, None)))
+    if twice or not all(map(by_id.__contains__, ids)) or (served < 0).any():
         previous = None
-        for item_id in ids:
+        for item_id, grant in zip(ids, served.tolist()):
             if item_id not in by_id:
                 raise DataError(f"plan references unknown item {item_id}")
             if item_id == previous:
                 raise DataError(f"duplicate plan entry for item {item_id}")
+            if grant < 0:
+                raise DataError(f"plan grants item {item_id} negative traffic {grant}")
             previous = item_id
     funded = served != 0
     ids = list(compress(ids, funded.tolist()))
@@ -259,7 +265,11 @@ def serve_round(
 def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -> np.ndarray:
     """Index into records of every event's item, checking each event in
     order; the events come in (round, item id) order."""
-    row_of = {rec.id: k for k, rec in enumerate(records)}
+    ids = [rec.id for rec in records]
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):
+        repeated = next(i for i, count in Counter(ids).items() if count > 1)
+        raise DataError(f"duplicate record for item {repeated}")
     previous = None
     for obs in events:
         if obs.item_id not in row_of:
@@ -268,51 +278,10 @@ def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -
             raise DataError(f"unresolved observation for item {obs.item_id}")
         if (obs.round, obs.item_id) == previous:
             raise DataError(f"two observations of item {obs.item_id} in round {obs.round}")
+        if not 0 <= obs.positive_events <= obs.served:
+            raise DataError(f"positive_events cannot exceed served or fall below 0: {obs}")
         previous = obs.round, obs.item_id
     return np.fromiter((row_of[o.item_id] for o in events), np.int64, len(events))
-
-
-def _counts_before(groups: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row k: the sum of counts over the rows before k that share its group."""
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    group_start = np.ones(len(groups), dtype=bool)
-    group_start[1:] = sorted_groups[1:] != sorted_groups[:-1]
-    first = np.maximum.accumulate(np.where(group_start, np.arange(len(groups)), 0))
-    before = np.cumsum(counts[order], axis=0) - counts[order]
-    result = np.empty_like(counts)
-    result[order] = before - before[first]
-    return result
-
-
-def training_columns(
-    static: np.ndarray,
-    items: np.ndarray,
-    served: np.ndarray,
-    positive_events: np.ndarray,
-    discovered: np.ndarray,
-    schema: BucketSchema,
-) -> TrainingSet:
-    """One example per serving event, the events given as columns in
-    (round, item id) order: the kernel of build_training_set.
-
-    Event k served item items[k], whose static features are static[k]. Its
-    example's features are those plus the item's engagement block as it
-    stood before the event: an exclusive cumulative sum over the item's own
-    events. Its bucket is the served traffic's and its label `discovered`.
-    """
-    bucket = bucket_of(served, schema)
-    impressions, positives = _counts_before(
-        items, np.column_stack([served, positive_events])
-    ).T
-    if (positives < 0).any():
-        raise DataError("engagement counts must be non-negative")
-    if (positives > impressions).any():
-        raise DataError("positive_events cannot exceed impressions")
-    columns = (model_inputs(static, impressions, positives), bucket, discovered.astype(np.int64))
-    for column in columns:
-        column.setflags(write=False)  # built here, so TrainingSet need not copy them
-    return TrainingSet(*columns)
 
 
 def build_training_set(
@@ -320,24 +289,33 @@ def build_training_set(
     records: Sequence[ItemRecord],
     schema: BucketSchema,
 ) -> TrainingSet:
-    """One example per serving event (see training_columns).
+    """One example per serving event, replayed in (round, item id) order.
 
-    The events are replayed in (round, item id) order, so each example sees
-    the engagement its item had when the round was served. An item is served
-    at most once a round: two observations of one item in one round are
-    refused, as neither came before the other.
-    """
+    Running impressions and positive events per record give each example its
+    item's static features plus the engagement block as it stood before the
+    event; its bucket is the served traffic's and its label `discovered`.
+    Each event needs 0 <= positive_events <= served. Two records of one item
+    are refused, and so are two observations of one item in one round, as
+    neither came before the other."""
     events = sorted(observations, key=attrgetter("round", "item_id"))
-    rows = _record_rows(events, records)
     n = len(events)
-    return training_columns(
-        static_matrix([records[k] for k in rows]),
-        rows,
-        np.fromiter((o.served for o in events), np.int64, n),
-        np.fromiter((o.positive_events for o in events), np.int64, n),
-        np.fromiter(map(attrgetter("discovered"), events), np.int64, n),
-        schema,
-    )
+    counts = np.empty((n, 2), dtype=np.int64)  # each event's served and positive events
+    counts[:, 0] = np.fromiter((o.served for o in events), np.int64, n)
+    counts[:, 1] = np.fromiter((o.positive_events for o in events), np.int64, n)
+    bucket = bucket_of(counts[:, 0], schema)
+    rows = _record_rows(events, records)
+    # Each event's counts become its record's counts before it, round by
+    # round: a round's events are of distinct records, so one add replays it.
+    running = np.zeros((len(records), 2), dtype=np.int64)
+    rounds = [o.round for o in events]
+    round_starts = [k for k in range(1, n) if rounds[k] != rounds[k - 1]]
+    for block in np.split(np.arange(n), round_starts):
+        running[rows[block]] += counts[block]
+        counts[block] = running[rows[block]] - counts[block]
+    del running, rounds  # freed before the features, the largest arrays, are built
+    static = static_matrix([records[k] for k in rows])
+    label = np.fromiter(map(attrgetter("discovered"), events), np.int64, n)
+    return TrainingSet(*frozen(model_inputs(static, *counts.T), bucket, label))
 
 
 @dataclass(frozen=True)
@@ -388,9 +366,11 @@ def run_experiment(
     leave the candidate pool; every round adds a fresh batch.
 
     The loop keeps its state as columns and calls the kernels behind the
-    per-item functions: draw_columns, uniform_grants, oracle_grants,
-    training_columns and serve_columns, and plan_columns, whose column
-    AllocationPlan gives a model round its grants and regions.
+    per-item functions: draw_columns, uniform_grants, oracle_grants and
+    serve_columns, and plan_columns, whose column AllocationPlan gives a
+    model round its grants and regions. The model strategy logs each round's
+    examples as it serves, and trains on all of them in (round, item id)
+    order: the set build_training_set replays from the same observations.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -408,9 +388,8 @@ def run_experiment(
     impressions = np.zeros(size, dtype=np.int64)
     positive_events = np.zeros(size, dtype=np.int64)
     discovered = np.zeros(size, dtype=bool)
-    # The observation log, one entry per round: the pool rows served, in id
-    # order, what each was served, its positive events and its discovery.
-    log: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # The examples logged so far, one (features, bucket, label) block per round.
+    history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     round_metrics = []
     item_rows: list[ItemRoundRow] = []
 
@@ -425,16 +404,16 @@ def run_experiment(
         rows = order[~discovered[order]]
 
         untrained = None
+        if strategy == "model":
+            features = model_inputs(static[rows], impressions[rows], positive_events[rows])
         if strategy == "oracle":
             granted = oracle_grants(true_threshold[rows], alloc_config)
             total_cost = sum_costs(granted, alloc_config)
             names = [Region.ORACLE.value] * int(np.count_nonzero(granted))
         elif strategy == "model" and round_index > 0:
-            logged_rows, *events = map(np.concatenate, zip(*log))
-            examples = training_columns(static[logged_rows], logged_rows, *events, schema)
+            examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
-            features = model_inputs(static[rows], impressions[rows], positive_events[rows])
             candidate_ids = [ids[k] for k in rows.tolist()]
             plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
             granted, total_cost = plan.granted, plan.total_cost
@@ -450,10 +429,11 @@ def run_experiment(
             sim_config, round_index, served, engagement_prob[served_rows],
             true_threshold[served_rows],
         )
+        if strategy == "model":  # each example with its item's engagement before the round
+            history.append((features[funded], bucket_of(served, schema), found))
         impressions[served_rows] += served
         positive_events[served_rows] += positives
         discovered[served_rows] = found
-        log.append((served_rows, served, positives, found))
 
         counts = Counter(names)
         if len(funded) < len(rows):

@@ -29,6 +29,7 @@ from coldstart_explore.core import (
     geometric_schema,
     verify_plan,
 )
+from coldstart_explore.metrics import oracle_allocate, uniform_allocate
 from coldstart_explore.model import invert_cap, predict_curve
 from coldstart_explore.simulator import SimConfig, generate_corpus, serve_round
 from conftest import make_model, make_record
@@ -621,6 +622,30 @@ class TestPlanCorpusPlan:
         ]
         entries_plan = AllocationPlan(plan.entries, plan.total_allocated, plan.total_cost)
         assert serve_round(latents, entries_plan, sim, 0) == observations
+
+    def test_plans_hold_the_columns_their_producers_built(self, monkeypatch):
+        # plan_columns and the two baselines freeze what they built, so
+        # of_columns takes the grant, request and p_at_maxcap columns uncopied.
+        handed = []
+        of_columns = AllocationPlan.of_columns.__func__
+
+        def recording(cls, *columns):
+            handed.append(columns)
+            return of_columns(cls, *columns)
+
+        monkeypatch.setattr(AllocationPlan, "of_columns", classmethod(recording))
+        latents, records = generate_corpus(SimConfig(seed=3, items_per_round=100), 0)
+        model = make_model(SCHEMA, [0.5] * 8 + [2.0, 0.0], np.linspace(-2.0, 2.0, 6), -1.0)
+        config = cfg(total_budget=30_000, low_region_fraction=0.3, cf_low=0.3)
+        plans = [
+            plan_corpus(Corpus.of(records), model, config, SCHEMA),
+            uniform_allocate(records, config),
+            oracle_allocate(latents, config),
+        ]
+        assert len(handed) == len(plans)
+        for plan, columns in zip(plans, handed):
+            for name, column in zip(("granted", "requested", "p_at_maxcap"), columns[2:5]):
+                assert np.shares_memory(getattr(plan, name), column), name
 
 
 class TestPlanSummary:

@@ -643,6 +643,25 @@ class TestEval:
                    "--out-dir", str(tmp_path / "v")) == 3
         assert message in capsys.readouterr().err
 
+    def test_score_overflow_exits_3(self, tmp_path, capsys):
+        # Finite features whose score overflows are refused, naming the row,
+        # and no RuntimeWarning escapes.
+        from conftest import make_model
+        model_path = tmp_path / "model.json"
+        save_model(make_model(geometric_schema(), [2.0, -2.0, 0.0, 0.0], np.zeros(6)), model_path)
+        examples = tmp_path / "huge.npz"
+        features = [[1.0, 1.0, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        save_examples(TrainingSet(np.array(features), [0, 1, 2], [0, 1, 0]), examples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--model", str(model_path), "--examples", str(examples),
+                       "--out-dir", str(tmp_path / "v")) == 3
+        assert (
+            "the features of training example 1 (counting from 0) overflow the model's score"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "v").exists()
+
     def test_batched_scores_match_predict(self, tmp_path, monkeypatch):
         examples = simulated_examples(items=1500, seed=12)
         model_path = tmp_path / "model.json"

@@ -20,6 +20,7 @@ from coldstart_explore.metrics import uniform_allocate
 from coldstart_explore.model import (
     DiscoverabilityModel,
     Hyperparams,
+    ScoreOverflow,
     TrainingSet,
     _design_matrix,
     _sigmoid,
@@ -457,6 +458,24 @@ class TestPredictCurves:
     def test_no_rows(self):
         model = make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets))
         assert predict_curves(model, np.zeros((0, 1))).shape == (0, SCHEMA.n_buckets)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "features, bucket_weights",
+        [
+            # 2 * 1e308 and -2 * 1e308 overflow: the score is NaN.
+            ([[1.0, 1.0], [1e308, 1e308]], np.zeros(SCHEMA.n_buckets)),
+            # The score 1.6e308 is finite; adding the last bucket's weight overflows.
+            ([[1.0, 1.0], [0.8e308, 0.0]], [0.0] * (SCHEMA.n_buckets - 1) + [1e308]),
+        ],
+        ids=["score", "logit"],
+    )
+    def test_overflow_names_the_row(self, features, bucket_weights):
+        model = make_model(SCHEMA, [2.0, -2.0], bucket_weights)
+        with pytest.raises(ScoreOverflow, match="features of row 1 overflow") as refused:
+            predict_curves(model, np.array(features))
+        assert refused.value.row == 1
+        assert isinstance(refused.value, DataError)
 
 
 class TestGradient:

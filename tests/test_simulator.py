@@ -182,6 +182,22 @@ class TestServeRound:
         with pytest.raises(DataError, match="duplicate plan entry for item a"):
             serve_round([lat], plan, SimConfig(seed=0), 0)
 
+    def test_two_latents_of_one_item_rejected(self):
+        latents = [
+            LatentItem(id="a", quality=0.0, true_threshold=50.0, engagement_prob=0.5),
+            LatentItem(id="a", quality=0.0, true_threshold=5000.0, engagement_prob=0.5),
+        ]
+        with pytest.raises(DataError, match="duplicate latent for item a"):
+            serve_round(latents, plan_for(latents[:1], [100]), SimConfig(seed=0), 0)
+
+    def test_negative_grant_rejected(self):
+        latents = [
+            LatentItem(id=i, quality=0.0, true_threshold=50.0, engagement_prob=0.5)
+            for i in "ab"
+        ]
+        with pytest.raises(DataError, match="plan grants item b negative traffic -100"):
+            serve_round(latents, plan_for(latents, [100, -100]), SimConfig(seed=0), 0)
+
     def test_binomial_engagement_concentrates(self):
         lats = [
             LatentItem(id=f"i{k:03d}", quality=0.0, true_threshold=1.0, engagement_prob=0.1)
@@ -241,6 +257,12 @@ class TestBuildTrainingSet:
         obs = [Observation(round=0, item_id="zzz", served=100, positive_events=0, discovered=False)]
         with pytest.raises(DataError, match="unknown item"):
             build_training_set(obs, [], SCHEMA)
+
+    def test_two_records_of_one_item_rejected(self):
+        records = [make_record("a", [1.0]), make_record("a", [2.0])]
+        obs = [Observation(round=0, item_id="a", served=100, positive_events=0, discovered=False)]
+        with pytest.raises(DataError, match="duplicate record for item a"):
+            build_training_set(obs, records, SCHEMA)
 
     def test_unresolved_observation_rejected(self):
         records = [make_record("a", [1.0])]
@@ -776,6 +798,36 @@ class TestArrayLoopsMatchPerItemReference:
             assert sum(dropped) > 0  # cost repair dropped funded items
 
 
+class TestLoopTrainsOnItsReplay:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_training_set_is_the_replay_of_the_loops_observations(self, seed, monkeypatch):
+        trained = []
+
+        def recording_train(examples, *args):
+            trained.append(examples)
+            return train(examples, *args)
+
+        monkeypatch.setattr(simulator, "train", recording_train)
+        config = SimConfig(seed=seed, items_per_round=300, rounds=4)
+        report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
+        assert len(trained) == config.rounds - 1
+        observations = [
+            Observation(r.round, r.item_id, r.granted, r.positive_events, r.discovered)
+            for r in report.item_rows
+        ]
+        records = [rec for k in range(config.rounds) for rec in generate_corpus(config, k)[1]]
+        # Round k trains on the outcomes of rounds 0 to k - 1.
+        for round_index, got in enumerate(trained, start=1):
+            served = [o for o in observations if o.round < round_index]
+            replayed = build_training_set(served, records, SCHEMA)
+            assert got.features.shape == replayed.features.shape
+            assert np.array_equal(got.features.view(np.int64), replayed.features.view(np.int64))
+            assert np.array_equal(got.bucket, replayed.bucket)
+            assert np.array_equal(got.label, replayed.label)
+        # Items come back undiscovered, so engagement carries across rounds.
+        assert (trained[-1].features[:, -1] > 0).any()
+
+
 class TestBuildTrainingSetRejectsBadCounts:
     def test_negative_served_rejected(self):
         obs = [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
@@ -789,6 +841,18 @@ class TestBuildTrainingSetRejectsBadCounts:
             Observation(round=1, item_id="a", served=10, positive_events=0, discovered=False),
         ]
         with pytest.raises(DataError, match="cannot exceed"):
+            build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+
+    @pytest.mark.parametrize("positives", [11, -1])
+    def test_last_observation_of_an_item_checked(self, positives):
+        # No later event replays the last one's counts, so each event is
+        # checked on its own.
+        obs = [
+            Observation(round=0, item_id="a", served=10, positive_events=3, discovered=False),
+            Observation(round=1, item_id="a", served=10, positive_events=positives,
+                        discovered=False),
+        ]
+        with pytest.raises(DataError, match="round=1, item_id='a'"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
     def test_two_observations_of_one_item_in_one_round_rejected(self):
