@@ -191,16 +191,17 @@ def uniform_grants(n: int, config: AllocationConfig) -> np.ndarray:
     share = config.total_budget // n
     x_uniform = max(min(share, config.max_cap), config.min_cap)
     unit = cost_of(x_uniform, config)
-    # The first test that fails fails for every later item too, as nothing is
-    # spent on it. cost_left takes the unit off one step at a time, as a
-    # per-item loop does, so the ceiling test rounds the same way.
-    funded = 0
-    remaining = config.total_budget
-    cost_left = config.max_cost
-    while funded < n and x_uniform <= remaining and unit <= cost_left + 1e-12:
-        remaining -= x_uniform
-        cost_left -= unit
-        funded += 1
+    funded = n if x_uniform == 0 else min(n, config.total_budget // x_uniform)
+    # cost_left[k], the cost left before grant k, takes the unit off one step
+    # at a time as a per-item loop does (subtract.accumulate runs in order),
+    # so the ceiling test rounds the same way. The first test that fails
+    # fails for every later item too, as nothing is spent on it.
+    steps = np.full(funded, unit)
+    steps[:1] = config.max_cost
+    cost_left = np.subtract.accumulate(steps)
+    over = unit > cost_left + 1e-12
+    if over.any():
+        funded = int(np.argmax(over))
     return np.repeat(np.array([x_uniform, 0], dtype=np.int64), [funded, n - funded])
 
 

@@ -241,10 +241,17 @@ def predict(model: DiscoverabilityModel, features: np.ndarray, bucket: int) -> f
 
 
 def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
-    """P(discoverable) at every bucket; entry k equals predict(model, features, k)."""
+    """P(discoverable) at every bucket; entry k equals predict(model, features, k).
+
+    Features whose logits overflow, as in predict_curves, raise ScoreOverflow
+    of row 0, and no warning escapes.
+    """
     x = _check_features(model, features)
-    base = float(x @ model.weights[: model.feature_dim]) + model.bias
-    logits = base + model.weights[model.feature_dim :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = float(x @ model.weights[: model.feature_dim]) + model.bias
+        logits = base + model.weights[model.feature_dim :]
+    if not np.isfinite(logits).all():
+        raise ScoreOverflow(0)
     return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
 
 

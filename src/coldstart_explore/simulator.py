@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, repeat
 from operator import attrgetter, eq, lt
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .allocator import plan_columns
 from .core import (
+    INTEGER,
     JSON_NULL,
     NUMBER,
     PLAN_REGIONS,
@@ -44,6 +45,7 @@ from .core import (
     frozen,
     model_inputs,
     read_jsonl,
+    read_only,
     static_matrix,
     sum_costs,
     validate_config,
@@ -284,6 +286,32 @@ def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -
     return np.fromiter((row_of[o.item_id] for o in events), np.int64, len(events))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _fits_int64(value) -> bool:
+    return type(value) in INTEGER and _INT64.min <= value <= _INT64.max
+
+
+def _int64_column(events: Sequence[Observation], name: str) -> np.ndarray:
+    """Field `name` of every event as an int64 column. DataError naming the
+    item of the first event whose value is not an int (a bool is not one) or
+    does not fit int64."""
+    values = list(map(attrgetter(name), events))
+    # Every value an int first, so that min and max compare only ints.
+    if not (
+        set(INTEGER).issuperset(map(type, values))
+        and _fits_int64(min(values, default=0))
+        and _fits_int64(max(values, default=0))
+    ):
+        obs, value = next((o, v) for o, v in zip(events, values) if not _fits_int64(v))
+        raise DataError(
+            f"observation of item {obs.item_id}: {name} must be an integer "
+            f"that fits int64, not {value!r}"
+        )
+    return np.fromiter(values, np.int64, len(values))
+
+
 def build_training_set(
     observations: Sequence[Observation],
     records: Sequence[ItemRecord],
@@ -294,14 +322,16 @@ def build_training_set(
     Running impressions and positive events per record give each example its
     item's static features plus the engagement block as it stood before the
     event; its bucket is the served traffic's and its label `discovered`.
-    Each event needs 0 <= positive_events <= served. Two records of one item
-    are refused, and so are two observations of one item in one round, as
-    neither came before the other."""
+    Each event's round and counts must be ints that fit int64, and
+    0 <= positive_events <= served. Two records of one item are refused, and
+    so are two observations of one item in one round, as neither came before
+    the other."""
+    _int64_column(observations, "round")  # checked before the sort compares them
     events = sorted(observations, key=attrgetter("round", "item_id"))
     n = len(events)
     counts = np.empty((n, 2), dtype=np.int64)  # each event's served and positive events
-    counts[:, 0] = np.fromiter((o.served for o in events), np.int64, n)
-    counts[:, 1] = np.fromiter((o.positive_events for o in events), np.int64, n)
+    counts[:, 0] = _int64_column(events, "served")
+    counts[:, 1] = _int64_column(events, "positive_events")
     bucket = bucket_of(counts[:, 0], schema)
     rows = _record_rows(events, records)
     # Each event's counts become its record's counts before it, round by
@@ -333,6 +363,8 @@ class RoundMetrics:
 
 @dataclass(frozen=True, slots=True)
 class ItemRoundRow:
+    """One row of an ExperimentReport: a funded item in one round."""
+
     round: int
     item_id: str
     region: str
@@ -341,13 +373,138 @@ class ItemRoundRow:
     discovered: bool
 
 
-@dataclass(frozen=True)
+# A report's region column codes the regions as a plan's does: code k is
+# PLAN_REGIONS[k], named _REGION_NAMES[k].
+_REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
+_CODE_OF_NAME = {name: code for code, name in enumerate(_REGION_NAMES)}
+_UNIFORM_CODE = PLAN_REGIONS.index(Region.UNIFORM)
+_ORACLE_CODE = PLAN_REGIONS.index(Region.ORACLE)
+_UNFUNDED_CODE = PLAN_REGIONS.index(Region.UNFUNDED)
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class ExperimentReport:
+    """One strategy's run of the loop: its rounds' metrics and one row per
+    funded item per round, in (round, item id) order, held as columns.
+
+    Row k of the read-only columns is `round_index[k]`, `item_ids[k]`, its
+    region code `region[k]` (indexing PLAN_REGIONS), `granted[k]`,
+    `positive_events[k]` and `discovered[k]`. `item_rows`, one ItemRoundRow
+    per row, is built on first read and kept.
+    """
+
     strategy: str
     seed: int
     rounds: tuple[RoundMetrics, ...]
     total_discovered: int
-    item_rows: tuple[ItemRoundRow, ...]
+    round_index: np.ndarray = field(repr=False)
+    item_ids: tuple[str, ...] = field(repr=False)
+    region: np.ndarray = field(repr=False)
+    granted: np.ndarray = field(repr=False)
+    positive_events: np.ndarray = field(repr=False)
+    discovered: np.ndarray = field(repr=False)
+    _item_rows: tuple[ItemRoundRow, ...] | None = field(default=None, repr=False)
+
+    def __init__(
+        self,
+        strategy: str,
+        seed: int,
+        rounds: Sequence[RoundMetrics],
+        total_discovered: int,
+        item_rows: Iterable[ItemRoundRow],
+    ) -> None:
+        rows = tuple(item_rows)
+        self._hold(
+            strategy,
+            seed,
+            rounds,
+            total_discovered,
+            [r.round for r in rows],
+            [r.item_id for r in rows],
+            [_CODE_OF_NAME[r.region] for r in rows],
+            [r.granted for r in rows],
+            [r.positive_events for r in rows],
+            [r.discovered for r in rows],
+        )
+
+    @classmethod
+    def of_columns(
+        cls,
+        strategy: str,
+        seed: int,
+        rounds: Sequence[RoundMetrics],
+        total_discovered: int,
+        round_index: np.ndarray,
+        item_ids: Sequence[str],
+        region: np.ndarray,
+        granted: np.ndarray,
+        positive_events: np.ndarray,
+        discovered: np.ndarray,
+    ) -> "ExperimentReport":
+        """The report whose rows are the given columns, with no ItemRoundRow built."""
+        report = cls.__new__(cls)
+        report._hold(
+            strategy, seed, rounds, total_discovered,
+            round_index, item_ids, region, granted, positive_events, discovered,
+        )
+        return report
+
+    def _hold(
+        self, strategy, seed, rounds, total_discovered,
+        round_index, item_ids, region, granted, positive_events, discovered,
+    ):
+        columns = {
+            "round_index": read_only(round_index, np.int64),
+            "item_ids": tuple(item_ids),
+            "region": read_only(region, np.int8),
+            "granted": read_only(granted, np.int64),
+            "positive_events": read_only(positive_events, np.int64),
+            "discovered": read_only(discovered, bool),
+        }
+        n = len(columns["item_ids"])
+        for name, column in columns.items():
+            if len(column) != n:
+                raise DataError(f"report columns differ in length: {n} ids, {len(column)} {name}")
+        columns.update(
+            strategy=strategy,
+            seed=seed,
+            rounds=tuple(rounds),
+            total_discovered=total_discovered,
+            _item_rows=None,
+        )
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def item_rows(self) -> tuple[ItemRoundRow, ...]:
+        """One ItemRoundRow per row, in row order: built on first read, then kept."""
+        if self._item_rows is None:
+            rows = map(
+                ItemRoundRow,
+                self.round_index.tolist(),
+                self.item_ids,
+                map(_REGION_NAMES.__getitem__, self.region.tolist()),
+                self.granted.tolist(),
+                self.positive_events.tolist(),
+                self.discovered.tolist(),
+            )
+            object.__setattr__(self, "_item_rows", tuple(rows))
+        return self._item_rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExperimentReport):
+            return NotImplemented
+        return (
+            self.strategy == other.strategy
+            and self.seed == other.seed
+            and self.rounds == other.rounds
+            and self.total_discovered == other.total_discovered
+            and self.item_ids == other.item_ids
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("round_index", "region", "granted", "positive_events", "discovered")
+            )
+        )
 
 
 def run_experiment(
@@ -371,6 +528,8 @@ def run_experiment(
     model round its grants and regions. The model strategy logs each round's
     examples as it serves, and trains on all of them in (round, item id)
     order: the set build_training_set replays from the same observations.
+    The report's rows are one block of columns per round, joined once at the
+    end; no ItemRoundRow is built unless a reader asks for item_rows.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -391,7 +550,10 @@ def run_experiment(
     # The examples logged so far, one (features, bucket, label) block per round.
     history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     round_metrics = []
-    item_rows: list[ItemRoundRow] = []
+    # The report's rows: the funded items' ids, and one (region, granted,
+    # positive events, discovered) block per round.
+    report_ids: list[str] = []
+    report_blocks: list[tuple[np.ndarray, ...]] = []
 
     for round_index in range(sim_config.rounds):
         fresh = slice(round_index * n, (round_index + 1) * n)
@@ -400,7 +562,7 @@ def run_experiment(
         )
         ids += fresh_ids
         # The candidates: the undiscovered rows, in Python's str order of their ids.
-        order = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+        order = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
         rows = order[~discovered[order]]
 
         untrained = None
@@ -409,22 +571,21 @@ def run_experiment(
         if strategy == "oracle":
             granted = oracle_grants(true_threshold[rows], alloc_config)
             total_cost = sum_costs(granted, alloc_config)
-            names = [Region.ORACLE.value] * int(np.count_nonzero(granted))
+            region = np.full(len(rows), _ORACLE_CODE, np.int8)
         elif strategy == "model" and round_index > 0:
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
             candidate_ids = [ids[k] for k in rows.tolist()]
             plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
-            granted, total_cost = plan.granted, plan.total_cost
-            names = [PLAN_REGIONS[code].value for code in plan.region[granted > 0].tolist()]
+            granted, total_cost, region = plan.granted, plan.total_cost, plan.region
         else:
             granted = uniform_grants(len(rows), alloc_config)
             total_cost = sum_costs(granted, alloc_config)
-            names = [Region.UNIFORM.value] * int(np.count_nonzero(granted))
+            region = np.full(len(rows), _UNIFORM_CODE, np.int8)
 
         funded = np.flatnonzero(granted)
-        served_rows, served = rows[funded], granted[funded]
+        served_rows, served, region = rows[funded], granted[funded], region[funded]
         positives, found = serve_columns(
             sim_config, round_index, served, engagement_prob[served_rows],
             true_threshold[served_rows],
@@ -435,18 +596,10 @@ def run_experiment(
         positive_events[served_rows] += positives
         discovered[served_rows] = found
 
-        counts = Counter(names)
-        if len(funded) < len(rows):
-            counts[Region.UNFUNDED.value] = len(rows) - len(funded)
-        item_rows += map(
-            ItemRoundRow,
-            repeat(round_index),
-            [ids[k] for k in served_rows.tolist()],
-            names,
-            served.tolist(),
-            positives.tolist(),
-            found.tolist(),
-        )
+        tally = np.bincount(region, minlength=len(PLAN_REGIONS))
+        tally[_UNFUNDED_CODE] = len(rows) - len(funded)
+        report_ids += [ids[k] for k in served_rows.tolist()]
+        report_blocks.append((region, served, positives, found))
         round_metrics.append(
             RoundMetrics(
                 round=round_index,
@@ -455,17 +608,22 @@ def run_experiment(
                 discovered=int(found.sum()),
                 total_allocated=int(granted.sum()),
                 total_cost=total_cost,
-                region_counts=dict(sorted(counts.items())),
+                region_counts=dict(
+                    sorted((_REGION_NAMES[k], c) for k, c in enumerate(tally.tolist()) if c)
+                ),
                 untrained_buckets=untrained,
             )
         )
 
-    return ExperimentReport(
-        strategy=strategy,
-        seed=sim_config.seed,
-        rounds=tuple(round_metrics),
-        total_discovered=sum(m.discovered for m in round_metrics),
-        item_rows=tuple(item_rows),
+    round_column = np.repeat(np.arange(sim_config.rounds), [m.funded for m in round_metrics])
+    return ExperimentReport.of_columns(
+        strategy,
+        sim_config.seed,
+        round_metrics,
+        sum(m.discovered for m in round_metrics),
+        *frozen(round_column),
+        report_ids,
+        *frozen(*map(np.concatenate, zip(*report_blocks))),
     )
 
 
@@ -552,18 +710,16 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
+    """The report's rows, one line each, from its columns."""
     write_csv(
         ["round", "item_id", "region", "granted", "positive_events", "discovered"],
-        (
-            [
-                row.round,
-                row.item_id,
-                row.region,
-                row.granted,
-                row.positive_events,
-                int(row.discovered),
-            ]
-            for row in report.item_rows
+        zip(
+            report.round_index.tolist(),
+            report.item_ids,
+            map(_REGION_NAMES.__getitem__, report.region.tolist()),
+            report.granted.tolist(),
+            report.positive_events.tolist(),
+            report.discovered.astype(np.int64).tolist(),
         ),
         path,
     )

@@ -5,6 +5,7 @@ numpy; the library works on whole columns. The tests use them as oracles and
 to turn files into records.
 """
 
+import csv
 import math
 from operator import attrgetter
 from pathlib import Path
@@ -13,7 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from coldstart_explore.core import DataError, EngagementStats, ItemRecord, read_corpus
-from coldstart_explore.simulator import LatentColumns, LatentItem, write_latents
+from coldstart_explore.simulator import (
+    ExperimentReport,
+    LatentColumns,
+    LatentItem,
+    write_latents,
+)
 
 
 def engagement_features(stats: EngagementStats) -> np.ndarray:
@@ -84,3 +90,21 @@ def latent_columns(latents: Sequence[LatentItem]) -> LatentColumns:
 def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
     """Write latent items as the latents file."""
     write_latents(latent_columns(latents), path)
+
+
+def write_report_rows(report: ExperimentReport, path: str | Path) -> None:
+    """The report CSV, written row by row from item_rows with csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["round", "item_id", "region", "granted", "positive_events", "discovered"])
+        for row in report.item_rows:
+            writer.writerow(
+                [
+                    row.round,
+                    row.item_id,
+                    row.region,
+                    row.granted,
+                    row.positive_events,
+                    int(row.discovered),
+                ]
+            )

@@ -478,6 +478,37 @@ class TestPredictCurves:
         assert isinstance(refused.value, DataError)
 
 
+class TestPredictRefusesOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "features, bucket_weights",
+        [
+            # 2 * 1e308 and -2 * 1e308 overflow: the score is NaN.
+            ([1e308, 1e308], np.zeros(SCHEMA.n_buckets)),
+            # 2 * 1e308 alone overflows: the score is +inf.
+            ([1e308, 0.0], np.zeros(SCHEMA.n_buckets)),
+            # The score 1.6e308 is finite; adding the last bucket's weight overflows.
+            ([0.8e308, 0.0], [0.0] * (SCHEMA.n_buckets - 1) + [1e308]),
+        ],
+        ids=["nan score", "inf score", "logit"],
+    )
+    def test_overflow_raises_score_overflow(self, features, bucket_weights):
+        model = make_model(SCHEMA, [2.0, -2.0], bucket_weights)
+        x = np.array(features)
+        with pytest.raises(ScoreOverflow, match="features of row 0 overflow"):
+            predict_curve(model, x)
+        for bucket in (0, SCHEMA.n_buckets - 1):
+            with pytest.raises(ScoreOverflow, match="features of row 0 overflow"):
+                predict(model, x, bucket)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_score_still_predicts(self):
+        # 2 * 1e307 - 2 * 1e307 is finite; sigmoid saturates without a warning.
+        model = make_model(SCHEMA, [2.0, 1.0], np.zeros(SCHEMA.n_buckets))
+        curve = predict_curve(model, np.array([1e307, 0.0]))
+        assert curve.tolist() == predict_curves(model, np.array([[1e307, 0.0]]))[0].tolist()
+
+
 class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
         # A huge logit saturates the sigmoid to exactly 1.0 in floats.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -38,6 +39,7 @@ from coldstart_explore.simulator import (
     run_experiment,
     serve_round,
     write_latents,
+    write_report_csv,
 )
 from conftest import make_record
 from per_item import (
@@ -46,6 +48,7 @@ from per_item import (
     latent_columns,
     monotone_curve,
     save_latents,
+    write_report_rows,
 )
 
 SCHEMA = geometric_schema()
@@ -828,6 +831,118 @@ class TestLoopTrainsOnItsReplay:
         assert (trained[-1].features[:, -1] > 0).any()
 
 
+class TestCandidatesInStrOrderOfIds:
+    """From round 100 on, ids do not sort in draw order: r100-... sorts
+    between r10-... and r11-..., so the loop's candidate order is not the
+    pool's draw order."""
+
+    @pytest.mark.parametrize(
+        "strategy, budget",
+        [
+            # Round 100 funds 200 of 346 candidates: a prefix of the id order.
+            ("uniform", 20_000),
+            # The budget binds, so round 100 funds items of round 95 and 100,
+            # and reports them in id order.
+            ("oracle", 1_000),
+        ],
+    )
+    def test_baselines_past_round_99(self, strategy, budget):
+        config = SimConfig(seed=0, items_per_round=5, rounds=101)
+        alloc_config = cfg(total_budget=budget)
+        got = run_experiment(config, alloc_config, SCHEMA, Hyperparams(), strategy)
+        expected = run_experiment_reference(
+            config, alloc_config, SCHEMA, Hyperparams(), strategy
+        )
+        assert_same_report(got, expected)
+        assert got.item_rows == expected.item_rows
+        assert any(row.item_id.startswith("r100-") for row in got.item_rows)
+
+    def test_model_past_round_99(self):
+        config = SimConfig(seed=0, items_per_round=10, rounds=101)
+        params = Hyperparams(epochs=50)
+        got = run_experiment(config, cfg(), SCHEMA, params, "model")
+        first = got.rounds[0]
+        assert 0 < first.discovered < first.funded  # round 0 gives both labels
+        expected = run_experiment_reference(config, cfg(), SCHEMA, params, "model")
+        assert_same_report(got, expected)
+        assert got.item_rows == expected.item_rows
+        assert any(row.item_id.startswith("r100-") for row in got.item_rows)
+
+
+REPORT_FIELDS = ("round_index", "region", "granted", "positive_events", "discovered")
+
+
+class TestReportColumns:
+    @pytest.mark.parametrize(
+        "strategy, budget",
+        [("uniform", 20_000), ("oracle", 20_000), ("model", 20_000), ("uniform", 0), ("oracle", 0)],
+    )
+    def test_csv_from_columns_is_the_csv_of_the_rows(self, tmp_path, strategy, budget):
+        config = SimConfig(seed=5, items_per_round=300, rounds=3)
+        report = run_experiment(
+            config, cfg(total_budget=budget), SCHEMA, Hyperparams(epochs=50), strategy
+        )
+        write_report_csv(report, tmp_path / "columns.csv")
+        write_report_rows(report, tmp_path / "rows.csv")
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        if budget == 0:  # no round funds anything
+            assert written == b"round,item_id,region,granted,positive_events,discovered\n"
+        else:
+            assert written.count(b"\n") == 1 + sum(m.funded for m in report.rounds)
+
+    def test_item_rows_are_built_once(self):
+        config = SimConfig(seed=2, items_per_round=50, rounds=2)
+        report = run_experiment(config, cfg(), SCHEMA, Hyperparams(), "uniform")
+        rows = report.item_rows
+        assert report.item_rows is rows
+        assert len(rows) == len(report.item_ids) == sum(m.funded for m in report.rounds)
+
+    def test_columns_are_read_only(self):
+        config = SimConfig(seed=2, items_per_round=50, rounds=2)
+        report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
+        assert type(report.item_ids) is tuple
+        for name in REPORT_FIELDS:
+            column = getattr(report, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, column.copy())
+
+    def test_equal_to_the_report_of_its_rows(self):
+        config = SimConfig(seed=3, items_per_round=100, rounds=3)
+        report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
+        rows = report.item_rows
+        rebuilt = ExperimentReport(
+            report.strategy, report.seed, report.rounds, report.total_discovered, rows
+        )
+        assert rebuilt == report
+        assert rebuilt.item_rows == rows
+        assert rebuilt.region.dtype == report.region.dtype == np.int8
+        # One field of one row changed: every column takes part in ==.
+        changes = {
+            "round": rows[-1].round + 1,
+            "item_id": "r99-00000",
+            "region": "Low" if rows[-1].region != "Low" else "High",
+            "granted": rows[-1].granted + 1,
+            "positive_events": rows[-1].positive_events + 1,
+            "discovered": not rows[-1].discovered,
+        }
+        for name, value in changes.items():
+            changed = rows[:-1] + (replace(rows[-1], **{name: value}),)
+            other = ExperimentReport(
+                report.strategy, report.seed, report.rounds, report.total_discovered, changed
+            )
+            assert other != report, name
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(DataError, match="report columns differ in length"):
+            ExperimentReport.of_columns(
+                "uniform", 0, (), 0, [0, 0], ["a", "b"], [0, 0], [1, 1], [0], [False, False]
+            )
+
+
 class TestBuildTrainingSetRejectsBadCounts:
     def test_negative_served_rejected(self):
         obs = [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
@@ -854,6 +969,40 @@ class TestBuildTrainingSetRejectsBadCounts:
         ]
         with pytest.raises(DataError, match="round=1, item_id='a'"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Would train as 10 impressions.
+            ("served", 10.7),
+            ("served", 2**63),
+            ("served", -(2**63) - 1),
+            ("served", True),
+            ("positive_events", 1.0),
+            ("positive_events", 2**64),
+            ("positive_events", False),
+            ("round", 0.5),
+            ("round", 2**63),
+            ("round", True),
+            ("round", "0"),
+            ("round", None),
+        ],
+    )
+    def test_count_not_an_int64_integer_rejected(self, field, value):
+        good = Observation(round=0, item_id="a", served=10, positive_events=1, discovered=False)
+        obs = [good, replace(good, **{"round": 1, "item_id": "b", field: value})]
+        records = [make_record("a", [1.0]), make_record("b", [2.0])]
+        message = f"observation of item b: {field} must be an integer that fits int64"
+        with pytest.raises(DataError, match=message):
+            build_training_set(obs, records, SCHEMA)
+
+    def test_largest_int64_counts_accepted(self):
+        top = 2**63 - 1
+        obs = [Observation(round=top, item_id="a", served=top, positive_events=top,
+                           discovered=True)]
+        examples = build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
+        assert examples.bucket.tolist() == [SCHEMA.n_buckets - 1]
+        assert examples.label.tolist() == [1]
 
     def test_two_observations_of_one_item_in_one_round_rejected(self):
         # Neither event came before the other, so neither engagement block
