@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     NO_REQUEST,
-    PLAN_REGIONS,
+    REGION_NAMES,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -32,6 +32,7 @@ from .core import (
     id_order,
     model_inputs,
     none_where,
+    region_counts,
     sum_costs,
     validate_config,
     write_csv,
@@ -44,7 +45,7 @@ from .model import DiscoverabilityModel, ScoreOverflow, monotone_curves, predict
 #: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes: a code indexes PLAN_REGIONS, as a plan's region column does.
+# Region codes: a code indexes core.PLAN_REGIONS, as a plan's region column does.
 # Unfunded is not a region an item is classified into; it marks plan rows
 # granted nothing.
 _HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
@@ -303,16 +304,13 @@ def allocate(
 # Plan export
 # ---------------------------------------------------------------------------
 
-_REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
-
-
 def write_plan_csv(plan: AllocationPlan, path: str | Path) -> None:
     """The plan file: a CSV of item_id, region, granted, requested, p_at_maxcap."""
     write_csv(
         ("item_id", "region", "granted", "requested", "p_at_maxcap"),
         zip(
             plan.ids,
-            map(_REGION_NAMES.__getitem__, plan.region.tolist()),
+            map(REGION_NAMES.__getitem__, plan.region.tolist()),
             plan.granted.tolist(),
             none_where(plan.requested, plan.requested == NO_REQUEST),
             plan.p_at_maxcap.tolist(),
@@ -329,14 +327,11 @@ def plan_summary(
     """The plan summary: counts per region after and before funding, totals
     and utilizations. The counts before funding classify every item again
     from its p_at_maxcap, so Low items deferred below min_cap stay visible."""
-    funded = np.bincount(plan.region)
     classified = np.bincount(_classify(plan.p_at_maxcap, config), minlength=3)
     summary = {
         "items": len(plan.ids),
-        "region_counts": {
-            name: count for name, count in zip(_REGION_NAMES, funded.tolist()) if count
-        },
-        "classified_counts": dict(zip(_REGION_NAMES[:3], classified.tolist())),
+        "region_counts": region_counts(plan.region),
+        "classified_counts": dict(zip(REGION_NAMES[:3], classified.tolist())),
         "total_allocated": plan.total_allocated,
         "total_cost": plan.total_cost,
         "budget": config.total_budget,

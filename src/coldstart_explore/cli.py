@@ -95,8 +95,8 @@ def _sim_config(args, seed: int) -> simulator.SimConfig:
 
 def _out_dir(args) -> Path:
     """The output directory, made if missing. Each command makes it only once
-    its inputs and config have been read and checked, so a refused command
-    leaves no directory behind."""
+    its inputs and config have been read and checked and its results
+    computed, so a refused command leaves no directory behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -242,19 +242,22 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"unknown strategy {strategy!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     params = model.Hyperparams(epochs=args.epochs).validate()
-    sim_configs = {seed: _sim_config(args, seed) for seed in sorted(seeds)}
+    sim_configs = [_sim_config(args, seed) for seed in sorted(seeds)]
+    reports = [
+        simulator.run_experiment(sim_cfg, config, schema, params, strategy)
+        for sim_cfg in sim_configs
+        for strategy in strategies
+    ]
     out = _out_dir(args)
     outputs = []
     totals: dict[str, list[int]] = {s: [] for s in strategies}
-    for seed, sim_cfg in sim_configs.items():
-        for strategy in strategies:
-            report = simulator.run_experiment(sim_cfg, config, schema, params, strategy)
-            json_path = out / f"report_{strategy}_seed{seed}.json"
-            csv_path = out / f"report_{strategy}_seed{seed}.csv"
-            core.write_json(simulator.report_to_dict(report), json_path)
-            simulator.write_report_csv(report, csv_path)
-            outputs.extend([json_path, csv_path])
-            totals[strategy].append(report.total_discovered)
+    for report in reports:
+        json_path = out / f"report_{report.strategy}_seed{report.seed}.json"
+        csv_path = out / f"report_{report.strategy}_seed{report.seed}.csv"
+        core.write_json(simulator.report_to_dict(report), json_path)
+        simulator.write_report_csv(report, csv_path)
+        outputs.extend([json_path, csv_path])
+        totals[report.strategy].append(report.total_discovered)
 
     comparison: dict = {
         "seeds": sorted(seeds),

@@ -12,8 +12,9 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -229,14 +230,43 @@ class PlanEntry:
     p_at_maxcap: float | None = None
 
 
-#: The regions a plan's region column codes: code k is PLAN_REGIONS[k]. The
-#: allocator's codes (High, Moderate, Low, Unfunded) are the first four.
+#: The regions a plan's or a report's region column codes: code k is
+#: PLAN_REGIONS[k], named REGION_NAMES[k], and REGION_CODE maps a region to
+#: its code. The allocator's codes (High, Moderate, Low, Unfunded) are the
+#: first four.
 PLAN_REGIONS = tuple(Region)
-_REGION_CODE = {region: code for code, region in enumerate(PLAN_REGIONS)}
-_UNFUNDED_CODE = _REGION_CODE[Region.UNFUNDED]
+REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
+REGION_CODE = {region: code for code, region in enumerate(PLAN_REGIONS)}
+
+
+def region_counts(codes: np.ndarray) -> dict[str, int]:
+    """The rows of each region a region column holds, by name, in PLAN_REGIONS order."""
+    counts = np.bincount(codes, minlength=len(PLAN_REGIONS)).tolist()
+    return {name: count for name, count in zip(REGION_NAMES, counts) if count}
+
 
 #: A plan's requested column holds this where an entry's requested is None.
 NO_REQUEST = -1
+
+
+def check_lengths(what: str, columns: dict[str, Sequence]) -> None:
+    """DataError unless every column is as long as the first, the ids."""
+    n = len(next(iter(columns.values())))
+    for name, column in columns.items():
+        if len(column) != n:
+            raise DataError(f"{what} columns differ in length: {n} ids, {len(column)} {name}")
+
+
+def columns_equal(self, other) -> bool:
+    """== of a dataclass that holds columns: every field equal, an array by
+    value with NaN equal to NaN."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs
+    )
 
 
 def none_where(values: np.ndarray, missing: np.ndarray) -> list:
@@ -246,7 +276,7 @@ def none_where(values: np.ndarray, missing: np.ndarray) -> list:
     return listed.tolist()
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AllocationPlan:
     """Per-item grants plus budget and cost accounting, held as columns.
 
@@ -254,8 +284,7 @@ class AllocationPlan:
     code `region[k]` (indexing PLAN_REGIONS), `granted[k]`, `requested[k]`
     (NO_REQUEST where the entry has None) and `p_at_maxcap[k]` (NaN where the
     entry has None). The producers give their rows in id order; a plan built
-    from entries keeps the entries' order. `entries`, one PlanEntry per row,
-    is built on first read and kept.
+    from entries keeps the entries' order.
     """
 
     ids: tuple[str, ...] = field(repr=False)
@@ -265,21 +294,21 @@ class AllocationPlan:
     p_at_maxcap: np.ndarray = field(repr=False)
     total_allocated: int
     total_cost: float
-    _entries: tuple[PlanEntry, ...] | None = field(default=None, repr=False)
 
     def __init__(
         self, entries: Iterable[PlanEntry], total_allocated: int, total_cost: float
     ) -> None:
         entries = tuple(entries)
-        self._hold(
+        plan = self.of_columns(
             [e.item_id for e in entries],
-            [_REGION_CODE[e.region] for e in entries],
+            [REGION_CODE[e.region] for e in entries],
             [e.granted for e in entries],
             [NO_REQUEST if e.requested is None else e.requested for e in entries],
             [math.nan if e.p_at_maxcap is None else e.p_at_maxcap for e in entries],
             total_allocated,
             total_cost,
         )
+        vars(self).update(vars(plan))
 
     @classmethod
     def of_columns(
@@ -293,11 +322,6 @@ class AllocationPlan:
         total_cost: float,
     ) -> "AllocationPlan":
         """The plan whose rows are the given columns, with no PlanEntry built."""
-        plan = cls.__new__(cls)
-        plan._hold(ids, region, granted, requested, p_at_maxcap, total_allocated, total_cost)
-        return plan
-
-    def _hold(self, ids, region, granted, requested, p_at_maxcap, total_allocated, total_cost):
         columns = {"ids": tuple(ids), "granted": granted, "requested": requested}
         # An int64 column would truncate a fractional grant or request.
         for name in ("granted", "requested"):
@@ -306,19 +330,16 @@ class AllocationPlan:
                 raise DataError(f"plan {name} must be integers, not {column.dtype}")
             columns[name] = read_only(column, np.int64)
         columns.update(region=read_only(region, np.int8), p_at_maxcap=read_only(p_at_maxcap))
-        n = len(columns["ids"])
-        for name, column in columns.items():
-            if len(column) != n:
-                raise DataError(f"plan columns differ in length: {n} ids, {len(column)} {name}")
-        columns.update(total_allocated=total_allocated, total_cost=total_cost, _entries=None)
-        for name, value in columns.items():
-            object.__setattr__(self, name, value)
+        check_lengths("plan", columns)
+        plan = cls.__new__(cls)
+        vars(plan).update(columns, total_allocated=total_allocated, total_cost=total_cost)
+        return plan
 
-    @property
+    @cached_property
     def entries(self) -> tuple[PlanEntry, ...]:
         """One PlanEntry per row, in row order: built on first read, then kept."""
-        if self._entries is None:
-            entries = map(
+        return tuple(
+            map(
                 PlanEntry,
                 self.ids,
                 map(PLAN_REGIONS.__getitem__, self.region.tolist()),
@@ -326,21 +347,9 @@ class AllocationPlan:
                 none_where(self.requested, self.requested == NO_REQUEST),
                 none_where(self.p_at_maxcap, np.isnan(self.p_at_maxcap)),
             )
-            object.__setattr__(self, "_entries", tuple(entries))
-        return self._entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AllocationPlan):
-            return NotImplemented
-        return (
-            self.ids == other.ids
-            and self.total_allocated == other.total_allocated
-            and self.total_cost == other.total_cost
-            and np.array_equal(self.region, other.region)
-            and np.array_equal(self.granted, other.granted)
-            and np.array_equal(self.requested, other.requested)
-            and np.array_equal(self.p_at_maxcap, other.p_at_maxcap, equal_nan=True)
         )
+
+    __eq__ = columns_equal
 
 
 def bucket_of(traffic, schema: BucketSchema):
@@ -449,7 +458,7 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
     receive plans across a trust boundary.
     """
     ids, granted = plan.ids, plan.granted
-    funded, unfunded = granted != 0, plan.region == _UNFUNDED_CODE
+    funded, unfunded = granted != 0, plan.region == REGION_CODE[Region.UNFUNDED]
     # np.select takes each row's first failing check, in the order a loop
     # over the entries checks one; the last is cost_of's refusal.
     problem = np.select(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (
     NO_REQUEST,
-    PLAN_REGIONS,
+    REGION_CODE,
     AllocationConfig,
     AllocationPlan,
     ConfigError,
@@ -249,7 +249,7 @@ def _baseline_plan(
     funded = granted > 0
     return AllocationPlan.of_columns(
         ids,
-        np.where(funded, PLAN_REGIONS.index(region), PLAN_REGIONS.index(Region.UNFUNDED)),
+        np.where(funded, REGION_CODE[region], REGION_CODE[Region.UNFUNDED]),
         *frozen(granted, np.where(funded, granted, NO_REQUEST), np.full(len(ids), np.nan)),
         int(granted.sum()),
         sum_costs(granted, config),

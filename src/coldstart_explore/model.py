@@ -171,10 +171,19 @@ def _design_matrix(examples: TrainingSet, schema: BucketSchema) -> np.ndarray:
     return X
 
 
-def _mean_log_loss(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
+def _loss_and_sigmoid(
+    X: np.ndarray, theta: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The mean log loss at coefficients theta, and _sigmoid(X @ theta), from
+    one e = exp(-|z|).
+
+    log1p(e) + max(z, 0) is log(1 + e^z) without overflow; np.logaddexp(0, z)
+    computes it more slowly, and can differ from it in the last bit.
+    """
     z = X @ theta
-    # log(1 + e^z) - y*z, computed without overflow
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    e = np.exp(-np.abs(z))
+    loss = float(np.mean(np.log1p(e) + np.maximum(z, 0.0) - y * z))
+    return loss, np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def train(
@@ -186,9 +195,12 @@ def train(
 
     Each step is the minimum-norm least-squares solution of H·s = g, so a
     bucket no example was served at keeps weight 0, and an intercept splits
-    evenly between the bias and a lone bucket. Stops once no coefficient moves
-    by more than 1e-10, or after params.epochs steps. Refuses an empty set, a
-    bucket outside the schema, or a single-class label set (for which the
+    evenly between the bias and a lone bucket. A step whose mean loss exceeds
+    the loss at zero is halved until it does not; if halving leaves no
+    coefficient moving by more than 1e-10, the step is not taken and the fit
+    stops. It also stops after a step that moves no coefficient by more than
+    1e-10, or after params.epochs steps. Refuses an empty set, a bucket
+    outside the schema, or a single-class label set (for which the
     cross-entropy minimizer pushes weights to infinity).
     """
     params.validate()
@@ -200,23 +212,30 @@ def train(
         raise DataError("single-class training set")
 
     theta = np.zeros(X.shape[1])
-    first_loss = _mean_log_loss(X, y, theta)
-    for steps in range(1, params.epochs + 1):
-        p = _sigmoid(X @ theta)
+    first_loss, p = _loss_and_sigmoid(X, theta, y)
+    steps = 0
+    for _ in range(params.epochs):
         hessian = X.T @ (X * (p * (1.0 - p))[:, None])
         step = np.linalg.lstsq(hessian, X.T @ (p - y), rcond=None)[0]
+        # The step's p is the next step's, so a step takes one product X @ theta.
+        step_loss, step_p = _loss_and_sigmoid(X, theta - step, y)
+        # A NaN step or loss fails both tests: it is halved no further and not taken.
+        while not step_loss <= first_loss and np.abs(step).max() > _STEP_TOLERANCE:
+            step /= 2.0
+            step_loss, step_p = _loss_and_sigmoid(X, theta - step, y)
+        if not step_loss <= first_loss:
+            break
         theta -= step
+        p, steps = step_p, steps + 1
         if np.abs(step).max() <= _STEP_TOLERANCE:
             break
-    final_loss = _mean_log_loss(X, y, theta)
-    if not np.isfinite(final_loss):
-        raise DataError("training diverged: non-finite loss")
-    if final_loss > first_loss:
-        raise DataError(f"training loss increased ({first_loss:.6f} -> {final_loss:.6f})")
     examples_per_bucket, positives_per_bucket = (
         tuple(np.bincount(examples.bucket, weights, schema.n_buckets).astype(int).tolist())
         for weights in (None, examples.label)
     )
+    # Recorded as np.logaddexp computes it, which the step test's formula can miss by a bit.
+    z = X @ theta
+    final_loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     meta = TrainingMeta(steps, final_loss, examples_per_bucket, positives_per_bucket)
     theta.setflags(write=False)  # so the weights, a view of it, are not copied
     return DiscoverabilityModel(theta[:-1], float(theta[-1]), schema, meta)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, eq, lt
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .core import (
     INTEGER,
     JSON_NULL,
     NUMBER,
-    PLAN_REGIONS,
+    REGION_CODE,
+    REGION_NAMES,
     STRING,
     AllocationConfig,
     AllocationPlan,
@@ -41,11 +43,14 @@ from .core import (
     ItemRecord,
     Region,
     bucket_of,
+    check_lengths,
     checked,
+    columns_equal,
     frozen,
     model_inputs,
     read_jsonl,
     read_only,
+    region_counts,
     static_matrix,
     sum_costs,
     validate_config,
@@ -88,6 +93,9 @@ class SimConfig:
     engagement_b: float = -2.2
 
     def validate(self) -> "SimConfig":
+        # numpy's generators refuse a negative seed with a bare ValueError.
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.items_per_round <= 0:
             raise ConfigError("items_per_round must be positive")
         if self.rounds < 1:
@@ -373,24 +381,15 @@ class ItemRoundRow:
     discovered: bool
 
 
-# A report's region column codes the regions as a plan's does: code k is
-# PLAN_REGIONS[k], named _REGION_NAMES[k].
-_REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
-_CODE_OF_NAME = {name: code for code, name in enumerate(_REGION_NAMES)}
-_UNIFORM_CODE = PLAN_REGIONS.index(Region.UNIFORM)
-_ORACLE_CODE = PLAN_REGIONS.index(Region.ORACLE)
-_UNFUNDED_CODE = PLAN_REGIONS.index(Region.UNFUNDED)
-
-
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """One strategy's run of the loop: its rounds' metrics and one row per
     funded item per round, in (round, item id) order, held as columns.
 
     Row k of the read-only columns is `round_index[k]`, `item_ids[k]`, its
     region code `region[k]` (indexing PLAN_REGIONS), `granted[k]`,
-    `positive_events[k]` and `discovered[k]`. `item_rows`, one ItemRoundRow
-    per row, is built on first read and kept.
+    `positive_events[k]` and `discovered[k]`. Columns of unequal length are
+    refused.
     """
 
     strategy: str
@@ -403,108 +402,35 @@ class ExperimentReport:
     granted: np.ndarray = field(repr=False)
     positive_events: np.ndarray = field(repr=False)
     discovered: np.ndarray = field(repr=False)
-    _item_rows: tuple[ItemRoundRow, ...] | None = field(default=None, repr=False)
 
-    def __init__(
-        self,
-        strategy: str,
-        seed: int,
-        rounds: Sequence[RoundMetrics],
-        total_discovered: int,
-        item_rows: Iterable[ItemRoundRow],
-    ) -> None:
-        rows = tuple(item_rows)
-        self._hold(
-            strategy,
-            seed,
-            rounds,
-            total_discovered,
-            [r.round for r in rows],
-            [r.item_id for r in rows],
-            [_CODE_OF_NAME[r.region] for r in rows],
-            [r.granted for r in rows],
-            [r.positive_events for r in rows],
-            [r.discovered for r in rows],
-        )
-
-    @classmethod
-    def of_columns(
-        cls,
-        strategy: str,
-        seed: int,
-        rounds: Sequence[RoundMetrics],
-        total_discovered: int,
-        round_index: np.ndarray,
-        item_ids: Sequence[str],
-        region: np.ndarray,
-        granted: np.ndarray,
-        positive_events: np.ndarray,
-        discovered: np.ndarray,
-    ) -> "ExperimentReport":
-        """The report whose rows are the given columns, with no ItemRoundRow built."""
-        report = cls.__new__(cls)
-        report._hold(
-            strategy, seed, rounds, total_discovered,
-            round_index, item_ids, region, granted, positive_events, discovered,
-        )
-        return report
-
-    def _hold(
-        self, strategy, seed, rounds, total_discovered,
-        round_index, item_ids, region, granted, positive_events, discovered,
-    ):
+    def __post_init__(self) -> None:
         columns = {
-            "round_index": read_only(round_index, np.int64),
-            "item_ids": tuple(item_ids),
-            "region": read_only(region, np.int8),
-            "granted": read_only(granted, np.int64),
-            "positive_events": read_only(positive_events, np.int64),
-            "discovered": read_only(discovered, bool),
+            "item_ids": tuple(self.item_ids),
+            "round_index": read_only(self.round_index, np.int64),
+            "region": read_only(self.region, np.int8),
+            "granted": read_only(self.granted, np.int64),
+            "positive_events": read_only(self.positive_events, np.int64),
+            "discovered": read_only(self.discovered, bool),
         }
-        n = len(columns["item_ids"])
-        for name, column in columns.items():
-            if len(column) != n:
-                raise DataError(f"report columns differ in length: {n} ids, {len(column)} {name}")
-        columns.update(
-            strategy=strategy,
-            seed=seed,
-            rounds=tuple(rounds),
-            total_discovered=total_discovered,
-            _item_rows=None,
-        )
-        for name, value in columns.items():
-            object.__setattr__(self, name, value)
+        check_lengths("report", columns)
+        vars(self).update(columns, rounds=tuple(self.rounds))
 
-    @property
+    @cached_property
     def item_rows(self) -> tuple[ItemRoundRow, ...]:
         """One ItemRoundRow per row, in row order: built on first read, then kept."""
-        if self._item_rows is None:
-            rows = map(
+        return tuple(
+            map(
                 ItemRoundRow,
                 self.round_index.tolist(),
                 self.item_ids,
-                map(_REGION_NAMES.__getitem__, self.region.tolist()),
+                map(REGION_NAMES.__getitem__, self.region.tolist()),
                 self.granted.tolist(),
                 self.positive_events.tolist(),
                 self.discovered.tolist(),
             )
-            object.__setattr__(self, "_item_rows", tuple(rows))
-        return self._item_rows
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExperimentReport):
-            return NotImplemented
-        return (
-            self.strategy == other.strategy
-            and self.seed == other.seed
-            and self.rounds == other.rounds
-            and self.total_discovered == other.total_discovered
-            and self.item_ids == other.item_ids
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("round_index", "region", "granted", "positive_events", "discovered")
-            )
         )
+
+    __eq__ = columns_equal
 
 
 def run_experiment(
@@ -568,11 +494,7 @@ def run_experiment(
         untrained = None
         if strategy == "model":
             features = model_inputs(static[rows], impressions[rows], positive_events[rows])
-        if strategy == "oracle":
-            granted = oracle_grants(true_threshold[rows], alloc_config)
-            total_cost = sum_costs(granted, alloc_config)
-            region = np.full(len(rows), _ORACLE_CODE, np.int8)
-        elif strategy == "model" and round_index > 0:
+        if strategy == "model" and round_index > 0:
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
@@ -580,12 +502,16 @@ def run_experiment(
             plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
             granted, total_cost, region = plan.granted, plan.total_cost, plan.region
         else:
-            granted = uniform_grants(len(rows), alloc_config)
+            if strategy == "oracle":
+                granted = oracle_grants(true_threshold[rows], alloc_config)
+            else:
+                granted = uniform_grants(len(rows), alloc_config)
             total_cost = sum_costs(granted, alloc_config)
-            region = np.full(len(rows), _UNIFORM_CODE, np.int8)
+            funded_in = REGION_CODE[Region.ORACLE if strategy == "oracle" else Region.UNIFORM]
+            region = np.where(granted > 0, funded_in, REGION_CODE[Region.UNFUNDED])
 
         funded = np.flatnonzero(granted)
-        served_rows, served, region = rows[funded], granted[funded], region[funded]
+        served_rows, served = rows[funded], granted[funded]
         positives, found = serve_columns(
             sim_config, round_index, served, engagement_prob[served_rows],
             true_threshold[served_rows],
@@ -596,10 +522,8 @@ def run_experiment(
         positive_events[served_rows] += positives
         discovered[served_rows] = found
 
-        tally = np.bincount(region, minlength=len(PLAN_REGIONS))
-        tally[_UNFUNDED_CODE] = len(rows) - len(funded)
         report_ids += [ids[k] for k in served_rows.tolist()]
-        report_blocks.append((region, served, positives, found))
+        report_blocks.append((region[funded], served, positives, found))
         round_metrics.append(
             RoundMetrics(
                 round=round_index,
@@ -608,15 +532,13 @@ def run_experiment(
                 discovered=int(found.sum()),
                 total_allocated=int(granted.sum()),
                 total_cost=total_cost,
-                region_counts=dict(
-                    sorted((_REGION_NAMES[k], c) for k, c in enumerate(tally.tolist()) if c)
-                ),
+                region_counts=region_counts(region),
                 untrained_buckets=untrained,
             )
         )
 
     round_column = np.repeat(np.arange(sim_config.rounds), [m.funded for m in round_metrics])
-    return ExperimentReport.of_columns(
+    return ExperimentReport(
         strategy,
         sim_config.seed,
         round_metrics,
@@ -716,7 +638,7 @@ def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
         zip(
             report.round_index.tolist(),
             report.item_ids,
-            map(_REGION_NAMES.__getitem__, report.region.tolist()),
+            map(REGION_NAMES.__getitem__, report.region.tolist()),
             report.granted.tolist(),
             report.positive_events.tolist(),
             report.discovered.astype(np.int64).tolist(),

@@ -13,11 +13,19 @@ from typing import Sequence
 
 import numpy as np
 
-from coldstart_explore.core import DataError, EngagementStats, ItemRecord, read_corpus
+from coldstart_explore.core import (
+    REGION_NAMES,
+    DataError,
+    EngagementStats,
+    ItemRecord,
+    read_corpus,
+)
 from coldstart_explore.simulator import (
     ExperimentReport,
+    ItemRoundRow,
     LatentColumns,
     LatentItem,
+    RoundMetrics,
     write_latents,
 )
 
@@ -90,6 +98,28 @@ def latent_columns(latents: Sequence[LatentItem]) -> LatentColumns:
 def save_latents(latents: Sequence[LatentItem], path: str | Path) -> None:
     """Write latent items as the latents file."""
     write_latents(latent_columns(latents), path)
+
+
+def report_of_rows(
+    strategy: str,
+    seed: int,
+    rounds: Sequence[RoundMetrics],
+    total_discovered: int,
+    item_rows: Sequence[ItemRoundRow],
+) -> ExperimentReport:
+    """The report whose rows are the given ItemRoundRows, in their order."""
+    return ExperimentReport(
+        strategy,
+        seed,
+        rounds,
+        total_discovered,
+        [row.round for row in item_rows],
+        [row.item_id for row in item_rows],
+        [REGION_NAMES.index(row.region) for row in item_rows],
+        [row.granted for row in item_rows],
+        [row.positive_events for row in item_rows],
+        [row.discovered for row in item_rows],
+    )
 
 
 def write_report_rows(report: ExperimentReport, path: str | Path) -> None:

@@ -13,6 +13,7 @@ import pytest
 from coldstart_explore.cli import main
 from coldstart_explore.core import (
     DEFAULT_ALLOCATION,
+    DataError,
     EngagementStats,
     Region,
     config_from_dict,
@@ -584,6 +585,24 @@ class TestExperiment:
         assert run("experiment", "--items", "20", "--rounds", "2",
                    "--out-dir", str(tmp_path / "x"), *flags) == 2
 
+    def test_a_failing_run_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        # The first run succeeds and the second fails: nothing is written.
+        calls = []
+
+        def fails_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DataError("the second run fails")
+            return run_experiment(*args)
+
+        run_experiment = simulator.run_experiment
+        monkeypatch.setattr(simulator, "run_experiment", fails_second)
+        out = tmp_path / "exp"
+        assert run("experiment", "--items", "20", "--rounds", "2", "--seeds", "0,1",
+                   "--strategies", "uniform", "--out-dir", str(out)) == 3
+        assert len(calls) == 2
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         outs = [tmp_path / f"e{k}" for k in range(2)]
         for out in outs:
@@ -846,12 +865,18 @@ def single_class_set(tmp_path):
         (["eval", "--model", "{model}", "--examples", "{tmp}/nope.npz"], 3),
         (["eval", "--model", "{model}", "--examples", "{one_class}", "--threshold", "2"], 2),
         (["simulate", "--items", "0"], 2),
+        (["simulate", "--seed", "-1"], 2),
         (["experiment", "--items", "0", "--rounds", "1"], 2),
         (["experiment", "--strategies", "greedy"], 2),
+        (["experiment", "--seed", "-1", "--items", "5", "--rounds", "1"], 2),
+        (["experiment", "--seeds=-1,0", "--items", "5", "--rounds", "1"], 2),
+        (["experiment", "--items", "20", "--rounds", "2", "--feature-noise", "1e308"], 2),
     ],
     ids=["allocate-missing-corpus", "allocate-duplicate-ids", "allocate-bad-config",
          "train-missing-set", "train-one-class", "eval-missing-set", "eval-bad-threshold",
-         "simulate-bad-config", "experiment-bad-config", "experiment-unknown-strategy"],
+         "simulate-bad-config", "simulate-negative-seed", "experiment-bad-config",
+         "experiment-unknown-strategy", "experiment-negative-seed",
+         "experiment-negative-seeds", "experiment-overflowing-config"],
 )
 def test_refused_command_leaves_no_out_dir(
     tmp_path, trained_model_file, duplicate_id_corpus, single_class_set, argv, code

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from coldstart_explore.core import (
     NO_REQUEST,
     PLAN_REGIONS,
+    REGION_NAMES,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -33,6 +35,7 @@ from coldstart_explore.core import (
     read_corpus,
     read_json,
     read_jsonl,
+    region_counts,
     save_corpus,
     static_matrix,
     validate_config,
@@ -553,6 +556,20 @@ class TestVerifyColumnPlan:
     def test_fractional_grant_or_request_refused_not_truncated(self, entry, message):
         with pytest.raises(DataError, match=re.escape(message)):
             AllocationPlan([entry], 100, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, codes",
+    [(0, range(6)), (1, range(6)), (9, [1, 3]), (500, range(6)), (500, [0, 4, 5])],
+)
+def test_region_counts_match_a_counter_over_the_rows(n, codes):
+    column = np.random.default_rng(n).choice(list(codes), size=n).astype(np.int8)
+    expected = Counter(PLAN_REGIONS[code].value for code in column.tolist())
+    got = region_counts(column)
+    assert got == expected
+    # Only the regions present, in PLAN_REGIONS order, as Python ints.
+    assert list(got) == [name for name in REGION_NAMES if name in expected]
+    assert all(type(count) is int for count in got.values())
 
 
 NOT_A_NUMBER = "features must be a flat list of numbers; "

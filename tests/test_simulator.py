@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from coldstart_explore import allocator, simulator
 from coldstart_explore.core import (
+    DEFAULT_ALLOCATION,
     AllocationConfig,
     AllocationPlan,
     ConfigError,
@@ -47,6 +49,7 @@ from per_item import (
     item_feature_vector,
     latent_columns,
     monotone_curve,
+    report_of_rows,
     save_latents,
     write_report_rows,
 )
@@ -151,6 +154,16 @@ class TestGenerateCorpus:
             SimConfig(archetype_mix=(0.5, 0.2, 0.2)).validate()
         with pytest.raises(ConfigError):
             SimConfig(rounds=0).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_seed_not_a_non_negative_int_rejected(self, seed):
+        message = f"seed must be a non-negative integer, not {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig(seed=seed).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            generate_corpus(SimConfig(seed=seed, items_per_round=5), 0)
+        with pytest.raises(ConfigError, match="seed"):
+            run_experiment(SimConfig(seed=seed, items_per_round=5), cfg(), SCHEMA)
 
 
 class TestServeRound:
@@ -281,6 +294,15 @@ class TestBuildTrainingSet:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_five_item_model_loop_runs_to_the_end(self, seed):
+        # A full Newton step on these few examples raises the loss far above
+        # log 2, at round 6 of seed 0 and round 3 of seed 2; train halves it.
+        config = SimConfig(seed=seed, items_per_round=5, rounds=8)
+        report = run_experiment(config, DEFAULT_ALLOCATION, SCHEMA, Hyperparams(), "model")
+        assert [m.round for m in report.rounds] == list(range(8))
+        assert all(m.untrained_buckets is not None for m in report.rounds[1:])
+
     def test_uniform_rounds_grant_identical_traffic(self):
         config = SimConfig(seed=1, items_per_round=100, rounds=2)
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "uniform")
@@ -619,12 +641,12 @@ def run_experiment_reference(
                 untrained_buckets=untrained,
             )
         )
-    return ExperimentReport(
-        strategy=strategy,
-        seed=sim_config.seed,
-        rounds=tuple(round_metrics),
-        total_discovered=sum(m.discovered for m in round_metrics),
-        item_rows=tuple(item_rows),
+    return report_of_rows(
+        strategy,
+        sim_config.seed,
+        round_metrics,
+        sum(m.discovered for m in round_metrics),
+        item_rows,
     )
 
 
@@ -914,7 +936,7 @@ class TestReportColumns:
         config = SimConfig(seed=3, items_per_round=100, rounds=3)
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
         rows = report.item_rows
-        rebuilt = ExperimentReport(
+        rebuilt = report_of_rows(
             report.strategy, report.seed, report.rounds, report.total_discovered, rows
         )
         assert rebuilt == report
@@ -931,14 +953,14 @@ class TestReportColumns:
         }
         for name, value in changes.items():
             changed = rows[:-1] + (replace(rows[-1], **{name: value}),)
-            other = ExperimentReport(
+            other = report_of_rows(
                 report.strategy, report.seed, report.rounds, report.total_discovered, changed
             )
             assert other != report, name
 
     def test_columns_of_unequal_length_refused(self):
         with pytest.raises(DataError, match="report columns differ in length"):
-            ExperimentReport.of_columns(
+            ExperimentReport(
                 "uniform", 0, (), 0, [0, 0], ["a", "b"], [0, 0], [1, 1], [0], [False, False]
             )
 
