@@ -50,6 +50,7 @@ from .simulator import (
     ExperimentReport,
     LatentItem,
     Observation,
+    Observations,
     SimConfig,
     build_training_set,
     generate_corpus,

@@ -96,12 +96,10 @@ class SimConfig:
         # numpy's generators refuse a negative seed with a bare ValueError.
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if self.items_per_round <= 0:
-            raise ConfigError("items_per_round must be positive")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        if self.feature_dim <= 0:
-            raise ConfigError("feature_dim must be positive")
+        for name in ("items_per_round", "rounds", "feature_dim", "max_threshold"):
+            value = getattr(self, name)
+            if type(value) not in INTEGER or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, not {value!r}")
         for name in (
             "feature_noise",
             "threshold_mu",
@@ -114,8 +112,6 @@ class SimConfig:
                 raise ConfigError(f"{name} must be a finite number")
         if self.feature_noise < 0 or self.threshold_noise < 0:
             raise ConfigError("noise scales must be non-negative")
-        if self.max_threshold < 1:
-            raise ConfigError("max_threshold must be at least 1")
         if len(self.archetype_mix) != 3 or any(f < 0 for f in self.archetype_mix):
             raise ConfigError("archetype_mix must be three non-negative fractions")
         if not math.isclose(sum(self.archetype_mix), 1.0, abs_tol=1e-9):
@@ -132,6 +128,89 @@ class Observation:
     served: int
     positive_events: int
     discovered: bool
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _is_int64(value) -> bool:
+    return type(value) in INTEGER and _INT64.min <= value <= _INT64.max
+
+
+def _is_bool(value) -> bool:
+    return type(value) is bool
+
+
+def _column(values, dtype, fits, ids: tuple[str, ...], must: str) -> np.ndarray:
+    """values as a read-only column of dtype, np.int64 or bool, cast from no
+    other kind. An array of another kind is read as a list, and the first
+    value of a list that `fits` refuses raises DataError naming its item."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind == np.dtype(dtype).kind:
+            return read_only(values, dtype)
+        values = values.tolist()
+    fitting = np.fromiter(map(fits, values), bool, len(values))
+    if not fitting.all():
+        k = int(np.argmin(fitting))
+        raise DataError(f"observation of item {ids[k]}: {must}, not {values[k]!r}")
+    return read_only(values, dtype)
+
+
+@dataclass(frozen=True, eq=False)
+class Observations(Sequence[Observation]):
+    """Outcomes of serving, one row per serving event, held as columns.
+
+    Row k of the read-only columns is `round_index[k]`, `item_ids[k]`,
+    `served[k]`, `positive_events[k]` and `discovered[k]`. The constructor
+    refuses columns of unequal length, a round or count that is not an int
+    that fits int64 (a bool or a float is not one) and a `discovered` that
+    is not a bool, None included, naming the item: nothing is cast. As a
+    sequence it is its rows, one Observation each, built on first read;
+    `len` reads the columns alone.
+    """
+
+    round_index: np.ndarray
+    item_ids: tuple[str, ...]
+    served: np.ndarray
+    positive_events: np.ndarray
+    discovered: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.item_ids)
+        integers = ("round_index", "served", "positive_events")
+        columns = {name: getattr(self, name) for name in (*integers, "discovered")}
+        check_lengths("observation", {"item_ids": ids, **columns})
+        for name in integers:
+            must = f"{name} must be an integer that fits int64"
+            columns[name] = _column(columns[name], np.int64, _is_int64, ids, must)
+        must = "discovered must be a bool"
+        columns["discovered"] = _column(columns["discovered"], bool, _is_bool, ids, must)
+        vars(self).update(columns, item_ids=ids)
+
+    @cached_property
+    def rows(self) -> tuple[Observation, ...]:
+        """One Observation per row, in row order: built on first read, then kept."""
+        return tuple(
+            map(
+                Observation,
+                self.round_index.tolist(),
+                self.item_ids,
+                self.served.tolist(),
+                self.positive_events.tolist(),
+                self.discovered.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    __eq__ = columns_equal
 
 
 def _feature_projection(config: SimConfig) -> np.ndarray:
@@ -221,16 +300,17 @@ def serve_round(
     plan: AllocationPlan,
     config: SimConfig,
     round_index: int = 0,
-) -> list[Observation]:
+) -> Observations:
     """Serve granted impressions and report engagement plus the discovery outcome.
 
-    Only funded entries produce observations: an item nobody explored yields
-    no label. Positive events are Binomial(granted, engagement_prob), drawn in
-    item id order. Discovery is decided per round: the item is discovered
-    exactly when this round's grant reaches its threshold. Traffic from
-    earlier rounds does not count towards it, unlike engagement, which
-    accumulates. A plan naming an unknown item or one item twice, or granting
-    negative traffic, is refused in id order, as are two latents of one item.
+    Only funded entries produce observations, in id order: an item nobody
+    explored yields no label. Positive events are Binomial(granted,
+    engagement_prob), drawn in item id order. Discovery is decided per round:
+    the item is discovered exactly when this round's grant reaches its
+    threshold. Traffic from earlier rounds does not count towards it, unlike
+    engagement, which accumulates. A plan naming an unknown item or one item
+    twice, or granting negative traffic, is refused in id order, as are two
+    latents of one item.
     """
     by_id = {lat.id: lat for lat in latents}
     if len(by_id) != len(latents):
@@ -254,74 +334,30 @@ def serve_round(
                 raise DataError(f"plan grants item {item_id} negative traffic {grant}")
             previous = item_id
     funded = served != 0
-    ids = list(compress(ids, funded.tolist()))
+    ids = tuple(compress(ids, funded.tolist()))
     served = served[funded]
     items = list(map(by_id.__getitem__, ids))
     probs = np.fromiter(map(attrgetter("engagement_prob"), items), float, len(items))
     thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
     positives, found = serve_columns(config, round_index, served, probs, thresholds)
-    return list(
-        map(
-            Observation,
-            repeat(round_index),
-            ids,
-            served.tolist(),
-            positives.tolist(),
-            found.tolist(),
-        )
-    )
+    rounds = np.full(len(ids), round_index)
+    return Observations(rounds, ids, *frozen(served, positives, found))
 
 
-def _record_rows(events: Sequence[Observation], records: Sequence[ItemRecord]) -> np.ndarray:
-    """Index into records of every event's item, checking each event in
-    order; the events come in (round, item id) order."""
-    ids = [rec.id for rec in records]
-    row_of = dict(zip(ids, range(len(ids))))
-    if len(row_of) != len(ids):
-        repeated = next(i for i, count in Counter(ids).items() if count > 1)
-        raise DataError(f"duplicate record for item {repeated}")
-    previous = None
-    for obs in events:
-        if obs.item_id not in row_of:
-            raise DataError(f"observation references unknown item {obs.item_id}")
-        if obs.discovered is None:
-            raise DataError(f"unresolved observation for item {obs.item_id}")
-        if (obs.round, obs.item_id) == previous:
-            raise DataError(f"two observations of item {obs.item_id} in round {obs.round}")
-        if not 0 <= obs.positive_events <= obs.served:
-            raise DataError(f"positive_events cannot exceed served or fall below 0: {obs}")
-        previous = obs.round, obs.item_id
-    return np.fromiter((row_of[o.item_id] for o in events), np.int64, len(events))
-
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _fits_int64(value) -> bool:
-    return type(value) in INTEGER and _INT64.min <= value <= _INT64.max
-
-
-def _int64_column(events: Sequence[Observation], name: str) -> np.ndarray:
-    """Field `name` of every event as an int64 column. DataError naming the
-    item of the first event whose value is not an int (a bool is not one) or
-    does not fit int64."""
-    values = list(map(attrgetter(name), events))
-    # Every value an int first, so that min and max compare only ints.
-    if not (
-        set(INTEGER).issuperset(map(type, values))
-        and _fits_int64(min(values, default=0))
-        and _fits_int64(max(values, default=0))
-    ):
-        obs, value = next((o, v) for o, v in zip(events, values) if not _fits_int64(v))
-        raise DataError(
-            f"observation of item {obs.item_id}: {name} must be an integer "
-            f"that fits int64, not {value!r}"
-        )
-    return np.fromiter(values, np.int64, len(values))
+def _replay_order(rounds: np.ndarray, ids: tuple[str, ...]) -> np.ndarray:
+    """Indexes that put events in (round, Python str order of id) order: an
+    arange when they already are, as serve_round's and the loop's are."""
+    n = len(ids)
+    ids_rise = np.fromiter(map(lt, ids, islice(ids, 1, None)), bool, max(n - 1, 0))
+    same_round = rounds[1:] == rounds[:-1]
+    if ((rounds[1:] > rounds[:-1]) | (same_round & ids_rise)).all():
+        return np.arange(n)
+    by_id = np.fromiter(sorted(range(n), key=ids.__getitem__), np.intp, n)
+    return by_id[np.argsort(rounds[by_id], kind="stable")]
 
 
 def build_training_set(
-    observations: Sequence[Observation],
+    observations: Observations,
     records: Sequence[ItemRecord],
     schema: BucketSchema,
 ) -> TrainingSet:
@@ -330,29 +366,53 @@ def build_training_set(
     Running impressions and positive events per record give each example its
     item's static features plus the engagement block as it stood before the
     event; its bucket is the served traffic's and its label `discovered`.
-    Each event's round and counts must be ints that fit int64, and
-    0 <= positive_events <= served. Two records of one item are refused, and
-    so are two observations of one item in one round, as neither came before
-    the other."""
-    _int64_column(observations, "round")  # checked before the sort compares them
-    events = sorted(observations, key=attrgetter("round", "item_id"))
-    n = len(events)
-    counts = np.empty((n, 2), dtype=np.int64)  # each event's served and positive events
-    counts[:, 0] = _int64_column(events, "served")
-    counts[:, 1] = _int64_column(events, "positive_events")
+    The events come as the columns of an Observations, which has checked
+    their types; each needs 0 <= positive_events <= served. An event of an
+    unknown item, two records of one item and two observations of one item
+    in one round (neither came before the other) are refused, naming the
+    first such event in replay order."""
+    if not isinstance(observations, Observations):
+        raise TypeError(
+            "build_training_set takes an Observations, the columns serve_round returns, "
+            f"not a {type(observations).__name__}; a list of Observation rows is no "
+            "longer accepted"
+        )
+    obs = observations
+    n = len(obs)
+    order = _replay_order(obs.round_index, obs.item_ids)
+    rounds = obs.round_index[order]
+    counts = np.stack([obs.served[order], obs.positive_events[order]], axis=1)
     bucket = bucket_of(counts[:, 0], schema)
-    rows = _record_rows(events, records)
+    record_ids = [rec.id for rec in records]
+    row_of = dict(zip(record_ids, range(len(record_ids))))
+    if len(row_of) != len(record_ids):
+        repeated = next(i for i, count in Counter(record_ids).items() if count > 1)
+        raise DataError(f"duplicate record for item {repeated}")
+    # Each event's index into records, -1 for an unknown item.
+    rows = np.fromiter(map(row_of.get, obs.item_ids, repeat(-1)), np.int64, n)[order]
+    unknown = rows < 0
+    twice = np.zeros(n, dtype=bool)  # an event of the item and round of the one before it
+    twice[1:] = (rounds[1:] == rounds[:-1]) & (rows[1:] == rows[:-1])
+    bad_counts = (counts[:, 1] < 0) | (counts[:, 1] > counts[:, 0])
+    if (refused := unknown | twice | bad_counts).any():
+        k = int(np.argmax(refused))
+        event = int(order[k])
+        item_id = obs.item_ids[event]
+        if unknown[k]:
+            raise DataError(f"observation references unknown item {item_id}")
+        if twice[k]:
+            raise DataError(f"two observations of item {item_id} in round {rounds[k]}")
+        raise DataError(f"positive_events cannot exceed served or fall below 0: {obs[event]}")
     # Each event's counts become its record's counts before it, round by
     # round: a round's events are of distinct records, so one add replays it.
     running = np.zeros((len(records), 2), dtype=np.int64)
-    rounds = [o.round for o in events]
-    round_starts = [k for k in range(1, n) if rounds[k] != rounds[k - 1]]
+    round_starts = np.flatnonzero(rounds[1:] != rounds[:-1]) + 1
     for block in np.split(np.arange(n), round_starts):
         running[rows[block]] += counts[block]
         counts[block] = running[rows[block]] - counts[block]
-    del running, rounds  # freed before the features, the largest arrays, are built
-    static = static_matrix([records[k] for k in rows])
-    label = np.fromiter(map(attrgetter("discovered"), events), np.int64, n)
+    del running  # freed before the features, the largest arrays, are built
+    static = static_matrix(list(map(records.__getitem__, rows.tolist())))
+    label = obs.discovered[order].astype(np.int64)
     return TrainingSet(*frozen(model_inputs(static, *counts.T), bucket, label))
 
 

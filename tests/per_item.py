@@ -1,12 +1,13 @@
 """Per-item forms of the library's column code, for tests to check it against.
 
-Each helper handles one item, record or curve at a time, in plain Python and
-numpy; the library works on whole columns. The tests use them as oracles and
-to turn files into records.
+Each helper handles one item, record, curve or event at a time, in plain
+Python and numpy; the library works on whole columns. The tests use them as
+oracles, to turn files into records and to build column types from rows.
 """
 
 import csv
 import math
+from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -15,9 +16,11 @@ import numpy as np
 
 from coldstart_explore.core import (
     REGION_NAMES,
+    BucketSchema,
     DataError,
     EngagementStats,
     ItemRecord,
+    bucket_of,
     read_corpus,
 )
 from coldstart_explore.simulator import (
@@ -25,6 +28,8 @@ from coldstart_explore.simulator import (
     ItemRoundRow,
     LatentColumns,
     LatentItem,
+    Observation,
+    Observations,
     RoundMetrics,
     write_latents,
 )
@@ -138,3 +143,50 @@ def write_report_rows(report: ExperimentReport, path: str | Path) -> None:
                     int(row.discovered),
                 ]
             )
+
+
+def observations_of(rows: Sequence[Observation]) -> Observations:
+    """The Observations whose rows are the given Observations, in their order."""
+    return Observations(
+        [o.round for o in rows],
+        [o.item_id for o in rows],
+        [o.served for o in rows],
+        [o.positive_events for o in rows],
+        [o.discovered for o in rows],
+    )
+
+
+def replay_examples(
+    observations: Sequence[Observation], records: Sequence[ItemRecord], schema: BucketSchema
+) -> list[tuple[np.ndarray, int, int]]:
+    """build_training_set one event at a time: the (features, bucket, label)
+    of each event in (round, item id) order.
+
+    The events' buckets are taken first, so a negative `served` is refused
+    before anything else, then two records of one item; each event is then
+    checked in order, and each item's engagement replayed in a dict.
+    """
+    events = sorted(observations, key=attrgetter("round", "item_id"))
+    buckets = [bucket_of(o.served, schema) for o in events]
+    ids = [rec.id for rec in records]
+    repeated = [i for i, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise DataError(f"duplicate record for item {repeated[0]}")
+    static = dict(zip(ids, (rec.features for rec in records)))
+    running = {}
+    examples = []
+    previous = None
+    for obs, bucket in zip(events, buckets):
+        if obs.item_id not in static:
+            raise DataError(f"observation references unknown item {obs.item_id}")
+        if (obs.round, obs.item_id) == previous:
+            raise DataError(f"two observations of item {obs.item_id} in round {obs.round}")
+        if not 0 <= obs.positive_events <= obs.served:
+            raise DataError(f"positive_events cannot exceed served or fall below 0: {obs}")
+        previous = obs.round, obs.item_id
+        impressions, positives = running.get(obs.item_id, (0, 0))
+        stats = EngagementStats(impressions=impressions, positive_events=positives)
+        features = np.concatenate([static[obs.item_id], engagement_features(stats)])
+        examples.append((features, bucket, int(obs.discovered)))
+        running[obs.item_id] = (impressions + obs.served, positives + obs.positive_events)
+    return examples

@@ -31,6 +31,7 @@ from coldstart_explore.simulator import (
     LatentColumns,
     LatentItem,
     Observation,
+    Observations,
     RoundMetrics,
     SimConfig,
     build_training_set,
@@ -45,10 +46,11 @@ from coldstart_explore.simulator import (
 )
 from conftest import make_record
 from per_item import (
-    engagement_features,
     item_feature_vector,
     latent_columns,
     monotone_curve,
+    observations_of,
+    replay_examples,
     report_of_rows,
     save_latents,
     write_report_rows,
@@ -247,44 +249,56 @@ class TestServeRound:
 class TestBuildTrainingSet:
     def test_bucketization_of_served_traffic(self):
         records = [make_record("a", [1.0, 2.0])]
-        obs = [Observation(round=0, item_id="a", served=150, positive_events=3, discovered=True)]
+        obs = observations_of(
+            [Observation(round=0, item_id="a", served=150, positive_events=3, discovered=True)]
+        )
         examples = build_training_set(obs, records, SCHEMA)
         assert examples.bucket[0] == bucket_of(150, SCHEMA)
         assert examples.label[0] == 1
 
     def test_cold_item_has_zero_engagement_block(self):
         records = [make_record("a", [1.0])]
-        obs = [Observation(round=0, item_id="a", served=100, positive_events=10, discovered=False)]
+        obs = observations_of(
+            [Observation(round=0, item_id="a", served=100, positive_events=10, discovered=False)]
+        )
         examples = build_training_set(obs, records, SCHEMA)
         assert np.allclose(examples.features[0], [1.0, 0.0, 0.0])
 
     def test_engagement_reflects_state_at_serving_time(self):
         records = [make_record("a", [1.0])]
-        obs = [
+        obs = observations_of([
             Observation(round=0, item_id="a", served=100, positive_events=25, discovered=False),
             Observation(round=1, item_id="a", served=200, positive_events=10, discovered=True),
-        ]
+        ])
         examples = build_training_set(obs, records, SCHEMA)
         # round-1 example sees the engagement accumulated in round 0 only
         assert examples.features[1, 1] == pytest.approx(0.25)
         assert examples.features[1, 2] == pytest.approx(math.log1p(100))
 
     def test_unknown_item_rejected(self):
-        obs = [Observation(round=0, item_id="zzz", served=100, positive_events=0, discovered=False)]
+        obs = observations_of(
+            [Observation(round=0, item_id="zzz", served=100, positive_events=0, discovered=False)]
+        )
         with pytest.raises(DataError, match="unknown item"):
             build_training_set(obs, [], SCHEMA)
 
     def test_two_records_of_one_item_rejected(self):
         records = [make_record("a", [1.0]), make_record("a", [2.0])]
-        obs = [Observation(round=0, item_id="a", served=100, positive_events=0, discovered=False)]
+        obs = observations_of(
+            [Observation(round=0, item_id="a", served=100, positive_events=0, discovered=False)]
+        )
         with pytest.raises(DataError, match="duplicate record for item a"):
             build_training_set(obs, records, SCHEMA)
 
     def test_unresolved_observation_rejected(self):
-        records = [make_record("a", [1.0])]
-        obs = [Observation(round=0, item_id="a", served=100, positive_events=0, discovered=None)]
-        with pytest.raises(DataError, match="unresolved"):
-            build_training_set(obs, records, SCHEMA)
+        row = Observation(round=0, item_id="a", served=100, positive_events=0, discovered=None)
+        with pytest.raises(DataError, match="item a: discovered must be a bool, not None"):
+            observations_of([row])
+
+    def test_list_of_rows_refused_naming_the_change(self):
+        row = Observation(round=0, item_id="a", served=100, positive_events=0, discovered=False)
+        with pytest.raises(TypeError, match="takes an Observations.*not a list"):
+            build_training_set([row], [make_record("a", [1.0])], SCHEMA)
 
     def test_example_count_matches_funded_items_across_rounds(self):
         config = SimConfig(seed=13, items_per_round=200)
@@ -547,27 +561,6 @@ def serve_round_reference(latents, plan, config, round_index=0):
     return observations
 
 
-def build_training_set_reference(observations, records, schema):
-    """build_training_set replaying each item's engagement in a dict."""
-    static = {rec.id: rec.features for rec in records}
-    running = {}
-    examples = []  # (features, bucket, label) rows
-    for obs in sorted(observations, key=lambda o: (o.round, o.item_id)):
-        if obs.item_id not in static:
-            raise DataError(f"observation references unknown item {obs.item_id}")
-        if obs.discovered is None:
-            raise DataError(f"unresolved observation for item {obs.item_id}")
-        impressions, positives = running.get(obs.item_id, (0, 0))
-        stats = EngagementStats(impressions=impressions, positive_events=positives)
-        features = np.concatenate([static[obs.item_id], engagement_features(stats)])
-        examples.append((features, bucket_of(obs.served, schema), int(obs.discovered)))
-        running[obs.item_id] = (
-            impressions + obs.served,
-            positives + obs.positive_events,
-        )
-    return examples
-
-
 def run_experiment_reference(
     sim_config, alloc_config, schema, params, strategy,
     uniform=uniform_allocate, oracle=oracle_allocate,
@@ -590,9 +583,7 @@ def run_experiment_reference(
         if strategy == "oracle":
             plan = oracle([pool_latents[r.id] for r in candidates], alloc_config)
         elif strategy == "model" and round_index > 0:
-            rows = build_training_set_reference(
-                all_observations, list(pool_records.values()), schema
-            )
+            rows = replay_examples(all_observations, list(pool_records.values()), schema)
             examples = TrainingSet(*map(np.array, zip(*rows)))
             model = train(examples, schema, params)
             untrained = tuple(k for k, n in enumerate(model.meta.bucket_examples) if n == 0)
@@ -712,7 +703,9 @@ class TestArrayLoopsMatchPerItemReference:
             order = rng.permutation(len(latents))  # entries need not be sorted
             plan = plan_for([latents[k] for k in order], [int(grants[k]) for k in order])
             got = serve_round(latents, plan, config, 2)
-            assert got == serve_round_reference(latents, plan, config, 2)
+            expected = serve_round_reference(latents, plan, config, 2)
+            assert got == observations_of(expected)
+            assert list(got) == expected
             assert all(type(o.positive_events) is int for o in got)
             assert all(type(o.discovered) is bool for o in got)
 
@@ -745,7 +738,7 @@ class TestArrayLoopsMatchPerItemReference:
         config = SimConfig(seed=1, items_per_round=20)
         latents, _ = generate_corpus(config, 0)
         plan = plan_for(latents, [0] * len(latents))
-        assert serve_round(latents, plan, config, 0) == []
+        assert serve_round(latents, plan, config, 0) == observations_of([])
 
     def test_build_training_set_on_served_rounds(self):
         config = SimConfig(seed=3, items_per_round=400, rounds=3)
@@ -762,40 +755,69 @@ class TestArrayLoopsMatchPerItemReference:
         rng = np.random.default_rng(0)
         observations = [observations[k] for k in rng.permutation(len(observations))]
         assert_examples_bit_identical(
-            build_training_set(observations, records, SCHEMA),
-            build_training_set_reference(observations, records, SCHEMA),
+            build_training_set(observations_of(observations), records, SCHEMA),
+            replay_examples(observations, records, SCHEMA),
         )
 
-    def test_build_training_set_on_random_observations(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            n_items = int(rng.integers(1, 12))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_training_set_on_random_observations(self, seed):
+        # Ids drawn from rounds 9, 10, 11 and 100, whose str order is not
+        # draw order: r100-... sorts between r10-... and r11-..., and
+        # r10-100000 between r10-10000 and r10-10001.
+        pool = [f"r{r:02d}-{k:05d}" for r in (9, 10, 11, 100) for k in (0, 1, 10000, 10001)]
+        pool += ["r10-100000"]
+        rng = np.random.default_rng([43, seed])
+        refusals = set()
+        for _ in range(60):
+            n_items = int(rng.integers(1, len(pool) + 1))
             dim = int(rng.integers(0, 4))
-            records = [
-                make_record(f"i{k:02d}", rng.normal(size=dim)) for k in range(n_items)
-            ]
-            observations = []
-            # Distinct (round, item) pairs, in random order: an item is
-            # served at most once a round.
-            pairs = rng.permutation(4 * n_items)[: int(rng.integers(0, 4 * n_items + 1))]
+            ids = [pool[k] for k in rng.choice(len(pool), n_items, replace=False)]
+            records = [make_record(i, rng.normal(size=dim)) for i in ids]
+            # Distinct (round, item) pairs over up to 5 rounds, in random
+            # order: an item is served at most once a round, and in several rounds.
+            pairs = rng.permutation(5 * n_items)[: int(rng.integers(0, 5 * n_items + 1))]
+            rows = []
             for pair in pairs.tolist():
                 served = int(rng.integers(0, 5000))
-                observations.append(
+                rows.append(
                     Observation(
                         round=pair // n_items,
-                        item_id=f"i{pair % n_items:02d}",
+                        item_id=ids[pair % n_items],
                         served=served,
                         positive_events=int(rng.integers(0, served + 1)),
                         discovered=bool(rng.integers(0, 2)),
                     )
                 )
+            if rows and rng.uniform() < 0.3:  # one fault the replay must refuse
+                k = int(rng.integers(0, len(rows)))
+                faults = [
+                    {"item_id": "ghost"},
+                    {"positive_events": rows[k].served + 1},
+                    {"positive_events": -1},
+                    {"served": -1, "positive_events": 0},
+                ]
+                if rng.uniform() < 0.2:  # a second event of the item in its round
+                    rows.append(replace(rows[k], served=7, positive_events=0))
+                else:
+                    rows[k] = replace(rows[k], **faults[int(rng.integers(0, len(faults)))])
+            observations = observations_of(rows)
+            try:
+                expected = replay_examples(rows, records, SCHEMA)
+            except DataError as exc:
+                with pytest.raises(DataError) as refused:
+                    build_training_set(observations, records, SCHEMA)
+                assert str(refused.value) == str(exc)
+                refusals.add(str(exc).split()[0])
+                continue
             assert_examples_bit_identical(
-                build_training_set(observations, records, SCHEMA),
-                build_training_set_reference(observations, records, SCHEMA),
+                build_training_set(observations, records, SCHEMA), expected
             )
+            assert "rows" not in vars(observations)
+        assert len(refusals) >= 3, refusals  # the faults reached several checks
 
     def test_build_training_set_of_no_observations(self):
-        assert len(build_training_set([], [make_record("a", [1.0])], SCHEMA)) == 0
+        examples = build_training_set(observations_of([]), [make_record("a", [1.0])], SCHEMA)
+        assert len(examples) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_run_experiment(self, strategy, monkeypatch):
@@ -836,14 +858,18 @@ class TestLoopTrainsOnItsReplay:
         config = SimConfig(seed=seed, items_per_round=300, rounds=4)
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
         assert len(trained) == config.rounds - 1
-        observations = [
-            Observation(r.round, r.item_id, r.granted, r.positive_events, r.discovered)
-            for r in report.item_rows
-        ]
         records = [rec for k in range(config.rounds) for rec in generate_corpus(config, k)[1]]
-        # Round k trains on the outcomes of rounds 0 to k - 1.
+        # Round k trains on the outcomes of rounds 0 to k - 1: a prefix of
+        # the report's rows, which are in round order.
         for round_index, got in enumerate(trained, start=1):
-            served = [o for o in observations if o.round < round_index]
+            k = int(np.searchsorted(report.round_index, round_index))
+            served = Observations(
+                report.round_index[:k],
+                report.item_ids[:k],
+                report.granted[:k],
+                report.positive_events[:k],
+                report.discovered[:k],
+            )
             replayed = build_training_set(served, records, SCHEMA)
             assert got.features.shape == replayed.features.shape
             assert np.array_equal(got.features.view(np.int64), replayed.features.view(np.int64))
@@ -967,16 +993,18 @@ class TestReportColumns:
 
 class TestBuildTrainingSetRejectsBadCounts:
     def test_negative_served_rejected(self):
-        obs = [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
+        obs = observations_of(
+            [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
+        )
         with pytest.raises(DataError, match="non-negative"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
     def test_more_positives_than_impressions_rejected(self):
         # the engagement replayed into the second event is inconsistent
-        obs = [
+        obs = observations_of([
             Observation(round=0, item_id="a", served=10, positive_events=11, discovered=False),
             Observation(round=1, item_id="a", served=10, positive_events=0, discovered=False),
-        ]
+        ])
         with pytest.raises(DataError, match="cannot exceed"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
@@ -984,11 +1012,11 @@ class TestBuildTrainingSetRejectsBadCounts:
     def test_last_observation_of_an_item_checked(self, positives):
         # No later event replays the last one's counts, so each event is
         # checked on its own.
-        obs = [
+        obs = observations_of([
             Observation(round=0, item_id="a", served=10, positive_events=3, discovered=False),
             Observation(round=1, item_id="a", served=10, positive_events=positives,
                         discovered=False),
-        ]
+        ])
         with pytest.raises(DataError, match="round=1, item_id='a'"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
@@ -1012,16 +1040,17 @@ class TestBuildTrainingSetRejectsBadCounts:
     )
     def test_count_not_an_int64_integer_rejected(self, field, value):
         good = Observation(round=0, item_id="a", served=10, positive_events=1, discovered=False)
-        obs = [good, replace(good, **{"round": 1, "item_id": "b", field: value})]
-        records = [make_record("a", [1.0]), make_record("b", [2.0])]
-        message = f"observation of item b: {field} must be an integer that fits int64"
+        rows = [good, replace(good, **{"round": 1, "item_id": "b", field: value})]
+        column = "round_index" if field == "round" else field
+        message = f"observation of item b: {column} must be an integer that fits int64"
         with pytest.raises(DataError, match=message):
-            build_training_set(obs, records, SCHEMA)
+            observations_of(rows)
 
     def test_largest_int64_counts_accepted(self):
         top = 2**63 - 1
-        obs = [Observation(round=top, item_id="a", served=top, positive_events=top,
-                           discovered=True)]
+        obs = observations_of(
+            [Observation(round=top, item_id="a", served=top, positive_events=top, discovered=True)]
+        )
         examples = build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
         assert examples.bucket.tolist() == [SCHEMA.n_buckets - 1]
         assert examples.label.tolist() == [1]
@@ -1029,23 +1058,154 @@ class TestBuildTrainingSetRejectsBadCounts:
     def test_two_observations_of_one_item_in_one_round_rejected(self):
         # Neither event came before the other, so neither engagement block
         # would be the item's as it stood when the round was served.
-        obs = [
+        obs = observations_of([
             Observation(round=0, item_id="b", served=100, positive_events=5, discovered=False),
             Observation(round=1, item_id="a", served=100, positive_events=0, discovered=False),
             Observation(round=0, item_id="b", served=100, positive_events=7, discovered=False),
-        ]
+        ])
         records = [make_record("a", [1.0]), make_record("b", [2.0])]
         with pytest.raises(DataError, match="two observations of item b in round 0"):
             build_training_set(obs, records, SCHEMA)
 
     def test_mixed_feature_dimensions_rejected(self):
         records = [make_record("a", [1.0]), make_record("b", [1.0, 2.0])]
-        obs = [
+        obs = observations_of([
             Observation(round=0, item_id=i, served=100, positive_events=0, discovered=False)
             for i in ("a", "b")
-        ]
+        ])
         with pytest.raises(DataError, match="dimension"):
             build_training_set(obs, records, SCHEMA)
+
+
+def observation_columns(**changes) -> dict:
+    """The columns of two observations, items a and b, with some replaced."""
+    columns = {
+        "round_index": [0, 1],
+        "item_ids": ["a", "b"],
+        "served": [10, 20],
+        "positive_events": [1, 2],
+        "discovered": [False, True],
+    }
+    return {**columns, **changes}
+
+
+class TestObservations:
+    def test_columns_of_unequal_length_refused(self):
+        message = "observation columns differ in length: 2 ids, 1 served"
+        with pytest.raises(DataError, match=message):
+            Observations(**observation_columns(served=[10]))
+
+    @pytest.mark.parametrize("name", ["round_index", "served", "positive_events"])
+    @pytest.mark.parametrize(
+        "column, item, value",
+        [
+            ([10, 2.0], "b", 2.0),
+            ([10, True], "b", True),
+            ([10, None], "b", None),
+            ([10, 2**63], "b", 2**63),
+            ([10, -(2**63) - 1], "b", -(2**63) - 1),
+            ([10, np.int64(2)], "b", np.int64(2)),
+            # Arrays of another kind are read as lists, not cast.
+            (np.array([10.0, 2.5]), "a", 10.0),
+            (np.array([False, True]), "a", False),
+            (np.array([10, 2**63], dtype=np.uint64), "b", 2**63),
+            (np.array([10, None], dtype=object), "b", None),
+        ],
+    )
+    def test_count_not_an_int64_integer_refused(self, name, column, item, value):
+        message = f"observation of item {item}: {name} must be an integer that fits int64"
+        with pytest.raises(DataError) as refused:
+            Observations(**observation_columns(**{name: column}))
+        assert str(refused.value) == f"{message}, not {value!r}"
+
+    @pytest.mark.parametrize(
+        "column, item, value",
+        [
+            ([False, None], "b", None),
+            ([False, 1], "b", 1),
+            ([False, np.True_], "b", np.True_),
+            (np.array([0, 1]), "a", 0),
+            (np.array([False, None], dtype=object), "b", None),
+        ],
+    )
+    def test_discovered_not_a_bool_refused(self, column, item, value):
+        with pytest.raises(DataError) as refused:
+            Observations(**observation_columns(discovered=column))
+        message = f"observation of item {item}: discovered must be a bool, not {value!r}"
+        assert str(refused.value) == message
+
+    def test_largest_and_smallest_int64_and_integer_arrays_accepted(self):
+        extremes = [-(2**63), 2**63 - 1]
+        obs = Observations(
+            **observation_columns(round_index=extremes, served=np.array([3, 4], dtype=np.int32))
+        )
+        assert obs.round_index.tolist() == extremes
+        assert obs.served.dtype == np.int64 and obs.served.tolist() == [3, 4]
+
+    def test_columns_are_read_only_and_frozen(self):
+        served = np.array([10, 20])
+        obs = Observations(**observation_columns(served=served))
+        served[0] = 99  # the caller's array was copied, not frozen
+        assert obs.served.tolist() == [10, 20]
+        assert type(obs.item_ids) is tuple
+        for name in ("round_index", "served", "positive_events", "discovered"):
+            column = getattr(obs, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obs, name, column.copy())
+
+    def test_row_view(self):
+        obs = Observations(**observation_columns())
+        rows = (Observation(0, "a", 10, 1, False), Observation(1, "b", 20, 2, True))
+        assert len(obs) == 2 and "rows" not in vars(obs)  # len reads the columns
+        assert obs[0] == rows[0] and obs[-1] == rows[1] and obs[:1] == rows[:1]
+        assert tuple(obs) == rows and list(reversed(obs)) == list(rows[::-1])
+        assert rows[1] in obs and obs.index(rows[1]) == 1
+        assert obs.rows is obs.rows  # built once
+        assert all(type(o.served) is int and type(o.discovered) is bool for o in obs)
+        with pytest.raises(IndexError):
+            obs[2]
+
+    def test_equality_compares_every_column(self):
+        obs = Observations(**observation_columns())
+        assert obs == Observations(**observation_columns())
+        assert obs == observations_of(list(obs))
+        changes = {
+            "round_index": [0, 2],
+            "item_ids": ["a", "c"],
+            "served": [10, 21],
+            "positive_events": [1, 3],
+            "discovered": [False, False],
+        }
+        for name, column in changes.items():
+            assert obs != Observations(**observation_columns(**{name: column})), name
+        assert obs != list(obs)
+
+    def test_serve_and_replay_build_no_rows(self):
+        config = SimConfig(seed=4, items_per_round=300)
+        latents, records = generate_corpus(config, 1)
+        obs = serve_round(latents, uniform_allocate(records, cfg()), config, 1)
+        examples = build_training_set(obs, records, SCHEMA)
+        assert len(examples) == len(obs) > 0
+        assert "rows" not in vars(obs)
+        assert set(obs.round_index.tolist()) == {1}
+        assert list(obs.item_ids) == sorted(obs.item_ids)
+
+
+class TestSimConfigRejectsNonIntegerSizes:
+    @pytest.mark.parametrize("field", ["items_per_round", "rounds", "feature_dim", "max_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.int64(2), "2", 0])
+    def test_size_not_a_positive_int_rejected(self, field, value):
+        config = replace(SimConfig(items_per_round=10), **{field: value})
+        message = f"{field} must be a positive integer, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.validate()
+        with pytest.raises(ConfigError, match=field):
+            generate_corpus(config, 0)
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(config, cfg(), SCHEMA)
 
 
 class TestDiscoveryIsPerRound:
