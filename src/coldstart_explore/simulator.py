@@ -94,7 +94,8 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         # numpy's generators refuse a negative seed with a bare ValueError.
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        # Every integer field takes an int alone: not a bool, float or numpy int.
+        if type(self.seed) not in INTEGER or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         for name in ("items_per_round", "rounds", "feature_dim", "max_threshold"):
             value = getattr(self, name)
@@ -141,18 +142,21 @@ def _is_bool(value) -> bool:
     return type(value) is bool
 
 
-def _column(values, dtype, fits, ids: tuple[str, ...], must: str) -> np.ndarray:
+def _column(name: str, values, dtype, fits, must: str, ids: tuple[str, ...]) -> np.ndarray:
     """values as a read-only column of dtype, np.int64 or bool, cast from no
-    other kind. An array of another kind is read as a list, and the first
-    value of a list that `fits` refuses raises DataError naming its item."""
+    other kind. An array must be 1-D and of dtype's kind; the first value of
+    a list that `fits` refuses raises DataError naming its item."""
     if isinstance(values, np.ndarray):
-        if values.ndim == 1 and values.dtype.kind == np.dtype(dtype).kind:
-            return read_only(values, dtype)
-        values = values.tolist()
+        if values.ndim != 1 or values.dtype.kind != np.dtype(dtype).kind:
+            raise DataError(
+                f"observation column {name} must be a list or a 1-D array of "
+                f"{np.dtype(dtype).name}'s kind, not a {values.ndim}-D {values.dtype} array"
+            )
+        return read_only(values, dtype)
     fitting = np.fromiter(map(fits, values), bool, len(values))
     if not fitting.all():
         k = int(np.argmin(fitting))
-        raise DataError(f"observation of item {ids[k]}: {must}, not {values[k]!r}")
+        raise DataError(f"observation of item {ids[k]}: {name} must be {must}, not {values[k]!r}")
     return read_only(values, dtype)
 
 
@@ -164,8 +168,9 @@ class Observations(Sequence[Observation]):
     `served[k]`, `positive_events[k]` and `discovered[k]`. The constructor
     refuses columns of unequal length, a round or count that is not an int
     that fits int64 (a bool or a float is not one) and a `discovered` that
-    is not a bool, None included, naming the item: nothing is cast. As a
-    sequence it is its rows, one Observation each, built on first read;
+    is not a bool, None included, naming the item: nothing is cast. A column
+    given as an array must be 1-D and of its kind, an integer array for a
+    round or count and a bool array for `discovered`. As a sequence it is its rows, one Observation each, built on first read;
     `len` reads the columns alone.
     """
 
@@ -181,10 +186,10 @@ class Observations(Sequence[Observation]):
         columns = {name: getattr(self, name) for name in (*integers, "discovered")}
         check_lengths("observation", {"item_ids": ids, **columns})
         for name in integers:
-            must = f"{name} must be an integer that fits int64"
-            columns[name] = _column(columns[name], np.int64, _is_int64, ids, must)
-        must = "discovered must be a bool"
-        columns["discovered"] = _column(columns["discovered"], bool, _is_bool, ids, must)
+            must = "an integer that fits int64"
+            columns[name] = _column(name, columns[name], np.int64, _is_int64, must, ids)
+        discovered = columns["discovered"]
+        columns["discovered"] = _column("discovered", discovered, bool, _is_bool, "a bool", ids)
         vars(self).update(columns, item_ids=ids)
 
     @cached_property
@@ -341,19 +346,7 @@ def serve_round(
     thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
     positives, found = serve_columns(config, round_index, served, probs, thresholds)
     rounds = np.full(len(ids), round_index)
-    return Observations(rounds, ids, *frozen(served, positives, found))
-
-
-def _replay_order(rounds: np.ndarray, ids: tuple[str, ...]) -> np.ndarray:
-    """Indexes that put events in (round, Python str order of id) order: an
-    arange when they already are, as serve_round's and the loop's are."""
-    n = len(ids)
-    ids_rise = np.fromiter(map(lt, ids, islice(ids, 1, None)), bool, max(n - 1, 0))
-    same_round = rounds[1:] == rounds[:-1]
-    if ((rounds[1:] > rounds[:-1]) | (same_round & ids_rise)).all():
-        return np.arange(n)
-    by_id = np.fromiter(sorted(range(n), key=ids.__getitem__), np.intp, n)
-    return by_id[np.argsort(rounds[by_id], kind="stable")]
+    return Observations(*frozen(rounds), ids, *frozen(served, positives, found))
 
 
 def build_training_set(
@@ -379,7 +372,9 @@ def build_training_set(
         )
     obs = observations
     n = len(obs)
-    order = _replay_order(obs.round_index, obs.item_ids)
+    # Sorted by id, then stably by round: (round, Python str order of id) order.
+    by_id = np.fromiter(sorted(range(n), key=obs.item_ids.__getitem__), np.intp, n)
+    order = by_id[np.argsort(obs.round_index[by_id], kind="stable")]
     rounds = obs.round_index[order]
     counts = np.stack([obs.served[order], obs.positive_events[order]], axis=1)
     bucket = bucket_of(counts[:, 0], schema)

@@ -157,7 +157,7 @@ class TestGenerateCorpus:
         with pytest.raises(ConfigError):
             SimConfig(rounds=0).validate()
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True, np.int64(1)])
     def test_seed_not_a_non_negative_int_rejected(self, seed):
         message = f"seed must be a non-negative integer, not {seed!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -1105,11 +1105,6 @@ class TestObservations:
             ([10, 2**63], "b", 2**63),
             ([10, -(2**63) - 1], "b", -(2**63) - 1),
             ([10, np.int64(2)], "b", np.int64(2)),
-            # Arrays of another kind are read as lists, not cast.
-            (np.array([10.0, 2.5]), "a", 10.0),
-            (np.array([False, True]), "a", False),
-            (np.array([10, 2**63], dtype=np.uint64), "b", 2**63),
-            (np.array([10, None], dtype=object), "b", None),
         ],
     )
     def test_count_not_an_int64_integer_refused(self, name, column, item, value):
@@ -1124,14 +1119,35 @@ class TestObservations:
             ([False, None], "b", None),
             ([False, 1], "b", 1),
             ([False, np.True_], "b", np.True_),
-            (np.array([0, 1]), "a", 0),
-            (np.array([False, None], dtype=object), "b", None),
         ],
     )
     def test_discovered_not_a_bool_refused(self, column, item, value):
         with pytest.raises(DataError) as refused:
             Observations(**observation_columns(discovered=column))
         message = f"observation of item {item}: discovered must be a bool, not {value!r}"
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "name, column, shape",
+        [
+            # An array of another kind is refused whole, not cast.
+            ("served", np.array([10.0, 2.5]), "1-D float64"),
+            ("served", np.array([False, True]), "1-D bool"),
+            ("positive_events", np.array([1, 2], dtype=np.uint64), "1-D uint64"),
+            ("round_index", np.array([0, None], dtype=object), "1-D object"),
+            ("round_index", np.array([[0], [1]]), "2-D int64"),
+            ("discovered", np.array([0, 1]), "1-D int64"),
+            ("discovered", np.array([False, None], dtype=object), "1-D object"),
+        ],
+    )
+    def test_array_of_another_kind_refused_naming_its_dtype(self, name, column, shape):
+        with pytest.raises(DataError) as refused:
+            Observations(**observation_columns(**{name: column}))
+        kind = "bool" if name == "discovered" else "int64"
+        message = (
+            f"observation column {name} must be a list or a 1-D array of {kind}'s kind, "
+            f"not a {shape} array"
+        )
         assert str(refused.value) == message
 
     def test_largest_and_smallest_int64_and_integer_arrays_accepted(self):
