@@ -30,6 +30,35 @@ class DataError(ValueError):
     """Input data is malformed or inconsistent."""
 
 
+#: The types a loader or a config accepts for an integer, a float and a string
+#: value. bool is a subclass of int, so a type test, not isinstance, keeps true
+#: and false out; numpy scalars are refused too.
+INTEGER = (int,)
+NUMBER = (int, float)
+STRING = (str,)
+_KINDS = {INTEGER: "an integer", NUMBER: "a number", STRING: "a string"}
+
+
+def checked(value, kinds: tuple[type, ...], what: str, error=ValueError):
+    """value if its type is one of kinds; `error` naming `what` otherwise."""
+    if type(value) not in kinds:
+        raise error(f"{what} must be {_KINDS[kinds]}, not {value!r}")
+    return value
+
+
+def checked_list(values, kinds: tuple[type, ...], what: str, error=ValueError) -> tuple:
+    """The values of a list or tuple as a tuple, each checked as checked() does."""
+    if type(values) not in (list, tuple):
+        raise error(f"{what} must be a list, not {values!r}")
+    return tuple(checked(v, kinds, f"each of {what}", error) for v in values)
+
+
+def check_fields(config, kinds: tuple[type, ...], names: Sequence[str]) -> None:
+    """ConfigError naming the first of the config's fields `names` not of a type in kinds."""
+    for name in names:
+        checked(getattr(config, name), kinds, name, ConfigError)
+
+
 class Region(str, Enum):
     """Funding outcome of a plan entry.
 
@@ -159,17 +188,18 @@ class BucketSchema:
 
     Bucket k covers [edges[k], edges[k+1]); the last bucket is open-ended.
     `representative[k]` is the scalar traffic used when a bucket index must be
-    mapped back to impressions.
+    mapped back to impressions. Both are lists or tuples of ints, kept as
+    tuples; any other value raises ConfigError naming its field.
     """
 
     edges: tuple[int, ...]
     representative: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(int(e) for e in self.edges))
-        object.__setattr__(
-            self, "representative", tuple(int(r) for r in self.representative)
-        )
+        # Integers alone, as a config file's are: 100.7 is refused, not cut to 100.
+        for name in ("edges", "representative"):
+            values = checked_list(getattr(self, name), INTEGER, name, ConfigError)
+            object.__setattr__(self, name, values)
 
     @property
     def n_buckets(self) -> int:
@@ -428,6 +458,10 @@ def validate_config(config: AllocationConfig, schema: BucketSchema) -> Allocatio
 
 def validate_allocation_config(config: AllocationConfig) -> AllocationConfig:
     """The checks of validate_config that need no bucket schema."""
+    check_fields(config, INTEGER, ("total_budget", "min_cap", "max_cap"))
+    check_fields(
+        config, NUMBER, ("max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost")
+    )
     if not (0.0 < config.cf_low < config.cf_high < 1.0):
         raise ConfigError("cf ordering: require 0 < cf_low < cf_high < 1")
     if config.min_cap <= 0:
@@ -618,10 +652,13 @@ def write_jsonl_columns(columns: dict[str, Sequence], path: str | Path) -> None:
     One template, keys sorted, formats each row. json writes a finite float
     with float.__repr__ and an int with int.__repr__, so an array column (of
     numbers, matrix rows or JSON_NULL) goes in by %r; any other column holds
-    strings, encoded by json's encode_basestring_ascii. A NaN or infinity in a
-    float column, or a non-string in a string column, raises DataError before
-    the file is opened.
+    strings, encoded by json's encode_basestring_ascii. Columns of unequal
+    length, a NaN or infinity in a float column, or a non-string in a string
+    column, raise DataError before the file is opened.
     """
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise DataError(f"{path}: columns differ in length: {lengths}")
     fields, values = [], []
     for name in sorted(columns):
         column = columns[name]
@@ -745,28 +782,6 @@ def config_to_dict(config: AllocationConfig, schema: BucketSchema) -> dict:
         "bucket_edges": list(schema.edges),
         "bucket_representatives": list(schema.representative),
     }
-
-
-#: The types a loader accepts for an integer, a float and a string value. bool
-#: is a subclass of int, so a type test, not isinstance, keeps true and false out.
-INTEGER = (int,)
-NUMBER = (int, float)
-STRING = (str,)
-_KINDS = {INTEGER: "an integer", NUMBER: "a number", STRING: "a string"}
-
-
-def checked(value, kinds: tuple[type, ...], what: str):
-    """value if its type is one of kinds; ValueError naming `what` otherwise."""
-    if type(value) not in kinds:
-        raise ValueError(f"{what} must be {_KINDS[kinds]}, not {value!r}")
-    return value
-
-
-def checked_list(values, kinds: tuple[type, ...], what: str) -> tuple:
-    """The values of a list as a tuple, each checked as checked() does."""
-    if type(values) not in (list, tuple):
-        raise ValueError(f"{what} must be a list, not {values!r}")
-    return tuple(checked(v, kinds, f"each of {what}") for v in values)
 
 
 def config_from_dict(raw: dict) -> tuple[AllocationConfig, BucketSchema]:

@@ -130,8 +130,9 @@ class Hyperparams:
     epochs: int = 100  # the most Newton steps train takes
 
     def validate(self) -> "Hyperparams":
-        # Zero steps would return the zero start as a trained model.
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+        # Zero steps would return the zero start as a trained model. An int
+        # alone, as a model file's epochs: not a bool, float or numpy int.
+        if type(self.epochs) not in INTEGER or self.epochs < 1:
             raise ConfigError(f"epochs must be an integer of at least 1, not {self.epochs!r}")
         return self
 
@@ -425,12 +426,8 @@ def model_from_dict(raw: dict) -> DiscoverabilityModel:
     and final_loss integers or floats; a bool or a string is refused.
     """
     try:
-        schema = BucketSchema(
-            edges=checked_list(raw["schema"]["edges"], INTEGER, "edges"),
-            representative=checked_list(
-                raw["schema"]["representative"], INTEGER, "representative"
-            ),
-        )
+        # BucketSchema refuses edges or representatives that are not ints.
+        schema = BucketSchema(raw["schema"]["edges"], raw["schema"]["representative"])
         training = raw["training_meta"]
         meta = TrainingMeta(
             epochs=checked(training["epochs"], INTEGER, "epochs"),

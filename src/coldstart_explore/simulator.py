@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, eq, lt
@@ -43,8 +43,10 @@ from .core import (
     ItemRecord,
     Region,
     bucket_of,
+    check_fields,
     check_lengths,
     checked,
+    checked_list,
     columns_equal,
     frozen,
     model_inputs,
@@ -101,21 +103,18 @@ class SimConfig:
             value = getattr(self, name)
             if type(value) not in INTEGER or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, not {value!r}")
-        for name in (
-            "feature_noise",
-            "threshold_mu",
-            "threshold_kappa",
-            "threshold_noise",
-            "engagement_a",
-            "engagement_b",
-        ):
+        # A real field takes an int or a float alone: not a bool, string or numpy float.
+        reals = [f.name for f in fields(self) if f.type == "float"]
+        check_fields(self, NUMBER, reals)
+        for name in reals:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if self.feature_noise < 0 or self.threshold_noise < 0:
             raise ConfigError("noise scales must be non-negative")
-        if len(self.archetype_mix) != 3 or any(f < 0 for f in self.archetype_mix):
+        mix = checked_list(self.archetype_mix, NUMBER, "archetype_mix", ConfigError)
+        if len(mix) != 3 or any(f < 0 for f in mix):
             raise ConfigError("archetype_mix must be three non-negative fractions")
-        if not math.isclose(sum(self.archetype_mix), 1.0, abs_tol=1e-9):
+        if not math.isclose(sum(mix), 1.0, abs_tol=1e-9):
             raise ConfigError("archetype_mix must sum to 1")
         return self
 
@@ -131,33 +130,19 @@ class Observation:
     discovered: bool
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _is_int64(value) -> bool:
-    return type(value) in INTEGER and _INT64.min <= value <= _INT64.max
-
-
-def _is_bool(value) -> bool:
-    return type(value) is bool
-
-
-def _column(name: str, values, dtype, fits, must: str, ids: tuple[str, ...]) -> np.ndarray:
-    """values as a read-only column of dtype, np.int64 or bool, cast from no
-    other kind. An array must be 1-D and of dtype's kind; the first value of
-    a list that `fits` refuses raises DataError naming its item."""
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1 or values.dtype.kind != np.dtype(dtype).kind:
-            raise DataError(
-                f"observation column {name} must be a list or a 1-D array of "
-                f"{np.dtype(dtype).name}'s kind, not a {values.ndim}-D {values.dtype} array"
-            )
+def _column(name: str, values, dtype) -> np.ndarray:
+    """values, a 1-D array of dtype's kind, as a read-only column of dtype,
+    np.int64 or bool; anything else, a list included, raises DataError naming
+    the column. Nothing is cast from another kind."""
+    kind = np.dtype(dtype)
+    if not isinstance(values, np.ndarray):
+        got = f"a {type(values).__name__}"
+    elif values.ndim != 1 or values.dtype.kind != kind.kind:
+        got = f"a {values.ndim}-D {values.dtype} array"
+    else:
         return read_only(values, dtype)
-    fitting = np.fromiter(map(fits, values), bool, len(values))
-    if not fitting.all():
-        k = int(np.argmin(fitting))
-        raise DataError(f"observation of item {ids[k]}: {name} must be {must}, not {values[k]!r}")
-    return read_only(values, dtype)
+    must = f"a 1-D array of {kind.name}'s kind"
+    raise DataError(f"observation column {name} must be {must}, not {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,13 +150,12 @@ class Observations(Sequence[Observation]):
     """Outcomes of serving, one row per serving event, held as columns.
 
     Row k of the read-only columns is `round_index[k]`, `item_ids[k]`,
-    `served[k]`, `positive_events[k]` and `discovered[k]`. The constructor
-    refuses columns of unequal length, a round or count that is not an int
-    that fits int64 (a bool or a float is not one) and a `discovered` that
-    is not a bool, None included, naming the item: nothing is cast. A column
-    given as an array must be 1-D and of its kind, an integer array for a
-    round or count and a bool array for `discovered`. As a sequence it is its rows, one Observation each, built on first read;
-    `len` reads the columns alone.
+    `served[k]`, `positive_events[k]` and `discovered[k]`. The ids are kept
+    as a tuple; every other column must be a 1-D array of its kind, an
+    integer array for a round or count and a bool array for `discovered`.
+    Any other column, or columns of unequal length, raise DataError naming
+    the column. As a sequence it is its rows, one Observation each, built on
+    first read; `len` reads the columns alone.
     """
 
     round_index: np.ndarray
@@ -182,29 +166,19 @@ class Observations(Sequence[Observation]):
 
     def __post_init__(self) -> None:
         ids = tuple(self.item_ids)
-        integers = ("round_index", "served", "positive_events")
-        columns = {name: getattr(self, name) for name in (*integers, "discovered")}
+        columns = {
+            name: _column(name, getattr(self, name), np.int64)
+            for name in ("round_index", "served", "positive_events")
+        }
+        columns["discovered"] = _column("discovered", self.discovered, bool)
         check_lengths("observation", {"item_ids": ids, **columns})
-        for name in integers:
-            must = "an integer that fits int64"
-            columns[name] = _column(name, columns[name], np.int64, _is_int64, must, ids)
-        discovered = columns["discovered"]
-        columns["discovered"] = _column("discovered", discovered, bool, _is_bool, "a bool", ids)
         vars(self).update(columns, item_ids=ids)
 
     @cached_property
     def rows(self) -> tuple[Observation, ...]:
         """One Observation per row, in row order: built on first read, then kept."""
-        return tuple(
-            map(
-                Observation,
-                self.round_index.tolist(),
-                self.item_ids,
-                self.served.tolist(),
-                self.positive_events.tolist(),
-                self.discovered.tolist(),
-            )
-        )
+        outcomes = (c.tolist() for c in (self.served, self.positive_events, self.discovered))
+        return tuple(map(Observation, self.round_index.tolist(), self.item_ids, *outcomes))
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -223,6 +197,12 @@ def _feature_projection(config: SimConfig) -> np.ndarray:
     # across the item pool.
     rng = np.random.default_rng([config.seed, 0xFEA7])
     return rng.normal(0.0, 1.0, size=config.feature_dim)
+
+
+def _check_round(round_index) -> None:
+    # Before any draw: numpy would take True as seed 1, and refuse 1.5 or -1 bare.
+    if type(round_index) not in INTEGER or round_index < 0:
+        raise DataError(f"round_index must be a non-negative integer, not {round_index!r}")
 
 
 def draw_columns(
@@ -274,8 +254,7 @@ def generate_corpus(
 ) -> tuple[list[LatentItem], list[ItemRecord]]:
     """Draw one round's fresh items (see draw_columns) as objects."""
     config.validate()
-    if round_index < 0:
-        raise DataError("round_index must be non-negative")
+    _check_round(round_index)
     ids, quality, theta, engagement_prob, features = draw_columns(config, round_index)
     latents = LatentColumns(ids, quality, theta, engagement_prob).items()
     # Each record's features are a read-only row of the one matrix.
@@ -315,8 +294,9 @@ def serve_round(
     threshold. Traffic from earlier rounds does not count towards it, unlike
     engagement, which accumulates. A plan naming an unknown item or one item
     twice, or granting negative traffic, is refused in id order, as are two
-    latents of one item.
+    latents of one item, and so is a round_index that is not a non-negative int.
     """
+    _check_round(round_index)
     by_id = {lat.id: lat for lat in latents}
     if len(by_id) != len(latents):
         repeated = next(i for i, n in Counter(lat.id for lat in latents).items() if n > 1)
@@ -439,51 +419,36 @@ class ItemRoundRow:
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """One strategy's run of the loop: its rounds' metrics and one row per
-    funded item per round, in (round, item id) order, held as columns.
+    funded item per round, in (round, item id) order.
 
-    Row k of the read-only columns is `round_index[k]`, `item_ids[k]`, its
-    region code `region[k]` (indexing PLAN_REGIONS), `granted[k]`,
-    `positive_events[k]` and `discovered[k]`. Columns of unequal length are
-    refused.
+    The rows are `observations`, the Observations serve_round logs for them,
+    and `region`, a read-only int8 column of their region codes (indexing
+    PLAN_REGIONS); a region of another length than the observations is refused.
     """
 
     strategy: str
     seed: int
     rounds: tuple[RoundMetrics, ...]
-    total_discovered: int
-    round_index: np.ndarray = field(repr=False)
-    item_ids: tuple[str, ...] = field(repr=False)
+    observations: Observations = field(repr=False)
     region: np.ndarray = field(repr=False)
-    granted: np.ndarray = field(repr=False)
-    positive_events: np.ndarray = field(repr=False)
-    discovered: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        columns = {
-            "item_ids": tuple(self.item_ids),
-            "round_index": read_only(self.round_index, np.int64),
-            "region": read_only(self.region, np.int8),
-            "granted": read_only(self.granted, np.int64),
-            "positive_events": read_only(self.positive_events, np.int64),
-            "discovered": read_only(self.discovered, bool),
-        }
-        check_lengths("report", columns)
-        vars(self).update(columns, rounds=tuple(self.rounds))
+        region = read_only(self.region, np.int8)
+        check_lengths("report", {"item_ids": self.observations.item_ids, "region": region})
+        vars(self).update(region=region, rounds=tuple(self.rounds))
+
+    @property
+    def total_discovered(self) -> int:
+        """The items the rounds discovered."""
+        return sum(m.discovered for m in self.rounds)
 
     @cached_property
     def item_rows(self) -> tuple[ItemRoundRow, ...]:
         """One ItemRoundRow per row, in row order: built on first read, then kept."""
-        return tuple(
-            map(
-                ItemRoundRow,
-                self.round_index.tolist(),
-                self.item_ids,
-                map(REGION_NAMES.__getitem__, self.region.tolist()),
-                self.granted.tolist(),
-                self.positive_events.tolist(),
-                self.discovered.tolist(),
-            )
-        )
+        obs = self.observations
+        regions = map(REGION_NAMES.__getitem__, self.region.tolist())
+        outcomes = (c.tolist() for c in (obs.served, obs.positive_events, obs.discovered))
+        return tuple(map(ItemRoundRow, obs.round_index.tolist(), obs.item_ids, regions, *outcomes))
 
     __eq__ = columns_equal
 
@@ -508,9 +473,9 @@ def run_experiment(
     serve_columns, and plan_columns, whose column AllocationPlan gives a
     model round its grants and regions. The model strategy logs each round's
     examples as it serves, and trains on all of them in (round, item id)
-    order: the set build_training_set replays from the same observations.
+    order: the set build_training_set replays from the report's observations.
     The report's rows are one block of columns per round, joined once at the
-    end; no ItemRoundRow is built unless a reader asks for item_rows.
+    end into its Observations; no row object is built unless a reader asks.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -593,15 +558,9 @@ def run_experiment(
         )
 
     round_column = np.repeat(np.arange(sim_config.rounds), [m.funded for m in round_metrics])
-    return ExperimentReport(
-        strategy,
-        sim_config.seed,
-        round_metrics,
-        sum(m.discovered for m in round_metrics),
-        *frozen(round_column),
-        report_ids,
-        *frozen(*map(np.concatenate, zip(*report_blocks))),
-    )
+    region, served, positives, found = frozen(*map(np.concatenate, zip(*report_blocks)))
+    observations = Observations(*frozen(round_column), report_ids, served, positives, found)
+    return ExperimentReport(strategy, sim_config.seed, round_metrics, observations, region)
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +646,18 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
-    """The report's rows, one line each, from its columns."""
+    """The report's rows, one line each, from its columns: `granted` is the
+    observations' `served`."""
+    obs = report.observations
     write_csv(
         ["round", "item_id", "region", "granted", "positive_events", "discovered"],
         zip(
-            report.round_index.tolist(),
-            report.item_ids,
+            obs.round_index.tolist(),
+            obs.item_ids,
             map(REGION_NAMES.__getitem__, report.region.tolist()),
-            report.granted.tolist(),
-            report.positive_events.tolist(),
-            report.discovered.astype(np.int64).tolist(),
+            obs.served.tolist(),
+            obs.positive_events.tolist(),
+            obs.discovered.astype(np.int64).tolist(),
         ),
         path,
     )

@@ -112,19 +112,20 @@ def report_of_rows(
     total_discovered: int,
     item_rows: Sequence[ItemRoundRow],
 ) -> ExperimentReport:
-    """The report whose rows are the given ItemRoundRows, in their order."""
-    return ExperimentReport(
-        strategy,
-        seed,
-        rounds,
-        total_discovered,
-        [row.round for row in item_rows],
-        [row.item_id for row in item_rows],
-        [REGION_NAMES.index(row.region) for row in item_rows],
-        [row.granted for row in item_rows],
-        [row.positive_events for row in item_rows],
-        [row.discovered for row in item_rows],
+    """The report whose rows are the given ItemRoundRows, in their order.
+
+    The report derives its total from the rounds, so total_discovered must
+    be their sum."""
+    observations = observations_of(
+        [
+            Observation(row.round, row.item_id, row.granted, row.positive_events, row.discovered)
+            for row in item_rows
+        ]
     )
+    region = np.fromiter((REGION_NAMES.index(row.region) for row in item_rows), np.int8)
+    report = ExperimentReport(strategy, seed, rounds, observations, region)
+    assert report.total_discovered == total_discovered
+    return report
 
 
 def write_report_rows(report: ExperimentReport, path: str | Path) -> None:
@@ -146,13 +147,14 @@ def write_report_rows(report: ExperimentReport, path: str | Path) -> None:
 
 
 def observations_of(rows: Sequence[Observation]) -> Observations:
-    """The Observations whose rows are the given Observations, in their order."""
+    """The Observations whose rows are the given Observations, in their order:
+    int64 and bool arrays, empty for no rows."""
     return Observations(
-        [o.round for o in rows],
+        np.fromiter((o.round for o in rows), np.int64, len(rows)),
         [o.item_id for o in rows],
-        [o.served for o in rows],
-        [o.positive_events for o in rows],
-        [o.discovered for o in rows],
+        np.fromiter((o.served for o in rows), np.int64, len(rows)),
+        np.fromiter((o.positive_events for o in rows), np.int64, len(rows)),
+        np.fromiter((o.discovered for o in rows), bool, len(rows)),
     )
 
 

@@ -200,6 +200,51 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             validate_config(cfg(**{field: value}), geometric_schema())
 
+    # The rule a config file's values get: an int for a budget or cap, an
+    # int or a float for a real value, and no bool, string or numpy scalar.
+    @pytest.mark.parametrize("field", ["total_budget", "min_cap", "max_cap"])
+    @pytest.mark.parametrize("value", [10_000.5, 100.7, 100.0, True, "100", None, np.int64(100)])
+    def test_integer_field_not_an_int_refused(self, field, value):
+        message = f"{field} must be an integer, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(cfg(**{field: value}), geometric_schema())
+
+    @pytest.mark.parametrize(
+        "field", ["max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost"]
+    )
+    @pytest.mark.parametrize("value", [True, "0.6", None, np.float64(0.5)])
+    def test_real_field_not_a_number_refused(self, field, value):
+        message = f"{field} must be a number, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(cfg(**{field: value}), geometric_schema())
+
+    def test_integral_values_of_real_fields_accepted(self):
+        config = cfg(max_cost=500, cf_high=1 - 0.25, unit_cost=0, low_region_fraction=1)
+        assert validate_config(config, geometric_schema()) is config
+
+
+class TestBucketSchemaValues:
+    @pytest.mark.parametrize("field", ["edges", "representative"])
+    @pytest.mark.parametrize("value", [100.7, 100.0, True, "100", None, np.int64(100)])
+    def test_value_not_an_int_refused_not_truncated(self, field, value):
+        values = {"edges": [0, 100, 200, 400], "representative": [99, 199, 399, 1600]}
+        values[field][1] = value
+        message = f"each of {field} must be an integer, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            BucketSchema(**values)
+
+    @pytest.mark.parametrize("field", ["edges", "representative"])
+    def test_values_not_in_a_list_or_tuple_refused(self, field):
+        values = {"edges": (0, 100, 200, 400), "representative": (99, 199, 399, 1600)}
+        values[field] = range(4)
+        with pytest.raises(ConfigError, match=f"{field} must be a list, not range"):
+            BucketSchema(**values)
+
+    def test_list_kept_as_a_tuple(self):
+        schema = BucketSchema([0, 100, 200, 400], [99, 199, 399, 1600])
+        assert schema == FOUR_BUCKETS
+        assert type(schema.edges) is tuple and type(schema.representative) is tuple
+
 
 class TestEngagementStats:
     def test_rate(self):
@@ -788,6 +833,21 @@ class TestJsonLines:
             write_jsonl_columns({"x": np.zeros(2), "id": ["a", 7]}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"x": np.zeros(1), "id": ["a", "b"]},
+            {"x": np.zeros((3, 2)), "id": ["a", "b"]},
+            {"x": np.zeros(2), "id": ["a", "b"], "k": np.arange(3)},
+        ],
+    )
+    def test_columns_of_unequal_length_not_written(self, tmp_path, columns):
+        # Zipped, they would write as many lines as the shortest column has.
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(DataError, match="rows.jsonl: columns differ in length"):
+            write_jsonl_columns(columns, path)
+        assert not path.exists()
+
 
 def small_corpus(n):
     return Corpus(
@@ -945,6 +1005,35 @@ class TestWriterBytes:
             for i, q, t, p in zip(ids, quality, threshold, prob)
         ]
         assert_json_lines(write_latents, latents, rows)
+
+
+class TestWriterBytesOfFixedFiles:
+    def test_latents_of_unequal_length_not_written(self, tmp_path):
+        latents = LatentColumns(
+            ["a", "b", "c"], np.array([1.0]), np.array([2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3])
+        )
+        path = tmp_path / "latents.jsonl"
+        with pytest.raises(DataError) as refused:
+            write_latents(latents, path)
+        assert "columns differ in length" in str(refused.value)
+        assert "'quality': 1" in str(refused.value)
+        assert not path.exists()
+
+    def test_equal_length_corpus_and_latents_keep_their_bytes(self, tmp_path):
+        corpus = Corpus(["a", "b"], np.array([[0.5, -1.0], [2.0, 1e-05]]), [3, 0], [1, 0])
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        assert (tmp_path / "corpus.jsonl").read_bytes() == (
+            b'{"features": [0.5, -1.0], "id": "a", "impressions": 3, "positive_events": 1}\n'
+            b'{"features": [2.0, 1e-05], "id": "b", "impressions": 0, "positive_events": 0}\n'
+        )
+        latents = LatentColumns(
+            ["a", "b"], np.array([0.25, -1.5]), np.array([120.0, math.inf]), np.array([0.1, 0.9])
+        )
+        write_latents(latents, tmp_path / "latents.jsonl")
+        assert (tmp_path / "latents.jsonl").read_bytes() == (
+            b'{"engagement_prob": 0.1, "id": "a", "quality": 0.25, "threshold": 120.0}\n'
+            b'{"engagement_prob": 0.9, "id": "b", "quality": -1.5, "threshold": null}\n'
+        )
 
 
 class TestJsonDocuments:

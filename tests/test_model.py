@@ -347,6 +347,10 @@ class TestTrain:
             Hyperparams(epochs=float("nan")),
             Hyperparams(epochs=float("inf")),
             Hyperparams(epochs="100"),
+            # An int alone, as a model file's epochs: not a bool, an integral float or a numpy int.
+            Hyperparams(epochs=True),
+            Hyperparams(epochs=100.0),
+            Hyperparams(epochs=np.int64(100)),
         ],
     )
     def test_bad_hyperparams_refused(self, params):

@@ -291,9 +291,11 @@ class TestBuildTrainingSet:
             build_training_set(obs, records, SCHEMA)
 
     def test_unresolved_observation_rejected(self):
-        row = Observation(round=0, item_id="a", served=100, positive_events=0, discovered=None)
-        with pytest.raises(DataError, match="item a: discovered must be a bool, not None"):
-            observations_of([row])
+        # An unresolved outcome has no bool: a column that holds one is refused whole.
+        discovered = np.array([False, None], dtype=object)
+        message = "observation column discovered must be a 1-D array of bool's kind"
+        with pytest.raises(DataError, match=message):
+            Observations(**observation_columns(discovered=discovered))
 
     def test_list_of_rows_refused_naming_the_change(self):
         row = Observation(round=0, item_id="a", served=100, positive_events=0, discovered=False)
@@ -861,14 +863,15 @@ class TestLoopTrainsOnItsReplay:
         records = [rec for k in range(config.rounds) for rec in generate_corpus(config, k)[1]]
         # Round k trains on the outcomes of rounds 0 to k - 1: a prefix of
         # the report's rows, which are in round order.
+        obs = report.observations
         for round_index, got in enumerate(trained, start=1):
-            k = int(np.searchsorted(report.round_index, round_index))
+            k = int(np.searchsorted(obs.round_index, round_index))
             served = Observations(
-                report.round_index[:k],
-                report.item_ids[:k],
-                report.granted[:k],
-                report.positive_events[:k],
-                report.discovered[:k],
+                obs.round_index[:k],
+                obs.item_ids[:k],
+                obs.served[:k],
+                obs.positive_events[:k],
+                obs.discovered[:k],
             )
             replayed = build_training_set(served, records, SCHEMA)
             assert got.features.shape == replayed.features.shape
@@ -917,7 +920,7 @@ class TestCandidatesInStrOrderOfIds:
         assert any(row.item_id.startswith("r100-") for row in got.item_rows)
 
 
-REPORT_FIELDS = ("round_index", "region", "granted", "positive_events", "discovered")
+OBSERVATION_FIELDS = ("round_index", "served", "positive_events", "discovered")
 
 
 class TestReportColumns:
@@ -944,19 +947,23 @@ class TestReportColumns:
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(), "uniform")
         rows = report.item_rows
         assert report.item_rows is rows
-        assert len(rows) == len(report.item_ids) == sum(m.funded for m in report.rounds)
+        assert len(rows) == len(report.observations) == sum(m.funded for m in report.rounds)
 
     def test_columns_are_read_only(self):
         config = SimConfig(seed=2, items_per_round=50, rounds=2)
         report = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
-        assert type(report.item_ids) is tuple
-        for name in REPORT_FIELDS:
-            column = getattr(report, name)
+        obs = report.observations
+        assert type(obs.item_ids) is tuple
+        columns = [(obs, name) for name in OBSERVATION_FIELDS] + [(report, "region")]
+        for owner, name in columns:
+            column = getattr(owner, name)
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(report, name, column.copy())
+                setattr(owner, name, column.copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.observations = obs
 
     def test_equal_to_the_report_of_its_rows(self):
         config = SimConfig(seed=3, items_per_round=100, rounds=3)
@@ -968,6 +975,7 @@ class TestReportColumns:
         assert rebuilt == report
         assert rebuilt.item_rows == rows
         assert rebuilt.region.dtype == report.region.dtype == np.int8
+        assert report.total_discovered == int(report.observations.discovered.sum()) > 0
         # One field of one row changed: every column takes part in ==.
         changes = {
             "round": rows[-1].round + 1,
@@ -984,11 +992,10 @@ class TestReportColumns:
             )
             assert other != report, name
 
-    def test_columns_of_unequal_length_refused(self):
-        with pytest.raises(DataError, match="report columns differ in length"):
-            ExperimentReport(
-                "uniform", 0, (), 0, [0, 0], ["a", "b"], [0, 0], [1, 1], [0], [False, False]
-            )
+    def test_region_of_another_length_refused(self):
+        observations = Observations(**observation_columns())
+        with pytest.raises(DataError, match="report columns differ in length: 2 ids, 1 region"):
+            ExperimentReport("uniform", 0, (), observations, np.zeros(1, dtype=np.int8))
 
 
 class TestBuildTrainingSetRejectsBadCounts:
@@ -1019,32 +1026,6 @@ class TestBuildTrainingSetRejectsBadCounts:
         ])
         with pytest.raises(DataError, match="round=1, item_id='a'"):
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            # Would train as 10 impressions.
-            ("served", 10.7),
-            ("served", 2**63),
-            ("served", -(2**63) - 1),
-            ("served", True),
-            ("positive_events", 1.0),
-            ("positive_events", 2**64),
-            ("positive_events", False),
-            ("round", 0.5),
-            ("round", 2**63),
-            ("round", True),
-            ("round", "0"),
-            ("round", None),
-        ],
-    )
-    def test_count_not_an_int64_integer_rejected(self, field, value):
-        good = Observation(round=0, item_id="a", served=10, positive_events=1, discovered=False)
-        rows = [good, replace(good, **{"round": 1, "item_id": "b", field: value})]
-        column = "round_index" if field == "round" else field
-        message = f"observation of item b: {column} must be an integer that fits int64"
-        with pytest.raises(DataError, match=message):
-            observations_of(rows)
 
     def test_largest_int64_counts_accepted(self):
         top = 2**63 - 1
@@ -1080,11 +1061,11 @@ class TestBuildTrainingSetRejectsBadCounts:
 def observation_columns(**changes) -> dict:
     """The columns of two observations, items a and b, with some replaced."""
     columns = {
-        "round_index": [0, 1],
+        "round_index": np.array([0, 1]),
         "item_ids": ["a", "b"],
-        "served": [10, 20],
-        "positive_events": [1, 2],
-        "discovered": [False, True],
+        "served": np.array([10, 20]),
+        "positive_events": np.array([1, 2]),
+        "discovered": np.array([False, True]),
     }
     return {**columns, **changes}
 
@@ -1093,38 +1074,21 @@ class TestObservations:
     def test_columns_of_unequal_length_refused(self):
         message = "observation columns differ in length: 2 ids, 1 served"
         with pytest.raises(DataError, match=message):
-            Observations(**observation_columns(served=[10]))
+            Observations(**observation_columns(served=np.array([10])))
 
-    @pytest.mark.parametrize("name", ["round_index", "served", "positive_events"])
-    @pytest.mark.parametrize(
-        "column, item, value",
-        [
-            ([10, 2.0], "b", 2.0),
-            ([10, True], "b", True),
-            ([10, None], "b", None),
-            ([10, 2**63], "b", 2**63),
-            ([10, -(2**63) - 1], "b", -(2**63) - 1),
-            ([10, np.int64(2)], "b", np.int64(2)),
-        ],
-    )
-    def test_count_not_an_int64_integer_refused(self, name, column, item, value):
-        message = f"observation of item {item}: {name} must be an integer that fits int64"
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("name", OBSERVATION_FIELDS)
+    def test_column_not_an_array_refused_naming_it(self, name, container):
+        # Values a list could hold and an int64 or bool array could not, such
+        # as 2**63, True among counts or None, never reach a column.
+        column = container(observation_columns()[name].tolist())
         with pytest.raises(DataError) as refused:
             Observations(**observation_columns(**{name: column}))
-        assert str(refused.value) == f"{message}, not {value!r}"
-
-    @pytest.mark.parametrize(
-        "column, item, value",
-        [
-            ([False, None], "b", None),
-            ([False, 1], "b", 1),
-            ([False, np.True_], "b", np.True_),
-        ],
-    )
-    def test_discovered_not_a_bool_refused(self, column, item, value):
-        with pytest.raises(DataError) as refused:
-            Observations(**observation_columns(discovered=column))
-        message = f"observation of item {item}: discovered must be a bool, not {value!r}"
+        kind = "bool" if name == "discovered" else "int64"
+        message = (
+            f"observation column {name} must be a 1-D array of {kind}'s kind, "
+            f"not a {container.__name__}"
+        )
         assert str(refused.value) == message
 
     @pytest.mark.parametrize(
@@ -1136,6 +1100,7 @@ class TestObservations:
             ("positive_events", np.array([1, 2], dtype=np.uint64), "1-D uint64"),
             ("round_index", np.array([0, None], dtype=object), "1-D object"),
             ("round_index", np.array([[0], [1]]), "2-D int64"),
+            ("round_index", np.array(0), "0-D int64"),
             ("discovered", np.array([0, 1]), "1-D int64"),
             ("discovered", np.array([False, None], dtype=object), "1-D object"),
         ],
@@ -1145,7 +1110,7 @@ class TestObservations:
             Observations(**observation_columns(**{name: column}))
         kind = "bool" if name == "discovered" else "int64"
         message = (
-            f"observation column {name} must be a list or a 1-D array of {kind}'s kind, "
+            f"observation column {name} must be a 1-D array of {kind}'s kind, "
             f"not a {shape} array"
         )
         assert str(refused.value) == message
@@ -1153,7 +1118,9 @@ class TestObservations:
     def test_largest_and_smallest_int64_and_integer_arrays_accepted(self):
         extremes = [-(2**63), 2**63 - 1]
         obs = Observations(
-            **observation_columns(round_index=extremes, served=np.array([3, 4], dtype=np.int32))
+            **observation_columns(
+                round_index=np.array(extremes), served=np.array([3, 4], dtype=np.int32)
+            )
         )
         assert obs.round_index.tolist() == extremes
         assert obs.served.dtype == np.int64 and obs.served.tolist() == [3, 4]
@@ -1189,11 +1156,11 @@ class TestObservations:
         assert obs == Observations(**observation_columns())
         assert obs == observations_of(list(obs))
         changes = {
-            "round_index": [0, 2],
+            "round_index": np.array([0, 2]),
             "item_ids": ["a", "c"],
-            "served": [10, 21],
-            "positive_events": [1, 3],
-            "discovered": [False, False],
+            "served": np.array([10, 21]),
+            "positive_events": np.array([1, 3]),
+            "discovered": np.array([False, False]),
         }
         for name, column in changes.items():
             assert obs != Observations(**observation_columns(**{name: column})), name
@@ -1237,6 +1204,62 @@ class TestDiscoveryIsPerRound:
         assert [o.served for o in outcomes] == [100, 100]
         assert [o.discovered for o in outcomes] == [False, False]
         assert serve_round([lat], plan_for([lat], [150]), config, 2)[0].discovered
+
+
+class TestSimConfigRejectsNonNumbers:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "feature_noise",
+            "threshold_mu",
+            "threshold_kappa",
+            "threshold_noise",
+            "engagement_a",
+            "engagement_b",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["x", True, None, np.float64(0.5)])
+    def test_real_field_not_a_number_rejected(self, field, value):
+        config = replace(SimConfig(items_per_round=10), **{field: value})
+        message = f"{field} must be a number, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.validate()
+        with pytest.raises(ConfigError, match=field):
+            generate_corpus(config, 0)
+
+    @pytest.mark.parametrize(
+        "mix, message",
+        [
+            ((True, 0, 0), "each of archetype_mix must be a number, not True"),
+            ((0.2, "0.8", 0.0), "each of archetype_mix must be a number, not '0.8'"),
+            (np.array([0.2, 0.8, 0.0]), "archetype_mix must be a list"),
+        ],
+    )
+    def test_archetype_mix_not_numbers_rejected(self, mix, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig(archetype_mix=mix).validate()
+
+    def test_integral_values_accepted(self):
+        config = SimConfig(threshold_mu=6, feature_noise=0, archetype_mix=[0, 1, 0])
+        assert config.validate() is config
+
+
+class TestRoundIndexIsANonNegativeInt:
+    @pytest.mark.parametrize("round_index", [-1, 1.5, True, np.int64(1), "1", None])
+    def test_refused_before_drawing(self, round_index):
+        config = SimConfig(seed=0, items_per_round=5)
+        message = f"round_index must be a non-negative integer, not {round_index!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            generate_corpus(config, round_index)
+        latents, _ = generate_corpus(config, 1)
+        with pytest.raises(DataError, match=re.escape(message)):
+            serve_round(latents, plan_for(latents, [100] * len(latents)), config, round_index)
+
+
+def test_run_experiment_refuses_a_fractional_budget():
+    config = SimConfig(seed=0, items_per_round=300, rounds=2)
+    with pytest.raises(ConfigError, match="total_budget must be an integer, not 60000.5"):
+        run_experiment(config, cfg(total_budget=60_000.5), SCHEMA, Hyperparams(), "uniform")
 
 
 class TestSimConfigRejectsNonFinite:
