@@ -246,41 +246,14 @@ def plan_columns(
     )
 
 
-def plan_corpus(
-    corpus: Corpus,
-    model: DiscoverabilityModel,
-    config: AllocationConfig,
-    schema: BucketSchema,
-    growth: GrowthStats | None = None,
-) -> AllocationPlan:
-    """The allocation of a corpus: its checks, then plan_columns over the
-    items in Python's str order of their ids.
-
-    Refuses an invalid config, a model trained on another schema, duplicate
-    ids, a non-finite model input and a score that overflows, naming the item.
-    """
-    validate_config(config, schema)
-    if model.schema != schema:
-        raise ConfigError("model was trained against a different bucket schema")
-    order = np.array(id_order(corpus.ids, "corpus"), dtype=np.intp)
-    ids = [corpus.ids[k] for k in order.tolist()]
-    features = model_inputs(
-        corpus.features[order], corpus.impressions[order], corpus.positive_events[order]
-    )
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
-    return plan_columns(ids, features, model, config, schema, growth)
-
-
 def allocate(
-    corpus: Sequence[ItemRecord],
+    corpus: Corpus | Sequence[ItemRecord],
     model: DiscoverabilityModel,
     config: AllocationConfig,
     schema: BucketSchema,
     growth: GrowthStats | None = None,
 ) -> AllocationPlan:
-    """Build a full allocation plan for a corpus.
+    """Build a full allocation plan for a corpus, taken as Corpus.of(corpus).
 
     The budget is split between a High+Moderate pool and a Low pool. High and
     Moderate items are funded full-or-nothing in ascending order of requested
@@ -295,9 +268,22 @@ def allocate(
     ceiling binds, _drop_for_cost's drop order decides the plan, and the count
     is not guaranteed maximal.
 
-    This is plan_corpus over the records as columns.
+    This is plan_columns over the items in str order of their ids. It refuses a bad
+    config or schema, duplicate ids, and a non-finite input or score, naming the item.
     """
-    return plan_corpus(Corpus.of(corpus), model, config, schema, growth)
+    corpus = Corpus.of(corpus)
+    validate_config(config, schema)
+    if model.schema != schema:
+        raise ConfigError("model was trained against a different bucket schema")
+    order = np.array(id_order(corpus.ids, "corpus"), dtype=np.intp)
+    ids = [corpus.ids[k] for k in order.tolist()]
+    features = model_inputs(
+        corpus.features[order], corpus.impressions[order], corpus.positive_events[order]
+    )
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature for item {ids[int(np.argmin(finite))]}")
+    return plan_columns(ids, features, model, config, schema, growth)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def cmd_allocate(args) -> int:
             item_growth=args.item_growth, traffic_growth=args.traffic_growth
         )
         adapted = allocator.adapt_low_fraction(config.low_region_fraction, growth)
-    plan = allocator.plan_corpus(corpus, fitted, config, schema, growth)
+    plan = allocator.allocate(corpus, fitted, config, schema, growth)
     out = _out_dir(args)
     plan_path = out / "plan.csv"
     summary_path = out / "summary.json"

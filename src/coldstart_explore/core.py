@@ -1,9 +1,9 @@
 """Shared domain types and file formats.
 
-Immutable item, engagement, bucket and config records; the corpus and the
-allocation plan as columns; the checks and the cost, bucket and model-input
-functions the modules share; and the one reader and writer of each file kind,
-with `FeatureRows`, which gathers a corpus file's feature rows as they are read.
+Immutable item, engagement, bucket and config records; the corpus, ground truth and
+allocation plan as columns, with `Rows` for their row views; the checks and the cost,
+bucket and model-input functions the modules share; and the one reader and writer of
+each file kind, with `FeatureRows`, which gathers a corpus file's feature rows as read.
 """
 
 from __future__ import annotations
@@ -122,6 +122,54 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def check_lengths(what: str, columns: dict[str, Sequence]) -> None:
+    """DataError unless every column is as long as the first, the ids."""
+    n = len(next(iter(columns.values())))
+    for name, column in columns.items():
+        if len(column) != n:
+            raise DataError(f"{what} columns differ in length: {n} ids, {len(column)} {name}")
+
+
+def columns_equal(self, other) -> bool:
+    """== of a dataclass that holds columns: every field equal, an array by
+    value with NaN equal to NaN."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs
+    )
+
+
+T = TypeVar("T")
+
+
+class Rows(Sequence[T]):
+    """A dataclass of columns that is also the sequence of its rows, which a
+    subclass builds in its `rows` cached property on first read. `len` is the
+    first column's. `what` and `row` name the table and its row type for check()."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    @classmethod
+    def check(cls, value, taker: str):
+        """value if it is such a table; TypeError naming `taker` and value's type otherwise."""
+        if isinstance(value, cls):
+            return value
+        raise TypeError(
+            f"{taker} takes {cls.what}, not a {type(value).__name__}; "
+            f"a list of {cls.row} rows is no longer accepted"
+        )
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class ItemRecord:
     """An item as the allocator sees it: static features plus observed engagement."""
@@ -138,13 +186,15 @@ class ItemRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class Corpus:
+class Corpus(Rows[ItemRecord]):
     """Items as columns, one row per item: what a corpus file holds.
 
     `features` is the read-only (items, dimension) matrix of static features,
     `impressions` and `positive_events` the read-only int64 engagement counts.
-    The holder checks that the columns line up; each count is checked where it
-    enters, by the corpus reader per row and by EngagementStats per record.
+    The holder checks that the columns line up, that the counts are integers
+    (a float column is refused, not truncated), and that no count is negative
+    nor an item's positive events above its impressions, naming the first
+    such item. As a sequence it is its rows, one ItemRecord each.
     """
 
     ids: tuple[str, ...]
@@ -156,7 +206,10 @@ class Corpus:
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "features", read_only(self.features))
         for name in ("impressions", "positive_events"):
-            object.__setattr__(self, name, read_only(getattr(self, name), np.int64))
+            column = np.asarray(getattr(self, name))
+            if column.size and column.dtype.kind not in "iu":
+                raise DataError(f"corpus {name} must be integers, not {column.dtype}")
+            object.__setattr__(self, name, read_only(column, np.int64))
         n = len(self.ids)
         if self.features.ndim != 2 or len(self.features) != n:
             raise DataError(f"features must be an ({n}, dimension) matrix: {self.features.shape}")
@@ -165,21 +218,73 @@ class Corpus:
                 f"columns differ in length: {n} ids, impressions {self.impressions.shape}, "
                 f"positive_events {self.positive_events.shape}"
             )
+        impressions, positives = self.impressions, self.positive_events
+        bad = (impressions < 0) | (positives < 0) | (positives > impressions)
+        if bad.any():
+            k = int(np.argmax(bad))
+            try:
+                _check_engagement(int(impressions[k]), int(positives[k]))
+            except DataError as exc:
+                raise DataError(f"{exc}: item {self.ids[k]}") from None
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @cached_property
+    def rows(self) -> tuple[ItemRecord, ...]:
+        """One ItemRecord per row, its features a read-only row of the one matrix."""
+        counts = (c.tolist() for c in (self.impressions, self.positive_events))
+        return tuple(map(ItemRecord, self.ids, self.features, map(EngagementStats, *counts)))
 
     @classmethod
-    def of(cls, records: Sequence[ItemRecord]) -> "Corpus":
-        """The records as columns, in their order."""
-        n = len(records)
+    def of(cls, records: "Corpus | Sequence[ItemRecord]") -> "Corpus":
+        """The records as columns, in their order; a Corpus is returned as it is."""
+        if isinstance(records, Corpus):
+            return records
         engagement = [rec.engagement for rec in records]
         return cls(
             tuple(rec.id for rec in records),
             static_matrix(records),
-            np.fromiter((s.impressions for s in engagement), np.int64, n),
-            np.fromiter((s.positive_events for s in engagement), np.int64, n),
+            np.array([s.impressions for s in engagement]),
+            np.array([s.positive_events for s in engagement]),
         )
+
+
+@dataclass(frozen=True, slots=True)
+class LatentItem:
+    """Ground truth the allocator must not see."""
+
+    id: str
+    quality: float
+    true_threshold: float  # impressions; 0 = inherently discoverable, inf = never
+    engagement_prob: float
+
+
+@dataclass(frozen=True, eq=False)
+class LatentColumns(Rows[LatentItem]):
+    """Ground truth as columns, one row per item: what a latents file holds.
+
+    The ids are kept as a tuple, the other columns as read-only float arrays,
+    all of one length (DataError otherwise); its rows are LatentItems.
+    """
+
+    ids: tuple[str, ...]
+    quality: np.ndarray
+    true_threshold: np.ndarray  # inf = never discoverable
+    engagement_prob: np.ndarray
+
+    what, row = "a LatentColumns, the columns generate_corpus returns", "LatentItem"
+
+    def __post_init__(self) -> None:
+        columns = {"ids": tuple(self.ids)}
+        columns.update((f.name, read_only(getattr(self, f.name))) for f in fields(self)[1:])
+        check_lengths("latent", columns)
+        vars(self).update(columns)
+
+    @cached_property
+    def rows(self) -> tuple[LatentItem, ...]:
+        """One LatentItem per row, in row order: built on first read, then kept."""
+        columns = (c.tolist() for c in (self.quality, self.true_threshold, self.engagement_prob))
+        return tuple(map(LatentItem, self.ids, *columns))
+
+    __eq__ = columns_equal
 
 
 @dataclass(frozen=True)
@@ -277,26 +382,6 @@ def region_counts(codes: np.ndarray) -> dict[str, int]:
 
 #: A plan's requested column holds this where an entry's requested is None.
 NO_REQUEST = -1
-
-
-def check_lengths(what: str, columns: dict[str, Sequence]) -> None:
-    """DataError unless every column is as long as the first, the ids."""
-    n = len(next(iter(columns.values())))
-    for name, column in columns.items():
-        if len(column) != n:
-            raise DataError(f"{what} columns differ in length: {n} ids, {len(column)} {name}")
-
-
-def columns_equal(self, other) -> bool:
-    """== of a dataclass that holds columns: every field equal, an array by
-    value with NaN equal to NaN."""
-    if not isinstance(other, type(self)):
-        return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(
-        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-        for a, b in pairs
-    )
 
 
 def none_where(values: np.ndarray, missing: np.ndarray) -> list:
@@ -422,15 +507,18 @@ def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
 
 
 def id_order(ids: Sequence[str], what: str) -> list[int]:
-    """Indices of the ids in Python's str order; DataError naming `what` if an
-    id repeats.
+    """Indices of the ids in Python's str order; DataError naming `what` and
+    the first repeated id, in that order, if an id repeats.
 
     A numpy <U array of the ids would drop trailing NULs and so could order
     them differently.
     """
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     if len(set(ids)) != len(ids):
-        raise DataError(f"duplicate item ids in {what}")
-    return sorted(range(len(ids)), key=ids.__getitem__)
+        # Sorted, a repeated id sits next to itself.
+        repeated = next(ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b])
+        raise DataError(f"duplicate item ids in {what}: {repeated}")
+    return order
 
 
 def validate_config(config: AllocationConfig, schema: BucketSchema) -> AllocationConfig:
@@ -589,8 +677,6 @@ def _reject_constant(token: str) -> float:
 # decoder would reject.
 _FINITE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-
-T = TypeVar("T")
 
 
 def read_json(path: str | Path) -> object:

@@ -7,9 +7,8 @@ precision with step interpolation, computed at every distinct score threshold.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +18,10 @@ from .core import (
     AllocationConfig,
     AllocationPlan,
     ConfigError,
+    Corpus,
     DataError,
     ItemRecord,
+    LatentColumns,
     Region,
     cost_of,
     frozen,
@@ -257,32 +258,31 @@ def _baseline_plan(
 
 
 def uniform_allocate(
-    corpus: Sequence[ItemRecord], config: AllocationConfig
+    corpus: Corpus | Sequence[ItemRecord], config: AllocationConfig
 ) -> AllocationPlan:
     """Equal traffic for everyone: the no-model baseline (see uniform_grants).
 
-    An invalid config, an empty corpus and duplicate ids are refused.
+    Only the ids are read. An invalid config, an empty corpus and duplicate ids are refused.
     """
     validate_allocation_config(config)
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
-    ids = [rec.id for rec in corpus]
+    ids = corpus.ids if isinstance(corpus, Corpus) else [rec.id for rec in corpus]
     ids = [ids[k] for k in id_order(ids, "corpus")]
     return _baseline_plan(ids, uniform_grants(len(ids), config), Region.UNIFORM, config)
 
 
-def oracle_allocate(latents: Iterable, config: AllocationConfig) -> AllocationPlan:
+def oracle_allocate(latents: LatentColumns, config: AllocationConfig) -> AllocationPlan:
     """Full-information upper bound: fund cheapest true thresholds first.
 
-    `latents` supplies objects with `id` and `true_threshold` attributes (the
-    simulator's ground truth); oracle_grants funds them. An invalid config,
-    duplicate ids and NaN thresholds are refused.
+    `latents` is the simulator's ground truth, the LatentColumns
+    generate_corpus returns; oracle_grants funds its items. An invalid
+    config, duplicate ids and NaN thresholds are refused.
     """
+    LatentColumns.check(latents, "oracle_allocate")
     validate_allocation_config(config)
-    items = list(latents)
-    ids = list(map(attrgetter("id"), items))
+    ids, thresholds = latents.ids, latents.true_threshold
     order = id_order(ids, "latents")
-    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
     nan = np.flatnonzero(np.isnan(thresholds))
     if nan.size:
         raise DataError(f"NaN threshold for item {ids[nan[0]]}")

@@ -20,10 +20,9 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import attrgetter, eq, lt
+from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +38,13 @@ from .core import (
     AllocationPlan,
     BucketSchema,
     ConfigError,
+    Corpus,
     DataError,
     ItemRecord,
+    LatentColumns,
+    LatentItem,  # re-exported as simulator.LatentItem
     Region,
+    Rows,
     bucket_of,
     check_fields,
     check_lengths,
@@ -53,7 +56,6 @@ from .core import (
     read_jsonl,
     read_only,
     region_counts,
-    static_matrix,
     sum_costs,
     validate_config,
     write_csv,
@@ -66,16 +68,6 @@ STRATEGIES = ("uniform", "model", "oracle")
 
 # Stream tag separating serving randomness from corpus-generation randomness.
 _SERVE_STREAM = 7919
-
-
-@dataclass(frozen=True, slots=True)
-class LatentItem:
-    """Ground truth the allocator must not see."""
-
-    id: str
-    quality: float
-    true_threshold: float  # impressions; 0 = inherently discoverable, inf = never
-    engagement_prob: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def _column(name: str, values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Observations(Sequence[Observation]):
+class Observations(Rows[Observation]):
     """Outcomes of serving, one row per serving event, held as columns.
 
     Row k of the read-only columns is `round_index[k]`, `item_ids[k]`,
@@ -164,6 +156,8 @@ class Observations(Sequence[Observation]):
     positive_events: np.ndarray
     discovered: np.ndarray
 
+    what, row = "an Observations, the columns serve_round returns", "Observation"
+
     def __post_init__(self) -> None:
         ids = tuple(self.item_ids)
         columns = {
@@ -179,15 +173,6 @@ class Observations(Sequence[Observation]):
         """One Observation per row, in row order: built on first read, then kept."""
         outcomes = (c.tolist() for c in (self.served, self.positive_events, self.discovered))
         return tuple(map(Observation, self.round_index.tolist(), self.item_ids, *outcomes))
-
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def __iter__(self):
-        return iter(self.rows)
 
     __eq__ = columns_equal
 
@@ -249,17 +234,14 @@ def draw_columns(
     return ids, quality, theta, engagement_prob, features
 
 
-def generate_corpus(
-    config: SimConfig, round_index: int
-) -> tuple[list[LatentItem], list[ItemRecord]]:
-    """Draw one round's fresh items (see draw_columns) as objects."""
+def generate_corpus(config: SimConfig, round_index: int) -> tuple[LatentColumns, Corpus]:
+    """One round's fresh items (see draw_columns) as tables: the truth and an unserved corpus."""
     config.validate()
     _check_round(round_index)
     ids, quality, theta, engagement_prob, features = draw_columns(config, round_index)
-    latents = LatentColumns(ids, quality, theta, engagement_prob).items()
-    # Each record's features are a read-only row of the one matrix.
-    records = list(map(ItemRecord, ids, features))
-    return latents, records
+    latents = LatentColumns(ids, *frozen(quality, theta, engagement_prob))
+    (never_served,) = frozen(np.zeros(len(ids), dtype=np.int64))
+    return latents, Corpus(latents.ids, features, never_served, never_served)
 
 
 def serve_columns(
@@ -280,7 +262,7 @@ def serve_columns(
 
 
 def serve_round(
-    latents: Sequence[LatentItem],
+    latents: LatentColumns,
     plan: AllocationPlan,
     config: SimConfig,
     round_index: int = 0,
@@ -296,42 +278,43 @@ def serve_round(
     twice, or granting negative traffic, is refused in id order, as are two
     latents of one item, and so is a round_index that is not a non-negative int.
     """
+    LatentColumns.check(latents, "serve_round")
     _check_round(round_index)
-    by_id = {lat.id: lat for lat in latents}
-    if len(by_id) != len(latents):
-        repeated = next(i for i, n in Counter(lat.id for lat in latents).items() if n > 1)
-        raise DataError(f"duplicate latent for item {repeated}")
-    ids, served = plan.ids, plan.granted
-    # A plan whose rows are in id order, as every producer's are, needs no sort.
-    if not all(map(lt, ids, islice(ids, 1, None))):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids, served = [ids[k] for k in order], served[order]
-    # Sorted, a repeated id sits next to itself.
-    twice = any(map(eq, ids, islice(ids, 1, None)))
-    if twice or not all(map(by_id.__contains__, ids)) or (served < 0).any():
-        previous = None
-        for item_id, grant in zip(ids, served.tolist()):
-            if item_id not in by_id:
-                raise DataError(f"plan references unknown item {item_id}")
-            if item_id == previous:
-                raise DataError(f"duplicate plan entry for item {item_id}")
-            if grant < 0:
-                raise DataError(f"plan grants item {item_id} negative traffic {grant}")
-            previous = item_id
-    funded = served != 0
-    ids = tuple(compress(ids, funded.tolist()))
-    served = served[funded]
-    items = list(map(by_id.__getitem__, ids))
-    probs = np.fromiter(map(attrgetter("engagement_prob"), items), float, len(items))
-    thresholds = np.fromiter(map(attrgetter("true_threshold"), items), float, len(items))
-    positives, found = serve_columns(config, round_index, served, probs, thresholds)
-    rounds = np.full(len(ids), round_index)
-    return Observations(*frozen(rounds), ids, *frozen(served, positives, found))
+    row_of = _row_of(latents.ids, "latent")
+    order = sorted(range(len(plan.ids)), key=plan.ids.__getitem__)
+    ids, served = [plan.ids[k] for k in order], plan.granted[order]
+    # Each entry's row of latents, -1 if unknown; sorted, a repeat follows itself.
+    rows = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
+    twice = np.diff(rows, prepend=-2) == 0  # no row is -2
+    if (refused := (rows < 0) | twice | (served < 0)).any():
+        k = int(np.argmax(refused))
+        if rows[k] < 0:
+            raise DataError(f"plan references unknown item {ids[k]}")
+        if twice[k]:
+            raise DataError(f"duplicate plan entry for item {ids[k]}")
+        raise DataError(f"plan grants item {ids[k]} negative traffic {served[k]}")
+    funded = np.flatnonzero(served)
+    rows, served = rows[funded], served[funded]
+    positives, found = serve_columns(
+        config, round_index, served, latents.engagement_prob[rows], latents.true_threshold[rows]
+    )
+    rounds = np.full(len(rows), round_index)
+    funded_ids = [ids[k] for k in funded.tolist()]
+    return Observations(*frozen(rounds), funded_ids, *frozen(served, positives, found))
+
+
+def _row_of(ids: Sequence[str], what: str) -> dict[str, int]:
+    """Each id's row; DataError naming the first id that repeats, as a duplicate `what`."""
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):
+        repeated = next(i for i, count in Counter(ids).items() if count > 1)
+        raise DataError(f"duplicate {what} for item {repeated}")
+    return row_of
 
 
 def build_training_set(
     observations: Observations,
-    records: Sequence[ItemRecord],
+    records: Corpus | Sequence[ItemRecord],
     schema: BucketSchema,
 ) -> TrainingSet:
     """One example per serving event, replayed in (round, item id) order.
@@ -340,17 +323,12 @@ def build_training_set(
     item's static features plus the engagement block as it stood before the
     event; its bucket is the served traffic's and its label `discovered`.
     The events come as the columns of an Observations, which has checked
-    their types; each needs 0 <= positive_events <= served. An event of an
-    unknown item, two records of one item and two observations of one item
-    in one round (neither came before the other) are refused, naming the
-    first such event in replay order."""
-    if not isinstance(observations, Observations):
-        raise TypeError(
-            "build_training_set takes an Observations, the columns serve_round returns, "
-            f"not a {type(observations).__name__}; a list of Observation rows is no "
-            "longer accepted"
-        )
-    obs = observations
+    their types; each needs 0 <= positive_events <= served. The records are
+    taken as Corpus.of(records). An event of an unknown item, two records of
+    one item and two observations of one item in one round (neither came
+    before the other) are refused, naming the first such event in replay order."""
+    obs = Observations.check(observations, "build_training_set")
+    corpus = Corpus.of(records)
     n = len(obs)
     # Sorted by id, then stably by round: (round, Python str order of id) order.
     by_id = np.fromiter(sorted(range(n), key=obs.item_ids.__getitem__), np.intp, n)
@@ -358,12 +336,8 @@ def build_training_set(
     rounds = obs.round_index[order]
     counts = np.stack([obs.served[order], obs.positive_events[order]], axis=1)
     bucket = bucket_of(counts[:, 0], schema)
-    record_ids = [rec.id for rec in records]
-    row_of = dict(zip(record_ids, range(len(record_ids))))
-    if len(row_of) != len(record_ids):
-        repeated = next(i for i, count in Counter(record_ids).items() if count > 1)
-        raise DataError(f"duplicate record for item {repeated}")
-    # Each event's index into records, -1 for an unknown item.
+    row_of = _row_of(corpus.ids, "record")
+    # Each event's row of the corpus, -1 for an unknown item.
     rows = np.fromiter(map(row_of.get, obs.item_ids, repeat(-1)), np.int64, n)[order]
     unknown = rows < 0
     twice = np.zeros(n, dtype=bool)  # an event of the item and round of the one before it
@@ -380,15 +354,14 @@ def build_training_set(
         raise DataError(f"positive_events cannot exceed served or fall below 0: {obs[event]}")
     # Each event's counts become its record's counts before it, round by
     # round: a round's events are of distinct records, so one add replays it.
-    running = np.zeros((len(records), 2), dtype=np.int64)
+    running = np.zeros((len(corpus), 2), dtype=np.int64)
     round_starts = np.flatnonzero(rounds[1:] != rounds[:-1]) + 1
     for block in np.split(np.arange(n), round_starts):
         running[rows[block]] += counts[block]
         counts[block] = running[rows[block]] - counts[block]
     del running  # freed before the features, the largest arrays, are built
-    static = static_matrix(list(map(records.__getitem__, rows.tolist())))
     label = obs.discovered[order].astype(np.int64)
-    return TrainingSet(*frozen(model_inputs(static, *counts.T), bucket, label))
+    return TrainingSet(*frozen(model_inputs(corpus.features[rows], *counts.T), bucket, label))
 
 
 @dataclass(frozen=True)
@@ -433,6 +406,7 @@ class ExperimentReport:
     region: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        Observations.check(self.observations, "ExperimentReport")
         region = read_only(self.region, np.int8)
         check_lengths("report", {"item_ids": self.observations.item_ids, "region": region})
         vars(self).update(region=region, rounds=tuple(self.rounds))
@@ -567,27 +541,6 @@ def run_experiment(
 # File formats
 # ---------------------------------------------------------------------------
 
-class LatentColumns(NamedTuple):
-    """Ground truth as columns, one row per item: what a latents file holds."""
-
-    ids: Sequence[str]
-    quality: np.ndarray
-    true_threshold: np.ndarray  # inf = never discoverable
-    engagement_prob: np.ndarray
-
-    def items(self) -> list[LatentItem]:
-        """One LatentItem per row."""
-        return list(
-            map(
-                LatentItem,
-                self.ids,
-                self.quality.tolist(),
-                self.true_threshold.tolist(),
-                self.engagement_prob.tolist(),
-            )
-        )
-
-
 def write_latents(latents: LatentColumns, path: str | Path) -> None:
     """Ground-truth file; kept separate so allocation code never reads it.
 
@@ -598,7 +551,8 @@ def write_latents(latents: LatentColumns, path: str | Path) -> None:
     threshold = latents.true_threshold
     if np.isnan(threshold).any():
         raise DataError(f"{path}: threshold holds NaN, which JSON cannot")
-    columns = latents._replace(true_threshold=np.where(np.isinf(threshold), JSON_NULL, threshold))
+    null_inf = np.where(np.isinf(threshold), JSON_NULL, threshold)
+    columns = (latents.ids, latents.quality, null_inf, latents.engagement_prob)
     names = ("id", "quality", "threshold", "engagement_prob")
     write_jsonl_columns(dict(zip(names, columns)), path)
 
@@ -622,18 +576,13 @@ def _latent_row(row: dict) -> tuple[str, float, float, float]:
     )
 
 
-def read_latents(path: str | Path) -> LatentColumns:
+def load_latents(path: str | Path) -> LatentColumns:
     """A latents file as columns, in file order. A row whose id is not a
     string, or whose values are not finite numbers (a threshold may also be
     null), raises DataError naming `path:line`."""
     rows = read_jsonl(path, _latent_row, "latent record")
     values = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), 3)
-    return LatentColumns([row[0] for row in rows], *values.T.copy())
-
-
-def load_latents(path: str | Path) -> list[LatentItem]:
-    """The latents file (see read_latents) as latent items, in file order."""
-    return read_latents(path).items()
+    return LatentColumns([row[0] for row in rows], *frozen(*values.T.copy()))
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

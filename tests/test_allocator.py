@@ -11,7 +11,6 @@ from coldstart_explore.allocator import (
     allocate,
     low_grants,
     plan_columns,
-    plan_corpus,
     plan_summary,
 )
 from coldstart_explore.core import (
@@ -402,6 +401,26 @@ class TestAllocate:
         records = [make_record("a", [1.0]), make_record("a", [2.0])]
         with pytest.raises(DataError, match="duplicate"):
             allocate(records, model, cfg(), SCHEMA)
+        records = [make_record(i, [1.0]) for i in ("c", "b", "c", "a", "b")]
+        with pytest.raises(DataError) as refused:
+            allocate(records, model, cfg(), SCHEMA)
+        assert str(refused.value) == "duplicate item ids in corpus: b"
+
+    def test_counts_no_reader_takes_refused(self):
+        # A negative count once died in math.log1p, a positive rate above 1
+        # weighted the Low water-fill, and a fractional count was cut.
+        model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
+        refusals = [
+            ([-5], [0], "engagement counts must be non-negative: item a"),
+            ([1], [5], "positive_events cannot exceed impressions: item a"),
+        ]
+        for impressions, positives, message in refusals:
+            with pytest.raises(DataError) as refused:
+                allocate(Corpus(["a"], [[1.0]], impressions, positives), model, cfg(), SCHEMA)
+            assert str(refused.value) == message
+        fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
+        with pytest.raises(DataError, match="corpus impressions must be integers, not float64"):
+            allocate([fractional], model, cfg(), SCHEMA)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -600,18 +619,18 @@ class TestAllocateRejectsBadInput:
         model = make_model(SCHEMA, [2.0, -2.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
         corpus = Corpus(("a", "b", "c"), [[1.0, 1.0], [1e308, 1e308], [0.0, 1.0]], [0] * 3, [0] * 3)
         with pytest.raises(DataError, match="features of item b overflow the model's score"):
-            plan_corpus(corpus, model, cfg(), SCHEMA)
+            allocate(corpus, model, cfg(), SCHEMA)
 
 
-class TestPlanCorpusPlan:
+class TestAllocatedPlan:
     def test_verified_and_served_as_it_is(self):
-        # plan_corpus's plan is what verify_plan checks and serve_round serves,
+        # allocate's plan is what verify_plan checks and serve_round serves,
         # with no conversion: serving it equals serving its entries.
         sim = SimConfig(seed=3, items_per_round=400)
         latents, records = generate_corpus(sim, 0)
         model = make_model(SCHEMA, [0.5] * 8 + [2.0, 0.0], np.linspace(-2.0, 2.0, 6), -1.0)
         config = cfg(total_budget=300_000, low_region_fraction=0.3, cf_low=0.3)
-        plan = plan_corpus(Corpus.of(records), model, config, SCHEMA)
+        plan = allocate(records, model, config, SCHEMA)
         assert type(plan) is AllocationPlan
         verify_plan(plan, config)
         funded = {e.region for e in plan.entries if e.granted > 0}
@@ -638,7 +657,7 @@ class TestPlanCorpusPlan:
         model = make_model(SCHEMA, [0.5] * 8 + [2.0, 0.0], np.linspace(-2.0, 2.0, 6), -1.0)
         config = cfg(total_budget=30_000, low_region_fraction=0.3, cf_low=0.3)
         plans = [
-            plan_corpus(Corpus.of(records), model, config, SCHEMA),
+            allocate(records, model, config, SCHEMA),
             uniform_allocate(records, config),
             oracle_allocate(latents, config),
         ]
@@ -652,7 +671,7 @@ class TestPlanSummary:
     MODEL = make_model(SCHEMA, [4.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
 
     def summary(self, records, config):
-        plan = plan_corpus(Corpus.of(records), self.MODEL, config, SCHEMA)
+        plan = allocate(records, self.MODEL, config, SCHEMA)
         return plan_summary(plan, config)
 
     def test_classified_counts_show_deferred_low_items(self):

@@ -23,6 +23,8 @@ from coldstart_explore.core import (
     DataError,
     EngagementStats,
     ItemRecord,
+    LatentColumns,
+    LatentItem,
     PlanEntry,
     Region,
     bucket_of,
@@ -49,10 +51,8 @@ from coldstart_explore import core
 from coldstart_explore.model import TrainingSet, load_examples, save_examples
 from coldstart_explore.simulator import (
     ItemRoundRow,
-    LatentColumns,
-    LatentItem,
     Observation,
-    read_latents,
+    load_latents,
     write_latents,
 )
 from per_item import engagement_features, item_feature_vector, load_corpus
@@ -726,6 +726,60 @@ class TestCorpusFile:
         with pytest.raises(DataError, match="matrix"):
             Corpus(["a", "b"], np.zeros(2), [0, 0], [0, 0])
 
+    @pytest.mark.parametrize("name", ["impressions", "positive_events"])
+    @pytest.mark.parametrize(
+        "column, dtype",
+        [([1.7, 2.0], "float64"), ([True, False], "bool"), ([2**70, 0], "object")],
+    )
+    def test_count_column_not_integers_refused_naming_it(self, name, column, dtype):
+        # Neither cut to an integer nor wrapped around: refused whole.
+        counts = {"impressions": [5, 5], "positive_events": [0, 0], name: column}
+        with pytest.raises(DataError) as refused:
+            Corpus(["a", "b"], np.zeros((2, 1)), **counts)
+        assert str(refused.value) == f"corpus {name} must be integers, not {dtype}"
+
+    @pytest.mark.parametrize(
+        "impressions, positive_events, message",
+        [
+            ([3, -5, -1], [0, 0, 0], "engagement counts must be non-negative: item b"),
+            ([3, 2, 1], [0, 0, -1], "engagement counts must be non-negative: item c"),
+            ([3, 1, 0], [1, 5, 1], "positive_events cannot exceed impressions: item b"),
+        ],
+    )
+    def test_bad_counts_refused_naming_the_first_item(self, impressions, positive_events, message):
+        with pytest.raises(DataError) as refused:
+            Corpus(["a", "b", "c"], np.zeros((3, 1)), impressions, positive_events)
+        assert str(refused.value) == message
+
+    def test_empty_corpus_accepted(self):
+        corpus = Corpus([], np.empty((0, 0)), [], [])
+        assert len(corpus) == 0 and corpus.impressions.dtype == np.int64
+
+    def test_row_view(self):
+        features = np.array([[0.5, -1.0], [2.0, 3.0]])
+        corpus = Corpus(["b", "a"], features, [4, 0], [1, 0])
+        assert len(corpus) == 2 and "rows" not in vars(corpus)  # len reads the ids
+        first, second = corpus
+        assert corpus.rows is corpus.rows and corpus[1] is second  # built once
+        assert (first.id, first.engagement) == ("b", EngagementStats(4, 1))
+        assert (second.id, second.engagement) == ("a", EngagementStats(0, 0))
+        assert type(first.engagement.impressions) is int
+        for record, row in zip(corpus, corpus.features):
+            assert np.shares_memory(record.features, row) and not record.features.flags.writeable
+            assert np.array_equal(record.features, row)
+
+    def test_of_takes_records_and_a_corpus(self):
+        records = [
+            ItemRecord("b", np.array([1.0]), EngagementStats(4, 1)),
+            ItemRecord("a", np.array([2.0])),
+        ]
+        corpus = Corpus.of(records)
+        assert corpus.ids == ("b", "a") and corpus.impressions.tolist() == [4, 0]
+        assert Corpus.of(corpus) is corpus
+        fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
+        with pytest.raises(DataError, match="corpus impressions must be integers, not float64"):
+            Corpus.of([fractional])
+
     def test_blocks_write_what_one_block_writes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
         n = 11
@@ -780,6 +834,43 @@ class TestCorpusFile:
         with pytest.raises(DataError, match="features holds a non-finite value"):
             write_corpus(corpus, path)
         assert not path.exists()
+
+
+class TestLatentColumns:
+    def test_row_view(self):
+        threshold = np.array([5.0, math.inf])
+        latents = LatentColumns(["b", "a"], [0.25, -1.0], threshold, np.array([0.1, 0.9]))
+        threshold[0] = 99.0  # the caller's array was copied, not frozen
+        assert len(latents) == 2 and "rows" not in vars(latents)  # len reads the ids
+        rows = (LatentItem("b", 0.25, 5.0, 0.1), LatentItem("a", -1.0, math.inf, 0.9))
+        assert tuple(latents) == rows and latents[1] == rows[1] and latents[:1] == rows[:1]
+        assert latents.rows is latents.rows  # built once
+        assert all(type(lat.quality) is float for lat in latents)
+        assert type(latents.ids) is tuple
+        for name in ("quality", "true_threshold", "engagement_prob"):
+            column = getattr(latents, name)
+            assert column.dtype == np.float64 and not column.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(latents, name, column.copy())
+
+    def test_equality_compares_every_column(self):
+        def make(**columns):
+            base = dict(ids=["a", "b"], quality=[0.0, 1.0], true_threshold=[math.inf, 3.0],
+                        engagement_prob=[0.1, 0.2])
+            return LatentColumns(**{**base, **columns})
+
+        assert make() == make() and make(ids=("a", "b")) == make()
+        for name, column in [("ids", ["a", "c"]), ("quality", [0.0, 2.0]),
+                             ("true_threshold", [5.0, 3.0]), ("engagement_prob", [0.1, 0.3])]:
+            assert make() != make(**{name: column}), name
+        assert make() != list(make())
+
+    @pytest.mark.parametrize("name", ["quality", "true_threshold", "engagement_prob"])
+    def test_columns_of_unequal_length_refused(self, name):
+        columns = {"quality": [0.0], "true_threshold": [1.0], "engagement_prob": [0.5]}
+        columns[name] = [0.5, 0.5]
+        with pytest.raises(DataError, match=f"latent columns differ in length: 1 ids, 2 {name}"):
+            LatentColumns(["a"], **columns)
 
 
 class TestJsonLines:
@@ -873,7 +964,7 @@ FORMATS = {
         "corpus record", "id", 7, "id must be a string, not 7",
     ),
     "latents": (
-        small_latents, write_latents, read_latents,
+        small_latents, write_latents, load_latents,
         ("ids", "quality", "true_threshold", "engagement_prob"),
         "latent record", "quality", "0.5", "quality must be a number, not '0.5'",
     ),
@@ -960,8 +1051,9 @@ class TestWriterBytes:
         n = data.draw(st.integers(0, 8))
         features, dim = data.draw(matrices(n))
         ids = data.draw(st.lists(IDS, min_size=n, max_size=n))
-        counts = data.draw(st.lists(st.integers(0, 2**62), min_size=2 * n, max_size=2 * n))
-        impressions, positives = counts[:n], counts[n:]
+        # A corpus holds only counts its reader takes: positives at most impressions.
+        impressions = data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
+        positives = [data.draw(st.integers(0, m)) for m in impressions]
         corpus = Corpus(ids, np.array(features).reshape(n, dim), impressions, positives)
         rows = [
             {"id": i, "features": f, "impressions": m, "positive_events": p}
@@ -1008,16 +1100,13 @@ class TestWriterBytes:
 
 
 class TestWriterBytesOfFixedFiles:
-    def test_latents_of_unequal_length_not_written(self, tmp_path):
-        latents = LatentColumns(
-            ["a", "b", "c"], np.array([1.0]), np.array([2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3])
-        )
-        path = tmp_path / "latents.jsonl"
-        with pytest.raises(DataError) as refused:
-            write_latents(latents, path)
-        assert "columns differ in length" in str(refused.value)
-        assert "'quality': 1" in str(refused.value)
-        assert not path.exists()
+    def test_latents_of_unequal_length_not_written(self):
+        # The table refuses them, so no writer is ever handed them.
+        with pytest.raises(DataError, match="latent columns differ in length: 3 ids, 1 quality"):
+            LatentColumns(
+                ["a", "b", "c"], np.array([1.0]), np.array([2.0, 3.0, 4.0]),
+                np.array([0.1, 0.2, 0.3]),
+            )
 
     def test_equal_length_corpus_and_latents_keep_their_bytes(self, tmp_path):
         corpus = Corpus(["a", "b"], np.array([[0.5, -1.0], [2.0, 1e-05]]), [3, 0], [1, 0])

@@ -13,6 +13,7 @@ from coldstart_explore.core import (
     AllocationConfig,
     AllocationPlan,
     ConfigError,
+    Corpus,
     DataError,
     PlanEntry,
     Region,
@@ -31,6 +32,7 @@ from coldstart_explore.metrics import (
 from coldstart_explore.model import Hyperparams
 from coldstart_explore.simulator import LatentItem, SimConfig, run_experiment
 from conftest import make_record
+from per_item import latent_columns
 from test_simulator import assert_same_report, run_experiment_reference
 
 
@@ -398,19 +400,24 @@ def latent(item_id, theta):
     )
 
 
+def oracle_of(latents, config):
+    """oracle_allocate of latent items, as the columns it takes."""
+    return oracle_allocate(latent_columns(latents), config)
+
+
 class TestOracleAllocate:
     def test_zero_threshold_items_funded_at_min_cap(self):
         latents = [latent("a", 0.0), latent("b", 50.0), latent("c", math.inf)]
-        plan = oracle_allocate(latents, cfg(total_budget=250))
+        plan = oracle_of(latents, cfg(total_budget=250))
         grants = {e.item_id: e.granted for e in plan.entries}
         assert grants == {"a": 100, "b": 100, "c": 0}
 
     def test_budget_below_min_cap_funds_nothing(self):
-        plan = oracle_allocate([latent("a", 0.0)], cfg(total_budget=50))
+        plan = oracle_of([latent("a", 0.0)], cfg(total_budget=50))
         assert plan.total_allocated == 0
 
     def test_threshold_above_max_cap_excluded(self):
-        plan = oracle_allocate([latent("a", 1601.0)], cfg(total_budget=10_000))
+        plan = oracle_of([latent("a", 1601.0)], cfg(total_budget=10_000))
         assert plan.total_allocated == 0
 
     def test_duplicate_ids_rejected(self):
@@ -418,15 +425,21 @@ class TestOracleAllocate:
         # the walk spent 220, and leave "b" unfunded.
         latents = [latent("a", 100.0), latent("b", 150.0), latent("a", 120.0)]
         with pytest.raises(DataError, match="duplicate"):
-            oracle_allocate(latents, cfg(total_budget=300))
+            oracle_of(latents, cfg(total_budget=300))
+
+    def test_duplicate_ids_named_first_in_str_order(self):
+        latents = [latent(i, 100.0) for i in ("c", "b", "c", "a", "b")]
+        with pytest.raises(DataError) as refused:
+            oracle_of(latents, cfg())
+        assert str(refused.value) == "duplicate item ids in latents: b"
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(DataError, match="NaN threshold for item b"):
-            oracle_allocate([latent("a", 10.0), latent("b", math.nan)], cfg())
+            oracle_of([latent("a", 10.0), latent("b", math.nan)], cfg())
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError, match="total budget"):
-            oracle_allocate([latent("a", 10.0)], cfg(total_budget=-100))
+            oracle_of([latent("a", 10.0)], cfg(total_budget=-100))
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(9)
@@ -443,7 +456,7 @@ class TestOracleAllocate:
                     thetas.append(float(rng.integers(1, 2000)))
             latents = [latent(f"i{k:02d}", t) for k, t in enumerate(thetas)]
             config = cfg(total_budget=int(rng.integers(100, 4000)))
-            plan = oracle_allocate(latents, config)
+            plan = oracle_of(latents, config)
             verify_plan(plan, config)
             achieved = sum(
                 1
@@ -512,6 +525,17 @@ class TestUniformAllocate:
         records = [make_record(k, [0.0]) for k in ("a", "b", "a")]
         with pytest.raises(DataError, match="duplicate"):
             uniform_allocate(records, cfg())
+
+    def test_duplicate_ids_named_first_in_str_order(self):
+        records = [make_record(k, [0.0]) for k in ("c", "b", "c", "a", "b")]
+        for corpus in (records, Corpus.of(records)):
+            with pytest.raises(DataError) as refused:
+                uniform_allocate(corpus, cfg())
+            assert str(refused.value) == "duplicate item ids in corpus: b"
+
+    def test_corpus_and_records_give_one_plan(self):
+        records = [make_record(k, [0.0]) for k in ("c", "a", "b")]
+        assert uniform_allocate(Corpus.of(records), cfg()) == uniform_allocate(records, cfg())
 
     def test_zero_min_cap_rejected(self):
         # Without the check: ten grants of 0 labelled Uniform, which
@@ -666,14 +690,16 @@ class TestBaselinesMatchPerItemReference:
     def test_oracle(self, pairs, config):
         latents = [latent(i, theta) for i, theta in pairs]
         assert_same_plan(
-            oracle_allocate(latents, config), reference_oracle_allocate(latents, config)
+            oracle_of(latents, config), reference_oracle_allocate(latents, config)
         )
 
-    def test_oracle_accepts_a_one_pass_iterable(self):
+    def test_oracle_refuses_a_list_naming_the_type(self):
         latents = [latent("b", 150.0), latent("a", 100.0)]
-        assert_same_plan(
-            oracle_allocate(iter(latents), cfg()), reference_oracle_allocate(latents, cfg())
-        )
+        message = "oracle_allocate takes a LatentColumns, the columns generate_corpus returns, "
+        with pytest.raises(TypeError, match=message + "not a list"):
+            oracle_allocate(latents, cfg())
+        with pytest.raises(TypeError, match="not a list_iterator"):
+            oracle_allocate(iter(latents), cfg())
 
     @pytest.mark.parametrize("strategy", ["uniform", "oracle"])
     def test_run_experiment_reports(self, strategy):

@@ -37,7 +37,6 @@ from coldstart_explore.simulator import (
     build_training_set,
     generate_corpus,
     load_latents,
-    read_latents,
     report_to_dict,
     run_experiment,
     serve_round,
@@ -171,12 +170,12 @@ class TestGenerateCorpus:
 class TestServeRound:
     def test_zero_threshold_discovered_at_min_cap(self):
         lat = LatentItem(id="x", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
-        obs = serve_round([lat], plan_for([lat], [100]), SimConfig(seed=0), 0)
+        obs = serve_round(latent_columns([lat]), plan_for([lat], [100]), SimConfig(seed=0), 0)
         assert obs[0].discovered
 
     def test_infinite_threshold_never_discovered(self):
         lat = LatentItem(id="x", quality=0.0, true_threshold=math.inf, engagement_prob=0.5)
-        obs = serve_round([lat], plan_for([lat], [1600]), SimConfig(seed=0), 0)
+        obs = serve_round(latent_columns([lat]), plan_for([lat], [1600]), SimConfig(seed=0), 0)
         assert not obs[0].discovered
 
     def test_unfunded_items_produce_no_observation(self):
@@ -184,7 +183,7 @@ class TestServeRound:
             LatentItem(id="a", quality=0.0, true_threshold=0.0, engagement_prob=0.5),
             LatentItem(id="b", quality=0.0, true_threshold=0.0, engagement_prob=0.5),
         ]
-        obs = serve_round(lats, plan_for(lats, [100, 0]), SimConfig(seed=0), 0)
+        obs = serve_round(latent_columns(lats), plan_for(lats, [100, 0]), SimConfig(seed=0), 0)
         assert [o.item_id for o in obs] == ["a"]
 
     def test_unknown_plan_item_rejected(self):
@@ -192,36 +191,46 @@ class TestServeRound:
         ghost = LatentItem(id="ghost", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
         plan = plan_for([lat, ghost], [100, 100])
         with pytest.raises(DataError, match="unknown item"):
-            serve_round([lat], plan, SimConfig(seed=0), 0)
+            serve_round(latent_columns([lat]), plan, SimConfig(seed=0), 0)
 
     def test_duplicate_plan_entry_rejected(self):
         lat = LatentItem(id="a", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
         plan = plan_for([lat, lat], [100, 100])
         with pytest.raises(DataError, match="duplicate plan entry for item a"):
-            serve_round([lat], plan, SimConfig(seed=0), 0)
+            serve_round(latent_columns([lat]), plan, SimConfig(seed=0), 0)
 
     def test_two_latents_of_one_item_rejected(self):
-        latents = [
+        latents = latent_columns([
             LatentItem(id="a", quality=0.0, true_threshold=50.0, engagement_prob=0.5),
             LatentItem(id="a", quality=0.0, true_threshold=5000.0, engagement_prob=0.5),
-        ]
+        ])
         with pytest.raises(DataError, match="duplicate latent for item a"):
             serve_round(latents, plan_for(latents[:1], [100]), SimConfig(seed=0), 0)
 
     def test_negative_grant_rejected(self):
-        latents = [
+        latents = latent_columns([
             LatentItem(id=i, quality=0.0, true_threshold=50.0, engagement_prob=0.5)
             for i in "ab"
-        ]
+        ])
         with pytest.raises(DataError, match="plan grants item b negative traffic -100"):
             serve_round(latents, plan_for(latents, [100, -100]), SimConfig(seed=0), 0)
+
+    def test_list_of_latent_items_refused_naming_the_type(self):
+        lat = LatentItem(id="a", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
+        with pytest.raises(TypeError) as refused:
+            serve_round([lat], plan_for([lat], [100]), SimConfig(seed=0), 0)
+        assert str(refused.value) == (
+            "serve_round takes a LatentColumns, the columns generate_corpus returns, "
+            "not a list; a list of LatentItem rows is no longer accepted"
+        )
 
     def test_binomial_engagement_concentrates(self):
         lats = [
             LatentItem(id=f"i{k:03d}", quality=0.0, true_threshold=1.0, engagement_prob=0.1)
             for k in range(100)
         ]
-        obs = serve_round(lats, plan_for(lats, [1000] * 100), SimConfig(seed=7), 0)
+        plan = plan_for(lats, [1000] * 100)
+        obs = serve_round(latent_columns(lats), plan, SimConfig(seed=7), 0)
         mean_positives = np.mean([o.positive_events for o in obs])
         assert abs(mean_positives - 100.0) <= 3 * math.sqrt(1000 * 0.1 * 0.9)
 
@@ -483,15 +492,16 @@ class TestLatentFile:
 
     def test_columns_round_trip(self, tmp_path):
         latents, _ = generate_corpus(SimConfig(seed=6, items_per_round=40), 1)
-        columns = latent_columns(latents)
         path = tmp_path / "latents.jsonl"
-        write_latents(columns, path)
-        loaded = read_latents(path)
-        assert list(loaded.ids) == [lat.id for lat in latents]
+        write_latents(latents, path)
+        loaded = load_latents(path)
+        assert loaded.ids == latents.ids
         assert np.isinf(loaded.true_threshold).any()
         for name in ("quality", "true_threshold", "engagement_prob"):
-            assert np.array_equal(getattr(loaded, name), getattr(columns, name))
-        assert loaded.items() == latents
+            column = getattr(loaded, name)
+            assert np.array_equal(column, getattr(latents, name))
+            assert column.dtype == np.float64 and not column.flags.writeable
+        assert list(loaded) == list(latents)
 
     def test_non_finite_quality_not_written(self, tmp_path):
         bad = LatentItem(id="a", quality=math.nan, true_threshold=5.0, engagement_prob=0.1)
@@ -583,7 +593,8 @@ def run_experiment_reference(
         candidates.sort(key=lambda r: r.id)
         untrained = None
         if strategy == "oracle":
-            plan = oracle([pool_latents[r.id] for r in candidates], alloc_config)
+            truth = latent_columns([pool_latents[r.id] for r in candidates])
+            plan = oracle(truth, alloc_config)
         elif strategy == "model" and round_index > 0:
             rows = replay_examples(all_observations, list(pool_records.values()), schema)
             examples = TrainingSet(*map(np.array, zip(*rows)))
@@ -688,7 +699,11 @@ class TestArrayLoopsMatchPerItemReference:
         for round_index in (0, 3):
             latents, records = generate_corpus(config, round_index)
             ref_latents, ref_records = generate_corpus_reference(config, round_index)
-            assert latents == ref_latents
+            assert "rows" not in vars(latents) and "rows" not in vars(records)
+            assert list(latents) == ref_latents
+            for name in ("quality", "true_threshold", "engagement_prob"):
+                ref = np.array([getattr(lat, name) for lat in ref_latents])
+                assert np.array_equal(getattr(latents, name).view(np.int64), ref.view(np.int64))
             assert [r.id for r in records] == [r.id for r in ref_records]
             for rec, ref in zip(records, ref_records):
                 assert np.array_equal(rec.features.view(np.int64), ref.features.view(np.int64))
@@ -723,10 +738,10 @@ class TestArrayLoopsMatchPerItemReference:
         ],
     )
     def test_serve_round_refuses_in_id_order(self, plan_ids, message):
-        latents = [
+        latents = latent_columns([
             LatentItem(id=i, quality=0.0, true_threshold=50.0, engagement_prob=0.5)
             for i in "acd"
-        ]
+        ])
         by_id = {lat.id: lat for lat in latents}
         ghost = LatentItem(id="b", quality=0.0, true_threshold=50.0, engagement_prob=0.5)
         plan = plan_for([by_id.get(i, ghost) for i in plan_ids], [100] * len(plan_ids))
@@ -753,7 +768,7 @@ class TestArrayLoopsMatchPerItemReference:
                 # earlier rounds' items come back, so engagement accumulates
                 served += generate_corpus(config, round_index - 1)[0][::3]
             plan = plan_for(served, [100 + 37 * (k % 40) for k in range(len(served))])
-            observations += serve_round(served, plan, config, round_index)
+            observations += serve_round(latent_columns(served), plan, config, round_index)
         rng = np.random.default_rng(0)
         observations = [observations[k] for k in rng.permutation(len(observations))]
         assert_examples_bit_identical(
@@ -941,6 +956,14 @@ class TestReportColumns:
             assert written == b"round,item_id,region,granted,positive_events,discovered\n"
         else:
             assert written.count(b"\n") == 1 + sum(m.funded for m in report.rounds)
+
+    def test_observations_not_an_observations_refused(self):
+        with pytest.raises(TypeError) as refused:
+            ExperimentReport("uniform", 0, (), [], np.zeros(0, np.int8))
+        assert str(refused.value) == (
+            "ExperimentReport takes an Observations, the columns serve_round returns, "
+            "not a list; a list of Observation rows is no longer accepted"
+        )
 
     def test_item_rows_are_built_once(self):
         config = SimConfig(seed=2, items_per_round=50, rounds=2)
@@ -1167,12 +1190,16 @@ class TestObservations:
         assert obs != list(obs)
 
     def test_serve_and_replay_build_no_rows(self):
+        # A drawn round through both baselines, serving and the replay: no
+        # table builds its rows.
         config = SimConfig(seed=4, items_per_round=300)
         latents, records = generate_corpus(config, 1)
         obs = serve_round(latents, uniform_allocate(records, cfg()), config, 1)
         examples = build_training_set(obs, records, SCHEMA)
-        assert len(examples) == len(obs) > 0
-        assert "rows" not in vars(obs)
+        oracle = oracle_allocate(latents, cfg())
+        assert len(examples) == len(obs) > 0 and oracle.total_allocated > 0
+        for table in (latents, records, obs):
+            assert "rows" not in vars(table)
         assert set(obs.round_index.tolist()) == {1}
         assert list(obs.item_ids) == sorted(obs.item_ids)
 
@@ -1198,12 +1225,13 @@ class TestDiscoveryIsPerRound:
         lat = LatentItem(id="a", quality=0.0, true_threshold=150.0, engagement_prob=0.1)
         config = SimConfig(seed=0)
         outcomes = [
-            serve_round([lat], plan_for([lat], [100]), config, round_index)[0]
+            serve_round(latent_columns([lat]), plan_for([lat], [100]), config, round_index)[0]
             for round_index in (0, 1)
         ]
         assert [o.served for o in outcomes] == [100, 100]
         assert [o.discovered for o in outcomes] == [False, False]
-        assert serve_round([lat], plan_for([lat], [150]), config, 2)[0].discovered
+        served = serve_round(latent_columns([lat]), plan_for([lat], [150]), config, 2)
+        assert served[0].discovered
 
 
 class TestSimConfigRejectsNonNumbers:
