@@ -42,7 +42,9 @@ from .model import DiscoverabilityModel, ScoreOverflow, monotone_curves, predict
 #: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
 #: temporaries of the curve and isotonic steps small, so peak memory does not
 #: grow with the corpus. Scoring the 10k-item benchmark loop in one pass raised
-#: its peak RSS from 84.3 to 89.4 MB and left its run time unchanged.
+#: its peak RSS from 63.1 to 68.5 MB and left its run time unchanged; the
+#: isotonic pass over 27k six-bucket curves took 5.9 ms in blocks of 4096 rows,
+#: 6.8 ms in blocks of 8192 and 10.4 ms in blocks of 32768.
 SCORE_BLOCK_ROWS = 4096
 
 # Region codes: a code indexes core.PLAN_REGIONS, as a plan's region column does.

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -262,7 +262,9 @@ class LatentColumns(Rows[LatentItem]):
     """Ground truth as columns, one row per item: what a latents file holds.
 
     The ids are kept as a tuple, the other columns as read-only float arrays,
-    all of one length (DataError otherwise); its rows are LatentItems.
+    all of one length; its rows are LatentItems. A quality must be finite, a
+    threshold a number >= 0 (inf for never) and an engagement_prob in [0, 1]:
+    anything else raises DataError naming the first such item.
     """
 
     ids: tuple[str, ...]
@@ -276,6 +278,18 @@ class LatentColumns(Rows[LatentItem]):
         columns = {"ids": tuple(self.ids)}
         columns.update((f.name, read_only(getattr(self, f.name))) for f in fields(self)[1:])
         check_lengths("latent", columns)
+        quality, threshold, prob = list(columns.values())[1:]
+        refusals = (
+            ("non-finite quality", ~np.isfinite(quality)),
+            ("NaN threshold", np.isnan(threshold)),
+            ("negative threshold", threshold < 0.0),
+            ("engagement_prob outside [0, 1]", ~((prob >= 0.0) & (prob <= 1.0))),
+        )
+        bad = np.logical_or.reduce([refused for _, refused in refusals])
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = next(what for what, refused in refusals if refused[k])
+            raise DataError(f"{what} for item {columns['ids'][k]}")
         vars(self).update(columns)
 
     @cached_property
@@ -544,12 +558,21 @@ def validate_config(config: AllocationConfig, schema: BucketSchema) -> Allocatio
     return config
 
 
+#: AllocationConfig's integer and real fields; cost_fn is neither.
+_INTEGER_FIELDS = ("total_budget", "min_cap", "max_cap")
+_REAL_FIELDS = ("max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost")
+
+
+def _check_field_types(config: AllocationConfig) -> None:
+    """ConfigError naming the first field that is not an int (an integer
+    field) or an int or float (a real field)."""
+    check_fields(config, INTEGER, _INTEGER_FIELDS)
+    check_fields(config, NUMBER, _REAL_FIELDS)
+
+
 def validate_allocation_config(config: AllocationConfig) -> AllocationConfig:
     """The checks of validate_config that need no bucket schema."""
-    check_fields(config, INTEGER, ("total_budget", "min_cap", "max_cap"))
-    check_fields(
-        config, NUMBER, ("max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost")
-    )
+    _check_field_types(config)
     if not (0.0 < config.cf_low < config.cf_high < 1.0):
         raise ConfigError("cf ordering: require 0 < cf_low < cf_high < 1")
     if config.min_cap <= 0:
@@ -637,13 +660,15 @@ def engagement_block(impressions: np.ndarray, positive_events: np.ndarray) -> np
 
     Row k is [positive_rate, log1p(impressions)] of an item with those
     counts, as EngagementStats gives the rate: the float64 quotient of two
-    integers is the same correctly rounded value as Python's, and log1p is
-    math.log1p, whose last bit np.log1p need not match.
+    integers is the same correctly rounded value as Python's. log1p is
+    math.log1p, whose last bit np.log1p need not match, called once per
+    distinct impression count: a round's items share a few counts.
     """
     rate = np.zeros(len(impressions))
     np.divide(positive_events, impressions, out=rate, where=impressions > 0)
-    log_impressions = np.fromiter(map(math.log1p, impressions), float, len(impressions))
-    return np.column_stack([rate, log_impressions])
+    distinct, where = np.unique(impressions, return_inverse=True)
+    log_distinct = np.fromiter(map(math.log1p, distinct.tolist()), float, len(distinct))
+    return np.column_stack([rate, log_distinct[where]])
 
 
 def static_matrix(records: Sequence[ItemRecord]) -> np.ndarray:
@@ -874,38 +899,26 @@ def config_from_dict(raw: dict) -> tuple[AllocationConfig, BucketSchema]:
     """(config, schema) from a flat dict; missing keys fall back to defaults.
 
     Budget, caps and bucket edges must be integers, the other values integers
-    or floats. Any other value, a bool or a string included, raises
-    ConfigError naming its key.
+    or floats, which the config holds as floats. Any other value, a bool or a
+    string included, raises ConfigError naming its key.
     """
     base = config_to_dict(DEFAULT_ALLOCATION, DEFAULT_SCHEMA)
     unknown = set(raw) - set(base)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base.update(raw)
-
-    def number(key: str) -> float:
-        return float(checked(base[key], NUMBER, key))
-
     try:
+        config = AllocationConfig(**{k: base[k] for k in _INTEGER_FIELDS + _REAL_FIELDS})
+        _check_field_types(config)
+        config = replace(config, **{k: float(base[k]) for k in _REAL_FIELDS})
         edges = checked_list(base["bucket_edges"], INTEGER, "bucket_edges")
-        max_cap = checked(base["max_cap"], INTEGER, "max_cap")
         if "bucket_edges" in raw and "bucket_representatives" not in raw:
             # Edges changed without explicit representatives: re-derive them.
-            reps = tuple(edges[k + 1] - 1 for k in range(len(edges) - 1)) + (max_cap,)
+            reps = tuple(edges[k + 1] - 1 for k in range(len(edges) - 1)) + (config.max_cap,)
         else:
             reps = checked_list(
                 base["bucket_representatives"], INTEGER, "bucket_representatives"
             )
-        config = AllocationConfig(
-            total_budget=checked(base["total_budget"], INTEGER, "total_budget"),
-            max_cost=number("max_cost"),
-            min_cap=checked(base["min_cap"], INTEGER, "min_cap"),
-            max_cap=max_cap,
-            cf_high=number("cf_high"),
-            cf_low=number("cf_low"),
-            low_region_fraction=number("low_region_fraction"),
-            unit_cost=number("unit_cost"),
-        )
     except (ValueError, OverflowError) as exc:  # float() of an integer past float range
         raise ConfigError(f"bad config value: {exc}") from exc
     return config, BucketSchema(edges=edges, representative=reps)

@@ -276,15 +276,12 @@ def oracle_allocate(latents: LatentColumns, config: AllocationConfig) -> Allocat
     """Full-information upper bound: fund cheapest true thresholds first.
 
     `latents` is the simulator's ground truth, the LatentColumns
-    generate_corpus returns; oracle_grants funds its items. An invalid
-    config, duplicate ids and NaN thresholds are refused.
+    generate_corpus returns, which holds no NaN threshold; oracle_grants
+    funds its items. An invalid config and duplicate ids are refused.
     """
     LatentColumns.check(latents, "oracle_allocate")
     validate_allocation_config(config)
-    ids, thresholds = latents.ids, latents.true_threshold
+    ids = latents.ids
     order = id_order(ids, "latents")
-    nan = np.flatnonzero(np.isnan(thresholds))
-    if nan.size:
-        raise DataError(f"NaN threshold for item {ids[nan[0]]}")
-    granted = oracle_grants(thresholds[order], config)
+    granted = oracle_grants(latents.true_threshold[order], config)
     return _baseline_plan([ids[k] for k in order], granted, Region.ORACLE, config)

@@ -327,7 +327,9 @@ def monotone_curves(curves: np.ndarray) -> np.ndarray:
     Each row keeps its own stack of blocks (total, count): a value is pushed
     as a block, then the last two merge while their means decrease. All rows
     run at once, each through the pushes, merges and divisions, in the same
-    order, that a loop over its values alone would make.
+    order, that a loop over its values alone would make. The stacks are flat
+    (n * k,) arrays: block d of row r sits at r * k + d, so every gather is
+    of one index array.
     """
     values = np.asarray(curves, dtype=float)
     if values.ndim != 2 or values.shape[1] == 0:
@@ -335,28 +337,26 @@ def monotone_curves(curves: np.ndarray) -> np.ndarray:
     if not ((values >= 0.0) & (values <= 1.0)).all():  # also false for NaN
         raise DataError("curve values must lie in [0, 1]")
     n, k = values.shape
-    rows = np.arange(n)
-    totals = np.zeros((n, k))
-    counts = np.zeros((n, k), dtype=np.int64)
-    depth = np.zeros(n, dtype=np.intp)  # blocks on each row's stack
+    totals = np.zeros(n * k)
+    counts = np.zeros(n * k, dtype=np.int64)
+    bottom = np.arange(0, n * k, k)  # each row's first block
+    end = bottom.copy()  # one past each row's top block
     for j in range(k):
-        totals[rows, depth] = values[:, j]
-        counts[rows, depth] = 1
-        depth += 1
-        # Merge backwards while the last two block means decrease.
-        active = rows[depth > 1]
-        while active.size:
-            top = depth[active] - 1
-            merge = (
-                totals[active, top - 1] / counts[active, top - 1]
-                > totals[active, top] / counts[active, top]
-            )
-            active, top = active[merge], top[merge]
-            totals[active, top - 1] += totals[active, top]
-            counts[active, top - 1] += counts[active, top]
-            counts[active, top] = 0
-            depth[active] -= 1
-            active = active[depth[active] > 1]
+        totals[end] = values[:, j]
+        counts[end] = 1
+        end += 1
+        # Merge backwards while the last two block means decrease; `top` is
+        # the top block of each row still merging.
+        top = end[end - bottom > 1] - 1
+        while top.size:
+            below = top - 1
+            top = top[totals[below] / counts[below] > totals[top] / counts[top]]
+            below = top - 1
+            totals[below] += totals[top]
+            counts[below] += counts[top]
+            counts[top] = 0
+            end[top // k] -= 1
+            top = below[below % k > 0]  # the rows that still hold two blocks or more
     # Blocks in row-major order cover each row's k positions left to right.
     used = counts > 0
     return np.repeat(totals[used] / counts[used], counts[used]).reshape(n, k)

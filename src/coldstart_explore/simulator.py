@@ -195,9 +195,12 @@ def draw_columns(
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One round's fresh items as columns: the kernel of generate_corpus.
 
-    Returns the ids, quality, true threshold and engagement probability of
-    every item, and the read-only (items, feature_dim) feature matrix.
-    Deterministic given (seed, round_index); the config is not validated.
+    Returns the ids (a list of str), the quality, true threshold and
+    engagement probability of every item, and the read-only (items,
+    feature_dim) feature matrix. The thresholds and probabilities take
+    math.exp of each value as a Python float, bit for bit what a loop over
+    the items computes. Deterministic given (seed, round_index); the config
+    is not validated.
     """
     projection = _feature_projection(config)
     rng = np.random.default_rng([config.seed, round_index])
@@ -207,8 +210,8 @@ def draw_columns(
     log_noise = rng.normal(0.0, config.threshold_noise, size=n)
     feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
 
-    # math.exp is mapped over the columns: np.exp can differ from it in the
-    # last bit, which would change latents.jsonl.
+    # math.exp is mapped over each column's .tolist(), not np.exp, which can
+    # differ from it in the last bit and would change latents.jsonl.
     template = f"r{round_index:02d}-%05d"
     ids = [template % i for i in range(n)]
     theta = np.where(archetype == 0, 0.0, math.inf)
@@ -220,10 +223,10 @@ def draw_columns(
             log_theta = (
                 config.threshold_mu - config.threshold_kappa * quality[finite] + log_noise[finite]
             )
-            raw = np.fromiter(map(math.exp, log_theta), float, len(log_theta))
+            raw = np.fromiter(map(math.exp, log_theta.tolist()), float, len(log_theta))
             theta[finite] = np.clip(np.round(raw), 1, config.max_threshold)
             logit = config.engagement_a * quality + config.engagement_b
-            exp_neg_logit = np.fromiter(map(math.exp, -logit), float, n)
+            exp_neg_logit = np.fromiter(map(math.exp, (-logit).tolist()), float, n)
             engagement_prob = 1.0 / (1.0 + exp_neg_logit)
             # In place, so the only (n, feature_dim) arrays are the noise and one product.
             features = np.multiply(config.feature_noise, feature_noise, out=feature_noise)
@@ -459,8 +462,8 @@ def run_experiment(
 
     n = sim_config.items_per_round
     size = sim_config.rounds * n
-    # The pool: one row per item drawn, in draw order.
-    ids: list[str] = []
+    # The pool: one row per item drawn, in draw order; the ids are str objects.
+    ids = np.empty(size, dtype=object)
     static = np.empty((size, sim_config.feature_dim))
     true_threshold = np.empty(size)
     engagement_prob = np.empty(size)
@@ -476,13 +479,14 @@ def run_experiment(
     report_blocks: list[tuple[np.ndarray, ...]] = []
 
     for round_index in range(sim_config.rounds):
-        fresh = slice(round_index * n, (round_index + 1) * n)
-        fresh_ids, _, true_threshold[fresh], engagement_prob[fresh], static[fresh] = (
+        end = (round_index + 1) * n
+        fresh = slice(round_index * n, end)
+        ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], static[fresh] = (
             draw_columns(sim_config, round_index)
         )
-        ids += fresh_ids
-        # The candidates: the undiscovered rows, in Python's str order of their ids.
-        order = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
+        # The candidates: the undiscovered rows, in Python's str order of their
+        # ids, which a stable argsort of str objects compares with <, as sorted does.
+        order = np.argsort(ids[:end], kind="stable")
         rows = order[~discovered[order]]
 
         untrained = None
@@ -492,8 +496,7 @@ def run_experiment(
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
-            candidate_ids = [ids[k] for k in rows.tolist()]
-            plan = plan_columns(candidate_ids, features, model, alloc_config, schema)
+            plan = plan_columns(ids[rows].tolist(), features, model, alloc_config, schema)
             granted, total_cost, region = plan.granted, plan.total_cost, plan.region
         else:
             if strategy == "oracle":
@@ -516,7 +519,7 @@ def run_experiment(
         positive_events[served_rows] += positives
         discovered[served_rows] = found
 
-        report_ids += [ids[k] for k in served_rows.tolist()]
+        report_ids += ids[served_rows].tolist()
         report_blocks.append((region[funded], served, positives, found))
         round_metrics.append(
             RoundMetrics(
@@ -545,12 +548,9 @@ def write_latents(latents: LatentColumns, path: str | Path) -> None:
     """Ground-truth file; kept separate so allocation code never reads it.
 
     JSON lines of id, quality, threshold and engagement_prob; an infinite
-    threshold is written as null. DataError, before the file is opened, if a
-    value is NaN or, but for a threshold, infinite.
+    threshold is written as null. LatentColumns holds no other non-finite value.
     """
     threshold = latents.true_threshold
-    if np.isnan(threshold).any():
-        raise DataError(f"{path}: threshold holds NaN, which JSON cannot")
     null_inf = np.where(np.isinf(threshold), JSON_NULL, threshold)
     columns = (latents.ids, latents.quality, null_inf, latents.engagement_prob)
     names = ("id", "quality", "threshold", "engagement_prob")
@@ -579,10 +579,14 @@ def _latent_row(row: dict) -> tuple[str, float, float, float]:
 def load_latents(path: str | Path) -> LatentColumns:
     """A latents file as columns, in file order. A row whose id is not a
     string, or whose values are not finite numbers (a threshold may also be
-    null), raises DataError naming `path:line`."""
+    null), raises DataError naming `path:line`; a value LatentColumns refuses,
+    DataError naming `path` and the item."""
     rows = read_jsonl(path, _latent_row, "latent record")
     values = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), 3)
-    return LatentColumns([row[0] for row in rows], *frozen(*values.T.copy()))
+    try:
+        return LatentColumns([row[0] for row in rows], *frozen(*values.T.copy()))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

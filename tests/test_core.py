@@ -52,6 +52,8 @@ from coldstart_explore.model import TrainingSet, load_examples, save_examples
 from coldstart_explore.simulator import (
     ItemRoundRow,
     Observation,
+    SimConfig,
+    generate_corpus,
     load_latents,
     write_latents,
 )
@@ -865,6 +867,41 @@ class TestLatentColumns:
             assert make() != make(**{name: column}), name
         assert make() != list(make())
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("quality", math.nan, "non-finite quality"),
+            ("quality", math.inf, "non-finite quality"),
+            ("quality", -math.inf, "non-finite quality"),
+            ("true_threshold", math.nan, "NaN threshold"),
+            ("true_threshold", -1.0, "negative threshold"),
+            ("true_threshold", -math.inf, "negative threshold"),
+            ("engagement_prob", 1.5, r"engagement_prob outside \[0, 1\]"),
+            ("engagement_prob", -0.1, r"engagement_prob outside \[0, 1\]"),
+            ("engagement_prob", math.nan, r"engagement_prob outside \[0, 1\]"),
+            ("engagement_prob", math.inf, r"engagement_prob outside \[0, 1\]"),
+        ],
+    )
+    def test_out_of_range_value_refused_naming_the_first_item(self, name, value, message):
+        columns = {"quality": [0.0] * 3, "true_threshold": [0.0, 5.0, math.inf],
+                   "engagement_prob": [0.0, 0.5, 1.0]}
+        columns[name] = columns[name][:1] + [value, value]
+        with pytest.raises(DataError, match=f"^{message} for item b$"):
+            LatentColumns(["a", "b", "c"], **columns)
+
+    def test_out_of_range_item_named_by_its_first_bad_column(self):
+        with pytest.raises(DataError, match="^non-finite quality for item b$"):
+            LatentColumns(["a", "b"], [0.0, math.nan], [1.0, math.nan], [0.5, 2.0])
+
+    @pytest.mark.parametrize("seed, round_index", [(0, 0), (1, 3), (7, 100)])
+    def test_generated_tables_accepted(self, seed, round_index):
+        config = SimConfig(seed=seed, items_per_round=2000, threshold_mu=12.0,
+                           engagement_a=40.0, engagement_b=0.0)
+        latents, _ = generate_corpus(config, round_index)
+        assert latents.engagement_prob.max() == 1.0  # the top of its range
+        columns = (latents.quality, latents.true_threshold, latents.engagement_prob)
+        assert LatentColumns(latents.ids, *(c.copy() for c in columns)) == latents
+
     @pytest.mark.parametrize("name", ["quality", "true_threshold", "engagement_prob"])
     def test_columns_of_unequal_length_refused(self, name):
         columns = {"quality": [0.0], "true_threshold": [1.0], "engagement_prob": [0.5]}
@@ -1011,6 +1048,9 @@ FLOATS = st.one_of(
     st.sampled_from([-0.0, 1e-05, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 0.1]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+PROBABILITIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1, 1.0]), st.floats(0.0, 1.0)
+)
 IDS = st.text(st.one_of(st.sampled_from('"\\\u00e9\u2603\x00\n'), st.characters()), max_size=6)
 
 
@@ -1086,10 +1126,14 @@ class TestWriterBytes:
     def test_latents(self, data):
         n = data.draw(st.integers(0, 8))
         ids = data.draw(st.lists(IDS, min_size=n, max_size=n))
-        quality, prob = (data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in "qp")
-        threshold = data.draw(
-            st.lists(st.one_of(FLOATS, st.just(math.inf)), min_size=n, max_size=n)
-        )
+        # The values a LatentColumns holds: a probability in [0, 1] and a
+        # threshold >= 0, or inf.
+        quality = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+        prob = data.draw(st.lists(PROBABILITIES, min_size=n, max_size=n))
+        threshold = data.draw(st.lists(
+            st.one_of(FLOATS.filter(lambda t: t >= 0.0), st.just(math.inf)),
+            min_size=n, max_size=n,
+        ))
         latents = LatentColumns(ids, np.array(quality), np.array(threshold), np.array(prob))
         rows = [
             {"id": i, "quality": q, "threshold": None if t == math.inf else t,

@@ -437,6 +437,10 @@ class TestOracleAllocate:
         with pytest.raises(DataError, match="NaN threshold for item b"):
             oracle_of([latent("a", 10.0), latent("b", math.nan)], cfg())
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(DataError, match="negative threshold for item a"):
+            oracle_of([latent("a", -10.0), latent("b", 10.0)], cfg())
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError, match="total budget"):
             oracle_of([latent("a", 10.0)], cfg(total_budget=-100))
@@ -633,9 +637,10 @@ COST_FNS = {
 # Ids in any order, with characters a numpy <U array would mishandle (a
 # trailing NUL) and characters outside ASCII.
 item_ids = st.text(alphabet=st.sampled_from("ab\x00\xe9\U0001f600"), max_size=4)
+# Non-negative: a LatentColumns refuses a negative threshold.
 thresholds = st.one_of(
-    st.sampled_from([0.0, 99.0, 100.0, 150.0, 1600.0, 1601.0, math.inf, -math.inf]),
-    st.floats(-50.0, 2000.0),
+    st.sampled_from([0.0, 99.0, 100.0, 150.0, 1600.0, 1601.0, math.inf]),
+    st.floats(0.0, 2000.0),
     st.integers(0, 2000).map(float),
 )
 

@@ -215,6 +215,22 @@ class TestServeRound:
         with pytest.raises(DataError, match="plan grants item b negative traffic -100"):
             serve_round(latents, plan_for(latents, [100, -100]), SimConfig(seed=0), 0)
 
+    @pytest.mark.parametrize(
+        "threshold, prob, message",
+        [
+            (5.0, 1.5, "engagement_prob outside \\[0, 1\\] for item a"),
+            (math.nan, 0.5, "NaN threshold for item a"),
+        ],
+    )
+    def test_out_of_range_latents_refused_before_serving(self, threshold, prob, message):
+        # Once numpy's bare ValueError from the binomial draw, or never discovered.
+        lat = LatentItem(id="a", quality=0.0, true_threshold=5.0, engagement_prob=0.5)
+        with pytest.raises(DataError, match=message):
+            serve_round(
+                LatentColumns(["a"], [0.0], [threshold], [prob]), plan_for([lat], [100]),
+                SimConfig(seed=0), 0,
+            )
+
     def test_list_of_latent_items_refused_naming_the_type(self):
         lat = LatentItem(id="a", quality=0.0, true_threshold=0.0, engagement_prob=0.5)
         with pytest.raises(TypeError) as refused:
@@ -478,17 +494,29 @@ class TestLatentFile:
          ("threshold", math.nan)],
     )
     def test_non_finite_value_not_written(self, tmp_path, key, value):
+        # The table refuses them, so no writer is ever handed them.
+        message = {"quality": "non-finite quality", "threshold": "NaN threshold",
+                   "engagement_prob": r"engagement_prob outside \[0, 1\]"}[key]
         row = {"quality": 0.1, "threshold": 3.0, "engagement_prob": 0.2, key: value}
-        latents = LatentColumns(
-            ["a", "b"],
-            np.array([0.5, row["quality"]]),
-            np.array([math.inf, row["threshold"]]),
-            np.array([0.1, row["engagement_prob"]]),
-        )
         path = tmp_path / "latents.jsonl"
-        with pytest.raises(DataError, match=f"latents.jsonl: {key} holds"):
-            write_latents(latents, path)
+        with pytest.raises(DataError, match=f"{message} for item b"):
+            LatentColumns(
+                ["a", "b"],
+                np.array([0.5, row["quality"]]),
+                np.array([math.inf, row["threshold"]]),
+                np.array([0.1, row["engagement_prob"]]),
+            )
         assert not path.exists()
+
+    def test_out_of_range_value_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "latents.jsonl"
+        path.write_text(
+            '{"engagement_prob": 0.1, "id": "a", "quality": 0.5, "threshold": null}\n'
+            '{"engagement_prob": 1.5, "id": "b", "quality": 0.5, "threshold": 10.0}\n'
+        )
+        message = r"latents\.jsonl: engagement_prob outside \[0, 1\] for item b"
+        with pytest.raises(DataError, match=message):
+            load_latents(path)
 
     def test_columns_round_trip(self, tmp_path):
         latents, _ = generate_corpus(SimConfig(seed=6, items_per_round=40), 1)
