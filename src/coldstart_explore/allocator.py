@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     NO_REQUEST,
+    REGION_CODE,
     REGION_NAMES,
     AllocationConfig,
     AllocationPlan,
@@ -27,6 +28,7 @@ from .core import (
     Corpus,
     DataError,
     ItemRecord,
+    Region,
     costs_of,
     frozen,
     id_order,
@@ -47,10 +49,11 @@ from .model import DiscoverabilityModel, ScoreOverflow, monotone_curves, predict
 #: 6.8 ms in blocks of 8192 and 10.4 ms in blocks of 32768.
 SCORE_BLOCK_ROWS = 4096
 
-# Region codes: a code indexes core.PLAN_REGIONS, as a plan's region column does.
-# Unfunded is not a region an item is classified into; it marks plan rows
-# granted nothing.
-_HIGH, _MODERATE, _LOW, _UNFUNDED = range(4)
+# Region codes, as a plan's region column holds them. Unfunded is not a region
+# an item is classified into; it marks plan rows granted nothing.
+_HIGH, _MODERATE, _LOW, _UNFUNDED = (
+    REGION_CODE[region] for region in (Region.HIGH, Region.MODERATE, Region.LOW, Region.UNFUNDED)
+)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def _drop_for_cost(
     funded = np.flatnonzero(granted)
     key = np.where(region[funded] == _LOW, rates[funded], -granted[funded])
     # lexsort is stable and sorts on its last key first: -region puts Low,
-    # then Moderate, then High.
+    # then Moderate, then High, as long as _HIGH < _MODERATE < _LOW.
     order = funded[np.lexsort((key, -region[funded]))]
     running = np.subtract.accumulate([total_cost, *costs_of(granted[order], config)])
     within = running <= config.max_cost
@@ -277,7 +280,7 @@ def allocate(
     validate_config(config, schema)
     if model.schema != schema:
         raise ConfigError("model was trained against a different bucket schema")
-    order = np.array(id_order(corpus.ids, "corpus"), dtype=np.intp)
+    order = id_order(corpus.ids, "corpus")
     ids = [corpus.ids[k] for k in order.tolist()]
     features = model_inputs(
         corpus.features[order], corpus.impressions[order], corpus.positive_events[order]

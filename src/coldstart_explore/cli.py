@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,20 +64,13 @@ def _load_alloc_config(args) -> tuple[core.AllocationConfig, core.BucketSchema]:
             raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    # CLI flags override file values which override built-in defaults.
-    overrides = {
-        "total_budget": getattr(args, "budget", None),
-        "max_cost": getattr(args, "max_cost", None),
-        "min_cap": getattr(args, "min_cap", None),
-        "max_cap": getattr(args, "max_cap", None),
-        "cf_high": getattr(args, "cf_high", None),
-        "cf_low": getattr(args, "cf_low", None),
-        "low_region_fraction": getattr(args, "low_fraction", None),
-        "unit_cost": getattr(args, "unit_cost", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+    # CLI flags, each stored under the config field it sets, override file
+    # values which override built-in defaults.
+    raw.update(
+        (f.name, getattr(args, f.name))
+        for f in fields(core.AllocationConfig)
+        if getattr(args, f.name, None) is not None
+    )
     config, schema = core.config_from_dict(raw)
     core.validate_config(config, schema)
     return config, schema
@@ -105,21 +99,13 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _sim_config(args, args.seed)
-    # Each round's columns, one round after another: the rows that
-    # generate_corpus's objects would hold, in the same order.
-    draws = [simulator.draw_columns(cfg, round_index) for round_index in range(cfg.rounds)]
-    ids = [item_id for draw in draws for item_id in draw[0]]
-    quality, threshold, engagement_prob, features = (
-        np.concatenate(column) for column in zip(*(draw[1:] for draw in draws))
-    )
-    never_served = np.zeros(len(ids), dtype=np.int64)
+    latents, corpus = zip(*(simulator.generate_corpus(cfg, k) for k in range(cfg.rounds)))
+    latents, corpus = core.LatentColumns.concat(latents), core.Corpus.concat(corpus)
     out = _out_dir(args)
     corpus_path = out / "corpus.jsonl"
     latents_path = out / "latents.jsonl"
-    core.write_corpus(core.Corpus(ids, features, never_served, never_served), corpus_path)
-    simulator.write_latents(
-        simulator.LatentColumns(ids, quality, threshold, engagement_prob), latents_path
-    )
+    core.write_corpus(corpus, corpus_path)
+    simulator.write_latents(latents, latents_path)
     _write_manifest(
         out,
         "simulate",
@@ -135,7 +121,7 @@ def cmd_simulate(args) -> int:
         [corpus_path, latents_path],
         started,
     )
-    print(f"wrote {len(ids)} items to {corpus_path}")
+    print(f"wrote {len(corpus)} items to {corpus_path}")
     return 0
 
 
@@ -357,13 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_alloc_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file with allocation config values")
-        p.add_argument("--budget", type=int, help="total traffic budget")
+        p.add_argument(
+            "--budget", type=int, dest="total_budget", metavar="BUDGET",
+            help="total traffic budget",
+        )
         p.add_argument("--max-cost", type=float, dest="max_cost")
         p.add_argument("--min-cap", type=int, dest="min_cap")
         p.add_argument("--max-cap", type=int, dest="max_cap")
         p.add_argument("--cf-high", type=float, dest="cf_high")
         p.add_argument("--cf-low", type=float, dest="cf_low")
-        p.add_argument("--low-fraction", type=float, dest="low_fraction")
+        p.add_argument(
+            "--low-fraction", type=float, dest="low_region_fraction", metavar="LOW_FRACTION"
+        )
         p.add_argument("--unit-cost", type=float, dest="unit_cost")
 
     def add_sim_flags(p: argparse.ArgumentParser) -> None:

@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -158,6 +159,16 @@ class Rows(Sequence[T]):
 
     def __iter__(self):
         return iter(self.rows)
+
+    @classmethod
+    def concat(cls, tables: Sequence[Rows]):
+        """The rows of one or more tables of this type, one table after another, as
+        one table; its array columns are frozen, so the new table keeps them uncopied."""
+        joined = (
+            frozen(np.concatenate(c))[0] if isinstance(c[0], np.ndarray) else tuple(chain(*c))
+            for c in ([getattr(table, f.name) for table in tables] for f in fields(cls))
+        )
+        return cls(*joined)
 
     @classmethod
     def check(cls, value, taker: str):
@@ -520,18 +531,29 @@ def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
     return sum(costs_of(granted, config), 0.0)
 
 
-def id_order(ids: Sequence[str], what: str) -> list[int]:
-    """Indices of the ids in Python's str order; DataError naming `what` and
-    the first repeated id, in that order, if an id repeats.
+def str_order(ids: Sequence[str]) -> np.ndarray:
+    """Indices of the ids in Python's str order, equal ids in index order: a
+    stable argsort of str objects, which compares them with <, as sorted()
+    does. A numpy <U array of the ids would drop trailing NULs."""
+    return np.argsort(np.asarray(ids, dtype=object), kind="stable")
 
-    A numpy <U array of the ids would drop trailing NULs and so could order
-    them differently.
-    """
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    if len(set(ids)) != len(ids):
-        # Sorted, a repeated id sits next to itself.
-        repeated = next(ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b])
-        raise DataError(f"duplicate item ids in {what}: {repeated}")
+
+def _order_and_repeats(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """str_order of the ids, and row k: whether ids[k] is also an earlier row's
+    id, that is whether the row right before row k in that order holds it."""
+    ids = np.asarray(ids, dtype=object)
+    order = str_order(ids)
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return order, repeated
+
+
+def id_order(ids: Sequence[str], what: str) -> np.ndarray:
+    """str_order of the ids; DataError naming `what` and the first repeated
+    id, in that order, if an id repeats."""
+    order, repeated = _order_and_repeats(ids)
+    if repeated.any():
+        raise DataError(f"duplicate item ids in {what}: {ids[order[repeated[order]][0]]}")
     return order
 
 
@@ -608,7 +630,7 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
     # over the entries checks one; the last is cost_of's refusal.
     problem = np.select(
         [
-            _repeats(ids),
+            _order_and_repeats(ids)[1],
             ~funded & ~unfunded,
             funded & unfunded,
             funded & ((granted < config.min_cap) | (granted > config.max_cap)),
@@ -642,17 +664,6 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
         raise DataError("plan exceeds traffic budget")
     if cost > config.max_cost + 1e-9:
         raise DataError("plan exceeds cost budget")
-
-
-def _repeats(ids: Sequence[str]) -> np.ndarray:
-    """Row k: whether ids[k] is also an earlier row's id."""
-    repeated = np.zeros(len(ids), dtype=bool)
-    if len(set(ids)) != len(ids):
-        seen = set()
-        for k, item_id in enumerate(ids):
-            repeated[k] = item_id in seen
-            seen.add(item_id)
-    return repeated
 
 
 def engagement_block(impressions: np.ndarray, positive_events: np.ndarray) -> np.ndarray:

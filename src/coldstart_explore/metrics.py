@@ -268,7 +268,7 @@ def uniform_allocate(
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
     ids = corpus.ids if isinstance(corpus, Corpus) else [rec.id for rec in corpus]
-    ids = [ids[k] for k in id_order(ids, "corpus")]
+    ids = [ids[k] for k in id_order(ids, "corpus").tolist()]
     return _baseline_plan(ids, uniform_grants(len(ids), config), Region.UNIFORM, config)
 
 
@@ -284,4 +284,4 @@ def oracle_allocate(latents: LatentColumns, config: AllocationConfig) -> Allocat
     ids = latents.ids
     order = id_order(ids, "latents")
     granted = oracle_grants(latents.true_threshold[order], config)
-    return _baseline_plan([ids[k] for k in order], granted, Region.ORACLE, config)
+    return _baseline_plan([ids[k] for k in order.tolist()], granted, Region.ORACLE, config)

@@ -56,6 +56,7 @@ from .core import (
     read_jsonl,
     read_only,
     region_counts,
+    str_order,
     sum_costs,
     validate_config,
     write_csv,
@@ -284,8 +285,8 @@ def serve_round(
     LatentColumns.check(latents, "serve_round")
     _check_round(round_index)
     row_of = _row_of(latents.ids, "latent")
-    order = sorted(range(len(plan.ids)), key=plan.ids.__getitem__)
-    ids, served = [plan.ids[k] for k in order], plan.granted[order]
+    order = str_order(plan.ids)
+    ids, served = [plan.ids[k] for k in order.tolist()], plan.granted[order]
     # Each entry's row of latents, -1 if unknown; sorted, a repeat follows itself.
     rows = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
     twice = np.diff(rows, prepend=-2) == 0  # no row is -2
@@ -334,7 +335,7 @@ def build_training_set(
     corpus = Corpus.of(records)
     n = len(obs)
     # Sorted by id, then stably by round: (round, Python str order of id) order.
-    by_id = np.fromiter(sorted(range(n), key=obs.item_ids.__getitem__), np.intp, n)
+    by_id = str_order(obs.item_ids)
     order = by_id[np.argsort(obs.round_index[by_id], kind="stable")]
     rounds = obs.round_index[order]
     counts = np.stack([obs.served[order], obs.positive_events[order]], axis=1)
@@ -442,8 +443,9 @@ def run_experiment(
     Round 0 always explores uniformly because no labels exist yet. From round
     1 on, the "model" strategy retrains on every accumulated outcome and
     allocates through the three-region allocator; "uniform" keeps the
-    baseline; "oracle" allocates from the hidden thresholds. Discovered items
-    leave the candidate pool; every round adds a fresh batch.
+    baseline; "oracle" allocates from the hidden thresholds. A model round
+    whose outcomes so far lack either label explores as round 0 does.
+    Discovered items leave the candidate pool; every round adds a fresh batch.
 
     The loop keeps its state as columns and calls the kernels behind the
     per-item functions: draw_columns, uniform_grants, oracle_grants and
@@ -451,8 +453,8 @@ def run_experiment(
     model round its grants and regions. The model strategy logs each round's
     examples as it serves, and trains on all of them in (round, item id)
     order: the set build_training_set replays from the report's observations.
-    The report's rows are one block of columns per round, joined once at the
-    end into its Observations; no row object is built unless a reader asks.
+    The report joins each round's served rows, the Observations serve_round
+    would return, once at the end; no row object is built unless a reader asks.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -473,10 +475,10 @@ def run_experiment(
     # The examples logged so far, one (features, bucket, label) block per round.
     history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     round_metrics = []
-    # The report's rows: the funded items' ids, and one (region, granted,
-    # positive events, discovered) block per round.
-    report_ids: list[str] = []
-    report_blocks: list[tuple[np.ndarray, ...]] = []
+    # The report's rows, one block per round: the served rows, as serve_round
+    # returns them, and their region codes.
+    blocks: list[Observations] = []
+    block_regions: list[np.ndarray] = []
 
     for round_index in range(sim_config.rounds):
         end = (round_index + 1) * n
@@ -484,9 +486,8 @@ def run_experiment(
         ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], static[fresh] = (
             draw_columns(sim_config, round_index)
         )
-        # The candidates: the undiscovered rows, in Python's str order of their
-        # ids, which a stable argsort of str objects compares with <, as sorted does.
-        order = np.argsort(ids[:end], kind="stable")
+        # The candidates: the undiscovered rows, in Python's str order of their ids.
+        order = str_order(ids[:end])
         rows = order[~discovered[order]]
 
         untrained = None
@@ -494,6 +495,8 @@ def run_experiment(
             features = model_inputs(static[rows], impressions[rows], positive_events[rows])
         if strategy == "model" and round_index > 0:
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
+        # train refuses examples that lack either label; such a round explores as round 0 does.
+        if strategy == "model" and round_index > 0 and 0 < examples.label.sum() < len(examples):
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
             plan = plan_columns(ids[rows].tolist(), features, model, alloc_config, schema)
@@ -519,8 +522,9 @@ def run_experiment(
         positive_events[served_rows] += positives
         discovered[served_rows] = found
 
-        report_ids += ids[served_rows].tolist()
-        report_blocks.append((region[funded], served, positives, found))
+        rounds, served_ids = np.full(len(funded), round_index), ids[served_rows].tolist()
+        blocks.append(Observations(*frozen(rounds), served_ids, *frozen(served, positives, found)))
+        block_regions.append(region[funded])
         round_metrics.append(
             RoundMetrics(
                 round=round_index,
@@ -534,9 +538,8 @@ def run_experiment(
             )
         )
 
-    round_column = np.repeat(np.arange(sim_config.rounds), [m.funded for m in round_metrics])
-    region, served, positives, found = frozen(*map(np.concatenate, zip(*report_blocks)))
-    observations = Observations(*frozen(round_column), report_ids, served, positives, found)
+    observations = Observations.concat(blocks)
+    region = np.concatenate(block_regions)
     return ExperimentReport(strategy, sim_config.seed, round_metrics, observations, region)
 
 

@@ -13,6 +13,7 @@ import pytest
 from coldstart_explore.cli import main
 from coldstart_explore.core import (
     DEFAULT_ALLOCATION,
+    Corpus,
     DataError,
     EngagementStats,
     Region,
@@ -20,6 +21,7 @@ from coldstart_explore.core import (
     geometric_schema,
     read_json,
     save_corpus,
+    write_corpus,
     write_json,
 )
 from coldstart_explore import allocator, metrics, simulator
@@ -538,6 +540,37 @@ class TestAllocate:
         assert funded == best
 
 
+@pytest.mark.parametrize("command", ["allocate", "experiment"])
+def test_each_allocation_flag_sets_its_config_field(tmp_path, trained_model_file, command,
+                                                    capsys):
+    # The file's max_cap of 1000 does not match its top representative; the
+    # --max-cap flag must replace it for the config to pass.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"max_cap": 1000, "total_budget": 7}))
+    flags = {
+        "--budget": ("total_budget", 30_000), "--max-cost": ("max_cost", 900.5),
+        "--min-cap": ("min_cap", 200), "--max-cap": ("max_cap", 1600),
+        "--cf-high": ("cf_high", 0.7), "--cf-low": ("cf_low", 0.3),
+        "--low-fraction": ("low_region_fraction", 0.25), "--unit-cost": ("unit_cost", 0.02),
+    }
+    argv = [item for flag, (_, value) in flags.items() for item in (flag, str(value))]
+    out = tmp_path / "out"
+    if command == "allocate":
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_corpus([make_record("a", [0.0, 1.0])], corpus_path)
+        argv += ["--corpus", str(corpus_path), "--model", str(trained_model_file)]
+    else:
+        argv += ["--items", "20", "--rounds", "1", "--strategies", "uniform"]
+    assert run(command, "--config", str(config_path), *argv, "--out-dir", str(out)) == 0
+    config = read_manifest(out)["config"]
+    config = config.get("alloc", config)
+    assert {field: config[field] for field, _ in flags.values()} == dict(flags.values())
+    # The flags keep their spellings in the help text.
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    assert "--budget BUDGET" in capsys.readouterr().out
+
+
 class TestExperiment:
     def test_comparison_summary(self, tmp_path):
         out = tmp_path / "exp"
@@ -602,6 +635,28 @@ class TestExperiment:
                    "--strategies", "uniform", "--out-dir", str(out)) == 3
         assert len(calls) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, uniform_rounds",
+        [
+            # Round 0 discovers all 5 items at seed 17 and none at seed 60.
+            (("--items", "5", "--rounds", "3", "--seeds", "17,60"), [1]),
+            # A budget of 0 serves nothing, so no round has a label.
+            (("--items", "20", "--rounds", "2", "--budget", "0"), [1]),
+        ],
+    )
+    def test_model_round_without_both_labels_explores_uniformly(self, tmp_path, flags,
+                                                                uniform_rounds):
+        out = tmp_path / "exp"
+        assert run("experiment", *flags, "--strategies", "model", "--out-dir", str(out)) == 0
+        reports = sorted(out.glob("report_model_seed*.json"))
+        assert reports
+        for path in reports:
+            rounds = json.loads(path.read_text())["rounds"]
+            uniform = [r["round"] for r in rounds[1:] if r["untrained_buckets"] is None]
+            assert uniform == uniform_rounds
+            for r in uniform:
+                assert set(rounds[r]["region_counts"]) <= {"Uniform", "Unfunded"}
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         outs = [tmp_path / f"e{k}" for k in range(2)]
@@ -975,17 +1030,23 @@ def test_simulate_writes_what_the_per_item_path_writes(tmp_path, rounds):
     assert run("simulate", "--items", "120", "--rounds", str(rounds), "--seed", "5",
                "--feature-dim", "3", "--out-dir", str(out)) == 0
     config = simulator.SimConfig(seed=5, items_per_round=120, rounds=rounds, feature_dim=3)
-    latents, records = [], []
-    for round_index in range(rounds):
-        fresh_latents, fresh_records = simulator.generate_corpus(config, round_index)
-        latents += fresh_latents
-        records += fresh_records
+    tables = [simulator.generate_corpus(config, k) for k in range(rounds)]
+    latents = [lat for fresh_latents, _ in tables for lat in fresh_latents]
+    records = [rec for _, fresh_records in tables for rec in fresh_records]
     save_corpus(records, tmp_path / "corpus.jsonl")
     save_latents(latents, tmp_path / "latents.jsonl")
+    # The joined tables, written by the table writers.
+    write_corpus(Corpus.concat([c for _, c in tables]), tmp_path / "joined_corpus.jsonl")
+    simulator.write_latents(
+        simulator.LatentColumns.concat([lat for lat, _ in tables]),
+        tmp_path / "joined_latents.jsonl",
+    )
     corpus = (out / "corpus.jsonl").read_bytes()
     latent_truth = (out / "latents.jsonl").read_bytes()
     assert corpus == (tmp_path / "corpus.jsonl").read_bytes()
     assert latent_truth == (tmp_path / "latents.jsonl").read_bytes()
+    assert corpus == (tmp_path / "joined_corpus.jsonl").read_bytes()
+    assert latent_truth == (tmp_path / "joined_latents.jsonl").read_bytes()
     assert corpus == json_lines(
         {"id": r.id, "features": r.features.tolist(), "impressions": 0, "positive_events": 0}
         for r in records

@@ -33,6 +33,7 @@ from coldstart_explore.core import (
     cost_of,
     engagement_block,
     geometric_schema,
+    id_order,
     model_inputs,
     read_corpus,
     read_json,
@@ -40,6 +41,7 @@ from coldstart_explore.core import (
     region_counts,
     save_corpus,
     static_matrix,
+    str_order,
     validate_config,
     verify_plan,
     write_csv,
@@ -52,6 +54,7 @@ from coldstart_explore.model import TrainingSet, load_examples, save_examples
 from coldstart_explore.simulator import (
     ItemRoundRow,
     Observation,
+    Observations,
     SimConfig,
     generate_corpus,
     load_latents,
@@ -520,10 +523,15 @@ class TestVerifyColumnPlan:
              "Unfunded entry with traffic: b"),
             ([("c", U, 0), ("c", U, 0)], {"total_allocated": 1}, cfg(),
              "zero grant must be Unfunded: c"),
+            # Several repeats: the first row that repeats an earlier one, in
+            # row order, where id_order names "b", the first in str order.
+            ([("c", N, 0), ("b", N, 0), ("c", N, 0), ("a", N, 0), ("b", N, 0)], {}, cfg(),
+             "duplicate plan entry for item c"),
         ],
         ids=["passes", "duplicate", "zero-grant-funded", "unfunded-with-traffic",
              "below-min-cap", "above-max-cap", "total-allocated", "total-cost",
-             "over-budget", "over-cost", "negative", "first-bad-row", "first-bad-row-2"],
+             "over-budget", "over-cost", "negative", "first-bad-row", "first-bad-row-2",
+             "several-repeats"],
     )
     def test_same_refusal_as_the_entry_loop(self, rows, totals, config, message):
         by_entries, by_columns = plan_twins(rows, config, **totals)
@@ -836,6 +844,79 @@ class TestCorpusFile:
         with pytest.raises(DataError, match="features holds a non-finite value"):
             write_corpus(corpus, path)
         assert not path.exists()
+
+
+class TestStrOrder:
+    @given(st.lists(st.text(alphabet="ab\x00\xe9\u4e2d\U0001f600", max_size=4), max_size=40))
+    @example(["r10-1", "r100-0", "r11-0", "r10-1"])
+    @example(["a\x00", "a", "a\x00\x00", "a"])
+    @settings(max_examples=300)
+    def test_equals_sorted_by_key(self, ids):
+        order = str_order(ids)
+        assert order.dtype == np.intp
+        assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        assert str_order(tuple(ids)).tolist() == order.tolist()
+
+    @pytest.mark.parametrize(
+        "ids, repeated",
+        [
+            (["c", "b", "c", "a", "b"], "b"),
+            # A <U array would read "a\x00" as "a"; "a" sorts first and repeats.
+            (["a\x00", "a", "b", "b", "a"], "a"),
+            (["a\x00", "a", "a\x00"], "a\x00"),
+        ],
+    )
+    def test_id_order_names_the_first_repeat_in_str_order(self, ids, repeated):
+        with pytest.raises(DataError) as refused:
+            id_order(ids, "corpus")
+        assert str(refused.value) == f"duplicate item ids in corpus: {repeated}"
+
+    def test_id_order_of_distinct_ids_is_str_order(self):
+        ids = ["a\x00", "r100-0", "a", "r10-0"]
+        assert id_order(ids, "corpus").tolist() == [2, 0, 3, 1]
+        assert id_order([], "corpus").tolist() == []
+
+
+class TestConcat:
+    def test_corpus(self):
+        parts = [Corpus(["b", "a"], [[1.0], [2.0]], [3, 0], [1, 0]),
+                 Corpus(["c"], [[4.0]], [5], [5])]
+        joined = Corpus.concat(parts)
+        hand_built = Corpus(["b", "a", "c"], [[1.0], [2.0], [4.0]], [3, 0, 5], [1, 0, 5])
+        assert core.columns_equal(joined, hand_built)  # a Corpus has no ==
+        assert type(joined.ids) is tuple
+        for column in (joined.features, joined.impressions, joined.positive_events):
+            assert not column.flags.writeable
+        assert core.columns_equal(Corpus.concat(parts[:1]), parts[0])
+
+    def test_latent_columns(self):
+        config = SimConfig(seed=2, items_per_round=50, rounds=3)
+        rounds = [generate_corpus(config, k)[0] for k in range(3)]
+        joined = LatentColumns.concat(rounds)
+        assert joined == LatentColumns(
+            [i for latents in rounds for i in latents.ids],
+            *(np.concatenate([getattr(latents, name) for latents in rounds])
+              for name in ("quality", "true_threshold", "engagement_prob")),
+        )
+        assert tuple(joined) == tuple(row for latents in rounds for row in latents)
+
+    def test_observations(self):
+        def observations(rounds, ids, served, positives, found):
+            return Observations(np.array(rounds, np.int64), ids, np.array(served, np.int64),
+                                np.array(positives, np.int64), np.array(found, bool))
+
+        parts = [observations([0, 0], ["a", "b"], [100, 200], [3, 0], [True, False]),
+                 observations([1], ["c"], [400], [7], [False]),
+                 observations([], [], [], [], [])]
+        joined = Observations.concat(parts)
+        assert joined == observations([0, 0, 1], ["a", "b", "c"], [100, 200, 400], [3, 0, 7],
+                                      [True, False, False])
+        assert joined.discovered.dtype == bool and joined.round_index.dtype == np.int64
+
+    def test_tables_of_other_widths_refused(self):
+        parts = [Corpus(["a"], [[1.0]], [0], [0]), Corpus(["b"], [[1.0, 2.0]], [0], [0])]
+        with pytest.raises(ValueError):
+            Corpus.concat(parts)
 
 
 class TestLatentColumns:

@@ -620,10 +620,13 @@ def run_experiment_reference(
         candidates = [rec for rec in pool_records.values() if rec.id not in discovered]
         candidates.sort(key=lambda r: r.id)
         untrained = None
+        # A model round trains once the outcomes so far hold both labels;
+        # until then it explores as round 0 does.
+        labels = {obs.discovered for obs in all_observations}
         if strategy == "oracle":
             truth = latent_columns([pool_latents[r.id] for r in candidates])
             plan = oracle(truth, alloc_config)
-        elif strategy == "model" and round_index > 0:
+        elif strategy == "model" and labels == {False, True}:
             rows = replay_examples(all_observations, list(pool_records.values()), schema)
             examples = TrainingSet(*map(np.array, zip(*rows)))
             model = train(examples, schema, params)
@@ -961,6 +964,33 @@ class TestCandidatesInStrOrderOfIds:
         assert_same_report(got, expected)
         assert got.item_rows == expected.item_rows
         assert any(row.item_id.startswith("r100-") for row in got.item_rows)
+
+
+class TestModelRoundWithoutBothLabels:
+    """train refuses examples that lack either label, so a model round whose
+    outcomes so far are all discovered, all undiscovered or none explores
+    uniformly, as round 0 does, and trains again once both labels are in."""
+
+    @pytest.mark.parametrize(
+        "seed, items, rounds, budget, uniform_rounds",
+        [
+            (17, 5, 3, 200_000, [1]),  # round 0 discovers all 5 items
+            (60, 5, 3, 200_000, [1]),  # round 0 discovers none
+            (81, 5, 4, 200_000, [1, 2]),  # rounds 0 and 1 discover every item they serve
+            (0, 20, 2, 0, [1]),  # a budget of 0 serves nothing, so nothing is logged
+        ],
+    )
+    def test_explores_uniformly_until_both_labels(self, seed, items, rounds, budget,
+                                                  uniform_rounds):
+        config = SimConfig(seed=seed, items_per_round=items, rounds=rounds)
+        alloc_config = replace(DEFAULT_ALLOCATION, total_budget=budget)
+        got = run_experiment(config, alloc_config, SCHEMA, Hyperparams(), "model")
+        assert [m.round for m in got.rounds[1:] if m.untrained_buckets is None] == uniform_rounds
+        uniform = run_experiment(config, alloc_config, SCHEMA, Hyperparams(), "uniform")
+        for k in range(uniform_rounds[-1] + 1):  # the same rounds as the uniform strategy's
+            assert got.rounds[k] == uniform.rounds[k]
+        expected = run_experiment_reference(config, alloc_config, SCHEMA, Hyperparams(), "model")
+        assert_same_report(got, expected)
 
 
 OBSERVATION_FIELDS = ("round_index", "served", "positive_events", "discovered")
