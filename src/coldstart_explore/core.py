@@ -3,7 +3,7 @@
 Immutable item, engagement, bucket and config records; the corpus, ground truth and
 allocation plan as columns, with `Rows` for their row views; the checks and the cost,
 bucket and model-input functions the modules share; and the one reader and writer of
-each file kind, with `FeatureRows`, which gathers a corpus file's feature rows as read.
+each file kind, with each JSON-lines format declared once as a `LinesFormat`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -538,7 +538,7 @@ def str_order(ids: Sequence[str]) -> np.ndarray:
     return np.argsort(np.asarray(ids, dtype=object), kind="stable")
 
 
-def _order_and_repeats(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def order_and_repeats(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """str_order of the ids, and row k: whether ids[k] is also an earlier row's
     id, that is whether the row right before row k in that order holds it."""
     ids = np.asarray(ids, dtype=object)
@@ -551,7 +551,7 @@ def _order_and_repeats(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 def id_order(ids: Sequence[str], what: str) -> np.ndarray:
     """str_order of the ids; DataError naming `what` and the first repeated
     id, in that order, if an id repeats."""
-    order, repeated = _order_and_repeats(ids)
+    order, repeated = order_and_repeats(ids)
     if repeated.any():
         raise DataError(f"duplicate item ids in {what}: {ids[order[repeated[order]][0]]}")
     return order
@@ -630,7 +630,7 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
     # over the entries checks one; the last is cost_of's refusal.
     problem = np.select(
         [
-            _order_and_repeats(ids)[1],
+            order_and_repeats(ids)[1],
             ~funded & ~unfunded,
             funded & unfunded,
             funded & ((granted < config.min_cap) | (granted > config.max_cap)),
@@ -736,147 +736,195 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path)
         writer.writerows(rows)
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
-    """parse() of every non-blank line of a JSON-lines file, in file order.
-
-    A line that is not finite JSON, or that parse() refuses with KeyError,
-    TypeError, ValueError or OverflowError (int() of a 1e400 literal, which
-    decodes to inf), raises DataError naming `path:line` and `what`.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse(_FINITE_DECODER.decode(line)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
-    return rows
-
-
-#: Rows a JSON-lines writer formats and joins at a time, so that no writer
-#: holds a whole matrix as Python values.
+#: Rows a writer formats and joins at a time, so that no writer holds a whole
+#: matrix as Python values.
 WRITE_BLOCK_ROWS = 4096
 
 
-class _JsonNull:
-    def __repr__(self) -> str:
-        return "null"
-
-
-JSON_NULL = _JsonNull()  # what write_jsonl_columns writes as null
-
-
-def write_jsonl_columns(columns: dict[str, Sequence], path: str | Path) -> None:
-    """Line for line what json.dumps(row, sort_keys=True) writes for each row.
-
-    One template, keys sorted, formats each row. json writes a finite float
-    with float.__repr__ and an int with int.__repr__, so an array column (of
-    numbers, matrix rows or JSON_NULL) goes in by %r; any other column holds
-    strings, encoded by json's encode_basestring_ascii. Columns of unequal
-    length, a NaN or infinity in a float column, or a non-string in a string
-    column, raise DataError before the file is opened.
-    """
-    lengths = {name: len(column) for name, column in columns.items()}
-    if len(set(lengths.values())) > 1:
+def write_rows(
+    template: str, columns: Sequence[Sequence], path: str | Path, header: str = ""
+) -> None:
+    """The header, then template % row for each row of the columns, which are
+    arrays (formatted from .tolist()) or sequences, a block of WRITE_BLOCK_ROWS
+    rows formatted and joined at a time. Columns of unequal length raise
+    DataError before the file is opened."""
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
         raise DataError(f"{path}: columns differ in length: {lengths}")
-    fields, values = [], []
-    for name in sorted(columns):
-        column = columns[name]
-        if not isinstance(column, np.ndarray):
-            try:
-                column = list(map(encode_basestring_ascii, column))
-            except TypeError as exc:
-                raise DataError(f"{path}: {name} must hold strings: {exc}") from exc
-        elif column.dtype.kind == "f" and not np.isfinite(column).all():
-            raise DataError(f"{path}: {name} holds a non-finite value, which JSON cannot")
-        fields.append(f'"{name}": %{"r" if isinstance(column, np.ndarray) else "s"}')
-        values.append(column)
-    template = "{" + ", ".join(fields) + "}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for start in range(0, len(values[0]), WRITE_BLOCK_ROWS):
-            block = (column[start : start + WRITE_BLOCK_ROWS] for column in values)
+        fh.write(header)
+        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = (column[start : start + WRITE_BLOCK_ROWS] for column in columns)
             rows = zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block))
             fh.write("".join(map(template.__mod__, rows)))
 
 
-_NUMBER_TYPES = frozenset((int, float))
+#: The kinds of value a JSON-lines key holds: a string id, read into a list; a
+#: non-negative integer count, read into an int64 column; a finite number, or a
+#: finite number or null (read as inf, written from inf), read into a float
+#: column; and a list of finite numbers as long as every row's, read into a row
+#: of a float matrix, its key the plural of an entry's name.
+ID, COUNT, FINITE = "id", "count", "finite"
+FINITE_OR_NULL, FINITE_LIST = "finite or null", "finite list"
+
+_NUMBER_TYPES = frozenset(NUMBER)
 
 
-class FeatureRows:
-    """Feature rows of a corpus file, gathered into one flat buffer.
+def _append(column, kind: str, key: str, value, rows: int) -> None:
+    """value appended to the column of `key`, which holds `rows` rows, as its
+    kind reads it: TypeError or ValueError naming the key if the kind refuses
+    it, and an int64 column's OverflowError for an integer past its range."""
+    if kind == FINITE_LIST:
+        if type(value) is not list:
+            raise TypeError(f"{key} must be a list, not {type(value).__name__}")
+        dim = len(column) // rows if rows else len(value)
+        if len(value) != dim:
+            raise ValueError(f"{key[:-1]} dimension {len(value)}, earlier rows have {dim}")
+        if not _NUMBER_TYPES.issuperset(map(type, value)):
+            bad = next(v for v in value if type(v) not in _NUMBER_TYPES)
+            raise TypeError(f"{key} must be a flat list of numbers; {bad!r} is not one")
+        # The decoder reads 1e400 as inf. A finite sum means finite values; an
+        # overflowing sum of finite ones is looked at value by value.
+        if not math.isfinite(sum(value)):
+            for v in value:
+                if not math.isfinite(v):
+                    raise ValueError(f"{key[:-1]} {v!r} is not finite")
+        column.extend(value)
+        return
+    if kind == ID:
+        checked(value, STRING, key)
+    elif kind == COUNT:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{key} must be a non-negative integer, not {value!r}")
+    elif value is None and kind == FINITE_OR_NULL:
+        value = math.inf
+    elif not math.isfinite(checked(value, NUMBER, key)):
+        raise ValueError(f"{key} {value!r} is not finite")
+    column.append(value)
 
-    Every row must be a flat list of numbers, ints or floats but no bools, as
-    long as the first row's; append raises TypeError or ValueError otherwise,
-    which read_jsonl reports with the row's `path:line`.
+
+class LinesFormat(NamedTuple):
+    """A JSON-lines file of a column table, one row per line.
+
+    `keys` maps each key, in the order a reader checks a row's values, to
+    the table field that holds its column and its kind. A count key in
+    `at_most` may not exceed the earlier count key it maps to. Refusals
+    call a row a `record`.
     """
 
-    def __init__(self) -> None:
-        self.values = array("d")
-        self.dim: int | None = None
-        self.rows = 0
+    table: type
+    record: str
+    keys: dict[str, tuple[str, str]]
+    at_most: dict[str, str]
 
-    def append(self, values) -> None:
-        if type(values) is not list:
-            raise TypeError(f"features must be a list, not {type(values).__name__}")
-        self.dim = len(values) if self.dim is None else self.dim
-        if len(values) != self.dim:
-            raise ValueError(f"feature dimension {len(values)}, earlier rows have {self.dim}")
-        if not _NUMBER_TYPES.issuperset(map(type, values)):
-            bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
-            raise TypeError(f"features must be a flat list of numbers; {bad!r} is not one")
-        self.values.extend(values)
-        self.rows += 1
 
-    def matrix(self) -> np.ndarray:
-        """The rows as a read-only (rows, dimension) matrix over the buffer, not a copy."""
-        matrix = np.frombuffer(self.values).reshape(self.rows, self.dim or 0)
-        matrix.setflags(write=False)  # no one else holds the buffer
-        return matrix
+CORPUS_FILE = LinesFormat(
+    Corpus,
+    "corpus record",
+    {
+        "id": ("ids", ID),
+        "impressions": ("impressions", COUNT),
+        "positive_events": ("positive_events", COUNT),
+        "features": ("features", FINITE_LIST),
+    },
+    at_most={"positive_events": "impressions"},
+)
+
+LATENTS_FILE = LinesFormat(
+    LatentColumns,
+    "latent record",
+    {
+        "id": ("ids", ID),
+        "quality": ("quality", FINITE),
+        "threshold": ("true_threshold", FINITE_OR_NULL),
+        "engagement_prob": ("engagement_prob", FINITE),
+    },
+    at_most={},
+)
+
+
+def read_lines(path: str | Path, fmt: LinesFormat):
+    """A JSON-lines file as its fmt.table, its rows in file order.
+
+    Each non-blank line is decoded from UTF-8 and with the finite decoder,
+    and each of its values, key by key in fmt.keys order, is checked and
+    appended to its column by its kind; no row is kept. The first line that
+    is not UTF-8 or finite JSON, lacks a key or holds a value its kind
+    refuses raises DataError naming `path:line` and fmt.record; what the
+    table refuses, DataError naming `path`.
+    """
+    columns = {
+        name: [] if kind == ID else array("q" if kind == COUNT else "d")
+        for name, kind in fmt.keys.values()
+    }
+    keys = [
+        (key, kind, columns[name], fmt.at_most.get(key))
+        for key, (name, kind) in fmt.keys.items()
+    ]
+    rows = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = _FINITE_DECODER.decode(line.decode("utf-8"))
+                for key, kind, column, bound in keys:
+                    _append(column, kind, key, row[key], rows)
+                    if bound is not None and row[key] > row[bound]:
+                        raise ValueError(f"{key} cannot exceed {bound}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: bad {fmt.record}: {exc}") from exc
+            rows += 1
+    for name, kind in fmt.keys.values():
+        if kind != ID:
+            # No one else holds the buffer, so the table takes it frozen, uncopied.
+            column = np.frombuffer(columns[name], dtype=np.int64 if kind == COUNT else float)
+            if kind == FINITE_LIST:
+                column = column.reshape(rows, len(column) // rows if rows else 0)
+            (columns[name],) = frozen(column)
+    try:
+        return fmt.table(**columns)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def write_lines(table, fmt: LinesFormat, path: str | Path) -> None:
+    """The table's JSON-lines file: line for line what json.dumps(row,
+    sort_keys=True) writes for each row.
+
+    One template, keys sorted, formats each row. json writes a finite float
+    with float.__repr__ and an int with int.__repr__, so a number array goes
+    in by %r; an id goes in encoded by json's encode_basestring_ascii, and a
+    FINITE_OR_NULL value as its repr or null. An id that is not a string, or
+    a NaN or infinity in a FINITE or FINITE_LIST column, raises DataError
+    before the file is opened.
+    """
+    fields, values = [], []
+    for key in sorted(fmt.keys):
+        name, kind = fmt.keys[key]
+        column = getattr(table, name)
+        if kind == ID:
+            try:
+                column = list(map(encode_basestring_ascii, column))
+            except TypeError as exc:
+                raise DataError(f"{path}: {key} must hold strings: {exc}") from exc
+        elif kind == FINITE_OR_NULL:
+            column = ["null" if math.isinf(v) else repr(v) for v in column.tolist()]
+        elif not np.isfinite(column).all():
+            raise DataError(f"{path}: {key} holds a non-finite value, which JSON cannot")
+        fields.append(f'"{key}": %{"r" if isinstance(column, np.ndarray) else "s"}')
+        values.append(column)
+    write_rows("{" + ", ".join(fields) + "}\n", values, path)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """The corpus file: JSON lines of id, features, impressions, positive_events."""
-    names = ("id", "features", "impressions", "positive_events")
-    columns = (corpus.ids, corpus.features, corpus.impressions, corpus.positive_events)
-    write_jsonl_columns(dict(zip(names, columns)), path)
+    """The corpus file (see CORPUS_FILE)."""
+    write_lines(corpus, CORPUS_FILE, path)
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    """A corpus file as columns, in file order.
-
-    A row whose id is not a string, whose features are not a flat list of
-    finite numbers as long as the first row's, or whose counts are not
-    non-negative integers with positive_events at most impressions raises
-    DataError naming `path:line`.
-    """
-    ids: list[str] = []
-    features = FeatureRows()
-    impressions_column, positives_column = array("q"), array("q")
-
-    def append(row: dict) -> None:
-        item_id = checked(row["id"], STRING, "id")
-        impressions, positive_events = row["impressions"], row["positive_events"]
-        for name, count in (("impressions", impressions), ("positive_events", positive_events)):
-            if type(count) is not int or count < 0:
-                raise ValueError(f"{name} must be a non-negative integer, not {count!r}")
-        _check_engagement(impressions, positive_events)
-        features.append(row["features"])
-        # The decoder reads 1e400 as inf. A finite sum means finite features;
-        # an overflowing sum of finite ones is looked at value by value.
-        if not math.isfinite(sum(row["features"])):
-            for value in row["features"]:
-                if not math.isfinite(value):
-                    raise ValueError(f"feature {value!r} is not finite")
-        ids.append(item_id)
-        impressions_column.append(impressions)
-        positives_column.append(positive_events)
-
-    read_jsonl(path, append, "corpus record")
-    # No one else holds the buffers, so Corpus takes the frozen counts uncopied.
-    counts = (np.frombuffer(c, dtype=np.int64) for c in (impressions_column, positives_column))
-    return Corpus(ids, features.matrix(), *frozen(*counts))
+    """A corpus file as columns, in file order (see read_lines)."""
+    return read_lines(path, CORPUS_FILE)
 
 
 def save_corpus(records: Iterable[ItemRecord], path: str | Path) -> None:

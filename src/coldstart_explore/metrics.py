@@ -23,12 +23,13 @@ from .core import (
     ItemRecord,
     LatentColumns,
     Region,
+    columns_equal,
     cost_of,
     frozen,
     id_order,
     sum_costs,
     validate_allocation_config,
-    write_csv,
+    write_rows,
 )
 
 @dataclass(frozen=True)
@@ -40,12 +41,16 @@ class BucketMetrics:
     f1: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     auc: float
     pr_auc: float
     per_bucket: tuple[BucketMetrics, ...]
-    pr_curve: tuple[tuple[float, float], ...]  # (recall, precision) points
+    # The PR curve as read-only columns: point k is (curve_recall[k], curve_precision[k]).
+    curve_recall: np.ndarray
+    curve_precision: np.ndarray
+
+    __eq__ = columns_equal
 
 
 def _check_threshold(threshold: float) -> None:
@@ -114,8 +119,9 @@ def pr_metrics(
 
 def pr_curve_and_auc(
     scores: np.ndarray, labels: np.ndarray
-) -> tuple[list[tuple[float, float]], float]:
-    """Precision/recall at every distinct score threshold plus average precision."""
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The PR curve, as read-only (recall, precision) columns of one point per
+    distinct score threshold, highest first, plus average precision."""
     scores, labels = _columns(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
@@ -131,7 +137,7 @@ def pr_curve_and_auc(
     # cumsum adds the terms one after another, as a running sum would;
     # np.sum adds pairwise and can differ in the last bit.
     ap = float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
-    return list(zip(recall.tolist(), precision.tolist())), ap
+    return frozen(recall, precision), ap
 
 
 def metrics_report(
@@ -149,7 +155,7 @@ def metrics_report(
     if buckets.shape != labels.shape:
         raise DataError(f"buckets {buckets.shape} and labels {labels.shape} differ in shape")
     overall_auc = auc(scores, labels)
-    curve, ap = pr_curve_and_auc(scores, labels)
+    (recall, precision), ap = pr_curve_and_auc(scores, labels)
     # Rows grouped by bucket, in row order within each bucket.
     values, group, counts = np.unique(buckets, return_inverse=True, return_counts=True)
     order = np.argsort(group, kind="stable")
@@ -161,7 +167,8 @@ def metrics_report(
         auc=overall_auc,
         pr_auc=ap,
         per_bucket=tuple(per_bucket),
-        pr_curve=tuple(curve),
+        curve_recall=recall,
+        curve_precision=precision,
     )
 
 
@@ -175,7 +182,9 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def write_pr_curve_csv(report: MetricsReport, path: str | Path) -> None:
-    write_csv(["recall", "precision"], report.pr_curve, path)
+    """The CSV of recall, precision, each float by repr, as csv.writer writes it."""
+    columns = (report.curve_recall, report.curve_precision)
+    write_rows("%r,%r\n", columns, path, header="recall,precision\n")
 
 
 # ---------------------------------------------------------------------------

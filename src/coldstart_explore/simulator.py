@@ -29,11 +29,9 @@ import numpy as np
 from .allocator import plan_columns
 from .core import (
     INTEGER,
-    JSON_NULL,
     NUMBER,
     REGION_CODE,
     REGION_NAMES,
-    STRING,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
@@ -41,6 +39,7 @@ from .core import (
     Corpus,
     DataError,
     ItemRecord,
+    LATENTS_FILE,
     LatentColumns,
     LatentItem,  # re-exported as simulator.LatentItem
     Region,
@@ -48,19 +47,19 @@ from .core import (
     bucket_of,
     check_fields,
     check_lengths,
-    checked,
     checked_list,
     columns_equal,
     frozen,
     model_inputs,
-    read_jsonl,
+    order_and_repeats,
+    read_lines,
     read_only,
     region_counts,
     str_order,
     sum_costs,
     validate_config,
     write_csv,
-    write_jsonl_columns,
+    write_lines,
 )
 from .metrics import oracle_grants, uniform_grants
 from .model import Hyperparams, TrainingSet, train
@@ -285,11 +284,10 @@ def serve_round(
     LatentColumns.check(latents, "serve_round")
     _check_round(round_index)
     row_of = _row_of(latents.ids, "latent")
-    order = str_order(plan.ids)
-    ids, served = [plan.ids[k] for k in order.tolist()], plan.granted[order]
-    # Each entry's row of latents, -1 if unknown; sorted, a repeat follows itself.
+    order, repeated = order_and_repeats(plan.ids)
+    ids, served, twice = [plan.ids[k] for k in order.tolist()], plan.granted[order], repeated[order]
+    # Each entry's row of latents, -1 if unknown.
     rows = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
-    twice = np.diff(rows, prepend=-2) == 0  # no row is -2
     if (refused := (rows < 0) | twice | (served < 0)).any():
         k = int(np.argmax(refused))
         if rows[k] < 0:
@@ -548,48 +546,14 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 def write_latents(latents: LatentColumns, path: str | Path) -> None:
-    """Ground-truth file; kept separate so allocation code never reads it.
-
-    JSON lines of id, quality, threshold and engagement_prob; an infinite
-    threshold is written as null. LatentColumns holds no other non-finite value.
-    """
-    threshold = latents.true_threshold
-    null_inf = np.where(np.isinf(threshold), JSON_NULL, threshold)
-    columns = (latents.ids, latents.quality, null_inf, latents.engagement_prob)
-    names = ("id", "quality", "threshold", "engagement_prob")
-    write_jsonl_columns(dict(zip(names, columns)), path)
-
-
-def _finite(row: dict, key: str) -> float:
-    value = float(checked(row[key], NUMBER, key))
-    if not math.isfinite(value):
-        raise ValueError(f"{key} {row[key]!r} is not finite")
-    return value
-
-
-def _latent_row(row: dict) -> tuple[str, float, float, float]:
-    # The decoder reads an overflowing literal such as 1e400 as inf, which no
-    # writer writes: write_latents writes an infinite threshold as null.
-    threshold = row["threshold"]
-    return (
-        checked(row["id"], STRING, "id"),
-        _finite(row, "quality"),
-        math.inf if threshold is None else _finite(row, "threshold"),
-        _finite(row, "engagement_prob"),
-    )
+    """The ground-truth file (see core.LATENTS_FILE), kept apart from the
+    corpus so that allocation code never reads it."""
+    write_lines(latents, LATENTS_FILE, path)
 
 
 def load_latents(path: str | Path) -> LatentColumns:
-    """A latents file as columns, in file order. A row whose id is not a
-    string, or whose values are not finite numbers (a threshold may also be
-    null), raises DataError naming `path:line`; a value LatentColumns refuses,
-    DataError naming `path` and the item."""
-    rows = read_jsonl(path, _latent_row, "latent record")
-    values = np.array([row[1:] for row in rows], dtype=float).reshape(len(rows), 3)
-    try:
-        return LatentColumns([row[0] for row in rows], *frozen(*values.T.copy()))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    """A latents file as columns, in file order (see core.read_lines)."""
+    return read_lines(path, LATENTS_FILE)
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

@@ -1004,8 +1004,9 @@ def test_every_command_once_outputs_read_back(tmp_path):
     fitted = load_model(model_path)
     curves = predict_curves(fitted, examples.features)
     scores = curves[np.arange(len(examples)), examples.bucket]
-    points, _ = metrics.pr_curve_and_auc(scores, examples.label)
+    (recall, precision), _ = metrics.pr_curve_and_auc(scores, examples.label)
     curve = read_csv(scored / "pr_curve.csv")
+    points = list(zip(recall.tolist(), precision.tolist()))
     assert [(float(c["recall"]), float(c["precision"])) for c in curve] == points
     comparison = read_json(exp / "comparison.json")
     for strategy in ("uniform", "model", "oracle"):

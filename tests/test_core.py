@@ -5,6 +5,7 @@ import re
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -12,6 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coldstart_explore.core import (
+    COUNT,
+    FINITE,
+    FINITE_LIST,
+    ID,
     NO_REQUEST,
     PLAN_REGIONS,
     REGION_NAMES,
@@ -25,6 +30,7 @@ from coldstart_explore.core import (
     ItemRecord,
     LatentColumns,
     LatentItem,
+    LinesFormat,
     PlanEntry,
     Region,
     bucket_of,
@@ -37,7 +43,6 @@ from coldstart_explore.core import (
     model_inputs,
     read_corpus,
     read_json,
-    read_jsonl,
     region_counts,
     save_corpus,
     static_matrix,
@@ -47,7 +52,8 @@ from coldstart_explore.core import (
     write_csv,
     write_json,
     write_corpus,
-    write_jsonl_columns,
+    write_lines,
+    write_rows,
 )
 from coldstart_explore import core
 from coldstart_explore.model import TrainingSet, load_examples, save_examples
@@ -992,6 +998,12 @@ class TestLatentColumns:
 
 
 class TestJsonLines:
+    # A format over a namespace of columns, of each kind but FINITE_OR_NULL.
+    FORMAT = LinesFormat(
+        SimpleNamespace, "row",
+        {"b": ("b", FINITE), "a": ("a", FINITE_LIST), "id": ("id", ID), "k": ("k", COUNT)},
+        at_most={},
+    )
     COLUMNS = {
         "b": np.array([1.5, -0.0]),
         "a": np.array([[0.1, -2.0], [1e-05, 2.0]]),
@@ -1005,56 +1017,108 @@ class TestJsonLines:
 
     def test_writes_what_json_dumps_writes(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        write_jsonl_columns(self.COLUMNS, path)
+        write_lines(SimpleNamespace(**self.COLUMNS), self.FORMAT, path)
         expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.ROWS)
         assert path.read_text(encoding="utf-8") == expected
 
     def test_round_trip_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl_columns(self.COLUMNS, path)
+        path = tmp_path / "corpus.jsonl"
+        corpus = small_corpus(2)
+        write_corpus(corpus, path)
         first, second = path.read_text().splitlines(keepends=True)
         path.write_text("\n" + first + " \t\n" + second + "\n  \n")
-        assert read_jsonl(path, dict, "row") == self.ROWS
+        loaded = read_corpus(path)
+        assert loaded.ids == corpus.ids
+        for name in ("features", "impressions", "positive_events"):
+            assert np.array_equal(getattr(loaded, name), getattr(corpus, name))
 
     def test_parse_errors_name_path_and_line(self, tmp_path):
+        good = '{"features": [1.0], "id": "a", "impressions": 3, "positive_events": 1}\n'
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"k": 1}\n\n{"k": \n')
-        with pytest.raises(DataError, match=r"rows\.jsonl:3: bad row"):
-            read_jsonl(path, dict, "row")
-        path.write_text('{"k": 1}\n{"j": 2}\n')
-        with pytest.raises(DataError, match=r"rows\.jsonl:2: bad row: 'k'"):
-            read_jsonl(path, lambda row: row["k"], "row")
-        # 1e400 decodes to inf, and int() of inf raises OverflowError.
-        path.write_text('{"k": 1e400}\n')
-        with pytest.raises(DataError, match=r"rows\.jsonl:1: bad row: .*infinity"):
-            read_jsonl(path, lambda row: int(row["k"]), "row")
+        path.write_text(good + "\n" + '{"features": \n')
+        with pytest.raises(DataError, match=r"rows\.jsonl:3: bad corpus record: Expecting value"):
+            read_corpus(path)
+        path.write_text(good + '{"id": "b", "impressions": 0, "positive_events": 0}\n')
+        message = "rows.jsonl:2: bad corpus record: 'features'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_corpus(path)
+        # 1e400 decodes to inf, which is no count.
+        path.write_text(good.replace('"impressions": 3', '"impressions": 1e400'))
+        message = "rows.jsonl:1: bad corpus record: impressions must be a non-negative integer"
+        with pytest.raises(DataError, match=re.escape(message + ", not inf")):
+            read_corpus(path)
+        # A byte that is not UTF-8 is refused with its line, not raised bare.
+        path.write_bytes(good.encode() + b'{"id": "\xff"}\n')
+        with pytest.raises(DataError, match=r"rows\.jsonl:2: bad corpus record: 'utf-8' codec"):
+            read_corpus(path)
+
+    def test_first_bad_line_named_in_file_order(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"features": [1.0, 2.0], "id": "a", "impressions": 0, "positive_events": 0}\n'
+            '{"features": [1.0, "x"], "id": "b", "impressions": 0, "positive_events": 0}\n'
+            '{"features": [1.0, 2.0], "id": 7, "impressions": 0, "positive_events": 0}\n'
+        )
+        message = "corpus.jsonl:2: bad corpus record: features must be a flat list of numbers"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_corpus(path)
+        path = tmp_path / "latents.jsonl"
+        path.write_text(
+            '{"engagement_prob": 0.1, "id": "a", "quality": 0.5, "threshold": null}\n'
+            '{"engagement_prob": 0.1, "id": "b", "quality": "0.5", "threshold": 1.0}\n'
+            '{"engagement_prob": 0.1, "id": 7, "quality": 0.5, "threshold": 1.0}\n'
+        )
+        message = "latents.jsonl:2: bad latent record: quality must be a number, not '0.5'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_latents(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"id": 7, "impressions": -1, "positive_events": 0, "features": [1.0]',
+             "id must be a string, not 7"),
+            ('"id": "b", "impressions": -1, "positive_events": 2, "features": ["x"]',
+             "impressions must be a non-negative integer, not -1"),
+            ('"id": "b", "impressions": 1, "positive_events": 2, "features": ["x"]',
+             "positive_events cannot exceed impressions"),
+        ],
+        ids=["id-before-counts", "counts-before-features", "bound-before-features"],
+    )
+    def test_row_checked_key_by_key(self, tmp_path, row, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("{" + row + "}\n")
+        with pytest.raises(DataError) as refused:
+            read_corpus(path)
+        assert str(refused.value) == f"{path}:1: bad corpus record: {message}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_not_written(self, tmp_path, value):
         path = tmp_path / "rows.jsonl"
+        columns = SimpleNamespace(**self.COLUMNS, x=np.array([1.0, value]))
+        fmt = self.FORMAT._replace(keys={**self.FORMAT.keys, "x": ("x", FINITE)})
         with pytest.raises(DataError, match="x holds a non-finite value"):
-            write_jsonl_columns({"x": np.array([1.0, value]), "id": ["a", "b"]}, path)
+            write_lines(columns, fmt, path)
         assert not path.exists()
 
     def test_string_column_of_non_strings_not_written(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         with pytest.raises(DataError, match="id must hold strings"):
-            write_jsonl_columns({"x": np.zeros(2), "id": ["a", 7]}, path)
+            write_lines(SimpleNamespace(**{**self.COLUMNS, "id": ["a", 7]}), self.FORMAT, path)
         assert not path.exists()
 
     @pytest.mark.parametrize(
         "columns",
         [
-            {"x": np.zeros(1), "id": ["a", "b"]},
-            {"x": np.zeros((3, 2)), "id": ["a", "b"]},
-            {"x": np.zeros(2), "id": ["a", "b"], "k": np.arange(3)},
+            [np.zeros(1), ["a", "b"]],
+            [np.zeros((3, 2)), ["a", "b"]],
+            [np.zeros(2), ["a", "b"], np.arange(3)],
         ],
     )
     def test_columns_of_unequal_length_not_written(self, tmp_path, columns):
         # Zipped, they would write as many lines as the shortest column has.
         path = tmp_path / "rows.jsonl"
         with pytest.raises(DataError, match="rows.jsonl: columns differ in length"):
-            write_jsonl_columns(columns, path)
+            write_rows(" ".join(["%r"] * len(columns)) + "\n", columns, path)
         assert not path.exists()
 
 

@@ -299,17 +299,17 @@ class TestPrCurve:
         rng = np.random.default_rng(23)
         for n in (2, 5, 300, 2000):
             scores, labels = random_instance(rng, n, tie_prone)
-            points, ap = pr_curve_and_auc(scores, labels)
+            (recall, precision), ap = pr_curve_and_auc(scores, labels)
             ref_points, ref_ap = reference_pr_curve_and_auc(scores.tolist(), labels.tolist())
-            assert points == ref_points
+            assert list(zip(recall.tolist(), precision.tolist())) == ref_points
             assert ap == ref_ap
-            assert all(type(v) is float for point in points for v in point)
+            for column in (recall, precision):
+                assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_recall_non_decreasing(self):
         rng = np.random.default_rng(6)
-        points, _ = pr_curve_and_auc(*random_instance(rng, 40, tie_prone=True))
-        recalls = [r for r, _ in points]
-        assert recalls == sorted(recalls)
+        (recall, _), _ = pr_curve_and_auc(*random_instance(rng, 40, tie_prone=True))
+        assert recall.tolist() == sorted(recall.tolist())
 
     def test_no_positives_rejected(self):
         with pytest.raises(DataError):
@@ -363,7 +363,7 @@ class TestMetricsReport:
         assert rows == expected
         assert all(type(m.bucket) is int for m in report.per_bucket)
         points, ap = reference_pr_curve_and_auc(scores, labels)
-        assert report.pr_curve == tuple(points)
+        assert list(zip(report.curve_recall.tolist(), report.curve_precision.tolist())) == points
         assert report.pr_auc == ap
         assert report.auc == reference_auc(scores, labels)
 
@@ -376,8 +376,7 @@ class TestMetricsReport:
         values = [report.auc, report.pr_auc]
         for m in report.per_bucket:
             values += [m.accuracy, m.precision, m.recall, m.f1]
-        for recall, precision in report.pr_curve:
-            values += [recall, precision]
+        values += report.curve_recall.tolist() + report.curve_precision.tolist()
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_pr_curve_file_is_what_csv_writer_writes(self, tmp_path):
@@ -385,12 +384,16 @@ class TestMetricsReport:
         scores, labels = random_instance(rng, 200, tie_prone=True)
         report = metrics_report(scores, labels, rng.integers(0, 3, size=len(labels)))
         edges = ((5e-324, 1e-05), (0.1, 2.0), (1.7976931348623157e308, -0.0), (1 / 3, 1e16))
-        report = dataclasses.replace(report, pr_curve=report.pr_curve + edges)
+        recall, precision = (
+            np.append(column, extra)
+            for column, extra in zip((report.curve_recall, report.curve_precision), zip(*edges))
+        )
+        report = dataclasses.replace(report, curve_recall=recall, curve_precision=precision)
         write_pr_curve_csv(report, tmp_path / "pr_curve.csv")
         expected = io.StringIO(newline="")
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["recall", "precision"])
-        writer.writerows(report.pr_curve)
+        writer.writerows(zip(recall.tolist(), precision.tolist()))
         assert (tmp_path / "pr_curve.csv").read_bytes() == expected.getvalue().encode()
 
 
