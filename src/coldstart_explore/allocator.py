@@ -161,7 +161,8 @@ def _drop_for_cost(
     # lexsort is stable and sorts on its last key first: -region puts Low,
     # then Moderate, then High, as long as _HIGH < _MODERATE < _LOW.
     order = funded[np.lexsort((key, -region[funded]))]
-    running = np.subtract.accumulate([total_cost, *costs_of(granted[order], config)])
+    costs = costs_of(granted[order], config)
+    running = np.subtract.accumulate(np.concatenate(([total_cost], costs)))
     within = running <= config.max_cost
     granted[order[: int(np.argmax(within)) if within.any() else len(order)]] = 0
 

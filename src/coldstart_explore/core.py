@@ -12,10 +12,11 @@ import csv
 import json
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
@@ -124,11 +125,41 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def check_lengths(what: str, columns: dict[str, Sequence]) -> None:
-    """DataError unless every column is as long as the first, the ids."""
-    n = len(next(iter(columns.values())))
+    """DataError unless every column is as long as the first, naming both."""
+    first = next(iter(columns))
+    n = len(columns[first])
     for name, column in columns.items():
         if len(column) != n:
-            raise DataError(f"{what} columns differ in length: {n} ids, {len(column)} {name}")
+            raise DataError(
+                f"{what} columns differ in length: {n} {first}, {len(column)} {name}"
+            )
+
+
+def string_ids(ids: Iterable, what: str) -> tuple[str, ...]:
+    """The ids as a tuple; DataError naming `what` and the first row whose id
+    is not a str. str.join makes the one type test, in C."""
+    ids = tuple(ids)
+    try:
+        "".join(ids)
+    except TypeError:
+        k = next(k for k, item_id in enumerate(ids) if not isinstance(item_id, str))
+        raise DataError(f"{what} ids must be strings: row {k} holds {ids[k]!r}") from None
+    return ids
+
+
+def row_views(row_type: type, *columns: Iterable) -> tuple:
+    """One row_type per row of the columns, which are its fields' values in
+    field order: the rows of a slotted dataclass whose columns are already
+    checked, built without running its __init__ or __post_init__.
+
+    object.__new__ makes every row in one pass; then each field's slot
+    descriptor sets it in one pass per column, which a frozen dataclass
+    allows, as it guards only __setattr__.
+    """
+    rows = tuple(map(object.__new__, repeat(row_type, len(columns[0]))))
+    for f, column in zip(fields(row_type), columns, strict=True):
+        deque(map(getattr(row_type, f.name).__set__, rows, column), maxlen=0)
+    return rows
 
 
 def columns_equal(self, other) -> bool:
@@ -214,7 +245,7 @@ class Corpus(Rows[ItemRecord]):
     positive_events: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", string_ids(self.ids, "corpus"))
         object.__setattr__(self, "features", read_only(self.features))
         for name in ("impressions", "positive_events"):
             column = np.asarray(getattr(self, name))
@@ -242,7 +273,8 @@ class Corpus(Rows[ItemRecord]):
     def rows(self) -> tuple[ItemRecord, ...]:
         """One ItemRecord per row, its features a read-only row of the one matrix."""
         counts = (c.tolist() for c in (self.impressions, self.positive_events))
-        return tuple(map(ItemRecord, self.ids, self.features, map(EngagementStats, *counts)))
+        engagement = row_views(EngagementStats, *counts)
+        return row_views(ItemRecord, self.ids, self.features, engagement, repeat(0, len(self)))
 
     @classmethod
     def of(cls, records: "Corpus | Sequence[ItemRecord]") -> "Corpus":
@@ -286,7 +318,7 @@ class LatentColumns(Rows[LatentItem]):
     what, row = "a LatentColumns, the columns generate_corpus returns", "LatentItem"
 
     def __post_init__(self) -> None:
-        columns = {"ids": tuple(self.ids)}
+        columns = {"ids": string_ids(self.ids, "latent")}
         columns.update((f.name, read_only(getattr(self, f.name))) for f in fields(self)[1:])
         check_lengths("latent", columns)
         quality, threshold, prob = list(columns.values())[1:]
@@ -307,7 +339,7 @@ class LatentColumns(Rows[LatentItem]):
     def rows(self) -> tuple[LatentItem, ...]:
         """One LatentItem per row, in row order: built on first read, then kept."""
         columns = (c.tolist() for c in (self.quality, self.true_threshold, self.engagement_prob))
-        return tuple(map(LatentItem, self.ids, *columns))
+        return row_views(LatentItem, self.ids, *columns)
 
     __eq__ = columns_equal
 
@@ -478,15 +510,13 @@ class AllocationPlan:
     @cached_property
     def entries(self) -> tuple[PlanEntry, ...]:
         """One PlanEntry per row, in row order: built on first read, then kept."""
-        return tuple(
-            map(
-                PlanEntry,
-                self.ids,
-                map(PLAN_REGIONS.__getitem__, self.region.tolist()),
-                self.granted.tolist(),
-                none_where(self.requested, self.requested == NO_REQUEST),
-                none_where(self.p_at_maxcap, np.isnan(self.p_at_maxcap)),
-            )
+        return row_views(
+            PlanEntry,
+            self.ids,
+            map(PLAN_REGIONS.__getitem__, self.region.tolist()),
+            self.granted.tolist(),
+            none_where(self.requested, self.requested == NO_REQUEST),
+            none_where(self.p_at_maxcap, np.isnan(self.p_at_maxcap)),
         )
 
     __eq__ = columns_equal
@@ -513,11 +543,11 @@ def cost_of(traffic: int, config: AllocationConfig) -> float:
     return config.unit_cost * traffic
 
 
-def costs_of(granted: np.ndarray, config: AllocationConfig) -> list[float]:
-    """cost_of of each grant of an array, in array order."""
+def costs_of(granted: np.ndarray, config: AllocationConfig) -> np.ndarray:
+    """cost_of of each grant of an array, in array order, as an array."""
     if config.cost_fn is None:
-        return (config.unit_cost * granted).tolist()
-    return [cost_of(g, config) for g in granted.tolist()]
+        return config.unit_cost * granted
+    return np.fromiter((cost_of(g, config) for g in granted.tolist()), float, len(granted))
 
 
 def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
@@ -528,7 +558,7 @@ def sum_costs(granted: np.ndarray, config: AllocationConfig) -> float:
     sum(cost_of(...)) over the plan entries adds them. From Python 3.12 on,
     sum() of floats is compensated, so np.sum would not match it.
     """
-    return sum(costs_of(granted, config), 0.0)
+    return sum(costs_of(granted, config).tolist(), 0.0)
 
 
 def str_order(ids: Sequence[str]) -> np.ndarray:
@@ -655,7 +685,7 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
         )
     allocated = int(granted.sum())
     # cumsum adds one cost after another, as the loop's running total does.
-    cost = float(np.cumsum(costs)[-1]) if costs else 0.0
+    cost = float(np.cumsum(costs)[-1]) if len(costs) else 0.0
     if allocated != plan.total_allocated:
         raise DataError("total_allocated does not match entries")
     if not math.isclose(cost, plan.total_cost, rel_tol=1e-9, abs_tol=1e-9):

@@ -23,10 +23,13 @@ from .core import (
     ItemRecord,
     LatentColumns,
     Region,
+    check_lengths,
     columns_equal,
     cost_of,
+    costs_of,
     frozen,
     id_order,
+    read_only,
     sum_costs,
     validate_allocation_config,
     write_rows,
@@ -46,9 +49,20 @@ class MetricsReport:
     auc: float
     pr_auc: float
     per_bucket: tuple[BucketMetrics, ...]
-    # The PR curve as read-only columns: point k is (curve_recall[k], curve_precision[k]).
+    # The PR curve as read-only 1-D float columns of one length: point k is
+    # (curve_recall[k], curve_precision[k]). Any other columns raise DataError.
     curve_recall: np.ndarray
     curve_precision: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = {
+            name: read_only(getattr(self, name)) for name in ("curve_recall", "curve_precision")
+        }
+        for name, column in columns.items():
+            if column.ndim != 1:
+                raise DataError(f"PR curve {name} must be 1-D, not of shape {column.shape}")
+        check_lengths("PR curve", columns)
+        vars(self).update(columns)
 
     __eq__ = columns_equal
 
@@ -220,34 +234,57 @@ def oracle_grants(thresholds: np.ndarray, config: AllocationConfig) -> np.ndarra
     in that order: the kernel of oracle_allocate.
 
     Items whose threshold exceeds max_cap can never be discovered within the
-    cap and get 0. Others are funded at clamp(threshold, min_cap, max_cap),
-    in ascending (threshold, id) order, each one that still fits the traffic
-    budget and the cost ceiling. No threshold may be NaN.
+    cap and get 0. The others are walked in ascending (threshold, id) order:
+    each is funded at clamp(threshold, min_cap, max_cap) if that fits the
+    traffic left and its cost fits the cost left (within 1e-12), and the walk
+    ends at the first that does not fit the traffic left, as every later one
+    needs as much. No threshold may be NaN.
+
+    The walk funds runs of items, not one item at a time. Each pass funds
+    the longest run from its first item that passes both tests: the traffic
+    test from the run's cumulative needs, by a binary search, and the cost
+    test from the cost left before each item, which np.subtract.accumulate
+    takes off one cost at a time, in order, as a per-item loop does. The
+    item that fails the cost test gets 0, and the next pass starts at the
+    next item whose cost fits. A cost that does not fall as traffic grows,
+    a linear one among them, fails for every later item too, so its walk
+    is one pass.
     """
+    eligible = np.flatnonzero(thresholds <= config.max_cap)
     # A stable sort keeps tied thresholds in id order.
-    order = np.argsort(thresholds, kind="stable")
-    eligible = order[thresholds[order] <= config.max_cap]
+    eligible = eligible[np.argsort(thresholds[eligible], kind="stable")]
     # int() of clamp(threshold, min_cap, max_cap): astype truncates towards
     # zero, as int() does.
-    needed = np.clip(
-        thresholds[eligible], config.min_cap, config.max_cap
-    ).astype(np.int64)
+    needed = np.clip(thresholds[eligible], config.min_cap, config.max_cap).astype(np.int64)
+    # A budget past every need funds what their sum does, and stays in int64;
+    # an item that needs more than the budget is never reached.
+    remaining = min(config.total_budget, int(needed.sum()))
+    reached = np.searchsorted(needed, remaining, side="right")
+    eligible, needed = eligible[:reached], needed[:reached]
+    costs = costs_of(needed, config)
+    spent = np.concatenate(([0], np.cumsum(needed)))  # spent[k]: the needs of items 0..k-1
 
     granted = np.zeros(len(thresholds), dtype=np.int64)
-    remaining = config.total_budget
-    cost_left = config.max_cost
-    for i, need in zip(eligible.tolist(), needed.tolist()):
-        # needed ascends and remaining never grows, so nothing later fits.
-        if need > remaining:
+    cost_left, start = config.max_cost, 0
+    while start < len(needed):
+        # Items start..k-1 funded leave remaining - (spent[k] - spent[start]):
+        # item k fits it while spent[k + 1] <= remaining + spent[start].
+        stop = int(np.searchsorted(spent, remaining + spent[start], side="right")) - 1
+        left = np.subtract.accumulate(np.concatenate(([cost_left], costs[start:stop])))
+        over = costs[start:stop] > left[:-1] + 1e-12
+        end = int(np.argmax(over)) + start if over.any() else stop
+        granted[eligible[start:end]] = needed[start:end]
+        remaining -= int(spent[end] - spent[start])
+        cost_left = float(left[end - start])
+        if end == stop:  # item stop, if any, needs more than the traffic left
             break
-        cost = cost_of(need, config)
-        # No break here: a cost_fn that breaks the non-decreasing contract
-        # can make a later, larger grant cheaper.
-        if cost > cost_left + 1e-12:
-            continue
-        granted[i] = need
-        remaining -= need
-        cost_left -= cost
+        # Item end costs too much; the walk goes on at the next item that
+        # fits the traffic left, which is a prefix of the rest, and its cost.
+        within = int(np.searchsorted(needed, remaining, side="right"))
+        fits = np.flatnonzero(~(costs[end + 1 : within] > cost_left + 1e-12))
+        if not len(fits):
+            break
+        start = end + 1 + int(fits[0])
     return granted
 
 

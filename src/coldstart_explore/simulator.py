@@ -55,6 +55,7 @@ from .core import (
     read_lines,
     read_only,
     region_counts,
+    row_views,
     str_order,
     sum_costs,
     validate_config,
@@ -165,14 +166,14 @@ class Observations(Rows[Observation]):
             for name in ("round_index", "served", "positive_events")
         }
         columns["discovered"] = _column("discovered", self.discovered, bool)
-        check_lengths("observation", {"item_ids": ids, **columns})
+        check_lengths("observation", {"ids": ids, **columns})
         vars(self).update(columns, item_ids=ids)
 
     @cached_property
     def rows(self) -> tuple[Observation, ...]:
         """One Observation per row, in row order: built on first read, then kept."""
         outcomes = (c.tolist() for c in (self.served, self.positive_events, self.discovered))
-        return tuple(map(Observation, self.round_index.tolist(), self.item_ids, *outcomes))
+        return row_views(Observation, self.round_index.tolist(), self.item_ids, *outcomes)
 
     __eq__ = columns_equal
 
@@ -190,17 +191,55 @@ def _check_round(round_index) -> None:
         raise DataError(f"round_index must be a non-negative integer, not {round_index!r}")
 
 
+#: "00" to "99": the last two digits of the ids of every hundred items.
+_TWO_DIGITS = [f"{i:02d}" for i in range(100)]
+
+
+def round_ids(round_index: int, n: int) -> list[str]:
+    """The ids of a round's n items: f"r{round_index:02d}-%05d" % i for each
+    item i, built per hundred items from the prefix of its hundred and the
+    two-digit strings. "%03d" % (i // 100) writes every digit of a hundred
+    past 999, so the ids of more than 99,999 items keep all their digits."""
+    prefixes = [f"r{round_index:02d}-%03d" % h for h in range(-(-n // 100))]
+    ids = [prefix + digits for prefix in prefixes for digits in _TWO_DIGITS]
+    del ids[n:]
+    return ids
+
+
+#: Relative distance to a half-integer within which rounded_thresholds asks
+#: math.exp: far wider than the last-bit differences between np.exp and it.
+_HALF_WINDOW = 2.0**-32
+
+
+def rounded_thresholds(log_theta: np.ndarray, max_threshold: int) -> np.ndarray:
+    """min(max(round(math.exp(x)), 1), max_threshold) of each x, as floats.
+
+    np.exp of the column can differ from math.exp in its last bit, which
+    moves round() only for a value next to a half-integer. So math.exp
+    recomputes the values np.exp puts within _HALF_WINDOW (relative) of a
+    half-integer, and any it overflows, for which math.exp raises
+    OverflowError if it overflows too. Every result is the per-item one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.exp(log_theta)
+        doubtful = np.flatnonzero(~(np.abs(raw - np.floor(raw) - 0.5) > raw * _HALF_WINDOW))
+    raw[doubtful] = list(map(math.exp, log_theta[doubtful].tolist()))
+    return np.clip(np.round(raw), 1, max_threshold)
+
+
 def draw_columns(
     config: SimConfig, round_index: int
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One round's fresh items as columns: the kernel of generate_corpus.
 
-    Returns the ids (a list of str), the quality, true threshold and
-    engagement probability of every item, and the read-only (items,
-    feature_dim) feature matrix. The thresholds and probabilities take
-    math.exp of each value as a Python float, bit for bit what a loop over
-    the items computes. Deterministic given (seed, round_index); the config
-    is not validated.
+    Returns the ids (a list of str, see round_ids), the quality, true
+    threshold and engagement probability of every item, and the read-only
+    (items, feature_dim) feature matrix. Every value is bit for bit what a
+    loop over the items computes: the thresholds come from
+    rounded_thresholds, and the engagement probabilities from math.exp of
+    each logit as a Python float, as np.exp's last bit would change
+    latents.jsonl. Deterministic given (seed, round_index); the config is
+    not validated.
     """
     projection = _feature_projection(config)
     rng = np.random.default_rng([config.seed, round_index])
@@ -210,10 +249,6 @@ def draw_columns(
     log_noise = rng.normal(0.0, config.threshold_noise, size=n)
     feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
 
-    # math.exp is mapped over each column's .tolist(), not np.exp, which can
-    # differ from it in the last bit and would change latents.jsonl.
-    template = f"r{round_index:02d}-%05d"
-    ids = [template % i for i in range(n)]
     theta = np.where(archetype == 0, 0.0, math.inf)
     finite = archetype == 1
     # A finite config can still overflow a column: math.exp raises
@@ -223,8 +258,7 @@ def draw_columns(
             log_theta = (
                 config.threshold_mu - config.threshold_kappa * quality[finite] + log_noise[finite]
             )
-            raw = np.fromiter(map(math.exp, log_theta.tolist()), float, len(log_theta))
-            theta[finite] = np.clip(np.round(raw), 1, config.max_threshold)
+            theta[finite] = rounded_thresholds(log_theta, config.max_threshold)
             logit = config.engagement_a * quality + config.engagement_b
             exp_neg_logit = np.fromiter(map(math.exp, (-logit).tolist()), float, n)
             engagement_prob = 1.0 / (1.0 + exp_neg_logit)
@@ -234,7 +268,7 @@ def draw_columns(
     except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"config pushes a value out of float range: {exc}") from exc
     features.setflags(write=False)
-    return ids, quality, theta, engagement_prob, features
+    return round_ids(round_index, n), quality, theta, engagement_prob, features
 
 
 def generate_corpus(config: SimConfig, round_index: int) -> tuple[LatentColumns, Corpus]:
@@ -410,7 +444,7 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         Observations.check(self.observations, "ExperimentReport")
         region = read_only(self.region, np.int8)
-        check_lengths("report", {"item_ids": self.observations.item_ids, "region": region})
+        check_lengths("report", {"ids": self.observations.item_ids, "region": region})
         vars(self).update(region=region, rounds=tuple(self.rounds))
 
     @property
@@ -424,7 +458,7 @@ class ExperimentReport:
         obs = self.observations
         regions = map(REGION_NAMES.__getitem__, self.region.tolist())
         outcomes = (c.tolist() for c in (obs.served, obs.positive_events, obs.discovered))
-        return tuple(map(ItemRoundRow, obs.round_index.tolist(), obs.item_ids, regions, *outcomes))
+        return row_views(ItemRoundRow, obs.round_index.tolist(), obs.item_ids, regions, *outcomes)
 
     __eq__ = columns_equal
 

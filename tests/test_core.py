@@ -19,6 +19,7 @@ from coldstart_explore.core import (
     ID,
     NO_REQUEST,
     PLAN_REGIONS,
+    REGION_CODE,
     REGION_NAMES,
     AllocationConfig,
     AllocationPlan,
@@ -58,9 +59,11 @@ from coldstart_explore.core import (
 from coldstart_explore import core
 from coldstart_explore.model import TrainingSet, load_examples, save_examples
 from coldstart_explore.simulator import (
+    ExperimentReport,
     ItemRoundRow,
     Observation,
     Observations,
+    RoundMetrics,
     SimConfig,
     generate_corpus,
     load_latents,
@@ -923,6 +926,122 @@ class TestConcat:
         parts = [Corpus(["a"], [[1.0]], [0], [0]), Corpus(["b"], [[1.0, 2.0]], [0], [0])]
         with pytest.raises(ValueError):
             Corpus.concat(parts)
+
+
+def observations_table():
+    return Observations(
+        np.array([0, 1], np.int64), ["b", "a"], np.array([100, 400], np.int64),
+        np.array([3, 0], np.int64), np.array([True, False]),
+    )
+
+
+#: Each table, and the rows its row views must equal: built by their
+#: constructors, from Python values.
+ROW_TABLES = {
+    "Corpus": lambda: (
+        Corpus(["b", "a"], [[1.0, -2.0], [0.5, 3.0]], [5, 0], [2, 0]),
+        [ItemRecord("b", np.array([1.0, -2.0]), EngagementStats(5, 2)),
+         ItemRecord("a", np.array([0.5, 3.0]), EngagementStats(0, 0))],
+    ),
+    "LatentColumns": lambda: (
+        LatentColumns(["b", "a"], [0.25, -1.0], [5.0, math.inf], [0.1, 0.9]),
+        [LatentItem("b", 0.25, 5.0, 0.1), LatentItem("a", -1.0, math.inf, 0.9)],
+    ),
+    "AllocationPlan": lambda: (
+        AllocationPlan.of_columns(
+            ["a", "b", "c"],
+            [REGION_CODE[Region.HIGH], REGION_CODE[Region.LOW], REGION_CODE[Region.UNFUNDED]],
+            np.array([400, 150, 0]), np.array([400, NO_REQUEST, NO_REQUEST]),
+            [0.7, 0.1, math.nan], 550, 5.5,
+        ),
+        [PlanEntry("a", Region.HIGH, 400, 400, 0.7), PlanEntry("b", Region.LOW, 150, None, 0.1),
+         PlanEntry("c", Region.UNFUNDED, 0, None, None)],
+    ),
+    "Observations": lambda: (
+        observations_table(),
+        [Observation(0, "b", 100, 3, True), Observation(1, "a", 400, 0, False)],
+    ),
+    "ExperimentReport": lambda: (
+        ExperimentReport("model", 0, [RoundMetrics(0, 2, 2, 1, 500, 5.0, {"High": 2})],
+                         observations_table(), np.array([0, 2], np.int8)),
+        [ItemRoundRow(0, "b", "High", 100, 3, True), ItemRoundRow(1, "a", "Low", 400, 0, False)],
+    ),
+}
+
+
+def views_of(table):
+    """The row views a table builds on first read."""
+    return table.entries if isinstance(table, AllocationPlan) else (
+        table.item_rows if isinstance(table, ExperimentReport) else table.rows
+    )
+
+
+def assert_same_fields(got, expected):
+    """got is a row of expected's type holding equal values of the same types."""
+    assert type(got) is type(expected)
+    for f in dataclasses.fields(expected):
+        value, want = getattr(got, f.name), getattr(expected, f.name)
+        assert type(value) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(value, want) and value.dtype == want.dtype
+        elif dataclasses.is_dataclass(want):
+            assert_same_fields(value, want)
+        else:
+            assert value == want or (value != value and want != want), f.name
+
+
+class TestRowViews:
+    @pytest.mark.parametrize("name", sorted(ROW_TABLES))
+    def test_views_equal_constructed_rows(self, name):
+        table, expected = ROW_TABLES[name]()
+        views = views_of(table)
+        assert type(views) is tuple and views_of(table) is views  # built once
+        assert len(views) == len(expected)
+        for view, row in zip(views, expected):
+            assert_same_fields(view, row)
+            # A view is a full row: replace builds a row through the constructor.
+            assert_same_fields(dataclasses.replace(view), row)
+            first = dataclasses.fields(view)[0].name
+            changed = dataclasses.replace(view, **{first: getattr(expected[-1], first)})
+            assert getattr(changed, first) == getattr(expected[-1], first)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(view, first, getattr(view, first))
+
+    def test_corpus_row_features_read_only(self):
+        corpus, _ = ROW_TABLES["Corpus"]()
+        for record in corpus:
+            assert record.impressions_received == 0
+            assert not record.features.flags.writeable
+            with pytest.raises(ValueError):
+                record.features[0] = 9.0
+        assert np.array_equal(corpus.features, [[1.0, -2.0], [0.5, 3.0]])
+
+    def test_builder_runs_no_init(self):
+        # Rows of checked columns are not checked again: the constructor
+        # would refuse this row.
+        (row,) = core.row_views(EngagementStats, [1], [5])
+        assert (row.impressions, row.positive_events) == (1, 5)
+        with pytest.raises(DataError):
+            EngagementStats(1, 5)
+
+    def test_builder_wants_a_column_per_field(self):
+        with pytest.raises(ValueError):
+            core.row_views(EngagementStats, [1])
+
+
+class TestIdsAreStrings:
+    @pytest.mark.parametrize("ids, row", [([7, "a"], 0), (["a", None], 1), (["a", b"b"], 1)])
+    def test_non_string_id_refused_naming_its_row(self, ids, row):
+        message = f"ids must be strings: row {row} holds {ids[row]!r}"
+        with pytest.raises(DataError, match=f"^corpus {re.escape(message)}$"):
+            Corpus(ids, np.zeros((2, 1)), [0, 0], [0, 0])
+        with pytest.raises(DataError, match=f"^latent {re.escape(message)}$"):
+            LatentColumns(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+
+    def test_str_subclass_accepted(self):
+        ids = tuple(np.array(["a", "b"]))  # numpy's str_ is a str
+        assert Corpus(ids, np.zeros((2, 1)), [0, 0], [0, 0]).ids == ("a", "b")
+        assert LatentColumns(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]).ids == ("a", "b")
 
 
 class TestLatentColumns:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from coldstart_explore.core import (
     verify_plan,
 )
 from coldstart_explore.metrics import (
+    MetricsReport,
     auc,
     metrics_report,
     oracle_allocate,
@@ -30,7 +32,7 @@ from coldstart_explore.metrics import (
     write_pr_curve_csv,
 )
 from coldstart_explore.model import Hyperparams
-from coldstart_explore.simulator import LatentItem, SimConfig, run_experiment
+from coldstart_explore.simulator import LatentItem, SimConfig, generate_corpus, run_experiment
 from conftest import make_record
 from per_item import latent_columns
 from test_simulator import assert_same_report, run_experiment_reference
@@ -397,6 +399,29 @@ class TestMetricsReport:
         assert (tmp_path / "pr_curve.csv").read_bytes() == expected.getvalue().encode()
 
 
+    def test_curve_columns_frozen_as_floats(self):
+        recall = np.array([0, 1])
+        report = MetricsReport(0.5, 0.5, (), recall, [1.0, 0.5])
+        recall[0] = 7  # the caller's array was copied, not frozen
+        assert report.curve_recall.tolist() == [0.0, 1.0]
+        for column in (report.curve_recall, report.curve_precision):
+            assert column.dtype == np.float64 and not column.flags.writeable
+
+    def test_curve_columns_of_unequal_length_refused(self):
+        message = "PR curve columns differ in length: 3 curve_recall, 2 curve_precision"
+        with pytest.raises(DataError, match=message):
+            MetricsReport(0.5, 0.5, (), np.zeros(3), np.zeros(2))
+
+    def test_curve_columns_not_1d_refused(self):
+        # Written by the %r template, a 2-D column's rows would be list reprs.
+        message = re.escape("PR curve curve_precision must be 1-D, not of shape (2, 2)")
+        with pytest.raises(DataError, match=message):
+            MetricsReport(0.5, 0.5, (), np.zeros(2), np.ones((2, 2)))
+        message = re.escape("PR curve curve_recall must be 1-D, not of shape ()")
+        with pytest.raises(DataError, match=message):
+            MetricsReport(0.5, 0.5, (), 0.5, 0.5)
+
+
 def latent(item_id, theta):
     return LatentItem(
         id=item_id, quality=0.0, true_threshold=theta, engagement_prob=0.1
@@ -409,6 +434,11 @@ def oracle_of(latents, config):
 
 
 class TestOracleAllocate:
+    def test_non_monotone_cost_funds_skips_and_funds_again(self):
+        latents = [latent(i, theta) for i, theta in FUND_SKIP_FUND["pairs"]]
+        plan = oracle_of(latents, FUND_SKIP_FUND["config"])
+        assert plan.granted.tolist() == [100, 0, 102, 0, 104]
+
     def test_zero_threshold_items_funded_at_min_cap(self):
         latents = [latent("a", 0.0), latent("b", 50.0), latent("c", math.inf)]
         plan = oracle_of(latents, cfg(total_budget=250))
@@ -637,6 +667,15 @@ COST_FNS = {
     "non-monotone": lambda t: 0.02 * t if t % 2 else 0.005 * t,
 }
 
+# Under a ceiling of 2.0, 100 (cost 0.5)
+# is funded, 101 (2.02) skipped, 102 (0.51) funded, 103 (2.06) skipped and 104
+# (0.52) funded.
+FUND_SKIP_FUND = dict(
+    pairs=list(zip("abcde", [100.0, 101.0, 102.0, 103.0, 104.0])),
+    config=cfg(max_cost=2.0, cost_fn=COST_FNS["non-monotone"]),
+)
+
+
 # Ids in any order, with characters a numpy <U array would mishandle (a
 # trailing NUL) and characters outside ASCII.
 item_ids = st.text(alphabet=st.sampled_from("ab\x00\xe9\U0001f600"), max_size=4)
@@ -694,11 +733,27 @@ class TestBaselinesMatchPerItemReference:
         pairs=[("a", 101.0), ("b", 102.0)],
         config=cfg(max_cost=1.0, cost_fn=COST_FNS["non-monotone"]),
     )
+    @example(**FUND_SKIP_FUND)
     @settings(deadline=None, max_examples=300)
     def test_oracle(self, pairs, config):
         latents = [latent(i, theta) for i, theta in pairs]
         assert_same_plan(
             oracle_of(latents, config), reference_oracle_allocate(latents, config)
+        )
+
+    # Odd traffic priced out: every odd need is skipped and the walk goes on,
+    # a pass for each, hundreds on a drawn round.
+    DRAWN_ROUND_COSTS = {**COST_FNS, "odd priced out": lambda t: 1e6 if t % 2 else 0.01 * t}
+
+    @pytest.mark.parametrize("cost", sorted(DRAWN_ROUND_COSTS))
+    @pytest.mark.parametrize("max_cost", [5.0, 60.0, 2500.0])
+    def test_oracle_on_a_drawn_round(self, cost, max_cost):
+        latents, _ = generate_corpus(SimConfig(seed=3, items_per_round=3000), 0)
+        config = cfg(
+            total_budget=300_000, max_cost=max_cost, cost_fn=self.DRAWN_ROUND_COSTS[cost]
+        )
+        assert_same_plan(
+            oracle_allocate(latents, config), reference_oracle_allocate(latents, config)
         )
 
     def test_oracle_refuses_a_list_naming_the_type(self):

@@ -713,6 +713,23 @@ def assert_examples_bit_identical(got, expected):
     assert not got.features.flags.writeable
 
 
+def assert_corpus_bit_identical(config, round_index):
+    """generate_corpus equals generate_corpus_reference bit for bit, and reading
+    the tables' rows is what builds them."""
+    latents, records = generate_corpus(config, round_index)
+    ref_latents, ref_records = generate_corpus_reference(config, round_index)
+    assert "rows" not in vars(latents) and "rows" not in vars(records)
+    assert list(latents) == ref_latents
+    for name in ("quality", "true_threshold", "engagement_prob"):
+        ref = np.array([getattr(lat, name) for lat in ref_latents])
+        assert np.array_equal(getattr(latents, name).view(np.int64), ref.view(np.int64))
+    assert [r.id for r in records] == [r.id for r in ref_records]
+    for rec, ref in zip(records, ref_records):
+        assert np.array_equal(rec.features.view(np.int64), ref.features.view(np.int64))
+        assert not rec.features.flags.writeable
+        assert rec.engagement == EngagementStats()
+
+
 class TestArrayLoopsMatchPerItemReference:
     @pytest.mark.parametrize(
         "config",
@@ -728,18 +745,18 @@ class TestArrayLoopsMatchPerItemReference:
     )
     def test_generate_corpus(self, config):
         for round_index in (0, 3):
-            latents, records = generate_corpus(config, round_index)
-            ref_latents, ref_records = generate_corpus_reference(config, round_index)
-            assert "rows" not in vars(latents) and "rows" not in vars(records)
-            assert list(latents) == ref_latents
-            for name in ("quality", "true_threshold", "engagement_prob"):
-                ref = np.array([getattr(lat, name) for lat in ref_latents])
-                assert np.array_equal(getattr(latents, name).view(np.int64), ref.view(np.int64))
-            assert [r.id for r in records] == [r.id for r in ref_records]
-            for rec, ref in zip(records, ref_records):
-                assert np.array_equal(rec.features.view(np.int64), ref.features.view(np.int64))
-                assert not rec.features.flags.writeable
-                assert rec.engagement == EngagementStats()
+            assert_corpus_bit_identical(config, round_index)
+
+    # Wide noise, whose exponentials reach the millions before the clip, and
+    # thresholds in the thousands, clipped only at 100,000.
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"threshold_noise": 2.0}, {"threshold_mu": 9.0, "max_threshold": 100_000}],
+        ids=["wide-noise", "high-thresholds"],
+    )
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generate_corpus_on_many_seeds(self, seed, overrides):
+        assert_corpus_bit_identical(SimConfig(seed=seed, items_per_round=1000, **overrides), 1)
 
     def test_serve_round(self):
         rng = np.random.default_rng(31)
@@ -1366,6 +1383,54 @@ class TestSimConfigRejectsNonFinite:
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             config.validate()
         with pytest.raises(ConfigError, match=field):
+            generate_corpus(config, 0)
+
+
+class TestRoundIds:
+    @pytest.mark.parametrize("round_index", [0, 7, 100])
+    @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 100_000, 100_001])
+    def test_ids_are_the_template_of_each_item(self, n, round_index):
+        template = f"r{round_index:02d}-%05d"
+        assert simulator.round_ids(round_index, n) == [template % i for i in range(n)]
+
+
+def rounded_thresholds_reference(log_theta, max_threshold):
+    """The thresholds of the items whose log thresholds are given, item by item."""
+    return [float(min(max(round(math.exp(x)), 1), max_threshold)) for x in log_theta]
+
+
+def steps_around(values, steps=4):
+    """values, then each value moved 1 to `steps` floats up and down by np.nextafter."""
+    moved = [values]
+    for direction in (math.inf, -math.inf):
+        column = values
+        for _ in range(steps):
+            column = np.nextafter(column, direction)
+            moved.append(column)
+    return np.concatenate(moved)
+
+
+class TestRoundedThresholds:
+    # np.exp of log(k + 0.5), or of a neighbour, lands on the other side of
+    # k + 0.5 from math.exp for hundreds of k below 3000 on common builds.
+    HALVES = np.log(np.r_[np.arange(3000), 15_999, 16_000, 99_999, 100_000, 2**40] + 0.5)
+
+    @pytest.mark.parametrize("max_threshold", [1, 900, 16_000, 100_000])
+    def test_equal_to_per_item_next_to_half_integers(self, max_threshold):
+        # Around every half-integer up to 2**40, and at and past the clip.
+        log_theta = np.r_[
+            steps_around(self.HALVES),
+            np.log([max_threshold, max_threshold + 1.0]), 30.0, 709.0, -1.0, -800.0,
+        ]
+        got = simulator.rounded_thresholds(log_theta, max_threshold)
+        expected = np.array(rounded_thresholds_reference(log_theta.tolist(), max_threshold))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_overflow_refused(self):
+        with pytest.raises(OverflowError):
+            simulator.rounded_thresholds(np.array([1.0, 710.0]), 16_000)
+        config = SimConfig(items_per_round=10, threshold_mu=709.5, archetype_mix=(0.0, 1.0, 0.0))
+        with pytest.raises(ConfigError, match="out of float range"):
             generate_corpus(config, 0)
 
 
