@@ -41,7 +41,6 @@ from .model import (
     load_model,
     monotone_curves,
     predict,
-    predict_curve,
     predict_curves,
     save_model,
     train,

@@ -77,15 +77,6 @@ class Region(str, Enum):
     ORACLE = "Oracle"
 
 
-def _check_engagement(impressions: int, positive_events: int) -> None:
-    """DataError unless both counts are non-negative and the positive events
-    are at most the impressions."""
-    if impressions < 0 or positive_events < 0:
-        raise DataError("engagement counts must be non-negative")
-    if positive_events > impressions:
-        raise DataError("positive_events cannot exceed impressions")
-
-
 @dataclass(frozen=True, slots=True)
 class EngagementStats:
     """Running engagement counters for one item."""
@@ -94,7 +85,10 @@ class EngagementStats:
     positive_events: int = 0
 
     def __post_init__(self) -> None:
-        _check_engagement(self.impressions, self.positive_events)
+        if self.impressions < 0 or self.positive_events < 0:
+            raise DataError("engagement counts must be non-negative")
+        if self.positive_events > self.impressions:
+            raise DataError("positive_events cannot exceed impressions")
 
     @property
     def positive_rate(self) -> float:
@@ -124,27 +118,82 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def check_lengths(what: str, columns: dict[str, Sequence]) -> None:
-    """DataError unless every column is as long as the first, naming both."""
-    first = next(iter(columns))
-    n = len(columns[first])
-    for name, column in columns.items():
-        if len(column) != n:
-            raise DataError(
-                f"{what} columns differ in length: {n} {first}, {len(column)} {name}"
-            )
-
-
 def string_ids(ids: Iterable, what: str) -> tuple[str, ...]:
-    """The ids as a tuple; DataError naming `what` and the first row whose id
-    is not a str. str.join makes the one type test, in C."""
-    ids = tuple(ids)
+    """The ids as a tuple; DataError naming `what` and the first row whose id is
+    not a str, or a value that is no sequence. str.join makes the one type test, in C."""
+    try:
+        ids = tuple(ids)
+    except TypeError:
+        raise DataError(f"{what} must be a sequence of str, not a {type(ids).__name__}") from None
     try:
         "".join(ids)
     except TypeError:
         k = next(k for k, item_id in enumerate(ids) if not isinstance(item_id, str))
-        raise DataError(f"{what} ids must be strings: row {k} holds {ids[k]!r}") from None
+        raise DataError(f"{what} must be a sequence of str, not row {k}'s {ids[k]!r}") from None
     return ids
+
+
+class Column(NamedTuple):
+    """A table column: a numpy array of `dtype`'s kind (signed integer, float or
+    bool) and `ndim`, kept read-only as `dtype`; with no dtype, str ids, kept as a tuple."""
+
+    dtype: type | None
+    ndim: int = 1
+
+
+#: The columns the tables declare: string ids, an int64 and a float column,
+#: a float matrix and an int8 column of region codes.
+IDS = Column(None)
+INTS = Column(np.int64)
+FLOATS = Column(float)
+MATRIX = Column(float, 2)
+CODES = Column(np.int8)
+
+
+def take_columns(table: str, declared: dict, given: dict, refuse=lambda **columns: None) -> dict:
+    """The `declared` columns of `given` by the one column rule of every table: an
+    IDS column a sequence of str (see string_ids), any other a numpy array of its
+    dtype's kind and ndim, or DataError "<table> column <name> must be a <n>-D
+    array of <dtype>'s kind, not <what it got>"; all of one length. `refuse`, the
+    table's value refusals, then sees the columns by name, before any cast; last
+    read_only freezes each array as its dtype, copying one the caller can write."""
+    taken = {}
+    for name, column in declared.items():
+        value = given[name]
+        if column is IDS:
+            taken[name] = string_ids(value, f"{table} column {name}")
+            continue
+        kind = np.dtype(column.dtype)
+        if not isinstance(value, np.ndarray):
+            got = f"a {type(value).__name__}"
+        elif value.ndim != column.ndim or value.dtype.kind != kind.kind:
+            got = f"a {value.ndim}-D {value.dtype} array"
+        else:
+            taken[name] = value
+            continue
+        must = f"a {column.ndim}-D array of {kind.name}'s kind"
+        raise DataError(f"{table} column {name} must be {must}, not {got}")
+    first, n = next((name, len(value)) for name, value in taken.items())
+    for name, value in taken.items():
+        if len(value) != n:
+            raise DataError(f"{table} columns differ in length: {n} {first}, {len(value)} {name}")
+    refuse(**taken)
+    return {k: taken[k] if c is IDS else read_only(taken[k], c.dtype) for k, c in declared.items()}
+
+
+def refuse_rows(row: Callable[[int], str], *refusals: tuple[str, np.ndarray]) -> None:
+    """DataError "<message> <row(k)>" for the first row k a (message, mask) refusal's
+    mask holds, with the first such refusal's message; row(k) reads "for item a"."""
+    bad = np.logical_or.reduce([mask for _, mask in refusals])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(message for message, mask in refusals if mask[k])
+        raise DataError(f"{message} {row(k)}")
+
+
+def int_column(values: list) -> np.ndarray:
+    """Python ints as an int64 array, empty for none; past int64, one the rule refuses."""
+    return np.array(values) if values else np.zeros(0, dtype=np.int64)
 
 
 def row_views(row_type: type, *columns: Iterable) -> tuple:
@@ -231,12 +280,10 @@ class ItemRecord:
 class Corpus(Rows[ItemRecord]):
     """Items as columns, one row per item: what a corpus file holds.
 
-    `features` is the read-only (items, dimension) matrix of static features,
-    `impressions` and `positive_events` the read-only int64 engagement counts.
-    The holder checks that the columns line up, that the counts are integers
-    (a float column is refused, not truncated), and that no count is negative
-    nor an item's positive events above its impressions, naming the first
-    such item. As a sequence it is its rows, one ItemRecord each.
+    `features` is the (items, dimension) matrix of static features, and
+    `impressions` and `positive_events` the engagement counts (see COLUMNS and
+    take_columns). A negative count, or more positive events than impressions,
+    raises DataError naming the first such item. As a sequence it is its rows.
     """
 
     ids: tuple[str, ...]
@@ -244,30 +291,10 @@ class Corpus(Rows[ItemRecord]):
     impressions: np.ndarray
     positive_events: np.ndarray
 
+    COLUMNS = dict(ids=IDS, features=MATRIX, impressions=INTS, positive_events=INTS)
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", string_ids(self.ids, "corpus"))
-        object.__setattr__(self, "features", read_only(self.features))
-        for name in ("impressions", "positive_events"):
-            column = np.asarray(getattr(self, name))
-            if column.size and column.dtype.kind not in "iu":
-                raise DataError(f"corpus {name} must be integers, not {column.dtype}")
-            object.__setattr__(self, name, read_only(column, np.int64))
-        n = len(self.ids)
-        if self.features.ndim != 2 or len(self.features) != n:
-            raise DataError(f"features must be an ({n}, dimension) matrix: {self.features.shape}")
-        if self.impressions.shape != (n,) or self.positive_events.shape != (n,):
-            raise DataError(
-                f"columns differ in length: {n} ids, impressions {self.impressions.shape}, "
-                f"positive_events {self.positive_events.shape}"
-            )
-        impressions, positives = self.impressions, self.positive_events
-        bad = (impressions < 0) | (positives < 0) | (positives > impressions)
-        if bad.any():
-            k = int(np.argmax(bad))
-            try:
-                _check_engagement(int(impressions[k]), int(positives[k]))
-            except DataError as exc:
-                raise DataError(f"{exc}: item {self.ids[k]}") from None
+        vars(self).update(take_columns("corpus", self.COLUMNS, vars(self), _refuse_counts))
 
     @cached_property
     def rows(self) -> tuple[ItemRecord, ...]:
@@ -285,9 +312,18 @@ class Corpus(Rows[ItemRecord]):
         return cls(
             tuple(rec.id for rec in records),
             static_matrix(records),
-            np.array([s.impressions for s in engagement]),
-            np.array([s.positive_events for s in engagement]),
+            int_column([s.impressions for s in engagement]),
+            int_column([s.positive_events for s in engagement]),
         )
+
+
+def _refuse_counts(ids, features, impressions, positive_events) -> None:
+    """The corpus's value refusals: EngagementStats' of each item's counts."""
+    refuse_rows(
+        lambda k: f"for item {ids[k]}",
+        ("engagement counts must be non-negative", (impressions < 0) | (positive_events < 0)),
+        ("positive_events cannot exceed impressions", positive_events > impressions),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,10 +340,9 @@ class LatentItem:
 class LatentColumns(Rows[LatentItem]):
     """Ground truth as columns, one row per item: what a latents file holds.
 
-    The ids are kept as a tuple, the other columns as read-only float arrays,
-    all of one length; its rows are LatentItems. A quality must be finite, a
-    threshold a number >= 0 (inf for never) and an engagement_prob in [0, 1]:
-    anything else raises DataError naming the first such item.
+    The columns are declared in COLUMNS; its rows are LatentItems. A quality
+    must be finite, a threshold >= 0 (inf for never) and an engagement_prob in
+    [0, 1]: anything else raises DataError naming the first such item.
     """
 
     ids: tuple[str, ...]
@@ -316,24 +351,10 @@ class LatentColumns(Rows[LatentItem]):
     engagement_prob: np.ndarray
 
     what, row = "a LatentColumns, the columns generate_corpus returns", "LatentItem"
+    COLUMNS = dict(ids=IDS, quality=FLOATS, true_threshold=FLOATS, engagement_prob=FLOATS)
 
     def __post_init__(self) -> None:
-        columns = {"ids": string_ids(self.ids, "latent")}
-        columns.update((f.name, read_only(getattr(self, f.name))) for f in fields(self)[1:])
-        check_lengths("latent", columns)
-        quality, threshold, prob = list(columns.values())[1:]
-        refusals = (
-            ("non-finite quality", ~np.isfinite(quality)),
-            ("NaN threshold", np.isnan(threshold)),
-            ("negative threshold", threshold < 0.0),
-            ("engagement_prob outside [0, 1]", ~((prob >= 0.0) & (prob <= 1.0))),
-        )
-        bad = np.logical_or.reduce([refused for _, refused in refusals])
-        if bad.any():
-            k = int(np.argmax(bad))
-            what = next(what for what, refused in refusals if refused[k])
-            raise DataError(f"{what} for item {columns['ids'][k]}")
-        vars(self).update(columns)
+        vars(self).update(take_columns("latent", self.COLUMNS, vars(self), _refuse_latents))
 
     @cached_property
     def rows(self) -> tuple[LatentItem, ...]:
@@ -342,6 +363,17 @@ class LatentColumns(Rows[LatentItem]):
         return row_views(LatentItem, self.ids, *columns)
 
     __eq__ = columns_equal
+
+
+def _refuse_latents(ids, quality, true_threshold, engagement_prob) -> None:
+    """The ground truth's value refusals, naming the first such item."""
+    refuse_rows(
+        lambda k: f"for item {ids[k]}",
+        ("non-finite quality", ~np.isfinite(quality)),
+        ("NaN threshold", np.isnan(true_threshold)),
+        ("negative threshold", true_threshold < 0.0),
+        ("engagement_prob outside [0, 1]", ~((engagement_prob >= 0) & (engagement_prob <= 1))),
+    )
 
 
 @dataclass(frozen=True)
@@ -431,6 +463,14 @@ REGION_NAMES = tuple(region.value for region in PLAN_REGIONS)
 REGION_CODE = {region: code for code, region in enumerate(PLAN_REGIONS)}
 
 
+def refuse_region_codes(ids: Sequence[str], region: np.ndarray, **other_columns) -> None:
+    """The value refusal of a plan's or a report's region column: DataError
+    naming the first item whose code indexes no PLAN_REGIONS entry."""
+    outside = (region < 0) | (region >= len(PLAN_REGIONS))
+    message = f"region code outside range({len(PLAN_REGIONS)})"
+    refuse_rows(lambda k: f"for item {ids[k]}", (message, outside))
+
+
 def region_counts(codes: np.ndarray) -> dict[str, int]:
     """The rows of each region a region column holds, by name, in PLAN_REGIONS order."""
     counts = np.bincount(codes, minlength=len(PLAN_REGIONS)).tolist()
@@ -467,16 +507,29 @@ class AllocationPlan:
     total_allocated: int
     total_cost: float
 
+    COLUMNS = dict(ids=IDS, region=CODES, granted=INTS, requested=INTS, p_at_maxcap=FLOATS)
+
     def __init__(
         self, entries: Iterable[PlanEntry], total_allocated: int, total_cost: float
     ) -> None:
         entries = tuple(entries)
+        # An int alone, as checked() takes it: a grant of True or 100.0 is refused.
+        granted = [
+            checked(e.granted, INTEGER, f"granted of item {e.item_id}", DataError)
+            for e in entries
+        ]
+        requested = [
+            NO_REQUEST if e.requested is None
+            else checked(e.requested, INTEGER, f"requested of item {e.item_id}", DataError)
+            for e in entries
+        ]
+        p_at_maxcap = [math.nan if e.p_at_maxcap is None else e.p_at_maxcap for e in entries]
         plan = self.of_columns(
             [e.item_id for e in entries],
-            [REGION_CODE[e.region] for e in entries],
-            [e.granted for e in entries],
-            [NO_REQUEST if e.requested is None else e.requested for e in entries],
-            [math.nan if e.p_at_maxcap is None else e.p_at_maxcap for e in entries],
+            np.array([REGION_CODE[e.region] for e in entries], dtype=np.int8),
+            int_column(granted),
+            int_column(requested),
+            np.array(p_at_maxcap, dtype=float),
             total_allocated,
             total_cost,
         )
@@ -493,16 +546,10 @@ class AllocationPlan:
         total_allocated: int,
         total_cost: float,
     ) -> "AllocationPlan":
-        """The plan whose rows are the given columns, with no PlanEntry built."""
-        columns = {"ids": tuple(ids), "granted": granted, "requested": requested}
-        # An int64 column would truncate a fractional grant or request.
-        for name in ("granted", "requested"):
-            column = np.asarray(columns[name])
-            if column.size and column.dtype.kind not in "iu":
-                raise DataError(f"plan {name} must be integers, not {column.dtype}")
-            columns[name] = read_only(column, np.int64)
-        columns.update(region=read_only(region, np.int8), p_at_maxcap=read_only(p_at_maxcap))
-        check_lengths("plan", columns)
+        """The plan whose rows are the given columns (see COLUMNS), with no PlanEntry
+        built; a region code outside PLAN_REGIONS is refused before the int8 cast."""
+        given = dict(zip(cls.COLUMNS, (ids, region, granted, requested, p_at_maxcap)))
+        columns = take_columns("plan", cls.COLUMNS, given, refuse_region_codes)
         plan = cls.__new__(cls)
         vars(plan).update(columns, total_allocated=total_allocated, total_cost=total_cost)
         return plan

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    FLOATS,
     NO_REQUEST,
     REGION_CODE,
     AllocationConfig,
@@ -23,14 +24,13 @@ from .core import (
     ItemRecord,
     LatentColumns,
     Region,
-    check_lengths,
     columns_equal,
     cost_of,
     costs_of,
     frozen,
     id_order,
-    read_only,
     sum_costs,
+    take_columns,
     validate_allocation_config,
     write_rows,
 )
@@ -49,20 +49,15 @@ class MetricsReport:
     auc: float
     pr_auc: float
     per_bucket: tuple[BucketMetrics, ...]
-    # The PR curve as read-only 1-D float columns of one length: point k is
-    # (curve_recall[k], curve_precision[k]). Any other columns raise DataError.
+    # The PR curve, taken by the column rule (see core.take_columns): point k
+    # is (curve_recall[k], curve_precision[k]).
     curve_recall: np.ndarray
     curve_precision: np.ndarray
 
+    COLUMNS = dict(curve_recall=FLOATS, curve_precision=FLOATS)
+
     def __post_init__(self) -> None:
-        columns = {
-            name: read_only(getattr(self, name)) for name in ("curve_recall", "curve_precision")
-        }
-        for name, column in columns.items():
-            if column.ndim != 1:
-                raise DataError(f"PR curve {name} must be 1-D, not of shape {column.shape}")
-        check_lengths("PR curve", columns)
-        vars(self).update(columns)
+        vars(self).update(take_columns("PR curve", self.COLUMNS, vars(self)))
 
     __eq__ = columns_equal
 

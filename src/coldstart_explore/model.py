@@ -20,6 +20,8 @@ import numpy as np
 
 from .core import (
     INTEGER,
+    INTS,
+    MATRIX,
     NUMBER,
     AllocationConfig,
     BucketSchema,
@@ -29,6 +31,8 @@ from .core import (
     checked_list,
     read_json,
     read_only,
+    refuse_rows,
+    take_columns,
     write_json,
 )
 
@@ -59,55 +63,37 @@ class ScoreOverflow(DataError):
         self.row = row
 
 
-def _refuse_first(column: np.ndarray, bad: np.ndarray, message: str) -> None:
-    """DataError of message naming the first example where bad holds, if any."""
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DataError(
-            f"{message}: training example {row} (counting from 0) has {column[row].item()!r}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Observed exploration outcomes as read-only columns, one row per example.
 
     `features` is an (n, d) matrix, `bucket` the served-traffic bucket of each
-    row and `label` its binary discovery outcome. Each column is checked once.
+    row and `label` its binary discovery outcome (see COLUMNS and
+    core.take_columns). A label other than 0 or 1, a negative bucket and a
+    non-finite feature are refused, naming the first such example.
     """
 
     features: np.ndarray
     bucket: np.ndarray
     label: np.ndarray
 
+    COLUMNS = dict(features=MATRIX, bucket=INTS, label=INTS)
+
     def __post_init__(self) -> None:
-        features = read_only(self.features)
-        bucket = np.asarray(self.bucket)
-        label = np.asarray(self.label)
-        if features.ndim != 2:
-            raise DataError(f"features must be an (examples, dimension) matrix: {features.shape}")
-        if bucket.shape != (len(features),) or label.shape != bucket.shape:
-            raise DataError(
-                f"columns differ in length: features {features.shape}, "
-                f"bucket {bucket.shape}, label {label.shape}"
-            )
-        _refuse_first(label, (label != 0) & (label != 1), "label must be 0 or 1")
-        _refuse_first(
-            bucket, ~((bucket >= 0) & (bucket == np.floor(bucket))),
-            "bucket index must be a non-negative integer",
-        )
-        if not np.can_cast(bucket.dtype, np.int64):  # a uint64 or float column may not fit
-            _refuse_first(bucket, ~(bucket < 2**63), "bucket index must fit in int64")
-        finite = np.isfinite(features).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise DataError(f"non-finite feature in training example {row} (counting from 0)")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "bucket", read_only(self.bucket, np.int64))
-        object.__setattr__(self, "label", read_only(self.label, np.int64))
+        vars(self).update(take_columns("training set", self.COLUMNS, vars(self), _refuse_examples))
 
     def __len__(self) -> int:
         return len(self.label)
+
+
+def _refuse_examples(features, bucket, label) -> None:
+    """The training set's value refusals, naming the first such example."""
+    refuse_rows(
+        lambda k: f"in training example {k} (counting from 0)",
+        ("label must be 0 or 1", (label != 0) & (label != 1)),
+        ("bucket index must be a non-negative integer", bucket < 0),
+        ("non-finite feature", ~np.isfinite(features).all(axis=1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -253,33 +239,24 @@ def _check_features(model: DiscoverabilityModel, features: np.ndarray) -> np.nda
 
 
 def predict(model: DiscoverabilityModel, features: np.ndarray, bucket: int) -> float:
-    """P(discoverable) for one item at one traffic bucket, strictly inside (0, 1)."""
-    curve = predict_curve(model, features)
-    if not 0 <= bucket < model.schema.n_buckets:
-        raise DataError(f"invalid bucket index {bucket}")
-    return float(curve[bucket])
-
-
-def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
-    """P(discoverable) at every bucket; entry k equals predict(model, features, k).
-
-    Features whose logits overflow, as in predict_curves, raise ScoreOverflow
-    of row 0, and no warning escapes.
-    """
+    """P(discoverable) for one item at one traffic bucket, strictly inside (0, 1). Features
+    whose logits overflow at any bucket raise ScoreOverflow of row 0, as in predict_curves."""
     x = _check_features(model, features)
     with np.errstate(over="ignore", invalid="ignore"):
         base = float(x @ model.weights[: model.feature_dim]) + model.bias
         logits = base + model.weights[model.feature_dim :]
     if not np.isfinite(logits).all():
         raise ScoreOverflow(0)
-    return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
+    if not 0 <= bucket < model.schema.n_buckets:
+        raise DataError(f"invalid bucket index {bucket}")
+    return float(np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)[bucket])
 
 
 def predict_curves(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
     """P(discoverable) at every bucket for many items, one row each.
 
     One matrix-vector product scores the static features of every row, so a
-    row can differ from predict_curve in the last bit of its dot product
+    row can differ from predict in the last bit of its dot product
     (summation order); everything after the dot product is the same arithmetic.
 
     Finite but huge features can overflow a row's logits to an infinity, or
@@ -457,10 +434,6 @@ def load_model(path: str | Path) -> DiscoverabilityModel:
     return model_from_dict(read_json(path))
 
 
-# The training-set file's members, each with the dtype and number of
-# dimensions save_examples writes and load_examples requires.
-_EXAMPLE_COLUMNS = {"features": (np.float64, 2), "bucket": (np.int64, 1), "label": (np.int64, 1)}
-
 # The first bytes of a zip archive, and so of an .npz file (np.load tests the same).
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 
@@ -495,18 +468,19 @@ def load_examples(path: str | Path) -> TrainingSet:
         try:
             with np.load(fh, allow_pickle=False) as archive:
                 names = set(archive.files)
-                columns = {name: archive[name] for name in names & _EXAMPLE_COLUMNS.keys()}
+                columns = {name: archive[name] for name in names & TrainingSet.COLUMNS.keys()}
         # zipfile raises OSError for a seek past the end and NotImplementedError,
         # a RuntimeError, for a compression method or flag it lacks.
         except (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: bad .npz training set: {exc}") from exc
-    if names != _EXAMPLE_COLUMNS.keys():
+    declared = TrainingSet.COLUMNS
+    if names != declared.keys():
         raise DataError(
-            f"{path}: a training set holds exactly {sorted(_EXAMPLE_COLUMNS)}: "
-            f"missing {sorted(_EXAMPLE_COLUMNS.keys() - names)}, "
-            f"unexpected {sorted(names - _EXAMPLE_COLUMNS.keys())}"
+            f"{path}: a training set holds exactly {sorted(declared)}: "
+            f"missing {sorted(declared.keys() - names)}, "
+            f"unexpected {sorted(names - declared.keys())}"
         )
-    for name, (dtype, ndim) in _EXAMPLE_COLUMNS.items():
+    for name, (dtype, ndim) in declared.items():
         column = columns[name]
         if not isinstance(column, np.ndarray):
             raise DataError(f"{path}: {name} is not an .npy member")

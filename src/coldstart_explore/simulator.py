@@ -28,13 +28,17 @@ import numpy as np
 
 from .allocator import plan_columns
 from .core import (
+    CODES,
+    IDS,
     INTEGER,
+    INTS,
     NUMBER,
     REGION_CODE,
     REGION_NAMES,
     AllocationConfig,
     AllocationPlan,
     BucketSchema,
+    Column,
     ConfigError,
     Corpus,
     DataError,
@@ -46,18 +50,18 @@ from .core import (
     Rows,
     bucket_of,
     check_fields,
-    check_lengths,
     checked_list,
     columns_equal,
     frozen,
     model_inputs,
     order_and_repeats,
     read_lines,
-    read_only,
+    refuse_region_codes,
     region_counts,
     row_views,
     str_order,
     sum_costs,
+    take_columns,
     validate_config,
     write_csv,
     write_lines,
@@ -123,32 +127,13 @@ class Observation:
     discovered: bool
 
 
-def _column(name: str, values, dtype) -> np.ndarray:
-    """values, a 1-D array of dtype's kind, as a read-only column of dtype,
-    np.int64 or bool; anything else, a list included, raises DataError naming
-    the column. Nothing is cast from another kind."""
-    kind = np.dtype(dtype)
-    if not isinstance(values, np.ndarray):
-        got = f"a {type(values).__name__}"
-    elif values.ndim != 1 or values.dtype.kind != kind.kind:
-        got = f"a {values.ndim}-D {values.dtype} array"
-    else:
-        return read_only(values, dtype)
-    must = f"a 1-D array of {kind.name}'s kind"
-    raise DataError(f"observation column {name} must be {must}, not {got}")
-
-
 @dataclass(frozen=True, eq=False)
 class Observations(Rows[Observation]):
     """Outcomes of serving, one row per serving event, held as columns.
 
-    Row k of the read-only columns is `round_index[k]`, `item_ids[k]`,
-    `served[k]`, `positive_events[k]` and `discovered[k]`. The ids are kept
-    as a tuple; every other column must be a 1-D array of its kind, an
-    integer array for a round or count and a bool array for `discovered`.
-    Any other column, or columns of unequal length, raise DataError naming
-    the column. As a sequence it is its rows, one Observation each, built on
-    first read; `len` reads the columns alone.
+    Row k of the columns (see COLUMNS and core.take_columns) is `round_index[k]`,
+    `item_ids[k]`, `served[k]`, `positive_events[k]` and `discovered[k]`. As a
+    sequence it is its rows, one Observation each; `len` reads the columns alone.
     """
 
     round_index: np.ndarray
@@ -158,16 +143,12 @@ class Observations(Rows[Observation]):
     discovered: np.ndarray
 
     what, row = "an Observations, the columns serve_round returns", "Observation"
+    COLUMNS = dict(
+        round_index=INTS, item_ids=IDS, served=INTS, positive_events=INTS, discovered=Column(bool)
+    )
 
     def __post_init__(self) -> None:
-        ids = tuple(self.item_ids)
-        columns = {
-            name: _column(name, getattr(self, name), np.int64)
-            for name in ("round_index", "served", "positive_events")
-        }
-        columns["discovered"] = _column("discovered", self.discovered, bool)
-        check_lengths("observation", {"ids": ids, **columns})
-        vars(self).update(columns, item_ids=ids)
+        vars(self).update(take_columns("observation", self.COLUMNS, vars(self)))
 
     @cached_property
     def rows(self) -> tuple[Observation, ...]:
@@ -431,8 +412,8 @@ class ExperimentReport:
     funded item per round, in (round, item id) order.
 
     The rows are `observations`, the Observations serve_round logs for them,
-    and `region`, a read-only int8 column of their region codes (indexing
-    PLAN_REGIONS); a region of another length than the observations is refused.
+    and `region`, their region codes (indexing PLAN_REGIONS), taken by the
+    column rule with the observations' ids (see COLUMNS).
     """
 
     strategy: str
@@ -441,11 +422,13 @@ class ExperimentReport:
     observations: Observations = field(repr=False)
     region: np.ndarray = field(repr=False)
 
+    COLUMNS = dict(ids=IDS, region=CODES)
+
     def __post_init__(self) -> None:
-        Observations.check(self.observations, "ExperimentReport")
-        region = read_only(self.region, np.int8)
-        check_lengths("report", {"ids": self.observations.item_ids, "region": region})
-        vars(self).update(region=region, rounds=tuple(self.rounds))
+        obs = Observations.check(self.observations, "ExperimentReport")
+        given = {"ids": obs.item_ids, "region": self.region}
+        columns = take_columns("report", self.COLUMNS, given, refuse_region_codes)
+        vars(self).update(region=columns["region"], rounds=tuple(self.rounds))
 
     @property
     def total_discovered(self) -> int:
@@ -549,7 +532,8 @@ def run_experiment(
             true_threshold[served_rows],
         )
         if strategy == "model":  # each example with its item's engagement before the round
-            history.append((features[funded], bucket_of(served, schema), found))
+            label = found.astype(np.int64)
+            history.append((features[funded], bucket_of(served, schema), label))
         impressions[served_rows] += served
         positive_events[served_rows] += positives
         discovered[served_rows] = found

@@ -23,6 +23,14 @@ from coldstart_explore.core import (
     bucket_of,
     read_corpus,
 )
+from coldstart_explore.model import (
+    _P_CEIL,
+    _P_FLOOR,
+    DiscoverabilityModel,
+    ScoreOverflow,
+    _check_features,
+    _sigmoid,
+)
 from coldstart_explore.simulator import (
     ExperimentReport,
     ItemRoundRow,
@@ -43,6 +51,21 @@ def engagement_features(stats: EngagementStats) -> np.ndarray:
 def item_feature_vector(record: ItemRecord) -> np.ndarray:
     """Model input for one item: static features followed by the engagement block."""
     return np.concatenate([record.features, engagement_features(record.engagement)])
+
+
+def predict_curve(model: DiscoverabilityModel, features: np.ndarray) -> np.ndarray:
+    """P(discoverable) at every bucket for one item; entry k equals predict(model, features, k).
+
+    Features whose logits overflow, as in predict_curves, raise ScoreOverflow
+    of row 0, and no warning escapes.
+    """
+    x = _check_features(model, features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = float(x @ model.weights[: model.feature_dim]) + model.bias
+        logits = base + model.weights[model.feature_dim :]
+    if not np.isfinite(logits).all():
+        raise ScoreOverflow(0)
+    return np.clip(_sigmoid(logits), _P_FLOOR, _P_CEIL)
 
 
 def monotone_curve(curve) -> np.ndarray:

@@ -29,10 +29,10 @@ from coldstart_explore.core import (
     verify_plan,
 )
 from coldstart_explore.metrics import oracle_allocate, uniform_allocate
-from coldstart_explore.model import invert_cap, predict_curve
+from coldstart_explore.model import invert_cap
 from coldstart_explore.simulator import SimConfig, generate_corpus, serve_round
 from conftest import make_model, make_record
-from per_item import item_feature_vector, monotone_curve
+from per_item import item_feature_vector, monotone_curve, predict_curve
 from test_acceptance import _greedy_instance, random_valid_instance
 
 SCHEMA = geometric_schema()
@@ -411,15 +411,17 @@ class TestAllocate:
         # weighted the Low water-fill, and a fractional count was cut.
         model = make_model(SCHEMA, [1.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
         refusals = [
-            ([-5], [0], "engagement counts must be non-negative: item a"),
-            ([1], [5], "positive_events cannot exceed impressions: item a"),
+            ([-5], [0], "engagement counts must be non-negative for item a"),
+            ([1], [5], "positive_events cannot exceed impressions for item a"),
         ]
         for impressions, positives, message in refusals:
             with pytest.raises(DataError) as refused:
-                allocate(Corpus(["a"], [[1.0]], impressions, positives), model, cfg(), SCHEMA)
+                corpus = Corpus(["a"], np.ones((1, 1)), np.array(impressions), np.array(positives))
+                allocate(corpus, model, cfg(), SCHEMA)
             assert str(refused.value) == message
         fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
-        with pytest.raises(DataError, match="corpus impressions must be integers, not float64"):
+        message = "corpus column impressions must be a 1-D array of int64's kind, not a 1-D float64"
+        with pytest.raises(DataError, match=message):
             allocate([fractional], model, cfg(), SCHEMA)
 
     def test_deterministic(self):
@@ -617,7 +619,8 @@ class TestAllocateRejectsBadInput:
         # region test. No RuntimeWarning escapes the refusal.
         monkeypatch.setattr(allocator, "SCORE_BLOCK_ROWS", block_rows)
         model = make_model(SCHEMA, [2.0, -2.0, 0.0, 0.0], np.zeros(SCHEMA.n_buckets))
-        corpus = Corpus(("a", "b", "c"), [[1.0, 1.0], [1e308, 1e308], [0.0, 1.0]], [0] * 3, [0] * 3)
+        features = np.array([[1.0, 1.0], [1e308, 1e308], [0.0, 1.0]])
+        corpus = Corpus(("a", "b", "c"), features, np.zeros(3, int), np.zeros(3, int))
         with pytest.raises(DataError, match="features of item b overflow the model's score"):
             allocate(corpus, model, cfg(), SCHEMA)
 

@@ -133,7 +133,7 @@ class TestTrain:
 
     def test_single_class_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.npz"
-        save_examples(TrainingSet(np.ones((4, 1)), [0] * 4, [1] * 4), path)
+        save_examples(TrainingSet(np.ones((4, 1)), np.zeros(4, int), np.ones(4, int)), path)
         assert run("train", "--train-set", str(path), "--out-dir", str(tmp_path / "o")) == 3
         assert "single-class" in capsys.readouterr().err
 
@@ -486,7 +486,7 @@ class TestAllocate:
         # One static feature and the engagement block, as corpus_file's items have.
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         features = np.column_stack([x, np.zeros(4), np.zeros(4)])
-        save_examples(TrainingSet(features, [1] * 4, (x > 0).astype(int)), examples)
+        save_examples(TrainingSet(features, np.ones(4, int), (x > 0).astype(int)), examples)
         trained = tmp_path / "trained"
         assert run("train", "--train-set", str(examples), "--out-dir", str(trained)) == 0
         manifest = read_manifest(trained)
@@ -725,7 +725,7 @@ class TestEval:
         save_model(make_model(geometric_schema(), [2.0, -2.0, 0.0, 0.0], np.zeros(6)), model_path)
         examples = tmp_path / "huge.npz"
         features = [[1.0, 1.0, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
-        save_examples(TrainingSet(np.array(features), [0, 1, 2], [0, 1, 0]), examples)
+        save_examples(TrainingSet(np.array(features), np.arange(3), np.array([0, 1, 0])), examples)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("eval", "--model", str(model_path), "--examples", str(examples),
@@ -791,16 +791,17 @@ def object_rows(features):
          "features must be a 2-D float64 array, not a 3-D float64 one"),
         (lambda m: {**m, "features": object_rows(m["features"])},
          "bad .npz training set: Object arrays cannot be loaded when allow_pickle=False"),
-        (lambda m: {**m, "features": m["features"][:-1]}, "columns differ in length"),
+        (lambda m: {**m, "features": m["features"][:-1]},
+         "training set columns differ in length"),
         (lambda m: {**m, "features": m["features"].astype(str)},
          "features must be a 2-D float64 array, not a 2-D <U32 one"),
         (lambda m: {**m, "label": np.append(m["label"][:-1], 2)},
-         "label must be 0 or 1: training example 120 (counting from 0) has 2"),
+         "label must be 0 or 1 in training example 120 (counting from 0)"),
         (lambda m: {**m, "label": np.append(m["label"][:-1], 0.7)},
          "label must be a 1-D int64 array, not a 1-D float64 one"),
         (lambda m: {**m, "bucket": np.append(m["bucket"][:-1], -1)},
-         "bucket index must be a non-negative integer: training example 120 "
-         "(counting from 0) has -1"),
+         "bucket index must be a non-negative integer in training example 120 "
+         "(counting from 0)"),
         (lambda m: {**m, "bucket": np.append(m["bucket"][:-1], 2.5)},
          "bucket must be a 1-D int64 array, not a 1-D float64 one"),
     ],
@@ -830,7 +831,7 @@ def test_bad_training_set_row_exits_3_naming_the_line(
 def test_empty_training_set_file_exits_3(tmp_path, trained_model_file, command, message,
                                          capsys):
     path = tmp_path / "empty.npz"
-    save_examples(TrainingSet(np.empty((0, 4)), [], []), path)
+    save_examples(TrainingSet(np.empty((0, 4)), np.zeros(0, int), np.zeros(0, int)), path)
     argv = reading(command, path, trained_model_file)
     assert run(*argv, "--out-dir", str(tmp_path / "o")) == 3
     assert message in capsys.readouterr().err

@@ -476,7 +476,7 @@ def plan_twins(rows, config, total_allocated=None, total_cost=None):
     granted = np.array([g for _, _, g in rows], dtype=np.int64)
     columns = AllocationPlan.of_columns(
         [i for i, _, _ in rows],
-        [PLAN_REGIONS.index(region) for _, region, _ in rows],
+        np.array([PLAN_REGIONS.index(region) for _, region, _ in rows], dtype=np.int8),
         granted,
         np.where(granted != 0, granted, NO_REQUEST),
         np.where(granted != 0, 0.5, np.nan),
@@ -608,13 +608,16 @@ class TestVerifyColumnPlan:
 
     def test_columns_of_different_lengths_refused(self):
         with pytest.raises(DataError, match="plan columns differ in length"):
-            AllocationPlan.of_columns(["a", "b"], [0], [100], [100], [0.5], 100, 1.0)
+            AllocationPlan.of_columns(
+                ["a", "b"], np.zeros(1, int), np.array([100]), np.array([100]), np.array([0.5]),
+                100, 1.0,
+            )
 
     @pytest.mark.parametrize(
         "entry, message",
         [
-            (PlanEntry("a", H, 100.5, 100), "plan granted must be integers, not float64"),
-            (PlanEntry("a", H, 100, 100.0), "plan requested must be integers, not float64"),
+            (PlanEntry("a", H, 100.5, 100), "granted of item a must be an integer, not 100.5"),
+            (PlanEntry("a", H, 100, 100.0), "requested of item a must be an integer, not 100.0"),
         ],
     )
     def test_fractional_grant_or_request_refused_not_truncated(self, entry, message):
@@ -727,7 +730,8 @@ class TestCorpusFile:
 
     def test_columns_round_trip_read_only(self, tmp_path):
         features = np.arange(12.0).reshape(4, 3)
-        corpus = Corpus(["d", "b", "a", "c"], features, [0, 5, 9, 2], [0, 1, 9, 0])
+        counts = np.array([0, 5, 9, 2]), np.array([0, 1, 9, 0])
+        corpus = Corpus(["d", "b", "a", "c"], features, *counts)
         assert features.flags.writeable  # the caller's array is copied, not frozen
         path = tmp_path / "corpus.jsonl"
         write_corpus(corpus, path)
@@ -740,43 +744,55 @@ class TestCorpusFile:
         assert loaded.impressions.dtype == np.int64
 
     def test_columns_must_line_up(self):
+        counts = np.zeros(2, int)
         with pytest.raises(DataError, match="columns differ in length"):
-            Corpus(["a", "b"], np.zeros((2, 1)), [0, 0], [0])
-        with pytest.raises(DataError, match="matrix"):
-            Corpus(["a", "b"], np.zeros(2), [0, 0], [0, 0])
+            Corpus(["a", "b"], np.zeros((2, 1)), counts, np.zeros(1, int))
+        with pytest.raises(DataError, match="features must be a 2-D array"):
+            Corpus(["a", "b"], np.zeros(2), counts, counts)
 
     @pytest.mark.parametrize("name", ["impressions", "positive_events"])
     @pytest.mark.parametrize(
-        "column, dtype",
-        [([1.7, 2.0], "float64"), ([True, False], "bool"), ([2**70, 0], "object")],
+        "column, got",
+        [
+            (np.array([1.7, 2.0]), "a 1-D float64 array"),
+            (np.array([True, False]), "a 1-D bool array"),
+            (np.array([2**70, 0]), "a 1-D object array"),
+            (np.array([2**63, 0], dtype=np.uint64), "a 1-D uint64 array"),
+            ([5, True], "a list"),
+            ([5, 5], "a list"),
+        ],
+        ids=["float", "bool", "object", "uint64-2**63", "list-with-bool", "list"],
     )
-    def test_count_column_not_integers_refused_naming_it(self, name, column, dtype):
-        # Neither cut to an integer nor wrapped around: refused whole.
-        counts = {"impressions": [5, 5], "positive_events": [0, 0], name: column}
+    def test_count_column_not_integers_refused_naming_it(self, name, column, got):
+        # Neither cut to an integer, read as 1 nor wrapped around: refused whole.
+        counts = {"impressions": np.array([5, 5]), "positive_events": np.array([0, 0])}
+        counts[name] = column
         with pytest.raises(DataError) as refused:
             Corpus(["a", "b"], np.zeros((2, 1)), **counts)
-        assert str(refused.value) == f"corpus {name} must be integers, not {dtype}"
+        assert str(refused.value) == (
+            f"corpus column {name} must be a 1-D array of int64's kind, not {got}"
+        )
 
     @pytest.mark.parametrize(
         "impressions, positive_events, message",
         [
-            ([3, -5, -1], [0, 0, 0], "engagement counts must be non-negative: item b"),
-            ([3, 2, 1], [0, 0, -1], "engagement counts must be non-negative: item c"),
-            ([3, 1, 0], [1, 5, 1], "positive_events cannot exceed impressions: item b"),
+            ([3, -5, -1], [0, 0, 0], "engagement counts must be non-negative for item b"),
+            ([3, 2, 1], [0, 0, -1], "engagement counts must be non-negative for item c"),
+            ([3, 1, 0], [1, 5, 1], "positive_events cannot exceed impressions for item b"),
         ],
     )
     def test_bad_counts_refused_naming_the_first_item(self, impressions, positive_events, message):
         with pytest.raises(DataError) as refused:
-            Corpus(["a", "b", "c"], np.zeros((3, 1)), impressions, positive_events)
+            corpus_of(["a", "b", "c"], np.zeros((3, 1)), impressions, positive_events)
         assert str(refused.value) == message
 
     def test_empty_corpus_accepted(self):
-        corpus = Corpus([], np.empty((0, 0)), [], [])
+        corpus = Corpus([], np.empty((0, 0)), np.zeros(0, np.int32), np.zeros(0, np.int32))
         assert len(corpus) == 0 and corpus.impressions.dtype == np.int64
 
     def test_row_view(self):
         features = np.array([[0.5, -1.0], [2.0, 3.0]])
-        corpus = Corpus(["b", "a"], features, [4, 0], [1, 0])
+        corpus = Corpus(["b", "a"], features, np.array([4, 0]), np.array([1, 0]))
         assert len(corpus) == 2 and "rows" not in vars(corpus)  # len reads the ids
         first, second = corpus
         assert corpus.rows is corpus.rows and corpus[1] is second  # built once
@@ -796,8 +812,10 @@ class TestCorpusFile:
         assert corpus.ids == ("b", "a") and corpus.impressions.tolist() == [4, 0]
         assert Corpus.of(corpus) is corpus
         fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
-        with pytest.raises(DataError, match="corpus impressions must be integers, not float64"):
+        message = "corpus column impressions must be a 1-D array of int64's kind, not a 1-D float64"
+        with pytest.raises(DataError, match=message):
             Corpus.of([fractional])
+        assert Corpus.of([]).impressions.dtype == np.int64
 
     def test_blocks_write_what_one_block_writes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
@@ -838,7 +856,8 @@ class TestCorpusFile:
             read_corpus(path)
 
     def test_finite_features_whose_sum_overflows_are_read(self, tmp_path):
-        corpus = Corpus(["a", "b"], [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]], [0, 0], [0, 0])
+        features = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        corpus = Corpus(["a", "b"], features, np.zeros(2, int), np.zeros(2, int))
         path = tmp_path / "corpus.jsonl"
         write_corpus(corpus, path)
         assert np.array_equal(read_corpus(path).features, corpus.features)
@@ -848,7 +867,8 @@ class TestCorpusFile:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_not_written(self, tmp_path, value):
-        corpus = Corpus(["a", "b"], [[1.0, 2.0], [value, 0.5]], [0, 0], [0, 0])
+        features = np.array([[1.0, 2.0], [value, 0.5]])
+        corpus = Corpus(["a", "b"], features, np.zeros(2, int), np.zeros(2, int))
         path = tmp_path / "corpus.jsonl"
         with pytest.raises(DataError, match="features holds a non-finite value"):
             write_corpus(corpus, path)
@@ -886,12 +906,24 @@ class TestStrOrder:
         assert id_order([], "corpus").tolist() == []
 
 
+def corpus_of(ids, features, impressions, positive_events):
+    """The Corpus of Python values: a float feature matrix and integer counts."""
+    counts = (np.array(impressions), np.array(positive_events))
+    return Corpus(ids, np.array(features, dtype=float), *counts)
+
+
+def latents_of(ids, quality, true_threshold, engagement_prob):
+    """The LatentColumns of Python values, each column a float array."""
+    columns = (quality, true_threshold, engagement_prob)
+    return LatentColumns(ids, *(np.array(c, dtype=float) for c in columns))
+
+
 class TestConcat:
     def test_corpus(self):
-        parts = [Corpus(["b", "a"], [[1.0], [2.0]], [3, 0], [1, 0]),
-                 Corpus(["c"], [[4.0]], [5], [5])]
+        parts = [corpus_of(["b", "a"], [[1.0], [2.0]], [3, 0], [1, 0]),
+                 corpus_of(["c"], [[4.0]], [5], [5])]
         joined = Corpus.concat(parts)
-        hand_built = Corpus(["b", "a", "c"], [[1.0], [2.0], [4.0]], [3, 0, 5], [1, 0, 5])
+        hand_built = corpus_of(["b", "a", "c"], [[1.0], [2.0], [4.0]], [3, 0, 5], [1, 0, 5])
         assert core.columns_equal(joined, hand_built)  # a Corpus has no ==
         assert type(joined.ids) is tuple
         for column in (joined.features, joined.impressions, joined.positive_events):
@@ -923,7 +955,7 @@ class TestConcat:
         assert joined.discovered.dtype == bool and joined.round_index.dtype == np.int64
 
     def test_tables_of_other_widths_refused(self):
-        parts = [Corpus(["a"], [[1.0]], [0], [0]), Corpus(["b"], [[1.0, 2.0]], [0], [0])]
+        parts = [corpus_of(["a"], [[1.0]], [0], [0]), corpus_of(["b"], [[1.0, 2.0]], [0], [0])]
         with pytest.raises(ValueError):
             Corpus.concat(parts)
 
@@ -939,20 +971,20 @@ def observations_table():
 #: constructors, from Python values.
 ROW_TABLES = {
     "Corpus": lambda: (
-        Corpus(["b", "a"], [[1.0, -2.0], [0.5, 3.0]], [5, 0], [2, 0]),
+        corpus_of(["b", "a"], [[1.0, -2.0], [0.5, 3.0]], [5, 0], [2, 0]),
         [ItemRecord("b", np.array([1.0, -2.0]), EngagementStats(5, 2)),
          ItemRecord("a", np.array([0.5, 3.0]), EngagementStats(0, 0))],
     ),
     "LatentColumns": lambda: (
-        LatentColumns(["b", "a"], [0.25, -1.0], [5.0, math.inf], [0.1, 0.9]),
+        latents_of(["b", "a"], [0.25, -1.0], [5.0, math.inf], [0.1, 0.9]),
         [LatentItem("b", 0.25, 5.0, 0.1), LatentItem("a", -1.0, math.inf, 0.9)],
     ),
     "AllocationPlan": lambda: (
         AllocationPlan.of_columns(
             ["a", "b", "c"],
-            [REGION_CODE[Region.HIGH], REGION_CODE[Region.LOW], REGION_CODE[Region.UNFUNDED]],
+            np.array([REGION_CODE[r] for r in (Region.HIGH, Region.LOW, Region.UNFUNDED)]),
             np.array([400, 150, 0]), np.array([400, NO_REQUEST, NO_REQUEST]),
-            [0.7, 0.1, math.nan], 550, 5.5,
+            np.array([0.7, 0.1, math.nan]), 550, 5.5,
         ),
         [PlanEntry("a", Region.HIGH, 400, 400, 0.7), PlanEntry("b", Region.LOW, 150, None, 0.1),
          PlanEntry("c", Region.UNFUNDED, 0, None, None)],
@@ -1032,22 +1064,22 @@ class TestRowViews:
 class TestIdsAreStrings:
     @pytest.mark.parametrize("ids, row", [([7, "a"], 0), (["a", None], 1), (["a", b"b"], 1)])
     def test_non_string_id_refused_naming_its_row(self, ids, row):
-        message = f"ids must be strings: row {row} holds {ids[row]!r}"
+        message = f"column ids must be a sequence of str, not row {row}'s {ids[row]!r}"
         with pytest.raises(DataError, match=f"^corpus {re.escape(message)}$"):
-            Corpus(ids, np.zeros((2, 1)), [0, 0], [0, 0])
+            corpus_of(ids, [[0.0], [0.0]], [0, 0], [0, 0])
         with pytest.raises(DataError, match=f"^latent {re.escape(message)}$"):
-            LatentColumns(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+            latents_of(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
 
     def test_str_subclass_accepted(self):
         ids = tuple(np.array(["a", "b"]))  # numpy's str_ is a str
-        assert Corpus(ids, np.zeros((2, 1)), [0, 0], [0, 0]).ids == ("a", "b")
-        assert LatentColumns(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]).ids == ("a", "b")
+        assert corpus_of(ids, [[0.0], [0.0]], [0, 0], [0, 0]).ids == ("a", "b")
+        assert latents_of(ids, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]).ids == ("a", "b")
 
 
 class TestLatentColumns:
     def test_row_view(self):
         threshold = np.array([5.0, math.inf])
-        latents = LatentColumns(["b", "a"], [0.25, -1.0], threshold, np.array([0.1, 0.9]))
+        latents = LatentColumns(["b", "a"], np.array([0.25, -1.0]), threshold, np.array([0.1, 0.9]))
         threshold[0] = 99.0  # the caller's array was copied, not frozen
         assert len(latents) == 2 and "rows" not in vars(latents)  # len reads the ids
         rows = (LatentItem("b", 0.25, 5.0, 0.1), LatentItem("a", -1.0, math.inf, 0.9))
@@ -1065,7 +1097,7 @@ class TestLatentColumns:
         def make(**columns):
             base = dict(ids=["a", "b"], quality=[0.0, 1.0], true_threshold=[math.inf, 3.0],
                         engagement_prob=[0.1, 0.2])
-            return LatentColumns(**{**base, **columns})
+            return latents_of(**{**base, **columns})
 
         assert make() == make() and make(ids=("a", "b")) == make()
         for name, column in [("ids", ["a", "c"]), ("quality", [0.0, 2.0]),
@@ -1093,11 +1125,11 @@ class TestLatentColumns:
                    "engagement_prob": [0.0, 0.5, 1.0]}
         columns[name] = columns[name][:1] + [value, value]
         with pytest.raises(DataError, match=f"^{message} for item b$"):
-            LatentColumns(["a", "b", "c"], **columns)
+            latents_of(["a", "b", "c"], **columns)
 
     def test_out_of_range_item_named_by_its_first_bad_column(self):
         with pytest.raises(DataError, match="^non-finite quality for item b$"):
-            LatentColumns(["a", "b"], [0.0, math.nan], [1.0, math.nan], [0.5, 2.0])
+            latents_of(["a", "b"], [0.0, math.nan], [1.0, math.nan], [0.5, 2.0])
 
     @pytest.mark.parametrize("seed, round_index", [(0, 0), (1, 3), (7, 100)])
     def test_generated_tables_accepted(self, seed, round_index):
@@ -1113,7 +1145,7 @@ class TestLatentColumns:
         columns = {"quality": [0.0], "true_threshold": [1.0], "engagement_prob": [0.5]}
         columns[name] = [0.5, 0.5]
         with pytest.raises(DataError, match=f"latent columns differ in length: 1 ids, 2 {name}"):
-            LatentColumns(["a"], **columns)
+            latents_of(["a"], **columns)
 
 
 class TestJsonLines:
@@ -1327,13 +1359,17 @@ def assert_json_lines(write, columns, rows):
     assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def int64_array(values):
+    return np.array(values, dtype=np.int64)
+
+
 def training_sets():
     """(features, bucket, label) of up to 8 rows; any finite features, any bucket."""
     return st.integers(0, 8).flatmap(
         lambda n: st.tuples(
             matrices(n).map(lambda m: np.array(m[0], dtype=float).reshape(n, m[1])),
-            st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n),
-            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n).map(int64_array),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).map(int64_array),
         )
     )
 
@@ -1358,7 +1394,8 @@ class TestWriterBytes:
         # A corpus holds only counts its reader takes: positives at most impressions.
         impressions = data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
         positives = [data.draw(st.integers(0, m)) for m in impressions]
-        corpus = Corpus(ids, np.array(features).reshape(n, dim), impressions, positives)
+        counts = (int64_array(impressions), int64_array(positives))
+        corpus = Corpus(ids, np.array(features).reshape(n, dim), *counts)
         rows = [
             {"id": i, "features": f, "impressions": m, "positive_events": p}
             for i, f, m, p in zip(ids, features, impressions, positives)
@@ -1366,9 +1403,12 @@ class TestWriterBytes:
         assert_json_lines(write_corpus, corpus, rows)
 
     @given(training_sets())
-    @example((np.empty((0, 0)), [], []))
-    @example((np.empty((0, 3)), [], []))
-    @example((np.array([[-0.0, 5e-324, 1.7976931348623157e308]]), [2**63 - 1], [1]))
+    @example((np.empty((0, 0)), int64_array([]), int64_array([])))
+    @example((np.empty((0, 3)), int64_array([]), int64_array([])))
+    @example(
+        (np.array([[-0.0, 5e-324, 1.7976931348623157e308]]), int64_array([2**63 - 1]),
+         int64_array([1]))
+    )
     @settings(deadline=None, max_examples=60)
     def test_training_set(self, columns):
         # The path has no .npz suffix, which np.savez would add to a path string.
@@ -1417,7 +1457,7 @@ class TestWriterBytesOfFixedFiles:
             )
 
     def test_equal_length_corpus_and_latents_keep_their_bytes(self, tmp_path):
-        corpus = Corpus(["a", "b"], np.array([[0.5, -1.0], [2.0, 1e-05]]), [3, 0], [1, 0])
+        corpus = corpus_of(["a", "b"], [[0.5, -1.0], [2.0, 1e-05]], [3, 0], [1, 0])
         write_corpus(corpus, tmp_path / "corpus.jsonl")
         assert (tmp_path / "corpus.jsonl").read_bytes() == (
             b'{"features": [0.5, -1.0], "id": "a", "impressions": 3, "positive_events": 1}\n'

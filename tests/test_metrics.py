@@ -400,8 +400,8 @@ class TestMetricsReport:
 
 
     def test_curve_columns_frozen_as_floats(self):
-        recall = np.array([0, 1])
-        report = MetricsReport(0.5, 0.5, (), recall, [1.0, 0.5])
+        recall = np.array([0, 1], dtype=np.float32)
+        report = MetricsReport(0.5, 0.5, (), recall, np.array([1.0, 0.5]))
         recall[0] = 7  # the caller's array was copied, not frozen
         assert report.curve_recall.tolist() == [0.0, 1.0]
         for column in (report.curve_recall, report.curve_precision):
@@ -414,10 +414,11 @@ class TestMetricsReport:
 
     def test_curve_columns_not_1d_refused(self):
         # Written by the %r template, a 2-D column's rows would be list reprs.
-        message = re.escape("PR curve curve_precision must be 1-D, not of shape (2, 2)")
+        must = "must be a 1-D array of float64's kind"
+        message = re.escape(f"PR curve column curve_precision {must}, not a 2-D float64 array")
         with pytest.raises(DataError, match=message):
             MetricsReport(0.5, 0.5, (), np.zeros(2), np.ones((2, 2)))
-        message = re.escape("PR curve curve_recall must be 1-D, not of shape ()")
+        message = re.escape(f"PR curve column curve_recall {must}, not a float")
         with pytest.raises(DataError, match=message):
             MetricsReport(0.5, 0.5, (), 0.5, 0.5)
 

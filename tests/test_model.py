@@ -31,7 +31,6 @@ from coldstart_explore.model import (
     model_to_dict,
     monotone_curves,
     predict,
-    predict_curve,
     predict_curves,
     save_examples,
     save_model,
@@ -44,7 +43,7 @@ from coldstart_explore.simulator import (
     serve_round,
 )
 from conftest import make_model
-from per_item import monotone_curve
+from per_item import monotone_curve, predict_curve
 
 SCHEMA = geometric_schema()
 
@@ -67,7 +66,7 @@ def separable_examples(n=200, dim=4, seed=7):
 def training_set(rows):
     """TrainingSet of (features, bucket, label) rows."""
     features, buckets, labels = zip(*rows)
-    return TrainingSet(np.array(features, dtype=float), buckets, labels)
+    return TrainingSet(np.array(features, dtype=float), np.array(buckets), np.array(labels))
 
 
 def rows_of(examples):
@@ -182,23 +181,23 @@ class TestTrain:
             assert abs(p - 0.3) <= 0.05
 
     def test_single_class_refused(self):
-        examples = TrainingSet(np.ones((5, 1)), np.zeros(5), np.ones(5))
+        examples = TrainingSet(np.ones((5, 1)), np.zeros(5, int), np.ones(5, int))
         with pytest.raises(DataError, match="single-class"):
             train(examples, SCHEMA)
 
     def test_empty_refused(self):
         with pytest.raises(DataError, match="empty"):
-            train(TrainingSet(np.empty((0, 2)), [], []), SCHEMA)
+            train(TrainingSet(np.empty((0, 2)), np.zeros(0, int), np.zeros(0, int)), SCHEMA)
 
     def test_dimension_mismatch_refused(self):
         # A training set holds one feature row per example, so the features
         # must be a matrix and every column as long as it.
-        with pytest.raises(DataError, match="dimension"):
-            TrainingSet(np.array([1.0, 2.0]), [0, 0], [1, 0])
+        with pytest.raises(DataError, match="features must be a 2-D array"):
+            TrainingSet(np.array([1.0, 2.0]), np.array([0, 0]), np.array([1, 0]))
         with pytest.raises(DataError, match="length"):
-            TrainingSet(np.ones((2, 1)), [0], [1, 0])
+            TrainingSet(np.ones((2, 1)), np.array([0]), np.array([1, 0]))
         with pytest.raises(DataError, match="length"):
-            TrainingSet(np.ones((2, 1)), [0, 0], [1, 0, 1])
+            TrainingSet(np.ones((2, 1)), np.array([0, 0]), np.array([1, 0, 1]))
 
     @pytest.mark.parametrize(
         "bucket, label, message",
@@ -212,37 +211,52 @@ class TestTrain:
     )
     def test_bad_label_or_negative_bucket_refused(self, bucket, label, message):
         with pytest.raises(DataError, match=message):
-            TrainingSet(np.ones((2, 1)), bucket, label)
+            TrainingSet(np.ones((2, 1)), np.array(bucket), np.array(label))
+
+    def test_bad_value_named_with_its_example(self):
+        refusals = [
+            (np.array([0, 0]), np.array([1, 2]), "label must be 0 or 1"),
+            (np.array([0, -1]), np.array([1, 0]), "bucket index must be a non-negative integer"),
+        ]
+        for bucket, label, message in refusals:
+            with pytest.raises(DataError) as caught:
+                TrainingSet(np.ones((2, 1)), bucket, label)
+            assert str(caught.value) == f"{message} in training example 1 (counting from 0)"
 
     @pytest.mark.parametrize(
-        "bucket, shown",
+        "bucket",
         [
-            (np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64), "18446744073709551615"),
-            (np.array([0, 1, 2, 2**63], dtype=np.uint64), "9223372036854775808"),
-            (np.array([0.0, 1.0, 2.0, 1e20]), "1e+20"),
-            (np.array([0.0, 1.0, 2.0, 2.0**63]), "9.223372036854776e+18"),
-            (np.array([0.0, 1.0, 2.0, np.inf]), "inf"),
+            np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64),
+            np.array([0, 1, 2, 2**63], dtype=np.uint64),
+            np.array([0, 1, 2, 2**63 - 1], dtype=np.uint64),
+            np.array([0.0, 1.0, 2.0, 1e20]),
+            np.array([0.0, 1.0, 2.0, 2.0**63]),
+            np.array([0.0, 1.0, 2.0, 2.0**63 - 1024]),
+            np.array([0.0, 1.0, 2.0, np.inf]),
+            np.array([False, True, True, True]),
         ],
-        ids=["uint64-max", "uint64-2**63", "float-1e20", "float-2**63", "float-inf"],
+        ids=["uint64-max", "uint64-2**63", "uint64-fits", "float-1e20", "float-2**63",
+             "float-fits", "float-inf", "bool"],
     )
-    def test_bucket_beyond_int64_refused_naming_the_row(self, bucket, shown):
-        # Checked before the int64 cast, which would wrap a uint64 bucket
-        # negative and warn of an invalid value for a float one.
+    def test_bucket_of_another_kind_refused_whatever_its_values(self, bucket):
+        # Refused for its kind, whatever its values: an int64 cast would wrap
+        # a uint64 bucket negative and warn of an invalid value for a float one.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError) as caught:
-                TrainingSet(np.ones((4, 1)), bucket, [1, 0, 1, 0])
+                TrainingSet(np.ones((4, 1)), bucket, np.array([1, 0, 1, 0]))
         assert str(caught.value) == (
-            f"bucket index must fit in int64: training example 3 (counting from 0) has {shown}"
+            "training set column bucket must be a 1-D array of int64's kind, "
+            f"not a 1-D {bucket.dtype} array"
         )
 
     @pytest.mark.parametrize(
         "bucket",
-        [np.array([0, 2**63 - 1], dtype=np.uint64), np.array([0.0, 2.0**63 - 1024])],
-        ids=["uint64", "float"],
+        [np.array([0, 2**63 - 1]), np.array([0, 2**31 - 1], dtype=np.int32)],
+        ids=["int64", "int32"],
     )
     def test_largest_int64_buckets_kept(self, bucket):
-        examples = TrainingSet(np.ones((2, 1)), bucket, [1, 0])
+        examples = TrainingSet(np.ones((2, 1)), bucket, np.array([1, 0]))
         assert examples.bucket.dtype == np.int64
         assert examples.bucket.tolist() == [0, int(bucket[1])]
 
@@ -266,7 +280,7 @@ class TestTrain:
         assert frozen.bucket is bucket and frozen.label is label
 
     def test_bucket_out_of_range_refused(self):
-        examples = TrainingSet(np.ones((2, 1)), [99, 0], [1, 0])
+        examples = TrainingSet(np.ones((2, 1)), np.array([99, 0]), np.array([1, 0]))
         with pytest.raises(DataError, match="bucket"):
             train(examples, SCHEMA)
 
@@ -966,10 +980,10 @@ class TestTrainingSetFile:
              "bucket must be a 1-D int64 array, not a 2-D int64 one"),
             (_replaced(label=np.array([0, 1, 0])), "columns differ in length"),
             (_replaced(label=np.array([0, 1, 0, 2])),
-             "label must be 0 or 1: training example 3 (counting from 0) has 2"),
+             "label must be 0 or 1 in training example 3 (counting from 0)"),
             (_replaced(bucket=np.array([0, 1, 2, -1])),
-             "bucket index must be a non-negative integer: training example 3 "
-             "(counting from 0) has -1"),
+             "bucket index must be a non-negative integer in training example 3 "
+             "(counting from 0)"),
         ],
         ids=["missing", "extra", "bool-features", "int-features", "float32-features",
              "uint64-bucket", "float-bucket", "bool-label", "1-D-features", "2-D-bucket",

@@ -49,6 +49,7 @@ from per_item import (
     latent_columns,
     monotone_curve,
     observations_of,
+    predict_curve,
     replay_examples,
     report_of_rows,
     save_latents,
@@ -227,7 +228,8 @@ class TestServeRound:
         lat = LatentItem(id="a", quality=0.0, true_threshold=5.0, engagement_prob=0.5)
         with pytest.raises(DataError, match=message):
             serve_round(
-                LatentColumns(["a"], [0.0], [threshold], [prob]), plan_for([lat], [100]),
+                LatentColumns(["a"], np.zeros(1), np.array([threshold]), np.array([prob])),
+                plan_for([lat], [100]),
                 SimConfig(seed=0), 0,
             )
 
@@ -412,7 +414,7 @@ class TestTrainedCurves:
         # Curves from a trained model need not be monotone in traffic; the
         # inversion refuses them raw and accepts the isotonic fit.
         from coldstart_explore.metrics import uniform_allocate
-        from coldstart_explore.model import invert_cap, predict_curve, train
+        from coldstart_explore.model import invert_cap, train
 
         sim = SimConfig(seed=20, items_per_round=400)
         config = cfg()
@@ -1170,7 +1172,7 @@ def observation_columns(**changes) -> dict:
 
 class TestObservations:
     def test_columns_of_unequal_length_refused(self):
-        message = "observation columns differ in length: 2 ids, 1 served"
+        message = "observation columns differ in length: 2 round_index, 1 served"
         with pytest.raises(DataError, match=message):
             Observations(**observation_columns(served=np.array([10])))
 
