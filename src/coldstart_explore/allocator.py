@@ -43,10 +43,12 @@ from .model import DiscoverabilityModel, ScoreOverflow, monotone_curves, predict
 
 #: Rows scored per pass in allocate. Scoring in blocks keeps the (rows, buckets)
 #: temporaries of the curve and isotonic steps small, so peak memory does not
-#: grow with the corpus. Scoring the 10k-item benchmark loop in one pass raised
-#: its peak RSS from 63.1 to 68.5 MB and left its run time unchanged; the
-#: isotonic pass over 27k six-bucket curves took 5.9 ms in blocks of 4096 rows,
-#: 6.8 ms in blocks of 8192 and 10.4 ms in blocks of 32768.
+#: grow with the corpus. On the 10k-items x 3-rounds benchmark loop (seeds 1-3,
+#: one run each, 2-core host), its peak RSS read 61.4-61.8 MB in blocks of 4096
+#: rows, 61.9-62.6 MB in blocks of 8192 and 66.1-66.2 MB in one pass; the
+#: isotonic pass over its two model rounds (19,613 and 28,245 six-bucket
+#: curves, seed 1, best of 30) took 2.8 ms in blocks of 4096, 3.1 ms in blocks
+#: of 8192 and 4.2 ms in one pass.
 SCORE_BLOCK_ROWS = 4096
 
 # Region codes, as a plan's region column holds them. Unfunded is not a region

@@ -79,12 +79,15 @@ class Region(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class EngagementStats:
-    """Running engagement counters for one item."""
+    """Running engagement counters for one item: each an int alone, not a
+    bool, a float or a numpy integer."""
 
     impressions: int = 0
     positive_events: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("impressions", "positive_events"):
+            checked(getattr(self, name), INTEGER, name, DataError)
         if self.impressions < 0 or self.positive_events < 0:
             raise DataError("engagement counts must be non-negative")
         if self.positive_events > self.impressions:

@@ -301,12 +301,16 @@ def monotone_curves(curves: np.ndarray) -> np.ndarray:
     """Non-decreasing least-squares fit of every row of a matrix of bucket
     curves (pool adjacent violators); a non-decreasing row comes back unchanged.
 
-    Each row keeps its own stack of blocks (total, count): a value is pushed
-    as a block, then the last two merge while their means decrease. All rows
-    run at once, each through the pushes, merges and divisions, in the same
-    order, that a loop over its values alone would make. The stacks are flat
-    (n * k,) arrays: block d of row r sits at r * k + d, so every gather is
-    of one index array.
+    Every row makes the pushes, adds and comparisons, in the same order, that
+    a loop over its values alone would make, and the same divisions but the
+    exact ones by 1 (see _mean), so its output is that loop's bit for bit: a
+    value is pushed as a block of (total, count), then the last two blocks
+    merge while their means decrease. Rows that have made the same merges so
+    far share one stack, which holds one array of totals per block, over the
+    group's rows, and one count; a group splits where its rows' comparisons
+    disagree. A model's curves are clip(sigmoid(base + w_k)) with one offset
+    vector w, so a block of them follows a handful of merge paths, and the
+    pass makes a few array operations per path and bucket.
     """
     values = np.asarray(curves, dtype=float)
     if values.ndim != 2 or values.shape[1] == 0:
@@ -314,29 +318,39 @@ def monotone_curves(curves: np.ndarray) -> np.ndarray:
     if not ((values >= 0.0) & (values <= 1.0)).all():  # also false for NaN
         raise DataError("curve values must lie in [0, 1]")
     n, k = values.shape
-    totals = np.zeros(n * k)
-    counts = np.zeros(n * k, dtype=np.int64)
-    bottom = np.arange(0, n * k, k)  # each row's first block
-    end = bottom.copy()  # one past each row's top block
-    for j in range(k):
-        totals[end] = values[:, j]
-        counts[end] = 1
-        end += 1
-        # Merge backwards while the last two block means decrease; `top` is
-        # the top block of each row still merging.
-        top = end[end - bottom > 1] - 1
-        while top.size:
-            below = top - 1
-            top = top[totals[below] / counts[below] > totals[top] / counts[top]]
-            below = top - 1
-            totals[below] += totals[top]
-            counts[below] += counts[top]
-            counts[top] = 0
-            end[top // k] -= 1
-            top = below[below % k > 0]  # the rows that still hold two blocks or more
-    # Blocks in row-major order cover each row's k positions left to right.
-    used = counts > 0
-    return np.repeat(totals[used] / counts[used], counts[used]).reshape(n, k)
+    columns = values.T.copy()  # column j of the rows is one contiguous gather
+    smoothed = np.empty((n, k))
+    # Groups still to run: (rows, block totals, block counts, next column).
+    work = [(np.arange(n), [], [], 0)]
+    while work:
+        rows, totals, counts, start = work.pop()
+        for j in range(start, k):
+            totals.append(columns[j][rows])
+            counts.append(1)
+            while len(totals) > 1:
+                merge = _mean(totals[-2], counts[-2]) > _mean(totals[-1], counts[-1])
+                merging = int(np.count_nonzero(merge))
+                if merging == 0:
+                    break
+                if merging < len(rows):  # the rows that stop go on from column j + 1
+                    stop = ~merge
+                    work.append((rows[stop], [t[stop] for t in totals], counts.copy(), j + 1))
+                    rows, totals = rows[merge], [t[merge] for t in totals]
+                top, count = totals.pop(), counts.pop()
+                totals[-1] += top
+                counts[-1] += count
+        # A group of every row holds them in order, so it writes by slices.
+        target = slice(None) if len(rows) == n else rows
+        first = 0
+        for total, count in zip(totals, counts):
+            smoothed[target, first : first + count] = _mean(total, count)[:, None]
+            first += count
+    return smoothed
+
+
+def _mean(total: np.ndarray, count: int) -> np.ndarray:
+    """total / count; a block of one value is its own mean, as x / 1 is x exactly."""
+    return total if count == 1 else total / count
 
 
 def invert_cap(

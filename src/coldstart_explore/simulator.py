@@ -52,11 +52,13 @@ from .core import (
     check_fields,
     checked_list,
     columns_equal,
+    engagement_block,
     frozen,
     model_inputs,
     order_and_repeats,
     read_lines,
     refuse_region_codes,
+    refuse_rows,
     region_counts,
     row_views,
     str_order,
@@ -132,8 +134,10 @@ class Observations(Rows[Observation]):
     """Outcomes of serving, one row per serving event, held as columns.
 
     Row k of the columns (see COLUMNS and core.take_columns) is `round_index[k]`,
-    `item_ids[k]`, `served[k]`, `positive_events[k]` and `discovered[k]`. As a
-    sequence it is its rows, one Observation each; `len` reads the columns alone.
+    `item_ids[k]`, `served[k]`, `positive_events[k]` and `discovered[k]`. A
+    negative `served`, and `positive_events` outside [0, served], are refused,
+    naming the first such row. As a sequence it is its rows, one Observation
+    each; `len` reads the columns alone.
     """
 
     round_index: np.ndarray
@@ -148,7 +152,9 @@ class Observations(Rows[Observation]):
     )
 
     def __post_init__(self) -> None:
-        vars(self).update(take_columns("observation", self.COLUMNS, vars(self)))
+        vars(self).update(
+            take_columns("observation", self.COLUMNS, vars(self), _refuse_outcomes)
+        )
 
     @cached_property
     def rows(self) -> tuple[Observation, ...]:
@@ -157,6 +163,16 @@ class Observations(Rows[Observation]):
         return row_views(Observation, self.round_index.tolist(), self.item_ids, *outcomes)
 
     __eq__ = columns_equal
+
+
+def _refuse_outcomes(round_index, item_ids, served, positive_events, discovered) -> None:
+    """The observations' value refusals, naming the first such row by item and round."""
+    refuse_rows(
+        lambda k: f"for item {item_ids[k]} in round {round_index[k]}",
+        ("served must be non-negative", served < 0),
+        ("positive_events must lie in [0, served]",
+         (positive_events < 0) | (positive_events > served)),
+    )
 
 
 def _feature_projection(config: SimConfig) -> np.ndarray:
@@ -340,10 +356,10 @@ def build_training_set(
     item's static features plus the engagement block as it stood before the
     event; its bucket is the served traffic's and its label `discovered`.
     The events come as the columns of an Observations, which has checked
-    their types; each needs 0 <= positive_events <= served. The records are
-    taken as Corpus.of(records). An event of an unknown item, two records of
-    one item and two observations of one item in one round (neither came
-    before the other) are refused, naming the first such event in replay order."""
+    their types and counts. The records are taken as Corpus.of(records). An
+    event of an unknown item, two records of one item and two observations of
+    one item in one round (neither came before the other) are refused, naming
+    the first such event in replay order."""
     obs = Observations.check(observations, "build_training_set")
     corpus = Corpus.of(records)
     n = len(obs)
@@ -359,16 +375,12 @@ def build_training_set(
     unknown = rows < 0
     twice = np.zeros(n, dtype=bool)  # an event of the item and round of the one before it
     twice[1:] = (rounds[1:] == rounds[:-1]) & (rows[1:] == rows[:-1])
-    bad_counts = (counts[:, 1] < 0) | (counts[:, 1] > counts[:, 0])
-    if (refused := unknown | twice | bad_counts).any():
+    if (refused := unknown | twice).any():
         k = int(np.argmax(refused))
-        event = int(order[k])
-        item_id = obs.item_ids[event]
+        item_id = obs.item_ids[int(order[k])]
         if unknown[k]:
             raise DataError(f"observation references unknown item {item_id}")
-        if twice[k]:
-            raise DataError(f"two observations of item {item_id} in round {rounds[k]}")
-        raise DataError(f"positive_events cannot exceed served or fall below 0: {obs[event]}")
+        raise DataError(f"two observations of item {item_id} in round {rounds[k]}")
     # Each event's counts become its record's counts before it, round by
     # round: a round's events are of distinct records, so one add replays it.
     running = np.zeros((len(corpus), 2), dtype=np.int64)
@@ -477,11 +489,13 @@ def run_experiment(
     validate_config(alloc_config, schema)
     params.validate()
 
-    n = sim_config.items_per_round
+    n, d = sim_config.items_per_round, sim_config.feature_dim
     size = sim_config.rounds * n
     # The pool: one row per item drawn, in draw order; the ids are str objects.
+    # Row k of inputs is item k's model input: its static features, then its
+    # engagement block, which a model round rewrites for the rows it serves.
     ids = np.empty(size, dtype=object)
-    static = np.empty((size, sim_config.feature_dim))
+    inputs = np.zeros((size, d + 2))
     true_threshold = np.empty(size)
     engagement_prob = np.empty(size)
     impressions = np.zeros(size, dtype=np.int64)
@@ -498,7 +512,7 @@ def run_experiment(
     for round_index in range(sim_config.rounds):
         end = (round_index + 1) * n
         fresh = slice(round_index * n, end)
-        ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], static[fresh] = (
+        ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], inputs[fresh, :d] = (
             draw_columns(sim_config, round_index)
         )
         # The candidates: the undiscovered rows, in Python's str order of their ids.
@@ -507,7 +521,7 @@ def run_experiment(
 
         untrained = None
         if strategy == "model":
-            features = model_inputs(static[rows], impressions[rows], positive_events[rows])
+            features = inputs[rows]
         if strategy == "model" and round_index > 0:
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
         # train refuses examples that lack either label; such a round explores as round 0 does.
@@ -531,12 +545,15 @@ def run_experiment(
             sim_config, round_index, served, engagement_prob[served_rows],
             true_threshold[served_rows],
         )
-        if strategy == "model":  # each example with its item's engagement before the round
-            label = found.astype(np.int64)
-            history.append((features[funded], bucket_of(served, schema), label))
         impressions[served_rows] += served
         positive_events[served_rows] += positives
         discovered[served_rows] = found
+        if strategy == "model":  # each example with its item's engagement before the round
+            label = found.astype(np.int64)
+            history.append((features[funded], bucket_of(served, schema), label))
+            inputs[served_rows, d:] = engagement_block(
+                impressions[served_rows], positive_events[served_rows]
+            )
 
         rounds, served_ids = np.full(len(funded), round_index), ids[served_rows].tolist()
         blocks.append(Observations(*frozen(rounds), served_ids, *frozen(served, positives, found)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coldstart_explore.core import (
     AllocationConfig,
@@ -8,6 +9,10 @@ from coldstart_explore.core import (
     geometric_schema,
 )
 from coldstart_explore.model import DiscoverabilityModel, TrainingMeta
+
+# Selected with --hypothesis-profile=ci: many more examples, drawn in the same
+# order on every run, so a run that passes once passes again.
+settings.register_profile("ci", max_examples=2000, derandomize=True, database=None)
 
 
 @pytest.fixture

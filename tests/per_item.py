@@ -98,6 +98,25 @@ def monotone_curve(curve) -> np.ndarray:
     return out
 
 
+def merge_path(curve) -> tuple[int, ...]:
+    """The merges monotone_curve makes for one curve: after each push, the
+    depth of the stack after each of its merges, then -1. Curves of one path
+    make the same merges in the same order."""
+    totals: list[float] = []
+    counts: list[int] = []
+    path = []
+    for v in np.asarray(curve, dtype=float).tolist():
+        totals.append(v)
+        counts.append(1)
+        while len(totals) > 1 and totals[-2] / counts[-2] > totals[-1] / counts[-1]:
+            totals[-2] += totals[-1]
+            counts[-2] += counts[-1]
+            del totals[-1], counts[-1]
+            path.append(len(totals))
+        path.append(-1)
+    return tuple(path)
+
+
 def load_corpus(path: str | Path) -> list[ItemRecord]:
     """The corpus file as records, in file order."""
     corpus = read_corpus(path)

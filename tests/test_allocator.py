@@ -419,10 +419,10 @@ class TestAllocate:
                 corpus = Corpus(["a"], np.ones((1, 1)), np.array(impressions), np.array(positives))
                 allocate(corpus, model, cfg(), SCHEMA)
             assert str(refused.value) == message
-        fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
-        message = "corpus column impressions must be a 1-D array of int64's kind, not a 1-D float64"
-        with pytest.raises(DataError, match=message):
-            allocate([fractional], model, cfg(), SCHEMA)
+        # A fractional count never becomes a record.
+        with pytest.raises(DataError, match="impressions must be an integer, not 1.7"):
+            allocate([ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))], model, cfg(),
+                     SCHEMA)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

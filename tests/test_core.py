@@ -275,6 +275,26 @@ class TestEngagementStats:
         with pytest.raises(DataError):
             EngagementStats(-1, 0)
 
+    @pytest.mark.parametrize(
+        "impressions, positive_events, name",
+        [
+            (True, 0, "impressions"),
+            (2.0, 1.0, "impressions"),
+            (1.7, 0, "impressions"),
+            (np.int64(3), 1, "impressions"),
+            (5, False, "positive_events"),
+            (5, 1.0, "positive_events"),
+            (5, "1", "positive_events"),
+        ],
+    )
+    def test_count_that_is_not_an_int_refused_naming_it(self, impressions, positive_events, name):
+        # A bool or float record count would enter a corpus through Corpus.of,
+        # whose count columns refuse both.
+        with pytest.raises(DataError) as refused:
+            EngagementStats(impressions, positive_events)
+        bad = {"impressions": impressions, "positive_events": positive_events}[name]
+        assert str(refused.value) == f"{name} must be an integer, not {bad!r}"
+
 
 def engagement_columns(records):
     """The impressions and positive_events columns of the records."""
@@ -811,10 +831,8 @@ class TestCorpusFile:
         corpus = Corpus.of(records)
         assert corpus.ids == ("b", "a") and corpus.impressions.tolist() == [4, 0]
         assert Corpus.of(corpus) is corpus
-        fractional = ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))
-        message = "corpus column impressions must be a 1-D array of int64's kind, not a 1-D float64"
-        with pytest.raises(DataError, match=message):
-            Corpus.of([fractional])
+        with pytest.raises(DataError, match="impressions must be an integer, not 1.7"):
+            Corpus.of([ItemRecord("a", np.array([1.0]), EngagementStats(1.7, 0))])
         assert Corpus.of([]).impressions.dtype == np.int64
 
     def test_blocks_write_what_one_block_writes(self, tmp_path, monkeypatch):

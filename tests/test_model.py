@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coldstart_explore import allocator, simulator
 from coldstart_explore.core import (
+    DEFAULT_ALLOCATION,
+    DEFAULT_SCHEMA,
     AllocationConfig,
     BucketSchema,
     ConfigError,
@@ -18,6 +22,8 @@ from coldstart_explore.core import (
 )
 from coldstart_explore.metrics import uniform_allocate
 from coldstart_explore.model import (
+    _P_CEIL,
+    _P_FLOOR,
     DiscoverabilityModel,
     Hyperparams,
     ScoreOverflow,
@@ -43,7 +49,7 @@ from coldstart_explore.simulator import (
     serve_round,
 )
 from conftest import make_model
-from per_item import monotone_curve, predict_curve
+from per_item import merge_path, monotone_curve, predict_curve
 
 SCHEMA = geometric_schema()
 
@@ -647,6 +653,80 @@ class TestMonotoneCurves:
     )
     def test_property_bit_identical(self, rows):
         assert_rows_bit_identical(np.array(rows))
+
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.floats(-25.0, 25.0), min_size=k, max_size=k),
+                st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+            )
+        )
+    )
+    def test_model_family_bit_identical(self, offsets_and_bases):
+        # The curves a model scores: clip(sigmoid(base + w_k)) with one offset
+        # vector w shared by every row, so the rows follow few merge paths.
+        # Bases past +-27.6 push values into the 1e-12 clip at either end.
+        offsets, bases = offsets_and_bases
+        curves = np.clip(_sigmoid(np.add.outer(bases, offsets)), _P_FLOOR, _P_CEIL)
+        assert_rows_bit_identical(curves)
+
+    def test_rows_split_off_a_shared_path(self):
+        # One offset vector whose curves take seven merge paths, which share
+        # their first merges; rows of every path are interleaved, and each
+        # base repeats.
+        offsets = np.array([0.0, 2.0, -1.0, 3.0, -4.0, 5.0, 1.0])
+        bases = np.repeat(np.linspace(-30.0, 30.0, 201), 5)
+        np.random.default_rng(19).shuffle(bases)
+        curves = np.clip(_sigmoid(np.add.outer(bases, offsets)), _P_FLOOR, _P_CEIL)
+        assert len({merge_path(row) for row in curves}) == 7
+        assert_rows_bit_identical(curves)
+
+    def test_leaves_no_garbage(self):
+        # The pass keeps its groups on a work list: no reference cycle holds a
+        # group's arrays until the cycle collector runs.
+        curves = np.random.default_rng(20).uniform(size=(3000, 7))
+        assert len({merge_path(row) for row in curves[:500]}) > 50
+        gc.collect()
+        gc.disable()
+        try:
+            monotone_curves(curves)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_loop_on_many_paths_equals_the_per_row_oracle(self, monkeypatch):
+        # A loop whose model rounds score blocks of five merge paths or more
+        # plans, serves and trains as it does with each row smoothed alone.
+        config = simulator.SimConfig(seed=1, items_per_round=500, rounds=8)
+        paths = []
+        fit = simulator.train
+
+        def run():
+            trained = []
+
+            def recording_train(examples, *args):
+                trained.append(examples)
+                return fit(examples, *args)
+
+            monkeypatch.setattr(simulator, "train", recording_train)
+            report = simulator.run_experiment(
+                config, DEFAULT_ALLOCATION, DEFAULT_SCHEMA, Hyperparams(), "model"
+            )
+            return report, trained
+
+        def per_row(curves):
+            paths.append(len({merge_path(row) for row in curves}))
+            return np.array([monotone_curve(row) for row in curves]).reshape(curves.shape)
+
+        report, trained = run()
+        monkeypatch.setattr(allocator, "monotone_curves", per_row)
+        expected, expected_trained = run()
+        assert max(paths) >= 5
+        assert report == expected and report.rounds == expected.rounds
+        assert len(trained) == len(expected_trained) == config.rounds - 1
+        for got, ref in zip(trained, expected_trained):
+            for name in ("features", "bucket", "label"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
 
     def test_known_pooling(self):
         out = monotone_curves([[0.2, 0.6, 0.5, 0.9], [0.1, 0.4, 0.7, 0.9]])

@@ -867,7 +867,15 @@ class TestArrayLoopsMatchPerItemReference:
                     rows.append(replace(rows[k], served=7, positive_events=0))
                 else:
                     rows[k] = replace(rows[k], **faults[int(rng.integers(0, len(faults)))])
-            observations = observations_of(rows)
+            try:
+                observations = observations_of(rows)
+            except DataError as exc:
+                # A count fault is refused as the columns are built, naming its row.
+                assert str(exc).endswith(f"for item {rows[k].item_id} in round {rows[k].round}")
+                with pytest.raises(DataError):
+                    replay_examples(rows, records, SCHEMA)
+                refusals.add(str(exc).split()[0])
+                continue
             try:
                 expected = replay_examples(rows, records, SCHEMA)
             except DataError as exc:
@@ -1099,32 +1107,34 @@ class TestReportColumns:
 
 
 class TestBuildTrainingSetRejectsBadCounts:
+    # Observations refuses such counts as its columns are built, so they never
+    # reach the replay.
     def test_negative_served_rejected(self):
-        obs = observations_of(
-            [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
-        )
-        with pytest.raises(DataError, match="non-negative"):
+        with pytest.raises(DataError, match="served must be non-negative for item a in round 0"):
+            obs = observations_of(
+                [Observation(round=0, item_id="a", served=-1, positive_events=0, discovered=False)]
+            )
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
     def test_more_positives_than_impressions_rejected(self):
-        # the engagement replayed into the second event is inconsistent
-        obs = observations_of([
-            Observation(round=0, item_id="a", served=10, positive_events=11, discovered=False),
-            Observation(round=1, item_id="a", served=10, positive_events=0, discovered=False),
-        ])
-        with pytest.raises(DataError, match="cannot exceed"):
+        # the engagement replayed into the second event would be inconsistent
+        with pytest.raises(DataError, match=r"must lie in \[0, served\] for item a in round 0"):
+            obs = observations_of([
+                Observation(round=0, item_id="a", served=10, positive_events=11, discovered=False),
+                Observation(round=1, item_id="a", served=10, positive_events=0, discovered=False),
+            ])
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
     @pytest.mark.parametrize("positives", [11, -1])
     def test_last_observation_of_an_item_checked(self, positives):
         # No later event replays the last one's counts, so each event is
         # checked on its own.
-        obs = observations_of([
-            Observation(round=0, item_id="a", served=10, positive_events=3, discovered=False),
-            Observation(round=1, item_id="a", served=10, positive_events=positives,
-                        discovered=False),
-        ])
-        with pytest.raises(DataError, match="round=1, item_id='a'"):
+        with pytest.raises(DataError, match="for item a in round 1"):
+            obs = observations_of([
+                Observation(round=0, item_id="a", served=10, positive_events=3, discovered=False),
+                Observation(round=1, item_id="a", served=10, positive_events=positives,
+                            discovered=False),
+            ])
             build_training_set(obs, [make_record("a", [1.0])], SCHEMA)
 
     def test_largest_int64_counts_accepted(self):
@@ -1214,6 +1224,32 @@ class TestObservations:
             f"not a {shape} array"
         )
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "served, positives, message",
+        [
+            ([10, -1, -2], [0, 0, 0], "served must be non-negative for item b in round 1"),
+            ([10, 20, 5], [11, 0, -1], r"positive_events must lie in \[0, served\] for item a"),
+            ([10, 20, 5], [0, 21, 0], r"positive_events must lie in \[0, served\] for item b"),
+            ([10, 20, 5], [0, -1, 9], r"positive_events must lie in \[0, served\] for item b"),
+            # A negative served is named first, whatever its positive events.
+            ([10, -1, 5], [0, -3, 0], "served must be non-negative for item b"),
+        ],
+    )
+    def test_bad_counts_refused_naming_the_first_row(self, served, positives, message):
+        columns = dict(
+            round_index=np.array([0, 1, 1]), item_ids=("a", "b", "c"),
+            served=np.array(served), positive_events=np.array(positives),
+            discovered=np.zeros(3, dtype=bool),
+        )
+        with pytest.raises(DataError, match=message):
+            Observations(**columns)
+
+    def test_counts_at_their_bounds_accepted(self):
+        obs = Observations(
+            **observation_columns(served=np.array([0, 7]), positive_events=np.array([0, 7]))
+        )
+        assert obs.positive_events.tolist() == [0, 7]
 
     def test_largest_and_smallest_int64_and_integer_arrays_accepted(self):
         extremes = [-(2**63), 2**63 - 1]
