@@ -422,9 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # A path that names nothing, or a file where a directory is wanted or the reverse.
+    # A path that names nothing, a file where a directory is wanted or the
+    # reverse, or one the user may not read or make.
     except (
-        DataError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError
+        DataError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+        PermissionError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -76,6 +76,12 @@ STRATEGIES = ("uniform", "model", "oracle")
 # Stream tag separating serving randomness from corpus-generation randomness.
 _SERVE_STREAM = 7919
 
+#: The largest feature_noise SimConfig takes. numpy's normal draws stay far
+#: below 1e6 in size, and a feature is feature_noise times one of them plus
+#: quality times a projection weight, two more such draws: below this bound no
+#: feature can overflow, above it the config is refused before any draw.
+MAX_FEATURE_NOISE = 1e300
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -94,6 +100,13 @@ class SimConfig:
     engagement_b: float = -2.2
 
     def validate(self) -> "SimConfig":
+        """Self, or ConfigError naming the first field out of its range.
+
+        A feature_noise above MAX_FEATURE_NOISE is refused as out of float
+        range whether or not a run draws features, so the refusal does not
+        depend on the strategy. Other overflows depend on the draw:
+        draw_columns refuses them.
+        """
         # numpy's generators refuse a negative seed with a bare ValueError.
         # Every integer field takes an int alone: not a bool, float or numpy int.
         if type(self.seed) not in INTEGER or self.seed < 0:
@@ -110,6 +123,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be a finite number")
         if self.feature_noise < 0 or self.threshold_noise < 0:
             raise ConfigError("noise scales must be non-negative")
+        if self.feature_noise > MAX_FEATURE_NOISE:
+            raise ConfigError(
+                f"feature_noise {self.feature_noise!r} pushes a feature out of float range:"
+                f" it must be at most {MAX_FEATURE_NOISE!r}"
+            )
         mix = checked_list(self.archetype_mix, NUMBER, "archetype_mix", ConfigError)
         if len(mix) != 3 or any(f < 0 for f in mix):
             raise ConfigError("archetype_mix must be three non-negative fractions")
@@ -225,8 +243,8 @@ def rounded_thresholds(log_theta: np.ndarray, max_threshold: int) -> np.ndarray:
 
 
 def draw_columns(
-    config: SimConfig, round_index: int
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    config: SimConfig, round_index: int, features: bool = True
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """One round's fresh items as columns: the kernel of generate_corpus.
 
     Returns the ids (a list of str, see round_ids), the quality, true
@@ -237,14 +255,17 @@ def draw_columns(
     each logit as a Python float, as np.exp's last bit would change
     latents.jsonl. Deterministic given (seed, round_index); the config is
     not validated.
+
+    With features=False the feature matrix is neither drawn nor built, and
+    None stands in its place. Its noise is the round generator's last draw,
+    so every other column is bit for bit that of a full draw.
     """
-    projection = _feature_projection(config)
     rng = np.random.default_rng([config.seed, round_index])
     n = config.items_per_round
     quality = rng.normal(0.0, 1.0, size=n)
     archetype = rng.choice(3, size=n, p=list(config.archetype_mix))
     log_noise = rng.normal(0.0, config.threshold_noise, size=n)
-    feature_noise = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
+    matrix = rng.normal(0.0, 1.0, size=(n, config.feature_dim)) if features else None
 
     theta = np.where(archetype == 0, 0.0, math.inf)
     finite = archetype == 1
@@ -259,13 +280,14 @@ def draw_columns(
             logit = config.engagement_a * quality + config.engagement_b
             exp_neg_logit = np.fromiter(map(math.exp, (-logit).tolist()), float, n)
             engagement_prob = 1.0 / (1.0 + exp_neg_logit)
-            # In place, so the only (n, feature_dim) arrays are the noise and one product.
-            features = np.multiply(config.feature_noise, feature_noise, out=feature_noise)
-            features += np.multiply.outer(quality, projection)
+            if features:
+                # In place, so the only (n, feature_dim) arrays are the noise and one product.
+                matrix = np.multiply(config.feature_noise, matrix, out=matrix)
+                matrix += np.multiply.outer(quality, _feature_projection(config))
+                matrix.setflags(write=False)
     except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"config pushes a value out of float range: {exc}") from exc
-    features.setflags(write=False)
-    return round_ids(round_index, n), quality, theta, engagement_prob, features
+    return round_ids(round_index, n), quality, theta, engagement_prob, matrix
 
 
 def generate_corpus(config: SimConfig, round_index: int) -> tuple[LatentColumns, Corpus]:
@@ -477,7 +499,10 @@ def run_experiment(
     The loop keeps its state as columns and calls the kernels behind the
     per-item functions: draw_columns, uniform_grants, oracle_grants and
     serve_columns, and plan_columns, whose column AllocationPlan gives a
-    model round its grants and regions. The model strategy logs each round's
+    model round its grants and regions. Only the model strategy draws
+    features and keeps a pool of model inputs; the uniform and oracle rounds
+    call draw_columns with features=False, which leaves every other column
+    as it is. The model strategy logs each round's
     examples as it serves, and trains on all of them in (round, item id)
     order: the set build_training_set replays from the report's observations.
     The report joins each round's served rows, the Observations serve_round
@@ -491,16 +516,20 @@ def run_experiment(
 
     n, d = sim_config.items_per_round, sim_config.feature_dim
     size = sim_config.rounds * n
+    learns = strategy == "model"
     # The pool: one row per item drawn, in draw order; the ids are str objects.
-    # Row k of inputs is item k's model input: its static features, then its
-    # engagement block, which a model round rewrites for the rows it serves.
     ids = np.empty(size, dtype=object)
-    inputs = np.zeros((size, d + 2))
     true_threshold = np.empty(size)
     engagement_prob = np.empty(size)
-    impressions = np.zeros(size, dtype=np.int64)
-    positive_events = np.zeros(size, dtype=np.int64)
     discovered = np.zeros(size, dtype=bool)
+    # Only the model strategy reads features, so only it draws them and keeps
+    # the running counts. Row k of inputs is item k's model input: its static
+    # features, then its engagement block, which a round rewrites for the rows
+    # it serves.
+    if learns:
+        inputs = np.zeros((size, d + 2))
+        impressions = np.zeros(size, dtype=np.int64)
+        positive_events = np.zeros(size, dtype=np.int64)
     # The examples logged so far, one (features, bucket, label) block per round.
     history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     round_metrics = []
@@ -512,20 +541,23 @@ def run_experiment(
     for round_index in range(sim_config.rounds):
         end = (round_index + 1) * n
         fresh = slice(round_index * n, end)
-        ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], inputs[fresh, :d] = (
-            draw_columns(sim_config, round_index)
+        ids[fresh], _, true_threshold[fresh], engagement_prob[fresh], static = draw_columns(
+            sim_config, round_index, features=learns
         )
+        if learns:
+            inputs[fresh, :d] = static
+        del static  # the pool holds a copy: freed before the round's arrays are built
         # The candidates: the undiscovered rows, in Python's str order of their ids.
         order = str_order(ids[:end])
         rows = order[~discovered[order]]
 
         untrained = None
-        if strategy == "model":
+        if learns:
             features = inputs[rows]
-        if strategy == "model" and round_index > 0:
+        if learns and round_index > 0:
             examples = TrainingSet(*frozen(*map(np.concatenate, zip(*history))))
         # train refuses examples that lack either label; such a round explores as round 0 does.
-        if strategy == "model" and round_index > 0 and 0 < examples.label.sum() < len(examples):
+        if learns and round_index > 0 and 0 < examples.label.sum() < len(examples):
             model = train(examples, schema, params)
             untrained = model.meta.untrained_buckets
             plan = plan_columns(ids[rows].tolist(), features, model, alloc_config, schema)
@@ -545,12 +577,12 @@ def run_experiment(
             sim_config, round_index, served, engagement_prob[served_rows],
             true_threshold[served_rows],
         )
-        impressions[served_rows] += served
-        positive_events[served_rows] += positives
         discovered[served_rows] = found
-        if strategy == "model":  # each example with its item's engagement before the round
+        if learns:  # each example with its item's engagement before the round
             label = found.astype(np.int64)
             history.append((features[funded], bucket_of(served, schema), label))
+            impressions[served_rows] += served
+            positive_events[served_rows] += positives
             inputs[served_rows, d:] = engagement_block(
                 impressions[served_rows], positive_events[served_rows]
             )

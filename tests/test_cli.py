@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import json
@@ -927,12 +928,15 @@ def single_class_set(tmp_path):
         (["experiment", "--seed", "-1", "--items", "5", "--rounds", "1"], 2),
         (["experiment", "--seeds=-1,0", "--items", "5", "--rounds", "1"], 2),
         (["experiment", "--items", "20", "--rounds", "2", "--feature-noise", "1e308"], 2),
+        (["experiment", "--items", "20", "--rounds", "2", "--strategies", "uniform,oracle",
+          "--feature-noise", "1e308"], 2),
     ],
     ids=["allocate-missing-corpus", "allocate-duplicate-ids", "allocate-bad-config",
          "train-missing-set", "train-one-class", "eval-missing-set", "eval-bad-threshold",
          "simulate-bad-config", "simulate-negative-seed", "experiment-bad-config",
          "experiment-unknown-strategy", "experiment-negative-seed",
-         "experiment-negative-seeds", "experiment-overflowing-config"],
+         "experiment-negative-seeds", "experiment-overflowing-config",
+         "experiment-overflowing-config-controls"],
 )
 def test_refused_command_leaves_no_out_dir(
     tmp_path, trained_model_file, duplicate_id_corpus, single_class_set, argv, code
@@ -951,6 +955,38 @@ def test_refused_command_leaves_no_out_dir(
     assert run(*argv, "--out-dir", str(out)) == code
     assert [p.name for p in out.iterdir()] == ["kept.txt"]
     assert (out / "kept.txt").read_text() == "kept"
+
+
+class TestPermissionDenied:
+    """A path the user may not read or make is a data error. The denial is
+    patched in: a process running as root ignores mode bits."""
+
+    def test_unreadable_corpus_exits_3(self, tmp_path, trained_model_file, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus([make_record("a", [0.0, 0.0, 0.0, 0.0])], corpus)
+        real_open = builtins.open
+
+        def denying_open(file, *args, **kwargs):
+            if Path(file) == corpus:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", denying_open)
+        out = tmp_path / "plan"
+        assert run("allocate", "--corpus", str(corpus), "--model", str(trained_model_file),
+                   "--out-dir", str(out)) == 3
+        assert capsys.readouterr().err.startswith("data error: [Errno 13] Permission denied")
+        assert not out.exists()
+
+    def test_out_dir_that_cannot_be_made_exits_3(self, tmp_path, monkeypatch, capsys):
+        def denying_mkdir(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", denying_mkdir)
+        out = tmp_path / "sim"
+        assert run("simulate", "--items", "5", "--out-dir", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: [Errno 13] Permission denied: '{out}'\n"
+        assert not out.exists()
 
 
 def read_csv(path):

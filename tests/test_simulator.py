@@ -1486,3 +1486,62 @@ class TestGenerateCorpusRejectsOverflow:
         config = SimConfig(items_per_round=10, **overrides)
         with pytest.raises(ConfigError, match="out of float range"):
             generate_corpus(config, 0)
+
+
+class TestFeatureNoiseBound:
+    """A feature_noise above MAX_FEATURE_NOISE is refused before any draw,
+    under every strategy, whether or not the run draws features."""
+
+    def test_the_bound_is_taken_and_the_next_float_refused(self):
+        assert simulator.MAX_FEATURE_NOISE == 1e300
+        SimConfig(feature_noise=1e300).validate()
+        above = SimConfig(feature_noise=float(np.nextafter(1e300, np.inf)))
+        with pytest.raises(ConfigError, match="feature_noise .* out of float range"):
+            above.validate()
+
+    def test_features_at_the_bound_are_finite(self):
+        _, records = generate_corpus(SimConfig(items_per_round=2000, feature_noise=1e300), 0)
+        assert np.isfinite(records.features).all()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_refuses_an_overflowing_noise(self, strategy, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a round")
+
+        monkeypatch.setattr(simulator, "draw_columns", no_draw)
+        config = SimConfig(items_per_round=20, rounds=2, feature_noise=1e308)
+        with pytest.raises(ConfigError, match="feature_noise .* out of float range"):
+            run_experiment(config, cfg(), SCHEMA, Hyperparams(), strategy)
+
+
+class TestControlRunsDrawNoFeatures:
+    def test_draw_without_features_keeps_every_other_column(self):
+        for seed in (0, 3, 11):
+            config = SimConfig(seed=seed, items_per_round=500)
+            for round_index in (0, 1, 7):
+                *full, features = simulator.draw_columns(config, round_index)
+                *bare, none = simulator.draw_columns(config, round_index, features=False)
+                assert features.shape == (500, config.feature_dim) and none is None
+                assert full[0] == bare[0]
+                for a, b in zip(full[1:], bare[1:]):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_uniform_and_oracle_runs_never_draw_features(self, monkeypatch):
+        config = SimConfig(seed=5, items_per_round=300, rounds=3)
+        reports = {
+            strategy: run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), strategy)
+            for strategy in STRATEGIES
+        }
+
+        class FeatureDraw(Exception):
+            pass
+
+        def refuse(config):
+            raise FeatureDraw
+
+        monkeypatch.setattr(simulator, "_feature_projection", refuse)
+        for strategy in ("uniform", "oracle"):
+            got = run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), strategy)
+            assert_same_report(got, reports[strategy])
+        with pytest.raises(FeatureDraw):
+            run_experiment(config, cfg(), SCHEMA, Hyperparams(epochs=50), "model")
