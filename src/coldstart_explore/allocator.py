@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     NO_REQUEST,
+    NUMBER,
     REGION_CODE,
     REGION_NAMES,
     AllocationConfig,
@@ -29,6 +30,7 @@ from .core import (
     DataError,
     ItemRecord,
     Region,
+    check_fields,
     costs_of,
     frozen,
     id_order,
@@ -60,12 +62,14 @@ _HIGH, _MODERATE, _LOW, _UNFUNDED = (
 
 @dataclass(frozen=True)
 class GrowthStats:
-    """Period-over-period growth ratios of the item pool and of exploration traffic."""
+    """Period-over-period growth ratios of the item pool and of exploration traffic,
+    each an int or a float alone: not a bool, a string or a numpy float."""
 
     item_growth: float
     traffic_growth: float
 
     def __post_init__(self) -> None:
+        check_fields(self, NUMBER, ("item_growth", "traffic_growth"))
         for ratio in (self.item_growth, self.traffic_growth):
             if not (math.isfinite(ratio) and ratio > 0):
                 raise ConfigError("growth ratios must be finite and positive")

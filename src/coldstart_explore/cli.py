@@ -77,14 +77,13 @@ def _load_alloc_config(args) -> tuple[core.AllocationConfig, core.BucketSchema]:
 
 
 def _sim_config(args, seed: int) -> simulator.SimConfig:
-    cfg = simulator.SimConfig(
+    return simulator.SimConfig(
         seed=seed,
         items_per_round=args.items,
         rounds=args.rounds,
         feature_dim=args.feature_dim,
         feature_noise=args.feature_noise,
     )
-    return cfg.validate()
 
 
 def _out_dir(args) -> Path:
@@ -128,7 +127,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     started = time.monotonic()
     _, schema = _load_alloc_config(args)
-    params = model.Hyperparams(epochs=args.epochs).validate()
+    params = model.Hyperparams(epochs=args.epochs)
     examples = model.load_examples(args.train_set)
     fitted = model.train(examples, schema, params)
     out = _out_dir(args)
@@ -227,7 +226,7 @@ def cmd_experiment(args) -> int:
         if strategy not in simulator.STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    params = model.Hyperparams(epochs=args.epochs).validate()
+    params = model.Hyperparams(epochs=args.epochs)
     sim_configs = [_sim_config(args, seed) for seed in sorted(seeds)]
     reports = [
         simulator.run_experiment(sim_cfg, config, schema, params, strategy)

@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
@@ -386,7 +386,9 @@ class BucketSchema:
     Bucket k covers [edges[k], edges[k+1]); the last bucket is open-ended.
     `representative[k]` is the scalar traffic used when a bucket index must be
     mapped back to impressions. Both are lists or tuples of ints, kept as
-    tuples; any other value raises ConfigError naming its field.
+    tuples; any other value raises ConfigError naming its field, as do fewer than
+    3 buckets, edges that do not start at 0 and increase, a representative count
+    other than the bucket count, and a representative outside its bucket.
     """
 
     edges: tuple[int, ...]
@@ -397,6 +399,21 @@ class BucketSchema:
         for name in ("edges", "representative"):
             values = checked_list(getattr(self, name), INTEGER, name, ConfigError)
             object.__setattr__(self, name, values)
+        edges, reps = self.edges, self.representative
+        if len(edges) < 3:
+            raise ConfigError("bucket count must be at least 3")
+        if len(reps) != len(edges):
+            raise ConfigError("representative count must match bucket count")
+        if edges[0] != 0:
+            raise ConfigError("first bucket edge must be 0")
+        for lo, hi in zip(edges, edges[1:]):
+            if hi <= lo:
+                raise ConfigError("bucket edges must be strictly increasing")
+        for k in range(len(edges) - 1):
+            if not edges[k] <= reps[k] < edges[k + 1]:
+                raise ConfigError(f"representative of bucket {k} lies outside the bucket")
+        if reps[-1] < edges[-1]:
+            raise ConfigError("top bucket representative below its lower edge")
 
     @property
     def n_buckets(self) -> int:
@@ -417,9 +434,15 @@ def geometric_schema(
     return BucketSchema(edges=tuple(edges), representative=tuple(reps))
 
 
+#: AllocationConfig's integer and real fields; cost_fn is neither.
+_INTEGER_FIELDS = ("total_budget", "min_cap", "max_cap")
+_REAL_FIELDS = ("max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost")
+
+
 @dataclass(frozen=True)
 class AllocationConfig:
-    """Budget, caps, confidence thresholds and cost model for one allocation round."""
+    """Budget, caps, confidence thresholds and cost model for one allocation round:
+    ConfigError names the first field of the wrong type or out of its range."""
 
     total_budget: int
     max_cost: float
@@ -432,6 +455,27 @@ class AllocationConfig:
     #: Optional pluggable cost model; must be non-decreasing with cost_fn(0) == 0.
     #: When unset, cost is linear: unit_cost * traffic.
     cost_fn: Callable[[int], float] | None = None
+
+    def __post_init__(self) -> None:
+        check_fields(self, INTEGER, _INTEGER_FIELDS)
+        check_fields(self, NUMBER, _REAL_FIELDS)
+        if not (0.0 < self.cf_low < self.cf_high < 1.0):
+            raise ConfigError("cf ordering: require 0 < cf_low < cf_high < 1")
+        if self.min_cap <= 0:
+            raise ConfigError("MinCap must be positive")
+        if self.max_cap < self.min_cap:
+            raise ConfigError("MaxCap must be at least MinCap")
+        # total_budget 0 is allowed as a degenerate dry run yielding an empty plan.
+        if self.total_budget < 0:
+            raise ConfigError("total budget must be non-negative")
+        if not (math.isfinite(self.max_cost) and self.max_cost > 0):
+            raise ConfigError("max cost must be finite and positive")
+        if not 0.0 <= self.low_region_fraction <= 1.0:
+            raise ConfigError("low region fraction must lie in [0, 1]")
+        if not (math.isfinite(self.unit_cost) and self.unit_cost >= 0):
+            raise ConfigError("unit cost must be finite and non-negative")
+        if self.cost_fn is not None and self.cost_fn(0) != 0:
+            raise ConfigError("cost function must be zero at zero traffic")
 
 
 DEFAULT_SCHEMA = geometric_schema()
@@ -638,60 +682,10 @@ def id_order(ids: Sequence[str], what: str) -> np.ndarray:
 
 
 def validate_config(config: AllocationConfig, schema: BucketSchema) -> AllocationConfig:
-    """Check every config and schema invariant; raise ConfigError naming the first violation."""
-    if schema.n_buckets < 3:
-        raise ConfigError("bucket count must be at least 3")
-    if len(schema.representative) != schema.n_buckets:
-        raise ConfigError("representative count must match bucket count")
-    if schema.edges[0] != 0:
-        raise ConfigError("first bucket edge must be 0")
-    for lo, hi in zip(schema.edges, schema.edges[1:]):
-        if hi <= lo:
-            raise ConfigError("bucket edges must be strictly increasing")
-    for k in range(schema.n_buckets - 1):
-        rep = schema.representative[k]
-        if not schema.edges[k] <= rep < schema.edges[k + 1]:
-            raise ConfigError(f"representative of bucket {k} lies outside the bucket")
-    if schema.representative[-1] < schema.edges[-1]:
-        raise ConfigError("top bucket representative below its lower edge")
-    validate_allocation_config(config)
+    """config if its MaxCap is the schema's top representative, ConfigError otherwise:
+    the one check that needs both, as each checked the rest as it was built."""
     if config.max_cap != schema.representative[-1]:
         raise ConfigError("MaxCap mismatch with top bucket representative")
-    return config
-
-
-#: AllocationConfig's integer and real fields; cost_fn is neither.
-_INTEGER_FIELDS = ("total_budget", "min_cap", "max_cap")
-_REAL_FIELDS = ("max_cost", "cf_high", "cf_low", "low_region_fraction", "unit_cost")
-
-
-def _check_field_types(config: AllocationConfig) -> None:
-    """ConfigError naming the first field that is not an int (an integer
-    field) or an int or float (a real field)."""
-    check_fields(config, INTEGER, _INTEGER_FIELDS)
-    check_fields(config, NUMBER, _REAL_FIELDS)
-
-
-def validate_allocation_config(config: AllocationConfig) -> AllocationConfig:
-    """The checks of validate_config that need no bucket schema."""
-    _check_field_types(config)
-    if not (0.0 < config.cf_low < config.cf_high < 1.0):
-        raise ConfigError("cf ordering: require 0 < cf_low < cf_high < 1")
-    if config.min_cap <= 0:
-        raise ConfigError("MinCap must be positive")
-    if config.max_cap < config.min_cap:
-        raise ConfigError("MaxCap must be at least MinCap")
-    # total_budget 0 is allowed as a degenerate dry run yielding an empty plan.
-    if config.total_budget < 0:
-        raise ConfigError("total budget must be non-negative")
-    if not (math.isfinite(config.max_cost) and config.max_cost > 0):
-        raise ConfigError("max cost must be finite and positive")
-    if not 0.0 <= config.low_region_fraction <= 1.0:
-        raise ConfigError("low region fraction must lie in [0, 1]")
-    if not (math.isfinite(config.unit_cost) and config.unit_cost >= 0):
-        raise ConfigError("unit cost must be finite and non-negative")
-    if config.cost_fn is not None and config.cost_fn(0) != 0:
-        raise ConfigError("cost function must be zero at zero traffic")
     return config
 
 
@@ -707,16 +701,16 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
     ids, granted = plan.ids, plan.granted
     funded, unfunded = granted != 0, plan.region == REGION_CODE[Region.UNFUNDED]
     # np.select takes each row's first failing check, in the order a loop
-    # over the entries checks one; the last is cost_of's refusal.
+    # over the entries checks one. A config's min_cap is at least 1, so a
+    # negative grant fails the third or the fourth.
     problem = np.select(
         [
             order_and_repeats(ids)[1],
             ~funded & ~unfunded,
             funded & unfunded,
             funded & ((granted < config.min_cap) | (granted > config.max_cap)),
-            granted < 0,
         ],
-        [1, 2, 3, 4, 5],
+        [1, 2, 3, 4],
     )
     bad = np.flatnonzero(problem)
     stop = int(bad[0]) if len(bad) else len(ids)
@@ -730,7 +724,6 @@ def verify_plan(plan: AllocationPlan, config: AllocationConfig) -> None:
                 f"zero grant must be Unfunded: {item_id}",
                 f"Unfunded entry with traffic: {item_id}",
                 f"grant outside [MinCap, MaxCap]: {item_id} -> {granted[stop]}",
-                "traffic must be non-negative",
             )[problem[stop] - 1]
         )
     allocated = int(granted.sum())
@@ -1047,17 +1040,20 @@ def config_from_dict(raw: dict) -> tuple[AllocationConfig, BucketSchema]:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base.update(raw)
     try:
-        config = AllocationConfig(**{k: base[k] for k in _INTEGER_FIELDS + _REAL_FIELDS})
-        _check_field_types(config)
-        config = replace(config, **{k: float(base[k]) for k in _REAL_FIELDS})
+        values = {
+            k: checked(base[k], INTEGER if k in _INTEGER_FIELDS else NUMBER, k)
+            for k in _INTEGER_FIELDS + _REAL_FIELDS
+        }
+        values.update((k, float(values[k])) for k in _REAL_FIELDS)
         edges = checked_list(base["bucket_edges"], INTEGER, "bucket_edges")
         if "bucket_edges" in raw and "bucket_representatives" not in raw:
             # Edges changed without explicit representatives: re-derive them.
-            reps = tuple(edges[k + 1] - 1 for k in range(len(edges) - 1)) + (config.max_cap,)
+            reps = tuple(edges[k + 1] - 1 for k in range(len(edges) - 1)) + (values["max_cap"],)
         else:
             reps = checked_list(
                 base["bucket_representatives"], INTEGER, "bucket_representatives"
             )
     except (ValueError, OverflowError) as exc:  # float() of an integer past float range
         raise ConfigError(f"bad config value: {exc}") from exc
-    return config, BucketSchema(edges=edges, representative=reps)
+    schema = BucketSchema(edges=edges, representative=reps)  # named before a bad config
+    return AllocationConfig(**values), schema

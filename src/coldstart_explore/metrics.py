@@ -31,7 +31,6 @@ from .core import (
     id_order,
     sum_costs,
     take_columns,
-    validate_allocation_config,
     write_rows,
 )
 
@@ -210,7 +209,7 @@ def uniform_grants(n: int, config: AllocationConfig) -> np.ndarray:
     share = config.total_budget // n
     x_uniform = max(min(share, config.max_cap), config.min_cap)
     unit = cost_of(x_uniform, config)
-    funded = n if x_uniform == 0 else min(n, config.total_budget // x_uniform)
+    funded = min(n, config.total_budget // x_uniform)  # x_uniform >= min_cap >= 1
     # cost_left[k], the cost left before grant k, takes the unit off one step
     # at a time as a per-item loop does (subtract.accumulate runs in order),
     # so the ceiling test rounds the same way. The first test that fails
@@ -303,9 +302,8 @@ def uniform_allocate(
 ) -> AllocationPlan:
     """Equal traffic for everyone: the no-model baseline (see uniform_grants).
 
-    Only the ids are read. An invalid config, an empty corpus and duplicate ids are refused.
+    Only the ids are read. An empty corpus and duplicate ids are refused.
     """
-    validate_allocation_config(config)
     if not corpus:
         raise DataError("uniform allocation needs a non-empty corpus")
     ids = corpus.ids if isinstance(corpus, Corpus) else [rec.id for rec in corpus]
@@ -318,10 +316,9 @@ def oracle_allocate(latents: LatentColumns, config: AllocationConfig) -> Allocat
 
     `latents` is the simulator's ground truth, the LatentColumns
     generate_corpus returns, which holds no NaN threshold; oracle_grants
-    funds its items. An invalid config and duplicate ids are refused.
+    funds its items. Duplicate ids are refused.
     """
     LatentColumns.check(latents, "oracle_allocate")
-    validate_allocation_config(config)
     ids = latents.ids
     order = id_order(ids, "latents")
     granted = oracle_grants(latents.true_threshold[order], config)

@@ -115,12 +115,11 @@ class TrainingMeta:
 class Hyperparams:
     epochs: int = 100  # the most Newton steps train takes
 
-    def validate(self) -> "Hyperparams":
+    def __post_init__(self) -> None:
         # Zero steps would return the zero start as a trained model. An int
         # alone, as a model file's epochs: not a bool, float or numpy int.
         if type(self.epochs) not in INTEGER or self.epochs < 1:
             raise ConfigError(f"epochs must be an integer of at least 1, not {self.epochs!r}")
-        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +186,10 @@ def train(
     coefficient moving by more than 1e-10, the step is not taken and the fit
     stops. It also stops after a step that moves no coefficient by more than
     1e-10, or after params.epochs steps. Refuses an empty set, a bucket
-    outside the schema, or a single-class label set (for which the
-    cross-entropy minimizer pushes weights to infinity).
+    outside the schema, a single-class label set (for which the
+    cross-entropy minimizer pushes weights to infinity), or features so large
+    that a Newton step's system overflows.
     """
-    params.validate()
     if len(examples) == 0:
         raise DataError("empty training set")
     X = _design_matrix(examples, schema)
@@ -202,8 +201,13 @@ def train(
     first_loss, p = _loss_and_sigmoid(X, theta, y)
     steps = 0
     for _ in range(params.epochs):
-        hessian = X.T @ (X * (p * (1.0 - p))[:, None])
-        step = np.linalg.lstsq(hessian, X.T @ (p - y), rcond=None)[0]
+        # Features of about 1e154 or more overflow it; lstsq would not converge.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hessian = X.T @ (X * (p * (1.0 - p))[:, None])
+            grad = X.T @ (p - y)
+        if not (np.isfinite(hessian).all() and np.isfinite(grad).all()):
+            raise DataError("training features overflow the fit: its Newton system is not finite")
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         # The step's p is the next step's, so a step takes one product X @ theta.
         step_loss, step_p = _loss_and_sigmoid(X, theta - step, y)
         # A NaN step or loss fails both tests: it is halved no further and not taken.
@@ -417,7 +421,7 @@ def model_from_dict(raw: dict) -> DiscoverabilityModel:
     and final_loss integers or floats; a bool or a string is refused.
     """
     try:
-        # BucketSchema refuses edges or representatives that are not ints.
+        # BucketSchema refuses edges or representatives that are not ints, and a bad schema.
         schema = BucketSchema(raw["schema"]["edges"], raw["schema"]["representative"])
         training = raw["training_meta"]
         meta = TrainingMeta(

@@ -99,8 +99,8 @@ class SimConfig:
     engagement_a: float = 1.0
     engagement_b: float = -2.2
 
-    def validate(self) -> "SimConfig":
-        """Self, or ConfigError naming the first field out of its range.
+    def __post_init__(self) -> None:
+        """ConfigError naming the first field of the wrong type or out of its range.
 
         A feature_noise above MAX_FEATURE_NOISE is refused as out of float
         range whether or not a run draws features, so the refusal does not
@@ -133,6 +133,9 @@ class SimConfig:
             raise ConfigError("archetype_mix must be three non-negative fractions")
         if not math.isclose(sum(mix), 1.0, abs_tol=1e-9):
             raise ConfigError("archetype_mix must sum to 1")
+
+    def validate(self) -> "SimConfig":
+        """Self: a SimConfig checked itself when it was built (see __post_init__)."""
         return self
 
 
@@ -253,8 +256,7 @@ def draw_columns(
     loop over the items computes: the thresholds come from
     rounded_thresholds, and the engagement probabilities from math.exp of
     each logit as a Python float, as np.exp's last bit would change
-    latents.jsonl. Deterministic given (seed, round_index); the config is
-    not validated.
+    latents.jsonl. Deterministic given (seed, round_index).
 
     With features=False the feature matrix is neither drawn nor built, and
     None stands in its place. Its noise is the round generator's last draw,
@@ -292,7 +294,6 @@ def draw_columns(
 
 def generate_corpus(config: SimConfig, round_index: int) -> tuple[LatentColumns, Corpus]:
     """One round's fresh items (see draw_columns) as tables: the truth and an unserved corpus."""
-    config.validate()
     _check_round(round_index)
     ids, quality, theta, engagement_prob, features = draw_columns(config, round_index)
     latents = LatentColumns(ids, *frozen(quality, theta, engagement_prob))
@@ -510,9 +511,7 @@ def run_experiment(
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    sim_config.validate()
     validate_config(alloc_config, schema)
-    params.validate()
 
     n, d = sim_config.items_per_round, sim_config.feature_dim
     size = sim_config.rounds * n

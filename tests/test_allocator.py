@@ -227,8 +227,12 @@ class TestAdaptLowFraction:
     def test_scale_consistency(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            ig, tg = rng.uniform(0.2, 5.0, size=2)
-            scale = rng.uniform(0.1, 10.0)
+            draws = rng.uniform(0.2, 5.0, size=2)
+            # A ratio is an int or a float alone, as a config's real fields are.
+            with pytest.raises(ConfigError, match="item_growth must be a number"):
+                GrowthStats(*draws)
+            ig, tg = draws.tolist()
+            scale = float(rng.uniform(0.1, 10.0))
             a = adapt_low_fraction(0.3, GrowthStats(ig, tg))
             b = adapt_low_fraction(0.3, GrowthStats(ig * scale, tg * scale))
             assert a == pytest.approx(b)

@@ -911,6 +911,52 @@ def single_class_set(tmp_path):
     return path
 
 
+@pytest.fixture
+def decreasing_edges_model(tmp_path, trained_model_file):
+    payload = json.loads(trained_model_file.read_text())
+    payload["schema"]["edges"] = [0, 400, 200, 100, 800, 1600]
+    path = tmp_path / "decreasing.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.fixture
+def overflowing_set(tmp_path):
+    """A training set whose features, about 1e160, overflow the Newton fit."""
+    examples = separable_examples(n=40, dim=4)
+    path = tmp_path / "huge.npz"
+    save_examples(TrainingSet(examples.features * 1e160, examples.bucket, examples.label), path)
+    return path
+
+
+OVERFLOWING_FIT = "training features overflow the fit: its Newton system is not finite"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--train-set", "{huge}"], OVERFLOWING_FIT),
+        (["experiment", "--items", "200", "--rounds", "2", "--strategies", "model",
+          "--feature-noise", "1e154"], OVERFLOWING_FIT),
+        (["allocate", "--corpus", "{twice}", "--model", "{decreasing}"],
+         "bad model payload: bucket edges must be strictly increasing"),
+    ],
+    ids=["train-overflowing-fit", "experiment-overflowing-fit", "allocate-decreasing-edges"],
+)
+def test_refusal_is_a_data_error_without_warning(
+    tmp_path, overflowing_set, duplicate_id_corpus, decreasing_edges_model, argv, message, capsys
+):
+    argv = [
+        a.format(huge=overflowing_set, twice=duplicate_id_corpus, decreasing=decreasing_edges_model)
+        for a in argv
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out-dir", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

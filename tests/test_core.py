@@ -57,7 +57,15 @@ from coldstart_explore.core import (
     write_rows,
 )
 from coldstart_explore import core
-from coldstart_explore.model import TrainingSet, load_examples, save_examples
+from coldstart_explore.allocator import GrowthStats
+from coldstart_explore.metrics import uniform_allocate
+from coldstart_explore.model import (
+    Hyperparams,
+    TrainingSet,
+    load_examples,
+    save_examples,
+    train,
+)
 from coldstart_explore.simulator import (
     ExperimentReport,
     ItemRoundRow,
@@ -65,8 +73,10 @@ from coldstart_explore.simulator import (
     Observations,
     RoundMetrics,
     SimConfig,
+    build_training_set,
     generate_corpus,
     load_latents,
+    serve_round,
     write_latents,
 )
 from per_item import engagement_features, item_feature_vector, load_corpus
@@ -180,24 +190,20 @@ class TestValidateConfig:
             validate_config(cfg(max_cap=1500), geometric_schema())
 
     def test_rejects_few_buckets(self):
-        schema = BucketSchema(edges=(0, 100), representative=(50, 1600))
         with pytest.raises(ConfigError, match="at least 3"):
-            validate_config(cfg(), schema)
+            BucketSchema(edges=(0, 100), representative=(50, 1600))
 
     def test_rejects_unsorted_edges(self):
-        schema = BucketSchema(edges=(0, 200, 100, 400), representative=(1, 1, 1, 1600))
         with pytest.raises(ConfigError, match="strictly increasing"):
-            validate_config(cfg(), schema)
+            BucketSchema(edges=(0, 200, 100, 400), representative=(1, 1, 1, 1600))
 
     def test_rejects_nonzero_first_edge(self):
-        schema = BucketSchema(edges=(10, 100, 200), representative=(50, 150, 1600))
         with pytest.raises(ConfigError, match="first bucket edge"):
-            validate_config(cfg(), schema)
+            BucketSchema(edges=(10, 100, 200), representative=(50, 150, 1600))
 
     def test_rejects_representative_outside_bucket(self):
-        schema = BucketSchema(edges=(0, 100, 200, 400), representative=(150, 150, 250, 1600))
         with pytest.raises(ConfigError, match="outside the bucket"):
-            validate_config(cfg(), schema)
+            BucketSchema(edges=(0, 100, 200, 400), representative=(150, 150, 250, 1600))
 
     def test_zero_budget_allowed_negative_rejected(self):
         validate_config(cfg(total_budget=0), geometric_schema())
@@ -543,9 +549,10 @@ class TestVerifyColumnPlan:
             ([("a", H, 100)], {"total_cost": 1.5}, cfg(), "total_cost does not match entries"),
             ([("a", H, 1600)], {}, cfg(total_budget=1000), "plan exceeds traffic budget"),
             ([("a", H, 1600)], {}, cfg(max_cost=1.0), "plan exceeds cost budget"),
-            # A negative grant inside the caps of a config that allows it is
-            # refused by cost_of.
-            ([("a", H, -1)], {}, cfg(min_cap=-10), "traffic must be non-negative"),
+            # A config's min_cap is at least 1, so a negative grant is refused
+            # as below it, or as traffic on an Unfunded entry.
+            ([("a", H, -1)], {}, cfg(), "grant outside [MinCap, MaxCap]: a -> -1"),
+            ([("a", N, -1)], {}, cfg(), "Unfunded entry with traffic: a"),
             # The first bad row decides, whatever its refusal; a totals check
             # comes after every row.
             ([("a", H, 100), ("b", N, 100), ("a", U, 0)], {"total_cost": 9.0}, cfg(),
@@ -559,7 +566,8 @@ class TestVerifyColumnPlan:
         ],
         ids=["passes", "duplicate", "zero-grant-funded", "unfunded-with-traffic",
              "below-min-cap", "above-max-cap", "total-allocated", "total-cost",
-             "over-budget", "over-cost", "negative", "first-bad-row", "first-bad-row-2",
+             "over-budget", "over-cost", "negative", "negative-unfunded", "first-bad-row",
+             "first-bad-row-2",
              "several-repeats"],
     )
     def test_same_refusal_as_the_entry_loop(self, rows, totals, config, message):
@@ -1576,9 +1584,31 @@ class TestConfigDict:
             config_from_dict(raw)
 
     def test_float_keys_take_integers(self):
-        config, _ = config_from_dict({"max_cost": 2500, "cf_high": 1, "cf_low": 0})
-        assert (config.max_cost, config.cf_high, config.cf_low) == (2500.0, 1.0, 0.0)
-        assert all(type(v) is float for v in (config.max_cost, config.cf_high, config.cf_low))
+        raw = {"max_cost": 2500, "unit_cost": 0, "low_region_fraction": 1}
+        config, _ = config_from_dict(raw)
+        values = (config.max_cost, config.unit_cost, config.low_region_fraction)
+        assert values == (2500.0, 0.0, 1.0)
+        assert all(type(v) is float for v in values)
+        # cf_high 1 and cf_low 0 are numbers, so the config refuses their
+        # range as it is built, with its own message and no "bad config value".
+        with pytest.raises(ConfigError, match=r"^cf ordering: require 0 < cf_low < cf_high < 1$"):
+            config_from_dict({"cf_high": 1, "cf_low": 0})
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"min_cap": 0}, "MinCap must be positive"),
+            ({"total_budget": -1}, "total budget must be non-negative"),
+            ({"max_cost": 0}, "max cost must be finite and positive"),
+            ({"bucket_edges": [0, 100]}, "bucket count must be at least 3"),
+            ({"bucket_edges": [0, 200, 100]}, "bucket edges must be strictly increasing"),
+            # A bad schema is refused before a bad config, as validate_config did.
+            ({"bucket_edges": [5, 100, 200], "min_cap": 0}, "first bucket edge must be 0"),
+        ],
+    )
+    def test_range_error_keeps_its_own_message(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
 
     def test_new_edges_rederive_representatives(self):
         config, schema = config_from_dict(
@@ -1586,6 +1616,96 @@ class TestConfigDict:
         )
         assert schema.representative == (49, 99, 199, 400)
         validate_config(config, schema)
+
+
+#: A valid instance of each config, and per field a value it refuses.
+BAD_CONFIG_FIELDS = [
+    (
+        SimConfig(items_per_round=10),
+        {
+            "seed": -1,
+            "items_per_round": 0,
+            "rounds": 2.0,
+            "feature_dim": True,
+            "feature_noise": -0.5,
+            "threshold_mu": math.nan,
+            "threshold_kappa": "1.5",
+            "threshold_noise": np.float64(0.5),
+            "max_threshold": 0,
+            "archetype_mix": (0.5, 0.5),
+            "engagement_a": math.inf,
+            "engagement_b": None,
+        },
+    ),
+    (
+        core.DEFAULT_ALLOCATION,
+        {
+            "total_budget": -1,
+            "max_cost": 0.0,
+            "min_cap": 0,
+            "max_cap": 99,
+            "cf_high": 1.0,
+            "cf_low": 0.0,
+            "low_region_fraction": 1.5,
+            "unit_cost": -0.01,
+            "cost_fn": lambda traffic: traffic + 1.0,
+        },
+    ),
+    (core.DEFAULT_SCHEMA, {"edges": (0, 200, 100, 400, 800, 1600), "representative": (99,)}),
+    (Hyperparams(), {"epochs": 0}),
+    (GrowthStats(1.5, 1.2), {"item_growth": "2", "traffic_growth": 0.0}),
+]
+
+
+class TestConfigsCheckThemselves:
+    """Each config refuses a bad field as it is built, so no entry point sees one."""
+
+    def test_every_field_has_a_bad_value(self):
+        for config, bad in BAD_CONFIG_FIELDS:
+            assert bad.keys() == {f.name for f in dataclasses.fields(config)}
+
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [(config, f, v) for config, bad in BAD_CONFIG_FIELDS for f, v in bad.items()],
+        ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None,
+    )
+    def test_bad_field_refused_as_built_and_replaced(self, config, field, value):
+        given = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        with pytest.raises(ConfigError):
+            type(config)(**{**given, field: value})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config, **{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_serve_round_gets_no_bad_seed(self, seed):
+        config = SimConfig(items_per_round=20)
+        latents, records = generate_corpus(config, 0)
+        plan = uniform_allocate(records, core.DEFAULT_ALLOCATION)
+        message = f"seed must be a non-negative integer, not {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            serve_round(latents, plan, SimConfig(seed=seed, items_per_round=20), 0)
+
+    def test_build_training_set_gets_no_decreasing_edges(self):
+        config = SimConfig(items_per_round=50)
+        latents, records = generate_corpus(config, 0)
+        observations = serve_round(
+            latents, uniform_allocate(records, core.DEFAULT_ALLOCATION), config, 0
+        )
+        with pytest.raises(ConfigError, match="bucket edges must be strictly increasing"):
+            schema = BucketSchema((0, 300, 200, 100), (99, 199, 299, 1600))
+            build_training_set(observations, records, schema)
+
+    def test_train_gets_no_two_bucket_schema(self):
+        features = np.array([[-1.0], [1.0]])
+        examples = TrainingSet(features, np.zeros(2, np.int64), np.array([0, 1]))
+        with pytest.raises(ConfigError, match="bucket count must be at least 3"):
+            train(examples, BucketSchema((0, 100), (99, 1600)))
+
+    @pytest.mark.parametrize("ratio", ["2", True, np.float64(2.0)])
+    def test_growth_ratio_must_be_an_int_or_a_float(self, ratio):
+        message = f"item_growth must be a number, not {ratio!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            GrowthStats(ratio, 1.0)
 
 
 @pytest.mark.parametrize(

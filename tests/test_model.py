@@ -359,23 +359,34 @@ class TestTrain:
         assert np.array_equal(examples.label.astype(float), y_ref)
 
     @pytest.mark.parametrize(
-        "params",
+        "epochs",
         [
-            Hyperparams(epochs=0),
-            Hyperparams(epochs=-3),
-            Hyperparams(epochs=2.5),
-            Hyperparams(epochs=float("nan")),
-            Hyperparams(epochs=float("inf")),
-            Hyperparams(epochs="100"),
+            0,
+            -3,
+            2.5,
+            float("nan"),
+            float("inf"),
+            "100",
             # An int alone, as a model file's epochs: not a bool, an integral float or a numpy int.
-            Hyperparams(epochs=True),
-            Hyperparams(epochs=100.0),
-            Hyperparams(epochs=np.int64(100)),
+            True,
+            100.0,
+            np.int64(100),
         ],
     )
-    def test_bad_hyperparams_refused(self, params):
+    def test_bad_hyperparams_refused(self, epochs):
+        # Refused as built, so no train call ever sees them.
         with pytest.raises(ConfigError, match="epochs"):
-            train(separable_examples(n=20), SCHEMA, params)
+            Hyperparams(epochs=epochs)
+
+    def test_features_that_overflow_the_fit_refused(self):
+        # Features of about 1e160 overflow the Hessian's products; lstsq
+        # would fail to converge on the infinite system it got.
+        examples = separable_examples(n=40)
+        huge = TrainingSet(examples.features * 1e160, examples.bucket, examples.label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="training features overflow the fit"):
+                train(huge, SCHEMA)
 
 
 class TestSigmoid:
@@ -882,6 +893,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload).replace("12345.5", "1e400"))
         with pytest.raises(DataError, match="bad model payload"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"edges": [0, 400, 200, 100, 800, 1600]}, "bucket edges must be strictly increasing"),
+            ({"edges": [0, 100], "representative": [99, 1600]}, "bucket count must be at least 3"),
+        ],
+    )
+    def test_bad_schema_refused(self, tmp_path, schema, message):
+        # BucketSchema refuses it as load_model builds it.
+        payload = model_to_dict(make_model(SCHEMA, [1.0], np.zeros(SCHEMA.n_buckets)))
+        payload["schema"].update(schema)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"bad model payload: {message}"):
             load_model(path)
 
     @pytest.mark.parametrize("key", ["bucket_examples", "bucket_positives"])

@@ -151,21 +151,19 @@ class TestGenerateCorpus:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(items_per_round=0).validate()
+            SimConfig(items_per_round=0)
         with pytest.raises(ConfigError):
-            SimConfig(archetype_mix=(0.5, 0.2, 0.2)).validate()
+            SimConfig(archetype_mix=(0.5, 0.2, 0.2))
         with pytest.raises(ConfigError):
-            SimConfig(rounds=0).validate()
+            SimConfig(rounds=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True, np.int64(1)])
     def test_seed_not_a_non_negative_int_rejected(self, seed):
         message = f"seed must be a non-negative integer, not {seed!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            SimConfig(seed=seed).validate()
-        with pytest.raises(ConfigError, match="seed"):
-            generate_corpus(SimConfig(seed=seed, items_per_round=5), 0)
-        with pytest.raises(ConfigError, match="seed"):
-            run_experiment(SimConfig(seed=seed, items_per_round=5), cfg(), SCHEMA)
+            SimConfig(seed=seed)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(SimConfig(items_per_round=5), seed=seed)
 
 
 class TestServeRound:
@@ -384,13 +382,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="strategy"):
             run_experiment(SimConfig(), cfg(), SCHEMA, Hyperparams(), "magic")
 
-    @pytest.mark.parametrize(
-        "params",
-        [Hyperparams(epochs=0), Hyperparams(epochs=2.5), Hyperparams(epochs=math.nan)],
-    )
-    def test_bad_hyperparams_refused_before_any_round(self, params):
+    @pytest.mark.parametrize("epochs", [0, 2.5, math.nan])
+    def test_bad_hyperparams_refused_before_any_round(self, epochs):
+        # Refused as built, so no run_experiment call ever sees them.
         with pytest.raises(ConfigError, match="epochs"):
-            run_experiment(SimConfig(items_per_round=10), cfg(), SCHEMA, params, "uniform")
+            Hyperparams(epochs=epochs)
 
     def test_rounds_report_the_buckets_the_model_never_saw(self):
         # The uniform bootstrap grants min_cap, 100, to every item: bucket 1.
@@ -545,7 +541,6 @@ class TestLatentFile:
 
 def generate_corpus_reference(config, round_index):
     """generate_corpus written item by item."""
-    config.validate()
     projection = simulator._feature_projection(config)
     rng = np.random.default_rng([config.seed, round_index])
     n = config.items_per_round
@@ -610,7 +605,6 @@ def run_experiment_reference(
     """run_experiment on objects: the per-item references above, a plan per
     round from `uniform`, `oracle` or allocator.allocate, and a pool of
     records updated with dataclasses.replace beside the set of ids discovered so far."""
-    sim_config.validate()
     validate_config(alloc_config, schema)
     pool_latents, pool_records, discovered = {}, {}, set()
     all_observations, round_metrics, item_rows = [], [], []
@@ -1321,14 +1315,9 @@ class TestSimConfigRejectsNonIntegerSizes:
     @pytest.mark.parametrize("field", ["items_per_round", "rounds", "feature_dim", "max_threshold"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.int64(2), "2", 0])
     def test_size_not_a_positive_int_rejected(self, field, value):
-        config = replace(SimConfig(items_per_round=10), **{field: value})
         message = f"{field} must be a positive integer, not {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            config.validate()
-        with pytest.raises(ConfigError, match=field):
-            generate_corpus(config, 0)
-        with pytest.raises(ConfigError, match=field):
-            run_experiment(config, cfg(), SCHEMA)
+            replace(SimConfig(items_per_round=10), **{field: value})
 
 
 class TestDiscoveryIsPerRound:
@@ -1361,12 +1350,9 @@ class TestSimConfigRejectsNonNumbers:
     )
     @pytest.mark.parametrize("value", ["x", True, None, np.float64(0.5)])
     def test_real_field_not_a_number_rejected(self, field, value):
-        config = replace(SimConfig(items_per_round=10), **{field: value})
         message = f"{field} must be a number, not {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            config.validate()
-        with pytest.raises(ConfigError, match=field):
-            generate_corpus(config, 0)
+            replace(SimConfig(items_per_round=10), **{field: value})
 
     @pytest.mark.parametrize(
         "mix, message",
@@ -1378,7 +1364,7 @@ class TestSimConfigRejectsNonNumbers:
     )
     def test_archetype_mix_not_numbers_rejected(self, mix, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            SimConfig(archetype_mix=mix).validate()
+            SimConfig(archetype_mix=mix)
 
     def test_integral_values_accepted(self):
         config = SimConfig(threshold_mu=6, feature_noise=0, archetype_mix=[0, 1, 0])
@@ -1417,11 +1403,8 @@ class TestSimConfigRejectsNonFinite:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, field, value):
-        config = replace(SimConfig(items_per_round=10), **{field: value})
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
-            config.validate()
-        with pytest.raises(ConfigError, match=field):
-            generate_corpus(config, 0)
+            replace(SimConfig(items_per_round=10), **{field: value})
 
 
 class TestRoundIds:
@@ -1483,9 +1466,10 @@ class TestGenerateCorpusRejectsOverflow:
         ],
     )
     def test_value_out_of_float_range_is_config_error(self, overrides):
-        config = SimConfig(items_per_round=10, **overrides)
+        # The config refuses a feature_noise past the bound as it is built;
+        # the draw refuses the other overflows.
         with pytest.raises(ConfigError, match="out of float range"):
-            generate_corpus(config, 0)
+            generate_corpus(SimConfig(items_per_round=10, **overrides), 0)
 
 
 class TestFeatureNoiseBound:
@@ -1494,10 +1478,9 @@ class TestFeatureNoiseBound:
 
     def test_the_bound_is_taken_and_the_next_float_refused(self):
         assert simulator.MAX_FEATURE_NOISE == 1e300
-        SimConfig(feature_noise=1e300).validate()
-        above = SimConfig(feature_noise=float(np.nextafter(1e300, np.inf)))
+        assert SimConfig(feature_noise=1e300).validate().feature_noise == 1e300
         with pytest.raises(ConfigError, match="feature_noise .* out of float range"):
-            above.validate()
+            SimConfig(feature_noise=float(np.nextafter(1e300, np.inf)))
 
     def test_features_at_the_bound_are_finite(self):
         _, records = generate_corpus(SimConfig(items_per_round=2000, feature_noise=1e300), 0)
@@ -1509,8 +1492,8 @@ class TestFeatureNoiseBound:
             raise AssertionError("drew a round")
 
         monkeypatch.setattr(simulator, "draw_columns", no_draw)
-        config = SimConfig(items_per_round=20, rounds=2, feature_noise=1e308)
         with pytest.raises(ConfigError, match="feature_noise .* out of float range"):
+            config = SimConfig(items_per_round=20, rounds=2, feature_noise=1e308)
             run_experiment(config, cfg(), SCHEMA, Hyperparams(), strategy)
 
 
